@@ -532,7 +532,7 @@ def scaling_check(problem: FlowProblem, k: float,
     scaled_lay = ball_layout(problem.norm, problem.radius / k, h / k)
     coords = scaled_lay.coords()
     datum_k = scaled_lay.with_values(
-        _sample_on(problem.datum, k * coords))
+        problem.datum.sample_nearest(k * coords))
     scaled = replace(problem, radius=problem.radius / k, datum=datum_k,
                      tau=problem.tau / (k * k), t_end=max(compare_times),
                      store_times=tuple(compare_times))
@@ -542,23 +542,11 @@ def scaling_check(problem: FlowProblem, k: float,
     for t in compare_times:
         u_scaled = ts.slice_at(t).values
         u_base = tb.slice_at(k * k * t)
-        mapped = _sample_on(u_base, k * coords)
+        mapped = u_base.sample_nearest(k * coords)
         core = dual_norm_eval(problem.norm, coords) < problem.radius / k - 2 * h / k
         defects.append(float(np.max(np.abs(u_scaled - mapped)[core])))
     return ScalingReport(k, list(compare_times), defects,
                          base_trajectory=tb, scaled_trajectory=ts)
-
-
-def _sample_on(gf: GridFunction, points: np.ndarray) -> np.ndarray:
-    """Values of gf at lattice-aligned points (nearest-node; exact on lattice)."""
-    idx = []
-    inside = np.ones(points.shape[:-1], dtype=bool)
-    for a, ((lo, hi), cells) in enumerate(zip(gf.box, gf.resolution)):
-        h = (hi - lo) / cells
-        j = np.rint((points[..., a] - lo) / h).astype(int)
-        inside &= (points[..., a] >= lo - 1e-9) & (points[..., a] <= hi + 1e-9)
-        idx.append(np.clip(j, 0, cells))
-    return np.where(inside, gf.values[tuple(idx)], 0.0)
 
 
 @dataclass
@@ -610,8 +598,8 @@ def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSp
     for a, b in zip(solutions, solutions[1:]):
         worst = 0.0
         for t in compare_times:
-            ua = _sample_on(a.slice_at(t), core_pts)
-            ub = _sample_on(b.slice_at(t), core_pts)
+            ua = a.slice_at(t).sample_nearest(core_pts)
+            ub = b.slice_at(t).sample_nearest(core_pts)
             worst = max(worst, float(np.max(np.abs(ua - ub)[core])))
         diffs.append(worst)
     return NestedDomainReport(list(radii), core_radius, list(compare_times), diffs,

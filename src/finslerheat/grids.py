@@ -76,6 +76,21 @@ class GridFunction:
     def same_layout(self, other: "GridFunction") -> bool:
         return self.box == other.box and self.resolution == other.resolution
 
+    def sample_nearest(self, points: np.ndarray) -> np.ndarray:
+        """Values at points of shape (..., N), nearest node; 0 outside the box.
+
+        Exact for points on this grid's lattice, so it also resamples between
+        aligned lattices.
+        """
+        idx = []
+        inside = np.ones(points.shape[:-1], dtype=bool)
+        for a, ((lo, hi), cells) in enumerate(zip(self.box, self.resolution)):
+            h = (hi - lo) / cells
+            j = np.rint((points[..., a] - lo) / h).astype(int)
+            inside &= (points[..., a] >= lo - 1e-9) & (points[..., a] <= hi + 1e-9)
+            idx.append(np.clip(j, 0, cells))
+        return np.where(inside, self.values[tuple(idx)], 0.0)
+
     # -- binary / CSV round trips (layout documented in docs/formats.md) ----
 
     def to_bytes(self) -> bytes:

@@ -101,23 +101,10 @@ def materialize(measure: MeasureSpec, spec: NormSpec, radius: float,
         return layout.with_values(vals)
     if measure.kind == "density":
         src = measure.density
-        vals = _resample_density(src, layout)
+        vals = src.sample_nearest(layout.coords())
         return layout.with_values(np.where(r <= radius, vals, 0.0))
     # atoms are handled by exact sums; a grid view is only needed for plots
     raise DomainError("atom measures have no density representation; mollify first")
-
-
-def _resample_density(src: GridFunction, layout: GridFunction) -> np.ndarray:
-    """Nearest-node resample between aligned lattices; 0 outside the source box."""
-    coords = layout.coords()
-    idx = []
-    inside = np.ones(coords.shape[:-1], dtype=bool)
-    for k, ((lo, hi), cells) in enumerate(zip(src.box, src.resolution)):
-        h = (hi - lo) / cells
-        j = np.rint((coords[..., k] - lo) / h).astype(int)
-        inside &= (coords[..., k] >= lo - 1e-9) & (coords[..., k] <= hi + 1e-9)
-        idx.append(np.clip(j, 0, cells))
-    return np.where(inside, src.values[tuple(idx)], 0.0)
 
 
 def _ball_kernel(spec: NormSpec, radius: float, spacing: Sequence[float]) -> np.ndarray:
@@ -274,7 +261,7 @@ def mollify(measure: MeasureSpec, width: float,
         source = layout.with_values(np.where(r <= measure.profile.r_max, base, 0.0))
     else:
         source = measure.density if measure.density.same_layout(layout) \
-            else layout.with_values(_resample_density(measure.density, layout))
+            else layout.with_values(measure.density.sample_nearest(layout.coords()))
 
     axes = [np.arange(-int(np.ceil(width / hk)), int(np.ceil(width / hk)) + 1) * hk
             for hk in h]

@@ -9,9 +9,14 @@ Conventions used throughout the package:
 
 The map A satisfies A(xi).xi = H(xi)^2 and H0(A(xi)) = H(xi), and is
 continuous at the origin, which is why all grid code evaluates A rather
-than grad H.  Gradients of numerically-defined dual norms come from the
-maximizer itself (envelope argument): grad H0(x) is the point of {H = 1}
-where the supremum is attained.
+than grad H.
+
+Every family has its dual in closed form (`dual_spec`): the p-norm dual is
+the conjugate q-norm, and every quadratic family H^2 = xi^T Q xi has the
+ellipse of Q^-1 as its dual.  The sampled sphere maximization is kept only
+as an explicit oracle (method="sphere_maximization"); its gradient comes
+from the maximizer itself (envelope argument): grad H0(x) is the point of
+{H = 1} where the supremum is attained.
 
 Built-in families:
 
@@ -20,8 +25,7 @@ Built-in families:
     ellipse(M)           H(xi) = sqrt(xi^T M xi), M SPD, dual uses M^-1
     smoothed_polytope    H(xi)^2 = sum_i ((d_i . xi)^2 + eps^2 |xi|^2),
                          a strictly convex stand-in for polytope norms;
-                         no closed-form dual is registered, so this family
-                         exercises the sphere-maximization path
+                         an ellipse with Q = D^T D + k eps^2 I
 
 Non-smooth norms (p = 1, p = inf, raw polytopes) are rejected at
 construction: the strict-convexity and C^1 assumptions are load-bearing
@@ -31,6 +35,7 @@ for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -54,7 +59,6 @@ class NormSpec:
     matrix: Optional[tuple] = None          # row tuples, kept hashable
     directions: Optional[tuple] = None
     epsilon: Optional[float] = None
-    dual_hint: Optional["NormSpec"] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -147,31 +151,20 @@ class NormSpec:
 
 
 def euclidean(dimension: int) -> NormSpec:
-    spec = NormSpec("euclidean", dimension)
-    object.__setattr__(spec, "dual_hint", spec)
-    return spec
+    return NormSpec("euclidean", dimension)
 
 
 def p_norm(p: float, dimension: int) -> NormSpec:
-    spec = NormSpec("p_norm", dimension, p=float(p))
-    q = p / (p - 1.0)
-    object.__setattr__(spec, "dual_hint", NormSpec("p_norm", dimension, p=q))
-    return spec
+    return NormSpec("p_norm", dimension, p=float(p))
 
 
 def ellipse(M: np.ndarray) -> NormSpec:
     M = np.asarray(M, dtype=float)
-    spec = NormSpec("ellipse", M.shape[0], matrix=tuple(map(tuple, M)))
-    Minv = np.linalg.inv(M)
-    Minv = 0.5 * (Minv + Minv.T)
-    object.__setattr__(
-        spec, "dual_hint", NormSpec("ellipse", M.shape[0], matrix=tuple(map(tuple, Minv))))
-    return spec
+    return NormSpec("ellipse", M.shape[0], matrix=tuple(map(tuple, M)))
 
 
 def smoothed_polytope(directions: np.ndarray, epsilon: float) -> NormSpec:
     D = np.asarray(directions, dtype=float)
-    # no dual hint on purpose: this family exercises the numeric dual path
     return NormSpec(
         "smoothed_polytope", D.shape[1],
         directions=tuple(map(tuple, D)), epsilon=float(epsilon))
@@ -179,9 +172,9 @@ def smoothed_polytope(directions: np.ndarray, epsilon: float) -> NormSpec:
 
 @dataclass(frozen=True)
 class DualEvalConfig:
-    """How to evaluate H0: closed form when available, else sampled sup."""
+    """How to evaluate H0: closed form (auto), or the sampled-sup oracle."""
 
-    method: str = "auto"                    # auto | closed_form | sphere_maximization
+    method: str = "auto"    # auto = closed_form | sphere_maximization
     sphere_samples: int = 2048
     refinement_iters: int = 20
     tolerance: float = 1e-9
@@ -284,9 +277,14 @@ def coercivity_bounds(spec: NormSpec) -> tuple[float, float]:
 # dual norm
 # ---------------------------------------------------------------------------
 
-def dual_spec(spec: NormSpec) -> Optional[NormSpec]:
-    """Closed-form dual spec, or None when only the numeric path exists."""
-    return spec.dual_hint
+@lru_cache(maxsize=128)
+def dual_spec(spec: NormSpec) -> NormSpec:
+    """Closed-form dual spec: the conjugate p-norm, or the ellipse of Q^-1."""
+    if spec.family == "p_norm":
+        return NormSpec("p_norm", spec.dimension, p=spec.p / (spec.p - 1.0))
+    Minv = np.linalg.inv(spec._quadratic_form())
+    Minv = 0.5 * (Minv + Minv.T)
+    return NormSpec("ellipse", spec.dimension, matrix=tuple(map(tuple, Minv)))
 
 
 def _direction_set(dimension: int, count: int) -> np.ndarray:
@@ -397,17 +395,14 @@ def dual_norm_eval(spec: NormSpec, x: np.ndarray,
                    cfg: Optional[DualEvalConfig] = None) -> np.ndarray:
     """H0(x) = sup_{xi != 0} x.xi / H(xi).
 
-    Closed form when the family registers a dual; otherwise sampled
-    maximization over the unit sphere of H with local refinement.  Batched
-    input is supported on the closed-form path; the numeric path loops.
+    Closed form through `dual_spec`; method="sphere_maximization" instead
+    runs the sampled maximization over the unit sphere of H with local
+    refinement, one point at a time.
     """
     cfg = cfg or DualEvalConfig()
     x = np.asarray(x, dtype=float)
-    dual = dual_spec(spec)
-    if cfg.method == "closed_form" and dual is None:
-        raise DomainError(f"{spec.label()} has no closed-form dual")
-    if dual is not None and cfg.method in ("auto", "closed_form"):
-        return eval_norm(dual, x)
+    if cfg.method != "sphere_maximization":
+        return eval_norm(dual_spec(spec), x)
     if x.ndim == 1:
         return _dual_maximize(spec, x, cfg)[0]
     flat = x.reshape(-1, x.shape[-1])
@@ -417,7 +412,7 @@ def dual_norm_eval(spec: NormSpec, x: np.ndarray,
 
 def grad_dual_norm(spec: NormSpec, x: np.ndarray,
                    cfg: Optional[DualEvalConfig] = None) -> np.ndarray:
-    """grad H0(x); closed form through the dual spec, else the maximizer.
+    """grad H0(x); closed form through the dual spec, or the maximizer.
 
     On the numeric path the gradient is the argmax of x.xi over {H(xi)=1}
     (envelope theorem), which automatically satisfies H(grad H0(x)) = 1.
@@ -426,9 +421,8 @@ def grad_dual_norm(spec: NormSpec, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     if x.ndim == 1 and not np.any(x):
         raise DomainError("grad of the dual norm is undefined at x = 0")
-    dual = dual_spec(spec)
-    if dual is not None and cfg.method in ("auto", "closed_form"):
-        return grad_norm(dual, x)
+    if cfg.method != "sphere_maximization":
+        return grad_norm(dual_spec(spec), x)
     if x.ndim == 1:
         return _dual_maximize(spec, x, cfg)[1]
     flat = x.reshape(-1, x.shape[-1])

@@ -114,7 +114,7 @@ def radial_operator_values(rp: RadialProfile, dimension: int, r: np.ndarray) -> 
 
 
 def dual_norm_grid(spec: NormSpec, gf: GridFunction) -> np.ndarray:
-    """H0 at every node; closed-form duals vectorize, numeric duals loop."""
+    """H0 at every node, through the closed-form dual."""
     return dual_norm_eval(spec, gf.coords())
 
 

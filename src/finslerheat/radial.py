@@ -13,12 +13,13 @@ against the sphere factor
     rho = H0(x).
 
 In two dimensions I(z) = 2 pi I0(z) where I0 is the modified Bessel
-function of the first kind, summed here by its power series.  The
-exponential factors are combined as e^(-(rho-r)^2/4t) * [e^(-z) I(z)],
-which keeps every intermediate bounded for small t; the scaled factor
-e^(-z) I(z) uses the series below z = 40 and the standard asymptotic
-expansion above.  N = 1 is handled by the two-point "sphere" 2 cosh(z)
-as a documented extension.
+function of the first kind.  The exponential factors are combined as
+e^(-(rho-r)^2/4t) * [e^(-z) I(z)], which keeps every intermediate bounded
+for small t; in N = 2 the scaled factor e^(-z) I0(z) is the library
+kernel scipy.special.i0e, which agrees with mpmath to about 2e-16
+relative from z = 0 to 1e6.  The power series `bessel_I0` is kept as an
+independent oracle.  N = 1 is handled by the two-point "sphere"
+2 cosh(z) as a documented extension.
 
 Endpoint weights: the N = 2 integrand carries (1 - s^2)^(-1/2), which
 Chebyshev-Gauss nodes absorb exactly; Gauss-Legendre is rejected for
@@ -31,17 +32,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import i0e
 
 from .errors import ConvergenceError, DomainError, SpecValidationError
 from .grids import RadialProfile
 from .norms import NormSpec, dual_norm_eval
 
 _OVERFLOW_Z = 700.0
-
-# (2k-1)!!^2 / (8^k k!), coefficients of the large-z expansion of e^-z I0(z)
-_I0_ASYMPTOTIC = [1.0, 1.0 / 8, 9.0 / 128, 225.0 / 3072, 11025.0 / 98304,
-                  893025.0 / 3932160, 108056025.0 / 188743680,
-                  18261468225.0 / 10569646080]
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,10 @@ class QuadratureRule:
 class SphereIntegralConfig:
     dimension: int
     rule: QuadratureRule = field(default_factory=QuadratureRule)
-    series_terms: int = 60
 
     def __post_init__(self):
         if self.dimension < 1:
             raise SpecValidationError("dimension must be positive")
-        if self.series_terms < 20:
-            raise SpecValidationError("series_terms must be >= 20")
         if self.dimension == 2 and self.rule.kind != "chebyshev_gauss":
             raise SpecValidationError(
                 "N = 2 requires chebyshev_gauss (endpoint weight (1-s^2)^(-1/2))")
@@ -131,36 +125,13 @@ def bessel_I0(z: float, terms: int = 60) -> float:
     return total
 
 
-def _scaled_i0(z: np.ndarray, terms: int = 120) -> np.ndarray:
-    """e^(-z) I0(z), series below z = 40 and asymptotics above."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z <= 40.0
-    if np.any(small):
-        zs = z[small]
-        q = (zs / 2.0) ** 2
-        term = np.ones_like(zs)
-        total = np.ones_like(zs)
-        for n in range(1, terms):
-            term = term * q / (n * n)
-            total += term
-        out[small] = total * np.exp(-zs)
-    if np.any(~small):
-        zl = z[~small]
-        acc = np.zeros_like(zl)
-        for k, a in enumerate(_I0_ASYMPTOTIC):
-            acc += a / zl**k
-        out[~small] = acc / np.sqrt(2.0 * np.pi * zl)
-    return out
-
-
-def _scaled_sphere_integral(z: np.ndarray, dim: int, terms: int = 120) -> np.ndarray:
+def _scaled_sphere_integral(z: np.ndarray, dim: int) -> np.ndarray:
     """e^(-z) I(z), stable for arbitrarily large z >= 0."""
     z = np.asarray(z, dtype=float)
     if dim == 1:
         return 1.0 + np.exp(-2.0 * z)
     if dim == 2:
-        return 2.0 * np.pi * _scaled_i0(z, terms)
+        return 2.0 * np.pi * i0e(z)
     if dim == 3:
         # 4 pi sinh(z) e^(-z) / z = 2 pi (1 - e^(-2z)) / z
         out = np.where(z > 1e-12,
@@ -197,7 +168,7 @@ def _tail_bound(profile: RadialProfile, dim: int, rho: float, t: float) -> float
 
 def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray, t: float,
                         nodes_per_unit: int = 64, tol: float = 1e-9,
-                        series_terms: int = 120, max_doublings: int = 6) -> np.ndarray:
+                        max_doublings: int = 6) -> np.ndarray:
     """u(rho, t) of the radial representation formula, vectorized over rho.
 
     Composite Gauss-Legendre panels of unit length cover [0, R_max]; the
@@ -226,7 +197,7 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray, t: fl
             block = rho[start:start + 512, None]
             z = block * r[None, :] / (2.0 * t)
             kern = np.exp(-((block - r[None, :]) ** 2) / (4.0 * t)) \
-                * _scaled_sphere_integral(z, dim, series_terms)
+                * _scaled_sphere_integral(z, dim)
             out[start:start + 512] = kern @ (wr * phi * r ** (dim - 1))
         return pref * out
 
@@ -251,17 +222,13 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray, t: fl
 
 
 def radial_heat_solution(profile: RadialProfile, spec: NormSpec, x: np.ndarray,
-                         t: float, cfg: Optional[SphereIntegralConfig] = None,
-                         r_quad: Optional[QuadratureRule] = None) -> float:
+                         t: float, r_quad: Optional[QuadratureRule] = None) -> float:
     """Solution value at a point x from H0-radial initial data.
 
     New data propagate by the closed 1-D integral; only rho = H0(x) enters.
     """
-    spec_dim = spec.dimension
-    cfg = cfg or default_sphere_config(spec_dim)
     nodes = r_quad.nodes if r_quad is not None else 64
     rho = float(dual_norm_eval(spec, np.asarray(x, dtype=float)))
-    vals = radial_heat_profile(profile, spec_dim, np.array([rho]), t,
-                               nodes_per_unit=nodes, series_terms=max(
-                                   120, cfg.series_terms))
+    vals = radial_heat_profile(profile, spec.dimension, np.array([rho]), t,
+                               nodes_per_unit=nodes)
     return float(vals[0])

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -26,6 +27,19 @@ def test_verify_norms_default_suite(tmp_path):
     assert code == 0
     text = (outdir / "norm_identities.csv").read_text()
     assert "duality_inequality" in text and "True" in text
+
+
+def test_verify_norms_csv_quotes_labels_with_commas(tmp_path):
+    specs = [norms.smoothed_polytope(np.eye(2), 0.05), norms.p_norm(3, 2)]
+    cfg = {"seed": 1, "samples": 200, "norms": [s.to_dict() for s in specs]}
+    code, outdir = _run(tmp_path, "verify-norms", cfg)
+    assert code == 0
+    with open(outdir / "norm_identities.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 7 * len(specs)
+    assert all(len(row) == 6 and None not in row for row in rows)
+    assert [row["family"] for row in rows] == [s.label() for s in specs
+                                               for _ in range(7)]
 
 
 def test_verify_norms_requires_seed(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from finslerheat import norms
 from finslerheat.errors import DomainError, SpecValidationError
@@ -189,15 +191,36 @@ def test_biduality_recovers_primal():
         np.testing.assert_allclose(H_bidual, H, rtol=1e-6)
 
 
-def test_smoothed_polytope_numeric_dual_matches_quadratic_form():
-    # the s=2 smoothing is a quadratic norm in disguise; its exact dual is
-    # the inverse-form ellipse, a hidden oracle for the sphere maximizer
-    Q = SQUARE._quadratic_form()
-    hidden = norms.ellipse(np.linalg.inv(Q))
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal((50, 2))
-    numeric = np.array([norms.dual_norm_eval(SQUARE, row, NUMERIC_CFG) for row in x])
-    np.testing.assert_allclose(numeric, norms.eval_norm(hidden, x), rtol=1e-9)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(angles=st.lists(st.floats(0.0, np.pi), min_size=2, max_size=4),
+       eps=st.floats(0.01, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_smoothed_polytope_numeric_dual_matches_quadratic_form(angles, eps, seed):
+    # the smoothing is a quadratic norm (Q = D^T D + k eps^2 I); its default
+    # closed-form dual, the ellipse of Q^-1, must agree with the sphere
+    # maximizer, which knows nothing about Q
+    D = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    assume(np.linalg.matrix_rank(D) == 2)
+    spec = norms.smoothed_polytope(D, eps)
+    direct = norms.NormSpec("smoothed_polytope", 2, directions=spec.directions,
+                            epsilon=eps)
+    assert norms.dual_spec(direct) is not None
+    x = np.random.default_rng(seed).standard_normal((8, 2))
+    numeric = np.array([norms.dual_norm_eval(spec, row, NUMERIC_CFG) for row in x])
+    np.testing.assert_allclose(norms.dual_norm_eval(direct, x), numeric, rtol=1e-9)
+
+
+@pytest.mark.parametrize("spec", [EUCLID, ELLIPSE, P4, SQUARE,
+                                  norms.ellipse(np.diag([4.0, 1.0, 2.25]))])
+def test_default_dual_never_maximizes(spec, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("default dual evaluation reached the maximizer")
+    monkeypatch.setattr(norms, "_dual_maximize", refuse)
+    x = np.random.default_rng(43).standard_normal((4, 3, spec.dimension))
+    for cfg in (None, norms.DualEvalConfig("auto"),
+                norms.DualEvalConfig("closed_form")):
+        norms.dual_norm_eval(spec, x, cfg)
+        norms.grad_dual_norm(spec, x, cfg)
+        norms.grad_dual_norm(spec, x[0, 0], cfg)
 
 
 def test_homogeneity_property():

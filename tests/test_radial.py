@@ -5,7 +5,8 @@ import pytest
 from finslerheat import norms
 from finslerheat.errors import DomainError, SpecValidationError
 from finslerheat.grids import RadialProfile
-from finslerheat.radial import (QuadratureRule, SphereIntegralConfig, bessel_I0,
+from finslerheat.radial import (QuadratureRule, SphereIntegralConfig,
+                                _scaled_sphere_integral, bessel_I0,
                                 default_sphere_config, radial_heat_profile,
                                 radial_heat_solution, sphere_integral_I)
 
@@ -66,6 +67,16 @@ def test_bessel_series_values():
 def test_bessel_series_accuracy_z30():
     assert bessel_I0(30.0, 60) == pytest.approx(float(mpmath.besseli(0, 30)),
                                                 rel=1e-13)
+
+
+def test_scaled_sphere_integral_n2_matches_mpmath():
+    # 2 pi e^{-z} I0(z) on both sides of z = 40 and far into the tail
+    zs = np.array([39.999, 40.001, 100.0, 1e4])
+    vals = _scaled_sphere_integral(zs, 2)
+    with mpmath.workdps(40):
+        refs = [float(2 * mpmath.pi * mpmath.exp(-mpmath.mpf(z))
+                      * mpmath.besseli(0, mpmath.mpf(z))) for z in zs]
+    np.testing.assert_allclose(vals, refs, rtol=1e-14, atol=0.0)
 
 
 def test_sphere_integral_positive_and_monotone():
