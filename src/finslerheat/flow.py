@@ -11,10 +11,13 @@ so one implicit Euler step from u_prev is the proximal map
 over fields vanishing outside the mask.  The discrete energy sums
 H(face gradient)^2 over all grid faces (each of the N face families sees
 the full gradient, hence the 1/(2N) normalization), with the masked field
-extended by zero; its exact adjoint gradient drives an accelerated
-first-order inner solver, so every returned step is a true descent point
-of the monitored energy.  The explicit scheme advances with the face-flux
-operator under the usual parabolic step restriction.
+extended by zero; the face gradient G and its exact adjoint come from
+`operators`, and the energy gradient is (1/N) G^T A(G u).  The inner
+solver is conjugate gradients for the quadratic norm families, where the
+step is the SPD system (I/tau + K) u = u_prev/tau, and a Nesterov scheme
+for p-norms; every returned step is a descent point of the monitored
+energy.  The explicit scheme advances with the face-flux operator under
+the usual parabolic step restriction.
 
 Domain geometry: the ball is masked inside a bounding box whose sides
 touch it (the half-width along axis i is R * H(e_i), the support function
@@ -33,14 +36,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.signal import fftconvolve
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, DomainError, SpecValidationError, StabilityError
 from .grids import GridFunction
 from .measures import MeasureSpec, _ball_kernel, mollify
 from .norms import NormSpec, coercivity_bounds, dual_norm_eval, duality_map, eval_norm
-from .operators import finsler_laplacian
-
-_PAD = 2
+from .operators import (apply_taps, face_gradient, face_gradient_adjoint,
+                        face_taps, finsler_laplacian, unit_taps)
 
 
 # ---------------------------------------------------------------------------
@@ -125,45 +128,6 @@ class FlowProblem:
 # discrete energy and its exact gradient
 # ---------------------------------------------------------------------------
 
-def _padded(values: np.ndarray) -> np.ndarray:
-    return np.pad(values, _PAD)
-
-
-def _face_quantities(P: np.ndarray, spacings, spec: NormSpec, axis: int):
-    """Face gradient and flux components for the faces normal to `axis`.
-
-    Returns (gradient components, flux components, lo, hi) where lo/hi
-    slice the padded array onto the two sides of the face family.
-    """
-    N = P.ndim
-    lo = [slice(None)] * N
-    hi = [slice(None)] * N
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    lo, hi = tuple(lo), tuple(hi)
-    comps = []
-    for k in range(N):
-        if k == axis:
-            comps.append((P[hi] - P[lo]) / spacings[k])
-        else:
-            ck = np.zeros_like(P)
-            inner = [slice(None)] * N
-            inner[k] = slice(1, -1)
-            up = [slice(None)] * N
-            up[k] = slice(2, None)
-            dn = [slice(None)] * N
-            dn[k] = slice(None, -2)
-            ck[tuple(inner)] = (P[tuple(up)] - P[tuple(dn)]) / (2.0 * spacings[k])
-            comps.append(0.5 * (ck[hi] + ck[lo]))
-    if spec.family == "p_norm":
-        A = duality_map(spec, np.stack(comps, axis=-1))
-        flux = [A[..., k] for k in range(N)]
-    else:
-        Q = spec._quadratic_form()
-        flux = [sum(Q[i, j] * comps[j] for j in range(N)) for i in range(N)]
-    return comps, flux, lo, hi
-
-
 def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None,
            interior_faces_only: bool = False) -> float:
     """(1/2N) sum over faces of H(face gradient)^2 times the cell volume.
@@ -177,72 +141,40 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None,
     """
     N = gf.dimension
     h = gf.spacing
-    vol = gf.cell_volume
-    if not interior_faces_only:
-        vals = gf.values if mask is None else np.where(mask, gf.values, 0.0)
-        P = _padded(vals)
-        total = 0.0
-        for axis in range(N):
-            comps, flux, _, _ = _face_quantities(P, h, spec, axis)
-            total += float(sum(np.sum(a * g) for a, g in zip(flux, comps)))
-        return total * vol / (2.0 * N)
-    if mask is None:
-        mask = np.ones(gf.values.shape, dtype=bool)
+    vals = gf.values
+    if interior_faces_only:
+        inside = np.ones(vals.shape) if mask is None else mask.astype(float)
+    elif mask is not None:
+        vals = np.where(mask, vals, 0.0)
     total = 0.0
-    P = _padded(gf.values)
-    M = np.pad(mask, _PAD)
     for axis in range(N):
-        comps, flux, lo, hi = _face_quantities(P, h, spec, axis)
-        ok = M[lo] & M[hi]
-        for k in range(N):
-            if k == axis:
-                continue
-            for shift in (-1, 1):
-                sh = np.roll(M, shift, axis=k)
-                ok &= sh[lo] & sh[hi]
-        dens = sum(a * g for a, g in zip(flux, comps))
-        total += float(np.sum(dens[ok]))
-    return total * vol / (2.0 * N)
+        G = face_gradient(vals, h, axis)
+        dens = duality_map(spec, G) * G
+        if interior_faces_only:
+            full = np.ones(G.shape[:-1], dtype=bool)
+            for _, kernels in face_taps(h, axis):
+                unit = unit_taps(kernels)
+                full &= apply_taps(inside, unit) == np.prod([sum(k) for k in unit])
+            dens = dens[full]
+        total += float(np.sum(dens))
+    return total * gf.cell_volume / (2.0 * N)
 
 
 def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
                     mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact L^2 gradient of the zero-extension discrete energy.
 
-    This is (minus) the divergence-form operator the proximal solver
-    descends on; it agrees with the face-flux operator to O(h^2) and is
-    the exact adjoint of the face-gradient map, so descent guarantees are
-    exact regardless of resolution.
+    This is (1/N) G^T A(G u) for the face-gradient map G of `operators`,
+    (minus) the divergence-form operator the proximal solver descends on;
+    it agrees with the face-flux operator to O(h^2) and, G^T being the
+    exact adjoint, descent guarantees hold regardless of resolution.
     """
     N = values.ndim
     vals = values if mask is None else np.where(mask, values, 0.0)
-    P = _padded(vals)
-    out = np.zeros_like(P)
-    for axis in range(N):
-        _, flux, lo, hi = _face_quantities(P, spacings, spec, axis)
-        w = flux[axis] / (N * spacings[axis])
-        out[lo] -= w
-        out[hi] += w
-        for k in range(N):
-            if k == axis:
-                continue
-            u = flux[k] / (4.0 * N * spacings[k])
-            S = np.zeros_like(P)
-            S[lo] += u
-            S[hi] += u
-            up = [slice(None)] * N
-            up[k] = slice(2, None)
-            dn = [slice(None)] * N
-            dn[k] = slice(None, -2)
-            inner = [slice(None)] * N
-            inner[k] = slice(1, -1)
-            out[tuple(up)] += S[tuple(inner)]
-            out[tuple(dn)] -= S[tuple(inner)]
-    core = tuple(slice(_PAD, -_PAD) for _ in range(N))
-    g = out[core]
-    if mask is not None:
-        g = np.where(mask, g, 0.0)
-    return g
+    g = sum(face_gradient_adjoint(duality_map(spec, face_gradient(vals, spacings, axis)),
+                                  spacings, axis)
+            for axis in range(N)) / N
+    return g if mask is None else np.where(mask, g, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +187,16 @@ def _l2(values: np.ndarray, vol: float) -> float:
 
 def _prox_minimize(v: np.ndarray, spec: NormSpec, mask: np.ndarray, tau: float,
                    spacings, vol: float, inner: InnerSolverConfig):
-    """Accelerated descent on ||u - v||^2/(2 tau) + psi(u) over masked fields.
+    """Minimize J(u) = ||u - v||^2/(2 tau) + psi(u) over masked fields.
 
-    The objective is (1/tau)-strongly convex with gradient Lipschitz
-    constant at most 1/tau + C2 sum 4/h_i^2.  Quadratic norm families use
-    heavy-ball momentum at the optimal parameters (Chebyshev rate); for
-    p-norms, where the flux is not globally Lipschitz, a Nesterov scheme
-    with a growth safeguard on the Lipschitz estimate is used instead.
+    Quadratic norm families: J is quadratic, and conjugate gradients solve
+    (I/tau + K) u = v/tau, K u = energy_gradient(u), warm-started at v.
+    p-norms: a Nesterov scheme (J is (1/tau)-strongly convex; the flux is
+    not globally Lipschitz, so the estimate 1/tau + C2 sum 4/h_i^2 grows
+    when progress stalls).  Both stop at ||grad J||_{L^2} <= tolerance
+    (1 + ||v||_{L^2}), for CG on its recurrence residual, and raise
+    ConvergenceError after max_iters iterations.  Returns (u, iterations).
     """
-    _, c2 = coercivity_bounds(spec)
-    L = 1.0 / tau + c2 * sum(4.0 / h**2 for h in spacings)
-    mu = 1.0 / tau
     tol = inner.tolerance * (1.0 + _l2(v, vol))
 
     def grad_J(w: np.ndarray) -> np.ndarray:
@@ -274,26 +205,33 @@ def _prox_minimize(v: np.ndarray, spec: NormSpec, mask: np.ndarray, tau: float,
 
     u = np.where(mask, v, 0.0)
     if spec.family != "p_norm":
-        alpha = 4.0 / (np.sqrt(L) + np.sqrt(mu)) ** 2
-        beta = ((np.sqrt(L) - np.sqrt(mu)) / (np.sqrt(L) + np.sqrt(mu))) ** 2
-        u_prev = u
-        for it in range(inner.max_iters):
-            g = grad_J(u)
-            gn = _l2(g, vol)
-            if gn <= tol:
-                return u, it, gn
-            u_new = u - alpha * g + beta * (u - u_prev)
-            u_prev, u = u, np.where(mask, u_new, 0.0)
-        raise ConvergenceError("proximal inner solve did not converge",
-                               best=u, gap=gn)
+        def matvec(x: np.ndarray) -> np.ndarray:
+            x = x.reshape(u.shape)
+            return (x / tau + energy_gradient(x, spec, spacings, mask)).ravel()
 
+        # iterates stay exactly 0 off the mask: the start and the right side
+        # vanish there, and the operator maps such fields to such fields
+        steps = []
+        op = LinearOperator((u.size, u.size), matvec=matvec, dtype=float)
+        x, info = cg(op, u.ravel() / tau, x0=u.ravel(), rtol=0.0,
+                     atol=tol / np.sqrt(vol), maxiter=inner.max_iters,
+                     callback=lambda _: steps.append(1))
+        u = x.reshape(u.shape)
+        if info:
+            raise ConvergenceError("proximal inner solve did not converge",
+                                   best=u, gap=_l2(grad_J(u), vol))
+        return u, len(steps)
+
+    _, c2 = coercivity_bounds(spec)
+    L = 1.0 / tau + c2 * sum(4.0 / h**2 for h in spacings)
+    mu = 1.0 / tau
     y = u.copy()
     history = []
     for it in range(inner.max_iters):
         g = grad_J(y)
         gn = _l2(g, vol)
         if gn <= tol:
-            return y, it, gn
+            return y, it
         # stalled progress means the Lipschitz estimate is too small; grow
         # it and restart the momentum
         history.append(gn)
@@ -315,8 +253,8 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float, inner: Optional[InnerSolverConfig] = None) -> GridFunction:
     """One implicit Euler step: the proximal map of the discrete energy."""
     inner = inner or InnerSolverConfig()
-    vals, _, _ = _prox_minimize(np.where(mask, u_prev.values, 0.0), spec, mask,
-                                tau, u_prev.spacing, u_prev.cell_volume, inner)
+    vals, _ = _prox_minimize(np.where(mask, u_prev.values, 0.0), spec, mask,
+                             tau, u_prev.spacing, u_prev.cell_volume, inner)
     return u_prev.with_values(vals)
 
 
@@ -339,16 +277,44 @@ def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 # monitors
 # ---------------------------------------------------------------------------
 
+def _weighted_monitors(u: np.ndarray, r: np.ndarray, vol: float, t: float,
+                       lam: Optional[float] = None, ell: Optional[float] = None,
+                       kernel: Optional[np.ndarray] = None,
+                       centers: Optional[np.ndarray] = None) -> dict:
+    """Weighted monitors of the masked field u, from H0 values r at its nodes.
+
+    With lam (t before the horizon 1/(4 lam)): weighted_l2 and
+    weighted_l1_lambda.  With ell: weighted_l1_local, the sup over
+    `centers` of the windowed integral, `kernel` being the indicator of
+    the unit H0-ball on the grid.
+    """
+    out = {}
+    if lam is not None:
+        g = lam * r**2 / (1.0 - 4.0 * lam * t)
+        out["weighted_l2"] = float(np.sum(np.exp(-2.0 * g) * u * u)) * vol
+        out["weighted_l1_lambda"] = float(np.sum(np.exp(-g) * np.abs(u))) * vol
+    if ell is not None:
+        weight = np.exp(-(r**2) * (1.0 + t**ell))
+        conv = fftconvolve(weight * np.abs(u), kernel, mode="same") * vol
+        out["weighted_l1_local"] = float(np.max(conv if centers is None
+                                                else conv[centers]))
+    return out
+
+
+def _monitors_of(slice_gf: GridFunction, spec: NormSpec, t: float,
+                 lam: Optional[float], mask: Optional[np.ndarray], **kw) -> dict:
+    """_weighted_monitors of a slice, which must lie before the lam horizon."""
+    if lam is not None and 1.0 - 4.0 * lam * t <= 0:
+        raise DomainError(f"t = {t:g} is beyond the weight horizon {1/(4*lam):g}")
+    u = slice_gf.values if mask is None else np.where(mask, slice_gf.values, 0.0)
+    return _weighted_monitors(u, dual_norm_eval(spec, slice_gf.coords()),
+                              slice_gf.cell_volume, t, lam, centers=mask, **kw)
+
+
 def monitor_weighted_L2(slice_gf: GridFunction, spec: NormSpec, lam: float,
                         t: float, mask: Optional[np.ndarray] = None) -> float:
     """int e^(-2 lam H0^2/(1-4 lam t)) u^2 over the domain (node sum)."""
-    s = 1.0 - 4.0 * lam * t
-    if s <= 0:
-        raise DomainError(f"t = {t:g} is beyond the weight horizon {1/(4*lam):g}")
-    r = dual_norm_eval(spec, slice_gf.coords())
-    g = lam * r**2 / s
-    u = slice_gf.values if mask is None else np.where(mask, slice_gf.values, 0.0)
-    return float(np.sum(np.exp(-2.0 * g) * u * u) * slice_gf.cell_volume)
+    return _monitors_of(slice_gf, spec, t, lam, mask)["weighted_l2"]
 
 
 def monitor_weighted_L1(slice_gf: GridFunction, spec: NormSpec, t: float,
@@ -362,21 +328,13 @@ def monitor_weighted_L1(slice_gf: GridFunction, spec: NormSpec, t: float,
     """
     if (lam is None) == (ell is None):
         raise SpecValidationError("pass exactly one of lam / ell")
-    r = dual_norm_eval(spec, slice_gf.coords())
-    u = slice_gf.values if mask is None else np.where(mask, slice_gf.values, 0.0)
-    vol = slice_gf.cell_volume
     if lam is not None:
-        s = 1.0 - 4.0 * lam * t
-        if s <= 0:
-            raise DomainError(f"t = {t:g} is beyond the weight horizon {1/(4*lam):g}")
-        return float(np.sum(np.exp(-lam * r**2 / s) * np.abs(u)) * vol)
+        return _monitors_of(slice_gf, spec, t, lam, mask)["weighted_l1_lambda"]
     if not 0.0 < ell < 0.5:
         raise SpecValidationError("ell must lie in (0, 1/2)")
-    weight = np.exp(-(r**2) * (1.0 + t**ell))
     kernel = _ball_kernel(spec, 1.0, slice_gf.spacing)
-    conv = fftconvolve(weight * np.abs(u), kernel, mode="same") * vol
-    centers = mask if mask is not None else np.ones_like(conv, dtype=bool)
-    return float(np.max(conv[centers]))
+    return _monitors_of(slice_gf, spec, t, None, mask, ell=ell,
+                        kernel=kernel)["weighted_l1_local"]
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +395,15 @@ def solve(problem: FlowProblem) -> Trajectory:
         logs["energy"].append(energy(gf, spec, mask))
         logs["mass"].append(float(np.sum(u)) * vol)
         logs["inner_iterations"].append(iters)
+        # the lam weights are recorded as NaN from the horizon 1/(4 lam) on
         lam = problem.monitor_lambda
-        if lam is not None:
-            s = 1.0 - 4.0 * lam * t
-            if s > 1e-12:
-                g = lam * r_grid**2 / s
-                logs["weighted_l2"].append(float(np.sum(np.exp(-2.0 * g) * u * u)) * vol)
-                logs["weighted_l1_lambda"].append(float(np.sum(np.exp(-g) * np.abs(u))) * vol)
-            else:
-                logs["weighted_l2"].append(np.nan)
-                logs["weighted_l1_lambda"].append(np.nan)
-        if problem.monitor_ell is not None:
-            weight = np.exp(-(r_grid**2) * (1.0 + t**problem.monitor_ell))
-            conv = fftconvolve(weight * np.abs(u), unit_kernel, mode="same") * vol
-            logs["weighted_l1_local"].append(float(np.max(conv[mask])))
+        live = lam is not None and 1.0 - 4.0 * lam * t > 1e-12
+        values = _weighted_monitors(u, r_grid, vol, t, lam if live else None,
+                                    problem.monitor_ell, unit_kernel, mask)
+        if lam is not None and not live:
+            values.update(weighted_l2=np.nan, weighted_l1_lambda=np.nan)
+        for name, value in values.items():
+            logs[name].append(value)
 
     times, slices = [], []
     record(0.0, state, 0)
@@ -461,7 +414,7 @@ def solve(problem: FlowProblem) -> Trajectory:
         t = k * tau
         if problem.scheme == "implicit_proximal":
             try:
-                vals, iters, _ = _prox_minimize(
+                vals, iters = _prox_minimize(
                     np.where(mask, state.values, 0.0), spec, mask, tau,
                     lay.spacing, lay.cell_volume, problem.inner)
             except ConvergenceError as exc:

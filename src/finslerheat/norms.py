@@ -236,8 +236,7 @@ def duality_map(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
             A = np.sign(xi) * np.abs(xi) ** (p - 1.0) * H[..., None] ** (2.0 - p)
         return np.where(H[..., None] > 0.0, A, 0.0)
     # quadratic families: A is linear, no norm evaluation needed
-    Q = spec._quadratic_form()
-    return np.einsum("ij,...j->...i", Q, xi)
+    return xi @ spec._quadratic_form().T
 
 
 def central_difference_gradient(fn, xi: np.ndarray, h: Optional[float] = None) -> np.ndarray:

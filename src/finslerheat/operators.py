@@ -5,9 +5,13 @@ normal derivative is the direct difference across the face, the tangential
 components are averages of the two neighboring nodal central differences,
 the flux component through the face is the matching component of the
 duality map A evaluated at that face gradient, and the divergence is the
-difference of face fluxes.  Output is second-order accurate where the
-field is C^3 with nonvanishing gradient; the one-cell boundary halo is
-marked NaN rather than extrapolated.
+difference of face fluxes.  The face gradient is declared once, as
+separable tap lists on the zero-extended grid (`face_taps`), and applied
+forward or as its exact adjoint by one slicing helper (`apply_taps`); the
+discrete energy of `flow`, its gradient and this operator all use it.
+Output is second-order accurate where the field is C^3 with nonvanishing
+gradient; the one-cell boundary halo, the only nodes whose faces read
+the zero extension, is marked NaN rather than extrapolated.
 
 For a field of the form v(x) = q(H0(x)) with q smooth and flat at 0, the
 continuum operator collapses to the ordinary radial expression
@@ -35,22 +39,79 @@ def gradient(gf: GridFunction) -> np.ndarray:
     return np.stack(grads, axis=-1)
 
 
-def _face_gradient(values: np.ndarray, spacing, axis: int) -> np.ndarray:
-    """Full gradient vector at the midpoints of faces normal to `axis`."""
-    N = values.ndim
-    lo = [slice(None)] * N
-    hi = [slice(None)] * N
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    lo, hi = tuple(lo), tuple(hi)
-    comps = []
-    for k in range(N):
-        if k == axis:
-            comps.append((values[hi] - values[lo]) / spacing[axis])
+def face_taps(spacing, axis: int) -> list:
+    """Per component k of the gradient on the faces normal to `axis`: a
+    scale and one 1-D kernel per grid axis (see `apply_taps`).
+
+    Faces sit at n+1 positions along `axis` (face j between nodes j-1 and
+    j) and at n+2 along the others (position j at node j-1, so that the
+    tangential differences of the nodes just outside the grid count).  The
+    taps are whole numbers, so nodal differences are formed exactly
+    before the one scaling, as in (u_j - u_{j-1}) / h.
+    """
+    taps = []
+    for k, hk in enumerate(spacing):
+        kernels = []
+        for m in range(len(spacing)):
+            if m == axis:
+                kernels.append((1.0, -1.0) if k == axis else (1.0, 1.0))
+            elif m == k:
+                kernels.append((1.0, 0.0, -1.0))
+            else:
+                kernels.append((0.0, 1.0, 0.0))
+        taps.append((1.0 / hk if k == axis else 0.25 / hk, kernels))
+    return taps
+
+
+def unit_taps(kernels: list) -> list:
+    """Every tap weighted 1: applied to a mask, counts stencil nodes in it."""
+    return [tuple(float(w != 0.0) for w in kernel) for kernel in kernels]
+
+
+def apply_taps(x: np.ndarray, kernels: list, transpose: bool = False) -> np.ndarray:
+    """Apply a separable stencil, one 1-D kernel per axis, or its adjoint.
+
+    Forward, each axis grows by len(kernel) - 1 and out[j] = sum_o w_o x[j - o]
+    with x extended by zero; the adjoint shrinks it back,
+    out[i] = sum_o w_o x[i + o].  Differencing kernels (taps summing to 0)
+    go first, so that they act on the values before any sum rounds them.
+    """
+    for axis in sorted(range(len(kernels)), key=lambda m: sum(kernels[m]) != 0.0):
+        kernel = kernels[axis]
+        grow = len(kernel) - 1
+        n = x.shape[axis] - grow if transpose else x.shape[axis]
+        taps = [((slice(None),) * axis + (slice(o, o + n),), w)
+                for o, w in enumerate(kernel) if w != 0.0]
+        (first, w0), rest = taps[0], taps[1:]
+        if transpose:
+            y = w0 * x[first]
+            for window, w in rest:
+                y += w * x[window]
         else:
-            ck = np.gradient(values, spacing[k], axis=k, edge_order=2)
-            comps.append(0.5 * (ck[hi] + ck[lo]))
-    return np.stack(comps, axis=-1)
+            shape = list(x.shape)
+            shape[axis] += grow
+            y = np.zeros(shape)
+            np.multiply(x, w0, out=y[first])
+            for window, w in rest:
+                y[window] += w * x
+        x = y
+    return x
+
+
+def face_gradient(values: np.ndarray, spacing, axis: int) -> np.ndarray:
+    """Gradient at the faces normal to `axis`, shape (*faces, N), stored
+    component by component so that each one is contiguous."""
+    taps = face_taps(spacing, axis)
+    G = np.stack([apply_taps(values, kernels) for _, kernels in taps])
+    for component, (scale, _) in zip(G, taps):
+        component *= scale
+    return np.moveaxis(G, 0, -1)
+
+
+def face_gradient_adjoint(flux: np.ndarray, spacing, axis: int) -> np.ndarray:
+    """Exact adjoint of `face_gradient`: face vectors back to nodes."""
+    return sum(scale * apply_taps(flux[..., k], kernels, transpose=True)
+               for k, (scale, kernels) in enumerate(face_taps(spacing, axis)))
 
 
 def finsler_laplacian(gf: GridFunction, spec: NormSpec) -> GridFunction:
@@ -59,20 +120,14 @@ def finsler_laplacian(gf: GridFunction, spec: NormSpec) -> GridFunction:
         raise SpecValidationError("norm/grid dimension mismatch")
     values = gf.values
     h = gf.spacing
-    out = np.zeros_like(values)
     N = gf.dimension
+    out = np.zeros_like(values)
+    between_nodes = (slice(1, -1),) * N
     for axis in range(N):
-        G = _face_gradient(values, h, axis)
+        G = face_gradient(values, h, axis)[between_nodes]
         flux = duality_map(spec, G)[..., axis]
-        interior = [slice(None)] * N
-        interior[axis] = slice(1, -1)
-        out[tuple(interior)] += np.diff(flux, axis=axis) / h[axis]
-    halo = np.zeros(values.shape, dtype=bool)
-    for axis in range(N):
-        edge = [slice(None)] * N
-        edge[axis] = [0, -1]
-        halo[tuple(edge)] = True
-    out[halo] = np.nan
+        out[(slice(None),) * axis + (slice(1, -1),)] += np.diff(flux, axis=axis) / h[axis]
+    out[~interior_mask(gf)] = np.nan
     return gf.with_values(out, check_finite=False)
 
 

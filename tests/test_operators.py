@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerheat import norms, operators
 from finslerheat.errors import OutOfRangeError, SpecValidationError
 from finslerheat.grids import RadialProfile, grid_from_function
-from finslerheat.operators import (check_linearity, check_radial_reduction,
-                                   dual_norm_grid, empty_layout, finsler_laplacian,
-                                   gradient, interior_mask, lift_radial,
-                                   radial_laplacian)
+from finslerheat.operators import (apply_taps, check_linearity,
+                                   check_radial_reduction, dual_norm_grid,
+                                   empty_layout, face_gradient,
+                                   face_gradient_adjoint, face_taps,
+                                   finsler_laplacian, gradient, interior_mask,
+                                   lift_radial, radial_laplacian, unit_taps)
 
 EUCLID = norms.euclidean(2)
 ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
@@ -34,6 +38,43 @@ def test_gradient_exact_on_quadratic():
                             lambda c: 0.5 * np.sum(c**2, axis=-1))
     g = gradient(gf)
     np.testing.assert_allclose(g, gf.coords(), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_face_gradient_adjoint_and_stencil_counts(data):
+    N = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(3, 9)) for _ in range(N))
+    spacing = tuple(data.draw(st.floats(0.01, 10.0)) for _ in range(N))
+    axis = data.draw(st.integers(0, N - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(shape)
+    Gu = face_gradient(u, spacing, axis)
+    F = rng.standard_normal(Gu.shape)
+    lhs = float(np.sum(Gu * F))
+    rhs = float(np.sum(u * face_gradient_adjoint(F, spacing, axis)))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Gu) * np.linalg.norm(F)
+    # on faces whose stencil lies in the grid, the map is exact on
+    # quadratics: face j along `axis` sits at (j - 1/2) h, position j
+    # along the others at node j - 1
+    away = tuple(slice(1, -1) if m == axis else slice(2, -2) for m in range(N))
+    B = rng.standard_normal((N, N))
+    B = B + B.T
+    c = rng.standard_normal(N)
+    x = np.moveaxis(np.indices(shape), 0, -1) * np.array(spacing)
+    quad = face_gradient(np.einsum("...i,ij,...j->...", x, B, x) + x @ c,
+                         spacing, axis)
+    j = np.moveaxis(np.indices(Gu.shape[:-1]), 0, -1)
+    centers = (j - np.where(np.arange(N) == axis, 0.5, 1.0)) * np.array(spacing)
+    exact = 2.0 * centers @ B + c
+    np.testing.assert_allclose(quad[away], exact[away],
+                               atol=1e-9 * (1.0 + np.max(np.abs(exact))))
+    # stencil node counts: the difference across the face reads 2 nodes,
+    # an averaged tangential central difference 4
+    for k, (_, kernels) in enumerate(face_taps(spacing, axis)):
+        counts = apply_taps(np.ones(shape), unit_taps(kernels))
+        full = 2.0 if k == axis else 4.0
+        assert np.all(counts[away] == full) and np.all(counts <= full)
 
 
 def test_laplacian_euclidean_quadratic():
