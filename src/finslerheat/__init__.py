@@ -11,12 +11,12 @@ from .errors import (ConvergenceError, DomainError, OutOfRangeError,
                      SpecValidationError, StabilityError)
 from .grids import GridFunction, RadialProfile, grid_from_function
 from .norms import (DualEvalConfig, IdentityReport, NormSpec, coercivity_bounds,
-                    dual_norm_eval, dual_spec, duality_map, ellipse, euclidean,
-                    eval_norm, grad_dual_norm, grad_norm, p_norm,
-                    smoothed_polytope, verify_identities)
+                    dual_norm_eval, dual_spec, duality_jacobian, duality_map,
+                    ellipse, euclidean, eval_norm, grad_dual_norm, grad_norm,
+                    p_norm, smoothed_polytope, verify_identities)
 from .operators import (LinearityReport, ReductionReport, check_linearity,
-                        check_radial_reduction, dual_norm_grid, finsler_laplacian,
-                        gradient, interior_mask, lift_radial, radial_laplacian)
+                        check_radial_reduction, finsler_laplacian, gradient,
+                        interior_mask, lift_radial, radial_laplacian)
 from .radial import (QuadratureRule, SphereIntegralConfig, bessel_I0,
                      default_sphere_config, radial_heat_profile,
                      radial_heat_solution, sphere_integral_I)

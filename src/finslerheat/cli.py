@@ -236,13 +236,19 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         store_times=tuple(pc.get("store_times", ())),
         inner=inner,
         monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"))
-    traj = flow.solve(problem)
 
+    failure = None
+    try:
+        traj = flow.solve(problem)
+    except ConvergenceError as exc:  # write the steps before it, then fail
+        traj, failure = exc.partial, exc
     for name, series in traj.monitors.items():
         _write_csv(out / f"monitor_{name}.csv", ["t", name],
                    list(zip(traj.monitor_times, series)), timestamp)
     for t, gf in zip(traj.times, traj.slices):
         gf.save(out / f"slice_t{t:.6f}.grid")
+    if failure is not None:
+        raise failure
 
     checks = cfg.get("checks", {})
     _reject_unknown(checks, {"dissipation_slack", "weighted_l2_slack"}, "checks")
@@ -261,7 +267,7 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         _reject_unknown(comp, {"kind", "window", "tolerance", "time"}, "compare")
         t = float(comp.get("time", problem.t_end))
         gf = traj.slice_at(t)
-        r = operators.dual_norm_grid(spec, gf)
+        r = norms.dual_norm_eval(spec, gf.coords())
         window = r <= float(comp.get("window", radius / 2))
         if comp.get("kind", "gaussian_closed_form") == "gaussian_closed_form":
             exact = (1 + 4 * t) ** (-spec.dimension / 2) \

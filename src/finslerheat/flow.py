@@ -13,11 +13,11 @@ H(face gradient)^2 over all grid faces (each of the N face families sees
 the full gradient, hence the 1/(2N) normalization), with the masked field
 extended by zero; the face gradient G and its exact adjoint come from
 `operators`, and the energy gradient is (1/N) G^T A(G u).  The inner
-solver is conjugate gradients for the quadratic norm families, where the
-step is the SPD system (I/tau + K) u = u_prev/tau, and a Nesterov scheme
-for p-norms; every returned step is a descent point of the monitored
-energy.  The explicit scheme advances with the face-flux operator under
-the usual parabolic step restriction.
+solver is Newton with conjugate gradients, one solve of the SPD system
+(I/tau + K) u = u_prev/tau for quadratic norm families and damped steps
+on the exact objective for p-norms; every returned step is a descent
+point of the monitored energy.  The explicit scheme advances with the
+face-flux operator under the usual parabolic step restriction.
 
 Domain geometry: the ball is masked inside a bounding box whose sides
 touch it (the half-width along axis i is R * H(e_i), the support function
@@ -41,7 +41,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConvergenceError, DomainError, SpecValidationError, StabilityError
 from .grids import GridFunction
 from .measures import MeasureSpec, _ball_kernel, mollify
-from .norms import NormSpec, coercivity_bounds, dual_norm_eval, duality_map, eval_norm
+from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
+                    duality_map, eval_norm)
 from .operators import (apply_taps, face_gradient, face_gradient_adjoint,
                         face_taps, finsler_laplacian, unit_taps)
 
@@ -185,76 +186,79 @@ def _l2(values: np.ndarray, vol: float) -> float:
     return float(np.sqrt(np.sum(values * values) * vol))
 
 
-def _prox_minimize(v: np.ndarray, spec: NormSpec, mask: np.ndarray, tau: float,
-                   spacings, vol: float, inner: InnerSolverConfig):
+def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float,
+                   inner: InnerSolverConfig):
     """Minimize J(u) = ||u - v||^2/(2 tau) + psi(u) over masked fields.
 
-    Quadratic norm families: J is quadratic, and conjugate gradients solve
-    (I/tau + K) u = v/tau, K u = energy_gradient(u), warm-started at v.
-    p-norms: a Nesterov scheme (J is (1/tau)-strongly convex; the flux is
-    not globally Lipschitz, so the estimate 1/tau + C2 sum 4/h_i^2 grows
-    when progress stalls).  Both stop at ||grad J||_{L^2} <= tolerance
-    (1 + ||v||_{L^2}), for CG on its recurrence residual, and raise
-    ConvergenceError after max_iters iterations.  Returns (u, iterations).
+    Inexact Newton from the masked v: CG on I/tau + (1/N) G^T DA(G u) G,
+    DA from `duality_jacobian`.  For quadratic families (DA = Q) one step,
+    warm-started at v, solves the prox system (I/tau + K) u = v/tau.
+    p-norms solve to the relative residual min(0.5, sqrt(||grad J|| /
+    (1 + ||v||))), cut a step past the minimum of J along d to the secant
+    root of J' (Newton overshoots where the p < 2 flux is only Hoelder) and
+    backtrack (Armijo) on J, up to its rounding, so J(u) <= J(v).  Stops at
+    ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); over max_iters CG
+    iterations raise ConvergenceError.  Returns (u, CG iterations).
     """
-    tol = inner.tolerance * (1.0 + _l2(v, vol))
+    spacings, vol = v.spacing, v.cell_volume
+    u = np.where(mask, v.values, 0.0)
+    scale = 1.0 + _l2(u, vol)
 
-    def grad_J(w: np.ndarray) -> np.ndarray:
-        g = (w - v) / tau + energy_gradient(w, spec, spacings, mask)
-        return np.where(mask, g, 0.0)
+    def grad_and_value(w: np.ndarray):
+        """grad J(w) and J(w); psi(w) = <w, grad psi(w)>/2 (2-homogeneous)."""
+        g = np.where(mask, (w - u) / tau + energy_gradient(w, spec, spacings, mask), 0.0)
+        return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau))
 
-    u = np.where(mask, v, 0.0)
-    if spec.family != "p_norm":
+    def newton_cg(w, rhs, x0, atol, maxiter):
+        jac = [duality_jacobian(spec, face_gradient(w, spacings, axis))
+               for axis in range(w.ndim)]
+
         def matvec(x: np.ndarray) -> np.ndarray:
-            x = x.reshape(u.shape)
-            return (x / tau + energy_gradient(x, spec, spacings, mask)).ravel()
+            # CG iterates vanish off the mask, as the start and right side do
+            x = x.reshape(w.shape)
+            Kx = sum(face_gradient_adjoint(
+                np.einsum("...ij,...j->...i", DA, face_gradient(x, spacings, axis)),
+                spacings, axis) for axis, DA in enumerate(jac)) / w.ndim
+            return np.where(mask, x / tau + Kx, 0.0).ravel()
 
-        # iterates stay exactly 0 off the mask: the start and the right side
-        # vanish there, and the operator maps such fields to such fields
         steps = []
-        op = LinearOperator((u.size, u.size), matvec=matvec, dtype=float)
-        x, info = cg(op, u.ravel() / tau, x0=u.ravel(), rtol=0.0,
-                     atol=tol / np.sqrt(vol), maxiter=inner.max_iters,
+        x, info = cg(LinearOperator((w.size, w.size), matvec=matvec, dtype=float),
+                     rhs.ravel(), x0=x0, rtol=0.0,
+                     atol=atol / np.sqrt(vol), maxiter=maxiter,
                      callback=lambda _: steps.append(1))
-        u = x.reshape(u.shape)
-        if info:
-            raise ConvergenceError("proximal inner solve did not converge",
-                                   best=u, gap=_l2(grad_J(u), vol))
-        return u, len(steps)
+        return x.reshape(w.shape), info, len(steps)
 
-    _, c2 = coercivity_bounds(spec)
-    L = 1.0 / tau + c2 * sum(4.0 / h**2 for h in spacings)
-    mu = 1.0 / tau
-    y = u.copy()
-    history = []
-    for it in range(inner.max_iters):
-        g = grad_J(y)
-        gn = _l2(g, vol)
-        if gn <= tol:
-            return y, it
-        # stalled progress means the Lipschitz estimate is too small; grow
-        # it and restart the momentum
-        history.append(gn)
-        if len(history) > 50 and history[-1] > history[-51]:
-            L *= 1.5
-            history.clear()
-            y = u.copy()
-            g = grad_J(y)
-        ratio = np.sqrt(mu / L)
-        theta = (1.0 - ratio) / (1.0 + ratio)
-        u_new = np.where(mask, y - g / L, 0.0)
-        y = np.where(mask, u_new + theta * (u_new - u), 0.0)
-        u = u_new
-    raise ConvergenceError("proximal inner solve did not converge",
-                           best=u, gap=gn)
+    w, iters = u, 0
+    if spec.family != "p_norm":
+        w, info, iters = newton_cg(u, u / tau, u.ravel(), inner.tolerance * scale,
+                                   inner.max_iters)
+        if not info:
+            return w, iters
+    g, Jw = grad_and_value(w)
+    while not (gn := _l2(g, vol)) <= inner.tolerance * scale:  # NaN fails
+        if iters >= inner.max_iters:
+            raise ConvergenceError("proximal inner solve did not converge",
+                                   best=w, gap=gn)
+        d, _, steps = newton_cg(w, -g, None, min(0.5, np.sqrt(gn / scale)) * gn,
+                                inner.max_iters - iters)
+        iters += steps
+        slope = float(np.sum(g * d)) * vol
+        alpha, (g_new, J_new) = 1.0, grad_and_value(w + d)
+        if (overshoot := float(np.sum(g_new * d)) * vol) > 0.0:
+            alpha = slope / (slope - overshoot)
+            g_new, J_new = grad_and_value(w + alpha * d)
+        while J_new > Jw + 1e-4 * alpha * slope + 1e-14 * Jw:
+            alpha *= 0.5
+            g_new, J_new = grad_and_value(w + alpha * d)
+        w, g, Jw = w + alpha * d, g_new, J_new
+    return w, iters
 
 
 def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float, inner: Optional[InnerSolverConfig] = None) -> GridFunction:
     """One implicit Euler step: the proximal map of the discrete energy."""
     inner = inner or InnerSolverConfig()
-    vals, _ = _prox_minimize(np.where(mask, u_prev.values, 0.0), spec, mask,
-                             tau, u_prev.spacing, u_prev.cell_volume, inner)
+    vals, _ = _prox_minimize(u_prev, spec, mask, tau, inner)
     return u_prev.with_values(vals)
 
 
@@ -414,9 +418,7 @@ def solve(problem: FlowProblem) -> Trajectory:
         t = k * tau
         if problem.scheme == "implicit_proximal":
             try:
-                vals, iters = _prox_minimize(
-                    np.where(mask, state.values, 0.0), spec, mask, tau,
-                    lay.spacing, lay.cell_volume, problem.inner)
+                vals, iters = _prox_minimize(state, spec, mask, tau, problem.inner)
             except ConvergenceError as exc:
                 # abort with the partial trajectory attached for diagnosis
                 exc.partial = Trajectory(

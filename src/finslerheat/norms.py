@@ -239,6 +239,32 @@ def duality_map(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     return xi @ spec._quadratic_form().T
 
 
+def duality_jacobian(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
+    """DA(xi), the Jacobian of the duality map, shape (..., N, N).
+
+    Quadratic families: Q.  p-norms: (p-1) H^(2-p) diag(|xi_i|^(p-2))
+    + (2-p) g g^T with g = grad H(xi), and 0 at xi = 0 (A is not
+    differentiable there unless p = 2).  DA is the Hessian of H^2/2, so it
+    is symmetric positive semidefinite, and DA(xi) xi = A(xi) (A is
+    1-homogeneous).  For p < 2 the diagonal floors |xi_i| at machine
+    epsilon times H(xi), which only guards 0^(p-2); a larger floor would
+    let Newton steps push rounding-level components up to the floor.
+    """
+    xi = np.asarray(xi, dtype=float)
+    N = spec.dimension
+    if spec.family != "p_norm":
+        return np.broadcast_to(spec._quadratic_form(), xi.shape + (N,))
+    p = spec.p
+    H = eval_norm(spec, xi)[..., None]
+    floor = np.finfo(float).eps if p < 2.0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.sign(xi) * np.abs(xi) ** (p - 1.0) / H ** (p - 1.0)
+        DA = (2.0 - p) * (g[..., :, None] * g[..., None, :])
+        DA[..., range(N), range(N)] += ((p - 1.0) * H ** (2.0 - p)
+                                        * np.maximum(np.abs(xi), floor * H) ** (p - 2.0))
+    return np.where(H[..., None] > 0.0, DA, 0.0)
+
+
 def central_difference_gradient(fn, xi: np.ndarray, h: Optional[float] = None) -> np.ndarray:
     """Fallback gradient of a scalar function of one vector, per coordinate.
 

@@ -168,14 +168,9 @@ def radial_operator_values(rp: RadialProfile, dimension: int, r: np.ndarray) -> 
     return np.where(r > 0, vals, dimension * rp.derivative(0.0, 2))
 
 
-def dual_norm_grid(spec: NormSpec, gf: GridFunction) -> np.ndarray:
-    """H0 at every node, through the closed-form dual."""
-    return dual_norm_eval(spec, gf.coords())
-
-
 def lift_radial(rp: RadialProfile, spec: NormSpec, layout: GridFunction) -> GridFunction:
     """v(x) = q(H0(x)) interpolated from the profile onto the grid."""
-    r = dual_norm_grid(spec, layout)
+    r = dual_norm_eval(spec, layout.coords())
     if float(np.max(r)) > rp.r_max * (1 + 1e-12):
         raise OutOfRangeError(
             f"grid reaches H0 = {float(np.max(r)):.6g} beyond the profile range "
@@ -210,7 +205,7 @@ def _reduction_errors(rp: RadialProfile, spec: NormSpec, layout: GridFunction,
                       r_cut: float):
     lifted = lift_radial(rp, spec, layout)
     lap = finsler_laplacian(lifted, spec).values
-    r = dual_norm_grid(spec, layout)
+    r = dual_norm_eval(spec, layout.coords())
     oracle = radial_operator_values(rp, layout.dimension, r)
     window = interior_mask(layout) & (r >= r_cut)
     err = np.abs(lap - oracle)[window]
@@ -273,7 +268,7 @@ def check_linearity(rp1: RadialProfile, rp2: RadialProfile,
     for level in range(levels):
         factor = 2**level
         lay = empty_layout(box, tuple(r * factor for r in res))
-        r = dual_norm_grid(spec, lay)
+        r = dual_norm_eval(spec, lay.coords())
         window = interior_mask(lay) & (r >= r_cut)
 
         v = lift_radial(rp1, spec, lay)

@@ -19,9 +19,9 @@ from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
 from finslerheat.grids import RadialProfile
 from finslerheat.measures import classify, measure_from_radial
 from finslerheat.operators import (check_linearity, check_radial_reduction,
-                                   dual_norm_grid, empty_layout,
-                                   finsler_laplacian, interior_mask,
-                                   lift_radial, radial_operator_values)
+                                   empty_layout, finsler_laplacian,
+                                   interior_mask, lift_radial,
+                                   radial_operator_values)
 from finslerheat.radial import (bessel_I0, default_sphere_config,
                                 radial_heat_profile, sphere_integral_I)
 from finslerheat.solutions import SolutionSpec, pde_residual
@@ -143,7 +143,7 @@ def test_criterion_02_radial_reduction_p3(reduction_reports):
     off_axis = []
     for cells in (192, 384):
         lay = empty_layout([(-3, 3), (-3, 3)], (cells, cells))
-        r = dual_norm_grid(spec, lay)
+        r = norms.dual_norm_eval(spec, lay.coords())
         lap = finsler_laplacian(lift_radial(GAUSS_PROFILE, spec, lay), spec).values
         err = np.abs(lap - radial_operator_values(GAUSS_PROFILE, 2, r))
         window = interior_mask(lay) & (r >= rep.r_cut) \
@@ -202,7 +202,8 @@ def test_criterion_04_residual_talenti():
     for cells in (32, 64):
         lay = empty_layout([(-3, 3), (-1.5, 1.5), (-1.5, 1.5)],
                            (2 * cells, cells, cells))
-        w = lay.with_values((A + B * dual_norm_grid(spec, lay) ** 2) ** -0.5)
+        r = norms.dual_norm_eval(spec, lay.coords())
+        w = lay.with_values((A + B * r**2) ** -0.5)
         residual = -finsler_laplacian(w, spec).values - w.values**5
         residuals.append(float(np.max(np.abs(residual)[interior_mask(lay)])))
     order = float(np.log2(residuals[0] / residuals[1]))
@@ -239,7 +240,7 @@ def test_criterion_05_sphere_bessel_identity():
 def test_criterion_06_representation_vs_solver(comparison_run):
     profile, problem, traj = comparison_run
     final = traj.slice_at(0.25)
-    r = dual_norm_grid(ELLIPSE, final)
+    r = norms.dual_norm_eval(ELLIPSE, final.coords())
     window = r <= 2.0
     rho = r[window]
     u_rep = np.empty_like(rho)
@@ -274,7 +275,7 @@ def test_criterion_08_energy_dissipation(comparison_run, scaling_run, nested_run
 def test_criterion_09_scaling_symmetry(scaling_run):
     lay = ball_layout(ELLIPSE, 1.0, 1 / 16)
     mask = ball_mask(ELLIPSE, lay, 1.0)
-    r = dual_norm_grid(ELLIPSE, lay)
+    r = norms.dual_norm_eval(ELLIPSE, lay.coords())
     u = lay.with_values(np.where(mask, np.exp(-2.0 * r**2), 0.0))
     hom = prox_homogeneity_defect(u, ELLIPSE, mask, 1e-3, 3.0)
     defect = scaling_run.max_defect

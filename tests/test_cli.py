@@ -219,3 +219,21 @@ def test_simulate_non_convergence_exit_code(tmp_path):
            "inner": {"tolerance": 1e-14, "max_iters": 2}}
     code, _ = _run(tmp_path, "simulate", cfg)
     assert code == 3
+
+
+@pytest.mark.parametrize("norm", [
+    EUCLID_JSON, {"family": "p_norm", "params": {"p": 3}, "dimension": 2}])
+def test_simulate_non_convergence_writes_partial_artifacts(tmp_path, norm):
+    cfg = {"norm": norm,
+           "problem": {"radius": 1.0, "spacing": 0.125,
+                       "datum": {"kind": "radial",
+                                 "profile": {"type": "gaussian", "r_max": 4.0}},
+                       "tau": 1e-3, "t_end": 5e-3, "store_times": [0.0]},
+           "inner": {"max_iters": 1}}
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 3
+    with open(outdir / "monitor_energy.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and float(rows[0]["t"]) == 0.0
+    assert float(rows[0]["energy"]) > 0.0
+    assert (outdir / "slice_t0.000000.grid").is_file()

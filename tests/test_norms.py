@@ -141,6 +141,46 @@ def test_duality_map_continuity_near_zero():
         assert np.linalg.norm(norms.duality_map(spec, small)) < 1e-8
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=st.floats(1.1, 6.0), dim=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_duality_jacobian_of_p_norms(p, dim, seed):
+    spec = norms.p_norm(p, dim)
+    rng = np.random.default_rng(seed)
+    # away from the coordinate hyperplanes DA is the derivative of A (second
+    # order central differences) and satisfies Euler's identity DA xi = A
+    xi = rng.choice([-1.0, 1.0], (16, dim)) * rng.uniform(0.3, 2.0, (16, dim))
+    DA = norms.duality_jacobian(spec, xi)
+    step = 1e-5
+    fd = np.stack([(norms.duality_map(spec, xi + step * e)
+                    - norms.duality_map(spec, xi - step * e)) / (2 * step)
+                   for e in np.eye(dim)], axis=-1)
+    np.testing.assert_allclose(DA, fd, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(np.einsum("kij,kj->ki", DA, xi),
+                               norms.duality_map(spec, xi), rtol=1e-12, atol=1e-12)
+    # everywhere, axes and the origin included, DA is the Hessian of H^2/2:
+    # symmetric and positive semidefinite
+    anywhere = rng.standard_normal((64, dim)) * rng.integers(0, 2, (64, dim))
+    anywhere[:8] *= 1e-12
+    DA = norms.duality_jacobian(spec, anywhere)
+    assert np.all(np.isfinite(DA))
+    np.testing.assert_array_equal(DA, np.swapaxes(DA, -1, -2))
+    worst = np.max(np.abs(DA), axis=(-1, -2))
+    assert np.all(np.linalg.eigvalsh(DA)[:, 0] >= -1e-12 * worst)
+
+
+@pytest.mark.parametrize("spec", [EUCLID, ELLIPSE, SQUARE, norms.euclidean(1),
+                                  norms.ellipse([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2],
+                                                 [0.1, 0.2, 1.5]])])
+def test_duality_jacobian_of_quadratic_families_is_q(spec):
+    xi = np.random.default_rng(53).standard_normal((5, 4, spec.dimension))
+    xi[0, 0] = 0.0
+    DA = norms.duality_jacobian(spec, xi)
+    assert DA.shape == xi.shape + (spec.dimension,)
+    np.testing.assert_array_equal(DA, np.broadcast_to(spec._quadratic_form(),
+                                                      DA.shape))
+
+
 def test_coercivity_bounds_hold_on_samples():
     rng = np.random.default_rng(17)
     for spec in (EUCLID, ELLIPSE, norms.p_norm(3, 2), SQUARE):
