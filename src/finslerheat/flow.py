@@ -12,8 +12,14 @@ over fields vanishing outside the mask.  The discrete energy sums
 H(face gradient)^2 over all grid faces (each of the N face families sees
 the full gradient, hence the 1/(2N) normalization), with the masked field
 extended by zero; the face gradient G and its exact adjoint come from
-`operators`, and the energy gradient is (1/N) G^T A(G u).  The inner
-solver is Newton with conjugate gradients, one solve of the SPD system
+`operators`, and the energy gradient is (1/N) G^T A(G u).  For quadratic
+norm families (H^2 = xi^T Q xi) that gradient is K u with
+K = (1/N) G^T Q G, which on the zero-extended grid is translation
+invariant: `energy_stencil` reads its stencil S off `energy_gradient`
+applied to a unit impulse (the face taps stay the one definition), caches
+it per (spec, spacing), and the energy psi(u) = (vol/2) <u, S * u> and
+the CG matvec apply it as one correlation.  The inner solver is Newton
+with conjugate gradients, one solve of the SPD system
 (I/tau + K) u = u_prev/tau for quadratic norm families and damped steps
 on the exact objective for p-norms; every returned step is a descent
 point of the monitored energy.  The explicit scheme advances with the
@@ -32,6 +38,7 @@ with weight e^(-H0^2 (1+t^ell)), and inner-iteration counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -43,8 +50,9 @@ from .grids import GridFunction
 from .measures import MeasureSpec, _ball_kernel, mollify
 from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
                     duality_map, eval_norm)
-from .operators import (apply_taps, face_gradient, face_gradient_adjoint,
-                        face_taps, finsler_laplacian, unit_taps)
+from .operators import (apply_stencil, apply_taps, face_gradient,
+                        face_gradient_adjoint, face_taps, finsler_laplacian,
+                        impulse_response, unit_taps)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +143,12 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None,
 
     Default: the field is clamped to zero outside the mask and extended by
     zero beyond the box (the H^1_0 reading; faces crossing the Dirichlet
-    boundary carry the anchoring energy).  With interior_faces_only, only
-    faces whose whole stencil lies in the mask count, which evaluates the
-    energy of the raw field over the masked region (fields that do not
-    vanish at the mask boundary have divergent zero-extension energy).
+    boundary carry the anchoring energy); quadratic families evaluate it as
+    (vol/2) <u, S * u> with the stencil of `energy_stencil`.  With
+    interior_faces_only, only faces whose whole stencil lies in the mask
+    count, which evaluates the energy of the raw field over the masked
+    region (fields that do not vanish at the mask boundary have divergent
+    zero-extension energy).
     """
     N = gf.dimension
     h = gf.spacing
@@ -147,6 +157,9 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None,
         inside = np.ones(vals.shape) if mask is None else mask.astype(float)
     elif mask is not None:
         vals = np.where(mask, vals, 0.0)
+    if spec.family != "p_norm" and not interior_faces_only:
+        Ku = apply_stencil(vals, energy_stencil(spec, h))
+        return 0.5 * gf.cell_volume * float(np.sum(vals * Ku))
     total = 0.0
     for axis in range(N):
         G = face_gradient(vals, h, axis)
@@ -178,6 +191,22 @@ def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
     return g if mask is None else np.where(mask, g, 0.0)
 
 
+@lru_cache(maxsize=128)
+def energy_stencil(spec: NormSpec, spacing: tuple) -> np.ndarray:
+    """Stencil S of K = (1/N) G^T Q G for a quadratic family, read off
+    `energy_gradient`: K u = S * u on the zero-extended grid.  Cached per
+    (spec, spacing), read-only."""
+    return impulse_response(lambda x: energy_gradient(x, spec, spacing), spec)
+
+
+def stencil_energy_gradient(values: np.ndarray, spec: NormSpec, spacing: tuple,
+                            mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """`energy_gradient` of a quadratic family by its stencil, for values
+    that already vanish off the mask: mask * (S * values)."""
+    Ku = apply_stencil(values, energy_stencil(spec, spacing))
+    return Ku if mask is None else np.where(mask, Ku, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
@@ -192,7 +221,9 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
 
     Inexact Newton from the masked v: CG on I/tau + (1/N) G^T DA(G u) G,
     DA from `duality_jacobian`.  For quadratic families (DA = Q) one step,
-    warm-started at v, solves the prox system (I/tau + K) u = v/tau.
+    warm-started at v, solves the prox system (I/tau + K) u = v/tau, with
+    K applied as the cached constant stencil of `energy_stencil`, derived
+    from the face taps.
     p-norms solve to the relative residual min(0.5, sqrt(||grad J|| /
     (1 + ||v||))), cut a step past the minimum of J along d to the secant
     root of J' (Newton overshoots where the p < 2 flux is only Hoelder) and
@@ -210,16 +241,22 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
         return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau))
 
     def newton_cg(w, rhs, x0, atol, maxiter):
-        jac = [duality_jacobian(spec, face_gradient(w, spacings, axis))
-               for axis in range(w.ndim)]
+        if spec.family == "p_norm":
+            jac = [duality_jacobian(spec, face_gradient(w, spacings, axis))
+                   for axis in range(w.ndim)]
+
+            def hessian(x: np.ndarray) -> np.ndarray:
+                return np.where(mask, sum(face_gradient_adjoint(
+                    np.einsum("...ij,...j->...i", DA, face_gradient(x, spacings, axis)),
+                    spacings, axis) for axis, DA in enumerate(jac)) / w.ndim, 0.0)
+        else:
+            def hessian(x: np.ndarray) -> np.ndarray:
+                return stencil_energy_gradient(x, spec, spacings, mask)
 
         def matvec(x: np.ndarray) -> np.ndarray:
             # CG iterates vanish off the mask, as the start and right side do
             x = x.reshape(w.shape)
-            Kx = sum(face_gradient_adjoint(
-                np.einsum("...ij,...j->...i", DA, face_gradient(x, spacings, axis)),
-                spacings, axis) for axis, DA in enumerate(jac)) / w.ndim
-            return np.where(mask, x / tau + Kx, 0.0).ravel()
+            return (x / tau + hessian(x)).ravel()
 
         steps = []
         x, info = cg(LinearOperator((w.size, w.size), matvec=matvec, dtype=float),

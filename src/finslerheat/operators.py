@@ -9,6 +9,12 @@ difference of face fluxes.  The face gradient is declared once, as
 separable tap lists on the zero-extended grid (`face_taps`), and applied
 forward or as its exact adjoint by one slicing helper (`apply_taps`); the
 discrete energy of `flow`, its gradient and this operator all use it.
+For quadratic families (H^2 = xi^T Q xi: euclidean, ellipse, smoothed
+polytope) the operator is linear with constant coefficients, so on the
+interior it is a fixed stencil L: `impulse_response` reads L off the
+face-flux path applied to a unit impulse, it is cached per (spec,
+spacing), and `finsler_laplacian` applies it as one correlation.  p-norms
+keep the face flux.
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -24,10 +30,12 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import ndimage
 
-from .errors import OutOfRangeError, SpecValidationError
+from .errors import DomainError, OutOfRangeError, SpecValidationError
 from .grids import GridFunction, RadialProfile, grid_from_function
 from .norms import NormSpec, dual_norm_eval, duality_map
 
@@ -114,19 +122,68 @@ def face_gradient_adjoint(flux: np.ndarray, spacing, axis: int) -> np.ndarray:
                for k, (scale, kernels) in enumerate(face_taps(spacing, axis)))
 
 
+def impulse_response(apply, spec: NormSpec) -> np.ndarray:
+    """Correlation weights S, read-only, of an operator of a quadratic
+    family that is linear, translation invariant and of reach <= 2 nodes
+    per axis, so that apply(x) = S * x (see `apply_stencil`) away from the
+    edges of the grid apply acts on.
+
+    apply runs once, on an unmasked 11^N grid holding a unit impulse at its
+    centre; S is the central 5^N block of the response, reflected.
+    """
+    if spec.family == "p_norm":
+        raise DomainError(f"{spec.label()} has no constant stencil")
+    N = spec.dimension
+    impulse = np.zeros((11,) * N)
+    impulse[(5,) * N] = 1.0
+    S = np.ascontiguousarray(np.flip(apply(impulse)[(slice(3, 8),) * N]))
+    S.flags.writeable = False
+    return S
+
+
+def apply_stencil(x: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    """out[i] = sum_o stencil[o] x[i + o], x extended by zero.
+
+    ndimage drops weights of magnitude <= machine epsilon, so the stencil
+    is divided by the largest power of two not above its largest tap and
+    the result multiplied back, both exactly.
+    """
+    scale = 2.0 ** np.floor(np.log2(np.max(np.abs(stencil))))
+    out = ndimage.correlate(x, stencil / scale, mode="constant")
+    out *= scale
+    return out
+
+
+def _face_flux_divergence(values: np.ndarray, spacing, spec: NormSpec) -> np.ndarray:
+    """Difference of the normal fluxes on faces between nodes; on the halo
+    only partial sums."""
+    out = np.zeros_like(values)
+    between_nodes = (slice(1, -1),) * values.ndim
+    for axis in range(values.ndim):
+        G = face_gradient(values, spacing, axis)[between_nodes]
+        flux = duality_map(spec, G)[..., axis]
+        out[(slice(None),) * axis + (slice(1, -1),)] += np.diff(flux, axis=axis) / spacing[axis]
+    return out
+
+
+@lru_cache(maxsize=128)
+def laplacian_stencil(spec: NormSpec, spacing: tuple) -> np.ndarray:
+    """Interior stencil of `finsler_laplacian` for a quadratic family, read
+    off the face-flux path; cached per (spec, spacing), read-only."""
+    return impulse_response(lambda x: _face_flux_divergence(x, spacing, spec), spec)
+
+
 def finsler_laplacian(gf: GridFunction, spec: NormSpec) -> GridFunction:
-    """div A(grad u) by face-flux differencing; NaN on the one-cell halo."""
+    """div A(grad u) by face-flux differencing; NaN on the one-cell halo.
+
+    Quadratic families apply the same operator as `laplacian_stencil`.
+    """
     if spec.dimension != gf.dimension:
         raise SpecValidationError("norm/grid dimension mismatch")
-    values = gf.values
-    h = gf.spacing
-    N = gf.dimension
-    out = np.zeros_like(values)
-    between_nodes = (slice(1, -1),) * N
-    for axis in range(N):
-        G = face_gradient(values, h, axis)[between_nodes]
-        flux = duality_map(spec, G)[..., axis]
-        out[(slice(None),) * axis + (slice(1, -1),)] += np.diff(flux, axis=axis) / h[axis]
+    if spec.family == "p_norm":
+        out = _face_flux_divergence(gf.values, gf.spacing, spec)
+    else:
+        out = apply_stencil(gf.values, laplacian_stencil(spec, gf.spacing))
     out[~interior_mask(gf)] = np.nan
     return gf.with_values(out, check_finite=False)
 

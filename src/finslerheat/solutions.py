@@ -9,10 +9,11 @@ Families (all anisotropic through r = H0(x)):
     barenblatt(m, C)  t^(-a) (C - k r^2 t^(-2b))_+^(1/(m-1)), the
                       self-similar source solution of d_t v = lap_H(v^m),
                       a = N/(N(m-1)+2), b = a/N, k = a(m-1)/(2mN)
-    talenti(p, A, B)  (A + B r^(p/(p-1)))^(1-N/p), the Talenti extremal
-                      of the p-Laplacian; kept as a documented non-solution
-                      of -lap_H w = w^p, whose residual is O(1) (for p=3,
-                      N=2 no A, B > 0 make it vanish)
+    talenti(p, A, B)  (A + B r^2)^(1-N/2), the Talenti extremal of the
+                      p-Laplacian at p = 2; admitted only for p = 2,
+                      N >= 3 and N(N-2)AB = 1, where it solves the
+                      critical equation -lap_H w = w^((N+2)/(N-2)) (for
+                      other p the profile solves no lap_H equation)
     singular_poly(m)  r^(-N+2m), with an extra log r factor when
                       N-2m is one of 0, -2, -4, ...; annihilated by the m-th
                       iterate of the operator away from the origin
@@ -60,10 +61,14 @@ class SolutionSpec:
             if self.C is None or self.C <= 0:
                 raise SpecValidationError("barenblatt requires C > 0")
         if self.kind == "talenti":
-            if self.p is None or self.p <= 1:
-                raise SpecValidationError("talenti requires p > 1")
+            N = self.norm.dimension
+            if self.p != 2.0 or N < 3:
+                raise SpecValidationError(
+                    "talenti solves -lap_H w = w^((N+2)/(N-2)) only for p = 2, N >= 3")
             if self.A is None or self.A <= 0 or self.B is None or self.B <= 0:
                 raise SpecValidationError("talenti requires A > 0 and B > 0")
+            if abs(N * (N - 2) * self.A * self.B - 1.0) > 1e-9:
+                raise SpecValidationError("talenti requires N(N-2)AB = 1")
         if self.kind == "singular_poly" and (self.m_order is None or self.m_order < 1):
             raise SpecValidationError("singular_poly requires m_order >= 1")
 
@@ -128,7 +133,7 @@ def eval_solution(spec: SolutionSpec, x: np.ndarray, t: float = 0.0) -> np.ndarr
         bracket = np.maximum(spec.C - k * r**2 * t ** (-2.0 * beta), 0.0)
         return t ** (-alpha) * bracket ** (1.0 / (spec.m - 1.0))
     if spec.kind == "talenti":
-        return (spec.A + spec.B * r ** (spec.p / (spec.p - 1.0))) ** (1.0 - N / spec.p)
+        return (spec.A + spec.B * r**2) ** (1.0 - N / 2.0)
     # singular_poly
     if np.any(r == 0.0):
         raise DomainError("singular polyharmonic profile is singular at x = 0")
@@ -174,8 +179,8 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     Time families: r = [u(t+dt) - u(t-dt)]/(2 dt) - lap_h(u(t)) with the
     operator applied to u^m for the porous-medium family, which also
     excludes a band around its free boundary (2h plus the interface
-    displacement over the time stencil).  The stationary power-law family
-    uses r = -lap_h(w) - w^p.
+    displacement over the time stencil).  The stationary critical family
+    uses r = -lap_h(w) - w^((N+2)/(N-2)).
     """
     if spec.kind == "singular_poly":
         raise DomainError("use singular_poly_check for the singular family")
@@ -189,7 +194,8 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
         if spec.kind == "talenti":
             w = lay.with_values(_sample(spec, lay, 0.0))
             lap = finsler_laplacian(w, spec.norm).values
-            residual = -lap - w.values**spec.p
+            N = spec.norm.dimension
+            residual = -lap - w.values ** ((N + 2) / (N - 2))
             window = interior_mask(lay)
         else:
             u = _sample(spec, lay, t)

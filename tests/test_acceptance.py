@@ -195,21 +195,15 @@ def test_criterion_04_residual_gauss_and_blowup():
 
 
 def test_criterion_04_residual_talenti():
-    # N=3 critical profile, -lap_H w = w^5: p=3 talenti solves no such identity
-    spec = norms.ellipse(np.diag([4.0, 1.0, 1.0]))
-    A, B = 1.0, 1.0 / 3.0
-    residuals = []
-    for cells in (32, 64):
-        lay = empty_layout([(-3, 3), (-1.5, 1.5), (-1.5, 1.5)],
-                           (2 * cells, cells, cells))
-        r = norms.dual_norm_eval(spec, lay.coords())
-        w = lay.with_values((A + B * r**2) ** -0.5)
-        residual = -finsler_laplacian(w, spec).values - w.values**5
-        residuals.append(float(np.max(np.abs(residual)[interior_mask(lay)])))
-    order = float(np.log2(residuals[0] / residuals[1]))
-    ok = residuals[1] < residuals[0] and 1.5 <= order <= 2.5
+    # N=3 critical family, -lap_H w = w^5 with w = (A + B H0^2)^{-1/2}, 3AB = 1
+    spec = SolutionSpec("talenti", norms.ellipse(np.diag([4.0, 1.0, 1.0])),
+                        p=2.0, A=1.0, B=1.0 / 3.0)
+    lay = empty_layout([(-3, 3), (-1.5, 1.5), (-1.5, 1.5)], (64, 32, 32))
+    rep = pde_residual(spec, lay, t=0.0, dt=0.01, levels=2)
+    residuals = rep.max_residuals
+    ok = residuals[1] < residuals[0] and 1.5 <= rep.order <= 2.5
     _line("4/talenti", ok,
-          f"residuals {residuals}, order {order:.2f} "
+          f"residuals {residuals}, order {rep.order:.2f} "
           "(critical N=3 profile, -lap_H w = w^5)")
     assert ok
 

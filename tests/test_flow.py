@@ -3,16 +3,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslerheat import norms
-from finslerheat.errors import SpecValidationError, StabilityError
+from finslerheat import flow, norms, operators
+from finslerheat.errors import DomainError, SpecValidationError, StabilityError
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
-                              ball_mask, energy, energy_gradient, explicit_step,
-                              monitor_weighted_L1, monitor_weighted_L2,
-                              nested_domain_study, prox_homogeneity_defect,
-                              proximal_step, scaling_check, solve)
-from finslerheat.grids import RadialProfile
+                              ball_mask, energy, energy_gradient, energy_stencil,
+                              explicit_step, monitor_weighted_L1,
+                              monitor_weighted_L2, nested_domain_study,
+                              prox_homogeneity_defect, proximal_step,
+                              scaling_check, solve, stencil_energy_gradient)
+from finslerheat.grids import GridFunction, RadialProfile
 from finslerheat.measures import measure_from_atoms, measure_from_radial
-from finslerheat.operators import lift_radial
+from finslerheat.norms import duality_map
+from finslerheat.operators import (apply_stencil, face_gradient,
+                                   finsler_laplacian, interior_mask,
+                                   laplacian_stencil, lift_radial)
 
 EUCLID = norms.euclidean(2)
 ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
@@ -89,6 +93,104 @@ def test_energy_gradient_is_exact_adjoint(spec):
     fd = (energy(lay.with_values(u + eps * d), spec, mask)
           - energy(lay.with_values(u - eps * d), spec, mask)) / (2 * eps)
     assert np.sum(g * d) * lay.cell_volume == pytest.approx(fd, rel=1e-7)
+
+
+def _quadratic_spec(data, N):
+    """euclidean, a diagonal ellipse, an off-diagonal SPD ellipse or a
+    smoothed polytope in dimension N."""
+    kind = data.draw(st.sampled_from(["euclidean", "diagonal", "spd", "polytope"]))
+    if kind == "euclidean":
+        return norms.euclidean(N)
+    if kind == "diagonal":
+        return norms.ellipse(np.diag([data.draw(st.floats(0.1, 10.0)) for _ in range(N)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "spd":
+        B = rng.standard_normal((N, N))
+        return norms.ellipse(B.T @ B + 0.1 * np.eye(N))
+    D = rng.standard_normal((N + data.draw(st.integers(0, 2)), N))
+    return norms.smoothed_polytope(D / np.linalg.norm(D, axis=1, keepdims=True),
+                                   data.draw(st.floats(0.01, 0.5)))
+
+
+def _face_sum_energy(values, spec, spacing):
+    """(1/2N) vol sum over faces of A(G u) . G u, straight from the face map."""
+    N = values.ndim
+    total = 0.0
+    for axis in range(N):
+        G = face_gradient(values, spacing, axis)
+        total += float(np.sum(duality_map(spec, G) * G))
+    return total * float(np.prod(spacing)) / (2.0 * N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_constant_stencils_match_the_face_path(data):
+    N = data.draw(st.integers(1, 3))
+    spec = _quadratic_spec(data, N)
+    shape = tuple(data.draw(st.integers(3, 9)) for _ in range(N))
+    spacing = tuple(data.draw(st.floats(0.01, 10.0)) for _ in range(N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(shape)         # not zero on the box edge
+    mask = rng.random(shape) < 0.7
+    um = np.where(mask, u, 0.0)
+    # the energy matvec, unmasked and masked (input already masked)
+    for x, m in ((u, None), (um, mask)):
+        face = energy_gradient(x, spec, spacing, m)
+        stencil = stencil_energy_gradient(x, spec, spacing, m)
+        assert np.max(np.abs(stencil - face)) <= 1e-13 * np.max(np.abs(face))
+    # the interior Laplacian, read on arrays (grids need >= 5 nodes per axis)
+    inner = (slice(1, -1),) * N
+    face_lap = operators._face_flux_divergence(u, spacing, spec)[inner]
+    stencil_lap = apply_stencil(u, laplacian_stencil(spec, spacing))[inner]
+    assert np.max(np.abs(stencil_lap - face_lap)) <= 1e-13 * np.max(np.abs(face_lap))
+    if min(shape) < 5:
+        return
+    box = tuple((0.0, (n - 1) * h) for n, h in zip(shape, spacing))
+    gf = GridFunction(box, tuple(n - 1 for n in shape), u)
+    for m, x in ((None, u), (mask, um)):
+        face = _face_sum_energy(x, spec, gf.spacing)
+        assert abs(energy(gf, spec, m) - face) <= 1e-13 * face
+    lap = finsler_laplacian(gf, spec).values
+    face_lap = operators._face_flux_divergence(u, gf.spacing, spec)
+    halo = ~interior_mask(gf)
+    np.testing.assert_array_equal(np.isnan(lap), halo)
+    assert np.max(np.abs(lap - face_lap)[~halo]) \
+        <= 1e-13 * np.max(np.abs(face_lap[~halo]))
+
+
+def test_stencil_cache_is_read_only_and_keyed_on_spacing(monkeypatch):
+    for stencil_of in (energy_stencil, laplacian_stencil):
+        S = stencil_of(ELLIPSE, (0.1, 0.1))
+        with pytest.raises(ValueError):
+            S[(2, 2)] = 0.0
+        T = stencil_of(ELLIPSE, (0.1, 0.2))
+        assert not np.array_equal(S, T)
+        assert stencil_of(ELLIPSE, (0.1, 0.1)) is S
+    u = np.random.default_rng(0).standard_normal((9, 9))
+    # taps below machine epsilon (here ~1e-17 at h = 1e8) must still count
+    for h in ((0.1, 0.2), (1e8, 3e8)):
+        face = energy_gradient(u, ELLIPSE, h)
+        assert np.max(np.abs(stencil_energy_gradient(u, ELLIPSE, h) - face)) \
+            <= 1e-13 * np.max(np.abs(face))
+    # p-norms keep the face path everywhere
+    pn = norms.p_norm(3, 2)
+    with pytest.raises(DomainError):
+        energy_stencil(pn, (0.1, 0.1))
+    with pytest.raises(DomainError):
+        laplacian_stencil(pn, (0.1, 0.1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a p-norm reached the stencil path")
+    for module in (flow, operators):
+        monkeypatch.setattr(module, "apply_stencil", refuse)
+    lay = ball_layout(pn, 1.0, 1 / 8)
+    mask = ball_mask(pn, lay, 1.0)
+    r = norms.dual_norm_eval(pn, lay.coords())
+    v = lay.with_values(np.where(mask, np.exp(-2 * r**2), 0.0))
+    energy(v, pn, mask)
+    proximal_step(v, pn, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
+    explicit_step(v, pn, mask, 1e-4)
+    finsler_laplacian(v, pn)
 
 
 def test_prox_fixed_point_at_zero():

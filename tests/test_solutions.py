@@ -108,14 +108,17 @@ def test_residual_barenblatt_first_order_or_better():
 
 
 def test_stationary_power_law_residual_does_not_vanish():
-    # the bundled (A + B r^{p/(p-1)})^{1-N/p} family does not satisfy
-    # -lap w = w^p for p=3, N=2: the defect is O(1), so the measured
-    # residual saturates instead of refining away
-    spec = SolutionSpec("talenti", ELLIPSE, p=3.0, A=1.0, B=1.0)
-    lay = empty_layout([(-4, 4), (-2, 2)], (128, 64))
-    rep = pde_residual(spec, lay, t=0.0, dt=0.01, levels=2)
-    assert rep.max_residuals[-1] > 1.0
-    assert rep.order < 1.0
+    # (A + B r^{p/(p-1)})^{1-N/p} solves no lap_H equation unless p = 2,
+    # N >= 3 and N(N-2)AB = 1 (the critical power (N+2)/(N-2)); every
+    # other profile is rejected instead of reported as an O(1) residual
+    for norm, p, A, B in ((ELLIPSE, 3.0, 1.0, 1.0), (ELLIPSE, 2.0, 1.0, 1.0),
+                          (norms.euclidean(3), 3.0, 1.0, 1.0 / 3.0),
+                          (norms.euclidean(3), 2.0, 1.0, 1.0),
+                          (norms.euclidean(1), 2.0, 1.0, 1.0)):
+        with pytest.raises(SpecValidationError):
+            SolutionSpec("talenti", norm, p=p, A=A, B=B)
+    SolutionSpec("talenti", norms.euclidean(3), p=2.0, A=1.0, B=1.0 / 3.0)
+    SolutionSpec("talenti", norms.euclidean(4), p=2.0, A=2.0, B=1.0 / 16.0)
 
 
 def test_critical_inverse_sqrt_profile_is_stationary_n3():
