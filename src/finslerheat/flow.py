@@ -12,18 +12,19 @@ over fields vanishing outside the mask.  The discrete energy sums
 H(face gradient)^2 over all grid faces (each of the N face families sees
 the full gradient, hence the 1/(2N) normalization), with the masked field
 extended by zero; the face gradient G and its exact adjoint come from
-`operators`, and the energy gradient is (1/N) G^T A(G u).  For quadratic
-norm families (H^2 = xi^T Q xi) that gradient is K u with
+`operators`.  `energy_gradient` is its one gradient, (1/N) G^T A(G u),
+and psi is read through it: psi is 2-homogeneous, so Euler's identity
+gives psi(u) = (vol/2) <u, grad psi(u)> exactly, for every family.  For
+quadratic norm families (H^2 = xi^T Q xi) the gradient is K u with
 K = (1/N) G^T Q G, which on the zero-extended grid is translation
-invariant: `energy_stencil` reads its stencil S off `energy_gradient`
-applied to a unit impulse (the face taps stay the one definition), caches
-it per (spec, spacing), and the energy psi(u) = (vol/2) <u, S * u> and
-the CG matvec apply it as one correlation.  The inner solver is Newton
-with conjugate gradients, one solve of the SPD system
-(I/tau + K) u = u_prev/tau for quadratic norm families and damped steps
-on the exact objective for p-norms; every returned step is a descent
-point of the monitored energy.  The explicit scheme advances with the
-face-flux operator under the usual parabolic step restriction.
+invariant: `energy_stencil` reads its stencil S off the face path applied
+to a unit impulse (the face taps stay the one definition), caches it per
+(spec, spacing), and `energy_gradient` applies it as one correlation.
+The inner solver is Newton with conjugate gradients, one solve of the SPD
+system (I/tau + K) u = u_prev/tau for quadratic norm families and damped
+steps on the exact objective for p-norms; every returned step is a
+descent point of the monitored energy.  The explicit scheme advances with
+the face-flux operator under the usual parabolic step restriction.
 
 Domain geometry: the ball is masked inside a bounding box whose sides
 touch it (the half-width along axis i is R * H(e_i), the support function
@@ -50,9 +51,8 @@ from .grids import GridFunction
 from .measures import MeasureSpec, _ball_kernel, mollify
 from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
                     duality_map, eval_norm)
-from .operators import (apply_stencil, apply_taps, face_gradient,
-                        face_gradient_adjoint, face_taps, finsler_laplacian,
-                        impulse_response, unit_taps)
+from .operators import (apply_stencil, face_gradient, face_gradient_adjoint,
+                        finsler_laplacian, impulse_response)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,6 @@ class FlowProblem:
     inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
     monitor_lambda: Optional[float] = None
     monitor_ell: Optional[float] = None
-    mollify_width: Optional[float] = None
 
     def __post_init__(self):
         if self.radius < 1.0:
@@ -123,88 +122,69 @@ class FlowProblem:
         if isinstance(self.datum, GridFunction):
             vals = self.datum.values
         else:
-            width = self.mollify_width or 2.0 * max(lay.spacing)
-            vals = mollify(self.datum, width, layout=lay).values
+            vals = mollify(self.datum, 2.0 * max(lay.spacing), layout=lay).values
         return lay.with_values(np.where(mask, vals, 0.0))
 
     def stability_limit(self) -> float:
-        _, c2 = coercivity_bounds(self.norm)
-        h = min(self.layout().spacing)
-        return h * h / (2.0 * self.norm.dimension * c2)
+        return _stability_limit(self.norm, self.layout().spacing)
+
+
+def _stability_limit(spec: NormSpec, spacing) -> float:
+    """Largest stable explicit step h^2 / (2 N C2), h the smallest spacing."""
+    _, c2 = coercivity_bounds(spec)
+    h = min(spacing)
+    return h * h / (2.0 * spec.dimension * c2)
 
 
 # ---------------------------------------------------------------------------
 # discrete energy and its exact gradient
 # ---------------------------------------------------------------------------
 
-def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None,
-           interior_faces_only: bool = False) -> float:
-    """(1/2N) sum over faces of H(face gradient)^2 times the cell volume.
+def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None) -> float:
+    """psi(u) = (1/2N) sum over faces of H(face gradient)^2 times the cell volume.
 
-    Default: the field is clamped to zero outside the mask and extended by
-    zero beyond the box (the H^1_0 reading; faces crossing the Dirichlet
-    boundary carry the anchoring energy); quadratic families evaluate it as
-    (vol/2) <u, S * u> with the stencil of `energy_stencil`.  With
-    interior_faces_only, only faces whose whole stencil lies in the mask
-    count, which evaluates the energy of the raw field over the masked
-    region (fields that do not vanish at the mask boundary have divergent
-    zero-extension energy).
+    The field is clamped to zero outside the mask and extended by zero
+    beyond the box (the H^1_0 reading; faces crossing the Dirichlet
+    boundary carry the anchoring energy).  Evaluated by Euler's identity
+    as (vol/2) <u, energy_gradient(u)>, the objective the prox descends.
     """
-    N = gf.dimension
-    h = gf.spacing
-    vals = gf.values
-    if interior_faces_only:
-        inside = np.ones(vals.shape) if mask is None else mask.astype(float)
-    elif mask is not None:
-        vals = np.where(mask, vals, 0.0)
-    if spec.family != "p_norm" and not interior_faces_only:
-        Ku = apply_stencil(vals, energy_stencil(spec, h))
-        return 0.5 * gf.cell_volume * float(np.sum(vals * Ku))
-    total = 0.0
-    for axis in range(N):
-        G = face_gradient(vals, h, axis)
-        dens = duality_map(spec, G) * G
-        if interior_faces_only:
-            full = np.ones(G.shape[:-1], dtype=bool)
-            for _, kernels in face_taps(h, axis):
-                unit = unit_taps(kernels)
-                full &= apply_taps(inside, unit) == np.prod([sum(k) for k in unit])
-            dens = dens[full]
-        total += float(np.sum(dens))
-    return total * gf.cell_volume / (2.0 * N)
+    vals = gf.values if mask is None else np.where(mask, gf.values, 0.0)
+    grad = energy_gradient(vals, spec, gf.spacing)
+    return 0.5 * gf.cell_volume * float(np.sum(vals * grad))
 
 
 def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
                     mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact L^2 gradient of the zero-extension discrete energy.
+    """Exact L^2 gradient (1/N) G^T A(G u) of the zero-extension energy.
 
-    This is (1/N) G^T A(G u) for the face-gradient map G of `operators`,
-    (minus) the divergence-form operator the proximal solver descends on;
+    (Minus) the divergence-form operator the proximal solver descends on;
     it agrees with the face-flux operator to O(h^2) and, G^T being the
     exact adjoint, descent guarantees hold regardless of resolution.
+    Quadratic families apply the cached stencil of `energy_stencil`,
+    p-norms the face path.  With a mask, values and gradient are clamped
+    to zero off it.
     """
-    N = values.ndim
     vals = values if mask is None else np.where(mask, values, 0.0)
-    g = sum(face_gradient_adjoint(duality_map(spec, face_gradient(vals, spacings, axis)),
-                                  spacings, axis)
-            for axis in range(N)) / N
+    if spec.family == "p_norm":
+        g = _face_energy_gradient(vals, spec, spacings)
+    else:
+        g = apply_stencil(vals, energy_stencil(spec, tuple(spacings)))
     return g if mask is None else np.where(mask, g, 0.0)
+
+
+def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
+    """(1/N) G^T A(G u) on the face taps of `operators`, unmasked."""
+    N = values.ndim
+    return sum(face_gradient_adjoint(duality_map(spec, face_gradient(values, spacings, axis)),
+                                     spacings, axis) for axis in range(N)) / N
 
 
 @lru_cache(maxsize=128)
 def energy_stencil(spec: NormSpec, spacing: tuple) -> np.ndarray:
     """Stencil S of K = (1/N) G^T Q G for a quadratic family, read off
-    `energy_gradient`: K u = S * u on the zero-extended grid.  Cached per
+    the face path: K u = S * u on the zero-extended grid.  Cached per
     (spec, spacing), read-only."""
-    return impulse_response(lambda x: energy_gradient(x, spec, spacing), spec)
-
-
-def stencil_energy_gradient(values: np.ndarray, spec: NormSpec, spacing: tuple,
-                            mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """`energy_gradient` of a quadratic family by its stencil, for values
-    that already vanish off the mask: mask * (S * values)."""
-    Ku = apply_stencil(values, energy_stencil(spec, spacing))
-    return Ku if mask is None else np.where(mask, Ku, 0.0)
+    return impulse_response(lambda x: _face_energy_gradient(x, spec, spacing), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +202,7 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
     Inexact Newton from the masked v: CG on I/tau + (1/N) G^T DA(G u) G,
     DA from `duality_jacobian`.  For quadratic families (DA = Q) one step,
     warm-started at v, solves the prox system (I/tau + K) u = v/tau, with
-    K applied as the cached constant stencil of `energy_stencil`, derived
-    from the face taps.
+    K u = `energy_gradient`(u), the cached constant stencil.
     p-norms solve to the relative residual min(0.5, sqrt(||grad J|| /
     (1 + ||v||))), cut a step past the minimum of J along d to the secant
     root of J' (Newton overshoots where the p < 2 flux is only Hoelder) and
@@ -251,7 +230,7 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
                     spacings, axis) for axis, DA in enumerate(jac)) / w.ndim, 0.0)
         else:
             def hessian(x: np.ndarray) -> np.ndarray:
-                return stencil_energy_gradient(x, spec, spacings, mask)
+                return np.where(mask, energy_gradient(x, spec, spacings), 0.0)
 
         def matvec(x: np.ndarray) -> np.ndarray:
             # CG iterates vanish off the mask, as the start and right side do
@@ -302,12 +281,10 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float) -> GridFunction:
     """Forward step with the face-flux operator; clamped outside the mask."""
-    _, c2 = coercivity_bounds(spec)
-    h = min(u_prev.spacing)
-    if tau > h * h / (2.0 * spec.dimension * c2) * (1.0 + 1e-12):
+    limit = _stability_limit(spec, u_prev.spacing)
+    if tau > limit * (1.0 + 1e-12):
         raise StabilityError(
-            f"explicit step tau = {tau:g} exceeds the stability bound "
-            f"{h * h / (2.0 * spec.dimension * c2):g}")
+            f"explicit step tau = {tau:g} exceeds the stability bound {limit:g}")
     masked = np.where(mask, u_prev.values, 0.0)
     lap = finsler_laplacian(u_prev.with_values(masked), spec).values
     new = masked + tau * np.where(np.isfinite(lap), lap, 0.0)

@@ -38,7 +38,6 @@ class MeasureSpec:
     atoms: Optional[tuple] = None               # ((point tuple, weight), ...)
     profile: Optional[RadialProfile] = None
     norm: Optional[NormSpec] = None             # for radial_density
-    signed: bool = False
 
     def __post_init__(self):
         if self.kind == "density":
@@ -62,20 +61,17 @@ class MeasureSpec:
         return pts, wts
 
 
-def measure_from_atoms(atoms: Sequence[tuple], signed: bool = False) -> MeasureSpec:
+def measure_from_atoms(atoms: Sequence[tuple]) -> MeasureSpec:
     packed = tuple((tuple(map(float, p)), float(w)) for p, w in atoms)
-    return MeasureSpec("atoms", atoms=packed,
-                       signed=signed or any(w < 0 for _, w in packed))
+    return MeasureSpec("atoms", atoms=packed)
 
 
-def measure_from_density(grid: GridFunction, signed: bool = False) -> MeasureSpec:
-    return MeasureSpec("density", density=grid,
-                       signed=signed or bool(np.any(grid.values < 0)))
+def measure_from_density(grid: GridFunction) -> MeasureSpec:
+    return MeasureSpec("density", density=grid)
 
 
 def measure_from_radial(profile: RadialProfile, norm: NormSpec) -> MeasureSpec:
-    return MeasureSpec("radial_density", profile=profile, norm=norm,
-                       signed=bool(np.any(profile.values < 0)))
+    return MeasureSpec("radial_density", profile=profile, norm=norm)
 
 
 def _lattice_box(spec: NormSpec, radius: float, spacing: float):
@@ -225,8 +221,7 @@ def _bump(s: np.ndarray) -> np.ndarray:
 
 
 def mollify(measure: MeasureSpec, width: float,
-            layout: Optional[GridFunction] = None,
-            spec: Optional[NormSpec] = None) -> GridFunction:
+            layout: Optional[GridFunction] = None) -> GridFunction:
     """Smooth density on the layout grid; total mass preserved exactly.
 
     Densities are convolved with a compactly supported bump of the given

@@ -71,11 +71,6 @@ def face_taps(spacing, axis: int) -> list:
     return taps
 
 
-def unit_taps(kernels: list) -> list:
-    """Every tap weighted 1: applied to a mask, counts stencil nodes in it."""
-    return [tuple(float(w != 0.0) for w in kernel) for kernel in kernels]
-
-
 def apply_taps(x: np.ndarray, kernels: list, transpose: bool = False) -> np.ndarray:
     """Apply a separable stencil, one 1-D kernel per axis, or its adjoint.
 

@@ -22,14 +22,11 @@ independent oracle.  N = 1 is handled by the two-point "sphere"
 2 cosh(z) as a documented extension.
 
 Endpoint weights: the N = 2 integrand carries (1 - s^2)^(-1/2), which
-Chebyshev-Gauss nodes absorb exactly; Gauss-Legendre is rejected for
-N = 2 by config validation and used for N = 3 (weight 1).
+160 Chebyshev-Gauss nodes absorb exactly; N >= 3 uses 160 Gauss-Legendre
+nodes (weight 1 in N = 3).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import i0e
@@ -39,50 +36,7 @@ from .grids import RadialProfile
 from .norms import NormSpec, dual_norm_eval
 
 _OVERFLOW_Z = 700.0
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights on [-1, 1]; chebyshev_gauss includes the arcsine weight."""
-
-    kind: str = "gauss_legendre"
-    nodes: int = 160
-
-    def __post_init__(self):
-        if self.kind not in ("gauss_legendre", "chebyshev_gauss"):
-            raise SpecValidationError(f"unknown quadrature kind {self.kind!r}")
-        if self.nodes < 8:
-            raise SpecValidationError("quadrature needs >= 8 nodes")
-
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "gauss_legendre":
-            x, w = np.polynomial.legendre.leggauss(self.nodes)
-        else:
-            x, w = np.polynomial.chebyshev.chebgauss(self.nodes)
-        if np.any(w <= 0):
-            raise SpecValidationError("quadrature weights must be positive")
-        measure = 2.0 if self.kind == "gauss_legendre" else np.pi
-        if abs(float(np.sum(w)) - measure) > 1e-12 * measure:
-            raise SpecValidationError("weights do not sum to the interval measure")
-        return x, w
-
-
-@dataclass(frozen=True)
-class SphereIntegralConfig:
-    dimension: int
-    rule: QuadratureRule = field(default_factory=QuadratureRule)
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise SpecValidationError("dimension must be positive")
-        if self.dimension == 2 and self.rule.kind != "chebyshev_gauss":
-            raise SpecValidationError(
-                "N = 2 requires chebyshev_gauss (endpoint weight (1-s^2)^(-1/2))")
-
-
-def default_sphere_config(dimension: int) -> SphereIntegralConfig:
-    kind = "chebyshev_gauss" if dimension == 2 else "gauss_legendre"
-    return SphereIntegralConfig(dimension, QuadratureRule(kind, 160))
+_SPHERE_NODES = 160
 
 
 def _surface_measure(dim: int) -> float:
@@ -92,21 +46,24 @@ def _surface_measure(dim: int) -> float:
     return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
 
 
-def sphere_integral_I(z: float, cfg: SphereIntegralConfig) -> float:
-    """I(z) = int_{S^(N-1)} e^(z theta_1) d theta for z >= 0."""
+def sphere_integral_I(z: float, dimension: int) -> float:
+    """I(z) = int_{S^(N-1)} e^(z theta_1) d theta for z >= 0, N = dimension."""
     if z < 0:
         raise DomainError("sphere integral defined for z >= 0")
     if z > _OVERFLOW_Z:
         raise DomainError(
             f"z = {z:g} overflows the unscaled sphere integral; "
             "use the exponential-scaled evaluation")
-    N = cfg.dimension
+    N = dimension
+    if N < 1:
+        raise SpecValidationError("dimension must be positive")
     if N == 1:
         return 2.0 * np.cosh(z)     # counting measure on S^0; extension
-    s, w = cfg.rule.points()
     if N == 2:
         # omega_0 = 2 (two-point sphere); chebgauss already carries the weight
+        s, w = np.polynomial.chebyshev.chebgauss(_SPHERE_NODES)
         return 2.0 * float(np.sum(w * np.exp(z * s)))
+    s, w = np.polynomial.legendre.leggauss(_SPHERE_NODES)
     power = (N - 3) / 2.0
     weight = (1.0 - s**2) ** power if power != 0.0 else 1.0
     return _surface_measure(N - 2) * float(np.sum(w * weight * np.exp(z * s)))
@@ -222,13 +179,10 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray, t: fl
 
 
 def radial_heat_solution(profile: RadialProfile, spec: NormSpec, x: np.ndarray,
-                         t: float, r_quad: Optional[QuadratureRule] = None) -> float:
+                         t: float) -> float:
     """Solution value at a point x from H0-radial initial data.
 
     New data propagate by the closed 1-D integral; only rho = H0(x) enters.
     """
-    nodes = r_quad.nodes if r_quad is not None else 64
     rho = float(dual_norm_eval(spec, np.asarray(x, dtype=float)))
-    vals = radial_heat_profile(profile, spec.dimension, np.array([rho]), t,
-                               nodes_per_unit=nodes)
-    return float(vals[0])
+    return float(radial_heat_profile(profile, spec.dimension, np.array([rho]), t)[0])

@@ -92,10 +92,6 @@ class SolutionSpec:
         _, beta, k = self.barenblatt_exponents
         return float(np.sqrt(self.C / k) * t**beta)
 
-    @property
-    def time_dependent(self) -> bool:
-        return self.kind in ("gauss_kernel", "blowup", "barenblatt")
-
     def label(self) -> str:
         return self.kind
 

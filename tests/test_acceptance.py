@@ -22,8 +22,7 @@ from finslerheat.operators import (check_linearity, check_radial_reduction,
                                    empty_layout, finsler_laplacian,
                                    interior_mask, lift_radial,
                                    radial_operator_values)
-from finslerheat.radial import (bessel_I0, default_sphere_config,
-                                radial_heat_profile, sphere_integral_I)
+from finslerheat.radial import bessel_I0, radial_heat_profile, sphere_integral_I
 from finslerheat.solutions import SolutionSpec, pde_residual
 
 EUCLID = norms.euclidean(2)
@@ -218,12 +217,10 @@ def test_criterion_04_residual_barenblatt():
 
 
 def test_criterion_05_sphere_bessel_identity():
-    cfg2 = default_sphere_config(2)
-    cfg3 = default_sphere_config(3)
-    worst2 = max(abs(sphere_integral_I(z, cfg2) - 2 * np.pi * bessel_I0(z))
-                 / sphere_integral_I(z, cfg2)
+    worst2 = max(abs(sphere_integral_I(z, 2) - 2 * np.pi * bessel_I0(z))
+                 / sphere_integral_I(z, 2)
                  for z in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0))
-    worst3 = max(abs(sphere_integral_I(z, cfg3) - 4 * np.pi * np.sinh(z) / z)
+    worst3 = max(abs(sphere_integral_I(z, 3) - 4 * np.pi * np.sinh(z) / z)
                  / (4 * np.pi * np.sinh(z) / z)
                  for z in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
     ok = worst2 <= 1e-8 and worst3 <= 1e-10

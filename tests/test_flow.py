@@ -10,7 +10,7 @@ from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               explicit_step, monitor_weighted_L1,
                               monitor_weighted_L2, nested_domain_study,
                               prox_homogeneity_defect, proximal_step,
-                              scaling_check, solve, stencil_energy_gradient)
+                              scaling_check, solve)
 from finslerheat.grids import GridFunction, RadialProfile
 from finslerheat.measures import measure_from_atoms, measure_from_radial
 from finslerheat.norms import duality_map
@@ -40,34 +40,32 @@ def test_energy_of_zero_field():
     assert energy(lay, EUCLID) == 0.0
 
 
-def test_energy_quarter_pi_example():
-    # lift of r^2/2 on the unit disk: (1/2) int |x|^2 dx = pi/4; the
-    # interior-face reading erodes a boundary layer, an O(h) effect
-    prof = RadialProfile.from_function(lambda r: 0.5 * r**2, 3.0, 1025)
+def test_energy_second_order_on_the_disk():
+    # lift of max(1 - r^2, 0)^2 on the unit disk: (1/2) int |grad u|^2 dx
+    # = 2 pi / 3; the default reading converges at second order
     errs = []
-    for cells_per_unit in (64, 128):
+    for cells_per_unit in (32, 64, 128):
         lay = ball_layout(EUCLID, 1.0, 1.0 / cells_per_unit)
         mask = ball_mask(EUCLID, lay, 1.0)
-        lifted = lift_radial(prof, EUCLID, lay)
-        E = energy(lifted, EUCLID, mask, interior_faces_only=True)
-        errs.append(abs(E - np.pi / 4))
-        assert abs(E - np.pi / 4) <= 4.0 / cells_per_unit
-    assert errs[1] < errs[0]
+        r2 = np.sum(lay.coords() ** 2, axis=-1)
+        E = energy(lay.with_values(np.maximum(1.0 - r2, 0.0) ** 2), EUCLID, mask)
+        errs.append(abs(E - 2.0 * np.pi / 3.0))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.8), (errs, orders)
 
 
-def test_interior_face_energy_reads_only_masked_nodes():
-    # only faces whose whole stencil lies in the mask count, so values off
-    # the mask cannot change the interior reading
+def test_energy_reads_only_masked_nodes():
+    # the field is clamped to zero off the mask first, so values there
+    # cannot change the reading, bit for bit
     rng = np.random.default_rng(2)
     for spec in (ELLIPSE, norms.p_norm(3, 2), norms.ellipse(np.diag([4.0, 1.0, 2.25]))):
         lay = ball_layout(spec, 1.0, 1 / 8)
         mask = ball_mask(spec, lay, 1.0)
         u = rng.standard_normal(lay.values.shape)
         off = np.where(mask, 0.0, rng.standard_normal(u.shape))
-        E = energy(lay.with_values(u), spec, mask, interior_faces_only=True)
+        E = energy(lay.with_values(u), spec, mask)
         assert E > 0.0
-        assert energy(lay.with_values(u + off), spec, mask,
-                      interior_faces_only=True) == E
+        assert energy(lay.with_values(u + off), spec, mask) == E
 
 
 def test_energy_scales_quadratically():
@@ -135,8 +133,9 @@ def test_constant_stencils_match_the_face_path(data):
     um = np.where(mask, u, 0.0)
     # the energy matvec, unmasked and masked (input already masked)
     for x, m in ((u, None), (um, mask)):
-        face = energy_gradient(x, spec, spacing, m)
-        stencil = stencil_energy_gradient(x, spec, spacing, m)
+        face = flow._face_energy_gradient(x, spec, spacing)
+        face = face if m is None else np.where(m, face, 0.0)
+        stencil = energy_gradient(x, spec, spacing, m)
         assert np.max(np.abs(stencil - face)) <= 1e-13 * np.max(np.abs(face))
     # the interior Laplacian, read on arrays (grids need >= 5 nodes per axis)
     inner = (slice(1, -1),) * N
@@ -147,9 +146,12 @@ def test_constant_stencils_match_the_face_path(data):
         return
     box = tuple((0.0, (n - 1) * h) for n, h in zip(shape, spacing))
     gf = GridFunction(box, tuple(n - 1 for n in shape), u)
-    for m, x in ((None, u), (mask, um)):
-        face = _face_sum_energy(x, spec, gf.spacing)
-        assert abs(energy(gf, spec, m) - face) <= 1e-13 * face
+    # the energy, read through its gradient, against the face sum; p-norms
+    # read it through the face path
+    for s in (spec, norms.p_norm(data.draw(st.floats(1.5, 4.0)), N)):
+        for m, x in ((None, u), (mask, um)):
+            face = _face_sum_energy(x, s, gf.spacing)
+            assert abs(energy(gf, s, m) - face) <= 1e-13 * face
     lap = finsler_laplacian(gf, spec).values
     face_lap = operators._face_flux_divergence(u, gf.spacing, spec)
     halo = ~interior_mask(gf)
@@ -169,8 +171,8 @@ def test_stencil_cache_is_read_only_and_keyed_on_spacing(monkeypatch):
     u = np.random.default_rng(0).standard_normal((9, 9))
     # taps below machine epsilon (here ~1e-17 at h = 1e8) must still count
     for h in ((0.1, 0.2), (1e8, 3e8)):
-        face = energy_gradient(u, ELLIPSE, h)
-        assert np.max(np.abs(stencil_energy_gradient(u, ELLIPSE, h) - face)) \
+        face = flow._face_energy_gradient(u, ELLIPSE, h)
+        assert np.max(np.abs(energy_gradient(u, ELLIPSE, h) - face)) \
             <= 1e-13 * np.max(np.abs(face))
     # p-norms keep the face path everywhere
     pn = norms.p_norm(3, 2)
@@ -202,8 +204,8 @@ def test_prox_fixed_point_at_zero():
 
 def test_prox_matches_independent_linear_solver():
     # euclidean energy is quadratic: the prox solves (I + tau K) u = v; K is
-    # probed column by column from energy_gradient on the masked nodes and
-    # the system is solved densely
+    # probed column by column from the face path (not the stencil the prox
+    # applies) on the masked nodes and the system is solved densely
     lay = ball_layout(EUCLID, 1.0, 1 / 16)
     mask = ball_mask(EUCLID, lay, 1.0)
     r = norms.dual_norm_eval(EUCLID, lay.coords())
@@ -216,8 +218,8 @@ def test_prox_matches_independent_linear_solver():
     for col, node in enumerate(idx):
         e = np.zeros(v.size)
         e[node] = 1.0
-        K[:, col] = energy_gradient(e.reshape(v.shape), EUCLID, lay.spacing,
-                                    mask).ravel()[idx]
+        K[:, col] = flow._face_energy_gradient(e.reshape(v.shape), EUCLID,
+                                               lay.spacing).ravel()[idx]
     sol = np.linalg.solve(np.eye(idx.size) + tau * K, v.ravel()[idx])
     full = np.zeros(v.size)
     full[idx] = sol

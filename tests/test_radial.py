@@ -5,54 +5,33 @@ import pytest
 from finslerheat import norms
 from finslerheat.errors import DomainError, SpecValidationError
 from finslerheat.grids import RadialProfile
-from finslerheat.radial import (QuadratureRule, SphereIntegralConfig,
-                                _scaled_sphere_integral, bessel_I0,
-                                default_sphere_config, radial_heat_profile,
-                                radial_heat_solution, sphere_integral_I)
-
-
-def test_quadrature_rule_validation():
-    with pytest.raises(SpecValidationError):
-        QuadratureRule("gauss_legendre", 4)
-    with pytest.raises(SpecValidationError):
-        QuadratureRule("simpson", 16)
-    x, w = QuadratureRule("gauss_legendre", 32).points()
-    assert abs(w.sum() - 2.0) < 1e-12
-    x, w = QuadratureRule("chebyshev_gauss", 32).points()
-    assert abs(w.sum() - np.pi) < 1e-12
-
-
-def test_n2_requires_chebyshev():
-    with pytest.raises(SpecValidationError):
-        SphereIntegralConfig(2, QuadratureRule("gauss_legendre", 64))
-    SphereIntegralConfig(2, QuadratureRule("chebyshev_gauss", 64))
+from finslerheat.radial import (_scaled_sphere_integral, bessel_I0,
+                                radial_heat_profile, radial_heat_solution,
+                                sphere_integral_I)
 
 
 def test_sphere_integral_at_zero_is_sphere_measure():
-    assert sphere_integral_I(0.0, default_sphere_config(2)) == pytest.approx(
+    assert sphere_integral_I(0.0, 2) == pytest.approx(
         2 * np.pi, rel=1e-14)
-    assert sphere_integral_I(0.0, default_sphere_config(3)) == pytest.approx(
+    assert sphere_integral_I(0.0, 3) == pytest.approx(
         4 * np.pi, rel=1e-14)
 
 
 def test_sphere_integral_n3_closed_form():
-    cfg = default_sphere_config(3)
-    assert sphere_integral_I(1.0, cfg) == pytest.approx(4 * np.pi * np.sinh(1.0),
-                                                        rel=1e-12)
+    assert sphere_integral_I(1.0, 3) == pytest.approx(4 * np.pi * np.sinh(1.0),
+                                                      rel=1e-12)
     for z in (0.5, 2.0, 10.0, 50.0):
-        assert sphere_integral_I(z, cfg) == pytest.approx(
+        assert sphere_integral_I(z, 3) == pytest.approx(
             4 * np.pi * np.sinh(z) / z, rel=1e-10)
 
 
 def test_sphere_integral_n1_extension():
-    cfg = SphereIntegralConfig(1)
-    assert sphere_integral_I(1.3, cfg) == pytest.approx(2 * np.cosh(1.3), rel=1e-14)
+    assert sphere_integral_I(1.3, 1) == pytest.approx(2 * np.cosh(1.3), rel=1e-14)
 
 
 @pytest.mark.parametrize("z", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 def test_bessel_identity_n2(z):
-    cfg = default_sphere_config(2)
-    I = sphere_integral_I(z, cfg)
+    I = sphere_integral_I(z, 2)
     assert abs(I - 2 * np.pi * bessel_I0(z)) / I <= 1e-8
 
 
@@ -80,16 +59,15 @@ def test_scaled_sphere_integral_n2_matches_mpmath():
 
 
 def test_sphere_integral_positive_and_monotone():
-    cfg = default_sphere_config(2)
     zs = np.linspace(0.0, 20.0, 41)
-    vals = [sphere_integral_I(z, cfg) for z in zs]
+    vals = [sphere_integral_I(z, 2) for z in zs]
     assert all(v > 0 for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_overflow_guard():
     with pytest.raises(DomainError):
-        sphere_integral_I(800.0, default_sphere_config(2))
+        sphere_integral_I(800.0, 2)
 
 
 def test_constants_are_invariant():
