@@ -15,7 +15,7 @@ from .norms import (DualEvalConfig, IdentityReport, NormSpec, coercivity_bounds,
                     ellipse, euclidean, eval_norm, grad_dual_norm, grad_norm,
                     p_norm, smoothed_polytope, verify_identities)
 from .operators import (LinearityReport, ReductionReport, check_linearity,
-                        check_radial_reduction, finsler_laplacian, gradient,
+                        check_radial_reduction, finsler_laplacian,
                         interior_mask, lift_radial, radial_laplacian)
 from .radial import (bessel_I0, radial_heat_profile, radial_heat_solution,
                      sphere_integral_I)

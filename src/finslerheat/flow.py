@@ -47,7 +47,7 @@ from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, DomainError, SpecValidationError, StabilityError
-from .grids import GridFunction
+from .grids import GridFunction, empty_layout
 from .measures import MeasureSpec, _ball_kernel, mollify
 from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
                     duality_map, eval_norm)
@@ -65,8 +65,7 @@ def ball_layout(spec: NormSpec, radius: float, spacing: float) -> GridFunction:
                for i in range(spec.dimension)]
     cells = [max(2, int(round(radius * e / spacing))) for e in extents]
     box = tuple((-c * spacing, c * spacing) for c in cells)
-    return GridFunction(box, tuple(2 * c for c in cells),
-                        np.zeros(tuple(2 * c + 1 for c in cells)))
+    return empty_layout(box, tuple(2 * c for c in cells))
 
 
 def ball_mask(spec: NormSpec, layout: GridFunction, radius: float) -> np.ndarray:

@@ -5,6 +5,10 @@ grid over a box; spacing is derived from the per-axis cell counts.  A
 RadialProfile stores samples of a profile on [0, R] with a cubic
 interpolant; profiles flagged as even are clamped to zero slope at the
 origin so their lifts are smooth across the center.
+
+Every convergence check refines one way: `refinements` gives a layout and
+its 2^l-fold refinements over the same box, and `observed_order` reads
+log(e_0/e_last) / log(h_0/h_last) off the errors measured on them.
 """
 
 from __future__ import annotations
@@ -147,12 +151,30 @@ class GridFunction:
         return GridFunction(tuple(box), tuple(res), vals.reshape(nodes))
 
 
+def empty_layout(box, resolution) -> GridFunction:
+    """Grid of zeros with `resolution` cells per axis over `box`."""
+    return GridFunction(tuple(box), tuple(resolution),
+                        np.zeros(tuple(r + 1 for r in resolution)))
+
+
 def grid_from_function(box, resolution, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
     """Sample fn (batched over (..., N) coordinates) onto a new grid."""
-    gf = GridFunction(tuple(box), tuple(resolution),
-                      np.zeros(tuple(r + 1 for r in resolution)))
+    gf = empty_layout(box, resolution)
     gf.values = np.asarray(fn(gf.coords()), dtype=float)
     return gf
+
+
+def refinements(layout: GridFunction, levels: int) -> list[GridFunction]:
+    """Empty layouts over the box of `layout` with 2^l times its cells per
+    axis, l = 0 .. levels-1."""
+    return [empty_layout(layout.box, tuple(r * 2**level for r in layout.resolution))
+            for level in range(levels)]
+
+
+def observed_order(errors, spacings) -> float:
+    """log(e_0/e_last) / log(h_0/h_last): the convergence order that the
+    first and last of a sequence of errors, measured at spacings h, show."""
+    return float(np.log2(errors[0] / errors[-1]) / np.log2(spacings[0] / spacings[-1]))
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import DomainError, SpecValidationError
-from .grids import GridFunction, RadialProfile
+from .grids import GridFunction, RadialProfile, empty_layout
 from .norms import NormSpec, dual_norm_eval, eval_norm
 
 
@@ -87,7 +87,7 @@ def materialize(measure: MeasureSpec, spec: NormSpec, radius: float,
                 spacing: float) -> GridFunction:
     """Density representation of the measure on {H0 <= radius}, 0 beyond."""
     box, res = _lattice_box(spec, radius, spacing)
-    layout = GridFunction(box, res, np.zeros(tuple(r + 1 for r in res)))
+    layout = empty_layout(box, res)
     r = dual_norm_eval(spec, layout.coords())
     if measure.kind == "radial_density":
         vals = np.where(r <= radius,

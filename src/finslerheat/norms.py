@@ -174,13 +174,13 @@ def smoothed_polytope(directions: np.ndarray, epsilon: float) -> NormSpec:
 class DualEvalConfig:
     """How to evaluate H0: closed form (auto), or the sampled-sup oracle."""
 
-    method: str = "auto"    # auto = closed_form | sphere_maximization
+    method: str = "auto"    # auto (closed form) | sphere_maximization
     sphere_samples: int = 2048
     refinement_iters: int = 20
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.method not in ("auto", "closed_form", "sphere_maximization"):
+        if self.method not in ("auto", "sphere_maximization"):
             raise SpecValidationError(f"unknown dual evaluation method {self.method!r}")
         if self.tolerance <= 0:
             raise SpecValidationError("tolerance must be positive")

@@ -22,9 +22,12 @@ the zero extension, is marked NaN rather than extrapolated.
 For a field of the form v(x) = q(H0(x)) with q smooth and flat at 0, the
 continuum operator collapses to the ordinary radial expression
 q''(r) + (N-1) q'(r) / r evaluated at r = H0(x), with the value N q''(0)
-at the center; the checks in this module measure how fast the discrete
-operator converges to that reduction and whether it acts linearly on such
-fields.
+at the center (`radial_operator_values`); the checks in this module
+measure how fast the discrete operator converges to that reduction and
+whether it acts linearly on such fields.  Both run on the layouts of
+`grids.refinements`, measure on the interior nodes with H0(x) >= 2h,
+h the coarsest spacing, held fixed across levels, and read their order
+with `grids.observed_order`.
 """
 
 from __future__ import annotations
@@ -36,15 +39,9 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError, OutOfRangeError, SpecValidationError
-from .grids import GridFunction, RadialProfile, grid_from_function
+from .grids import GridFunction, RadialProfile, observed_order, refinements
+from .grids import empty_layout  # noqa: F401  (still importable from here)
 from .norms import NormSpec, dual_norm_eval, duality_map
-
-
-def gradient(gf: GridFunction) -> np.ndarray:
-    """Nodal gradient, shape (*nodes, N): central interior, one-sided edges."""
-    grads = np.gradient(gf.values, *gf.spacing, edge_order=2) \
-        if gf.dimension > 1 else [np.gradient(gf.values, gf.spacing[0], edge_order=2)]
-    return np.stack(grads, axis=-1)
 
 
 def face_taps(spacing, axis: int) -> list:
@@ -201,17 +198,12 @@ def radial_laplacian(rp: RadialProfile, dimension: int) -> RadialProfile:
     """r -> q''(r) + (N-1) q'(r)/r, with the limit N q''(0) at the center."""
     if len(rp) < 8:
         raise SpecValidationError("profile too coarse for radial derivatives")
-    r = rp.radii
-    out = np.empty_like(r)
-    d1 = rp.derivative(r, 1)
-    d2 = rp.derivative(r, 2)
-    out[1:] = d2[1:] + (dimension - 1) * d1[1:] / r[1:]
-    out[0] = dimension * d2[0]
-    return RadialProfile(r, out, even=rp.even)
+    return RadialProfile(rp.radii, radial_operator_values(rp, dimension, rp.radii),
+                         even=rp.even)
 
 
 def radial_operator_values(rp: RadialProfile, dimension: int, r: np.ndarray) -> np.ndarray:
-    """Radial operator of the profile evaluated at arbitrary radii > 0."""
+    """q''(r) + (N-1) q'(r)/r at arbitrary radii, N q''(0) where r = 0."""
     r = np.asarray(r, dtype=float)
     d1 = rp.derivative(r, 1)
     d2 = rp.derivative(r, 2)
@@ -230,11 +222,6 @@ def lift_radial(rp: RadialProfile, spec: NormSpec, layout: GridFunction) -> Grid
     return layout.with_values(rp(r))
 
 
-def empty_layout(box, resolution) -> GridFunction:
-    return GridFunction(tuple(box), tuple(resolution),
-                        np.zeros(tuple(r + 1 for r in resolution)))
-
-
 @dataclass
 class ReductionReport:
     spacings: list
@@ -244,47 +231,30 @@ class ReductionReport:
 
     @property
     def order_max(self) -> float:
-        return float(np.log2(self.max_errors[0] / self.max_errors[-1])
-                     / np.log2(self.spacings[0] / self.spacings[-1]))
+        return observed_order(self.max_errors, self.spacings)
 
     @property
     def order_mean(self) -> float:
-        return float(np.log2(self.mean_errors[0] / self.mean_errors[-1])
-                     / np.log2(self.spacings[0] / self.spacings[-1]))
-
-
-def _reduction_errors(rp: RadialProfile, spec: NormSpec, layout: GridFunction,
-                      r_cut: float):
-    lifted = lift_radial(rp, spec, layout)
-    lap = finsler_laplacian(lifted, spec).values
-    r = dual_norm_eval(spec, layout.coords())
-    oracle = radial_operator_values(rp, layout.dimension, r)
-    window = interior_mask(layout) & (r >= r_cut)
-    err = np.abs(lap - oracle)[window]
-    return float(np.max(err)), float(np.mean(err))
+        return observed_order(self.mean_errors, self.spacings)
 
 
 def check_radial_reduction(rp: RadialProfile, spec: NormSpec,
-                           layout: GridFunction, levels: int = 2,
-                           r_cut: float | None = None) -> ReductionReport:
+                           layout: GridFunction, levels: int = 2) -> ReductionReport:
     """Discrete operator vs the radial reduction, across grid refinements.
 
-    Errors are measured on interior nodes with H0(x) >= r_cut; the cut
-    defaults to twice the coarsest spacing and is held fixed across levels
-    so the order estimate compares errors over one region.
+    Errors are measured on interior nodes with H0(x) >= r_cut, twice the
+    coarsest spacing, so the order estimate compares errors over one region.
     """
-    h0 = max(layout.spacing)
-    if r_cut is None:
-        r_cut = 2.0 * h0
+    r_cut = 2.0 * max(layout.spacing)
     spacings, maxes, means = [], [], []
-    box, res = layout.box, layout.resolution
-    for level in range(levels):
-        factor = 2**level
-        lay = empty_layout(box, tuple(r * factor for r in res))
-        e_max, e_mean = _reduction_errors(rp, spec, lay, r_cut)
+    for lay in refinements(layout, levels):
+        r = dual_norm_eval(spec, lay.coords())
+        lap = finsler_laplacian(lift_radial(rp, spec, lay), spec).values
+        oracle = radial_operator_values(rp, lay.dimension, r)
+        err = np.abs(lap - oracle)[interior_mask(lay) & (r >= r_cut)]
         spacings.append(max(lay.spacing))
-        maxes.append(e_max)
-        means.append(e_mean)
+        maxes.append(float(np.max(err)))
+        means.append(float(np.mean(err)))
     return ReductionReport(spacings, maxes, means, r_cut)
 
 
@@ -296,47 +266,36 @@ class LinearityReport:
 
     @property
     def order(self) -> float:
-        return float(np.log2(self.radial_defects[0] / self.radial_defects[-1])
-                     / np.log2(self.spacings[0] / self.spacings[-1]))
+        return observed_order(self.radial_defects, self.spacings)
 
 
 def check_linearity(rp1: RadialProfile, rp2: RadialProfile,
                     alpha: float, beta: float, spec: NormSpec,
-                    layout: GridFunction, levels: int = 2,
-                    r_cut: float | None = None) -> LinearityReport:
+                    layout: GridFunction, levels: int = 2) -> LinearityReport:
     """Linearity defect of the operator on radial lifts vs a non-radial pair.
 
     The radial defect max |L(a v + b w) - a L v - b L w| must vanish under
     refinement (the operator acts linearly on these fields); the control
     defect, computed for the fixed non-radial pair (x_1^2, x_2^2), must not
     when the norm is not quadratic.  Both are measured on the same
-    H0 >= r_cut interior window as the reduction check.
+    H0 >= 2h interior window as the reduction check.
     """
-    h0 = max(layout.spacing)
-    if r_cut is None:
-        r_cut = 2.0 * h0
-    box, res = layout.box, layout.resolution
+    r_cut = 2.0 * max(layout.spacing)
     spacings, radial, control = [], [], []
-    for level in range(levels):
-        factor = 2**level
-        lay = empty_layout(box, tuple(r * factor for r in res))
-        r = dual_norm_eval(spec, lay.coords())
+    for lay in refinements(layout, levels):
+        coords = lay.coords()
+        r = dual_norm_eval(spec, coords)
         window = interior_mask(lay) & (r >= r_cut)
 
-        v = lift_radial(rp1, spec, lay)
-        w = lift_radial(rp2, spec, lay)
-        combo = lay.with_values(alpha * v.values + beta * w.values)
-        defect = finsler_laplacian(combo, spec).values \
-            - alpha * finsler_laplacian(v, spec).values \
-            - beta * finsler_laplacian(w, spec).values
-        radial.append(float(np.max(np.abs(defect)[window])))
+        def defect(v: GridFunction, w: GridFunction) -> float:
+            combo = lay.with_values(alpha * v.values + beta * w.values)
+            d = finsler_laplacian(combo, spec).values \
+                - alpha * finsler_laplacian(v, spec).values \
+                - beta * finsler_laplacian(w, spec).values
+            return float(np.max(np.abs(d)[window]))
 
-        cv = grid_from_function(box, lay.resolution, lambda c: c[..., 0] ** 2)
-        cw = grid_from_function(box, lay.resolution, lambda c: c[..., 1] ** 2)
-        ccombo = lay.with_values(alpha * cv.values + beta * cw.values)
-        cdefect = finsler_laplacian(ccombo, spec).values \
-            - alpha * finsler_laplacian(cv, spec).values \
-            - beta * finsler_laplacian(cw, spec).values
-        control.append(float(np.max(np.abs(cdefect)[window])))
+        radial.append(defect(lift_radial(rp1, spec, lay), lift_radial(rp2, spec, lay)))
+        control.append(defect(lay.with_values(coords[..., 0] ** 2),
+                              lay.with_values(coords[..., 1] ** 2)))
         spacings.append(max(lay.spacing))
     return LinearityReport(spacings, radial, control)

@@ -37,6 +37,9 @@ from .norms import NormSpec, dual_norm_eval
 
 _OVERFLOW_Z = 700.0
 _SPHERE_NODES = 160
+_PANEL_NODES = 64
+_QUAD_TOL = 1e-9
+_DOUBLINGS = 6
 
 
 def _surface_measure(dim: int) -> float:
@@ -123,13 +126,13 @@ def _tail_bound(profile: RadialProfile, dim: int, rho: float, t: float) -> float
     return pref * np.exp(-((R - rho) ** 2) / (8.0 * t)) * rest
 
 
-def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray, t: float,
-                        nodes_per_unit: int = 64, tol: float = 1e-9,
-                        max_doublings: int = 6) -> np.ndarray:
+def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
+                        t: float) -> np.ndarray:
     """u(rho, t) of the radial representation formula, vectorized over rho.
 
     Composite Gauss-Legendre panels of unit length cover [0, R_max]; the
-    per-panel node count doubles until successive values agree to tol.
+    per-panel node count starts at 64 and doubles, at most 6 times, until
+    successive values agree to 1e-9 relative to 1 + max |u|.
     All exponentials are combined into e^(-(rho-r)^2/4t) times the scaled
     sphere factor, so small t cannot overflow.
     """
@@ -158,12 +161,12 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray, t: fl
             out[start:start + 512] = kern @ (wr * phi * r ** (dim - 1))
         return pref * out
 
-    nodes = max(8, nodes_per_unit)
+    nodes = _PANEL_NODES
     prev = evaluate(nodes)
-    for _ in range(max_doublings):
+    for _ in range(_DOUBLINGS):
         nodes *= 2
         cur = evaluate(nodes)
-        if float(np.max(np.abs(cur - prev))) <= tol * (1.0 + float(np.max(np.abs(cur)))):
+        if float(np.max(np.abs(cur - prev))) <= _QUAD_TOL * (1.0 + float(np.max(np.abs(cur)))):
             prev = cur
             break
         prev = cur

@@ -19,8 +19,9 @@ Families (all anisotropic through r = H0(x)):
                       iterate of the operator away from the origin
 
 The residual evaluator substitutes a family into the discrete equation
-(centered time difference minus the discrete operator) and reports how the
-defect behaves under joint (h, dt) refinement.
+(centered time difference minus the discrete operator) on the layouts of
+`grids.refinements`, halving dt with h, and reads the order of the defect
+with `grids.observed_order`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SpecValidationError
-from .grids import GridFunction
+from .grids import GridFunction, observed_order, refinements
 from .norms import NormSpec, dual_norm_eval
-from .operators import empty_layout, finsler_laplacian, interior_mask
+from .operators import finsler_laplacian, interior_mask
 
 _FAMILIES = ("gauss_kernel", "blowup", "barenblatt", "talenti", "singular_poly")
 
@@ -146,26 +147,18 @@ class ResidualReport:
     spacings: list
     time_steps: list
     max_residuals: list
-    mean_residuals: list
 
     @property
     def order(self) -> float:
-        return float(np.log2(self.max_residuals[0] / self.max_residuals[-1])
-                     / np.log2(self.spacings[0] / self.spacings[-1]))
+        return observed_order(self.max_residuals, self.spacings)
 
     def rows(self):
-        out = []
-        for i, (h, dt, mx) in enumerate(zip(self.spacings, self.time_steps,
-                                            self.max_residuals)):
-            order = np.nan if i == 0 else float(
-                np.log2(self.max_residuals[i - 1] / mx)
-                / np.log2(self.spacings[i - 1] / h))
-            out.append((self.family, self.norm_label, h, dt, mx, order))
-        return out
-
-
-def _sample(spec: SolutionSpec, layout: GridFunction, t: float) -> np.ndarray:
-    return np.asarray(eval_solution(spec, layout.coords(), t), dtype=float)
+        """(family, norm, h, dt, max residual, order against the level before)."""
+        return [(self.family, self.norm_label, h, dt, mx,
+                 np.nan if i == 0 else observed_order(self.max_residuals[i - 1:i + 1],
+                                                      self.spacings[i - 1:i + 1]))
+                for i, (h, dt, mx) in enumerate(zip(self.spacings, self.time_steps,
+                                                    self.max_residuals))]
 
 
 def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
@@ -180,39 +173,34 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     """
     if spec.kind == "singular_poly":
         raise DomainError("use singular_poly_check for the singular family")
-    box, res = layout.box, layout.resolution
-    spacings, dts, maxes, means = [], [], [], []
-    for level in range(levels):
-        factor = 2**level
-        lay = empty_layout(box, tuple(r * factor for r in res))
+    h0 = max(layout.spacing)
+    spacings, dts, maxes = [], [], []
+    for lay in refinements(layout, levels):
         h = max(lay.spacing)
-        dt_l = dt / factor
+        dt_l = dt * (h / h0)    # h / h0 is exactly 2^-level
+        x = lay.coords()
+        window = interior_mask(lay)
         if spec.kind == "talenti":
-            w = lay.with_values(_sample(spec, lay, 0.0))
-            lap = finsler_laplacian(w, spec.norm).values
+            w = eval_solution(spec, x)
             N = spec.norm.dimension
-            residual = -lap - w.values ** ((N + 2) / (N - 2))
-            window = interior_mask(lay)
+            lap = finsler_laplacian(lay.with_values(w), spec.norm).values
+            residual = -lap - w ** ((N + 2) / (N - 2))
         else:
-            u = _sample(spec, lay, t)
-            du_dt = (_sample(spec, lay, t + dt_l) - _sample(spec, lay, t - dt_l)) \
+            u = eval_solution(spec, x, t)
+            du_dt = (eval_solution(spec, x, t + dt_l) - eval_solution(spec, x, t - dt_l)) \
                 / (2.0 * dt_l)
             field = u**spec.m if spec.kind == "barenblatt" else u
-            lap = finsler_laplacian(lay.with_values(field), spec.norm).values
-            residual = du_dt - lap
-            window = interior_mask(lay)
+            residual = du_dt - finsler_laplacian(lay.with_values(field), spec.norm).values
             if spec.kind == "barenblatt":
-                r = dual_norm_eval(spec.norm, lay.coords())
+                r = dual_norm_eval(spec.norm, x)
                 rf = spec.barenblatt_support_radius(t)
                 move = abs(spec.barenblatt_support_radius(t + dt_l)
                            - spec.barenblatt_support_radius(t - dt_l))
                 window &= np.abs(r - rf) > 2.0 * h + move
-        err = np.abs(residual)[window]
         spacings.append(h)
         dts.append(dt_l)
-        maxes.append(float(np.max(err)))
-        means.append(float(np.mean(err)))
-    return ResidualReport(spec.label(), spec.norm.label(), spacings, dts, maxes, means)
+        maxes.append(float(np.max(np.abs(residual)[window])))
+    return ResidualReport(spec.label(), spec.norm.label(), spacings, dts, maxes)
 
 
 def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
@@ -226,17 +214,12 @@ def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
     """
     if spec.kind != "singular_poly":
         raise DomainError("singular_poly_check requires the singular family")
-    r = dual_norm_eval(spec.norm, layout.coords())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exponent = -spec.norm.dimension + 2 * spec.m_order
-        if (spec.norm.dimension - 2 * spec.m_order) % 2 == 0 \
-                and spec.norm.dimension - 2 * spec.m_order <= 0:
-            vals = np.where(r > 0, r**exponent * np.log(np.where(r > 0, r, 1.0)), 0.0)
-        else:
-            vals = np.where(r > 0, r**exponent, 0.0)
-    field = layout.with_values(vals)
+    x = layout.coords()
+    r = dual_norm_eval(spec.norm, x)
+    puncture = r == 0.0     # eval_solution rejects it: sample elsewhere, then fill
+    v = eval_solution(spec, np.where(puncture[..., None], 1.0, x))
+    field = layout.with_values(np.where(puncture, 0.0, v))
     for _ in range(spec.m_order):
         field = finsler_laplacian(field, spec.norm)
-        field = field.with_values(field.values, check_finite=False)
     window = (r >= annulus[0]) & (r <= annulus[1]) & np.isfinite(field.values)
     return float(np.max(np.abs(field.values[window])))

@@ -16,7 +16,7 @@ from finslerheat.cli import main
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               ball_mask, nested_domain_study,
                               prox_homogeneity_defect, scaling_check, solve)
-from finslerheat.grids import RadialProfile
+from finslerheat.grids import RadialProfile, observed_order, refinements
 from finslerheat.measures import classify, measure_from_radial
 from finslerheat.operators import (check_linearity, check_radial_reduction,
                                    empty_layout, finsler_laplacian,
@@ -139,16 +139,16 @@ def test_criterion_02_radial_reduction_p3(reduction_reports):
     rep = reduction_reports["p3"]
     spec = norms.p_norm(3, 2)
     band = 0.25  # physical width; at a fixed cell offset the error never shrinks
-    off_axis = []
-    for cells in (192, 384):
-        lay = empty_layout([(-3, 3), (-3, 3)], (cells, cells))
+    off_axis, spacings = [], []
+    for lay in refinements(empty_layout([(-3, 3), (-3, 3)], (192, 192)), 2):
         r = norms.dual_norm_eval(spec, lay.coords())
         lap = finsler_laplacian(lift_radial(GAUSS_PROFILE, spec, lay), spec).values
         err = np.abs(lap - radial_operator_values(GAUSS_PROFILE, 2, r))
         window = interior_mask(lay) & (r >= rep.r_cut) \
             & (np.min(np.abs(lay.coords()), axis=-1) >= band)
         off_axis.append(float(np.max(err[window])))
-    order = float(np.log2(off_axis[0] / off_axis[1]))
+        spacings.append(max(lay.spacing))
+    order = observed_order(off_axis, spacings)
     ok = off_axis[1] < off_axis[0] and 1.6 <= order <= 2.4 \
         and rep.order_mean >= 0.8
     _line("2/p3", ok,

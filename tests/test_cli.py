@@ -89,6 +89,22 @@ def test_verify_exact_blowup_property_row(tmp_path):
     assert "blowup_min_at_origin" in (outdir / "exact_residuals.csv").read_text()
 
 
+def test_verify_exact_blowup_row_fails_off_the_origin(tmp_path):
+    # 31 cells on [-2, 2]: no node at the origin, so the minimum over the
+    # grid lies above u(0, t)
+    cfg = {"cases": [{"kind": "blowup", "params": {"lam": 0.25},
+                      "norm": EUCLID_JSON, "box": [[-2, 2], [-2, 2]],
+                      "resolution": [31, 31], "t": 0.5, "dt": 0.005,
+                      "levels": 2}]}
+    code, outdir = _run(tmp_path, "verify-exact", cfg)
+    assert code == 1
+    with open(outdir / "exact_residuals.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["pass"] for row in rows if row["family"] == "blowup"] == ["True"] * 2
+    assert [(row["family"], row["pass"]) for row in rows][-1] == \
+        ("blowup_min_at_origin", "False")
+
+
 def test_simulate_zero_datum(tmp_path):
     cfg = {"norm": EUCLID_JSON,
            "problem": {"radius": 1.0, "spacing": 0.125,
@@ -143,6 +159,15 @@ def test_radial_solve_constant_profile(tmp_path):
     rows = (outdir / "radial_solution.csv").read_text().splitlines()[1:]
     for row in rows:
         assert float(row.split(",")[-1]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_radial_solve_rejects_quadrature_settings(tmp_path):
+    cfg = {"norm": EUCLID_JSON,
+           "profile": {"type": "gaussian", "r_max": 8.0},
+           "times": [0.25], "points": [[0.0, 0.0]],
+           "quad": {"nodes_per_unit": 64, "tolerance": 1e-9}}
+    code, _ = _run(tmp_path, "radial-solve", cfg)
+    assert code == 2
 
 
 def test_radial_solve_crosscheck_column(tmp_path):

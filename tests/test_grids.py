@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerheat.errors import OutOfRangeError, SpecValidationError
-from finslerheat.grids import GridFunction, RadialProfile, grid_from_function
+from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
+                               grid_from_function, observed_order, refinements)
 
 
 def _demo_grid():
@@ -88,3 +91,24 @@ def test_profile_out_of_range():
     prof = RadialProfile.from_function(lambda r: r * 0 + 1, 2.0, 65)
     with pytest.raises(OutOfRangeError):
         prof(np.array([2.5]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_refinements_and_observed_order(data):
+    N = data.draw(st.integers(1, 3))
+    lo = [data.draw(st.floats(-10.0, 10.0)) for _ in range(N)]
+    box = [(a, a + data.draw(st.floats(0.1, 10.0))) for a in lo]
+    res = tuple(data.draw(st.integers(4, 9)) for _ in range(N))
+    levels = data.draw(st.integers(2, 4))
+    layouts = refinements(empty_layout(box, res), levels)
+    assert len(layouts) == levels
+    for level, lay in enumerate(layouts):
+        assert lay.box == layouts[0].box
+        assert lay.resolution == tuple(r * 2**level for r in res)
+        assert not np.any(lay.values)
+    # errors C h^p read back as order p
+    C = data.draw(st.floats(1e-6, 1e6))
+    p = data.draw(st.floats(0.5, 4.0))
+    h = [max(lay.spacing) for lay in layouts]
+    assert observed_order([C * hl**p for hl in h], h) == pytest.approx(p, abs=1e-12)

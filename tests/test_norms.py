@@ -256,8 +256,7 @@ def test_default_dual_never_maximizes(spec, monkeypatch):
         raise AssertionError("default dual evaluation reached the maximizer")
     monkeypatch.setattr(norms, "_dual_maximize", refuse)
     x = np.random.default_rng(43).standard_normal((4, 3, spec.dimension))
-    for cfg in (None, norms.DualEvalConfig("auto"),
-                norms.DualEvalConfig("closed_form")):
+    for cfg in (None, norms.DualEvalConfig("auto")):
         norms.dual_norm_eval(spec, x, cfg)
         norms.grad_dual_norm(spec, x, cfg)
         norms.grad_dual_norm(spec, x[0, 0], cfg)

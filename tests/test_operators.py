@@ -9,7 +9,7 @@ from finslerheat.grids import RadialProfile, grid_from_function
 from finslerheat.operators import (apply_taps, check_linearity,
                                    check_radial_reduction, empty_layout,
                                    face_gradient, face_gradient_adjoint, face_taps,
-                                   finsler_laplacian, gradient, interior_mask,
+                                   finsler_laplacian, interior_mask,
                                    lift_radial, radial_laplacian)
 
 EUCLID = norms.euclidean(2)
@@ -17,26 +17,6 @@ ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
 
 GAUSS = RadialProfile.from_function(lambda r: np.exp(-r**2), 6.0, 4097)
 QUAD = RadialProfile.from_function(lambda r: 0.5 * r**2, 6.0, 4097)
-
-
-def test_gradient_of_constant():
-    gf = grid_from_function([(-1, 1), (-1, 1)], (8, 8), lambda c: 0 * c[..., 0] + 3.0)
-    np.testing.assert_allclose(gradient(gf), 0.0, atol=1e-14)
-
-
-def test_gradient_exact_on_affine():
-    gf = grid_from_function([(-1, 1), (0, 2)], (8, 8),
-                            lambda c: 2.0 * c[..., 0] - 0.5 * c[..., 1] + 1.0)
-    g = gradient(gf)
-    np.testing.assert_allclose(g[..., 0], 2.0, atol=1e-13)
-    np.testing.assert_allclose(g[..., 1], -0.5, atol=1e-13)
-
-
-def test_gradient_exact_on_quadratic():
-    gf = grid_from_function([(-1, 1), (-1, 1)], (16, 16),
-                            lambda c: 0.5 * np.sum(c**2, axis=-1))
-    g = gradient(gf)
-    np.testing.assert_allclose(g, gf.coords(), atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

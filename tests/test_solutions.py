@@ -3,7 +3,7 @@ import pytest
 
 from finslerheat import norms
 from finslerheat.errors import DomainError, SpecValidationError
-from finslerheat.grids import RadialProfile
+from finslerheat.grids import RadialProfile, observed_order, refinements
 from finslerheat.operators import (empty_layout, finsler_laplacian,
                                    interior_mask, lift_radial)
 from finslerheat.solutions import (SolutionSpec, eval_solution, pde_residual,
@@ -127,15 +127,15 @@ def test_critical_inverse_sqrt_profile_is_stationary_n3():
     A, B = 1.0, 1.0 / 3.0
     spec3 = norms.ellipse(np.diag([4.0, 1.0, 1.0]))
     prof = RadialProfile.from_function(lambda r: (A + B * r**2) ** -0.5, 12.0, 4097)
-    errs = []
-    for cells in (32, 64):
-        lay = empty_layout([(-3, 3), (-1.5, 1.5), (-1.5, 1.5)],
-                           (2 * cells, cells, cells))
+    errs, spacings = [], []
+    coarse = empty_layout([(-3, 3), (-1.5, 1.5), (-1.5, 1.5)], (64, 32, 32))
+    for lay in refinements(coarse, 2):
         w = lift_radial(prof, spec3, lay)
         lap = finsler_laplacian(w, spec3).values
         resid = -lap - w.values**5
         errs.append(float(np.nanmax(np.abs(resid)[interior_mask(lay)])))
-    order = np.log2(errs[0] / errs[1])
+        spacings.append(max(lay.spacing))
+    order = observed_order(errs, spacings)
     assert errs[1] < errs[0]
     assert 1.5 <= order <= 2.5
 
