@@ -24,6 +24,16 @@ independent oracle.  N = 1 is handled by the two-point "sphere"
 Endpoint weights: the N = 2 integrand carries (1 - s^2)^(-1/2), which
 160 Chebyshev-Gauss nodes absorb exactly; N >= 3 uses 160 Gauss-Legendre
 nodes (weight 1 in N = 3).
+
+The r-integral runs over Gauss-Legendre panels of unit length, and the
+kernel is built only for the (rho-block, panel) pairs that can change a
+row.  Every term of panel k is at most C_N e^(-d_k^2/4t) |a_j| in a block
+of sorted rho at distance d_k, with C_N = sup e^(-z) I(z) (2, 2 pi, 4 pi
+for N = 1, 2, 3).  A block is accepted only if the bounds of the panels it
+skipped sum to at most eps_mach * min_i sum_j |K_ij a_j| over the columns
+it kept, so each row differs from the sum over every panel by less than
+the rounding that sum already carries; a block that fails evaluates the
+skipped panels as well.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ _SPHERE_NODES = 160
 _PANEL_NODES = 64
 _QUAD_TOL = 1e-9
 _DOUBLINGS = 6
+_BLOCK = 512
+# sup over z >= 0 of the scaled sphere factor e^(-z) I(z)
+_SPHERE_SUP = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
 def _surface_measure(dim: int) -> float:
@@ -126,6 +139,56 @@ def _tail_bound(profile: RadialProfile, dim: int, rho: float, t: float) -> float
     return pref * np.exp(-((R - rho) ** 2) / (8.0 * t)) * rest
 
 
+def _representation_sum(profile: RadialProfile, dim: int, rho: np.ndarray,
+                        t: float, nodes: int) -> np.ndarray:
+    """(4 pi t)^(-N/2) sum_j K(rho, r_j) a_j, K = e^(-(rho-r_j)^2/4t) e^(-z) I(z),
+    on `nodes` Gauss-Legendre nodes per unit panel of [0, R_max], with
+    a_j = w_j q(r_j) r_j^(N-1).
+
+    Rows go in blocks of _BLOCK sorted values of rho.  Panel k, at distance
+    d_k from the block, adds at most U_k = C_N e^(-d_k^2/4t) sum_(j in k) |a_j|
+    to any row.  The panels of least U_k whose bounds sum to at most eps
+    times the smaller end row's sum_j |K_ij a_j| are skipped.  The block is
+    accepted if those bounds sum to at most eps * min_i sum_j |K_ij a_j| over
+    the kept columns; otherwise the skipped panels are added.
+    """
+    R = profile.r_max
+    panels = max(1, int(np.ceil(R)))
+    edges = np.linspace(0.0, R, panels + 1)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    r = ((edges[1:] + edges[:-1])[:, None] / 2.0
+         + (edges[1:] - edges[:-1])[:, None] / 2.0 * x[None, :]).ravel()
+    wr = ((edges[1:] - edges[:-1])[:, None] / 2.0 * w[None, :]).ravel()
+    a = wr * profile(r) * r ** (dim - 1)
+    mass = _SPHERE_SUP[dim] * np.abs(a).reshape(panels, nodes).sum(axis=1)
+    columns = np.arange(panels * nodes).reshape(panels, nodes)
+
+    def kernel(block: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rc = r[None, cols]
+        return np.exp(-((block[:, None] - rc) ** 2) / (4.0 * t)) \
+            * _scaled_sphere_integral(block[:, None] * rc / (2.0 * t), dim)
+
+    eps = np.finfo(float).eps
+    order = np.argsort(rho, kind="stable")
+    out = np.empty_like(rho)
+    for start in range(0, rho.size, _BLOCK):
+        rows = order[start:start + _BLOCK]
+        block = rho[rows]
+        gap = np.maximum(0.0, np.maximum(edges[:-1] - block[-1], block[0] - edges[1:]))
+        bound = np.exp(-gap**2 / (4.0 * t)) * mass
+        ranked = np.argsort(bound, kind="stable")
+        dropped = np.cumsum(bound[ranked])
+        guess = float(np.min(kernel(block[[0, -1]], columns.ravel()) @ np.abs(a)))
+        n_drop = int(np.searchsorted(dropped, eps * guess, side="right"))
+        kept = columns[np.sort(ranked[n_drop:])].ravel()
+        kern = kernel(block, kept)
+        out[rows] = kern @ a[kept]
+        if n_drop and dropped[n_drop - 1] > eps * float(np.min(kern @ np.abs(a[kept]))):
+            rest = columns[np.sort(ranked[:n_drop])].ravel()
+            out[rows] += kernel(block, rest) @ a[rest]
+    return (4.0 * np.pi * t) ** (-dim / 2.0) * out
+
+
 def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
                         t: float) -> np.ndarray:
     """u(rho, t) of the radial representation formula, vectorized over rho.
@@ -139,33 +202,13 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     if t <= 0:
         raise DomainError("representation formula requires t > 0")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    R = profile.r_max
-    tails = max(_tail_bound(profile, dim, float(r), t) for r in
-                (float(np.min(rho)), float(np.max(rho))))
-    pref = (4.0 * np.pi * t) ** (-dim / 2.0)
-
-    def evaluate(nodes: int) -> np.ndarray:
-        panels = max(1, int(np.ceil(R)))
-        edges = np.linspace(0.0, R, panels + 1)
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        r = ((edges[1:] + edges[:-1])[:, None] / 2.0
-             + (edges[1:] - edges[:-1])[:, None] / 2.0 * x[None, :]).ravel()
-        wr = ((edges[1:] - edges[:-1])[:, None] / 2.0 * w[None, :]).ravel()
-        phi = profile(r)
-        out = np.empty_like(rho)
-        for start in range(0, rho.size, 512):
-            block = rho[start:start + 512, None]
-            z = block * r[None, :] / (2.0 * t)
-            kern = np.exp(-((block - r[None, :]) ** 2) / (4.0 * t)) \
-                * _scaled_sphere_integral(z, dim)
-            out[start:start + 512] = kern @ (wr * phi * r ** (dim - 1))
-        return pref * out
+    tails = _tail_bound(profile, dim, float(np.max(rho)), t)
 
     nodes = _PANEL_NODES
-    prev = evaluate(nodes)
+    prev = _representation_sum(profile, dim, rho, t, nodes)
     for _ in range(_DOUBLINGS):
         nodes *= 2
-        cur = evaluate(nodes)
+        cur = _representation_sum(profile, dim, rho, t, nodes)
         if float(np.max(np.abs(cur - prev))) <= _QUAD_TOL * (1.0 + float(np.max(np.abs(cur)))):
             prev = cur
             break

@@ -89,20 +89,20 @@ def test_verify_exact_blowup_property_row(tmp_path):
     assert "blowup_min_at_origin" in (outdir / "exact_residuals.csv").read_text()
 
 
-def test_verify_exact_blowup_row_fails_off_the_origin(tmp_path):
+def test_verify_exact_blowup_row_passes_off_the_origin(tmp_path):
     # 31 cells on [-2, 2]: no node at the origin, so the minimum over the
-    # grid lies above u(0, t)
+    # grid is u at the four nodes of least H0, above u(0, t)
     cfg = {"cases": [{"kind": "blowup", "params": {"lam": 0.25},
                       "norm": EUCLID_JSON, "box": [[-2, 2], [-2, 2]],
                       "resolution": [31, 31], "t": 0.5, "dt": 0.005,
                       "levels": 2}]}
     code, outdir = _run(tmp_path, "verify-exact", cfg)
-    assert code == 1
+    assert code == 0
     with open(outdir / "exact_residuals.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["pass"] for row in rows if row["family"] == "blowup"] == ["True"] * 2
     assert [(row["family"], row["pass"]) for row in rows][-1] == \
-        ("blowup_min_at_origin", "False")
+        ("blowup_min_at_origin", "True")
 
 
 def test_simulate_zero_datum(tmp_path):

@@ -1,13 +1,19 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finslerheat import norms
+from finslerheat import flow, norms, radial
 from finslerheat.errors import DomainError, SpecValidationError
 from finslerheat.grids import RadialProfile
-from finslerheat.radial import (_scaled_sphere_integral, bessel_I0,
-                                radial_heat_profile, radial_heat_solution,
-                                sphere_integral_I)
+from finslerheat.radial import (_representation_sum, _scaled_sphere_integral,
+                                _tail_bound, bessel_I0, radial_heat_profile,
+                                radial_heat_solution, sphere_integral_I)
+
+EPS = np.finfo(float).eps
 
 
 def test_sphere_integral_at_zero_is_sphere_measure():
@@ -128,3 +134,114 @@ def test_negative_time_rejected():
     prof = RadialProfile.from_function(lambda r: np.ones_like(r), 14.0, 65)
     with pytest.raises(DomainError):
         radial_heat_profile(prof, 2, np.array([0.5]), 0.0)
+
+
+def _dense_sum(profile, dim, rho, t, nodes):
+    """Every kernel entry, each row summed exactly (math.fsum): the reference
+    for the panel-pruned sum.  Returns the sum and sum_j |K_ij a_j|, both
+    with the prefactor (4 pi t)^(-N/2)."""
+    R = profile.r_max
+    panels = max(1, int(np.ceil(R)))
+    edges = np.linspace(0.0, R, panels + 1)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    r = ((edges[1:] + edges[:-1])[:, None] / 2.0
+         + (edges[1:] - edges[:-1])[:, None] / 2.0 * x[None, :]).ravel()
+    wr = ((edges[1:] - edges[:-1])[:, None] / 2.0 * w[None, :]).ravel()
+    a = wr * profile(r) * r ** (dim - 1)
+    kern = np.exp(-((rho[:, None] - r[None, :]) ** 2) / (4.0 * t)) \
+        * _scaled_sphere_integral(rho[:, None] * r[None, :] / (2.0 * t), dim)
+    pref = (4.0 * np.pi * t) ** (-dim / 2.0)
+    return (pref * np.array([math.fsum(row) for row in kern * a]),
+            pref * (kern @ np.abs(a)))
+
+
+def _bump(r, center, width):
+    return np.maximum(1.0 - ((r - center) / width) ** 2, 0.0) ** 3
+
+
+# The dropped panels are certified below eps * sum_j |K_ij a_j| per row.  The
+# dot product over the kept columns rounds like the unpruned one, which is
+# up to 4.3 eps * sum_j |K_ij a_j| off the exact sum on these draws.
+ROUNDING = 8.0 * EPS
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2, 3]),
+       t=st.floats(1e-3, 4.0),
+       R=st.integers(4, 10),
+       beta=st.floats(0.0, 1.5),
+       center=st.floats(1.0, 3.0),
+       near=st.integers(600, 1500),
+       seed=st.integers(0, 2**16))
+def test_pruned_sum_matches_dense_to_rounding(dim, t, R, beta, center, near, seed):
+    # e^{-r^2} minus beta times a bump changes sign once beta > e^{-center^2};
+    # the appended rows lie 20 sqrt(t) beyond R, where u < 1e-40
+    prof = RadialProfile.from_function(
+        lambda r: np.exp(-r**2) - beta * _bump(r, center, 0.8), float(R), 257)
+    rng = np.random.default_rng(seed)
+    far = R + 20.0 * np.sqrt(t) + rng.uniform(0.0, 5.0, 8)
+    rho = np.concatenate([rng.uniform(0.0, R, near), far])
+    rng.shuffle(rho)
+    pruned = _representation_sum(prof, dim, rho, t, 64)
+    exact, scale = _dense_sum(prof, dim, rho, t, 64)
+    assert np.min(np.abs(exact)) < 1e-40
+    assert np.all(np.abs(pruned - exact) <= ROUNDING * scale)
+
+
+def test_uncertified_block_falls_back_to_every_panel(monkeypatch):
+    # mass near r = 0 and r = R only: one block spans [0, R], the end rows
+    # let the middle panels go, and the middle rows, which sum far less,
+    # fail the certificate
+    R, t, dim = 16.0, 0.01, 2
+    prof = RadialProfile.from_function(
+        lambda r: np.exp(-4 * r**2) + np.exp(-4 * (r - R) ** 2), R, 1025)
+    rho = np.linspace(0.0, R, 200)
+    entries = []
+    real = radial._scaled_sphere_integral
+    monkeypatch.setattr(radial, "_scaled_sphere_integral",
+                        lambda z, d: entries.append(z.size) or real(z, d))
+    pruned = _representation_sum(prof, dim, rho, t, 64)
+    columns = 16 * 64
+    # end rows, kept panels, then the dropped ones: every entry once
+    assert len(entries) == 3
+    assert sum(entries) == (rho.size + 2) * columns
+    exact, scale = _dense_sum(prof, dim, rho, t, 64)
+    assert np.all(np.abs(pruned - exact) <= ROUNDING * scale)
+
+
+def _evaluated_share(monkeypatch, prof, dim, rho, t):
+    """Share of the dense kernel entries that radial_heat_profile evaluates."""
+    entries, dense = [], []
+    real_sphere, real_sum = radial._scaled_sphere_integral, radial._representation_sum
+
+    def spy_sum(profile, d, r, tt, nodes):
+        dense.append(r.size * int(np.ceil(profile.r_max)) * nodes)
+        return real_sum(profile, d, r, tt, nodes)
+
+    monkeypatch.setattr(radial, "_scaled_sphere_integral",
+                        lambda z, d: entries.append(z.size) or real_sphere(z, d))
+    monkeypatch.setattr(radial, "_representation_sum", spy_sum)
+    radial_heat_profile(prof, dim, rho, t)
+    return sum(entries) / sum(dense)
+
+
+def test_pruning_skips_most_kernel_entries(monkeypatch):
+    el = norms.ellipse(np.diag([4.0, 1.0]))
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 16.0, 2049)
+    points = np.random.default_rng(1).uniform(-2.0, 2.0, (4000, 2))
+    rho = norms.dual_norm_eval(el, points)
+    for t in (0.05, 1.0):
+        assert _evaluated_share(monkeypatch, prof, 2, rho, t) <= 0.5
+    layout = flow.ball_layout(el, 6.0, 6 / 128)
+    assert layout.values.shape == (513, 257)
+    h0 = norms.dual_norm_eval(el, layout.coords()).ravel()
+    assert _evaluated_share(monkeypatch, prof, 2, h0[h0 <= 0.5], 0.01) <= 0.25
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_bound_is_set_by_the_largest_rho(dim):
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2 / 16), 6.0, 257)
+    for rho in ([0.0, 1.0], [0.5, 3.0, 5.5], [2.0, 5.9], [1.0, 7.0]):
+        for t in (0.01, 0.5, 2.0):
+            lo, hi = (_tail_bound(prof, dim, r, t) for r in (min(rho), max(rho)))
+            assert max(lo, hi) == hi
