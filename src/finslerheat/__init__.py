@@ -26,8 +26,8 @@ from .measures import (ClassifyResult, MeasureSpec, classify, growth_functional,
                        measure_from_radial, mollify)
 from .flow import (FlowProblem, InnerSolverConfig, NestedDomainReport,
                    ScalingReport, Trajectory, ball_layout, ball_mask, energy,
-                   energy_gradient, explicit_step, monitor_weighted_L1,
-                   monitor_weighted_L2, nested_domain_study,
-                   prox_homogeneity_defect, proximal_step, scaling_check, solve)
+                   energy_gradient, explicit_step, nested_domain_study,
+                   prox_homogeneity_defect, proximal_step, scaling_check, solve,
+                   weighted_monitors)
 
 __version__ = "0.1.0"

@@ -46,6 +46,11 @@ def _need(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _optional(cfg: dict, casts: dict) -> dict:
+    """The optional keys that cfg sets, cast; the callee owns the defaults."""
+    return {key: cast(cfg[key]) for key, cast in casts.items() if key in cfg}
+
+
 def _write_csv(path: Path, header: list, rows: list, timestamp: bool) -> None:
     with open(path, "w", newline="") as fh:
         if timestamp:
@@ -102,14 +107,13 @@ def _measure_from_config(cfg: dict, spec: norms.NormSpec) -> measures.MeasureSpe
     raise SpecValidationError(f"unknown measure kind {kind!r}")
 
 
+_DUAL_KEYS = {"method": str, "sphere_samples": int, "refinement_iters": int,
+              "tolerance": float}
+
+
 def _dual_cfg(cfg: dict) -> norms.DualEvalConfig:
-    _reject_unknown(cfg, {"method", "sphere_samples", "refinement_iters",
-                          "tolerance"}, "dual")
-    return norms.DualEvalConfig(
-        method=cfg.get("method", "auto"),
-        sphere_samples=int(cfg.get("sphere_samples", 2048)),
-        refinement_iters=int(cfg.get("refinement_iters", 20)),
-        tolerance=float(cfg.get("tolerance", 1e-9)))
+    _reject_unknown(cfg, set(_DUAL_KEYS), "dual")
+    return norms.DualEvalConfig(**_optional(cfg, _DUAL_KEYS))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +165,8 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         layout = empty_layout(case["box"], case["resolution"])
         t = float(case.get("t", 0.0))
         if sol.kind == "singular_poly":
-            annulus = tuple(case.get("annulus", (0.25, 1.0)))
-            residual = solutions.singular_poly_check(sol, layout, annulus)
+            residual = solutions.singular_poly_check(
+                sol, layout, **_optional(case, {"annulus": tuple}))
             cap = float(case.get("max_residual", np.inf))
             passed = residual <= cap
             ok &= passed
@@ -170,7 +174,7 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
                          residual, np.nan, passed))
             continue
         rep = solutions.pde_residual(sol, layout, t, float(case.get("dt", 1e-2)),
-                                     levels=int(case.get("levels", 2)))
+                                     **_optional(case, {"levels": int}))
         window = case.get("order_window")
         passed = True
         if window is not None:
@@ -211,6 +215,24 @@ def _datum_from_config(cfg: dict, spec: norms.NormSpec,
     raise SpecValidationError(f"unknown datum kind {kind!r}")
 
 
+def _comparison_kind(comp: dict, datum_cfg: dict) -> str:
+    """The comparison's kind; one that cannot hold for the datum is rejected."""
+    _reject_unknown(comp, {"kind", "window", "tolerance", "time"}, "compare")
+    kind = comp.get("kind", "gaussian_closed_form")
+    prof = datum_cfg.get("profile") if datum_cfg.get("kind") == "radial" else None
+    unit_gaussian = bool(prof) and prof.get("type") == "gaussian" and all(
+        float(prof.get(key, 1.0)) == 1.0 for key in ("amplitude", "scale"))
+    if kind == "gaussian_closed_form" and not unit_gaussian:
+        raise SpecValidationError("gaussian_closed_form holds only for the radial "
+                                  "gaussian datum of amplitude 1 and scale 1; "
+                                  "use radial_representation")
+    if kind == "radial_representation" and prof is None:
+        raise SpecValidationError("radial_representation comparison needs a radial datum")
+    if kind not in ("gaussian_closed_form", "radial_representation"):
+        raise SpecValidationError(f"unknown comparison {kind!r}")
+    return kind
+
+
 def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     _reject_unknown(cfg, {"norm", "problem", "inner", "monitors", "checks",
                           "compare"}, "simulate config")
@@ -224,19 +246,19 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     datum, profile = _datum_from_config(_need(pc, "datum", "problem"), spec, layout)
     ic = cfg.get("inner", {})
     _reject_unknown(ic, {"tolerance", "max_iters"}, "inner")
-    inner = flow.InnerSolverConfig(
-        tolerance=float(ic.get("tolerance", 1e-10)),
-        max_iters=int(ic.get("max_iters", 10000)))
+    inner = flow.InnerSolverConfig(**_optional(ic, {"tolerance": float,
+                                                    "max_iters": int}))
     mc = cfg.get("monitors", {})
     _reject_unknown(mc, {"lambda", "ell"}, "monitors")
     problem = flow.FlowProblem(
         norm=spec, radius=radius, datum=datum, spacing=spacing,
         tau=float(_need(pc, "tau", "problem")),
-        t_end=float(_need(pc, "t_end", "problem")),
-        scheme=pc.get("scheme", "implicit_proximal"),
-        store_times=tuple(pc.get("store_times", ())),
-        inner=inner,
-        monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"))
+        t_end=float(_need(pc, "t_end", "problem")), inner=inner,
+        monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"),
+        **_optional(pc, {"scheme": str, "store_times": tuple}))
+    comp = cfg.get("compare")
+    if comp is not None:  # checked before stepping
+        kind = _comparison_kind(comp, pc["datum"])
 
     failure = None
     try:
@@ -263,24 +285,17 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         w = w[np.isfinite(w)]
         ok &= bool(np.all(w[1:] <= w[0] + float(slack)))
 
-    comp = cfg.get("compare")
     if comp is not None:
-        _reject_unknown(comp, {"kind", "window", "tolerance", "time"}, "compare")
         t = float(comp.get("time", problem.t_end))
         gf = traj.slice_at(t)
         r = norms.dual_norm_eval(spec, gf.coords())
         window = r <= float(comp.get("window", radius / 2))
-        if comp.get("kind", "gaussian_closed_form") == "gaussian_closed_form":
+        if kind == "gaussian_closed_form":
             exact = (1 + 4 * t) ** (-spec.dimension / 2) \
                 * np.exp(-r[window] ** 2 / (1 + 4 * t))
-        elif comp["kind"] == "radial_representation":
-            if profile is None:
-                raise SpecValidationError(
-                    "radial_representation comparison needs a radial datum")
+        else:
             exact = radial.radial_heat_profile(profile, spec.dimension,
                                                r[window], t)
-        else:
-            raise SpecValidationError(f"unknown comparison {comp['kind']!r}")
         rel = np.abs(gf.values[window] - exact) / np.maximum(np.abs(exact), 1e-300)
         _write_csv(out / "comparison.csv", ["t", "max_abs_error", "max_rel_error"],
                    [(t, float(np.max(np.abs(gf.values[window] - exact))),
@@ -324,9 +339,8 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     measure = _measure_from_config(_need(cfg, "measure", "classify config"), spec)
     result = measures.classify(
         measure, spec, _need(cfg, "lambda_grid", "classify config"),
-        windows=tuple(cfg.get("windows", (4.0, 6.0, 8.0, 12.0))),
-        spacing=float(cfg.get("spacing", 0.25)),
-        stabilization_tol=float(cfg.get("stabilization_tol", 1e-3)))
+        **_optional(cfg, {"windows": tuple, "spacing": float,
+                          "stabilization_tol": float}))
     _write_csv(out / "classification.csv",
                ["lambda", "window", "value", "stabilized"], result.rows(), timestamp)
     summary = {"admissible": result.admissible, "lambda_star": result.lam_star,

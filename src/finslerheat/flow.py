@@ -46,7 +46,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import ConvergenceError, DomainError, SpecValidationError, StabilityError
+from .errors import ConvergenceError, SpecValidationError, StabilityError
 from .grids import GridFunction, empty_layout
 from .measures import MeasureSpec, _ball_kernel, mollify
 from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
@@ -109,30 +109,6 @@ class FlowProblem:
             raise SpecValidationError("ell must lie in (0, 1/2)")
         if isinstance(self.datum, MeasureSpec) and self.spacing is None:
             raise SpecValidationError("measure data need an explicit grid spacing")
-
-    def layout(self) -> GridFunction:
-        if isinstance(self.datum, GridFunction):
-            return self.datum.with_values(np.zeros_like(self.datum.values))
-        return ball_layout(self.norm, self.radius, self.spacing)
-
-    def initial_field(self) -> GridFunction:
-        lay = self.layout()
-        mask = ball_mask(self.norm, lay, self.radius)
-        if isinstance(self.datum, GridFunction):
-            vals = self.datum.values
-        else:
-            vals = mollify(self.datum, 2.0 * max(lay.spacing), layout=lay).values
-        return lay.with_values(np.where(mask, vals, 0.0))
-
-    def stability_limit(self) -> float:
-        return _stability_limit(self.norm, self.layout().spacing)
-
-
-def _stability_limit(spec: NormSpec, spacing) -> float:
-    """Largest stable explicit step h^2 / (2 N C2), h the smallest spacing."""
-    _, c2 = coercivity_bounds(spec)
-    h = min(spacing)
-    return h * h / (2.0 * spec.dimension * c2)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +255,13 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 
 def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float) -> GridFunction:
-    """Forward step with the face-flux operator; clamped outside the mask."""
-    limit = _stability_limit(spec, u_prev.spacing)
+    """Forward step with the face-flux operator; clamped outside the mask.
+
+    Stable for tau <= h^2 / (2 N C2), h the smallest spacing.
+    """
+    _, c2 = coercivity_bounds(spec)
+    h = min(u_prev.spacing)
+    limit = h * h / (2.0 * spec.dimension * c2)
     if tau > limit * (1.0 + 1e-12):
         raise StabilityError(
             f"explicit step tau = {tau:g} exceeds the stability bound {limit:g}")
@@ -295,21 +276,22 @@ def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _weighted_monitors(u: np.ndarray, r: np.ndarray, vol: float, t: float,
-                       lam: Optional[float] = None, ell: Optional[float] = None,
-                       kernel: Optional[np.ndarray] = None,
-                       centers: Optional[np.ndarray] = None) -> dict:
+                       lam: Optional[float], ell: Optional[float],
+                       kernel: Optional[np.ndarray], centers: Optional[np.ndarray]) -> dict:
     """Weighted monitors of the masked field u, from H0 values r at its nodes.
 
-    With lam (t before the horizon 1/(4 lam)): weighted_l2 and
-    weighted_l1_lambda.  With ell: weighted_l1_local, the sup over
-    `centers` of the windowed integral, `kernel` being the indicator of
-    the unit H0-ball on the grid.
+    With lam: weighted_l2 and weighted_l1_lambda, NaN from the horizon
+    1/(4 lam) on (1 - 4 lam t <= 1e-12).  With ell: weighted_l1_local, the
+    sup over `centers` of the windowed integral, `kernel` being the
+    indicator of the unit H0-ball on the grid.
     """
     out = {}
-    if lam is not None:
+    if lam is not None and 1.0 - 4.0 * lam * t > 1e-12:
         g = lam * r**2 / (1.0 - 4.0 * lam * t)
         out["weighted_l2"] = float(np.sum(np.exp(-2.0 * g) * u * u)) * vol
         out["weighted_l1_lambda"] = float(np.sum(np.exp(-g) * np.abs(u))) * vol
+    elif lam is not None:
+        out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
     if ell is not None:
         weight = np.exp(-(r**2) * (1.0 + t**ell))
         conv = fftconvolve(weight * np.abs(u), kernel, mode="same") * vol
@@ -318,40 +300,24 @@ def _weighted_monitors(u: np.ndarray, r: np.ndarray, vol: float, t: float,
     return out
 
 
-def _monitors_of(slice_gf: GridFunction, spec: NormSpec, t: float,
-                 lam: Optional[float], mask: Optional[np.ndarray], **kw) -> dict:
-    """_weighted_monitors of a slice, which must lie before the lam horizon."""
-    if lam is not None and 1.0 - 4.0 * lam * t <= 0:
-        raise DomainError(f"t = {t:g} is beyond the weight horizon {1/(4*lam):g}")
-    u = slice_gf.values if mask is None else np.where(mask, slice_gf.values, 0.0)
-    return _weighted_monitors(u, dual_norm_eval(spec, slice_gf.coords()),
-                              slice_gf.cell_volume, t, lam, centers=mask, **kw)
+def weighted_monitors(gf: GridFunction, spec: NormSpec, t: float,
+                      lam: Optional[float] = None, ell: Optional[float] = None,
+                      mask: Optional[np.ndarray] = None) -> dict:
+    """The weighted monitors `solve` records, of one slice at time t.
 
-
-def monitor_weighted_L2(slice_gf: GridFunction, spec: NormSpec, lam: float,
-                        t: float, mask: Optional[np.ndarray] = None) -> float:
-    """int e^(-2 lam H0^2/(1-4 lam t)) u^2 over the domain (node sum)."""
-    return _monitors_of(slice_gf, spec, t, lam, mask)["weighted_l2"]
-
-
-def monitor_weighted_L1(slice_gf: GridFunction, spec: NormSpec, t: float,
-                        lam: Optional[float] = None, ell: Optional[float] = None,
-                        mask: Optional[np.ndarray] = None) -> float:
-    """Weighted L^1 quantity: global with the lam-weight, windowed with ell.
-
-    lam form: int e^(-lam H0^2/(1-4 lam t)) |u| dy.
-    ell form: sup over grid centers of the integral of e^(-H0^2 (1+t^ell)) |u|
-    over the unit H0-ball around the center (FFT convolution).
+    With lam: weighted_l2 = int e^(-2 lam H0^2/(1-4 lam t)) u^2 and
+    weighted_l1_lambda = int e^(-lam H0^2/(1-4 lam t)) |u|, both NaN from
+    the horizon 1/(4 lam) on.  With ell: weighted_l1_local, the sup over
+    the mask (or every node) of the integral of e^(-H0^2 (1+t^ell)) |u|
+    over the unit H0-ball around it (FFT convolution).  Node sums of the
+    field clamped to zero off the mask.
     """
-    if (lam is None) == (ell is None):
-        raise SpecValidationError("pass exactly one of lam / ell")
-    if lam is not None:
-        return _monitors_of(slice_gf, spec, t, lam, mask)["weighted_l1_lambda"]
-    if not 0.0 < ell < 0.5:
+    if ell is not None and not 0.0 < ell < 0.5:
         raise SpecValidationError("ell must lie in (0, 1/2)")
-    kernel = _ball_kernel(spec, 1.0, slice_gf.spacing)
-    return _monitors_of(slice_gf, spec, t, None, mask, ell=ell,
-                        kernel=kernel)["weighted_l1_local"]
+    u = gf.values if mask is None else np.where(mask, gf.values, 0.0)
+    kernel = None if ell is None else _ball_kernel(spec, 1.0, gf.spacing)
+    return _weighted_monitors(u, dual_norm_eval(spec, gf.coords()), gf.cell_volume,
+                              t, lam, ell, kernel, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -375,80 +341,69 @@ class Trajectory:
 
 
 def solve(problem: FlowProblem) -> Trajectory:
-    """March the Dirichlet flow from the datum to t_end, recording monitors."""
-    lay = problem.layout()
-    mask = ball_mask(problem.norm, lay, problem.radius)
-    state = problem.initial_field()
-    spec = problem.norm
-    tau = problem.tau
+    """March the Dirichlet flow from the datum to t_end, recording monitors.
+
+    Store times must be step multiples in [0, t_end]; t_end is always stored.
+    """
+    spec, tau, datum = problem.norm, problem.tau, problem.datum
     n_steps = int(round(problem.t_end / tau))
     if abs(n_steps * tau - problem.t_end) > 1e-9 * problem.t_end:
         raise SpecValidationError("t_end must be an integer number of steps")
-    if problem.scheme == "explicit_euler" and tau > problem.stability_limit() * (1 + 1e-12):
-        raise StabilityError(
-            f"explicit scheme needs tau <= {problem.stability_limit():g}")
-
-    store = sorted(set(float(t) for t in problem.store_times) | {problem.t_end})
-    for t in store:
-        k = t / tau
+    store = {n_steps}
+    for s in problem.store_times:
+        k = float(s) / tau
+        if not -1e-6 <= k <= n_steps + 1e-6:
+            raise SpecValidationError(f"store time {s} lies outside [0, t_end]")
         if abs(k - round(k)) > 1e-6:
-            raise SpecValidationError(f"store time {t} is not a step multiple")
+            raise SpecValidationError(f"store time {s} is not a step multiple")
+        store.add(round(k))
 
-    names = ["energy", "mass", "inner_iterations"]
-    if problem.monitor_lambda is not None:
-        names += ["weighted_l2", "weighted_l1_lambda"]
-    if problem.monitor_ell is not None:
-        names += ["weighted_l1_local"]
-    logs = {n: [] for n in names}
-    monitor_times = []
+    # the domain, once: layout, mask, H0 at the nodes and the initial field
+    if isinstance(datum, GridFunction):
+        lay, vals = datum, datum.values
+    else:
+        lay = ball_layout(spec, problem.radius, problem.spacing)
+        vals = mollify(datum, 2.0 * max(lay.spacing), layout=lay).values
+    mask = ball_mask(spec, lay, problem.radius)
+    state = lay.with_values(np.where(mask, vals, 0.0))
     r_grid = dual_norm_eval(spec, lay.coords())
     vol = lay.cell_volume
-    unit_kernel = (_ball_kernel(spec, 1.0, lay.spacing)
-                   if problem.monitor_ell is not None else None)
+    lam, ell = problem.monitor_lambda, problem.monitor_ell
+    unit_kernel = None if ell is None else _ball_kernel(spec, 1.0, lay.spacing)
 
-    def record(t: float, gf: GridFunction, iters: int) -> None:
+    logs, monitor_times, times, slices = {}, [], [], []
+
+    def record(k: int, gf: GridFunction, iters: int) -> None:
+        t = k * tau
         monitor_times.append(t)
         u = np.where(mask, gf.values, 0.0)
-        logs["energy"].append(energy(gf, spec, mask))
-        logs["mass"].append(float(np.sum(u)) * vol)
-        logs["inner_iterations"].append(iters)
-        # the lam weights are recorded as NaN from the horizon 1/(4 lam) on
-        lam = problem.monitor_lambda
-        live = lam is not None and 1.0 - 4.0 * lam * t > 1e-12
-        values = _weighted_monitors(u, r_grid, vol, t, lam if live else None,
-                                    problem.monitor_ell, unit_kernel, mask)
-        if lam is not None and not live:
-            values.update(weighted_l2=np.nan, weighted_l1_lambda=np.nan)
+        values = {"energy": energy(gf, spec, mask), "mass": float(np.sum(u)) * vol,
+                  "inner_iterations": iters,
+                  **_weighted_monitors(u, r_grid, vol, t, lam, ell, unit_kernel, mask)}
         for name, value in values.items():
-            logs[name].append(value)
+            logs.setdefault(name, []).append(value)
+        if k in store:
+            times.append(t)
+            slices.append(gf.with_values(gf.values.copy()))
 
-    times, slices = [], []
-    record(0.0, state, 0)
-    if 0.0 in store:
-        times.append(0.0)
-        slices.append(state.with_values(state.values.copy()))
+    def trajectory() -> Trajectory:
+        return Trajectory(problem, mask, times, slices, np.array(monitor_times),
+                          {k: np.array(v, dtype=float) for k, v in logs.items()})
+
+    record(0, state, 0)
     for k in range(1, n_steps + 1):
-        t = k * tau
         if problem.scheme == "implicit_proximal":
             try:
                 vals, iters = _prox_minimize(state, spec, mask, tau, problem.inner)
             except ConvergenceError as exc:
-                # abort with the partial trajectory attached for diagnosis
-                exc.partial = Trajectory(
-                    problem, mask, times, slices, np.array(monitor_times),
-                    {k_: np.array(v, dtype=float) for k_, v in logs.items()})
+                exc.partial = trajectory()   # the steps before it, for diagnosis
                 raise
             state = state.with_values(vals)
         else:
             state = explicit_step(state, spec, mask, tau)
             iters = 0
-        record(t, state, iters)
-        if any(abs(t - s) <= 1e-9 * max(1.0, s) for s in store):
-            times.append(t)
-            slices.append(state.with_values(state.values.copy()))
-    return Trajectory(problem, mask, times, slices,
-                      np.array(monitor_times),
-                      {k: np.array(v, dtype=float) for k, v in logs.items()})
+        record(k, state, iters)
+    return trajectory()
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +450,7 @@ def scaling_check(problem: FlowProblem, k: float,
     base_times = [k * k * t for t in compare_times]
     base = replace(problem, store_times=tuple(base_times),
                    t_end=max(base_times))
-    lay = problem.layout()
-    h = max(lay.spacing)
+    h = max(problem.datum.spacing)
     scaled_lay = ball_layout(problem.norm, problem.radius / k, h / k)
     coords = scaled_lay.coords()
     datum_k = scaled_lay.with_values(
@@ -531,7 +485,7 @@ class NestedDomainReport:
 
 
 def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSpec,
-                        lam: float, spacing: float, tau: float,
+                        spacing: float, tau: float,
                         compare_times: Sequence[float] = (0.1, 0.15, 0.2),
                         core_radius: float = 1.0,
                         inner: Optional[InnerSolverConfig] = None) -> NestedDomainReport:
@@ -545,11 +499,9 @@ def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSp
     radii = sorted(float(m) for m in radii)
     inner = inner or InnerSolverConfig(tolerance=1e-9)
     solutions = []
-    layouts = []
     for m in radii:
         lay = ball_layout(spec, m, spacing)
-        width = 2.0 * max(lay.spacing)
-        density = mollify(datum, width, layout=lay).values
+        density = mollify(datum, 2.0 * max(lay.spacing), layout=lay).values
         r = dual_norm_eval(spec, lay.coords())
         s = np.clip((r - m / 2.0) / (m / 2.0), 0.0, 1.0)
         cutoff = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
@@ -558,10 +510,8 @@ def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSp
             tau=tau, t_end=max(compare_times), store_times=tuple(compare_times),
             inner=inner)
         solutions.append(solve(problem))
-        layouts.append(lay)
     diffs = []
-    core_lay = layouts[0]
-    core_pts = core_lay.coords()
+    core_pts = solutions[0].slices[0].coords()
     core = dual_norm_eval(spec, core_pts) <= core_radius
     for a, b in zip(solutions, solutions[1:]):
         worst = 0.0

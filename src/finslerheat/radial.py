@@ -209,13 +209,11 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     for _ in range(_DOUBLINGS):
         nodes *= 2
         cur = _representation_sum(profile, dim, rho, t, nodes)
-        if float(np.max(np.abs(cur - prev))) <= _QUAD_TOL * (1.0 + float(np.max(np.abs(cur)))):
-            prev = cur
+        gap, prev = float(np.max(np.abs(cur - prev))), cur
+        if gap <= _QUAD_TOL * (1.0 + float(np.max(np.abs(cur)))):
             break
-        prev = cur
     else:
-        raise ConvergenceError("radial quadrature did not settle",
-                               best=prev, gap=float(np.max(np.abs(cur - prev))))
+        raise ConvergenceError("radial quadrature did not settle", best=prev, gap=gap)
     scale = 1.0 + float(np.max(np.abs(prev)))
     if tails > 1e-10 * scale:
         raise DomainError(

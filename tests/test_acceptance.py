@@ -86,9 +86,8 @@ def nested_run():
     # difference carries a real truncation signal instead of roundoff
     bump = measure_from_radial(RadialProfile.from_function(
         lambda r: np.maximum(1.0 - (r / 2.5) ** 2, 0.0) ** 3, 16.0, 2049), EUCLID)
-    return nested_domain_study(bump, [4.0, 6.0, 8.0], EUCLID, lam=0.25,
-                               spacing=1 / 16, tau=2e-3,
-                               compare_times=(0.1, 0.15, 0.2),
+    return nested_domain_study(bump, [4.0, 6.0, 8.0], EUCLID, spacing=1 / 16,
+                               tau=2e-3, compare_times=(0.1, 0.15, 0.2),
                                inner=InnerSolverConfig(tolerance=1e-9))
 
 

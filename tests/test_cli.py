@@ -147,6 +147,37 @@ def test_simulate_gaussian_closed_form_comparison(tmp_path):
     assert float(line.split(",")[-1]) <= 2e-2
 
 
+def _gaussian_flow(profile, store_times=(0.05,), **extra):
+    return {"norm": EUCLID_JSON,
+            "problem": {"radius": 2.0, "spacing": 1 / 8,
+                        "datum": {"kind": "radial", "profile": profile},
+                        "tau": 1e-2, "t_end": 0.05,
+                        "store_times": list(store_times)},
+            **extra}
+
+
+def test_simulate_closed_form_comparison_needs_the_unit_gaussian(tmp_path, capsys):
+    compare = {"compare": {"window": 1.0}}
+    for profile in ({"type": "gaussian", "r_max": 8.0, "amplitude": 3},
+                    {"type": "gaussian", "r_max": 8.0, "scale": 0.5},
+                    {"type": "bump", "r_max": 8.0}):
+        code, outdir = _run(tmp_path, "simulate", _gaussian_flow(profile, **compare))
+        assert code == 2
+        assert "radial_representation" in capsys.readouterr().err
+        assert not (outdir / "comparison.csv").exists()
+    code, _ = _run(tmp_path, "simulate", _gaussian_flow(
+        {"type": "gaussian", "r_max": 8.0, "amplitude": 1.0}, **compare))
+    assert code == 0
+
+
+def test_simulate_rejects_store_times_outside_the_run(tmp_path):
+    cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
+                         store_times=(0.1, -0.01))
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert not list(outdir.glob("slice_*.grid"))
+
+
 def test_radial_solve_constant_profile(tmp_path):
     cfg = {"norm": EUCLID_JSON,
            "profile": {"type": "samples",

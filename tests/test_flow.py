@@ -7,10 +7,9 @@ from finslerheat import flow, norms, operators
 from finslerheat.errors import DomainError, SpecValidationError, StabilityError
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               ball_mask, energy, energy_gradient, energy_stencil,
-                              explicit_step, monitor_weighted_L1,
-                              monitor_weighted_L2, nested_domain_study,
+                              explicit_step, nested_domain_study,
                               prox_homogeneity_defect, proximal_step,
-                              scaling_check, solve)
+                              scaling_check, solve, weighted_monitors)
 from finslerheat.grids import GridFunction, RadialProfile, observed_order
 from finslerheat.measures import measure_from_atoms, measure_from_radial
 from finslerheat.norms import duality_map
@@ -392,7 +391,8 @@ def test_monitor_weighted_l2_at_zero_matches_datum_integral():
     phi = np.where(mask, np.exp(-r**2), 0.0)
     gf = lay.with_values(phi)
     direct = float(np.sum(np.exp(-2 * lam * r**2) * phi**2)) * lay.cell_volume
-    assert monitor_weighted_L2(gf, ELLIPSE, lam, 0.0, mask) == pytest.approx(direct)
+    got = weighted_monitors(gf, ELLIPSE, 0.0, lam=lam, mask=mask)["weighted_l2"]
+    assert got == pytest.approx(direct)
 
 
 def test_monitor_weighted_l1_forms():
@@ -403,12 +403,49 @@ def test_monitor_weighted_l1_forms():
     phi = np.where(mask, np.exp(-r**2), 0.0)
     gf = lay.with_values(phi)
     direct = float(np.sum(np.exp(-lam * r**2) * np.abs(phi))) * lay.cell_volume
-    assert monitor_weighted_L1(gf, EUCLID, 0.0, lam=lam,
-                               mask=mask) == pytest.approx(direct)
-    local = monitor_weighted_L1(gf, EUCLID, 0.1, ell=0.25, mask=mask)
-    assert 0.0 < local <= direct + 1e-12
-    with pytest.raises(SpecValidationError):
-        monitor_weighted_L1(gf, EUCLID, 0.1, lam=lam, ell=0.25)
+    got = weighted_monitors(gf, EUCLID, 0.0, lam=lam, mask=mask)
+    assert got["weighted_l1_lambda"] == pytest.approx(direct)
+    local = weighted_monitors(gf, EUCLID, 0.1, ell=0.25, mask=mask)
+    assert 0.0 < local["weighted_l1_local"] <= direct + 1e-12
+
+
+def test_weighted_monitors_match_the_trajectory_bit_for_bit():
+    # solve records through the same path, with NaN lam weights from the
+    # horizon 1/(4 lam) = 0.05 on
+    lam, ell = 5.0, 0.25
+    problem, _ = _ball_problem(ELLIPSE, 2.0, 1 / 8, lambda r: np.exp(-r**2),
+                               tau=1e-2, t_end=6e-2,
+                               store_times=(0.0, 2e-2, 4e-2, 5e-2),
+                               monitor_lambda=lam, monitor_ell=ell,
+                               inner=InnerSolverConfig(tolerance=1e-9))
+    traj = solve(problem)
+    assert traj.times == [0.0, 0.02, 0.04, 0.05, 0.06]
+    names = ["weighted_l2", "weighted_l1_lambda", "weighted_l1_local"]
+    for t, gf in zip(traj.times, traj.slices):
+        got = weighted_monitors(gf, ELLIPSE, t, lam=lam, ell=ell, mask=traj.mask)
+        assert sorted(got) == sorted(names)
+        step = int(np.flatnonzero(traj.monitor_times == t)[0])
+        for name in names:
+            np.testing.assert_array_equal(got[name], traj.monitors[name][step])
+        beyond = t >= 1 / (4 * lam) - 1e-12
+        assert np.isnan(got["weighted_l2"]) == beyond
+        assert np.isnan(got["weighted_l1_lambda"]) == beyond
+        assert np.isfinite(got["weighted_l1_local"])
+
+
+def test_solve_rejects_store_times_outside_the_run():
+    for bad in ((5e-3,), (-1e-3,), (5e-3, -1e-3)):
+        problem, _ = _ball_problem(EUCLID, 1.0, 1 / 8, lambda r: np.exp(-r**2),
+                                   tau=1e-3, t_end=2e-3, store_times=bad)
+        with pytest.raises(SpecValidationError, match="outside"):
+            solve(problem)
+
+
+def test_solve_explicit_above_the_step_bound_raises():
+    problem, _ = _ball_problem(EUCLID, 1.0, 1 / 16, lambda r: np.exp(-r**2),
+                               tau=1e-2, t_end=2e-2, scheme="explicit_euler")
+    with pytest.raises(StabilityError):
+        solve(problem)
 
 
 def test_weighted_l2_monotone_along_trajectory():
@@ -430,7 +467,7 @@ def test_scaling_check_identity_when_k_cancels():
 
 def test_nested_domain_zero_datum():
     zero = measure_from_atoms([((0.0, 0.0), 0.0)])
-    rep = nested_domain_study(zero, [2.0, 3.0], EUCLID, lam=0.25, spacing=0.25,
+    rep = nested_domain_study(zero, [2.0, 3.0], EUCLID, spacing=0.25,
                               tau=5e-3, compare_times=(0.05, 0.1),
                               core_radius=0.5)
     assert rep.differences == [0.0]
@@ -466,9 +503,8 @@ def test_local_weighted_l1_stays_bounded_along_trajectory():
 def test_nested_domain_growing_datum():
     prof = RadialProfile.from_function(lambda r: np.exp(0.2 * r**2), 16.0, 2049)
     grow = measure_from_radial(prof, EUCLID)
-    rep = nested_domain_study(grow, [4.0, 6.0, 8.0], EUCLID, lam=0.25,
-                              spacing=1 / 8, tau=2e-3,
-                              compare_times=(0.1, 0.15, 0.2),
+    rep = nested_domain_study(grow, [4.0, 6.0, 8.0], EUCLID, spacing=1 / 8,
+                              tau=2e-3, compare_times=(0.1, 0.15, 0.2),
                               inner=InnerSolverConfig(tolerance=1e-9))
     assert rep.decreasing
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerheat import flow, norms, radial
-from finslerheat.errors import DomainError, SpecValidationError
+from finslerheat.errors import ConvergenceError, DomainError, SpecValidationError
 from finslerheat.grids import RadialProfile
 from finslerheat.radial import (_representation_sum, _scaled_sphere_integral,
                                 _tail_bound, bessel_I0, radial_heat_profile,
@@ -128,6 +128,27 @@ def test_short_profile_tail_is_flagged():
     prof = RadialProfile.from_function(lambda r: np.ones_like(r), 2.0, 65)
     with pytest.raises(DomainError):
         radial_heat_profile(prof, 2, np.array([1.5]), 0.5)
+
+
+def test_unsettled_quadrature_reports_the_last_change(monkeypatch):
+    # with a zero tolerance no doubling settles: the error carries the last
+    # sum and its change against the sum before it
+    sums = []
+
+    def spy(*args):
+        sums.append(_representation_sum(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(radial, "_QUAD_TOL", 0.0)
+    monkeypatch.setattr(radial, "_representation_sum", spy)
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 257)
+    with pytest.raises(ConvergenceError) as info:
+        radial_heat_profile(prof, 2, np.linspace(0.0, 2.0, 5), 0.1)
+    assert len(sums) == 7
+    gap = info.value.gap
+    assert gap > 0.0
+    assert gap == float(np.max(np.abs(sums[-1] - sums[-2])))
+    np.testing.assert_array_equal(info.value.best, sums[-1])
 
 
 def test_negative_time_rejected():
