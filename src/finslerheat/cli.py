@@ -259,6 +259,9 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     comp = cfg.get("compare")
     if comp is not None:  # checked before stepping
         kind = _comparison_kind(comp, pc["datum"])
+        t = float(comp.get("time", problem.t_end))
+        if not problem.stores(t):
+            raise SpecValidationError(f"compare.time {t} is not a stored time")
 
     failure = None
     try:
@@ -268,8 +271,8 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     for name, series in traj.monitors.items():
         _write_csv(out / f"monitor_{name}.csv", ["t", name],
                    list(zip(traj.monitor_times, series)), timestamp)
-    for t, gf in zip(traj.times, traj.slices):
-        gf.save(out / f"slice_t{t:.6f}.grid")
+    for stamp, gf in zip(traj.times, traj.slices):
+        gf.save(out / f"slice_t{stamp:.6f}.grid")
     if failure is not None:
         raise failure
 
@@ -286,7 +289,6 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         ok &= bool(np.all(w[1:] <= w[0] + float(slack)))
 
     if comp is not None:
-        t = float(comp.get("time", problem.t_end))
         gf = traj.slice_at(t)
         r = norms.dual_norm_eval(spec, gf.coords())
         window = r <= float(comp.get("window", radius / 2))

@@ -110,6 +110,10 @@ class FlowProblem:
         if isinstance(self.datum, MeasureSpec) and self.spacing is None:
             raise SpecValidationError("measure data need an explicit grid spacing")
 
+    def stores(self, t: float) -> bool:
+        """Whether `solve` stores a slice that `Trajectory.slice_at(t)` finds."""
+        return any(_same_time(k * self.tau, t) for k in _store_steps(self)[1])
+
 
 # ---------------------------------------------------------------------------
 # discrete energy and its exact gradient
@@ -335,9 +339,28 @@ class Trajectory:
 
     def slice_at(self, t: float) -> GridFunction:
         for stamp, gf in zip(self.times, self.slices):
-            if abs(stamp - t) <= 1e-9 * max(1.0, abs(t)):
+            if _same_time(stamp, t):
                 return gf
         raise KeyError(f"no stored slice at t = {t}")
+
+
+def _same_time(stamp: float, t: float) -> bool:
+    return abs(stamp - t) <= 1e-9 * max(1.0, abs(t))
+
+
+def _store_steps(problem: FlowProblem) -> tuple[int, set]:
+    n_steps = int(round(problem.t_end / problem.tau))
+    if abs(n_steps * problem.tau - problem.t_end) > 1e-9 * problem.t_end:
+        raise SpecValidationError("t_end must be an integer number of steps")
+    store = {n_steps}
+    for s in problem.store_times:
+        k = float(s) / problem.tau
+        if not -1e-6 <= k <= n_steps + 1e-6:
+            raise SpecValidationError(f"store time {s} lies outside [0, t_end]")
+        if abs(k - round(k)) > 1e-6:
+            raise SpecValidationError(f"store time {s} is not a step multiple")
+        store.add(round(k))
+    return n_steps, store
 
 
 def solve(problem: FlowProblem) -> Trajectory:
@@ -346,17 +369,7 @@ def solve(problem: FlowProblem) -> Trajectory:
     Store times must be step multiples in [0, t_end]; t_end is always stored.
     """
     spec, tau, datum = problem.norm, problem.tau, problem.datum
-    n_steps = int(round(problem.t_end / tau))
-    if abs(n_steps * tau - problem.t_end) > 1e-9 * problem.t_end:
-        raise SpecValidationError("t_end must be an integer number of steps")
-    store = {n_steps}
-    for s in problem.store_times:
-        k = float(s) / tau
-        if not -1e-6 <= k <= n_steps + 1e-6:
-            raise SpecValidationError(f"store time {s} lies outside [0, t_end]")
-        if abs(k - round(k)) > 1e-6:
-            raise SpecValidationError(f"store time {s} is not a step multiple")
-        store.add(round(k))
+    n_steps, store = _store_steps(problem)
 
     # the domain, once: layout, mask, H0 at the nodes and the initial field
     if isinstance(datum, GridFunction):

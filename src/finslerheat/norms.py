@@ -14,9 +14,10 @@ than grad H.
 Every family has its dual in closed form (`dual_spec`): the p-norm dual is
 the conjugate q-norm, and every quadratic family H^2 = xi^T Q xi has the
 ellipse of Q^-1 as its dual.  The sampled sphere maximization is kept only
-as an explicit oracle (method="sphere_maximization"); its gradient comes
-from the maximizer itself (envelope argument): grad H0(x) is the point of
-{H = 1} where the supremum is attained.
+as an explicit oracle (method="sphere_maximization").  It runs on all
+points at once, raises one ConvergenceError, for the point with the worst
+gap, and takes its gradient from the maximizer (envelope argument):
+grad H0(x) is the point of {H = 1} where the supremum is attained.
 
 Built-in families:
 
@@ -43,6 +44,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SpecValidationError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_SCAN_ENTRIES = 1 << 18     # row-direction pairs per block of the sphere scan
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +190,6 @@ class DualEvalConfig:
             raise SpecValidationError("sphere_samples too small")
 
 
-def _check_samples(cfg: DualEvalConfig, dimension: int) -> None:
-    if cfg.sphere_samples < 2 * dimension:
-        raise SpecValidationError("sphere_samples must be >= 2N")
-
-
 # ---------------------------------------------------------------------------
 # primal evaluations (all batched over leading axes)
 # ---------------------------------------------------------------------------
@@ -265,22 +262,6 @@ def duality_jacobian(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     return np.where(H[..., None] > 0.0, DA, 0.0)
 
 
-def central_difference_gradient(fn, xi: np.ndarray, h: Optional[float] = None) -> np.ndarray:
-    """Fallback gradient of a scalar function of one vector, per coordinate.
-
-    Step choice balances truncation against roundoff for O(1) functions.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if h is None:
-        h = max(1e-6, 1e-6 * float(np.linalg.norm(xi)))
-    g = np.empty_like(xi)
-    for i in range(xi.size):
-        e = np.zeros_like(xi)
-        e[i] = h
-        g[i] = (fn(xi + e) - fn(xi - e)) / (2.0 * h)
-    return g
-
-
 def coercivity_bounds(spec: NormSpec) -> tuple[float, float]:
     """(C1, C2) with A(xi).xi >= C1 |xi|^2 and |A(xi)| <= C2 |xi|.
 
@@ -329,110 +310,107 @@ def _direction_set(dimension: int, count: int) -> np.ndarray:
     raise DomainError("direction sampling implemented for N <= 3")
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; deterministic."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+def _ratio(spec: NormSpec, X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """x.d / H(d) for each row x of X and its direction d in D; the row-wise
+    matmul runs the 1-D `x @ d` kernel, so the values keep the bits of a
+    point-by-point evaluation."""
+    return (X[:, None, :] @ D[:, :, None])[:, 0, 0] / eval_norm(spec, D)
 
 
-def _dual_maximize(spec: NormSpec, x: np.ndarray, cfg: DualEvalConfig):
-    """Numeric sup of x.xi / H(xi): returns (H0 value, maximizer on {H=1}).
+def _circle(theta: np.ndarray) -> np.ndarray:
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
-    Coarse quasi-uniform scan of the unit sphere followed by golden-section
-    refinement in the best cell.  The returned value is a lower bound on the
-    true supremum that is tight to roughly (cell size after refinement)^2.
+
+def _unit(D: np.ndarray) -> np.ndarray:
+    return D / np.sqrt(D[:, None, :] @ D[:, :, None])[:, 0]  # bitwise np.linalg.norm(d)
+
+
+def _golden_max(spec: NormSpec, X: np.ndarray, direction, lo, hi, iters: int):
+    """Golden-section maximization of x.d / H(d) along d = direction(s), one
+    bracket [lo, hi] of s per row x of X; returns the best s and value per row.
     """
-    x = np.asarray(x, dtype=float)
+    a, b = lo, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = _ratio(spec, X, direction(c)), _ratio(spec, X, direction(d))
+    for _ in range(iters):
+        left = fc >= fd                 # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = (np.where(left, b - _GOLDEN * (b - a), d),
+                np.where(left, c, a + _GOLDEN * (b - a)))
+        f_new = _ratio(spec, X, direction(np.where(left, c, d)))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    left = fc >= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
+
+
+def _tangent_basis(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two orthonormal tangents at each row of D, unit vectors in R^3."""
+    t1 = _unit(np.cross(D, np.eye(3)[np.argmin(np.abs(D), axis=1)]))
+    return t1, np.cross(D, t1)
+
+
+def _dual_maximize(spec: NormSpec, X: np.ndarray, cfg: DualEvalConfig):
+    """Numeric sup of x.xi / H(xi) for each row x of X, shape (P, N).
+
+    Returns H0 (P,) and the maximizers on {H=1} (P, N), zero for a zero row:
+    a quasi-uniform sphere scan in blocks of at most `_SCAN_ENTRIES`
+    row-direction pairs, then golden-section refinement in each row's best
+    cell.  Values are lower bounds, tight to about (final cell size)^2; rows
+    that miss the tolerance raise one ConvergenceError, for the worst gap.
+    """
     N = spec.dimension
-    _check_samples(cfg, N)
-    if not np.any(x):
-        return 0.0, np.zeros(N)
-    if N == 1:
-        h = float(eval_norm(spec, np.array([1.0])))
-        xi = np.array([np.sign(x[0]) / h])
-        return abs(float(x[0])) / h, xi
-
-    def value(d: np.ndarray) -> float:
-        return float(x @ d) / float(eval_norm(spec, d))
-
+    if cfg.sphere_samples < 2 * N:
+        raise SpecValidationError("sphere_samples must be >= 2N")
     dirs = _direction_set(N, cfg.sphere_samples)
-    vals = dirs @ x / eval_norm(spec, dirs)
-    best = int(np.argmax(vals))
+    H_dirs = eval_norm(spec, dirs)
+    best = np.empty(len(X), dtype=int)
+    rows = max(1, _SCAN_ENTRIES // len(dirs))
+    for i in range(0, len(X), rows):
+        best[i:i + rows] = np.argmax(X[i:i + rows] @ dirs.T / H_dirs, axis=1)
+    d_best, iters = dirs[best], cfg.refinement_iters
+    v_best, gap = _ratio(spec, X, d_best), np.zeros(len(X))   # exact for N = 1
 
     if N == 2:
-        theta0 = np.arctan2(dirs[best, 1], dirs[best, 0])
         delta = 2.0 * np.pi / cfg.sphere_samples
-
-        def f(t: float) -> float:
-            return value(np.array([np.cos(t), np.sin(t)]))
-
-        t_best, v_best = _golden_max(f, theta0 - delta, theta0 + delta,
-                                     cfg.refinement_iters)
-        gap = abs(v_best - max(f(t_best - delta * _GOLDEN**cfg.refinement_iters),
-                               f(t_best + delta * _GOLDEN**cfg.refinement_iters)))
-        d_best = np.array([np.cos(t_best), np.sin(t_best)])
-    else:
-        d_best = dirs[best].copy()
-        v_best = float(vals[best])
+        theta0 = np.arctan2(d_best[:, 1], d_best[:, 0])
+        theta, v_best = _golden_max(spec, X, _circle, theta0 - delta,
+                                    theta0 + delta, iters)
+        step = delta * _GOLDEN**iters
+        gap = np.abs(v_best - np.maximum(_ratio(spec, X, _circle(theta - step)),
+                                         _ratio(spec, X, _circle(theta + step))))
+        d_best = _circle(theta)
+    elif N == 3:
         delta = 2.2 * np.sqrt(4.0 * np.pi / cfg.sphere_samples)
         for _ in range(3):   # alternating tangent-coordinate refinement
             for t in _tangent_basis(d_best):
-                def f(s: float, t=t, d0=d_best.copy()) -> float:
-                    d = d0 + s * t
-                    return value(d / np.linalg.norm(d))
-                s_best, v_best = _golden_max(f, -delta, delta, cfg.refinement_iters)
-                d_best = d_best + s_best * t
-                d_best /= np.linalg.norm(d_best)
+                line = lambda s: _unit(d_best + np.reshape(s, (-1, 1)) * t)
+                s, v_best = _golden_max(spec, X, line, -delta, delta, iters)
+                d_best = _unit(d_best + s[:, None] * t)
             delta *= 0.05
-        gap = delta**2
-    if gap > max(cfg.tolerance, 1e-12 * (1.0 + abs(v_best))):
-        raise ConvergenceError(
-            "dual-norm refinement did not reach tolerance", best=v_best, gap=gap)
-    xi = d_best / float(eval_norm(spec, d_best))
-    return v_best, xi
-
-
-def _tangent_basis(d: np.ndarray) -> list[np.ndarray]:
-    k = int(np.argmin(np.abs(d)))
-    e = np.zeros_like(d)
-    e[k] = 1.0
-    t1 = np.cross(d, e)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(d, t1)
-    return [t1, t2]
+        gap = np.full(len(X), delta**2)
+    live = np.any(X != 0.0, axis=1)
+    failed = live & (gap > np.maximum(cfg.tolerance, 1e-12 * (1.0 + np.abs(v_best))))
+    if np.any(failed):
+        worst = int(np.argmax(np.where(failed, gap, -np.inf)))
+        raise ConvergenceError(f"dual-norm refinement left a gap of {gap[worst]:.3g}",
+                               best=float(v_best[worst]), gap=float(gap[worst]))
+    return (np.where(live, v_best, 0.0),
+            np.where(live[:, None], d_best / eval_norm(spec, d_best)[:, None], 0.0))
 
 
 def dual_norm_eval(spec: NormSpec, x: np.ndarray,
                    cfg: Optional[DualEvalConfig] = None) -> np.ndarray:
-    """H0(x) = sup_{xi != 0} x.xi / H(xi).
+    """H0(x) = sup_{xi != 0} x.xi / H(xi); accepts arrays of shape (..., N).
 
     Closed form through `dual_spec`; method="sphere_maximization" instead
     runs the sampled maximization over the unit sphere of H with local
-    refinement, one point at a time.
+    refinement (`_dual_maximize`), on all points at once.
     """
     cfg = cfg or DualEvalConfig()
     x = np.asarray(x, dtype=float)
     if cfg.method != "sphere_maximization":
         return eval_norm(dual_spec(spec), x)
-    if x.ndim == 1:
-        return _dual_maximize(spec, x, cfg)[0]
-    flat = x.reshape(-1, x.shape[-1])
-    out = np.array([_dual_maximize(spec, row, cfg)[0] for row in flat])
-    return out.reshape(x.shape[:-1])
+    return _dual_maximize(spec, x.reshape(-1, x.shape[-1]), cfg)[0].reshape(x.shape[:-1])
 
 
 def grad_dual_norm(spec: NormSpec, x: np.ndarray,
@@ -448,11 +426,7 @@ def grad_dual_norm(spec: NormSpec, x: np.ndarray,
         raise DomainError("grad of the dual norm is undefined at x = 0")
     if cfg.method != "sphere_maximization":
         return grad_norm(dual_spec(spec), x)
-    if x.ndim == 1:
-        return _dual_maximize(spec, x, cfg)[1]
-    flat = x.reshape(-1, x.shape[-1])
-    out = np.stack([_dual_maximize(spec, row, cfg)[1] for row in flat])
-    return out.reshape(x.shape)
+    return _dual_maximize(spec, x.reshape(-1, x.shape[-1]), cfg)[1].reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from scipy import ndimage
 
 from .errors import DomainError, OutOfRangeError, SpecValidationError
 from .grids import GridFunction, RadialProfile, observed_order, refinements
-from .grids import empty_layout  # noqa: F401  (still importable from here)
 from .norms import NormSpec, dual_norm_eval, duality_map
 
 

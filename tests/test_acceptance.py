@@ -16,12 +16,12 @@ from finslerheat.cli import main
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               ball_mask, nested_domain_study,
                               prox_homogeneity_defect, scaling_check, solve)
-from finslerheat.grids import RadialProfile, observed_order, refinements
+from finslerheat.grids import (RadialProfile, empty_layout, observed_order,
+                               refinements)
 from finslerheat.measures import classify, measure_from_radial
 from finslerheat.operators import (check_linearity, check_radial_reduction,
-                                   empty_layout, finsler_laplacian,
-                                   interior_mask, lift_radial,
-                                   radial_operator_values)
+                                   finsler_laplacian, interior_mask,
+                                   lift_radial, radial_operator_values)
 from finslerheat.radial import bessel_I0, radial_heat_profile, sphere_integral_I
 from finslerheat.solutions import SolutionSpec, pde_residual
 

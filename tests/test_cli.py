@@ -69,6 +69,14 @@ def test_verify_norms_impossible_tolerance_fails(tmp_path):
     assert code == 1
 
 
+def test_verify_norms_unconverged_oracle_exits_3(tmp_path, capsys):
+    cfg = {"seed": 1, "samples": 50, "norms": [ELLIPSE_JSON],
+           "dual": {"method": "sphere_maximization", "refinement_iters": 1}}
+    code, _ = _run(tmp_path, "verify-norms", cfg)
+    assert code == 3
+    assert "non-convergence" in capsys.readouterr().err
+
+
 def test_verify_exact_gauss_case(tmp_path):
     cfg = {"cases": [{"kind": "gauss_kernel", "norm": ELLIPSE_JSON,
                       "box": [[-4, 4], [-2, 2]], "resolution": [64, 32],
@@ -176,6 +184,21 @@ def test_simulate_rejects_store_times_outside_the_run(tmp_path):
     code, outdir = _run(tmp_path, "simulate", cfg)
     assert code == 2
     assert not list(outdir.glob("slice_*.grid"))
+
+
+def test_simulate_rejects_an_unstored_compare_time_before_stepping(tmp_path, capsys):
+    cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0}, store_times=(),
+                         compare={"time": 0.03})
+    cfg["problem"]["radius"] = 1.0
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert "compare.time" in capsys.readouterr().err
+    assert not (outdir / "monitor_energy.csv").exists()
+    cfg["problem"]["store_times"] = [0.03]
+    code, outdir = _run(tmp_path, "simulate", cfg, out="stored")
+    assert code == 0
+    rows = (outdir / "comparison.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[0]) == pytest.approx(0.03)
 
 
 def test_radial_solve_constant_profile(tmp_path):

@@ -1,10 +1,12 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finslerheat import norms
-from finslerheat.errors import DomainError, SpecValidationError
+from finslerheat.errors import ConvergenceError, DomainError, SpecValidationError
 
 EUCLID = norms.euclidean(2)
 ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
@@ -13,6 +15,25 @@ SQUARE = norms.smoothed_polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.05)
 
 NUMERIC_CFG = norms.DualEvalConfig(method="sphere_maximization",
                                    sphere_samples=4096, refinement_iters=48)
+NUMERIC_3D_CFG = norms.DualEvalConfig(method="sphere_maximization",
+                                      sphere_samples=8192, refinement_iters=40,
+                                      tolerance=1e-6)
+
+
+def central_difference_gradient(fn, xi: np.ndarray, h: Optional[float] = None) -> np.ndarray:
+    """Fallback gradient of a scalar function of one vector, per coordinate.
+
+    Step choice balances truncation against roundoff for O(1) functions.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if h is None:
+        h = max(1e-6, 1e-6 * float(np.linalg.norm(xi)))
+    g = np.empty_like(xi)
+    for i in range(xi.size):
+        e = np.zeros_like(xi)
+        e[i] = h
+        g[i] = (fn(xi + e) - fn(xi - e)) / (2.0 * h)
+    return g
 
 
 def test_euclidean_length():
@@ -45,7 +66,7 @@ def test_grad_euler_identity_p4():
 def test_grad_ellipse_matches_central_differences():
     xi = np.array([1.0, 1.0])
     closed = norms.grad_norm(ELLIPSE, xi)
-    fd = norms.central_difference_gradient(
+    fd = central_difference_gradient(
         lambda v: float(norms.eval_norm(ELLIPSE, v)), xi, h=1e-5)
     np.testing.assert_allclose(closed, fd, atol=1e-8)
 
@@ -274,15 +295,73 @@ def test_homogeneity_property():
 
 def test_three_dimensional_numeric_dual():
     spec = norms.ellipse(np.diag([4.0, 1.0, 2.25]))
-    cfg = norms.DualEvalConfig(method="sphere_maximization",
-                               sphere_samples=8192, refinement_iters=40,
-                               tolerance=1e-6)
     rng = np.random.default_rng(41)
     for _ in range(5):
         x = rng.standard_normal(3)
-        numeric = norms.dual_norm_eval(spec, x, cfg)
+        numeric = norms.dual_norm_eval(spec, x, NUMERIC_3D_CFG)
         closed = norms.dual_norm_eval(spec, x)
         assert numeric == pytest.approx(closed, rel=1e-5)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2, 3]), p=st.one_of(st.none(), st.floats(1.1, 6.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
+    # p=None draws an ellipse: any SPD matrix for N <= 2, a diagonal one with
+    # axis ratios up to 2 for N = 3, where the alternating tangent search
+    # reaches 1e-5 only on mildly skewed level sets
+    rng = np.random.default_rng(seed)
+    if p is not None:
+        spec = norms.p_norm(p, dim)
+    elif dim == 3:
+        spec = norms.ellipse(np.diag(rng.uniform(1.0, 4.0, 3)))
+    else:
+        A = rng.standard_normal((dim, dim))
+        spec = norms.ellipse(A @ A.T + 0.3 * np.eye(dim))
+    cfg, rtol = (NUMERIC_3D_CFG, 1e-5) if dim == 3 else (NUMERIC_CFG, 1e-12)
+    block = norms._SCAN_ENTRIES // len(norms._direction_set(dim, cfg.sphere_samples))
+    x = rng.standard_normal((block + 3, dim)) * np.exp(rng.uniform(-3, 3, (block + 3, 1)))
+    zero = rng.integers(0, len(x), 2)
+    x[zero] = 0.0
+    live = np.any(x != 0.0, axis=1)
+    H0 = norms.dual_norm_eval(spec, x, cfg)
+    xi = norms.grad_dual_norm(spec, x, cfg)
+    if dim == 1:   # no sampling error: H0(x) = |x| / H(1)
+        np.testing.assert_array_equal(
+            H0[live], np.abs(x[live, 0]) / norms.eval_norm(spec, np.ones(1)))
+        rtol = 1e-15
+    np.testing.assert_allclose(H0[live], norms.dual_norm_eval(spec, x[live]), rtol=rtol)
+    np.testing.assert_array_equal(H0[~live], 0.0)
+    np.testing.assert_array_equal(xi[~live], 0.0)
+    # rows on both sides of the first block edge, the zero rows and a sample
+    rows = np.unique(np.r_[0, block - 1, block, len(x) - 1, zero,
+                           rng.integers(0, len(x), 16)])
+    single = np.array([norms.dual_norm_eval(spec, x[i], cfg) for i in rows])
+    np.testing.assert_allclose(single, H0[rows], rtol=1e-15, atol=0.0)
+    with pytest.raises(DomainError):
+        norms.grad_dual_norm(spec, np.zeros(dim), cfg)
+
+
+@pytest.mark.parametrize("spec, samples", [
+    (P4, 2048), (norms.ellipse(np.diag([4.0, 1.0, 2.25])), 64)])
+def test_numeric_dual_raises_once_for_the_worst_gap(spec, samples):
+    # one golden-section iteration cannot reach the default tolerance; the
+    # N = 3 gap is set by the sample count alone, so it takes a coarse scan
+    cfg = norms.DualEvalConfig(method="sphere_maximization", sphere_samples=samples,
+                               refinement_iters=1)
+    x = np.random.default_rng(59).standard_normal((40, spec.dimension))
+    x[0] = 0.0     # a zero row is exact and never the one reported
+    assert norms.dual_norm_eval(spec, x[0], cfg) == 0.0
+    single = []
+    for row in x[1:]:
+        with pytest.raises(ConvergenceError) as err:
+            norms.dual_norm_eval(spec, row, cfg)
+        single.append((err.value.gap, err.value.best))
+    worst = int(np.argmax([gap for gap, _ in single]))
+    for fn in (norms.dual_norm_eval, norms.grad_dual_norm):
+        with pytest.raises(ConvergenceError) as err:
+            fn(spec, x, cfg)
+        assert (err.value.gap, err.value.best) == single[worst]
 
 
 @pytest.mark.parametrize("bad", [1.0, float("inf"), 0.5])

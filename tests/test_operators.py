@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from finslerheat import norms, operators
 from finslerheat.errors import OutOfRangeError, SpecValidationError
-from finslerheat.grids import RadialProfile, grid_from_function
+from finslerheat.grids import RadialProfile, empty_layout, grid_from_function
 from finslerheat.operators import (apply_taps, check_linearity,
-                                   check_radial_reduction, empty_layout,
-                                   face_gradient, face_gradient_adjoint, face_taps,
+                                   check_radial_reduction, face_gradient,
+                                   face_gradient_adjoint, face_taps,
                                    finsler_laplacian, interior_mask,
                                    lift_radial, radial_laplacian)
 

@@ -3,9 +3,9 @@ import pytest
 
 from finslerheat import norms
 from finslerheat.errors import DomainError, SpecValidationError
-from finslerheat.grids import RadialProfile, observed_order, refinements
-from finslerheat.operators import (empty_layout, finsler_laplacian,
-                                   interior_mask, lift_radial)
+from finslerheat.grids import (RadialProfile, empty_layout, observed_order,
+                               refinements)
+from finslerheat.operators import finsler_laplacian, interior_mask, lift_radial
 from finslerheat.solutions import (SolutionSpec, eval_solution, pde_residual,
                                    singular_poly_check)
 
