@@ -43,12 +43,11 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, SpecValidationError, StabilityError
 from .grids import GridFunction, empty_layout
-from .measures import MeasureSpec, _ball_kernel, mollify
+from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
 from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
                     duality_map, eval_norm)
 from .operators import (apply_stencil, face_gradient, face_gradient_adjoint,
@@ -298,7 +297,7 @@ def _weighted_monitors(u: np.ndarray, r: np.ndarray, vol: float, t: float,
         out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
     if ell is not None:
         weight = np.exp(-(r**2) * (1.0 + t**ell))
-        conv = fftconvolve(weight * np.abs(u), kernel, mode="same") * vol
+        conv = fftconvolve(weight * np.abs(u), kernel) * vol
         out["weighted_l1_local"] = float(np.max(conv if centers is None
                                                 else conv[centers]))
     return out
@@ -313,8 +312,8 @@ def weighted_monitors(gf: GridFunction, spec: NormSpec, t: float,
     weighted_l1_lambda = int e^(-lam H0^2/(1-4 lam t)) |u|, both NaN from
     the horizon 1/(4 lam) on.  With ell: weighted_l1_local, the sup over
     the mask (or every node) of the integral of e^(-H0^2 (1+t^ell)) |u|
-    over the unit H0-ball around it (FFT convolution).  Node sums of the
-    field clamped to zero off the mask.
+    over the unit H0-ball around it (`measures.fftconvolve`).  Node sums
+    of the field clamped to zero off the mask.
     """
     if ell is not None and not 0.0 < ell < 0.5:
         raise SpecValidationError("ell must lie in (0, 1/2)")

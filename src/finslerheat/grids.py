@@ -4,7 +4,10 @@ A GridFunction stores node values of a scalar field on a uniform tensor
 grid over a box; spacing is derived from the per-axis cell counts.  A
 RadialProfile stores samples of a profile on [0, R] with a cubic
 interpolant; profiles flagged as even are clamped to zero slope at the
-origin so their lifts are smooth across the center.
+origin so their lifts are smooth across the center.  The interpolant is
+scipy's `CubicSpline` rebuilt on `scipy.linalg`, with the same slope
+system, coefficients and power-sum evaluation and hence the same bits,
+so that `scipy.interpolate` (and with it `scipy.optimize`) stays unloaded.
 
 Every convergence check refines one way: `refinements` gives a layout and
 its 2^l-fold refinements over the same box, and `observed_order` reads
@@ -14,11 +17,12 @@ log(e_0/e_last) / log(h_0/h_last) off the errors measured on them.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve, solve_banded
 
 from .errors import OutOfRangeError, SpecValidationError
 
@@ -177,6 +181,51 @@ def observed_order(errors, spacings) -> float:
     return float(np.log2(errors[0] / errors[-1]) / np.log2(spacings[0] / spacings[-1]))
 
 
+def _spline_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray,
+                   even: bool) -> np.ndarray:
+    """Knot slopes of scipy's `CubicSpline(x, y)` with a not-a-knot end at
+    x[-1] and, at x[0], a clamped zero slope when `even`, else not-a-knot.
+
+    The rows, the n = 2 and n = 3 special cases and the LAPACK calls are
+    scipy's, so the slopes carry its bits.
+    """
+    n = len(x)
+    start = 0.0 if even else None           # clamped slope; None: not-a-knot
+    end = None
+    if n == 2:                              # the chord, at both ends
+        start = slope[0] if start is None else start
+        end = slope[0]
+    if n == 3 and start is None:            # the parabola through 3 points
+        A = np.array([[1.0, 1.0, 0.0],
+                      [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                      [0.0, 1.0, 1.0]])
+        b = np.array([[2 * slope[0]],
+                      [3 * (dx[0] * slope[1] + dx[1] * slope[0])],
+                      [2 * slope[1]]])
+        return solve(A, b, overwrite_a=True, overwrite_b=True,
+                     check_finite=False)[:, 0]
+    A = np.zeros((3, n))                    # banded: upper, diagonal, lower
+    b = np.empty(n)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    if start is None:
+        d = x[2] - x[0]
+        A[1, 0], A[0, 1] = dx[1], d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    else:
+        A[1, 0], A[0, 1], b[0] = 1, 0, start
+    if end is None:
+        d = x[-1] - x[-3]
+        A[1, -1], A[-1, -2] = dx[-2], d
+        b[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    else:
+        A[1, -1], A[-1, -2], b[-1] = 1, 0, end
+    return solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                        check_finite=False)
+
+
 @dataclass
 class RadialProfile:
     """Samples of a profile v(r) on [0, R_max] with a cubic interpolant."""
@@ -184,17 +233,23 @@ class RadialProfile:
     radii: np.ndarray
     values: np.ndarray
     even: bool = True
-    _spline: CubicSpline = field(init=False, repr=False, default=None)
+    # power-basis coefficients c[k, i] of (r - r_i)^(3-k) on [r_i, r_{i+1}]
+    coefficients: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.radii.ndim != 1 or self.radii.shape != self.values.shape:
             raise SpecValidationError("radii and values must be matching 1-D arrays")
+        if len(self.radii) < 2:
+            raise SpecValidationError("a profile needs at least 2 samples")
         if self.radii[0] != 0.0:
             raise SpecValidationError("profile must start at r = 0")
-        if np.any(np.diff(self.radii) <= 0):
+        dx = np.diff(self.radii)
+        if np.any(dx <= 0):
             raise SpecValidationError("radii must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise SpecValidationError("profile values must be finite")
         if self.even:
             # clamped zero slope realizes the even extension; reject data
             # that visibly contradicts it (quadratic fit through the first
@@ -204,10 +259,12 @@ class RadialProfile:
             if abs(c[1]) > 1e-2 * scale / max(self.r_max, 1e-12) + 1e-9:
                 raise SpecValidationError(
                     "profile flagged even but has nonzero slope at r = 0")
-            bc = ((1, 0.0), "not-a-knot")
-        else:
-            bc = "not-a-knot"
-        self._spline = CubicSpline(self.radii, self.values, bc_type=bc)
+        # CubicHermiteSpline's coefficients from the knot slopes s
+        slope = np.diff(self.values) / dx
+        s = _spline_slopes(self.radii, dx, slope, self.even)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.coefficients = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1],
+                                      self.values[:-1]))
 
     @property
     def r_max(self) -> float:
@@ -221,11 +278,25 @@ class RadialProfile:
         if np.any(r < -1e-12) or np.any(r > self.r_max * (1 + 1e-12)):
             raise OutOfRangeError(
                 f"radius outside profile range [0, {self.r_max}]")
-        return self._spline(np.clip(r, 0.0, self.r_max))
+        return self._evaluate(np.clip(r, 0.0, self.r_max), 0)
 
     def derivative(self, r: np.ndarray, order: int = 1) -> np.ndarray:
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
-        return self._spline(r, nu=order)
+        return self._evaluate(r, order)
+
+    def _evaluate(self, r: np.ndarray, order: int) -> np.ndarray:
+        """The order-th derivative at r in [0, R_max], summed as scipy's PPoly
+        sums it (term by term in rising powers of s = r - r_i, each times its
+        falling-factorial prefactor), so the values keep its bits."""
+        i = np.clip(np.searchsorted(self.radii, r, side="right") - 1,
+                    0, len(self.radii) - 2)
+        s = r - self.radii[i]
+        out, power = np.zeros_like(s), 1.0
+        for k in range(order, 4):
+            out = out + self.coefficients[3 - k, i] * power * math.perm(k, order)
+            if k < 3:
+                power = power * s
+        return out
 
     @staticmethod
     def from_function(fn: Callable[[np.ndarray], np.ndarray], r_max: float,

@@ -12,7 +12,8 @@ relative threshold between the two largest windows wins.
 
 Density integrals use the node-sum (midpoint) rule; the ball-windowed
 supremum over all grid centers is a convolution with the H0-ball
-indicator and is evaluated by FFT.
+indicator and is evaluated by FFT (`fftconvolve`, scipy.signal's
+same-mode FFT convolution repeated step for step on scipy.fft).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DomainError, SpecValidationError
 from .grids import GridFunction, RadialProfile, empty_layout
@@ -103,6 +104,28 @@ def materialize(measure: MeasureSpec, spec: NormSpec, radius: float,
     raise DomainError("atom measures have no density representation; mollify first")
 
 
+def fftconvolve(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Linear convolution of two real arrays of equal rank, cropped to the
+    centred `field.shape`: `scipy.signal.fftconvolve(field, kernel,
+    mode="same")` step for step, so bit for bit.
+
+    Axes where either side has length 1 broadcast instead of transforming;
+    the others are zero-padded to scipy's fast real-FFT length.
+    """
+    s1, s2 = field.shape, kernel.shape
+    axes = [a for a in range(field.ndim) if s1[a] != 1 and s2[a] != 1]
+    if axes:
+        fshape = [next_fast_len(s1[a] + s2[a] - 1, True) for a in axes]
+        spectrum = rfftn(field, fshape, axes=axes) * rfftn(kernel, fshape, axes=axes)
+        full = irfftn(spectrum, fshape, axes=axes)
+    else:
+        full = field * kernel
+    size = [s1[a] + s2[a] - 1 if a in axes else full.shape[a]
+            for a in range(field.ndim)]
+    start = [(n - m) // 2 for n, m in zip(size, s1)]
+    return full[tuple(slice(b, b + m) for b, m in zip(start, s1))]
+
+
 def _ball_kernel(spec: NormSpec, radius: float, spacing: Sequence[float]) -> np.ndarray:
     """Indicator of the H0-ball sampled on the grid lattice (symmetric)."""
     half = [int(np.floor(radius * float(eval_norm(spec, np.eye(spec.dimension)[i]))
@@ -114,7 +137,7 @@ def _ball_kernel(spec: NormSpec, radius: float, spacing: Sequence[float]) -> np.
 
 def _windowed_ball_sup(weighted: np.ndarray, kernel: np.ndarray,
                        center_mask: np.ndarray, cell_volume: float) -> float:
-    conv = fftconvolve(weighted, kernel, mode="same") * cell_volume
+    conv = fftconvolve(weighted, kernel) * cell_volume
     return float(np.max(conv[center_mask]))
 
 
@@ -263,5 +286,5 @@ def mollify(measure: MeasureSpec, width: float,
     offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     kern = _bump(np.linalg.norm(offsets, axis=-1) / width)
     kern /= kern.sum() * layout.cell_volume
-    smooth = fftconvolve(source.values, kern, mode="same") * layout.cell_volume
+    smooth = fftconvolve(source.values, kern) * layout.cell_volume
     return layout.with_values(smooth)

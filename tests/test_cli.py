@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finslerheat
 from finslerheat import norms
 from finslerheat.cli import main
 from finslerheat.grids import grid_from_function
@@ -316,3 +321,17 @@ def test_simulate_non_convergence_writes_partial_artifacts(tmp_path, norm):
     assert len(rows) == 1 and float(rows[0]["t"]) == 0.0
     assert float(rows[0]["energy"]) > 0.0
     assert (outdir / "slice_t0.000000.grid").is_file()
+
+
+def test_cli_import_leaves_out_the_slow_scipy_modules():
+    """`scipy.signal` pulls in `scipy.stats` and `scipy.interpolate` pulls in
+    `scipy.optimize`: about 0.9 s of start-up for every command."""
+    src = str(Path(finslerheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    slow = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize"]
+    code = ("import sys, finslerheat.cli; "
+            f"print([m for m in {slow!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

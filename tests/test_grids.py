@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from finslerheat.errors import OutOfRangeError, SpecValidationError
 from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
@@ -91,6 +92,32 @@ def test_profile_out_of_range():
     prof = RadialProfile.from_function(lambda r: r * 0 + 1, 2.0, 65)
     with pytest.raises(OutOfRangeError):
         prof(np.array([2.5]))
+
+
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+@pytest.mark.parametrize("n", [2, 3, 4, 2049])
+@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_profile_spline_is_scipys_cubic_spline(n, even, uniform):
+    """Coefficients, values and derivatives of orders 1-3 equal those of
+    CubicSpline (clamped zero slope at 0 when even, else not-a-knot; the
+    far end not-a-knot) bit for bit."""
+    rng = np.random.default_rng(n)
+    r = (np.linspace(0.0, 3.0, n) if uniform else
+         np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))]))
+    v = 2.0 - 0.5 * r**2 if even else 2.0 + 0.3 * r
+    v[3:] += rng.standard_normal(max(n - 3, 0))
+    if even and n == 2:         # the parabola through two samples is sloped
+        v[:] = 2.0
+    prof = RadialProfile(r, v, even=even)
+    spline = CubicSpline(r, v,
+                         bc_type=((1, 0.0), "not-a-knot") if even else "not-a-knot")
+    assert np.array_equal(prof.coefficients, spline.c)
+    x = np.concatenate([r, rng.uniform(0.0, r[-1], 2000)])
+    assert np.array_equal(prof(x), spline(x))
+    for order in (1, 2, 3):
+        assert np.array_equal(prof.derivative(x, order), spline(x, nu=order))
+    assert np.array_equal(prof.derivative(r[-1], 2), spline(r[-1], nu=2))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from finslerheat import norms
 from finslerheat.errors import SpecValidationError
 from finslerheat.grids import GridFunction, RadialProfile
-from finslerheat.measures import (classify, growth_functional, measure_from_atoms,
+from finslerheat.measures import (_ball_kernel, classify, fftconvolve,
+                                  growth_functional, measure_from_atoms,
                                   measure_from_density, measure_from_radial,
                                   mollify)
 
@@ -143,3 +147,42 @@ def test_atom_validation():
         measure_from_atoms([((0.0, np.inf), 1.0)])
     with pytest.raises(SpecValidationError):
         measure_from_atoms([])
+
+
+def _assert_same_as_scipy(field_shape, kernel_shape, seed):
+    rng = np.random.default_rng(seed)
+    field = rng.standard_normal(field_shape)
+    kernel = rng.uniform(0.0, 1.0, kernel_shape)
+    ours = fftconvolve(field, kernel)
+    assert ours.shape == field.shape
+    assert np.array_equal(ours, signal.fftconvolve(field, kernel, mode="same"))
+
+
+@pytest.mark.parametrize("field_shape, kernel_shape", [
+    ((17,), (5,)), ((4,), (11,)), ((1,), (6,)), ((6,), (1,)),
+    ((20, 13), (7, 5)), ((5, 4), (9, 12)), ((9, 8), (1, 5)), ((9, 8), (3, 1)),
+    ((1, 7), (4, 1)), ((1, 1), (1, 1)),
+    ((9, 7, 6), (3, 5, 3)), ((4, 3, 5), (7, 9, 8)), ((6, 1, 5), (3, 4, 1)),
+])
+def test_fftconvolve_matches_scipy_on_chosen_shapes(field_shape, kernel_shape):
+    """Kernels larger than the field, axes of length 1 on either side, and
+    no transformed axis at all, in N = 1, 2 and 3."""
+    _assert_same_as_scipy(field_shape, kernel_shape, seed=len(field_shape))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fftconvolve_matches_scipy_bit_for_bit(data):
+    N = data.draw(st.integers(1, 3))
+    field_shape = tuple(data.draw(st.integers(1, 24)) for _ in range(N))
+    kernel_shape = tuple(data.draw(st.integers(1, 30)) for _ in range(N))
+    _assert_same_as_scipy(field_shape, kernel_shape, data.draw(st.integers(0, 2**31)))
+
+
+def test_fftconvolve_matches_scipy_on_the_monitor_kernel():
+    """The ball kernel of the flow monitor on a 257 x 129 ellipse grid."""
+    spec = norms.ellipse(np.diag([4.0, 1.0]))
+    kernel = _ball_kernel(spec, 1.0, (6.0 / 64, 6.0 / 64))
+    field = np.random.default_rng(3).uniform(0.0, 1.0, (257, 129))
+    assert np.array_equal(fftconvolve(field, kernel),
+                          signal.fftconvolve(field, kernel, mode="same"))
