@@ -14,12 +14,12 @@ the full gradient, hence the 1/(2N) normalization), with the masked field
 extended by zero; the face gradient G and its exact adjoint come from
 `operators`.  `energy_gradient` is its one gradient, (1/N) G^T A(G u),
 and psi is read through it: psi is 2-homogeneous, so Euler's identity
-gives psi(u) = (vol/2) <u, grad psi(u)> exactly, for every family.  For
-quadratic norm families (H^2 = xi^T Q xi) the gradient is K u with
-K = (1/N) G^T Q G, which on the zero-extended grid is translation
-invariant: `energy_stencil` reads its stencil S off the face path applied
-to a unit impulse (the face taps stay the one definition), caches it per
-(spec, spacing), and `energy_gradient` applies it as one correlation.
+gives psi(u) = (vol/2) <u, grad psi(u)> exactly, for every family.  The
+face sum is `operators.face_form`, and `operators.apply_operator` runs
+it: for quadratic norm families (H^2 = xi^T Q xi) the gradient is K u
+with K = (1/N) G^T Q G, translation invariant on the zero-extended grid,
+so it is applied as the constant stencil read off the face path (the
+face taps stay the one definition).
 The inner solver is Newton with conjugate gradients, one solve of the SPD
 system (I/tau + K) u = u_prev/tau for quadratic norm families and damped
 steps on the exact objective for p-norms; every returned step is a
@@ -39,7 +39,6 @@ with weight e^(-H0^2 (1+t^ell)), and inner-iteration counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -50,8 +49,7 @@ from .grids import GridFunction, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
 from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
                     duality_map, eval_norm)
-from .operators import (apply_stencil, face_gradient, face_gradient_adjoint,
-                        finsler_laplacian, impulse_response)
+from .operators import apply_operator, face_form, face_gradient, finsler_laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,7 @@ class FlowProblem:
 
     def stores(self, t: float) -> bool:
         """Whether `solve` stores a slice that `Trajectory.slice_at(t)` finds."""
-        return any(_same_time(k * self.tau, t) for k in _store_steps(self)[1])
+        return _step_of(self, t) in _store_steps(self)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +136,28 @@ def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
     (Minus) the divergence-form operator the proximal solver descends on;
     it agrees with the face-flux operator to O(h^2) and, G^T being the
     exact adjoint, descent guarantees hold regardless of resolution.
-    Quadratic families apply the cached stencil of `energy_stencil`,
-    p-norms the face path.  With a mask, values and gradient are clamped
-    to zero off it.
+    Quadratic families apply its cached constant stencil, p-norms the face
+    path (`operators.apply_operator`).  With a mask, values and gradient
+    are clamped to zero off it.
     """
     vals = values if mask is None else np.where(mask, values, 0.0)
-    if spec.family == "p_norm":
-        g = _face_energy_gradient(vals, spec, spacings)
-    else:
-        g = apply_stencil(vals, energy_stencil(spec, tuple(spacings)))
+    g = apply_operator(_face_energy_gradient, vals, spec, spacings)
     return g if mask is None else np.where(mask, g, 0.0)
 
 
 def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
     """(1/N) G^T A(G u) on the face taps of `operators`, unmasked."""
-    N = values.ndim
-    return sum(face_gradient_adjoint(duality_map(spec, face_gradient(values, spacings, axis)),
-                                     spacings, axis) for axis in range(N)) / N
+    return face_form(values, spacings, lambda axis, xi: duality_map(spec, xi))
 
 
-@lru_cache(maxsize=128)
-def energy_stencil(spec: NormSpec, spacing: tuple) -> np.ndarray:
-    """Stencil S of K = (1/N) G^T Q G for a quadratic family, read off
-    the face path: K u = S * u on the zero-extended grid.  Cached per
-    (spec, spacing), read-only."""
-    return impulse_response(lambda x: _face_energy_gradient(x, spec, spacing), spec)
+def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings):
+    """x -> (1/N) G^T DA(G w) G x, the Hessian of psi at w, unmasked; for
+    quadratic families the constant K of `energy_gradient`."""
+    if spec.family != "p_norm":
+        return lambda x: energy_gradient(x, spec, spacings)
+    jac = [duality_jacobian(spec, face_gradient(w, spacings, axis)) for axis in range(w.ndim)]
+    return lambda x: face_form(x, spacings, lambda axis, xi: np.einsum(
+        "...ij,...j->...i", jac[axis], xi))
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +193,12 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
         return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau))
 
     def newton_cg(w, rhs, x0, atol, maxiter):
-        if spec.family == "p_norm":
-            jac = [duality_jacobian(spec, face_gradient(w, spacings, axis))
-                   for axis in range(w.ndim)]
-
-            def hessian(x: np.ndarray) -> np.ndarray:
-                return np.where(mask, sum(face_gradient_adjoint(
-                    np.einsum("...ij,...j->...i", DA, face_gradient(x, spacings, axis)),
-                    spacings, axis) for axis, DA in enumerate(jac)) / w.ndim, 0.0)
-        else:
-            def hessian(x: np.ndarray) -> np.ndarray:
-                return np.where(mask, energy_gradient(x, spec, spacings), 0.0)
+        hessian = _newton_hessian(w, spec, spacings)
 
         def matvec(x: np.ndarray) -> np.ndarray:
             # CG iterates vanish off the mask, as the start and right side do
             x = x.reshape(w.shape)
-            return (x / tau + hessian(x)).ravel()
+            return (x / tau + np.where(mask, hessian(x), 0.0)).ravel()
 
         steps = []
         x, info = cg(LinearOperator((w.size, w.size), matvec=matvec, dtype=float),
@@ -337,14 +322,19 @@ class Trajectory:
     monitors: dict                   # name -> array aligned with monitor_times
 
     def slice_at(self, t: float) -> GridFunction:
+        k = _step_of(self.problem, t)
         for stamp, gf in zip(self.times, self.slices):
-            if _same_time(stamp, t):
+            if round(stamp / self.problem.tau) == k:
                 return gf
         raise KeyError(f"no stored slice at t = {t}")
 
 
-def _same_time(stamp: float, t: float) -> bool:
-    return abs(stamp - t) <= 1e-9 * max(1.0, abs(t))
+def _step_of(problem: FlowProblem, t: float) -> Optional[int]:
+    """The step that time t names: round(t / tau) if t / tau lies within
+    1e-6 of it and in [0, n_steps], else None.  Store times, `stores` and
+    `Trajectory.slice_at` all read times by this rule."""
+    k, n_steps = float(t) / problem.tau, round(problem.t_end / problem.tau)
+    return round(k) if abs(k - round(k)) <= 1e-6 and -1e-6 <= k <= n_steps + 1e-6 else None
 
 
 def _store_steps(problem: FlowProblem) -> tuple[int, set]:
@@ -353,12 +343,10 @@ def _store_steps(problem: FlowProblem) -> tuple[int, set]:
         raise SpecValidationError("t_end must be an integer number of steps")
     store = {n_steps}
     for s in problem.store_times:
-        k = float(s) / problem.tau
-        if not -1e-6 <= k <= n_steps + 1e-6:
-            raise SpecValidationError(f"store time {s} lies outside [0, t_end]")
-        if abs(k - round(k)) > 1e-6:
-            raise SpecValidationError(f"store time {s} is not a step multiple")
-        store.add(round(k))
+        if (k := _step_of(problem, s)) is None:
+            raise SpecValidationError(
+                f"store time {s} lies outside [0, t_end] or between two steps")
+        store.add(k)
     return n_steps, store
 
 

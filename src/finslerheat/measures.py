@@ -143,14 +143,13 @@ def _windowed_ball_sup(weighted: np.ndarray, kernel: np.ndarray,
 
 def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
                       window: float = None, spacing: float = 0.25,
-                      centers: Optional[np.ndarray] = None,
                       ball_radius: Optional[float] = None) -> float:
     """sup over centers of the e^(-lam H0^2)-weighted |mu|-mass of H0-balls.
 
     The ball radius defaults to 1/sqrt(lam); `ball_radius` overrides it
     (used by the fixed-radius monotonicity property).  Densities take
-    their centers over all grid nodes of the window; atom measures default
-    to the atom locations (pass explicit centers for more).
+    their centers over all grid nodes of the window, atom measures at the
+    atom locations.
     """
     if lam <= 0:
         raise SpecValidationError("lam must be positive")
@@ -159,10 +158,8 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     if measure.kind == "atoms":
         pts, wts = measure.atom_array()
         weight = np.abs(wts) * np.exp(-lam * dual_norm_eval(spec, pts) ** 2)
-        if centers is None:
-            centers = pts
         best = 0.0
-        for c in np.atleast_2d(centers):
+        for c in pts:
             inside = dual_norm_eval(spec, pts - c) <= radius
             best = max(best, float(np.sum(weight[inside])))
         return best

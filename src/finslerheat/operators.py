@@ -9,12 +9,13 @@ difference of face fluxes.  The face gradient is declared once, as
 separable tap lists on the zero-extended grid (`face_taps`), and applied
 forward or as its exact adjoint by one slicing helper (`apply_taps`); the
 discrete energy of `flow`, its gradient and this operator all use it.
-For quadratic families (H^2 = xi^T Q xi: euclidean, ellipse, smoothed
-polytope) the operator is linear with constant coefficients, so on the
-interior it is a fixed stencil L: `impulse_response` reads L off the
-face-flux path applied to a unit impulse, it is cached per (spec,
-spacing), and `finsler_laplacian` applies it as one correlation.  p-norms
-keep the face flux.
+`face_form` is the one face sum (1/N) sum_axis G^T F(G u): `flow` passes
+the duality map (energy gradient) or its Jacobian (Newton Hessian).
+`apply_operator` runs a face operator (this one or the energy gradient)
+for p-norms; for quadratic families (H^2 = xi^T Q xi: euclidean, ellipse,
+smoothed polytope) it is linear with constant coefficients, and it
+applies as one correlation the stencil that `constant_stencil` reads off
+the face path at a unit impulse and caches per (operator, spec, spacing).
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
-from .errors import DomainError, OutOfRangeError, SpecValidationError
+from .errors import OutOfRangeError, SpecValidationError
 from .grids import GridFunction, RadialProfile, observed_order, refinements
 from .norms import NormSpec, dual_norm_eval, duality_map
 
@@ -113,39 +114,47 @@ def face_gradient_adjoint(flux: np.ndarray, spacing, axis: int) -> np.ndarray:
                for k, (scale, kernels) in enumerate(face_taps(spacing, axis)))
 
 
-def impulse_response(apply, spec: NormSpec) -> np.ndarray:
-    """Correlation weights S, read-only, of an operator of a quadratic
-    family that is linear, translation invariant and of reach <= 2 nodes
-    per axis, so that apply(x) = S * x (see `apply_stencil`) away from the
-    edges of the grid apply acts on.
+def face_form(values: np.ndarray, spacing, flux) -> np.ndarray:
+    """(1/N) sum over axes of G^T flux(axis, G u), G the face gradient
+    normal to axis; unmasked, the field extended by zero."""
+    N = values.ndim
+    return sum(face_gradient_adjoint(flux(axis, face_gradient(values, spacing, axis)),
+                                     spacing, axis) for axis in range(N)) / N
 
-    apply runs once, on an unmasked 11^N grid holding a unit impulse at its
-    centre; S is the central 5^N block of the response, reflected.
+
+@lru_cache(maxsize=128)
+def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
+    """(S, scale) with face_op(x, spec, spacing) = scale * (S * x) away from
+    the edges of the grid, for an operator of a quadratic family that is
+    linear, translation invariant and of reach <= 2 nodes per axis.
+
+    face_op runs once, on an unmasked 11^N grid holding a unit impulse at
+    its centre; S, read-only, is the central 5^N block of the response,
+    reflected and divided by scale, the largest power of two not above its
+    largest tap: ndimage drops weights of magnitude <= machine epsilon.
     """
-    if spec.family == "p_norm":
-        raise DomainError(f"{spec.label()} has no constant stencil")
     N = spec.dimension
     impulse = np.zeros((11,) * N)
     impulse[(5,) * N] = 1.0
-    S = np.ascontiguousarray(np.flip(apply(impulse)[(slice(3, 8),) * N]))
+    S = np.flip(face_op(impulse, spec, spacing)[(slice(3, 8),) * N])
+    scale = 2.0 ** np.floor(np.log2(np.max(np.abs(S))))
+    S = S / scale
     S.flags.writeable = False
-    return S
+    return S, scale
 
 
-def apply_stencil(x: np.ndarray, stencil: np.ndarray) -> np.ndarray:
-    """out[i] = sum_o stencil[o] x[i + o], x extended by zero.
-
-    ndimage drops weights of magnitude <= machine epsilon, so the stencil
-    is divided by the largest power of two not above its largest tap and
-    the result multiplied back, both exactly.
-    """
-    scale = 2.0 ** np.floor(np.log2(np.max(np.abs(stencil))))
-    out = ndimage.correlate(x, stencil / scale, mode="constant")
+def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing) -> np.ndarray:
+    """face_op(values, spec, spacing): p-norms run it, quadratic families
+    apply its constant stencil as one correlation, values extended by zero."""
+    if spec.family == "p_norm":
+        return face_op(values, spec, spacing)
+    S, scale = constant_stencil(face_op, spec, tuple(spacing))
+    out = ndimage.correlate(values, S, mode="constant")
     out *= scale
     return out
 
 
-def _face_flux_divergence(values: np.ndarray, spacing, spec: NormSpec) -> np.ndarray:
+def _face_flux_divergence(values: np.ndarray, spec: NormSpec, spacing) -> np.ndarray:
     """Difference of the normal fluxes on faces between nodes; on the halo
     only partial sums."""
     out = np.zeros_like(values)
@@ -157,24 +166,11 @@ def _face_flux_divergence(values: np.ndarray, spacing, spec: NormSpec) -> np.nda
     return out
 
 
-@lru_cache(maxsize=128)
-def laplacian_stencil(spec: NormSpec, spacing: tuple) -> np.ndarray:
-    """Interior stencil of `finsler_laplacian` for a quadratic family, read
-    off the face-flux path; cached per (spec, spacing), read-only."""
-    return impulse_response(lambda x: _face_flux_divergence(x, spacing, spec), spec)
-
-
 def finsler_laplacian(gf: GridFunction, spec: NormSpec) -> GridFunction:
-    """div A(grad u) by face-flux differencing; NaN on the one-cell halo.
-
-    Quadratic families apply the same operator as `laplacian_stencil`.
-    """
+    """div A(grad u) by face-flux differencing; NaN on the one-cell halo."""
     if spec.dimension != gf.dimension:
         raise SpecValidationError("norm/grid dimension mismatch")
-    if spec.family == "p_norm":
-        out = _face_flux_divergence(gf.values, gf.spacing, spec)
-    else:
-        out = apply_stencil(gf.values, laplacian_stencil(spec, gf.spacing))
+    out = apply_operator(_face_flux_divergence, gf.values, spec, gf.spacing)
     out[~interior_mask(gf)] = np.nan
     return gf.with_values(out, check_finite=False)
 

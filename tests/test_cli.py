@@ -206,6 +206,18 @@ def test_simulate_rejects_an_unstored_compare_time_before_stepping(tmp_path, cap
     assert float(rows[1].split(",")[0]) == pytest.approx(0.03)
 
 
+def test_simulate_compares_at_every_store_time_it_accepts(tmp_path):
+    # 0.030000005 is step 3 to 5e-7 steps: admitted as a store time, so the
+    # comparison must find the slice stored for it
+    cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
+                         store_times=(0.030000005,), compare={"time": 0.030000005})
+    cfg["problem"].update(radius=1.0, t_end=0.03)
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 0
+    assert (outdir / "slice_t0.030000.grid").exists()
+    assert (outdir / "comparison.csv").exists()
+
+
 def test_radial_solve_constant_profile(tmp_path):
     cfg = {"norm": EUCLID_JSON,
            "profile": {"type": "samples",

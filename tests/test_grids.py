@@ -120,7 +120,7 @@ def test_profile_spline_is_scipys_cubic_spline(n, even, uniform):
     assert np.array_equal(prof.derivative(r[-1], 2), spline(r[-1], nu=2))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_refinements_and_observed_order(data):
     N = data.draw(st.integers(1, 3))

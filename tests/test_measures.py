@@ -170,7 +170,7 @@ def test_fftconvolve_matches_scipy_on_chosen_shapes(field_shape, kernel_shape):
     _assert_same_as_scipy(field_shape, kernel_shape, seed=len(field_shape))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_fftconvolve_matches_scipy_bit_for_bit(data):
     N = data.draw(st.integers(1, 3))

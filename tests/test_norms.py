@@ -162,7 +162,7 @@ def test_duality_map_continuity_near_zero():
         assert np.linalg.norm(norms.duality_map(spec, small)) < 1e-8
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(p=st.floats(1.1, 6.0), dim=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_duality_jacobian_of_p_norms(p, dim, seed):
@@ -252,7 +252,7 @@ def test_biduality_recovers_primal():
         np.testing.assert_allclose(H_bidual, H, rtol=1e-6)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=12)
 @given(angles=st.lists(st.floats(0.0, np.pi), min_size=2, max_size=4),
        eps=st.floats(0.01, 0.5), seed=st.integers(0, 2**32 - 1))
 def test_smoothed_polytope_numeric_dual_matches_quadratic_form(angles, eps, seed):
@@ -303,7 +303,7 @@ def test_three_dimensional_numeric_dual():
         assert numeric == pytest.approx(closed, rel=1e-5)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(dim=st.sampled_from([1, 2, 3]), p=st.one_of(st.none(), st.floats(1.1, 6.0)),
        seed=st.integers(0, 2**32 - 1))
 def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):

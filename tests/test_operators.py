@@ -19,7 +19,7 @@ GAUSS = RadialProfile.from_function(lambda r: np.exp(-r**2), 6.0, 4097)
 QUAD = RadialProfile.from_function(lambda r: 0.5 * r**2, 6.0, 4097)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_face_gradient_adjoint_and_stencil_counts(data):
     N = data.draw(st.integers(1, 3))

@@ -186,7 +186,7 @@ def _bump(r, center, width):
 ROUNDING = 8.0 * EPS
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(dim=st.sampled_from([1, 2, 3]),
        t=st.floats(1e-3, 4.0),
        R=st.integers(4, 10),
