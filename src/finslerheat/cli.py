@@ -259,9 +259,9 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     comp = cfg.get("compare")
     if comp is not None:  # checked before stepping
         kind = _comparison_kind(comp, pc["datum"])
-        t = float(comp.get("time", problem.t_end))
-        if not problem.stores(t):
-            raise SpecValidationError(f"compare.time {t} is not a stored time")
+        asked = float(comp.get("time", problem.t_end))
+        if (t := problem.stores(asked)) is None:
+            raise SpecValidationError(f"compare.time {asked} is not a stored time")
 
     failure = None
     try:

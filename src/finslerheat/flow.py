@@ -19,7 +19,7 @@ face sum is `operators.face_form`, and `operators.apply_operator` runs
 it: for quadratic norm families (H^2 = xi^T Q xi) the gradient is K u
 with K = (1/N) G^T Q G, translation invariant on the zero-extended grid,
 so it is applied as the constant stencil read off the face path (the
-face taps stay the one definition).
+face gradient stays the one definition).
 The inner solver is Newton with conjugate gradients, one solve of the SPD
 system (I/tau + K) u = u_prev/tau for quadratic norm families and damped
 steps on the exact objective for p-norms; every returned step is a
@@ -107,9 +107,11 @@ class FlowProblem:
         if isinstance(self.datum, MeasureSpec) and self.spacing is None:
             raise SpecValidationError("measure data need an explicit grid spacing")
 
-    def stores(self, t: float) -> bool:
-        """Whether `solve` stores a slice that `Trajectory.slice_at(t)` finds."""
-        return _step_of(self, t) in _store_steps(self)[1]
+    def stores(self, t: float) -> Optional[float]:
+        """The stamp k tau of the slice that `solve` stores and
+        `Trajectory.slice_at(t)` finds, or None if it stores none for t."""
+        k = _step_of(self, t)
+        return k * self.tau if k in _store_steps(self)[1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
 
 
 def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
-    """(1/N) G^T A(G u) on the face taps of `operators`, unmasked."""
+    """(1/N) G^T A(G u) on the face gradient of `operators`, unmasked."""
     return face_form(values, spacings, lambda axis, xi: duality_map(spec, xi))
 
 

@@ -84,24 +84,17 @@ def _lattice_box(spec: NormSpec, radius: float, spacing: float):
     return box, tuple(2 * c for c in cells)
 
 
-def materialize(measure: MeasureSpec, spec: NormSpec, radius: float,
-                spacing: float) -> GridFunction:
-    """Density representation of the measure on {H0 <= radius}, 0 beyond."""
+def _radial_density_grid(measure: MeasureSpec, spec: NormSpec, radius: float,
+                         spacing: float) -> GridFunction:
+    """The radial density on {H0 <= radius}, 0 beyond."""
     box, res = _lattice_box(spec, radius, spacing)
     layout = empty_layout(box, res)
     r = dual_norm_eval(spec, layout.coords())
-    if measure.kind == "radial_density":
-        vals = np.where(r <= radius,
-                        measure.profile(np.clip(r, 0.0, measure.profile.r_max)), 0.0)
-        if float(np.max(r[r <= radius], initial=0.0)) > measure.profile.r_max:
-            raise DomainError("radial density profile shorter than the window")
-        return layout.with_values(vals)
-    if measure.kind == "density":
-        src = measure.density
-        vals = src.sample_nearest(layout.coords())
-        return layout.with_values(np.where(r <= radius, vals, 0.0))
-    # atoms are handled by exact sums; a grid view is only needed for plots
-    raise DomainError("atom measures have no density representation; mollify first")
+    vals = np.where(r <= radius,
+                    measure.profile(np.clip(r, 0.0, measure.profile.r_max)), 0.0)
+    if float(np.max(r[r <= radius], initial=0.0)) > measure.profile.r_max:
+        raise DomainError("radial density profile shorter than the window")
+    return layout.with_values(vals)
 
 
 def fftconvolve(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -167,7 +160,7 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     if measure.kind == "radial_density":
         if window is None:
             raise SpecValidationError("radial densities need an explicit window")
-        grid = materialize(measure, spec, window, spacing)
+        grid = _radial_density_grid(measure, spec, window, spacing)
     else:
         grid = measure.density
         window = window or np.inf

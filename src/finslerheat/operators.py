@@ -5,10 +5,12 @@ normal derivative is the direct difference across the face, the tangential
 components are averages of the two neighboring nodal central differences,
 the flux component through the face is the matching component of the
 duality map A evaluated at that face gradient, and the divergence is the
-difference of face fluxes.  The face gradient is declared once, as
-separable tap lists on the zero-extended grid (`face_taps`), and applied
-forward or as its exact adjoint by one slicing helper (`apply_taps`); the
-discrete energy of `flow`, its gradient and this operator all use it.
+difference of face fluxes.  The face gradient G (`face_gradient`) is
+written once, as plain differences of the zero-extended field: the normal
+component is u_j - u_{j-1} scaled by 1/h, a tangential one the sum of the
+two nodal central differences scaled by 1/(4h); `face_gradient_adjoint`
+is its exact adjoint, the same differences taken the other way.  The
+discrete energy of `flow`, its gradient and this operator all use them.
 `face_form` is the one face sum (1/N) sum_axis G^T F(G u): `flow` passes
 the duality map (energy gradient) or its Jacobian (Newton Hessian).
 `apply_operator` runs a face operator (this one or the energy gradient)
@@ -44,74 +46,54 @@ from .grids import GridFunction, RadialProfile, observed_order, refinements
 from .norms import NormSpec, dual_norm_eval, duality_map
 
 
-def face_taps(spacing, axis: int) -> list:
-    """Per component k of the gradient on the faces normal to `axis`: a
-    scale and one 1-D kernel per grid axis (see `apply_taps`).
-
-    Faces sit at n+1 positions along `axis` (face j between nodes j-1 and
-    j) and at n+2 along the others (position j at node j-1, so that the
-    tangential differences of the nodes just outside the grid count).  The
-    taps are whole numbers, so nodal differences are formed exactly
-    before the one scaling, as in (u_j - u_{j-1}) / h.
-    """
-    taps = []
-    for k, hk in enumerate(spacing):
-        kernels = []
-        for m in range(len(spacing)):
-            if m == axis:
-                kernels.append((1.0, -1.0) if k == axis else (1.0, 1.0))
-            elif m == k:
-                kernels.append((1.0, 0.0, -1.0))
-            else:
-                kernels.append((0.0, 1.0, 0.0))
-        taps.append((1.0 / hk if k == axis else 0.25 / hk, kernels))
-    return taps
-
-
-def apply_taps(x: np.ndarray, kernels: list, transpose: bool = False) -> np.ndarray:
-    """Apply a separable stencil, one 1-D kernel per axis, or its adjoint.
-
-    Forward, each axis grows by len(kernel) - 1 and out[j] = sum_o w_o x[j - o]
-    with x extended by zero; the adjoint shrinks it back,
-    out[i] = sum_o w_o x[i + o].  Differencing kernels (taps summing to 0)
-    go first, so that they act on the values before any sum rounds them.
-    """
-    for axis in sorted(range(len(kernels)), key=lambda m: sum(kernels[m]) != 0.0):
-        kernel = kernels[axis]
-        grow = len(kernel) - 1
-        n = x.shape[axis] - grow if transpose else x.shape[axis]
-        taps = [((slice(None),) * axis + (slice(o, o + n),), w)
-                for o, w in enumerate(kernel) if w != 0.0]
-        (first, w0), rest = taps[0], taps[1:]
-        if transpose:
-            y = w0 * x[first]
-            for window, w in rest:
-                y += w * x[window]
-        else:
-            shape = list(x.shape)
-            shape[axis] += grow
-            y = np.zeros(shape)
-            np.multiply(x, w0, out=y[first])
-            for window, w in rest:
-                y[window] += w * x
-        x = y
-    return x
+def _index(ndim: int, cuts: dict, rest: slice = slice(1, -1)) -> tuple:
+    """Index tuple: cuts[m] along the axes m that cuts names, rest elsewhere."""
+    return tuple(cuts.get(m, rest) for m in range(ndim))
 
 
 def face_gradient(values: np.ndarray, spacing, axis: int) -> np.ndarray:
     """Gradient at the faces normal to `axis`, shape (*faces, N), stored
-    component by component so that each one is contiguous."""
-    taps = face_taps(spacing, axis)
-    G = np.stack([apply_taps(values, kernels) for _, kernels in taps])
-    for component, (scale, _) in zip(G, taps):
-        component *= scale
+    component by component so that each one is contiguous.
+
+    Faces sit at n+1 positions along `axis` (face j between nodes j-1 and
+    j) and at n+2 along the others (position j at node j-1, so that the
+    tangential differences of the nodes just outside the grid count); the
+    field is extended by zero.  Nodal differences are formed exactly before
+    the one scaling, as in (u_j - u_{j-1}) / h.
+    """
+    N = values.ndim
+    P = np.pad(values, 2)
+    G = np.empty((N,) + tuple(n + 2 - (m == axis) for m, n in enumerate(values.shape)))
+    whole = slice(None)
+    for k, h in enumerate(spacing):
+        if k == axis:
+            np.subtract(P[_index(N, {k: slice(2, -1)})], P[_index(N, {k: slice(1, -2)})],
+                        out=G[k])
+            G[k] *= 1.0 / h
+        else:
+            C = P[_index(N, {k: slice(2, None)})] - P[_index(N, {k: slice(None, -2)})]
+            np.add(C[_index(N, {axis: slice(1, None)}, whole)],
+                   C[_index(N, {axis: slice(None, -1)}, whole)], out=G[k])
+            G[k] *= 0.25 / h
     return np.moveaxis(G, 0, -1)
 
 
 def face_gradient_adjoint(flux: np.ndarray, spacing, axis: int) -> np.ndarray:
     """Exact adjoint of `face_gradient`: face vectors back to nodes."""
-    return sum(scale * apply_taps(flux[..., k], kernels, transpose=True)
-               for k, (scale, kernels) in enumerate(face_taps(spacing, axis)))
+    N = flux.ndim - 1
+    whole = slice(None)
+
+    def term(k: int, h: float) -> np.ndarray:
+        F = flux[..., k]
+        if k == axis:
+            return (1.0 / h) * (F[_index(N, {k: slice(None, -1)})]
+                                - F[_index(N, {k: slice(1, None)})])
+        D = (F[_index(N, {axis: whole, k: slice(None, -2)})]
+             - F[_index(N, {axis: whole, k: slice(2, None)})])
+        return (0.25 / h) * (D[_index(N, {axis: slice(None, -1)}, whole)]
+                             + D[_index(N, {axis: slice(1, None)}, whole)])
+
+    return sum(term(k, h) for k, h in enumerate(spacing))
 
 
 def face_form(values: np.ndarray, spacing, flux) -> np.ndarray:

@@ -208,14 +208,57 @@ def test_simulate_rejects_an_unstored_compare_time_before_stepping(tmp_path, cap
 
 def test_simulate_compares_at_every_store_time_it_accepts(tmp_path):
     # 0.030000005 is step 3 to 5e-7 steps: admitted as a store time, so the
-    # comparison must find the slice stored for it
+    # comparison must find the slice stored for it, and compare at that
+    # slice's own stamp 3 tau = 0.03
     cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
                          store_times=(0.030000005,), compare={"time": 0.030000005})
     cfg["problem"].update(radius=1.0, t_end=0.03)
     code, outdir = _run(tmp_path, "simulate", cfg)
     assert code == 0
     assert (outdir / "slice_t0.030000.grid").exists()
-    assert (outdir / "comparison.csv").exists()
+    rows = (outdir / "comparison.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[0]) == 0.03
+
+
+def test_simulate_mollifies_a_measure_datum(tmp_path):
+    cfg = _gaussian_flow({}, store_times=())
+    cfg["problem"]["datum"] = {"kind": "atoms",
+                               "atoms": [[[0.0, 0.0], 1.0], [[0.5, 0.25], -0.5]]}
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 0
+    with open(outdir / "monitor_mass.csv", newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert float(first["t"]) == 0.0
+    assert float(first["mass"]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_simulate_restarts_from_a_stored_grid(tmp_path):
+    cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0}, store_times=(0.0,))
+    code, radial = _run(tmp_path, "simulate", cfg, out="radial")
+    assert code == 0
+    cfg["problem"]["datum"] = {"kind": "grid",
+                               "path": str(radial / "slice_t0.000000.grid")}
+    code, restart = _run(tmp_path, "simulate", cfg, out="restart")
+    assert code == 0
+    assert (restart / "slice_t0.050000.grid").read_bytes() == \
+        (radial / "slice_t0.050000.grid").read_bytes()
+
+
+def test_simulate_ellipse_representation_and_weighted_l2_check(tmp_path):
+    cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
+                         monitors={"lambda": 0.5},
+                         checks={"weighted_l2_slack": 1e-6},
+                         compare={"kind": "radial_representation", "window": 0.5})
+    cfg["norm"] = ELLIPSE_JSON
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 0
+    rows = (outdir / "comparison.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[0]) == 0.05
+    assert float(rows[1].split(",")[-1]) <= 1e-2
+    # the check does run: no slack below zero admits the starting value
+    cfg["checks"]["weighted_l2_slack"] = -1.0
+    code, _ = _run(tmp_path, "simulate", cfg, out="strict")
+    assert code == 1
 
 
 def test_radial_solve_constant_profile(tmp_path):

@@ -503,16 +503,25 @@ def test_nested_domain_zero_datum():
 
 def test_flow_problem_validation():
     lay = ball_layout(EUCLID, 1.0, 1 / 8)
-    with pytest.raises(SpecValidationError):
-        FlowProblem(norm=EUCLID, radius=0.5, datum=lay, tau=1e-3, t_end=1e-2)
-    with pytest.raises(SpecValidationError):
-        FlowProblem(norm=EUCLID, radius=1.0, datum=lay, tau=1e-3, t_end=1e-2,
-                    scheme="magic")
     prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 65)
-    with pytest.raises(SpecValidationError):
-        FlowProblem(norm=EUCLID, radius=1.0,
-                    datum=measure_from_radial(prof, EUCLID),
-                    tau=1e-3, t_end=1e-2)   # measures need a spacing
+    valid = dict(norm=EUCLID, radius=1.0, datum=lay, tau=1e-3, t_end=1e-2)
+    FlowProblem(**valid, monitor_ell=0.25)
+    for bad in ({"radius": 0.5}, {"scheme": "magic"},
+                {"datum": measure_from_radial(prof, EUCLID)},  # measures need a spacing
+                {"tau": 0.0}, {"tau": -1e-3}, {"t_end": 0.0}, {"t_end": -1e-2},
+                {"monitor_ell": 0.0}, {"monitor_ell": 0.5}, {"monitor_ell": -0.25}):
+        with pytest.raises(SpecValidationError):
+            FlowProblem(**{**valid, **bad})
+    InnerSolverConfig(tolerance=1e-8, max_iters=1)
+    for bad in ({"tolerance": 0.0}, {"tolerance": -1e-8}, {"max_iters": 0}):
+        with pytest.raises(SpecValidationError):
+            InnerSolverConfig(**bad)
+    weighted_monitors(lay, EUCLID, 0.0, ell=0.25)
+    for ell in (0.0, 0.5, 0.75):
+        with pytest.raises(SpecValidationError):
+            weighted_monitors(lay, EUCLID, 0.0, ell=ell)
+    with pytest.raises(SpecValidationError, match="integer number of steps"):
+        solve(FlowProblem(**{**valid, "t_end": 1.05e-2}))
 
 
 def test_local_weighted_l1_stays_bounded_along_trajectory():
