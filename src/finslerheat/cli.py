@@ -210,8 +210,9 @@ def _datum_from_config(cfg: dict, spec: norms.NormSpec,
     if kind == "grid":
         _reject_unknown(cfg, {"kind", "path"}, "datum")
         return GridFunction.load(cfg["path"]), None
-    if kind in ("atoms", "density", "radial_density"):
-        return _measure_from_config(cfg, spec), None
+    if kind in ("atoms", "density", "radial_density"):  # mollified at two cells
+        measure = _measure_from_config(cfg, spec)
+        return measures.mollify(measure, 2.0 * max(layout.spacing), layout), None
     raise SpecValidationError(f"unknown datum kind {kind!r}")
 
 
@@ -251,7 +252,7 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     mc = cfg.get("monitors", {})
     _reject_unknown(mc, {"lambda", "ell"}, "monitors")
     problem = flow.FlowProblem(
-        norm=spec, radius=radius, datum=datum, spacing=spacing,
+        norm=spec, radius=radius, datum=datum,
         tau=float(_need(pc, "tau", "problem")),
         t_end=float(_need(pc, "t_end", "problem")), inner=inner,
         monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"),

@@ -26,9 +26,11 @@ steps on the exact objective for p-norms; every returned step is a
 descent point of the monitored energy.  The explicit scheme advances with
 the face-flux operator under the usual parabolic step restriction.
 
-Domain geometry: the ball is masked inside a bounding box whose sides
-touch it (the half-width along axis i is R * H(e_i), the support function
-of the ball); cut cells are Dirichlet nodes.
+Domain geometry: the datum is a grid function on the ball's layout
+(measures are laid on it by `measures.mollify` first).  The ball is masked
+inside a bounding box whose sides touch it (the half-width along axis i is
+R * H(e_i), the support function of the ball); cut cells and the box edge
+are Dirichlet nodes.
 
 Monitors recorded every step: the energy, the plain mass, the quadratic
 weight integral int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing along
@@ -39,7 +41,7 @@ with weight e^(-H0^2 (1+t^ell)), and inner-iteration counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -49,7 +51,8 @@ from .grids import GridFunction, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
 from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
                     duality_map, eval_norm)
-from .operators import apply_operator, face_form, face_gradient, finsler_laplacian
+from .operators import (apply_operator, face_form, face_gradient, finsler_laplacian,
+                        interior_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +61,16 @@ from .operators import apply_operator, face_form, face_gradient, finsler_laplaci
 
 def ball_layout(spec: NormSpec, radius: float, spacing: float) -> GridFunction:
     """Empty grid on the lattice box hugging {H0 <= radius}."""
-    extents = [float(eval_norm(spec, np.eye(spec.dimension)[i]))
-               for i in range(spec.dimension)]
+    extents = eval_norm(spec, np.eye(spec.dimension))
     cells = [max(2, int(round(radius * e / spacing))) for e in extents]
     box = tuple((-c * spacing, c * spacing) for c in cells)
     return empty_layout(box, tuple(2 * c for c in cells))
 
 
 def ball_mask(spec: NormSpec, layout: GridFunction, radius: float) -> np.ndarray:
-    """Interior-node mask of the Dirichlet ball; everything else is clamped 0."""
+    """Free nodes of the Dirichlet ball: inside it, off the box edge; others clamp to 0."""
     r = dual_norm_eval(spec, layout.coords())
-    return r < radius * (1.0 - 1e-12)
+    return (r < radius * (1.0 - 1e-12)) & interior_mask(layout)
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,10 @@ class InnerSolverConfig:
 class FlowProblem:
     norm: NormSpec
     radius: float
-    datum: Union[GridFunction, MeasureSpec]
+    datum: GridFunction
     tau: float
     t_end: float
     scheme: str = "implicit_proximal"
-    spacing: Optional[float] = None          # required when datum is a measure
     store_times: tuple = ()
     inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
     monitor_lambda: Optional[float] = None
@@ -104,8 +105,8 @@ class FlowProblem:
             raise SpecValidationError(f"unknown scheme {self.scheme!r}")
         if self.monitor_ell is not None and not 0.0 < self.monitor_ell < 0.5:
             raise SpecValidationError("ell must lie in (0, 1/2)")
-        if isinstance(self.datum, MeasureSpec) and self.spacing is None:
-            raise SpecValidationError("measure data need an explicit grid spacing")
+        if not isinstance(self.datum, GridFunction):
+            raise SpecValidationError("flow data must be grids (see measures.mollify)")
 
     def stores(self, t: float) -> Optional[float]:
         """The stamp k tau of the slice that `solve` stores and
@@ -245,7 +246,8 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 
 def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float) -> GridFunction:
-    """Forward step with the face-flux operator; clamped outside the mask.
+    """Forward step with the face-flux operator; clamped outside the mask,
+    which leaves out the box edge, where the operator is undefined.
 
     Stable for tau <= h^2 / (2 N C2), h the smallest spacing.
     """
@@ -257,7 +259,7 @@ def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
             f"explicit step tau = {tau:g} exceeds the stability bound {limit:g}")
     masked = np.where(mask, u_prev.values, 0.0)
     lap = finsler_laplacian(u_prev.with_values(masked), spec).values
-    new = masked + tau * np.where(np.isfinite(lap), lap, 0.0)
+    new = masked + tau * lap
     return u_prev.with_values(np.where(mask, new, 0.0))
 
 
@@ -357,17 +359,12 @@ def solve(problem: FlowProblem) -> Trajectory:
 
     Store times must be step multiples in [0, t_end]; t_end is always stored.
     """
-    spec, tau, datum = problem.norm, problem.tau, problem.datum
+    spec, tau, lay = problem.norm, problem.tau, problem.datum
     n_steps, store = _store_steps(problem)
 
-    # the domain, once: layout, mask, H0 at the nodes and the initial field
-    if isinstance(datum, GridFunction):
-        lay, vals = datum, datum.values
-    else:
-        lay = ball_layout(spec, problem.radius, problem.spacing)
-        vals = mollify(datum, 2.0 * max(lay.spacing), layout=lay).values
+    # the domain, once: mask, H0 at the nodes and the initial field
     mask = ball_mask(spec, lay, problem.radius)
-    state = lay.with_values(np.where(mask, vals, 0.0))
+    state = lay.with_values(np.where(mask, lay.values, 0.0))
     r_grid = dual_norm_eval(spec, lay.coords())
     vol = lay.cell_volume
     lam, ell = problem.monitor_lambda, problem.monitor_ell
@@ -444,8 +441,6 @@ def scaling_check(problem: FlowProblem, k: float,
     the companion grid map exactly onto base nodes under x -> k x, so the
     defect is a pure pointwise comparison at shared times.
     """
-    if not isinstance(problem.datum, GridFunction):
-        raise SpecValidationError("scaling check needs a grid datum")
     if k <= 0 or abs(round(k) - k) > 1e-12:
         raise SpecValidationError("k must be a positive integer for exact node maps")
     k = float(k)
@@ -462,12 +457,11 @@ def scaling_check(problem: FlowProblem, k: float,
                      store_times=tuple(compare_times))
     tb = solve(base)
     ts = solve(scaled)
+    core = dual_norm_eval(problem.norm, coords) < problem.radius / k - 2 * h / k
     defects = []
     for t in compare_times:
         u_scaled = ts.slice_at(t).values
-        u_base = tb.slice_at(k * k * t)
-        mapped = u_base.sample_nearest(k * coords)
-        core = dual_norm_eval(problem.norm, coords) < problem.radius / k - 2 * h / k
+        mapped = tb.slice_at(k * k * t).sample_nearest(k * coords)
         defects.append(float(np.max(np.abs(u_scaled - mapped)[core])))
     return ScalingReport(k, list(compare_times), defects,
                          base_trajectory=tb, scaled_trajectory=ts)

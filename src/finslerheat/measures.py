@@ -77,24 +77,10 @@ def measure_from_radial(profile: RadialProfile, norm: NormSpec) -> MeasureSpec:
 
 def _lattice_box(spec: NormSpec, radius: float, spacing: float):
     """Box hugging {H0 <= radius} with sides on the spacing lattice."""
-    extents = [float(eval_norm(spec, np.eye(spec.dimension)[i]))
-               for i in range(spec.dimension)]
+    extents = eval_norm(spec, np.eye(spec.dimension))
     cells = [max(4, int(np.ceil(radius * e / spacing - 1e-9))) for e in extents]
     box = tuple((-c * spacing, c * spacing) for c in cells)
     return box, tuple(2 * c for c in cells)
-
-
-def _radial_density_grid(measure: MeasureSpec, spec: NormSpec, radius: float,
-                         spacing: float) -> GridFunction:
-    """The radial density on {H0 <= radius}, 0 beyond."""
-    box, res = _lattice_box(spec, radius, spacing)
-    layout = empty_layout(box, res)
-    r = dual_norm_eval(spec, layout.coords())
-    vals = np.where(r <= radius,
-                    measure.profile(np.clip(r, 0.0, measure.profile.r_max)), 0.0)
-    if float(np.max(r[r <= radius], initial=0.0)) > measure.profile.r_max:
-        raise DomainError("radial density profile shorter than the window")
-    return layout.with_values(vals)
 
 
 def fftconvolve(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -121,17 +107,11 @@ def fftconvolve(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def _ball_kernel(spec: NormSpec, radius: float, spacing: Sequence[float]) -> np.ndarray:
     """Indicator of the H0-ball sampled on the grid lattice (symmetric)."""
-    half = [int(np.floor(radius * float(eval_norm(spec, np.eye(spec.dimension)[i]))
-                         / h)) + 1 for i, h in enumerate(spacing)]
+    extents = eval_norm(spec, np.eye(spec.dimension))
+    half = [int(np.floor(radius * e / h)) + 1 for e, h in zip(extents, spacing)]
     axes = [np.arange(-m, m + 1) * h for m, h in zip(half, spacing)]
     offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return (dual_norm_eval(spec, offsets) <= radius).astype(float)
-
-
-def _windowed_ball_sup(weighted: np.ndarray, kernel: np.ndarray,
-                       center_mask: np.ndarray, cell_volume: float) -> float:
-    conv = fftconvolve(weighted, kernel) * cell_volume
-    return float(np.max(conv[center_mask]))
 
 
 def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
@@ -160,17 +140,23 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     if measure.kind == "radial_density":
         if window is None:
             raise SpecValidationError("radial densities need an explicit window")
-        grid = _radial_density_grid(measure, spec, window, spacing)
+        grid = empty_layout(*_lattice_box(spec, window, spacing))
+        r = dual_norm_eval(spec, grid.coords())
+        # the density is radial in its own norm, the window in spec's
+        rho = r if measure.norm == spec else dual_norm_eval(measure.norm, grid.coords())
+        if float(np.max(rho[r <= window], initial=0.0)) > measure.profile.r_max:
+            raise DomainError("radial density profile shorter than the window")
+        values = np.where(r <= window, measure.profile(
+            np.clip(rho, 0.0, measure.profile.r_max)), 0.0)
     else:
-        grid = measure.density
+        grid, values = measure.density, measure.density.values
         window = window or np.inf
+        r = dual_norm_eval(spec, grid.coords())
     if window < radius:
         warnings.warn("window smaller than the ball radius; coverage is partial")
-    r = dual_norm_eval(spec, grid.coords())
-    weighted = np.abs(grid.values) * np.exp(-lam * np.minimum(r**2, 1400.0 / lam))
-    kernel = _ball_kernel(spec, radius, grid.spacing)
-    center_mask = r <= min(window, float(np.max(r)))
-    return _windowed_ball_sup(weighted, kernel, center_mask, grid.cell_volume)
+    weighted = np.abs(values) * np.exp(-lam * np.minimum(r**2, 1400.0 / lam))
+    conv = fftconvolve(weighted, _ball_kernel(spec, radius, grid.spacing))
+    return float(np.max(conv[r <= min(window, float(np.max(r)))])) * grid.cell_volume
 
 
 @dataclass
@@ -233,8 +219,7 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def mollify(measure: MeasureSpec, width: float,
-            layout: Optional[GridFunction] = None) -> GridFunction:
+def mollify(measure: MeasureSpec, width: float, layout: GridFunction) -> GridFunction:
     """Smooth density on the layout grid; total mass preserved exactly.
 
     Densities are convolved with a compactly supported bump of the given
@@ -242,10 +227,6 @@ def mollify(measure: MeasureSpec, width: float,
     the lattice.  Mass is preserved to roundoff provided the support plus
     the width stays inside the grid; width must be at least two cells.
     """
-    if measure.kind == "density" and layout is None:
-        layout = measure.density
-    if layout is None:
-        raise SpecValidationError("mollify needs a target layout for this measure")
     h = layout.spacing
     if width < 2.0 * max(h) * (1.0 - 1e-12):
         raise SpecValidationError("mollifier width must be >= 2 grid cells")

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import finslerheat
-from finslerheat import norms
+from finslerheat import flow, measures, norms
 from finslerheat.cli import main
-from finslerheat.grids import grid_from_function
+from finslerheat.grids import RadialProfile, grid_from_function
 
 EUCLID_JSON = {"family": "euclidean", "params": {}, "dimension": 2}
 ELLIPSE_JSON = {"family": "ellipse", "params": {"matrix": [[4, 0], [0, 1]]},
@@ -230,6 +230,28 @@ def test_simulate_mollifies_a_measure_datum(tmp_path):
         first = next(csv.DictReader(fh))
     assert float(first["t"]) == 0.0
     assert float(first["mass"]) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("datum, measure", [
+    ({"kind": "atoms", "atoms": [[[0.0, 0.0], 1.0], [[0.5, 0.25], -0.5]]},
+     measures.measure_from_atoms([((0.0, 0.0), 1.0), ((0.5, 0.25), -0.5)])),
+    ({"kind": "radial_density", "profile": {"type": "gaussian", "r_max": 8.0}},
+     measures.measure_from_radial(RadialProfile.from_function(
+         lambda r: np.exp(-r**2), 8.0, 2049), norms.euclidean(2)))])
+def test_simulate_mollifies_measures_at_two_cells_on_the_ball_layout(
+        tmp_path, datum, measure):
+    cfg = _gaussian_flow({}, store_times=(0.0, 0.02))
+    cfg["problem"]["datum"] = datum
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 0
+    spec = norms.euclidean(2)
+    lay = flow.ball_layout(spec, 2.0, 1 / 8)
+    traj = flow.solve(flow.FlowProblem(
+        norm=spec, radius=2.0, datum=measures.mollify(measure, 2 / 8, lay),
+        tau=1e-2, t_end=0.05, store_times=(0.0, 0.02)))
+    assert len(traj.slices) == 3
+    for stamp, gf in zip(traj.times, traj.slices):
+        assert (outdir / f"slice_t{stamp:.6f}.grid").read_bytes() == gf.to_bytes()
 
 
 def test_simulate_restarts_from_a_stored_grid(tmp_path):

@@ -364,6 +364,27 @@ def test_explicit_richardson_consistency():
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("spec, spacing, gap", [
+    (norms.smoothed_polytope(np.eye(2), 0.05), 1 / 16, 2e-2), (EUCLID, 0.3, 0.1)])
+def test_box_edge_nodes_are_dirichlet_nodes(spec, spacing, gap):
+    # rounding the half-width R H(e_i) / h down puts 12 box-edge nodes inside
+    # the ball; the face-flux operator is undefined there, so unless they are
+    # clamped the explicit scheme keeps their datum values (the two schemes
+    # end 1.2e-2 and 5e-2 apart when they are clamped, 9e-2 and 0.14 if not)
+    lay = ball_layout(spec, 1.0, spacing)
+    edge = ~interior_mask(lay)
+    assert np.sum(norms.dual_norm_eval(spec, lay.coords())[edge] < 1.0) == 12
+    assert not ball_mask(spec, lay, 1.0)[edge].any()
+    tau = spacing**2 / (4 * norms.coercivity_bounds(spec)[1])  # the explicit limit
+    finals = []
+    for scheme in ("explicit_euler", "implicit_proximal"):
+        problem, _ = _ball_problem(spec, 1.0, spacing, lambda r: np.exp(-2 * r**2),
+                                   r_max=8.0, tau=tau, t_end=20 * tau, scheme=scheme)
+        finals.append(solve(problem).slices[-1].values)
+    assert not finals[0][edge].any()
+    assert float(np.max(np.abs(finals[0] - finals[1]))) <= gap
+
+
 def test_explicit_stability_guard():
     lay = ball_layout(EUCLID, 1.0, 1 / 16)
     mask = ball_mask(EUCLID, lay, 1.0)
@@ -507,7 +528,7 @@ def test_flow_problem_validation():
     valid = dict(norm=EUCLID, radius=1.0, datum=lay, tau=1e-3, t_end=1e-2)
     FlowProblem(**valid, monitor_ell=0.25)
     for bad in ({"radius": 0.5}, {"scheme": "magic"},
-                {"datum": measure_from_radial(prof, EUCLID)},  # measures need a spacing
+                {"datum": measure_from_radial(prof, EUCLID)},  # flows take grids
                 {"tau": 0.0}, {"tau": -1e-3}, {"t_end": 0.0}, {"t_end": -1e-2},
                 {"monitor_ell": 0.0}, {"monitor_ell": 0.5}, {"monitor_ell": -0.25}):
         with pytest.raises(SpecValidationError):

@@ -6,8 +6,8 @@ from scipy import signal
 
 from finslerheat import norms
 from finslerheat.errors import SpecValidationError
-from finslerheat.grids import GridFunction, RadialProfile
-from finslerheat.measures import (_ball_kernel, classify, fftconvolve,
+from finslerheat.grids import GridFunction, RadialProfile, empty_layout
+from finslerheat.measures import (_ball_kernel, _lattice_box, classify, fftconvolve,
                                   growth_functional, measure_from_atoms,
                                   measure_from_density, measure_from_radial,
                                   mollify)
@@ -38,6 +38,23 @@ def test_weight_cancellation_gives_ball_volume():
     m = _radial_measure(lambda r: np.exp(lam * r**2))
     value = growth_functional(m, lam, EUCLID, window=6.0, spacing=0.05)
     assert value == pytest.approx(np.pi / lam, rel=1e-2)
+
+
+def test_radial_density_is_radial_in_its_own_norm():
+    # exp(-H0^2) in the euclidean norm and in the ellipse norm are different
+    # measures; the window, weight and balls stay in spec's norm
+    ellipse = norms.ellipse(np.diag([4.0, 1.0]))
+    lay = empty_layout(*_lattice_box(ellipse, 6.0, 0.25))
+    in_window = norms.dual_norm_eval(ellipse, lay.coords()) <= 6.0
+    values = []
+    for norm in (EUCLID, ellipse):
+        m = _radial_measure(lambda r: np.exp(-r**2), norm=norm)
+        rho = norms.dual_norm_eval(norm, lay.coords())
+        density = measure_from_density(
+            lay.with_values(np.where(in_window, m.profile(rho), 0.0)))
+        values.append(growth_functional(m, 0.5, ellipse, window=6.0, spacing=0.25))
+        assert values[-1] == growth_functional(density, 0.5, ellipse, window=6.0)
+    assert values[0] < 0.7 * values[1]
 
 
 def test_growth_monotone_in_lam_at_fixed_radius():
@@ -113,7 +130,7 @@ def _square_layout(half, cells):
 def test_mollify_zero_measure():
     lay = _square_layout(2.0, 32)
     zero = measure_from_density(lay)
-    out = mollify(zero, 0.5)
+    out = mollify(zero, 0.5, lay)
     np.testing.assert_array_equal(out.values, 0.0)
 
 
