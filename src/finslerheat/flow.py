@@ -69,8 +69,12 @@ def ball_layout(spec: NormSpec, radius: float, spacing: float) -> GridFunction:
 
 def ball_mask(spec: NormSpec, layout: GridFunction, radius: float) -> np.ndarray:
     """Free nodes of the Dirichlet ball: inside it, off the box edge; others clamp to 0."""
-    r = dual_norm_eval(spec, layout.coords())
-    return (r < radius * (1.0 - 1e-12)) & interior_mask(layout)
+    return _free_nodes(dual_norm_eval(spec, layout.coords()), layout, radius)
+
+
+def _free_nodes(h0: np.ndarray, layout: GridFunction, radius: float) -> np.ndarray:
+    """`ball_mask` from H0 at the nodes of `layout`."""
+    return (h0 < radius * (1.0 - 1e-12)) & interior_mask(layout)
 
 
 @dataclass(frozen=True)
@@ -362,10 +366,10 @@ def solve(problem: FlowProblem) -> Trajectory:
     spec, tau, lay = problem.norm, problem.tau, problem.datum
     n_steps, store = _store_steps(problem)
 
-    # the domain, once: mask, H0 at the nodes and the initial field
-    mask = ball_mask(spec, lay, problem.radius)
-    state = lay.with_values(np.where(mask, lay.values, 0.0))
+    # the domain, once: H0 at the nodes, the mask from it and the initial field
     r_grid = dual_norm_eval(spec, lay.coords())
+    mask = _free_nodes(r_grid, lay, problem.radius)
+    state = lay.with_values(np.where(mask, lay.values, 0.0))
     vol = lay.cell_volume
     lam, ell = problem.monitor_lambda, problem.monitor_ell
     unit_kernel = None if ell is None else _ball_kernel(spec, 1.0, lay.spacing)

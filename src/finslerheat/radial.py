@@ -25,7 +25,13 @@ Endpoint weights: the N = 2 integrand carries (1 - s^2)^(-1/2), which
 160 Chebyshev-Gauss nodes absorb exactly; N >= 3 uses 160 Gauss-Legendre
 nodes (weight 1 in N = 3).
 
-The r-integral runs over Gauss-Legendre panels of unit length, and the
+The r-integral runs over Gauss-Legendre panels of unit length.  The node
+count per panel starts at the smallest power of two n >= 16 with
+pi/(2n) <= 2 sqrt(t): the widest gap between Gauss-Legendre nodes on a
+unit panel, about pi/(2n), is then at most the width 2 sqrt(t) of
+e^(-(rho-r)^2/4t).  It doubles until two successive sums agree; a t so
+small that the start already reaches the 4096-node ceiling raises
+ConvergenceError rather than return a sum that missed the peak.  The
 kernel is built only for the (rho-block, panel) pairs that can change a
 row.  Every term of panel k is at most C_N e^(-d_k^2/4t) |a_j| in a block
 of sorted rho at distance d_k, with C_N = sup e^(-z) I(z) (2, 2 pi, 4 pi
@@ -38,6 +44,8 @@ skipped panels as well.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import i0e
 
@@ -47,9 +55,9 @@ from .norms import NormSpec, dual_norm_eval
 
 _OVERFLOW_Z = 700.0
 _SPHERE_NODES = 160
-_PANEL_NODES = 64
+_MIN_NODES = 16
+_MAX_NODES = 4096
 _QUAD_TOL = 1e-9
-_DOUBLINGS = 6
 _BLOCK = 512
 # sup over z >= 0 of the scaled sphere factor e^(-z) I(z)
 _SPHERE_SUP = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -60,6 +68,15 @@ def _surface_measure(dim: int) -> float:
     from math import gamma
     n = dim + 1
     return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre rule on [-1, 1], computed once per node count
+    (the sphere rule and the powers of two up to 4096) and kept read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def sphere_integral_I(z: float, dimension: int) -> float:
@@ -79,7 +96,7 @@ def sphere_integral_I(z: float, dimension: int) -> float:
         # omega_0 = 2 (two-point sphere); chebgauss already carries the weight
         s, w = np.polynomial.chebyshev.chebgauss(_SPHERE_NODES)
         return 2.0 * float(np.sum(w * np.exp(z * s)))
-    s, w = np.polynomial.legendre.leggauss(_SPHERE_NODES)
+    s, w = _gauss_legendre(_SPHERE_NODES)
     power = (N - 3) / 2.0
     weight = (1.0 - s**2) ** power if power != 0.0 else 1.0
     return _surface_measure(N - 2) * float(np.sum(w * weight * np.exp(z * s)))
@@ -155,7 +172,7 @@ def _representation_sum(profile: RadialProfile, dim: int, rho: np.ndarray,
     R = profile.r_max
     panels = max(1, int(np.ceil(R)))
     edges = np.linspace(0.0, R, panels + 1)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     r = ((edges[1:] + edges[:-1])[:, None] / 2.0
          + (edges[1:] - edges[:-1])[:, None] / 2.0 * x[None, :]).ravel()
     wr = ((edges[1:] - edges[:-1])[:, None] / 2.0 * w[None, :]).ravel()
@@ -194,8 +211,11 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     """u(rho, t) of the radial representation formula, vectorized over rho.
 
     Composite Gauss-Legendre panels of unit length cover [0, R_max]; the
-    per-panel node count starts at 64 and doubles, at most 6 times, until
-    successive values agree to 1e-9 relative to 1 + max |u|.
+    per-panel node count starts at the smallest power of two n >= 16 with
+    pi/(2n) <= 2 sqrt(t), so the node gaps resolve the kernel's width, and
+    doubles, up to 4096 nodes, until successive values agree to 1e-9
+    relative to 1 + max |u|.  ConvergenceError if they never do, or if t is
+    so small that the start already reaches 4096 nodes.
     All exponentials are combined into e^(-(rho-r)^2/4t) times the scaled
     sphere factor, so small t cannot overflow.
     """
@@ -204,9 +224,15 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     tails = _tail_bound(profile, dim, float(np.max(rho)), t)
 
-    nodes = _PANEL_NODES
+    nodes = _MIN_NODES
+    while nodes < _MAX_NODES and np.pi / (2.0 * nodes) > 2.0 * np.sqrt(t):
+        nodes *= 2
+    if nodes >= _MAX_NODES:
+        raise ConvergenceError(
+            f"t = {t:g} is below what {_MAX_NODES} radial quadrature nodes "
+            "per unit panel resolve")
     prev = _representation_sum(profile, dim, rho, t, nodes)
-    for _ in range(_DOUBLINGS):
+    while nodes < _MAX_NODES:
         nodes *= 2
         cur = _representation_sum(profile, dim, rho, t, nodes)
         gap, prev = float(np.max(np.abs(cur - prev))), cur

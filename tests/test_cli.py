@@ -306,6 +306,16 @@ def test_radial_solve_rejects_quadrature_settings(tmp_path):
     assert code == 2
 
 
+def test_radial_solve_refuses_an_unresolved_time(tmp_path):
+    # t = 1e-7 is below what 4096 nodes per unit panel resolve
+    cfg = {"norm": ELLIPSE_JSON,
+           "profile": {"type": "gaussian", "r_max": 16.0},
+           "times": [1e-7], "points": [[0.0, 0.5123]]}
+    code, outdir = _run(tmp_path, "radial-solve", cfg)
+    assert code == 3
+    assert not (outdir / "radial_solution.csv").exists()
+
+
 def test_radial_solve_crosscheck_column(tmp_path):
     gf = grid_from_function([(-2, 2), (-2, 2)], (32, 32),
                             lambda c: np.exp(-np.sum(c**2, axis=-1)))

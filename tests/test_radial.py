@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerheat import flow, norms, radial
@@ -132,23 +132,66 @@ def test_short_profile_tail_is_flagged():
 
 def test_unsettled_quadrature_reports_the_last_change(monkeypatch):
     # with a zero tolerance no doubling settles: the error carries the last
-    # sum and its change against the sum before it
-    sums = []
+    # sum and its change against the sum before it.  The sums run from the
+    # start max(16, 2^ceil(log2(pi / (4 sqrt t)))) to the ceiling, here
+    # lowered to 256 nodes
+    sums, nodes = [], []
 
     def spy(*args):
+        nodes.append(args[-1])
         sums.append(_representation_sum(*args))
         return sums[-1]
 
+    t, ceiling = 0.1, 256
     monkeypatch.setattr(radial, "_QUAD_TOL", 0.0)
+    monkeypatch.setattr(radial, "_MAX_NODES", ceiling)
     monkeypatch.setattr(radial, "_representation_sum", spy)
     prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 257)
     with pytest.raises(ConvergenceError) as info:
-        radial_heat_profile(prof, 2, np.linspace(0.0, 2.0, 5), 0.1)
-    assert len(sums) == 7
+        radial_heat_profile(prof, 2, np.linspace(0.0, 2.0, 5), t)
+    start = max(16, 2 ** math.ceil(math.log2(math.pi / (4.0 * math.sqrt(t)))))
+    assert nodes == [start * 2**k for k in range(int(math.log2(ceiling // start)) + 1)]
     gap = info.value.gap
     assert gap > 0.0
     assert gap == float(np.max(np.abs(sums[-1] - sums[-2])))
     np.testing.assert_array_equal(info.value.best, sums[-1])
+
+
+GAUSSIAN = RadialProfile.from_function(lambda r: np.exp(-r**2), 16.0, 2049)
+
+
+@settings(max_examples=40)
+@given(dim=st.sampled_from([1, 2, 3]),
+       log_t=st.floats(-7.0, 0.0),
+       rho=st.lists(st.floats(0.0, 2.2), min_size=1, max_size=5))
+@example(dim=2, log_t=-7.0, rho=[0.5123])
+def test_small_times_are_resolved_or_refused(dim, log_t, rho):
+    # e^{-r^2} evolves to (1+4t)^{-N/2} e^{-r^2/(1+4t)}.  Two sums whose
+    # nodes are too sparse for the kernel's width can agree while both miss
+    # its peak (64 and 128 nodes give 7.6e-10 for 0.769 at rho = 0.5123,
+    # t = 1e-7), so each row is right or the call raises
+    t, rho = 10.0**log_t, np.array(rho)
+    exact = (1 + 4 * t) ** (-dim / 2) * np.exp(-(rho**2) / (1 + 4 * t))
+    try:
+        u = radial_heat_profile(GAUSSIAN, dim, rho, t)
+    except ConvergenceError:
+        assert t < 1e-6
+        return
+    np.testing.assert_allclose(u, exact, rtol=5e-9, atol=0.0)
+
+
+def test_unresolved_time_is_refused():
+    with pytest.raises(ConvergenceError, match="4096"):
+        radial_heat_profile(GAUSSIAN, 2, np.array([0.5123]), 1e-7)
+
+
+def test_gauss_legendre_rule_is_numpys_and_read_only():
+    for n in (16, 160):
+        x, w = radial._gauss_legendre(n)
+        ref = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+        assert radial._gauss_legendre(n)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
 
 
 def test_negative_time_rejected():
