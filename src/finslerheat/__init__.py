@@ -17,8 +17,7 @@ from .norms import (DualEvalConfig, IdentityReport, NormSpec, coercivity_bounds,
 from .operators import (LinearityReport, ReductionReport, check_linearity,
                         check_radial_reduction, finsler_laplacian,
                         interior_mask, lift_radial, radial_laplacian)
-from .radial import (bessel_I0, radial_heat_profile, radial_heat_solution,
-                     sphere_integral_I)
+from .radial import bessel_I0, radial_heat_profile, sphere_integral_I
 from .solutions import (ResidualReport, SolutionSpec, eval_solution,
                         pde_residual, singular_poly_check)
 from .measures import (ClassifyResult, MeasureSpec, classify, growth_functional,

@@ -209,7 +209,11 @@ def _datum_from_config(cfg: dict, spec: norms.NormSpec,
         return operators.lift_radial(profile, spec, layout), profile
     if kind == "grid":
         _reject_unknown(cfg, {"kind", "path"}, "datum")
-        return GridFunction.load(cfg["path"]), None
+        datum = GridFunction.load(cfg["path"])
+        if not datum.same_layout(layout):
+            raise SpecValidationError("grid datum does not lie on the layout of the "
+                                      "run's radius and spacing")
+        return datum, None
     if kind in ("atoms", "density", "radial_density"):  # mollified at two cells
         measure = _measure_from_config(cfg, spec)
         return measures.mollify(measure, 2.0 * max(layout.spacing), layout), None
@@ -291,7 +295,7 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 
     if comp is not None:
         gf = traj.slice_at(t)
-        r = norms.dual_norm_eval(spec, gf.coords())
+        r = traj.h0
         window = r <= float(comp.get("window", radius / 2))
         if kind == "gaussian_closed_form":
             exact = (1 + 4 * t) ** (-spec.dimension / 2) \

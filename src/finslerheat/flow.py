@@ -30,7 +30,9 @@ Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
 inside a bounding box whose sides touch it (the half-width along axis i is
 R * H(e_i), the support function of the ball); cut cells and the box edge
-are Dirichlet nodes.
+are Dirichlet nodes.  `solve` evaluates H0 at the nodes once and returns it
+as `Trajectory.h0`, the run's one H0: the mask, the monitors and every
+comparison of the run read the domain from it.
 
 Monitors recorded every step: the energy, the plain mass, the quadratic
 weight integral int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing along
@@ -323,6 +325,7 @@ def weighted_monitors(gf: GridFunction, spec: NormSpec, t: float,
 @dataclass
 class Trajectory:
     problem: FlowProblem
+    h0: np.ndarray                   # H0 at the nodes of the datum's layout
     mask: np.ndarray
     times: list                      # stamps of stored slices
     slices: list                     # GridFunction per stamp
@@ -367,8 +370,8 @@ def solve(problem: FlowProblem) -> Trajectory:
     n_steps, store = _store_steps(problem)
 
     # the domain, once: H0 at the nodes, the mask from it and the initial field
-    r_grid = dual_norm_eval(spec, lay.coords())
-    mask = _free_nodes(r_grid, lay, problem.radius)
+    h0 = dual_norm_eval(spec, lay.coords())
+    mask = _free_nodes(h0, lay, problem.radius)
     state = lay.with_values(np.where(mask, lay.values, 0.0))
     vol = lay.cell_volume
     lam, ell = problem.monitor_lambda, problem.monitor_ell
@@ -382,7 +385,7 @@ def solve(problem: FlowProblem) -> Trajectory:
         u = np.where(mask, gf.values, 0.0)
         values = {"energy": energy(gf, spec, mask), "mass": float(np.sum(u)) * vol,
                   "inner_iterations": iters,
-                  **_weighted_monitors(u, r_grid, vol, t, lam, ell, unit_kernel, mask)}
+                  **_weighted_monitors(u, h0, vol, t, lam, ell, unit_kernel, mask)}
         for name, value in values.items():
             logs.setdefault(name, []).append(value)
         if k in store:
@@ -390,7 +393,7 @@ def solve(problem: FlowProblem) -> Trajectory:
             slices.append(gf.with_values(gf.values.copy()))
 
     def trajectory() -> Trajectory:
-        return Trajectory(problem, mask, times, slices, np.array(monitor_times),
+        return Trajectory(problem, h0, mask, times, slices, np.array(monitor_times),
                           {k: np.array(v, dtype=float) for k, v in logs.items()})
 
     record(0, state, 0)
@@ -461,7 +464,7 @@ def scaling_check(problem: FlowProblem, k: float,
                      store_times=tuple(compare_times))
     tb = solve(base)
     ts = solve(scaled)
-    core = dual_norm_eval(problem.norm, coords) < problem.radius / k - 2 * h / k
+    core = ts.h0 < problem.radius / k - 2 * h / k
     defects = []
     for t in compare_times:
         u_scaled = ts.slice_at(t).values
@@ -512,7 +515,7 @@ def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSp
         solutions.append(solve(problem))
     diffs = []
     core_pts = solutions[0].slices[0].coords()
-    core = dual_norm_eval(spec, core_pts) <= core_radius
+    core = solutions[0].h0 <= core_radius
     for a, b in zip(solutions, solutions[1:]):
         worst = 0.0
         for t in compare_times:

@@ -130,30 +130,6 @@ class GridFunction:
         with open(path, "rb") as fh:
             return GridFunction.from_bytes(fh.read())
 
-    def to_csv(self) -> str:
-        lines = [f"N,{self.dimension}"]
-        for (lo, hi), r in zip(self.box, self.resolution):
-            lines.append(f"axis,{lo:.17g},{hi:.17g},{r}")
-        lines.append(",".join(f"x{i+1}" for i in range(self.dimension)) + ",value")
-        coords = self.coords().reshape(-1, self.dimension)
-        flat = self.values.reshape(-1)
-        for point, v in zip(coords, flat):
-            lines.append(",".join(f"{c:.17g}" for c in point) + f",{v:.17g}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str) -> "GridFunction":
-        lines = text.strip().splitlines()
-        N = int(lines[0].split(",")[1])
-        box, res = [], []
-        for k in range(N):
-            _, lo, hi, r = lines[1 + k].split(",")
-            box.append((float(lo), float(hi)))
-            res.append(int(r))
-        nodes = tuple(r + 1 for r in res)
-        vals = np.array([float(row.rsplit(",", 1)[1]) for row in lines[2 + N:]])
-        return GridFunction(tuple(box), tuple(res), vals.reshape(nodes))
-
 
 def empty_layout(box, resolution) -> GridFunction:
     """Grid of zeros with `resolution` cells per axis over `box`."""

@@ -262,6 +262,7 @@ def duality_jacobian(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     return np.where(H[..., None] > 0.0, DA, 0.0)
 
 
+@lru_cache(maxsize=128)
 def coercivity_bounds(spec: NormSpec) -> tuple[float, float]:
     """(C1, C2) with A(xi).xi >= C1 |xi|^2 and |A(xi)| <= C2 |xi|.
 

@@ -51,7 +51,6 @@ from scipy.special import i0e
 
 from .errors import ConvergenceError, DomainError, SpecValidationError
 from .grids import RadialProfile
-from .norms import NormSpec, dual_norm_eval
 
 _OVERFLOW_Z = 700.0
 _SPHERE_NODES = 160
@@ -246,13 +245,3 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
             f"profile range too short: truncated tail bound {tails:.3e} "
             f"is not negligible at t = {t}")
     return prev
-
-
-def radial_heat_solution(profile: RadialProfile, spec: NormSpec, x: np.ndarray,
-                         t: float) -> float:
-    """Solution value at a point x from H0-radial initial data.
-
-    New data propagate by the closed 1-D integral; only rho = H0(x) enters.
-    """
-    rho = float(dual_norm_eval(spec, np.asarray(x, dtype=float)))
-    return float(radial_heat_profile(profile, spec.dimension, np.array([rho]), t)[0])

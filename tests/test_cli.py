@@ -266,6 +266,42 @@ def test_simulate_restarts_from_a_stored_grid(tmp_path):
         (radial / "slice_t0.050000.grid").read_bytes()
 
 
+@pytest.mark.parametrize("radius, spacing", [(2.0, 1 / 8), (1.0, 1 / 16),
+                                             (2.0, 1 / 16)])
+def test_simulate_rejects_a_grid_datum_off_the_runs_layout(tmp_path, radius, spacing):
+    cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0}, store_times=(0.0,))
+    cfg["problem"]["radius"] = 1.0
+    code, first = _run(tmp_path, "simulate", cfg, out="first")
+    assert code == 0
+    cfg["problem"].update(radius=radius, spacing=spacing, datum={
+        "kind": "grid", "path": str(first / "slice_t0.000000.grid")})
+    code, restart = _run(tmp_path, "simulate", cfg, out="restart")
+    assert code == 2
+    assert not list(restart.glob("slice_*.grid"))
+
+
+def test_simulate_evaluates_h0_over_the_layout_twice(tmp_path, monkeypatch):
+    # once to lift the radial datum and once in solve; the comparison reads
+    # Trajectory.h0
+    cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
+                         compare={"kind": "radial_representation", "window": 0.5})
+    nodes = flow.ball_layout(norms.euclidean(2), 2.0, 1 / 8).values.shape
+    dual_norm_eval, full = norms.dual_norm_eval, []
+
+    def counted(spec, x, *args, **kwargs):
+        if np.shape(x)[:-1] == nodes:
+            full.append(spec)
+        return dual_norm_eval(spec, x, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "finslerheat"
+                and getattr(module, "dual_norm_eval", None) is dual_norm_eval):
+            monkeypatch.setattr(module, "dual_norm_eval", counted)
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 0 and (outdir / "comparison.csv").is_file()
+    assert len(full) == 2
+
+
 def test_simulate_ellipse_representation_and_weighted_l2_check(tmp_path):
     cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
                          monitors={"lambda": 0.5},

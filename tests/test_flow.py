@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerheat import flow, norms, operators
-from finslerheat.errors import SpecValidationError, StabilityError
+from finslerheat.errors import ConvergenceError, SpecValidationError, StabilityError
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               ball_mask, energy, energy_gradient,
                               explicit_step, nested_domain_study,
@@ -480,6 +482,33 @@ def test_weighted_monitors_match_the_trajectory_bit_for_bit():
         assert np.isnan(got["weighted_l2"]) == beyond
         assert np.isnan(got["weighted_l1_lambda"]) == beyond
         assert np.isfinite(got["weighted_l1_local"])
+
+
+@pytest.mark.parametrize("spec", [ELLIPSE, norms.p_norm(3, 2)])
+def test_trajectory_carries_the_domain_of_the_run(spec):
+    # also the partial trajectory of a run stopped by its inner solver
+    problem, _ = _ball_problem(spec, 2.0, 1 / 8, lambda r: np.exp(-r**2),
+                               tau=1e-2, t_end=2e-2)
+    with pytest.raises(ConvergenceError) as failed:
+        solve(replace(problem, inner=InnerSolverConfig(max_iters=1)))
+    h0 = norms.dual_norm_eval(spec, problem.datum.coords())
+    mask = ball_mask(spec, problem.datum, 2.0)
+    for traj in (solve(problem), failed.value.partial):
+        np.testing.assert_array_equal(traj.h0, h0)
+        np.testing.assert_array_equal(traj.mask, mask)
+
+
+def test_explicit_run_scans_the_p_norm_sphere_once(monkeypatch):
+    # the step bound reads coercivity_bounds, cached per NormSpec
+    spec = norms.p_norm(3, 2)
+    problem, _ = _ball_problem(spec, 1.0, 1 / 8, lambda r: np.exp(-r**2),
+                               tau=1e-3, t_end=3e-3, scheme="explicit_euler")
+    scans, scan = [], norms._direction_set
+    monkeypatch.setattr(norms, "_direction_set",
+                        lambda *args: scans.append(args) or scan(*args))
+    norms.coercivity_bounds.cache_clear()
+    solve(problem)
+    assert len(scans) == 1
 
 
 def test_solve_rejects_store_times_outside_the_run():

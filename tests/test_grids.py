@@ -55,13 +55,6 @@ def test_binary_file_round_trip(tmp_path):
     np.testing.assert_array_equal(again.values, gf.values)
 
 
-def test_csv_round_trip():
-    gf = _demo_grid()
-    again = GridFunction.from_csv(gf.to_csv())
-    assert again.box == gf.box
-    np.testing.assert_allclose(again.values, gf.values, rtol=0, atol=0)
-
-
 def test_profile_requires_zero_start():
     with pytest.raises(SpecValidationError):
         RadialProfile(np.array([0.1, 0.5, 1.0]), np.zeros(3))
