@@ -10,13 +10,13 @@ growth-condition classification of initial data.
 from .errors import (ConvergenceError, DomainError, OutOfRangeError,
                      SpecValidationError, StabilityError)
 from .grids import GridFunction, RadialProfile, grid_from_function
-from .norms import (DualEvalConfig, IdentityReport, NormSpec, coercivity_bounds,
-                    dual_norm_eval, dual_spec, duality_jacobian, duality_map,
-                    ellipse, euclidean, eval_norm, grad_dual_norm, grad_norm,
-                    p_norm, smoothed_polytope, verify_identities)
+from .norms import (DualEvalConfig, NormSpec, coercivity_bounds, dual_norm_eval,
+                    dual_spec, duality_jacobian, duality_map, ellipse, euclidean,
+                    eval_norm, grad_dual_norm, grad_norm, p_norm,
+                    smoothed_polytope, verify_identities)
 from .operators import (LinearityReport, ReductionReport, check_linearity,
                         check_radial_reduction, finsler_laplacian,
-                        interior_mask, lift_radial, radial_laplacian)
+                        interior_mask, lift_radial)
 from .radial import bessel_I0, radial_heat_profile, sphere_integral_I
 from .solutions import (ResidualReport, SolutionSpec, eval_solution,
                         pde_residual, singular_poly_check)

@@ -137,11 +137,12 @@ def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     samples = int(cfg.get("samples", 1000))
     dual_cfg = _dual_cfg(cfg.get("dual", {}))
     overrides = cfg.get("tolerances", {})
+    _reject_unknown(overrides, set(_IDENTITY_DEFAULTS), "tolerances")
     rows, ok = [], True
     for norm_obj in _need(cfg, "norms", "verify-norms config"):
         spec = norms.NormSpec.from_dict(norm_obj)
         report = norms.verify_identities(spec, samples, dual_cfg, seed=int(seed))
-        for name, value in report.rows():
+        for name, value in report.items():
             tol = float(overrides.get(name, _IDENTITY_DEFAULTS[name]))
             passed = value <= tol
             ok &= passed
@@ -170,7 +171,7 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
             cap = float(case.get("max_residual", np.inf))
             passed = residual <= cap
             ok &= passed
-            rows.append((sol.label(), spec.label(), max(layout.spacing), 0.0,
+            rows.append((sol.kind, spec.label(), max(layout.spacing), 0.0,
                          residual, np.nan, passed))
             continue
         rep = solutions.pde_residual(sol, layout, t, float(case.get("dt", 1e-2)),
@@ -319,7 +320,14 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     points = np.asarray(_need(cfg, "points", "radial-solve config"), dtype=float)
     rows = []
     cross = cfg.get("crosscheck")
-    refs = GridFunction.load(cross["path"]).sample_nearest(points) if cross else None
+    refs = None
+    if cross is not None:
+        _reject_unknown(cross, {"path", "tolerance"}, "crosscheck")
+        ref = GridFunction.load(_need(cross, "path", "crosscheck"))
+        if ref.dimension != spec.dimension:
+            raise SpecValidationError(f"crosscheck grid is {ref.dimension}-D, "
+                                      f"the norm {spec.dimension}-D")
+        refs = ref.sample_nearest(points)
     worst = 0.0
     rho = norms.dual_norm_eval(spec, points)
     for t in _need(cfg, "times", "radial-solve config"):

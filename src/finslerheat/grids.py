@@ -246,9 +246,6 @@ class RadialProfile:
     def r_max(self) -> float:
         return float(self.radii[-1])
 
-    def __len__(self) -> int:
-        return len(self.radii)
-
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if np.any(r < -1e-12) or np.any(r > self.r_max * (1 + 1e-12)):

@@ -115,18 +115,15 @@ def _ball_kernel(spec: NormSpec, radius: float, spacing: Sequence[float]) -> np.
 
 
 def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
-                      window: float = None, spacing: float = 0.25,
-                      ball_radius: Optional[float] = None) -> float:
+                      window: float = None, spacing: float = 0.25) -> float:
     """sup over centers of the e^(-lam H0^2)-weighted |mu|-mass of H0-balls.
 
-    The ball radius defaults to 1/sqrt(lam); `ball_radius` overrides it
-    (used by the fixed-radius monotonicity property).  Densities take
-    their centers over all grid nodes of the window, atom measures at the
-    atom locations.
+    The balls have radius 1/sqrt(lam).  Densities take their centers over
+    all grid nodes of the window, atom measures at the atom locations.
     """
     if lam <= 0:
         raise SpecValidationError("lam must be positive")
-    radius = 1.0 / np.sqrt(lam) if ball_radius is None else float(ball_radius)
+    radius = 1.0 / np.sqrt(lam)
 
     if measure.kind == "atoms":
         pts, wts = measure.atom_array()

@@ -434,36 +434,22 @@ def grad_dual_norm(spec: NormSpec, x: np.ndarray,
 # identity suite
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IdentityReport:
-    """Max violations of the convex-duality identities over random samples."""
-
-    spec_label: str
-    samples: int
-    duality_inequality: float        # (|x.xi| - H0(x) H(xi))_+
-    grad_on_dual_sphere: float       # |H0(grad H(xi)) - 1|
-    dual_grad_on_primal_sphere: float  # |H(grad H0(x)) - 1|
-    inversion_primal: float          # |H(xi) grad H0(grad H(xi)) - xi|_inf
-    inversion_dual: float            # |H0(x) grad H(grad H0(x)) - x|_inf
-    homogeneity: float               # |H(a xi) - |a| H(xi)| / (1 + H(xi))
-    map_quadratic: float             # |A(xi).xi - H(xi)^2|
-
-    def rows(self):
-        return [
-            ("duality_inequality", self.duality_inequality),
-            ("grad_on_dual_sphere", self.grad_on_dual_sphere),
-            ("dual_grad_on_primal_sphere", self.dual_grad_on_primal_sphere),
-            ("inversion_primal", self.inversion_primal),
-            ("inversion_dual", self.inversion_dual),
-            ("homogeneity", self.homogeneity),
-            ("map_quadratic", self.map_quadratic),
-        ]
-
-
 def verify_identities(spec: NormSpec, sample_count: int,
                       cfg: Optional[DualEvalConfig] = None,
-                      seed: int = 0) -> IdentityReport:
-    """Sample-based check of the duality identities; violations are data."""
+                      seed: int = 0) -> dict:
+    """Sample-based check of the duality identities; violations are data.
+
+    Returns identity name -> largest violation over the samples, in this
+    order:
+
+        duality_inequality          (|x.xi| - H0(x) H(xi))_+
+        grad_on_dual_sphere         |H0(grad H(xi)) - 1|
+        dual_grad_on_primal_sphere  |H(grad H0(x)) - 1|
+        inversion_primal            |H(xi) grad H0(grad H(xi)) - xi|_inf
+        inversion_dual              |H0(x) grad H(grad H0(x)) - x|_inf
+        homogeneity                 |H(a xi) - |a| H(xi)| / (1 + H(xi))
+        map_quadratic               |A(xi).xi - H(xi)^2|
+    """
     if sample_count < 1:
         raise SpecValidationError("sample_count >= 1 required")
     cfg = cfg or DualEvalConfig()
@@ -482,23 +468,15 @@ def verify_identities(spec: NormSpec, sample_count: int,
     gH0 = grad_dual_norm(spec, x, cfg)
     A = duality_map(spec, xi)
 
-    duality = np.max(np.maximum(
-        np.abs(np.einsum("ki,ki->k", x, xi)) - H0 * H, 0.0))
-    grad_sphere = np.max(np.abs(dual_norm_eval(spec, gH, cfg) - 1.0))
-    dual_sphere = np.max(np.abs(eval_norm(spec, gH0) - 1.0))
-    inv_primal = np.max(np.abs(H[:, None] * grad_dual_norm(spec, gH, cfg) - xi))
-    inv_dual = np.max(np.abs(H0[:, None] * grad_norm(spec, gH0) - x))
-    homog = np.max(np.abs(eval_norm(spec, alpha[:, None] * xi)
-                          - np.abs(alpha) * H) / (1.0 + H))
-    quad = np.max(np.abs(np.einsum("ki,ki->k", A, xi) - H**2))
-
-    return IdentityReport(
-        spec_label=spec.label(), samples=sample_count,
-        duality_inequality=float(duality),
-        grad_on_dual_sphere=float(grad_sphere),
-        dual_grad_on_primal_sphere=float(dual_sphere),
-        inversion_primal=float(inv_primal),
-        inversion_dual=float(inv_dual),
-        homogeneity=float(homog),
-        map_quadratic=float(quad),
-    )
+    violations = {
+        "duality_inequality": np.maximum(
+            np.abs(np.einsum("ki,ki->k", x, xi)) - H0 * H, 0.0),
+        "grad_on_dual_sphere": np.abs(dual_norm_eval(spec, gH, cfg) - 1.0),
+        "dual_grad_on_primal_sphere": np.abs(eval_norm(spec, gH0) - 1.0),
+        "inversion_primal": np.abs(H[:, None] * grad_dual_norm(spec, gH, cfg) - xi),
+        "inversion_dual": np.abs(H0[:, None] * grad_norm(spec, gH0) - x),
+        "homogeneity": np.abs(eval_norm(spec, alpha[:, None] * xi)
+                              - np.abs(alpha) * H) / (1.0 + H),
+        "map_quadratic": np.abs(np.einsum("ki,ki->k", A, xi) - H**2),
+    }
+    return {name: float(np.max(v)) for name, v in violations.items()}

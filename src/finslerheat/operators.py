@@ -171,14 +171,6 @@ def interior_mask(gf: GridFunction) -> np.ndarray:
 # radial reduction
 # ---------------------------------------------------------------------------
 
-def radial_laplacian(rp: RadialProfile, dimension: int) -> RadialProfile:
-    """r -> q''(r) + (N-1) q'(r)/r, with the limit N q''(0) at the center."""
-    if len(rp) < 8:
-        raise SpecValidationError("profile too coarse for radial derivatives")
-    return RadialProfile(rp.radii, radial_operator_values(rp, dimension, rp.radii),
-                         even=rp.even)
-
-
 def radial_operator_values(rp: RadialProfile, dimension: int, r: np.ndarray) -> np.ndarray:
     """q''(r) + (N-1) q'(r)/r at arbitrary radii, N q''(0) where r = 0."""
     r = np.asarray(r, dtype=float)

@@ -93,20 +93,6 @@ class SolutionSpec:
         _, beta, k = self.barenblatt_exponents
         return float(np.sqrt(self.C / k) * t**beta)
 
-    def label(self) -> str:
-        return self.kind
-
-    def to_dict(self) -> dict:
-        params = {k: v for k, v in (("lam", self.lam), ("m", self.m), ("C", self.C),
-                                    ("p", self.p), ("A", self.A), ("B", self.B),
-                                    ("m_order", self.m_order)) if v is not None}
-        return {"kind": self.kind, "params": params, "norm": self.norm.to_dict()}
-
-    @staticmethod
-    def from_dict(obj: dict) -> "SolutionSpec":
-        norm = NormSpec.from_dict(obj["norm"])
-        return SolutionSpec(obj["kind"], norm, **obj.get("params", {}))
-
 
 def eval_solution(spec: SolutionSpec, x: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Closed-form value at points x (batched (..., N)) and time t."""
@@ -200,7 +186,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
         spacings.append(h)
         dts.append(dt_l)
         maxes.append(float(np.max(np.abs(residual)[window])))
-    return ResidualReport(spec.label(), spec.norm.label(), spacings, dts, maxes)
+    return ResidualReport(spec.kind, spec.norm.label(), spacings, dts, maxes)
 
 
 def singular_poly_check(spec: SolutionSpec, layout: GridFunction,

@@ -101,26 +101,18 @@ def test_criterion_01_norm_identity_suite():
     numeric_cfg = norms.DualEvalConfig(method="sphere_maximization",
                                        sphere_samples=4096,
                                        refinement_iters=48)
+    closed_tols = {"duality_inequality": 1e-10, "grad_on_dual_sphere": 1e-8,
+                   "dual_grad_on_primal_sphere": 1e-8, "inversion_primal": 1e-6,
+                   "inversion_dual": 1e-6}
+    numeric_tols = {**closed_tols, "grad_on_dual_sphere": 1e-5,
+                    "dual_grad_on_primal_sphere": 1e-5}
+    runs = [(spec, None, closed_tols) for spec in closed]
+    runs.append((SQUARE, numeric_cfg, numeric_tols))
     failures = []
-    for spec in closed:
-        rep = norms.verify_identities(spec, 1000, seed=20240601)
-        checks = [("duality", rep.duality_inequality, 1e-10),
-                  ("grad_on_dual_sphere", rep.grad_on_dual_sphere, 1e-8),
-                  ("dual_grad_on_primal_sphere", rep.dual_grad_on_primal_sphere,
-                   1e-8),
-                  ("inversion_primal", rep.inversion_primal, 1e-6),
-                  ("inversion_dual", rep.inversion_dual, 1e-6)]
-        failures += [f"{spec.label()}:{n}={v:.2e}" for n, v, tol in checks
-                     if v > tol]
-    rep = norms.verify_identities(SQUARE, 1000, numeric_cfg, seed=20240601)
-    checks = [("duality", rep.duality_inequality, 1e-10),
-              ("grad_on_dual_sphere", rep.grad_on_dual_sphere, 1e-5),
-              ("dual_grad_on_primal_sphere", rep.dual_grad_on_primal_sphere,
-               1e-5),
-              ("inversion_primal", rep.inversion_primal, 1e-6),
-              ("inversion_dual", rep.inversion_dual, 1e-6)]
-    failures += [f"{SQUARE.label()}:{n}={v:.2e}" for n, v, tol in checks
-                 if v > tol]
+    for spec, cfg, tols in runs:
+        rep = norms.verify_identities(spec, 1000, cfg, seed=20240601)
+        failures += [f"{spec.label()}:{n}={rep[n]:.2e}" for n, tol in tols.items()
+                     if rep[n] > tol]
     _line(1, not failures, failures or "all identities within tolerance")
     assert not failures
 

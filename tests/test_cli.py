@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import finslerheat
-from finslerheat import flow, measures, norms
+from finslerheat import cli, flow, measures, norms
 from finslerheat.cli import main
 from finslerheat.grids import RadialProfile, grid_from_function
 
@@ -72,6 +72,28 @@ def test_verify_norms_impossible_tolerance_fails(tmp_path):
                           "inversion_primal": 1e-300}}
     code, _ = _run(tmp_path, "verify-norms", cfg)
     assert code == 1
+
+
+def test_verify_norms_rejects_a_misspelled_tolerance(tmp_path):
+    cfg = {"seed": 1, "samples": 200, "norms": [ELLIPSE_JSON],
+           "tolerances": {"inversion_primall": 1e-300}}
+    code, outdir = _run(tmp_path, "verify-norms", cfg)
+    assert code == 2
+    assert not (outdir / "norm_identities.csv").exists()
+
+
+@pytest.mark.parametrize("dual", [{}, {"method": "sphere_maximization"}])
+def test_identity_suite_and_cli_tolerances_list_the_same_names(tmp_path, dual):
+    names = list(cli._IDENTITY_DEFAULTS)
+    cfg = norms.DualEvalConfig(**dual)
+    assert list(norms.verify_identities(norms.ellipse(np.diag([4.0, 1.0])), 20,
+                                        cfg, seed=1)) == names
+    code, outdir = _run(tmp_path, "verify-norms",
+                        {"seed": 1, "samples": 20, "norms": [ELLIPSE_JSON],
+                         "dual": dual})
+    assert code == 0
+    with open(outdir / "norm_identities.csv", newline="") as fh:
+        assert [row["identity"] for row in csv.DictReader(fh)] == names
 
 
 def test_verify_norms_unconverged_oracle_exits_3(tmp_path, capsys):
@@ -366,6 +388,26 @@ def test_radial_solve_crosscheck_column(tmp_path):
     assert code == 0
     header = (outdir / "radial_solution.csv").read_text().splitlines()[0]
     assert header.endswith("rel_error")
+
+
+@pytest.mark.parametrize("dimension, crosscheck", [
+    (2, {"tolerence": 1e-3}),    # misspelled key; all-zero reference
+    (1, {"tolerance": 1e-3}),    # grid of lower dimension than the norm
+    (3, {"tolerance": 1e-3}),    # grid of higher dimension than the norm
+    (2, None),                   # no path
+])
+def test_radial_solve_rejects_a_bad_crosscheck(tmp_path, dimension, crosscheck):
+    ref = tmp_path / "ref.grid"
+    grid_from_function([(-2, 2)] * dimension, (8,) * dimension,
+                       lambda c: np.zeros(c.shape[:-1])).save(ref)
+    crosscheck = {"path": str(ref), **crosscheck} if crosscheck else {"tolerance": 1e-3}
+    cfg = {"norm": EUCLID_JSON,
+           "profile": {"type": "gaussian", "r_max": 14.0},
+           "times": [1e-3], "points": [[0.5, 0.5], [1.0, 0.0]],
+           "crosscheck": crosscheck}
+    code, outdir = _run(tmp_path, "radial-solve", cfg)
+    assert code == 2
+    assert not (outdir / "radial_solution.csv").exists()
 
 
 def test_classify_compact_datum(tmp_path):

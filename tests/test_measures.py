@@ -57,10 +57,11 @@ def test_radial_density_is_radial_in_its_own_norm():
     assert values[0] < 0.7 * values[1]
 
 
-def test_growth_monotone_in_lam_at_fixed_radius():
+def test_growth_monotone_in_lam():
+    # both the balls (radius 1/sqrt(lam)) and the weights shrink as lam grows
     m = _radial_measure(lambda r: np.exp(-0.1 * r**2))
-    vals = [growth_functional(m, lam, EUCLID, window=6.0, spacing=0.1,
-                              ball_radius=1.0) for lam in (0.25, 0.5, 1.0, 2.0)]
+    vals = [growth_functional(m, lam, EUCLID, window=6.0, spacing=0.1)
+            for lam in (0.25, 0.5, 1.0, 2.0)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 

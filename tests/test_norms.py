@@ -215,19 +215,19 @@ def test_coercivity_bounds_hold_on_samples():
 
 def test_verify_identities_euclidean_exact():
     rep = norms.verify_identities(EUCLID, 1000, seed=0)
-    for _, value in rep.rows():
+    for value in rep.values():
         assert value <= 1e-12
 
 
 def test_verify_identities_ellipse_closed_form():
     rep = norms.verify_identities(ELLIPSE, 1000, seed=1)
-    for _, value in rep.rows():
+    for value in rep.values():
         assert value <= 1e-8
 
 
 def test_verify_identities_p15_grad_on_dual_sphere():
     rep = norms.verify_identities(norms.p_norm(1.5, 2), 1000, seed=2)
-    assert rep.grad_on_dual_sphere <= 1e-8
+    assert rep["grad_on_dual_sphere"] <= 1e-8
 
 
 def test_duality_equality_attained_at_dual_gradient():

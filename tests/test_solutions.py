@@ -186,11 +186,3 @@ def test_validation_of_parameters():
         SolutionSpec("talenti", EUCLID, p=3.0, A=-1.0, B=1.0)
     with pytest.raises(SpecValidationError):
         SolutionSpec("nope", EUCLID)
-
-
-def test_solution_spec_json_round_trip():
-    spec = SolutionSpec("blowup", ELLIPSE, lam=0.25)
-    again = SolutionSpec.from_dict(spec.to_dict())
-    x = np.array([[0.3, -0.2]])
-    np.testing.assert_allclose(eval_solution(again, x, 0.5),
-                               eval_solution(spec, x, 0.5), rtol=1e-15)
