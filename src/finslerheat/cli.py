@@ -51,15 +51,35 @@ def _optional(cfg: dict, casts: dict) -> dict:
     return {key: cast(cfg[key]) for key, cast in casts.items() if key in cfg}
 
 
+_NUMBER = (int, float, np.floating)
+
+
 def _write_csv(path: Path, header: list, rows: list, timestamp: bool) -> None:
+    """Numbers print with `_fmt` (%.17g), anything else as str; a table of
+    numbers only, all rows of one width, is formatted in one pass."""
     with open(path, "w", newline="") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        kinds = {type(c) for row in rows for c in row}
+        if rows and len({len(row) for row in rows}) == 1 and all(
+                issubclass(k, _NUMBER) and not issubclass(k, bool) for k in kinds):
+            line = ",".join(["%.17g"] * len(rows[0])) + "\n"
+            fh.write(line * len(rows) % tuple(np.asarray(rows, dtype=float).ravel().tolist()))
+            return
         for row in rows:
-            writer.writerow(_fmt(c) if isinstance(c, (int, float, np.floating))
+            writer.writerow(_fmt(c) if isinstance(c, _NUMBER)
                             and not isinstance(c, bool) else str(c) for c in row)
+
+
+def _load_grid(path, context: str) -> GridFunction:
+    """GridFunction.load; a path it cannot read is a config error."""
+    try:
+        return GridFunction.load(path)
+    except OSError as exc:
+        raise SpecValidationError(f"{context}: cannot read grid {path!r}: "
+                                  f"{exc.strerror or exc}") from exc
 
 
 def _profile_from_config(cfg: dict) -> RadialProfile:
@@ -100,7 +120,8 @@ def _measure_from_config(cfg: dict, spec: norms.NormSpec) -> measures.MeasureSpe
         return measures.measure_from_atoms([(p, w) for p, w in cfg["atoms"]])
     if kind == "density":
         _reject_unknown(cfg, {"kind", "path"}, "measure")
-        return measures.measure_from_density(GridFunction.load(cfg["path"]))
+        return measures.measure_from_density(
+            _load_grid(_need(cfg, "path", "measure"), "measure"))
     if kind == "radial_density":
         _reject_unknown(cfg, {"kind", "profile"}, "measure")
         return measures.measure_from_radial(_profile_from_config(cfg["profile"]), spec)
@@ -210,7 +231,7 @@ def _datum_from_config(cfg: dict, spec: norms.NormSpec,
         return operators.lift_radial(profile, spec, layout), profile
     if kind == "grid":
         _reject_unknown(cfg, {"kind", "path"}, "datum")
-        datum = GridFunction.load(cfg["path"])
+        datum = _load_grid(_need(cfg, "path", "datum"), "datum")
         if not datum.same_layout(layout):
             raise SpecValidationError("grid datum does not lie on the layout of the "
                                       "run's radius and spacing")
@@ -323,7 +344,7 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     refs = None
     if cross is not None:
         _reject_unknown(cross, {"path", "tolerance"}, "crosscheck")
-        ref = GridFunction.load(_need(cross, "path", "crosscheck"))
+        ref = _load_grid(_need(cross, "path", "crosscheck"), "crosscheck")
         if ref.dimension != spec.dimension:
             raise SpecValidationError(f"crosscheck grid is {ref.dimension}-D, "
                                       f"the norm {spec.dimension}-D")
@@ -366,8 +387,8 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 
 def cmd_compare(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     _reject_unknown(cfg, {"a", "b", "tolerance", "relative"}, "compare config")
-    a = GridFunction.load(_need(cfg, "a", "compare config"))
-    b = GridFunction.load(_need(cfg, "b", "compare config"))
+    a = _load_grid(_need(cfg, "a", "compare config"), "compare a")
+    b = _load_grid(_need(cfg, "b", "compare config"), "compare b")
     if not a.same_layout(b):
         raise SpecValidationError("grids have different layouts")
     diff = np.abs(a.values - b.values)

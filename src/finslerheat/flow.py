@@ -23,8 +23,12 @@ face gradient stays the one definition).
 The inner solver is Newton with conjugate gradients, one solve of the SPD
 system (I/tau + K) u = u_prev/tau for quadratic norm families and damped
 steps on the exact objective for p-norms; every returned step is a
-descent point of the monitored energy.  The explicit scheme advances with
-the face-flux operator under the usual parabolic step restriction.
+descent point of the monitored energy.  A p-norm iterate's faces are
+evaluated once (`_face_state`): its gradient and, once accepted, its
+Newton Hessian, applied as one `operators.FaceHessian` kernel, both read
+them, with the arithmetic of separate evaluations bit for bit.  The
+explicit scheme advances with the face-flux operator under the usual
+parabolic step restriction.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -51,10 +55,10 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConvergenceError, SpecValidationError, StabilityError
 from .grids import GridFunction, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
-from .norms import (NormSpec, coercivity_bounds, dual_norm_eval, duality_jacobian,
-                    duality_map, eval_norm)
-from .operators import (apply_operator, face_form, face_gradient, finsler_laplacian,
-                        interior_mask)
+from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
+                    dual_norm_eval, duality_map, eval_norm)
+from .operators import (FaceHessian, apply_operator, face_adjoint_sum, face_form,
+                        face_gradients, finsler_laplacian, interior_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +163,29 @@ def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.nd
     return face_form(values, spacings, lambda axis, xi: duality_map(spec, xi))
 
 
-def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings):
+def _face_state(values: np.ndarray, spec: NormSpec, spacings) -> list:
+    """Per face family of a p-norm field, (xi, H, s): the face gradient,
+    H(xi) and s = sign(xi) |xi|^(p-1) (`norms._p_terms`).  The energy
+    gradient takes A from it (`_state_gradient`), the Newton Hessian DA."""
+    return [(xi, *_p_terms(spec, xi)) for xi in face_gradients(values, spacings)]
+
+
+def _state_gradient(state: list, spec: NormSpec, spacings) -> np.ndarray:
+    """(1/N) G^T A(G u) from the `_face_state` of u: `_face_energy_gradient`."""
+    return face_adjoint_sum([_p_flux(spec, H, s) for _, H, s in state], spacings)
+
+
+def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: Optional[list] = None):
     """x -> (1/N) G^T DA(G w) G x, the Hessian of psi at w, unmasked; for
-    quadratic families the constant K of `energy_gradient`."""
+    quadratic families the constant K of `energy_gradient`.  p-norms build
+    DA from `state`, the `_face_state` of w (or of w masked, which differs
+    only in signs of zeros), evaluating it only if it is not given, and
+    apply it as one `operators.FaceHessian` kernel."""
     if spec.family != "p_norm":
         return lambda x: energy_gradient(x, spec, spacings)
-    jac = [duality_jacobian(spec, face_gradient(w, spacings, axis)) for axis in range(w.ndim)]
-    return lambda x: face_form(x, spacings, lambda axis, xi: np.einsum(
-        "...ij,...j->...i", jac[axis], xi))
+    if state is None:
+        state = _face_state(w, spec, spacings)
+    return FaceHessian(w.shape, spacings, [_p_jacobian(spec, xi, H, s) for xi, H, s in state])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +201,9 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
     """Minimize J(u) = ||u - v||^2/(2 tau) + psi(u) over masked fields.
 
     Inexact Newton from the masked v: CG on I/tau + (1/N) G^T DA(G u) G,
-    DA from `duality_jacobian`.  For quadratic families (DA = Q) one step,
+    DA the Jacobian of the duality map; p-norms take it from the face state
+    of the last point the line search evaluated, the accepted iterate, and
+    evaluate no face twice.  For quadratic families (DA = Q) one step,
     warm-started at v, solves the prox system (I/tau + K) u = v/tau, with
     K u = `energy_gradient`(u), the cached constant stencil.
     p-norms solve to the relative residual min(0.5, sqrt(||grad J|| /
@@ -194,20 +215,30 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
     """
     spacings, vol = v.spacing, v.cell_volume
     u = np.where(mask, v.values, 0.0)
+    off = ~mask
     scale = 1.0 + _l2(u, vol)
 
     def grad_and_value(w: np.ndarray):
-        """grad J(w) and J(w); psi(w) = <w, grad psi(w)>/2 (2-homogeneous)."""
-        g = np.where(mask, (w - u) / tau + energy_gradient(w, spec, spacings, mask), 0.0)
-        return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau))
+        """grad J(w), J(w) and, for p-norms, the `_face_state` of w masked;
+        psi(w) = <w, grad psi(w)>/2 (2-homogeneous)."""
+        if spec.family == "p_norm":
+            state = _face_state(np.where(mask, w, 0.0), spec, spacings)
+            grad = np.where(mask, _state_gradient(state, spec, spacings), 0.0)
+        else:
+            state, grad = None, energy_gradient(w, spec, spacings, mask)
+        g = np.where(mask, (w - u) / tau + grad, 0.0)
+        return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau)), state
 
-    def newton_cg(w, rhs, x0, atol, maxiter):
-        hessian = _newton_hessian(w, spec, spacings)
+    def newton_cg(w, state, rhs, x0, atol, maxiter):
+        hessian = _newton_hessian(w, spec, spacings, state)
 
         def matvec(x: np.ndarray) -> np.ndarray:
             # CG iterates vanish off the mask, as the start and right side do
             x = x.reshape(w.shape)
-            return (x / tau + np.where(mask, hessian(x), 0.0)).ravel()
+            h = hessian(x)
+            np.copyto(h, 0.0, where=off)
+            h += x / tau
+            return h.ravel()
 
         steps = []
         x, info = cg(LinearOperator((w.size, w.size), matvec=matvec, dtype=float),
@@ -218,27 +249,31 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
 
     w, iters = u, 0
     if spec.family != "p_norm":
-        w, info, iters = newton_cg(u, u / tau, u.ravel(), inner.tolerance * scale,
+        w, info, iters = newton_cg(u, None, u / tau, u.ravel(), inner.tolerance * scale,
                                    inner.max_iters)
         if not info:
             return w, iters
-    g, Jw = grad_and_value(w)
+    g, Jw, state = grad_and_value(w)
     while not (gn := _l2(g, vol)) <= inner.tolerance * scale:  # NaN fails
         if iters >= inner.max_iters:
             raise ConvergenceError("proximal inner solve did not converge",
                                    best=w, gap=gn)
-        d, _, steps = newton_cg(w, -g, None, min(0.5, np.sqrt(gn / scale)) * gn,
+        # `state` is w's: w is the last point grad_and_value evaluated
+        d, _, steps = newton_cg(w, state, -g, None, min(0.5, np.sqrt(gn / scale)) * gn,
                                 inner.max_iters - iters)
         iters += steps
         slope = float(np.sum(g * d)) * vol
-        alpha, (g_new, J_new) = 1.0, grad_and_value(w + d)
+        alpha, trial = 1.0, w + d
+        g_new, J_new, state = grad_and_value(trial)
         if (overshoot := float(np.sum(g_new * d)) * vol) > 0.0:
             alpha = slope / (slope - overshoot)
-            g_new, J_new = grad_and_value(w + alpha * d)
+            trial = w + alpha * d
+            g_new, J_new, state = grad_and_value(trial)
         while J_new > Jw + 1e-4 * alpha * slope + 1e-14 * Jw:
             alpha *= 0.5
-            g_new, J_new = grad_and_value(w + alpha * d)
-        w, g, Jw = w + alpha * d, g_new, J_new
+            trial = w + alpha * d
+            g_new, J_new, state = grad_and_value(trial)
+        w, g, Jw = trial, g_new, J_new
     return w, iters
 
 

@@ -227,11 +227,7 @@ def duality_map(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     """A(xi) = H(xi) grad H(xi), extended by A(0) = 0; total and continuous."""
     xi = np.asarray(xi, dtype=float)
     if spec.family == "p_norm":
-        p = spec.p
-        H = eval_norm(spec, xi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = np.sign(xi) * np.abs(xi) ** (p - 1.0) * H[..., None] ** (2.0 - p)
-        return np.where(H[..., None] > 0.0, A, 0.0)
+        return _p_flux(spec, *_p_terms(spec, xi))
     # quadratic families: A is linear, no norm evaluation needed
     return xi @ spec._quadratic_form().T
 
@@ -251,15 +247,44 @@ def duality_jacobian(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     N = spec.dimension
     if spec.family != "p_norm":
         return np.broadcast_to(spec._quadratic_form(), xi.shape + (N,))
-    p = spec.p
-    H = eval_norm(spec, xi)[..., None]
-    floor = np.finfo(float).eps if p < 2.0 else 0.0
+    DA = np.empty(xi.shape + (N,))
+    for (i, j), entry in _p_jacobian(spec, xi, *_p_terms(spec, xi)).items():
+        DA[..., i, j] = DA[..., j, i] = entry
+    return DA
+
+
+def _p_terms(spec: NormSpec, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H(xi) and s = sign(xi) |xi|^(p-1) of a p-norm, xi of shape (..., N):
+    the terms that A = s H^(2-p) (`_p_flux`) and DA, through
+    g = grad H = s / H^(p-1) (`_p_jacobian`), are built from."""
+    return eval_norm(spec, xi), np.sign(xi) * np.abs(xi) ** (spec.p - 1.0)
+
+
+def _p_flux(spec: NormSpec, H: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """A = s H^(2-p), 0 where H = 0, from the `_p_terms` of xi."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.sign(xi) * np.abs(xi) ** (p - 1.0) / H ** (p - 1.0)
-        DA = (2.0 - p) * (g[..., :, None] * g[..., None, :])
-        DA[..., range(N), range(N)] += ((p - 1.0) * H ** (2.0 - p)
-                                        * np.maximum(np.abs(xi), floor * H) ** (p - 2.0))
-    return np.where(H[..., None] > 0.0, DA, 0.0)
+        A = s * H[..., None] ** (2.0 - spec.p)
+    return np.where(H[..., None] > 0.0, A, 0.0)
+
+
+def _p_jacobian(spec: NormSpec, xi: np.ndarray, H: np.ndarray, s: np.ndarray) -> dict:
+    """DA at xi from its `_p_terms`: (i, j) -> DA_ij, shape xi.shape[:-1],
+    for i <= j (DA is symmetric, g_i g_j = g_j g_i exactly)."""
+    p, N = spec.p, xi.shape[-1]
+    floor = np.finfo(float).eps if p < 2.0 else 0.0
+    Hc = H[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = s / Hc ** (p - 1.0)
+        diagonal = ((p - 1.0) * Hc ** (2.0 - p)
+                    * np.maximum(np.abs(xi), floor * Hc) ** (p - 2.0))
+        entries = {}
+        for i in range(N):
+            for j in range(i, N):
+                DA = (2.0 - p) * (g[..., i] * g[..., j])
+                if i == j:
+                    DA += diagonal[..., i]
+                entries[i, j] = np.where(H > 0.0, DA, 0.0)
+    return entries
 
 
 @lru_cache(maxsize=128)

@@ -5,14 +5,18 @@ normal derivative is the direct difference across the face, the tangential
 components are averages of the two neighboring nodal central differences,
 the flux component through the face is the matching component of the
 duality map A evaluated at that face gradient, and the divergence is the
-difference of face fluxes.  The face gradient G (`face_gradient`) is
-written once, as plain differences of the zero-extended field: the normal
-component is u_j - u_{j-1} scaled by 1/h, a tangential one the sum of the
-two nodal central differences scaled by 1/(4h); `face_gradient_adjoint`
-is its exact adjoint, the same differences taken the other way.  The
-discrete energy of `flow`, its gradient and this operator all use them.
-`face_form` is the one face sum (1/N) sum_axis G^T F(G u): `flow` passes
-the duality map (energy gradient) or its Jacobian (Newton Hessian).
+difference of face fluxes.  The face gradient G is written once
+(`FaceKernel`), as plain differences of the zero-extended field: the
+normal component is u_j - u_{j-1} scaled by 1/h, a tangential one the sum
+of the two nodal central differences scaled by 1/(4h); its adjoint takes
+the same differences the other way.  The field is padded once per
+evaluation and each axis's central difference serves every face family
+(`face_gradients`).  The discrete energy of `flow`, its gradient and this
+operator all use them.  `face_form` is the one face sum
+(1/N) sum_axis G^T F(G u), which `flow` runs with the duality map (energy
+gradient); `FaceHessian` applies the same sum over a fixed Jacobian DA
+per face (the p-norm Newton Hessian) as one kernel, with face_form's
+arithmetic.
 `apply_operator` runs a face operator (this one or the energy gradient)
 for p-norms; for quadratic families (H^2 = xi^T Q xi: euclidean, ellipse,
 smoothed polytope) it is linear with constant coefficients, and it
@@ -51,57 +55,180 @@ def _index(ndim: int, cuts: dict, rest: slice = slice(1, -1)) -> tuple:
     return tuple(cuts.get(m, rest) for m in range(ndim))
 
 
-def face_gradient(values: np.ndarray, spacing, axis: int) -> np.ndarray:
-    """Gradient at the faces normal to `axis`, shape (*faces, N), stored
-    component by component so that each one is contiguous.
+_WHOLE = slice(None)
 
-    Faces sit at n+1 positions along `axis` (face j between nodes j-1 and
-    j) and at n+2 along the others (position j at node j-1, so that the
-    tangential differences of the nodes just outside the grid count); the
-    field is extended by zero.  Nodal differences are formed exactly before
-    the one scaling, as in (u_j - u_{j-1}) / h.
-    """
-    N = values.ndim
-    P = np.pad(values, 2)
-    G = np.empty((N,) + tuple(n + 2 - (m == axis) for m, n in enumerate(values.shape)))
-    whole = slice(None)
-    for k, h in enumerate(spacing):
+
+@lru_cache(maxsize=None)
+def _cuts(ndim: int, axis: int) -> tuple:
+    """Per component k of the faces normal to `axis`: the pair of index
+    tuples that G differences (k == axis, the padded field) or sums (the
+    central difference along k), and the pairs that G^T differences (the
+    flux component) and, for k != axis, then sums (that difference)."""
+    grad, adj = [], []
+    for k in range(ndim):
         if k == axis:
-            np.subtract(P[_index(N, {k: slice(2, -1)})], P[_index(N, {k: slice(1, -2)})],
-                        out=G[k])
-            G[k] *= 1.0 / h
+            grad.append((_index(ndim, {k: slice(2, -1)}), _index(ndim, {k: slice(1, -2)})))
+            adj.append((_index(ndim, {k: slice(None, -1)}), _index(ndim, {k: slice(1, None)})))
         else:
-            C = P[_index(N, {k: slice(2, None)})] - P[_index(N, {k: slice(None, -2)})]
-            np.add(C[_index(N, {axis: slice(1, None)}, whole)],
-                   C[_index(N, {axis: slice(None, -1)}, whole)], out=G[k])
-            G[k] *= 0.25 / h
+            grad.append((_index(ndim, {axis: slice(1, None)}, _WHOLE),
+                         _index(ndim, {axis: slice(None, -1)}, _WHOLE)))
+            adj.append((_index(ndim, {axis: _WHOLE, k: slice(None, -2)}),
+                        _index(ndim, {axis: _WHOLE, k: slice(2, None)}),
+                        _index(ndim, {axis: slice(None, -1)}, _WHOLE),
+                        _index(ndim, {axis: slice(1, None)}, _WHOLE)))
+    central = (_index(ndim, {axis: slice(2, None)}), _index(ndim, {axis: slice(None, -2)}))
+    return grad, adj, central
+
+
+class FaceKernel:
+    """The face gradient G and its adjoint on fields of one shape and spacing.
+
+    Faces normal to `axis` sit at n+1 positions along it (face j between
+    nodes j-1 and j) and at n+2 along the others (position j at node j-1,
+    so that the tangential differences of the nodes just outside the grid
+    count); the field is extended by zero.  The normal component of G u is
+    (u_j - u_{j-1}) / h, a tangential one the sum of the two neighbouring
+    nodal central differences u_{j+1} - u_{j-1} along k scaled by 1/(4h):
+    nodal differences are formed exactly before the one scaling.  A field
+    is copied once into a zero-rimmed buffer the kernel keeps, and each
+    axis's central difference is formed once and serves the tangential
+    components of every face family.  Face arrays are stored component by
+    component, shape (N, *faces), so that each component is contiguous.
+    The arrays `gradients` returns are the kernel's buffers: its next call
+    overwrites them.
+    """
+
+    def __init__(self, shape, spacing):
+        self.shape, self.spacing = tuple(shape), tuple(spacing)
+        N = self.ndim = len(self.shape)
+        self._padded = np.zeros(tuple(n + 4 for n in self.shape))
+        self._central = [np.empty(tuple(n + 2 for n in self.shape)) for _ in range(N)]
+        self._faces = [np.empty((N,) + tuple(n + 2 - (m == axis) for m, n in enumerate(self.shape)))
+                       for axis in range(N)]
+        self._differences = [np.empty(tuple(n + (m == axis) for m, n in enumerate(self.shape)))
+                             for axis in range(N)]
+        self._total, self._term = np.empty(self.shape), np.empty(self.shape)
+
+    def gradients(self, values: np.ndarray, axes=None) -> list:
+        """G u on the faces normal to each of `axes` (default: every axis)."""
+        N, P = self.ndim, self._padded
+        axes = range(N) if axes is None else axes
+        P[(slice(2, -2),) * N] = values
+        for k in {k for axis in axes for k in range(N) if k != axis}:
+            hi, lo = _cuts(N, k)[2]
+            np.subtract(P[hi], P[lo], out=self._central[k])
+        for axis in axes:
+            G = self._faces[axis]
+            for k, (h, (a, b)) in enumerate(zip(self.spacing, _cuts(N, axis)[0])):
+                if k == axis:
+                    np.subtract(P[a], P[b], out=G[k])
+                    G[k] *= 1.0 / h
+                else:
+                    np.add(self._central[k][a], self._central[k][b], out=G[k])
+                    G[k] *= 0.25 / h
+        return [self._faces[axis] for axis in axes]
+
+    def add_adjoint(self, F: np.ndarray, axis: int, acc: np.ndarray) -> None:
+        """acc += G^T F, F on the faces normal to `axis`, shape (N, *faces):
+        the term of each component, in axis order, summed before acc."""
+        total, term, D = self._total, self._term, self._differences[axis]
+        for k, (h, cut) in enumerate(zip(self.spacing, _cuts(self.ndim, axis)[1])):
+            dest = term if k else total
+            if k == axis:
+                np.subtract(F[k][cut[0]], F[k][cut[1]], out=dest)
+                dest *= 1.0 / h
+            else:
+                np.subtract(F[k][cut[0]], F[k][cut[1]], out=D)
+                np.add(D[cut[2]], D[cut[3]], out=dest)
+                dest *= 0.25 / h
+            if k:
+                total += term
+        acc += total
+
+    def adjoint_sum(self, fluxes) -> np.ndarray:
+        """(1/N) sum over axes of G^T fluxes[axis], each of shape (N, *faces),
+        accumulated from zero."""
+        acc = np.zeros(self.shape)
+        for axis, F in enumerate(fluxes):
+            self.add_adjoint(F, axis, acc)
+        acc /= self.ndim
+        return acc
+
+
+def _components(faces: np.ndarray) -> np.ndarray:
+    """View of face vectors (*faces, N) as components (N, *faces)."""
+    return np.moveaxis(np.asarray(faces), -1, 0)
+
+
+def _node_shape(faces: np.ndarray, axis: int) -> tuple:
+    """Grid shape of face vectors (*faces, N) normal to `axis`."""
+    return tuple(f - 2 + (m == axis) for m, f in enumerate(faces.shape[:-1]))
+
+
+def face_gradients(values: np.ndarray, spacing) -> list:
+    """[G u on the faces normal to each axis], each of shape (*faces, N) and
+    stored component by component (`FaceKernel`)."""
+    return [np.moveaxis(G, 0, -1) for G in FaceKernel(values.shape, spacing).gradients(values)]
+
+
+def face_gradient(values: np.ndarray, spacing, axis: int) -> np.ndarray:
+    """G u at the faces normal to `axis`, shape (*faces, N) (`FaceKernel`)."""
+    G, = FaceKernel(values.shape, spacing).gradients(values, (axis,))
     return np.moveaxis(G, 0, -1)
 
 
 def face_gradient_adjoint(flux: np.ndarray, spacing, axis: int) -> np.ndarray:
     """Exact adjoint of `face_gradient`: face vectors back to nodes."""
-    N = flux.ndim - 1
-    whole = slice(None)
+    kernel = FaceKernel(_node_shape(flux, axis), spacing)
+    acc = np.zeros(kernel.shape)
+    kernel.add_adjoint(_components(flux), axis, acc)
+    return acc
 
-    def term(k: int, h: float) -> np.ndarray:
-        F = flux[..., k]
-        if k == axis:
-            return (1.0 / h) * (F[_index(N, {k: slice(None, -1)})]
-                                - F[_index(N, {k: slice(1, None)})])
-        D = (F[_index(N, {axis: whole, k: slice(None, -2)})]
-             - F[_index(N, {axis: whole, k: slice(2, None)})])
-        return (0.25 / h) * (D[_index(N, {axis: slice(None, -1)}, whole)]
-                             + D[_index(N, {axis: slice(1, None)}, whole)])
 
-    return sum(term(k, h) for k, h in enumerate(spacing))
+def face_adjoint_sum(fluxes: list, spacing) -> np.ndarray:
+    """(1/N) sum over axes of G^T fluxes[axis], face vectors (*faces, N)."""
+    kernel = FaceKernel(_node_shape(fluxes[0], 0), spacing)
+    return kernel.adjoint_sum([_components(F) for F in fluxes])
 
 
 def face_form(values: np.ndarray, spacing, flux) -> np.ndarray:
     """(1/N) sum over axes of G^T flux(axis, G u), G the face gradient
     normal to axis; unmasked, the field extended by zero."""
-    N = values.ndim
-    return sum(face_gradient_adjoint(flux(axis, face_gradient(values, spacing, axis)),
-                                     spacing, axis) for axis in range(N)) / N
+    return face_adjoint_sum([flux(axis, xi) for axis, xi
+                             in enumerate(face_gradients(values, spacing))], spacing)
+
+
+class FaceHessian:
+    """x -> (1/N) sum over axes of G^T (DA G x), DA fixed symmetric per face,
+    as one kernel: `jacobians[axis]` maps (i, j), i <= j, to DA_ij on the
+    faces normal to axis (`norms._p_jacobian`).
+
+    The field is padded into the one buffer of its `FaceKernel`, each
+    central difference is shared by every face family, and DA applies as
+    explicit products on contiguous components, each flux component summed
+    over j in order: every operation and scaling is that of `face_form`
+    over the product DA xi, so the values are its values bit for bit.
+    """
+
+    def __init__(self, shape, spacing, jacobians: list):
+        self.kernel = FaceKernel(shape, spacing)
+        self.jacobians = jacobians
+        self._flux = [np.empty_like(G) for G in self.kernel._faces]
+        self._product = [np.empty_like(G[0]) for G in self.kernel._faces]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        kernel, N = self.kernel, self.kernel.ndim
+        acc = np.zeros(kernel.shape)
+        for axis, G in enumerate(kernel.gradients(x)):
+            DA, F, product = self.jacobians[axis], self._flux[axis], self._product[axis]
+            for i in range(N):
+                np.multiply(DA[min(i, 0), max(i, 0)], G[0], out=F[i])
+                for j in range(1, N):
+                    np.multiply(DA[min(i, j), max(i, j)], G[j], out=product)
+                    F[i] += product
+            kernel.add_adjoint(F, axis, acc)
+        acc /= N
+        return acc
 
 
 @lru_cache(maxsize=128)
@@ -141,8 +268,8 @@ def _face_flux_divergence(values: np.ndarray, spec: NormSpec, spacing) -> np.nda
     only partial sums."""
     out = np.zeros_like(values)
     between_nodes = (slice(1, -1),) * values.ndim
-    for axis in range(values.ndim):
-        G = face_gradient(values, spacing, axis)[between_nodes]
+    for axis, xi in enumerate(face_gradients(values, spacing)):
+        G = xi[between_nodes]
         flux = duality_map(spec, G)[..., axis]
         out[(slice(None),) * axis + (slice(1, -1),)] += np.diff(flux, axis=axis) / spacing[axis]
     return out

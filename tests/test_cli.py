@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import finslerheat
 from finslerheat import cli, flow, measures, norms
@@ -45,6 +47,66 @@ def test_verify_norms_csv_quotes_labels_with_commas(tmp_path):
     assert all(len(row) == 6 and None not in row for row in rows)
     assert [row["family"] for row in rows] == [s.label() for s in specs
                                                for _ in range(7)]
+
+
+def _per_cell_csv(path, header, rows):
+    """The writer `cli._write_csv` replaced for tables of numbers: csv.writer
+    and one 17-digit format per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(f"{float(c):.17g}" if isinstance(c, (int, float, np.floating))
+                            and not isinstance(c, bool) else str(c) for c in row)
+
+
+SPECIAL_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 3, -7, 2**60 + 1, np.float64(0.1),
+                 np.float64(-1e-300), np.float32(0.1), 5e-324, 1.7976931348623157e308]
+
+
+@settings(max_examples=60)
+@given(cells=st.lists(st.one_of(st.floats(), st.integers(-2**70, 2**70),
+                                st.sampled_from(SPECIAL_CELLS)), min_size=1, max_size=40),
+       width=st.integers(1, 4))
+@example(cells=SPECIAL_CELLS, width=1)
+@example(cells=SPECIAL_CELLS[:12], width=4)
+def test_numeric_csv_bytes_match_the_per_cell_writer(tmp_path_factory, cells, width):
+    tmp = tmp_path_factory.mktemp("csv")
+    rows = [tuple(cells[i:i + width]) for i in range(0, len(cells) - width + 1, width)]
+    # a string, a bool, a numpy int or a ragged row keeps the csv.writer path
+    for table in (rows, rows + [("a,b", True)], rows + [(np.int64(2**62),)],
+                  rows + [tuple(cells[:width + 1])]):
+        cli._write_csv(tmp / "new.csv", ["c"] * width, table, timestamp=False)
+        _per_cell_csv(tmp / "old.csv", ["c"] * width, table)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_unreadable_grid_paths_are_config_errors(tmp_path, capsys):
+    """Each place a config names a grid file: the density measure, the grid
+    datum, radial-solve's crosscheck and compare's a and b."""
+    grid = tmp_path / "there.grid"
+    grid_from_function([(-1, 1), (-1, 1)], (8, 8),
+                       lambda c: np.sum(c**2, axis=-1)).save(grid)
+    missing = str(tmp_path / "nope.grid")
+    gauss = {"type": "gaussian", "r_max": 4.0}
+    cases = [
+        ("classify", {"norm": EUCLID_JSON, "measure": {"kind": "density", "path": missing},
+                      "lambda_grid": [0.1]}),
+        ("simulate", {"norm": EUCLID_JSON,
+                      "problem": {"radius": 1.0, "spacing": 0.25, "tau": 1e-3, "t_end": 1e-3,
+                                  "datum": {"kind": "grid", "path": missing}}}),
+        ("radial-solve", {"norm": EUCLID_JSON, "profile": gauss, "times": [0.1],
+                          "points": [[0.0, 0.0]], "crosscheck": {"path": missing}}),
+        ("compare", {"a": missing, "b": str(grid)}),
+        ("compare", {"a": str(grid), "b": missing}),
+        ("compare", {"a": str(grid), "b": str(tmp_path)}),     # a directory
+    ]
+    for n, (command, cfg) in enumerate(cases):
+        code, outdir = _run(tmp_path, command, cfg, out=f"out{n}")
+        err = capsys.readouterr().err
+        assert code == 2, (command, cfg)
+        assert err.startswith("config error") and "cannot read grid" in err
+        assert not list(outdir.iterdir())
 
 
 def test_verify_norms_requires_seed(tmp_path):

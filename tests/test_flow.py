@@ -117,6 +117,162 @@ def test_newton_hessian_is_the_symmetric_derivative_of_the_gradient(p, N, seed):
         assert np.max(np.abs(fd - Hx)) <= 10 * eps**2 * np.max(np.abs(Hx))
 
 
+# The reference the fused Newton Hessian must reproduce bit for bit: the
+# face sum (1/N) sum_axis G^T (DA G x) over the np.pad face gradient, with
+# DA from one closed-form expression and applied by einsum, as the solver
+# computed it before the face state and the fused kernel.
+
+def _reference_face_gradient(values, spacing, axis):
+    N = values.ndim
+    idx = lambda cuts, rest=slice(1, -1): tuple(cuts.get(m, rest) for m in range(N))
+    P = np.pad(values, 2)
+    G = np.empty((N,) + tuple(n + 2 - (m == axis) for m, n in enumerate(values.shape)))
+    for k, h in enumerate(spacing):
+        if k == axis:
+            np.subtract(P[idx({k: slice(2, -1)})], P[idx({k: slice(1, -2)})], out=G[k])
+            G[k] *= 1.0 / h
+        else:
+            C = P[idx({k: slice(2, None)})] - P[idx({k: slice(None, -2)})]
+            np.add(C[idx({axis: slice(1, None)}, slice(None))],
+                   C[idx({axis: slice(None, -1)}, slice(None))], out=G[k])
+            G[k] *= 0.25 / h
+    return np.moveaxis(G, 0, -1)
+
+
+def _reference_face_form(values, spacing, flux):
+    N = values.ndim
+    idx = lambda cuts, rest=slice(1, -1): tuple(cuts.get(m, rest) for m in range(N))
+    whole = slice(None)
+
+    def adjoint(F, axis):
+        def term(k, h):
+            if k == axis:
+                return (1.0 / h) * (F[..., k][idx({k: slice(None, -1)})]
+                                    - F[..., k][idx({k: slice(1, None)})])
+            D = (F[..., k][idx({axis: whole, k: slice(None, -2)})]
+                 - F[..., k][idx({axis: whole, k: slice(2, None)})])
+            return (0.25 / h) * (D[idx({axis: slice(None, -1)}, whole)]
+                                 + D[idx({axis: slice(1, None)}, whole)])
+        return sum(term(k, h) for k, h in enumerate(spacing))
+
+    return sum(adjoint(flux(axis, _reference_face_gradient(values, spacing, axis)), axis)
+               for axis in range(N)) / N
+
+
+def _reference_duality_map(p, xi):
+    H = np.sum(np.abs(xi) ** p, axis=-1) ** (1.0 / p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = np.sign(xi) * np.abs(xi) ** (p - 1.0) * H[..., None] ** (2.0 - p)
+    return np.where(H[..., None] > 0.0, A, 0.0)
+
+
+def _reference_duality_jacobian(p, xi):
+    N = xi.shape[-1]
+    H = (np.sum(np.abs(xi) ** p, axis=-1) ** (1.0 / p))[..., None]
+    floor = np.finfo(float).eps if p < 2.0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.sign(xi) * np.abs(xi) ** (p - 1.0) / H ** (p - 1.0)
+        DA = (2.0 - p) * (g[..., :, None] * g[..., None, :])
+        DA[..., range(N), range(N)] += ((p - 1.0) * H ** (2.0 - p)
+                                        * np.maximum(np.abs(xi), floor * H) ** (p - 2.0))
+    return np.where(H[..., None] > 0.0, DA, 0.0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.floats(1.2, 4.0), N=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(p=1.5, N=2, seed=0)
+@example(p=3.0, N=3, seed=0)
+def test_face_state_and_fused_hessian_match_the_reference_bit_for_bit(p, N, seed):
+    rng = np.random.default_rng(seed)
+    spec = norms.p_norm(p, N)
+    shape = tuple(int(n) for n in rng.integers(2, 9, N))
+    spacing = tuple(rng.uniform(0.01, 10.0, N))
+    mask = rng.random(shape) < 0.7
+    # masked fields with plateaus: faces with H = 0 and components = 0
+    w = np.where(mask, np.round(rng.standard_normal(shape), 1), 0.0)
+    x = np.where(mask, rng.standard_normal(shape), 0.0)
+    state = flow._face_state(w, spec, spacing)
+    for axis, (xi, H, s) in enumerate(state):
+        ref_xi = _reference_face_gradient(w, spacing, axis)
+        assert _same_bits(xi, ref_xi)
+        A = norms._p_flux(spec, H, s)
+        assert _same_bits(A, duality_map(spec, xi))
+        assert _same_bits(A, _reference_duality_map(p, ref_xi))
+        ref_DA = _reference_duality_jacobian(p, ref_xi)
+        assert _same_bits(norms.duality_jacobian(spec, xi), ref_DA)
+        for (i, j), DA in norms._p_jacobian(spec, xi, H, s).items():
+            assert _same_bits(DA, ref_DA[..., i, j]) and _same_bits(DA, ref_DA[..., j, i])
+    assert _same_bits(flow._state_gradient(state, spec, spacing),
+                      _reference_face_form(w, spacing, lambda axis, xi:
+                                           _reference_duality_map(p, xi)))
+    assert _same_bits(flow._state_gradient(state, spec, spacing),
+                      energy_gradient(w, spec, spacing))
+    jac = [_reference_duality_jacobian(p, _reference_face_gradient(w, spacing, axis))
+           for axis in range(N)]
+    reference = _reference_face_form(x, spacing, lambda axis, xi: np.einsum(
+        "...ij,...j->...i", jac[axis], xi))
+    for hessian in (flow._newton_hessian(w, spec, spacing),
+                    flow._newton_hessian(w, spec, spacing, state)):
+        assert _same_bits(hessian(x), reference)
+        assert _same_bits(hessian(x), reference)   # its buffers hold nothing over
+
+
+def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch):
+    """Every Newton Hessian of a p = 1.5 prox whose line search backtracks
+    equals one built from scratch at its iterate, and its build evaluates
+    no face gradient and no norm of its own."""
+    spec = norms.p_norm(1.5, 2)
+    lay = ball_layout(spec, 1.0, 1 / 8)
+    mask = ball_mask(spec, lay, 1.0)
+    v = lay.with_values(np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2))
+    calls = {"face": 0, "norm": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(operators, "face_gradient",
+                        counting("face", operators.face_gradient))
+    monkeypatch.setattr(flow, "face_gradients", counting("face", flow.face_gradients))
+    monkeypatch.setattr(norms, "eval_norm", counting("norm", norms.eval_norm))
+    evaluations, builds = [0], []
+    face_state, newton_hessian = flow._face_state, flow._newton_hessian
+
+    def evaluate(*args, **kwargs):
+        evaluations[-1] += 1
+        return face_state(*args, **kwargs)
+
+    def build(w, spec, spacings, state=None):
+        before = dict(calls)
+        hessian = newton_hessian(w, spec, spacings, state)
+        builds.append((w.copy(), hessian, calls == before, evaluations[-1]))
+        evaluations.append(0)
+        return hessian
+
+    monkeypatch.setattr(flow, "_face_state", evaluate)
+    monkeypatch.setattr(flow, "_newton_hessian", build)
+    flow._prox_minimize(v, spec, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
+    monkeypatch.undo()
+
+    # evaluations before each build: the start, then every trial point of
+    # the previous line search; more than one means it cut or halved
+    assert len(builds) > 2 and max(n for *_, n in builds) >= 2
+    rng = np.random.default_rng(0)
+    for w, hessian, no_own_calls, _ in builds:
+        assert no_own_calls
+        fresh = flow._newton_hessian(np.where(mask, w, 0.0), spec, lay.spacing)
+        for _ in range(2):
+            x = np.where(mask, rng.standard_normal(w.shape), 0.0)
+            assert _same_bits(hessian(x), fresh(x))
+
+
 def _quadratic_spec(data, N):
     """euclidean, a diagonal ellipse, an off-diagonal SPD ellipse or a
     smoothed polytope in dimension N."""
