@@ -27,8 +27,14 @@ descent point of the monitored energy.  A p-norm iterate's faces are
 evaluated once (`_face_state`): its gradient and, once accepted, its
 Newton Hessian, applied as one `operators.FaceHessian` kernel, both read
 them, with the arithmetic of separate evaluations bit for bit.  The
-explicit scheme advances with the face-flux operator under the usual
-parabolic step restriction.
+quadratic solve is preconditioned by the DST-I inverse of I/tau + K on
+the box (Concus and Golub's fictitious-domain fast-Poisson solver; the
+symbol is `operators.stencil_symbol` of the same cached stencil) when the
+datum is below the stopping tolerance on the band of free nodes within
+the stencil's reach of a clamped node, where the box and the masked
+operator differ; otherwise CG runs unpreconditioned.  The explicit
+scheme advances with the face-flux operator under the usual parabolic
+step restriction.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -41,15 +47,19 @@ comparison of the run read the domain from it.
 Monitors recorded every step: the energy, the plain mass, the quadratic
 weight integral int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing along
 the flow while t < 1/(4 lam)), the windowed-ball weighted L^1 quantity
-with weight e^(-H0^2 (1+t^ell)), and inner-iteration counts.
+with weight e^(-H0^2 (1+t^ell)), inner-iteration counts and whether the
+step's CG was preconditioned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
+from scipy.fft import dstn, idstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, SpecValidationError, StabilityError
@@ -58,7 +68,7 @@ from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
 from .operators import (FaceHessian, apply_operator, face_adjoint_sum, face_form,
-                        face_gradients, finsler_laplacian, interior_mask)
+                        face_gradients, finsler_laplacian, interior_mask, stencil_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +206,51 @@ def _l2(values: np.ndarray, vol: float) -> float:
     return float(np.sqrt(np.sum(values * values) * vol))
 
 
+def _boundary_band(mask: np.ndarray) -> np.ndarray:
+    """Free nodes within the stencil's reach, 2 nodes along every axis, of a
+    clamped node; the zero extension beyond the box counts as clamped."""
+    return mask & ndimage.maximum_filter(~mask, size=5, mode="constant", cval=True)
+
+
+@lru_cache(maxsize=4)
+def _box_divisor(spec: NormSpec, spacings: tuple, shape: tuple, tau: float) -> np.ndarray:
+    """1/tau + sigma, sigma the DST-I symbol of the energy gradient's
+    stencil (`operators.stencil_symbol`), on the box of the nodes off the
+    box edge, each side n - 2 padded to the nearest length whose transform,
+    2 (n - 1) long unpadded, is fast."""
+    lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in shape)
+    divisor = stencil_symbol(_face_energy_gradient, spec, spacings, lengths) + 1.0 / tau
+    divisor.flags.writeable = False
+    return divisor
+
+
+def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray,
+                        tau: float) -> LinearOperator:
+    """r -> mask * (I/tau + K)^-1 r with K replaced by the box operator that
+    the DST-I diagonalizes: its inverse on the nodes off the box edge
+    (zero-padded to a fast length), tau r on the box edge.  SPD on the
+    masked fields; exact for axis-symmetric stencils away from the clamped
+    nodes and the box's far side."""
+    shape = mask.shape
+    divisor = _box_divisor(spec, spacings, shape, tau)
+    interior = (slice(1, -1),) * mask.ndim
+    box = tuple(slice(0, n - 2) for n in shape)
+    off = ~mask
+
+    def psolve(r: np.ndarray) -> np.ndarray:
+        r = r.reshape(shape)
+        padded = np.zeros(divisor.shape)
+        padded[box] = r[interior]
+        coeffs = dstn(padded, type=1, overwrite_x=True)
+        coeffs /= divisor
+        out = tau * r
+        out[interior] = idstn(coeffs, type=1, overwrite_x=True)[box]
+        np.copyto(out, 0.0, where=off)
+        return out.ravel()
+
+    return LinearOperator((mask.size, mask.size), matvec=psolve, dtype=float)
+
+
 def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float,
                    inner: InnerSolverConfig):
     """Minimize J(u) = ||u - v||^2/(2 tau) + psi(u) over masked fields.
@@ -211,7 +266,16 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
     root of J' (Newton overshoots where the p < 2 flux is only Hoelder) and
     backtrack (Armijo) on J, up to its rounding, so J(u) <= J(v).  Stops at
     ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); over max_iters CG
-    iterations raise ConvergenceError.  Returns (u, CG iterations).
+    iterations raise ConvergenceError.
+
+    The quadratic solve is preconditioned by the DST-I inverse of its own
+    stencil on the box (`_box_preconditioner`) when the right side v/tau
+    has L^2 norm below that tolerance on the boundary band
+    (`_boundary_band`), where the box operator and the masked one differ;
+    otherwise, and for every p-norm Newton system, CG runs unpreconditioned.
+    scipy's `cg` stops on the unpreconditioned residual, so the stopping
+    test is the same on both paths.  Returns (u, CG iterations, whether
+    the quadratic solve was preconditioned).
     """
     spacings, vol = v.spacing, v.cell_volume
     u = np.where(mask, v.values, 0.0)
@@ -229,7 +293,7 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
         g = np.where(mask, (w - u) / tau + grad, 0.0)
         return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau)), state
 
-    def newton_cg(w, state, rhs, x0, atol, maxiter):
+    def newton_cg(w, state, rhs, x0, atol, maxiter, M=None):
         hessian = _newton_hessian(w, spec, spacings, state)
 
         def matvec(x: np.ndarray) -> np.ndarray:
@@ -243,16 +307,18 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
         steps = []
         x, info = cg(LinearOperator((w.size, w.size), matvec=matvec, dtype=float),
                      rhs.ravel(), x0=x0, rtol=0.0,
-                     atol=atol / np.sqrt(vol), maxiter=maxiter,
+                     atol=atol / np.sqrt(vol), maxiter=maxiter, M=M,
                      callback=lambda _: steps.append(1))
         return x.reshape(w.shape), info, len(steps)
 
-    w, iters = u, 0
+    w, iters, M = u, 0, None
     if spec.family != "p_norm":
-        w, info, iters = newton_cg(u, None, u / tau, u.ravel(), inner.tolerance * scale,
-                                   inner.max_iters)
+        rhs, atol = u / tau, inner.tolerance * scale
+        if _l2(rhs[_boundary_band(mask)], vol) < atol:
+            M = _box_preconditioner(spec, tuple(spacings), mask, tau)
+        w, info, iters = newton_cg(u, None, rhs, u.ravel(), atol, inner.max_iters, M)
         if not info:
-            return w, iters
+            return w, iters, M is not None
     g, Jw, state = grad_and_value(w)
     while not (gn := _l2(g, vol)) <= inner.tolerance * scale:  # NaN fails
         if iters >= inner.max_iters:
@@ -274,14 +340,14 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
             trial = w + alpha * d
             g_new, J_new, state = grad_and_value(trial)
         w, g, Jw = trial, g_new, J_new
-    return w, iters
+    return w, iters, M is not None
 
 
 def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float, inner: Optional[InnerSolverConfig] = None) -> GridFunction:
     """One implicit Euler step: the proximal map of the discrete energy."""
     inner = inner or InnerSolverConfig()
-    vals, _ = _prox_minimize(u_prev, spec, mask, tau, inner)
+    vals, _, _ = _prox_minimize(u_prev, spec, mask, tau, inner)
     return u_prev.with_values(vals)
 
 
@@ -414,12 +480,12 @@ def solve(problem: FlowProblem) -> Trajectory:
 
     logs, monitor_times, times, slices = {}, [], [], []
 
-    def record(k: int, gf: GridFunction, iters: int) -> None:
+    def record(k: int, gf: GridFunction, iters: int, preconditioned: bool) -> None:
         t = k * tau
         monitor_times.append(t)
         u = np.where(mask, gf.values, 0.0)
         values = {"energy": energy(gf, spec, mask), "mass": float(np.sum(u)) * vol,
-                  "inner_iterations": iters,
+                  "inner_iterations": iters, "preconditioned": int(preconditioned),
                   **_weighted_monitors(u, h0, vol, t, lam, ell, unit_kernel, mask)}
         for name, value in values.items():
             logs.setdefault(name, []).append(value)
@@ -431,19 +497,20 @@ def solve(problem: FlowProblem) -> Trajectory:
         return Trajectory(problem, h0, mask, times, slices, np.array(monitor_times),
                           {k: np.array(v, dtype=float) for k, v in logs.items()})
 
-    record(0, state, 0)
+    record(0, state, 0, False)
     for k in range(1, n_steps + 1):
         if problem.scheme == "implicit_proximal":
             try:
-                vals, iters = _prox_minimize(state, spec, mask, tau, problem.inner)
+                vals, iters, preconditioned = _prox_minimize(state, spec, mask, tau,
+                                                             problem.inner)
             except ConvergenceError as exc:
                 exc.partial = trajectory()   # the steps before it, for diagnosis
                 raise
             state = state.with_values(vals)
         else:
             state = explicit_step(state, spec, mask, tau)
-            iters = 0
-        record(k, state, iters)
+            iters, preconditioned = 0, False
+        record(k, state, iters, preconditioned)
     return trajectory()
 
 

@@ -252,6 +252,28 @@ def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
     return S, scale
 
 
+def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> np.ndarray:
+    """sigma(theta) = scale * sum_k S_k prod_m cos(k_m theta_m), (S, scale)
+    the `constant_stencil` of face_op, at the DST-I frequencies
+    theta_m = pi j / (n_m + 1), j = 1 .. n_m, of a box of `lengths` n_m.
+
+    The type-1 sine transform diagonalizes correlation with the stencil's
+    part that is even along every axis, the field extended oddly beyond the
+    box, and sigma is its eigenvalue; it is the mean of the operator's
+    Fourier symbol over the sign flips of theta, so sigma >= 0 where the
+    operator is positive semidefinite.  Summed from one cosine table per
+    axis, one `tensordot` per axis.
+    """
+    S, scale = constant_stencil(face_op, spec, tuple(spacing))
+    reach = S.shape[0] // 2
+    sigma = S
+    for n in lengths:
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        sigma = np.tensordot(sigma, np.cos(np.outer(np.arange(-reach, reach + 1), theta)),
+                             axes=([0], [0]))
+    return scale * sigma
+
+
 def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing) -> np.ndarray:
     """face_op(values, spec, spacing): p-norms run it, quadratic families
     apply its constant stencil as one correlation, values extended by zero."""

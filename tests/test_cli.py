@@ -403,6 +403,26 @@ def test_simulate_ellipse_representation_and_weighted_l2_check(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("norm, scheme, radius, want", [
+    (ELLIPSE_JSON, "implicit_proximal", 6.0, [0, 1, 1]),   # quiet boundary band
+    (ELLIPSE_JSON, "implicit_proximal", 1.0, [0, 0, 0]),   # datum reaches it
+    (ELLIPSE_JSON, "explicit_euler", 6.0, [0, 0, 0]),
+    ({"family": "p_norm", "params": {"p": 3}, "dimension": 2}, "implicit_proximal",
+     6.0, [0, 0, 0]),
+])
+def test_simulate_writes_whether_each_step_was_preconditioned(tmp_path, norm, scheme,
+                                                               radius, want):
+    cfg = {"norm": norm,
+           "problem": {"radius": radius, "spacing": 1 / 4,
+                       "datum": {"kind": "radial",
+                                 "profile": {"type": "gaussian", "r_max": 16.0}},
+                       "scheme": scheme, "tau": 1e-3, "t_end": 2e-3}}
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 0
+    rows = csv.DictReader((outdir / "monitor_preconditioned.csv").read_text().splitlines())
+    assert [r["preconditioned"] for r in rows] == [str(w) for w in want]
+
+
 def test_radial_solve_constant_profile(tmp_path):
     cfg = {"norm": EUCLID_JSON,
            "profile": {"type": "samples",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, cg
 
 from finslerheat import flow, norms, operators
 from finslerheat.errors import ConvergenceError, SpecValidationError, StabilityError
@@ -12,7 +13,7 @@ from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               explicit_step, nested_domain_study,
                               prox_homogeneity_defect, proximal_step,
                               scaling_check, solve, weighted_monitors)
-from finslerheat.grids import GridFunction, RadialProfile, observed_order
+from finslerheat.grids import GridFunction, RadialProfile, empty_layout, observed_order
 from finslerheat.measures import measure_from_atoms, measure_from_radial
 from finslerheat.norms import duality_map
 from finslerheat.operators import (apply_operator, constant_stencil, face_gradient,
@@ -462,6 +463,165 @@ def test_prox_p_norm_meets_its_stopping_test(p, tau):
                     0.0)
     assert l2(grad) <= inner.tolerance * (1 + l2(v))
     assert J(u) <= J(v)
+
+
+def _plain_prox(v, spec, mask, tau, inner, spacing, vol):
+    """The unpreconditioned CG solve of (I/tau + K) u = v/tau from u = v, as
+    `_prox_minimize` ran it for every quadratic step before the box
+    preconditioner: (u, info, CG iterations)."""
+    u = np.where(mask, v, 0.0)
+    scale = 1.0 + np.sqrt(np.sum(u * u) * vol)
+
+    def matvec(x):
+        x = x.reshape(u.shape)
+        h = energy_gradient(x, spec, spacing)
+        np.copyto(h, 0.0, where=~mask)
+        h += x / tau
+        return h.ravel()
+
+    steps = []
+    x, info = cg(LinearOperator((u.size, u.size), matvec=matvec, dtype=float),
+                 (u / tau).ravel(), x0=u.ravel(), rtol=0.0,
+                 atol=inner.tolerance * scale / np.sqrt(vol), maxiter=inner.max_iters,
+                 callback=lambda _: steps.append(1))
+    return x.reshape(u.shape), info, len(steps)
+
+
+def _prox_residual(u, v, spec, mask, tau, spacing, vol):
+    """||v/tau - (I/tau + K) u||_{L^2} on the free nodes, K u recomputed with
+    `energy_gradient`, and the stopping tolerance's 1 + ||v||_{L^2}."""
+    v = np.where(mask, v, 0.0)
+    r = np.where(mask, v / tau - u / tau - energy_gradient(u, spec, spacing, mask), 0.0)
+    return np.sqrt(np.sum(r * r) * vol), 1.0 + np.sqrt(np.sum(v * v) * vol)
+
+
+@pytest.mark.parametrize("tau, steps", [(1e-2, 3), (1e-3, 4)])
+def test_box_preconditioner_takes_one_cg_iteration_on_a_quiet_ellipse(tau, steps):
+    # the diag(4,1) ball of R = 6 at h = 6/64 from exp(-H0^2): the datum is
+    # below 1e-14 on the boundary band, so every step is preconditioned and
+    # takes exactly one CG iteration (unpreconditioned: 12/13/13 at
+    # tau = 1e-2 and 4 per step at 1e-3); a step must report at least one
+    problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
+                               t_end=tau * steps, inner=InnerSolverConfig(tolerance=1e-7))
+    mon = solve(problem).monitors
+    assert mon["inner_iterations"].tolist() == [0] + [1] * steps
+    assert mon["preconditioned"].tolist() == [0] + [1] * steps
+
+
+def test_plain_prox_path_keeps_its_cg_counts():
+    # the euclidean ball of R = 2 at h = 1/32 from exp(-H0^2) reaches the
+    # boundary band (exp(-4)), so no step is preconditioned and the counts
+    # are those of the unpreconditioned CG
+    problem, _ = _ball_problem(EUCLID, 2.0, 1 / 32, lambda r: np.exp(-r**2), r_max=8.0,
+                               tau=4e-4, t_end=11 * 4e-4,
+                               inner=InnerSolverConfig(tolerance=1e-7))
+    mon = solve(problem).monitors
+    assert mon["inner_iterations"].tolist() == [0, 13, 12, 12, 12, 11, 11, 11, 11, 10, 10, 10]
+    assert mon["preconditioned"].tolist() == [0] * 12
+
+
+def test_preconditioned_prox_meets_the_unpreconditioned_stopping_test():
+    # scipy's cg stops on the unpreconditioned residual: the residual of the
+    # returned field, recomputed here, is within tolerance (1 + ||v||)
+    spec, tau, inner = ELLIPSE, 1e-2, InnerSolverConfig(tolerance=1e-9)
+    lay = ball_layout(spec, 6.0, 6 / 64)
+    mask = ball_mask(spec, lay, 6.0)
+    v = np.exp(-norms.dual_norm_eval(spec, lay.coords()) ** 2)
+    u, iters, preconditioned = flow._prox_minimize(lay.with_values(v), spec, mask, tau, inner)
+    assert preconditioned and iters >= 1
+    gap, scale = _prox_residual(u, v, spec, mask, tau, lay.spacing, lay.cell_volume)
+    assert gap <= inner.tolerance * scale
+
+
+def _box_problem(data, N):
+    """A quadratic spec, per-axis spacings and the ball mask of the largest
+    H0-ball centred in a box of 2 c_i cells per axis."""
+    spec = _quadratic_spec(data, N)
+    cells = [data.draw(st.integers(4, (24, 10, 5)[N - 1])) for _ in range(N)]
+    spacing = [data.draw(st.floats(0.05, 2.0)) for _ in range(N)]
+    lay = empty_layout([(-c * h, c * h) for c, h in zip(cells, spacing)],
+                       [2 * c for c in cells])
+    extents = norms.eval_norm(spec, np.eye(N))
+    radius = min(c * h / e for c, h, e in zip(cells, lay.spacing, extents))
+    h0 = norms.dual_norm_eval(spec, lay.coords())
+    return spec, lay, flow._free_nodes(h0, lay, radius)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_box_preconditioner_paths(data):
+    N = data.draw(st.integers(1, 3))
+    spec, lay, mask = _box_problem(data, N)
+    spacing, vol = lay.spacing, lay.cell_volume
+    tau = data.draw(st.floats(1e-4, 1.0)) * min(spacing) ** 2 * 10
+    inner = InnerSolverConfig(tolerance=data.draw(st.sampled_from([1e-6, 1e-8, 1e-10])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    band = flow._boundary_band(mask)
+    # the band: free nodes with a clamped node (or one beyond the box) in
+    # the 5^N block around them
+    clamped = np.pad(~mask, 2, constant_values=True)
+    near = np.lib.stride_tricks.sliding_window_view(clamped, (5,) * N)
+    np.testing.assert_array_equal(band, mask & near.any(axis=tuple(range(N, 2 * N))))
+    # 1/tau + sigma > 0: sigma is a mean of the nonnegative symbol of K,
+    # also for a rotated ellipse, whose stencil is not axis-symmetric
+    divisor = flow._box_divisor(spec, tuple(spacing), mask.shape, tau)
+    sigma = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing,
+                                     divisor.shape)
+    S, scale = constant_stencil(flow._face_energy_gradient, spec, tuple(spacing))
+    assert np.all(divisor > 0.0)
+    assert np.all(sigma >= -1e-12 * scale * np.sum(np.abs(S)))
+
+    # a datum that vanishes on the band takes the preconditioned path and
+    # lands within the stopping tolerance of the plain solve: both residuals
+    # are below tol (1 + ||v||), and I/tau + K >= I/tau
+    quiet = np.where(mask & ~band, rng.standard_normal(mask.shape), 0.0)
+    u, iters, preconditioned = flow._prox_minimize(lay.with_values(quiet), spec, mask,
+                                                   tau, inner)
+    assert preconditioned
+    plain, info, _ = _plain_prox(quiet, spec, mask, tau, inner, spacing, vol)
+    assert info == 0
+    gap, scale = _prox_residual(u, quiet, spec, mask, tau, spacing, vol)
+    assert gap <= inner.tolerance * scale
+    assert np.sqrt(np.sum((u - plain) ** 2) * vol) <= 2 * tau * inner.tolerance * scale
+
+    # a datum that reaches the band takes the plain path, bit for bit
+    loud = np.where(mask, rng.standard_normal(mask.shape), 0.0)
+    if np.sqrt(np.sum(loud[band] ** 2) * vol) / tau \
+            < inner.tolerance * (1.0 + np.sqrt(np.sum(loud * loud) * vol)):
+        return
+    u, iters, preconditioned = flow._prox_minimize(lay.with_values(loud), spec, mask,
+                                                   tau, inner)
+    plain, info, steps = _plain_prox(loud, spec, mask, tau, inner, spacing, vol)
+    assert not preconditioned and info == 0
+    assert _same_bits(u, plain) and iters == steps
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_box_preconditioner_inverts_axis_symmetric_stencils(data):
+    # for euclidean and diagonal ellipses the DST-I diagonalizes K exactly on
+    # fields that vanish on the box edge and the two nodes next to it (three
+    # on the far side, where a side is padded to a fast length): the
+    # preconditioner undoes I/tau + K there
+    N = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(6, (40, 20, 10)[N - 1])) for _ in range(N))
+    spacing = tuple(data.draw(st.floats(0.05, 2.0)) for _ in range(N))
+    spec = norms.ellipse(np.diag([data.draw(st.floats(0.1, 10.0)) for _ in range(N)])) \
+        if data.draw(st.booleans()) else norms.euclidean(N)
+    tau = data.draw(st.floats(1e-3, 10.0)) * min(spacing) ** 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros(shape, dtype=bool)
+    mask[(slice(1, -1),) * N] = True
+    x = np.zeros(shape)
+    x[(slice(2, -3),) * N] = rng.standard_normal(tuple(n - 5 for n in shape))
+    y = np.where(mask, x / tau + energy_gradient(x, spec, spacing), 0.0)
+    back = flow._box_preconditioner(spec, spacing, mask, tau).matvec(y.ravel())
+    assert np.max(np.abs(back.reshape(shape) - x)) <= 1e-12 * np.max(np.abs(x))
+    # a mask that frees the box edge keeps the preconditioner positive
+    # definite on the fields it admits, those on the edge alone too
+    edge = np.where(mask, 0.0, rng.standard_normal(shape)).ravel()
+    free = np.ones(shape, dtype=bool)
+    assert edge @ flow._box_preconditioner(spec, spacing, free, tau).matvec(edge) > 0.0
 
 
 @settings(max_examples=8)
