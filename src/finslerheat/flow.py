@@ -15,8 +15,8 @@ extended by zero; the face gradient G and its exact adjoint come from
 `operators`.  `energy_gradient` is its one gradient, (1/N) G^T A(G u),
 and psi is read through it: psi is 2-homogeneous, so Euler's identity
 gives psi(u) = (vol/2) <u, grad psi(u)> exactly, for every family.  The
-face sum is `operators.face_form`, and `operators.apply_operator` runs
-it: for quadratic norm families (H^2 = xi^T Q xi) the gradient is K u
+face sum is `operators.FaceKernel.form`, and `operators.apply_operator`
+runs it: for quadratic norm families (H^2 = xi^T Q xi) the gradient is K u
 with K = (1/N) G^T Q G, translation invariant on the zero-extended grid,
 so it is applied as the constant stencil read off the face path (the
 face gradient stays the one definition).
@@ -24,13 +24,14 @@ The inner solver is Newton with conjugate gradients, one solve of the SPD
 system (I/tau + K) u = u_prev/tau for quadratic norm families and damped
 steps on the exact objective for p-norms; every returned step is a
 descent point of the monitored energy.  A p-norm iterate's faces are
-evaluated once (`_face_state`): its gradient and, once accepted, its
-Newton Hessian, applied as one `operators.FaceHessian` kernel, both read
-them, with the arithmetic of separate evaluations bit for bit.  The
-quadratic solve is preconditioned by the DST-I inverse of I/tau + K on
-the box (Concus and Golub's fictitious-domain fast-Poisson solver; the
-symbol is `operators.stencil_symbol` of the same cached stencil) when the
-datum is below the stopping tolerance on the band of free nodes within
+evaluated once, by one `FaceKernel.form` (`_face_state`): its gradient
+and, once accepted, its Newton Hessian, an `operators.FaceHessian` (the
+same form over DA), both read them, with the arithmetic of separate
+evaluations bit for bit.  The quadratic solve is preconditioned by the
+DST-I inverse of I/tau + K on the box (Concus and Golub's
+fictitious-domain fast-Poisson solver; the symbol is
+`operators.stencil_symbol` of the same cached stencil) when the datum is
+below the stopping tolerance on the band of free nodes within
 the stencil's reach of a clamped node, where the box and the masked
 operator differ; otherwise CG runs unpreconditioned.  The explicit
 scheme advances with the face-flux operator under the usual parabolic
@@ -53,6 +54,7 @@ step's CG was preconditioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -67,8 +69,8 @@ from .grids import GridFunction, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
-from .operators import (FaceHessian, apply_operator, face_adjoint_sum, face_form,
-                        face_gradients, finsler_laplacian, interior_mask, stencil_symbol)
+from .operators import (FaceHessian, FaceKernel, apply_operator, finsler_laplacian,
+                        interior_mask, stencil_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,8 @@ from .operators import (FaceHessian, apply_operator, face_adjoint_sum, face_form
 
 def ball_layout(spec: NormSpec, radius: float, spacing: float) -> GridFunction:
     """Empty grid on the lattice box hugging {H0 <= radius}."""
+    if not (math.isfinite(radius) and radius > 0 and math.isfinite(spacing) and spacing > 0):
+        raise SpecValidationError("ball radius and spacing must be positive and finite")
     extents = eval_norm(spec, np.eye(spec.dimension))
     cells = [max(2, int(round(radius * e / spacing))) for e in extents]
     box = tuple((-c * spacing, c * spacing) for c in cells)
@@ -117,10 +121,10 @@ class FlowProblem:
     monitor_ell: Optional[float] = None
 
     def __post_init__(self):
-        if self.radius < 1.0:
-            raise SpecValidationError("domain radius must be >= 1")
-        if self.tau <= 0 or self.t_end <= 0:
-            raise SpecValidationError("tau and t_end must be positive")
+        if not (math.isfinite(self.radius) and self.radius >= 1.0):
+            raise SpecValidationError("domain radius must be finite and >= 1")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tau, self.t_end)):
+            raise SpecValidationError("tau and t_end must be positive and finite")
         if self.scheme not in ("implicit_proximal", "explicit_euler"):
             raise SpecValidationError(f"unknown scheme {self.scheme!r}")
         if self.monitor_ell is not None and not 0.0 < self.monitor_ell < 0.5:
@@ -169,32 +173,31 @@ def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
 
 
 def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
-    """(1/N) G^T A(G u) on the face gradient of `operators`, unmasked."""
-    return face_form(values, spacings, lambda axis, xi: duality_map(spec, xi))
+    """(1/N) G^T A(G u), the `operators.FaceKernel.form` of the duality map, unmasked."""
+    return FaceKernel(values.shape, spacings).form(values, lambda axis, xi: duality_map(spec, xi))
 
 
-def _face_state(values: np.ndarray, spec: NormSpec, spacings) -> list:
-    """Per face family of a p-norm field, (xi, H, s): the face gradient,
-    H(xi) and s = sign(xi) |xi|^(p-1) (`norms._p_terms`).  The energy
-    gradient takes A from it (`_state_gradient`), the Newton Hessian DA."""
-    return [(xi, *_p_terms(spec, xi)) for xi in face_gradients(values, spacings)]
+def _face_state(values: np.ndarray, spec: NormSpec, spacings) -> tuple:
+    """`_face_energy_gradient` of a p-norm field and, per face family, its
+    (xi, H, s): the face gradient, H(xi) and s = sign(xi) |xi|^(p-1)
+    (`norms._p_terms`), from which the flux A and the Newton Hessian's DA
+    are built; one kernel, each face evaluated once."""
+    state = []
+
+    def flux(axis, xi):
+        H, s = _p_terms(spec, xi)
+        state.append((xi, H, s))
+        return _p_flux(spec, H, s)
+    return FaceKernel(values.shape, spacings).form(values, flux), state
 
 
-def _state_gradient(state: list, spec: NormSpec, spacings) -> np.ndarray:
-    """(1/N) G^T A(G u) from the `_face_state` of u: `_face_energy_gradient`."""
-    return face_adjoint_sum([_p_flux(spec, H, s) for _, H, s in state], spacings)
-
-
-def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: Optional[list] = None):
+def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: Optional[list]):
     """x -> (1/N) G^T DA(G w) G x, the Hessian of psi at w, unmasked; for
     quadratic families the constant K of `energy_gradient`.  p-norms build
     DA from `state`, the `_face_state` of w (or of w masked, which differs
-    only in signs of zeros), evaluating it only if it is not given, and
-    apply it as one `operators.FaceHessian` kernel."""
+    only in signs of zeros), and apply it as one `operators.FaceHessian`."""
     if spec.family != "p_norm":
         return lambda x: energy_gradient(x, spec, spacings)
-    if state is None:
-        state = _face_state(w, spec, spacings)
     return FaceHessian(w.shape, spacings, [_p_jacobian(spec, xi, H, s) for xi, H, s in state])
 
 
@@ -286,8 +289,8 @@ def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float
         """grad J(w), J(w) and, for p-norms, the `_face_state` of w masked;
         psi(w) = <w, grad psi(w)>/2 (2-homogeneous)."""
         if spec.family == "p_norm":
-            state = _face_state(np.where(mask, w, 0.0), spec, spacings)
-            grad = np.where(mask, _state_gradient(state, spec, spacings), 0.0)
+            grad, state = _face_state(np.where(mask, w, 0.0), spec, spacings)
+            grad = np.where(mask, grad, 0.0)
         else:
             state, grad = None, energy_gradient(w, spec, spacings, mask)
         g = np.where(mask, (w - u) / tau + grad, 0.0)

@@ -147,6 +147,8 @@ def grid_from_function(box, resolution, fn: Callable[[np.ndarray], np.ndarray]) 
 def refinements(layout: GridFunction, levels: int) -> list[GridFunction]:
     """Empty layouts over the box of `layout` with 2^l times its cells per
     axis, l = 0 .. levels-1."""
+    if levels < 1:
+        raise SpecValidationError("levels must be >= 1")
     return [empty_layout(layout.box, tuple(r * 2**level for r in layout.resolution))
             for level in range(levels)]
 

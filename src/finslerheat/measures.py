@@ -18,6 +18,7 @@ same-mode FFT convolution repeated step for step on scipy.fft).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -77,6 +78,8 @@ def measure_from_radial(profile: RadialProfile, norm: NormSpec) -> MeasureSpec:
 
 def _lattice_box(spec: NormSpec, radius: float, spacing: float):
     """Box hugging {H0 <= radius} with sides on the spacing lattice."""
+    if not (math.isfinite(radius) and radius > 0 and math.isfinite(spacing) and spacing > 0):
+        raise SpecValidationError("window and spacing must be positive and finite")
     extents = eval_norm(spec, np.eye(spec.dimension))
     cells = [max(4, int(np.ceil(radius * e / spacing - 1e-9))) for e in extents]
     box = tuple((-c * spacing, c * spacing) for c in cells)
@@ -121,8 +124,8 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     The balls have radius 1/sqrt(lam).  Densities take their centers over
     all grid nodes of the window, atom measures at the atom locations.
     """
-    if lam <= 0:
-        raise SpecValidationError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise SpecValidationError("lam must be positive and finite")
     radius = 1.0 / np.sqrt(lam)
 
     if measure.kind == "atoms":
@@ -187,6 +190,10 @@ def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
     """
     lam_grid = sorted(float(x) for x in lam_grid)
     windows = sorted(float(w) for w in windows)
+    if not lam_grid:
+        raise SpecValidationError("lambda grid is empty: no lambda to test")
+    if not (math.isfinite(stabilization_tol) and stabilization_tol >= 0):
+        raise SpecValidationError("stabilization_tol must be finite and >= 0")
     if len(windows) < 2:
         raise SpecValidationError("need at least two windows to test stabilization")
     table, stabilized = {}, {}

@@ -455,6 +455,14 @@ def grad_dual_norm(spec: NormSpec, x: np.ndarray,
     return _dual_maximize(spec, x.reshape(-1, x.shape[-1]), cfg)[1].reshape(x.shape)
 
 
+def _dual_pair(spec: NormSpec, X: np.ndarray, cfg: DualEvalConfig) -> tuple:
+    """(`dual_norm_eval`, `grad_dual_norm`) at the rows of X, shape (P, N):
+    on the numeric path from one maximization of each row."""
+    if cfg.method == "sphere_maximization":
+        return _dual_maximize(spec, X, cfg)
+    return dual_norm_eval(spec, X, cfg), grad_dual_norm(spec, X, cfg)
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
@@ -487,18 +495,16 @@ def verify_identities(spec: NormSpec, sample_count: int,
     xi[np.linalg.norm(xi, axis=1) < 1e-3] += 1.0
     x[np.linalg.norm(x, axis=1) < 1e-3] += 1.0
 
-    H = eval_norm(spec, xi)
-    H0 = dual_norm_eval(spec, x, cfg)
-    gH = grad_norm(spec, xi)
-    gH0 = grad_dual_norm(spec, x, cfg)
+    H, gH = eval_norm(spec, xi), grad_norm(spec, xi)
+    (H0, gH0), (H0_gH, gH0_gH) = _dual_pair(spec, x, cfg), _dual_pair(spec, gH, cfg)
     A = duality_map(spec, xi)
 
     violations = {
         "duality_inequality": np.maximum(
             np.abs(np.einsum("ki,ki->k", x, xi)) - H0 * H, 0.0),
-        "grad_on_dual_sphere": np.abs(dual_norm_eval(spec, gH, cfg) - 1.0),
+        "grad_on_dual_sphere": np.abs(H0_gH - 1.0),
         "dual_grad_on_primal_sphere": np.abs(eval_norm(spec, gH0) - 1.0),
-        "inversion_primal": np.abs(H[:, None] * grad_dual_norm(spec, gH, cfg) - xi),
+        "inversion_primal": np.abs(H[:, None] * gH0_gH - xi),
         "inversion_dual": np.abs(H0[:, None] * grad_norm(spec, gH0) - x),
         "homogeneity": np.abs(eval_norm(spec, alpha[:, None] * xi)
                               - np.abs(alpha) * H) / (1.0 + H),

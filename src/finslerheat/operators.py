@@ -10,13 +10,12 @@ difference of face fluxes.  The face gradient G is written once
 normal component is u_j - u_{j-1} scaled by 1/h, a tangential one the sum
 of the two nodal central differences scaled by 1/(4h); its adjoint takes
 the same differences the other way.  The field is padded once per
-evaluation and each axis's central difference serves every face family
-(`face_gradients`).  The discrete energy of `flow`, its gradient and this
-operator all use them.  `face_form` is the one face sum
-(1/N) sum_axis G^T F(G u), which `flow` runs with the duality map (energy
-gradient); `FaceHessian` applies the same sum over a fixed Jacobian DA
-per face (the p-norm Newton Hessian) as one kernel, with face_form's
-arithmetic.
+evaluation and each axis's central difference serves every face family.
+The discrete energy of `flow`, its gradient and this operator all use
+them.  `FaceKernel.form` is the one face sum (1/N) sum_axis G^T F(G u):
+`flow` runs it with the duality map (energy gradient) and the p-norm
+flux (face state), and `FaceHessian` with the products of a fixed
+Jacobian DA per face (the p-norm Newton Hessian).
 `apply_operator` runs a face operator (this one or the energy gradient)
 for p-norms; for quadratic families (H^2 = xi^T Q xi: euclidean, ellipse,
 smoothed polytope) it is linear with constant coefficients, and it
@@ -94,8 +93,8 @@ class FaceKernel:
     axis's central difference is formed once and serves the tangential
     components of every face family.  Face arrays are stored component by
     component, shape (N, *faces), so that each component is contiguous.
-    The arrays `gradients` returns are the kernel's buffers: its next call
-    overwrites them.
+    The arrays `gradients` returns, and the face vectors `form` passes to
+    its flux, are the kernel's buffers: its next call overwrites them.
     """
 
     def __init__(self, shape, spacing):
@@ -109,16 +108,14 @@ class FaceKernel:
                              for axis in range(N)]
         self._total, self._term = np.empty(self.shape), np.empty(self.shape)
 
-    def gradients(self, values: np.ndarray, axes=None) -> list:
-        """G u on the faces normal to each of `axes` (default: every axis)."""
+    def gradients(self, values: np.ndarray) -> list:
+        """G u on the faces normal to each axis, each of shape (N, *faces)."""
         N, P = self.ndim, self._padded
-        axes = range(N) if axes is None else axes
         P[(slice(2, -2),) * N] = values
-        for k in {k for axis in axes for k in range(N) if k != axis}:
+        for k in range(N):
             hi, lo = _cuts(N, k)[2]
             np.subtract(P[hi], P[lo], out=self._central[k])
-        for axis in axes:
-            G = self._faces[axis]
+        for axis, G in enumerate(self._faces):
             for k, (h, (a, b)) in enumerate(zip(self.spacing, _cuts(N, axis)[0])):
                 if k == axis:
                     np.subtract(P[a], P[b], out=G[k])
@@ -126,88 +123,43 @@ class FaceKernel:
                 else:
                     np.add(self._central[k][a], self._central[k][b], out=G[k])
                     G[k] *= 0.25 / h
-        return [self._faces[axis] for axis in axes]
+        return self._faces
 
-    def add_adjoint(self, F: np.ndarray, axis: int, acc: np.ndarray) -> None:
-        """acc += G^T F, F on the faces normal to `axis`, shape (N, *faces):
-        the term of each component, in axis order, summed before acc."""
-        total, term, D = self._total, self._term, self._differences[axis]
-        for k, (h, cut) in enumerate(zip(self.spacing, _cuts(self.ndim, axis)[1])):
-            dest = term if k else total
-            if k == axis:
-                np.subtract(F[k][cut[0]], F[k][cut[1]], out=dest)
-                dest *= 1.0 / h
-            else:
-                np.subtract(F[k][cut[0]], F[k][cut[1]], out=D)
-                np.add(D[cut[2]], D[cut[3]], out=dest)
-                dest *= 0.25 / h
-            if k:
-                total += term
-        acc += total
-
-    def adjoint_sum(self, fluxes) -> np.ndarray:
-        """(1/N) sum over axes of G^T fluxes[axis], each of shape (N, *faces),
-        accumulated from zero."""
+    def form(self, values: np.ndarray, flux) -> np.ndarray:
+        """(1/N) sum over axes of G^T flux(axis, xi), xi = G u on the faces
+        normal to axis; flux takes and returns face vectors (*faces, N).
+        Each G^T term sums its components' terms in axis order before it
+        is added to the sum, accumulated from zero."""
+        N, total, term = self.ndim, self._total, self._term
+        fluxes = [np.moveaxis(flux(axis, np.moveaxis(G, 0, -1)), -1, 0)
+                  for axis, G in enumerate(self.gradients(values))]
         acc = np.zeros(self.shape)
-        for axis, F in enumerate(fluxes):
-            self.add_adjoint(F, axis, acc)
-        acc /= self.ndim
+        for axis, (F, D) in enumerate(zip(fluxes, self._differences)):
+            for k, (h, cut) in enumerate(zip(self.spacing, _cuts(N, axis)[1])):
+                dest = term if k else total
+                if k == axis:
+                    np.subtract(F[k][cut[0]], F[k][cut[1]], out=dest)
+                    dest *= 1.0 / h
+                else:
+                    np.subtract(F[k][cut[0]], F[k][cut[1]], out=D)
+                    np.add(D[cut[2]], D[cut[3]], out=dest)
+                    dest *= 0.25 / h
+                if k:
+                    total += term
+            acc += total
+        acc /= N
         return acc
 
 
-def _components(faces: np.ndarray) -> np.ndarray:
-    """View of face vectors (*faces, N) as components (N, *faces)."""
-    return np.moveaxis(np.asarray(faces), -1, 0)
-
-
-def _node_shape(faces: np.ndarray, axis: int) -> tuple:
-    """Grid shape of face vectors (*faces, N) normal to `axis`."""
-    return tuple(f - 2 + (m == axis) for m, f in enumerate(faces.shape[:-1]))
-
-
-def face_gradients(values: np.ndarray, spacing) -> list:
-    """[G u on the faces normal to each axis], each of shape (*faces, N) and
-    stored component by component (`FaceKernel`)."""
-    return [np.moveaxis(G, 0, -1) for G in FaceKernel(values.shape, spacing).gradients(values)]
-
-
-def face_gradient(values: np.ndarray, spacing, axis: int) -> np.ndarray:
-    """G u at the faces normal to `axis`, shape (*faces, N) (`FaceKernel`)."""
-    G, = FaceKernel(values.shape, spacing).gradients(values, (axis,))
-    return np.moveaxis(G, 0, -1)
-
-
-def face_gradient_adjoint(flux: np.ndarray, spacing, axis: int) -> np.ndarray:
-    """Exact adjoint of `face_gradient`: face vectors back to nodes."""
-    kernel = FaceKernel(_node_shape(flux, axis), spacing)
-    acc = np.zeros(kernel.shape)
-    kernel.add_adjoint(_components(flux), axis, acc)
-    return acc
-
-
-def face_adjoint_sum(fluxes: list, spacing) -> np.ndarray:
-    """(1/N) sum over axes of G^T fluxes[axis], face vectors (*faces, N)."""
-    kernel = FaceKernel(_node_shape(fluxes[0], 0), spacing)
-    return kernel.adjoint_sum([_components(F) for F in fluxes])
-
-
-def face_form(values: np.ndarray, spacing, flux) -> np.ndarray:
-    """(1/N) sum over axes of G^T flux(axis, G u), G the face gradient
-    normal to axis; unmasked, the field extended by zero."""
-    return face_adjoint_sum([flux(axis, xi) for axis, xi
-                             in enumerate(face_gradients(values, spacing))], spacing)
-
-
 class FaceHessian:
-    """x -> (1/N) sum over axes of G^T (DA G x), DA fixed symmetric per face,
-    as one kernel: `jacobians[axis]` maps (i, j), i <= j, to DA_ij on the
-    faces normal to axis (`norms._p_jacobian`).
+    """x -> (1/N) sum over axes of G^T (DA G x), DA fixed symmetric per face:
+    `jacobians[axis]` maps (i, j), i <= j, to DA_ij on the faces normal to
+    axis (`norms._p_jacobian`).
 
-    The field is padded into the one buffer of its `FaceKernel`, each
-    central difference is shared by every face family, and DA applies as
-    explicit products on contiguous components, each flux component summed
-    over j in order: every operation and scaling is that of `face_form`
-    over the product DA xi, so the values are its values bit for bit.
+    `FaceKernel.form` with the flux DA xi, formed as explicit products on
+    contiguous components into buffers of its own, each flux component
+    summed over j in order, so that its values are those of the same form
+    over the product DA xi bit for bit.
     """
 
     def __init__(self, shape, spacing, jacobians: list):
@@ -216,19 +168,17 @@ class FaceHessian:
         self._flux = [np.empty_like(G) for G in self.kernel._faces]
         self._product = [np.empty_like(G[0]) for G in self.kernel._faces]
 
+    def _apply(self, axis: int, xi: np.ndarray) -> np.ndarray:
+        DA, F, product = self.jacobians[axis], self._flux[axis], self._product[axis]
+        for i in range(self.kernel.ndim):
+            np.multiply(DA[0, i], xi[..., 0], out=F[i])
+            for j in range(1, self.kernel.ndim):
+                np.multiply(DA[min(i, j), max(i, j)], xi[..., j], out=product)
+                F[i] += product
+        return np.moveaxis(F, 0, -1)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        kernel, N = self.kernel, self.kernel.ndim
-        acc = np.zeros(kernel.shape)
-        for axis, G in enumerate(kernel.gradients(x)):
-            DA, F, product = self.jacobians[axis], self._flux[axis], self._product[axis]
-            for i in range(N):
-                np.multiply(DA[min(i, 0), max(i, 0)], G[0], out=F[i])
-                for j in range(1, N):
-                    np.multiply(DA[min(i, j), max(i, j)], G[j], out=product)
-                    F[i] += product
-            kernel.add_adjoint(F, axis, acc)
-        acc /= N
-        return acc
+        return self.kernel.form(x, self._apply)
 
 
 @lru_cache(maxsize=128)
@@ -290,9 +240,8 @@ def _face_flux_divergence(values: np.ndarray, spec: NormSpec, spacing) -> np.nda
     only partial sums."""
     out = np.zeros_like(values)
     between_nodes = (slice(1, -1),) * values.ndim
-    for axis, xi in enumerate(face_gradients(values, spacing)):
-        G = xi[between_nodes]
-        flux = duality_map(spec, G)[..., axis]
+    for axis, G in enumerate(FaceKernel(values.shape, spacing).gradients(values)):
+        flux = duality_map(spec, np.moveaxis(G, 0, -1)[between_nodes])[..., axis]
         out[(slice(None),) * axis + (slice(1, -1),)] += np.diff(flux, axis=axis) / spacing[axis]
     return out
 

@@ -26,6 +26,7 @@ with `grids.observed_order`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -159,6 +160,8 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     """
     if spec.kind == "singular_poly":
         raise DomainError("use singular_poly_check for the singular family")
+    if not (math.isfinite(dt) and dt > 0):
+        raise SpecValidationError("dt must be positive and finite")
     h0 = max(layout.spacing)
     spacings, dts, maxes = [], [], []
     for lay in refinements(layout, levels):

@@ -282,8 +282,9 @@ def test_criterion_10_growth_classifier():
 
     cubic = measure_from_radial(RadialProfile.from_function(
         lambda r: np.exp(r**3), 6.0, 2049), EUCLID)
-    res_n = classify(cubic, EUCLID, [0.1, 0.5, 1.0, 2.0],
-                     windows=(2, 3, 4, 5), spacing=0.125)
+    with pytest.warns(UserWarning, match="window smaller than the ball radius"):
+        res_n = classify(cubic, EUCLID, [0.1, 0.5, 1.0, 2.0],
+                         windows=(2, 3, 4, 5), spacing=0.125)
     ok &= not res_n.admissible
     _line(10, ok, f"first stabilized {res.lam_star}, horizon {res.horizon:.4f}; "
           f"compact -> {res_c.lam_star}; cubic admissible={res_n.admissible}")

@@ -519,6 +519,43 @@ def test_compare_equal_and_different(tmp_path):
     assert code == 1
 
 
+_SIMULATE = {"norm": EUCLID_JSON,
+             "problem": {"radius": 1.0, "spacing": 0.125, "tau": 1e-3, "t_end": 5e-3,
+                         "datum": {"kind": "radial",
+                                   "profile": {"type": "gaussian", "r_max": 4.0}}}}
+_CLASSIFY = {"norm": EUCLID_JSON,
+             "measure": {"kind": "radial_density",
+                         "profile": {"type": "bump", "r_max": 16.0}},
+             "lambda_grid": [0.1, 0.3], "windows": [4, 6, 8], "spacing": 0.25}
+_EXACT = {"cases": [{"kind": "gauss_kernel", "norm": EUCLID_JSON,
+                     "box": [[-4, 4], [-4, 4]], "resolution": [16, 16],
+                     "t": 0.5, "dt": 0.01, "levels": 2}]}
+
+
+@pytest.mark.parametrize("command, base, path, value", [
+    ("simulate", _SIMULATE, ("problem", "tau"), float("inf")),
+    ("simulate", _SIMULATE, ("problem", "radius"), float("inf")),
+    ("classify", _CLASSIFY, ("spacing",), 0),
+    ("classify", _CLASSIFY, ("lambda_grid",), []),
+    ("classify", _CLASSIFY, ("stabilization_tol",), float("nan")),
+    ("verify-exact", _EXACT, ("cases", 0, "levels"), 0),
+    ("verify-exact", _EXACT, ("cases", 0, "dt"), 0),
+], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
+        "levels-0", "dt-0"])
+def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, command,
+                                                            base, path, value):
+    # json reads and writes Infinity, so a config can hold it
+    cfg = json.loads(json.dumps(base))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code, outdir = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
 def test_missing_config_file():
     assert main(["classify", "--config", "/nonexistent.json"]) == 2
 

@@ -16,7 +16,7 @@ from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
 from finslerheat.grids import GridFunction, RadialProfile, empty_layout, observed_order
 from finslerheat.measures import measure_from_atoms, measure_from_radial
 from finslerheat.norms import duality_map
-from finslerheat.operators import (apply_operator, constant_stencil, face_gradient,
+from finslerheat.operators import (FaceKernel, apply_operator, constant_stencil,
                                    finsler_laplacian, interior_mask, lift_radial)
 
 EUCLID = norms.euclidean(2)
@@ -107,7 +107,7 @@ def test_newton_hessian_is_the_symmetric_derivative_of_the_gradient(p, N, seed):
     w = 1.0 + np.tensordot(rng.uniform(1.0, 2.0, N), np.indices(shape), 1) \
         + rng.uniform(-0.1, 0.1, shape)
     x, y = rng.standard_normal((2,) + shape)
-    hessian = flow._newton_hessian(w, spec, spacing)
+    hessian = flow._newton_hessian(w, spec, spacing, flow._face_state(w, spec, spacing)[1])
     Hx, Hy = hessian(x), hessian(y)
     assert abs(np.sum(x * Hy) - np.sum(Hx * y)) \
         <= 1e-12 * np.sqrt(np.sum(x * x) * np.sum(Hy * Hy))
@@ -197,7 +197,7 @@ def test_face_state_and_fused_hessian_match_the_reference_bit_for_bit(p, N, seed
     # masked fields with plateaus: faces with H = 0 and components = 0
     w = np.where(mask, np.round(rng.standard_normal(shape), 1), 0.0)
     x = np.where(mask, rng.standard_normal(shape), 0.0)
-    state = flow._face_state(w, spec, spacing)
+    gradient, state = flow._face_state(w, spec, spacing)
     for axis, (xi, H, s) in enumerate(state):
         ref_xi = _reference_face_gradient(w, spacing, axis)
         assert _same_bits(xi, ref_xi)
@@ -208,19 +208,24 @@ def test_face_state_and_fused_hessian_match_the_reference_bit_for_bit(p, N, seed
         assert _same_bits(norms.duality_jacobian(spec, xi), ref_DA)
         for (i, j), DA in norms._p_jacobian(spec, xi, H, s).items():
             assert _same_bits(DA, ref_DA[..., i, j]) and _same_bits(DA, ref_DA[..., j, i])
-    assert _same_bits(flow._state_gradient(state, spec, spacing),
-                      _reference_face_form(w, spacing, lambda axis, xi:
-                                           _reference_duality_map(p, xi)))
-    assert _same_bits(flow._state_gradient(state, spec, spacing),
-                      energy_gradient(w, spec, spacing))
+    assert _same_bits(gradient, _reference_face_form(w, spacing, lambda axis, xi:
+                                                     _reference_duality_map(p, xi)))
+    assert _same_bits(gradient, energy_gradient(w, spec, spacing))
     jac = [_reference_duality_jacobian(p, _reference_face_gradient(w, spacing, axis))
            for axis in range(N)]
     reference = _reference_face_form(x, spacing, lambda axis, xi: np.einsum(
         "...ij,...j->...i", jac[axis], xi))
-    for hessian in (flow._newton_hessian(w, spec, spacing),
-                    flow._newton_hessian(w, spec, spacing, state)):
-        assert _same_bits(hessian(x), reference)
-        assert _same_bits(hessian(x), reference)   # its buffers hold nothing over
+    hessian = flow._newton_hessian(w, spec, spacing, state)
+    assert _same_bits(hessian(x), reference)
+    assert _same_bits(hessian(x), reference)   # its buffers hold nothing over
+
+
+def _counting(calls, key, fn):
+    """fn, adding 1 to calls[key] on each call."""
+    def wrapped(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch):
@@ -232,17 +237,9 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
     mask = ball_mask(spec, lay, 1.0)
     v = lay.with_values(np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2))
     calls = {"face": 0, "norm": 0}
-
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(operators, "face_gradient",
-                        counting("face", operators.face_gradient))
-    monkeypatch.setattr(flow, "face_gradients", counting("face", flow.face_gradients))
-    monkeypatch.setattr(norms, "eval_norm", counting("norm", norms.eval_norm))
+    monkeypatch.setattr(FaceKernel, "gradients",
+                        _counting(calls, "face", FaceKernel.gradients))
+    monkeypatch.setattr(norms, "eval_norm", _counting(calls, "norm", norms.eval_norm))
     evaluations, builds = [0], []
     face_state, newton_hessian = flow._face_state, flow._newton_hessian
 
@@ -250,7 +247,7 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
         evaluations[-1] += 1
         return face_state(*args, **kwargs)
 
-    def build(w, spec, spacings, state=None):
+    def build(w, spec, spacings, state):
         before = dict(calls)
         hessian = newton_hessian(w, spec, spacings, state)
         builds.append((w.copy(), hessian, calls == before, evaluations[-1]))
@@ -268,10 +265,32 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
     rng = np.random.default_rng(0)
     for w, hessian, no_own_calls, _ in builds:
         assert no_own_calls
-        fresh = flow._newton_hessian(np.where(mask, w, 0.0), spec, lay.spacing)
+        masked = np.where(mask, w, 0.0)
+        fresh = flow._newton_hessian(masked, spec, lay.spacing,
+                                     flow._face_state(masked, spec, lay.spacing)[1])
         for _ in range(2):
             x = np.where(mask, rng.standard_normal(w.shape), 0.0)
             assert _same_bits(hessian(x), fresh(x))
+
+
+def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(monkeypatch):
+    """A p-norm prox builds one FaceKernel per gradient evaluation (its
+    `_face_state`) and one per Newton Hessian, and no other; the energy
+    gradient builds one."""
+    spec = norms.p_norm(3, 2)
+    lay = ball_layout(spec, 1.0, 1 / 8)
+    mask = ball_mask(spec, lay, 1.0)
+    v = lay.with_values(np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2))
+    calls = {"kernel": 0, "evaluation": 0, "build": 0}
+    monkeypatch.setattr(FaceKernel, "__init__", _counting(calls, "kernel", FaceKernel.__init__))
+    monkeypatch.setattr(flow, "_face_state", _counting(calls, "evaluation", flow._face_state))
+    monkeypatch.setattr(flow, "_newton_hessian", _counting(calls, "build", flow._newton_hessian))
+    flow._prox_minimize(v, spec, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
+    assert calls["evaluation"] > 2 and calls["build"] > 1
+    assert calls["kernel"] == calls["evaluation"] + calls["build"]
+    calls["kernel"] = 0
+    energy_gradient(v.values, spec, lay.spacing)
+    assert calls["kernel"] == 1
 
 
 def _quadratic_spec(data, N):
@@ -295,9 +314,9 @@ def _face_sum_energy(values, spec, spacing):
     """(1/2N) vol sum over faces of A(G u) . G u, straight from the face map."""
     N = values.ndim
     total = 0.0
-    for axis in range(N):
-        G = face_gradient(values, spacing, axis)
-        total += float(np.sum(duality_map(spec, G) * G))
+    for G in FaceKernel(values.shape, spacing).gradients(values):
+        xi = np.moveaxis(G, 0, -1)
+        total += float(np.sum(duality_map(spec, xi) * xi))
     return total * float(np.prod(spacing)) / (2.0 * N)
 
 

@@ -90,8 +90,9 @@ def test_classifier_compact_density():
 
 def test_classifier_cubic_growth_is_non_admissible():
     m = _radial_measure(lambda r: np.exp(r**3), r_max=6.0)
-    res = classify(m, EUCLID, [0.1, 0.5, 1.0, 2.0], windows=(2, 3, 4, 5),
-                   spacing=0.125)
+    with pytest.warns(UserWarning, match="window smaller than the ball radius"):
+        res = classify(m, EUCLID, [0.1, 0.5, 1.0, 2.0], windows=(2, 3, 4, 5),
+                       spacing=0.125)
     assert not res.admissible
 
 

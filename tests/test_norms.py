@@ -364,6 +364,22 @@ def test_numeric_dual_raises_once_for_the_worst_gap(spec, samples):
         assert (err.value.gap, err.value.best) == single[worst]
 
 
+@pytest.mark.parametrize("spec, cfg", [(P4, NUMERIC_CFG), (SQUARE, NUMERIC_CFG),
+                                       (norms.ellipse(np.diag([4.0, 1.0, 2.25])),
+                                        NUMERIC_3D_CFG)])
+def test_numeric_identity_suite_maximizes_each_point_set_once(monkeypatch, spec, cfg):
+    # the sample points x and the gradients grad H(xi): H0 and grad H0 of
+    # each come from one maximization
+    rows, maximize = [], norms._dual_maximize
+
+    def counting(spec, X, cfg):
+        rows.append(len(X))
+        return maximize(spec, X, cfg)
+    monkeypatch.setattr(norms, "_dual_maximize", counting)
+    norms.verify_identities(spec, 50, cfg, seed=3)
+    assert rows == [50, 50]
+
+
 @pytest.mark.parametrize("bad", [1.0, float("inf"), 0.5])
 def test_p_norm_endpoints_rejected(bad):
     with pytest.raises(SpecValidationError):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from finslerheat import norms, operators
 from finslerheat.errors import OutOfRangeError, SpecValidationError
 from finslerheat.grids import RadialProfile, empty_layout, grid_from_function
-from finslerheat.operators import (check_linearity, check_radial_reduction,
-                                   face_gradient, face_gradient_adjoint,
+from finslerheat.operators import (FaceKernel, check_linearity, check_radial_reduction,
                                    finsler_laplacian, interior_mask,
                                    lift_radial, radial_operator_values)
 
@@ -20,41 +19,49 @@ QUAD = RadialProfile.from_function(lambda r: 0.5 * r**2, 6.0, 4097)
 
 @settings(max_examples=40)
 @given(data=st.data())
-def test_face_gradient_adjoint_and_stencil_counts(data):
+def test_face_kernel_form_is_the_adjoint_sum_and_stencil_counts(data):
     N = data.draw(st.integers(1, 3))
     shape = tuple(data.draw(st.integers(3, 9)) for _ in range(N))
     spacing = tuple(data.draw(st.floats(0.01, 10.0)) for _ in range(N))
-    axis = data.draw(st.integers(0, N - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     u = rng.standard_normal(shape)
-    Gu = face_gradient(u, spacing, axis)
-    F = rng.standard_normal(Gu.shape)
-    lhs = float(np.sum(Gu * F))
-    rhs = float(np.sum(u * face_gradient_adjoint(F, spacing, axis)))
-    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Gu) * np.linalg.norm(F)
-    # on faces whose stencil lies in the grid, the map is exact on
-    # quadratics: face j along `axis` sits at (j - 1/2) h, position j
+    kernel = FaceKernel(shape, spacing)
+    Gu = [np.moveaxis(G, 0, -1).copy() for G in kernel.gradients(u)]
+    F = [rng.standard_normal(G.shape) for G in Gu]
+    # sum_a <G_a u, F_a> = N <u, form(u, a, xi -> F_a)>, and per axis with
+    # the flux zero on the other face families
+    for axes in [range(N)] + [[axis] for axis in range(N)]:
+        lhs = sum(float(np.sum(Gu[a] * F[a])) for a in axes)
+        form = kernel.form(u, lambda a, xi: F[a] if a in axes else np.zeros_like(xi))
+        rhs = N * float(np.sum(u * form))
+        scale = np.sqrt(sum(np.sum(Gu[a] ** 2) for a in axes)
+                        * sum(np.sum(F[a] ** 2) for a in axes))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+    # on faces whose stencil lies in the grid, G is exact on quadratics:
+    # face j along the face family's axis sits at (j - 1/2) h, position j
     # along the others at node j - 1
-    away = tuple(slice(1, -1) if m == axis else slice(2, -2) for m in range(N))
     B = rng.standard_normal((N, N))
     B = B + B.T
     c = rng.standard_normal(N)
     x = np.moveaxis(np.indices(shape), 0, -1) * np.array(spacing)
-    quad = face_gradient(np.einsum("...i,ij,...j->...", x, B, x) + x @ c,
-                         spacing, axis)
-    j = np.moveaxis(np.indices(Gu.shape[:-1]), 0, -1)
-    centers = (j - np.where(np.arange(N) == axis, 0.5, 1.0)) * np.array(spacing)
-    exact = 2.0 * centers @ B + c
-    np.testing.assert_allclose(quad[away], exact[away],
-                               atol=1e-9 * (1.0 + np.max(np.abs(exact))))
+    quad = kernel.gradients(np.einsum("...i,ij,...j->...", x, B, x) + x @ c)
     # stencil node counts, from the responses to the unit impulses of a grid
     # of at most 5 nodes per axis: the difference across the face reads 2
     # nodes, an averaged tangential central difference 4, and none more
     small = tuple(min(n, 5) for n in shape)
-    counts = sum(face_gradient(impulse, spacing, axis) != 0.0
-                 for impulse in np.eye(np.prod(small)).reshape((-1,) + small))
-    full = np.where(np.arange(N) == axis, 2, 4)
-    assert np.all(counts[away] == full) and np.all(counts <= full)
+    small_kernel, counts = FaceKernel(small, spacing), [0] * N
+    for impulse in np.eye(np.prod(small)).reshape((-1,) + small):
+        for axis, G in enumerate(small_kernel.gradients(impulse)):
+            counts[axis] = counts[axis] + (np.moveaxis(G, 0, -1) != 0.0)
+    for axis in range(N):
+        away = tuple(slice(1, -1) if m == axis else slice(2, -2) for m in range(N))
+        j = np.moveaxis(np.indices(Gu[axis].shape[:-1]), 0, -1)
+        centers = (j - np.where(np.arange(N) == axis, 0.5, 1.0)) * np.array(spacing)
+        exact = 2.0 * centers @ B + c
+        np.testing.assert_allclose(np.moveaxis(quad[axis], 0, -1)[away], exact[away],
+                                   atol=1e-9 * (1.0 + np.max(np.abs(exact))))
+        full = np.where(np.arange(N) == axis, 2, 4)
+        assert np.all(counts[axis][away] == full) and np.all(counts[axis] <= full)
 
 
 def test_laplacian_euclidean_quadratic():
