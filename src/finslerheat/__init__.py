@@ -13,7 +13,7 @@ from .grids import GridFunction, RadialProfile, grid_from_function
 from .norms import (DualEvalConfig, NormSpec, coercivity_bounds, dual_norm_eval,
                     dual_spec, duality_jacobian, duality_map, ellipse, euclidean,
                     eval_norm, grad_dual_norm, grad_norm, p_norm,
-                    smoothed_polytope, verify_identities)
+                    smoothed_polytope, sphere_maximization, verify_identities)
 from .operators import (LinearityReport, ReductionReport, check_linearity,
                         check_radial_reduction, finsler_laplacian,
                         interior_mask, lift_radial)

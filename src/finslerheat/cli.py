@@ -128,13 +128,18 @@ def _measure_from_config(cfg: dict, spec: norms.NormSpec) -> measures.MeasureSpe
     raise SpecValidationError(f"unknown measure kind {kind!r}")
 
 
-_DUAL_KEYS = {"method": str, "sphere_samples": int, "refinement_iters": int,
-              "tolerance": float}
+_DUAL_KEYS = {"sphere_samples": int, "refinement_iters": int, "tolerance": float}
 
 
-def _dual_cfg(cfg: dict) -> norms.DualEvalConfig:
-    _reject_unknown(cfg, set(_DUAL_KEYS), "dual")
-    return norms.DualEvalConfig(**_optional(cfg, _DUAL_KEYS))
+def _dual_oracle(cfg: dict) -> norms.DualEvalConfig | None:
+    """The `sphere_maximization` settings that `dual` selects, or None for
+    the closed forms (method `auto`); the settings are checked either way."""
+    _reject_unknown(cfg, {"method", *_DUAL_KEYS}, "dual")
+    method = cfg.get("method", "auto")
+    if method not in ("auto", "sphere_maximization"):
+        raise SpecValidationError(f"unknown dual evaluation method {method!r}")
+    oracle = norms.DualEvalConfig(**_optional(cfg, _DUAL_KEYS))
+    return oracle if method == "sphere_maximization" else None
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +161,13 @@ def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     if seed is None:
         raise SpecValidationError("verify-norms samples randomly and needs a seed")
     samples = int(cfg.get("samples", 1000))
-    dual_cfg = _dual_cfg(cfg.get("dual", {}))
+    oracle = _dual_oracle(cfg.get("dual", {}))
     overrides = cfg.get("tolerances", {})
     _reject_unknown(overrides, set(_IDENTITY_DEFAULTS), "tolerances")
     rows, ok = [], True
     for norm_obj in _need(cfg, "norms", "verify-norms config"):
         spec = norms.NormSpec.from_dict(norm_obj)
-        report = norms.verify_identities(spec, samples, dual_cfg, seed=int(seed))
+        report = norms.verify_identities(spec, samples, oracle, seed=int(seed))
         for name, value in report.items():
             tol = float(overrides.get(name, _IDENTITY_DEFAULTS[name]))
             passed = value <= tol
@@ -438,7 +443,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](cfg, out, args.seed,
                                        timestamp=not args.no_timestamp)
-    except (SpecValidationError, DomainError, KeyError, TypeError, ValueError) as exc:
+    except (SpecValidationError, DomainError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -103,7 +103,8 @@ class InnerSolverConfig:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.max_iters < 1:
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0
+                and self.max_iters >= 1):
             raise SpecValidationError("inner solver config out of range")
 
 
@@ -127,6 +128,9 @@ class FlowProblem:
             raise SpecValidationError("tau and t_end must be positive and finite")
         if self.scheme not in ("implicit_proximal", "explicit_euler"):
             raise SpecValidationError(f"unknown scheme {self.scheme!r}")
+        if self.monitor_lambda is not None and not (
+                math.isfinite(self.monitor_lambda) and self.monitor_lambda > 0):
+            raise SpecValidationError("lambda must be finite and positive")
         if self.monitor_ell is not None and not 0.0 < self.monitor_ell < 0.5:
             raise SpecValidationError("ell must lie in (0, 1/2)")
         if not isinstance(self.datum, GridFunction):

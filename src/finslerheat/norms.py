@@ -13,10 +13,11 @@ than grad H.
 
 Every family has its dual in closed form (`dual_spec`): the p-norm dual is
 the conjugate q-norm, and every quadratic family H^2 = xi^T Q xi has the
-ellipse of Q^-1 as its dual.  The sampled sphere maximization is kept only
-as an explicit oracle (method="sphere_maximization").  It runs on all
-points at once, raises one ConvergenceError, for the point with the worst
-gap, and takes its gradient from the maximizer (envelope argument):
+ellipse of Q^-1 as its dual.  `dual_norm_eval` and `grad_dual_norm` are
+these closed forms.  The one numeric oracle is `sphere_maximization`, the
+sampled maximization over the unit sphere of H.  It runs on all points at
+once, raises one ConvergenceError, for the point with the worst gap, and
+returns H0 together with its gradient, the maximizer (envelope argument):
 grad H0(x) is the point of {H = 1} where the supremum is attained.
 
 Built-in families:
@@ -121,17 +122,6 @@ class NormSpec:
             return f"smoothed_polytope(k={len(self.directions)},eps={self.epsilon:g})"
         return f"{self.family}(N={self.dimension})"
 
-    def to_dict(self) -> dict:
-        params: dict = {}
-        if self.family == "p_norm":
-            params["p"] = self.p
-        elif self.family == "ellipse":
-            params["matrix"] = [list(row) for row in self.matrix]
-        elif self.family == "smoothed_polytope":
-            params["directions"] = [list(d) for d in self.directions]
-            params["epsilon"] = self.epsilon
-        return {"family": self.family, "params": params, "dimension": self.dimension}
-
     @staticmethod
     def from_dict(obj: dict) -> "NormSpec":
         try:
@@ -174,18 +164,15 @@ def smoothed_polytope(directions: np.ndarray, epsilon: float) -> NormSpec:
 
 @dataclass(frozen=True)
 class DualEvalConfig:
-    """How to evaluate H0: closed form (auto), or the sampled-sup oracle."""
+    """Settings of the sphere-maximization oracle (`sphere_maximization`)."""
 
-    method: str = "auto"    # auto (closed form) | sphere_maximization
     sphere_samples: int = 2048
     refinement_iters: int = 20
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.method not in ("auto", "sphere_maximization"):
-            raise SpecValidationError(f"unknown dual evaluation method {self.method!r}")
-        if self.tolerance <= 0:
-            raise SpecValidationError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise SpecValidationError("tolerance must be finite and positive")
         if self.sphere_samples < 2:
             raise SpecValidationError("sphere_samples too small")
 
@@ -375,15 +362,21 @@ def _tangent_basis(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, np.cross(D, t1)
 
 
-def _dual_maximize(spec: NormSpec, X: np.ndarray, cfg: DualEvalConfig):
-    """Numeric sup of x.xi / H(xi) for each row x of X, shape (P, N).
+def sphere_maximization(spec: NormSpec, x: np.ndarray,
+                        cfg: Optional[DualEvalConfig] = None) -> tuple:
+    """The numeric oracle: (H0(x), grad H0(x)) for x of shape (..., N), as
+    the sup of x.xi / H(xi) over the unit sphere and its maximizer on {H=1}.
 
-    Returns H0 (P,) and the maximizers on {H=1} (P, N), zero for a zero row:
-    a quasi-uniform sphere scan in blocks of at most `_SCAN_ENTRIES`
-    row-direction pairs, then golden-section refinement in each row's best
-    cell.  Values are lower bounds, tight to about (final cell size)^2; rows
-    that miss the tolerance raise one ConvergenceError, for the worst gap.
+    Each point is maximized once, and a zero point gives (0, 0): a
+    quasi-uniform sphere scan in blocks of at most `_SCAN_ENTRIES`
+    point-direction pairs, then golden-section refinement in each point's
+    best cell.  Values are lower bounds, tight to about (final cell size)^2;
+    points that miss the tolerance raise one ConvergenceError, for the
+    worst gap.  The maximizer satisfies H(grad H0(x)) = 1 by construction.
     """
+    cfg = cfg or DualEvalConfig()
+    x = np.asarray(x, dtype=float)
+    X = x.reshape(-1, x.shape[-1])
     N = spec.dimension
     if cfg.sphere_samples < 2 * N:
         raise SpecValidationError("sphere_samples must be >= 2N")
@@ -420,47 +413,24 @@ def _dual_maximize(spec: NormSpec, X: np.ndarray, cfg: DualEvalConfig):
         worst = int(np.argmax(np.where(failed, gap, -np.inf)))
         raise ConvergenceError(f"dual-norm refinement left a gap of {gap[worst]:.3g}",
                                best=float(v_best[worst]), gap=float(gap[worst]))
-    return (np.where(live, v_best, 0.0),
-            np.where(live[:, None], d_best / eval_norm(spec, d_best)[:, None], 0.0))
+    return (np.where(live, v_best, 0.0).reshape(x.shape[:-1]),
+            np.where(live[:, None], d_best / eval_norm(spec, d_best)[:, None],
+                     0.0).reshape(x.shape))
 
 
-def dual_norm_eval(spec: NormSpec, x: np.ndarray,
-                   cfg: Optional[DualEvalConfig] = None) -> np.ndarray:
-    """H0(x) = sup_{xi != 0} x.xi / H(xi); accepts arrays of shape (..., N).
+def dual_norm_eval(spec: NormSpec, x: np.ndarray) -> np.ndarray:
+    """H0(x) = sup_{xi != 0} x.xi / H(xi) in closed form through `dual_spec`;
+    accepts arrays of shape (..., N)."""
+    return eval_norm(dual_spec(spec), x)
 
-    Closed form through `dual_spec`; method="sphere_maximization" instead
-    runs the sampled maximization over the unit sphere of H with local
-    refinement (`_dual_maximize`), on all points at once.
-    """
-    cfg = cfg or DualEvalConfig()
+
+def grad_dual_norm(spec: NormSpec, x: np.ndarray) -> np.ndarray:
+    """grad H0(x) in closed form through `dual_spec`; undefined (raises) at
+    every zero point of x, shape (..., N)."""
     x = np.asarray(x, dtype=float)
-    if cfg.method != "sphere_maximization":
-        return eval_norm(dual_spec(spec), x)
-    return _dual_maximize(spec, x.reshape(-1, x.shape[-1]), cfg)[0].reshape(x.shape[:-1])
-
-
-def grad_dual_norm(spec: NormSpec, x: np.ndarray,
-                   cfg: Optional[DualEvalConfig] = None) -> np.ndarray:
-    """grad H0(x); closed form through the dual spec, or the maximizer.
-
-    On the numeric path the gradient is the argmax of x.xi over {H(xi)=1}
-    (envelope theorem), which automatically satisfies H(grad H0(x)) = 1.
-    """
-    cfg = cfg or DualEvalConfig()
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and not np.any(x):
+    if np.any(np.all(x == 0.0, axis=-1)):
         raise DomainError("grad of the dual norm is undefined at x = 0")
-    if cfg.method != "sphere_maximization":
-        return grad_norm(dual_spec(spec), x)
-    return _dual_maximize(spec, x.reshape(-1, x.shape[-1]), cfg)[1].reshape(x.shape)
-
-
-def _dual_pair(spec: NormSpec, X: np.ndarray, cfg: DualEvalConfig) -> tuple:
-    """(`dual_norm_eval`, `grad_dual_norm`) at the rows of X, shape (P, N):
-    on the numeric path from one maximization of each row."""
-    if cfg.method == "sphere_maximization":
-        return _dual_maximize(spec, X, cfg)
-    return dual_norm_eval(spec, X, cfg), grad_dual_norm(spec, X, cfg)
+    return grad_norm(dual_spec(spec), x)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +438,12 @@ def _dual_pair(spec: NormSpec, X: np.ndarray, cfg: DualEvalConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 def verify_identities(spec: NormSpec, sample_count: int,
-                      cfg: Optional[DualEvalConfig] = None,
+                      oracle: Optional[DualEvalConfig] = None,
                       seed: int = 0) -> dict:
     """Sample-based check of the duality identities; violations are data.
+
+    H0 and grad H0 come from the closed forms, or, given `oracle`, from one
+    `sphere_maximization` of each point set.
 
     Returns identity name -> largest violation over the samples, in this
     order:
@@ -485,7 +458,6 @@ def verify_identities(spec: NormSpec, sample_count: int,
     """
     if sample_count < 1:
         raise SpecValidationError("sample_count >= 1 required")
-    cfg = cfg or DualEvalConfig()
     rng = np.random.default_rng(seed)
     N = spec.dimension
     xi = rng.standard_normal((sample_count, N))
@@ -496,7 +468,11 @@ def verify_identities(spec: NormSpec, sample_count: int,
     x[np.linalg.norm(x, axis=1) < 1e-3] += 1.0
 
     H, gH = eval_norm(spec, xi), grad_norm(spec, xi)
-    (H0, gH0), (H0_gH, gH0_gH) = _dual_pair(spec, x, cfg), _dual_pair(spec, gH, cfg)
+    if oracle is None:
+        dual = lambda X: (dual_norm_eval(spec, X), grad_dual_norm(spec, X))
+    else:
+        dual = lambda X: sphere_maximization(spec, X, oracle)
+    (H0, gH0), (H0_gH, gH0_gH) = dual(x), dual(gH)
     A = duality_map(spec, xi)
 
     violations = {

@@ -218,8 +218,8 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     All exponentials are combined into e^(-(rho-r)^2/4t) times the scaled
     sphere factor, so small t cannot overflow.
     """
-    if t <= 0:
-        raise DomainError("representation formula requires t > 0")
+    if not (np.isfinite(t) and t > 0):
+        raise DomainError("representation formula requires a finite t > 0")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     tails = _tail_bound(profile, dim, float(np.max(rho)), t)
 

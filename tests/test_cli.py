@@ -37,15 +37,18 @@ def test_verify_norms_default_suite(tmp_path):
 
 
 def test_verify_norms_csv_quotes_labels_with_commas(tmp_path):
-    specs = [norms.smoothed_polytope(np.eye(2), 0.05), norms.p_norm(3, 2)]
-    cfg = {"seed": 1, "samples": 200, "norms": [s.to_dict() for s in specs]}
+    specs = [{"family": "smoothed_polytope", "dimension": 2,
+              "params": {"directions": [[1, 0], [0, 1]], "epsilon": 0.05}},
+             {"family": "p_norm", "params": {"p": 3}, "dimension": 2}]
+    labels = ["smoothed_polytope(k=2,eps=0.05)", "p_norm(p=3,N=2)"]
+    cfg = {"seed": 1, "samples": 200, "norms": specs}
     code, outdir = _run(tmp_path, "verify-norms", cfg)
     assert code == 0
     with open(outdir / "norm_identities.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 7 * len(specs)
     assert all(len(row) == 6 and None not in row for row in rows)
-    assert [row["family"] for row in rows] == [s.label() for s in specs
+    assert [row["family"] for row in rows] == [label for label in labels
                                                for _ in range(7)]
 
 
@@ -147,15 +150,25 @@ def test_verify_norms_rejects_a_misspelled_tolerance(tmp_path):
 @pytest.mark.parametrize("dual", [{}, {"method": "sphere_maximization"}])
 def test_identity_suite_and_cli_tolerances_list_the_same_names(tmp_path, dual):
     names = list(cli._IDENTITY_DEFAULTS)
-    cfg = norms.DualEvalConfig(**dual)
+    oracle = norms.DualEvalConfig() if dual else None
     assert list(norms.verify_identities(norms.ellipse(np.diag([4.0, 1.0])), 20,
-                                        cfg, seed=1)) == names
+                                        oracle, seed=1)) == names
     code, outdir = _run(tmp_path, "verify-norms",
                         {"seed": 1, "samples": 20, "norms": [ELLIPSE_JSON],
                          "dual": dual})
     assert code == 0
     with open(outdir / "norm_identities.csv", newline="") as fh:
         assert [row["identity"] for row in csv.DictReader(fh)] == names
+
+
+@pytest.mark.parametrize("dual", [{"method": "sphere_maximisation"},
+                                  {"method": "auto", "tolerance": -1.0}])
+def test_verify_norms_rejects_a_bad_dual_setting(tmp_path, capsys, dual):
+    cfg = {"seed": 1, "samples": 20, "norms": [ELLIPSE_JSON], "dual": dual}
+    code, outdir = _run(tmp_path, "verify-norms", cfg)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (outdir / "norm_identities.csv").exists()
 
 
 def test_verify_norms_unconverged_oracle_exits_3(tmp_path, capsys):
@@ -530,18 +543,42 @@ _CLASSIFY = {"norm": EUCLID_JSON,
 _EXACT = {"cases": [{"kind": "gauss_kernel", "norm": EUCLID_JSON,
                      "box": [[-4, 4], [-4, 4]], "resolution": [16, 16],
                      "t": 0.5, "dt": 0.01, "levels": 2}]}
+_VERIFY = {"seed": 1, "samples": 20, "norms": [ELLIPSE_JSON]}
+_RADIAL = {"norm": EUCLID_JSON, "profile": {"type": "gaussian", "r_max": 14.0},
+           "times": [1e-3], "points": [[0.5, 0.5], [1.0, 0.0]]}
+INF, NAN = float("inf"), float("nan")
 
 
+# int() of Infinity raises OverflowError; the other values passed unchecked
 @pytest.mark.parametrize("command, base, path, value", [
-    ("simulate", _SIMULATE, ("problem", "tau"), float("inf")),
-    ("simulate", _SIMULATE, ("problem", "radius"), float("inf")),
+    ("simulate", _SIMULATE, ("problem", "tau"), INF),
+    ("simulate", _SIMULATE, ("problem", "radius"), INF),
     ("classify", _CLASSIFY, ("spacing",), 0),
     ("classify", _CLASSIFY, ("lambda_grid",), []),
-    ("classify", _CLASSIFY, ("stabilization_tol",), float("nan")),
+    ("classify", _CLASSIFY, ("stabilization_tol",), NAN),
     ("verify-exact", _EXACT, ("cases", 0, "levels"), 0),
     ("verify-exact", _EXACT, ("cases", 0, "dt"), 0),
+    ("simulate", _SIMULATE, ("inner",), {"max_iters": INF}),
+    ("simulate", _SIMULATE, ("problem", "datum", "profile", "samples"), INF),
+    ("radial-solve", _RADIAL, ("profile", "samples"), INF),
+    ("verify-norms", _VERIFY, ("samples",), INF),
+    ("verify-norms", _VERIFY, ("seed",), INF),
+    ("verify-norms", _VERIFY, ("dual",), {"sphere_samples": INF}),
+    ("verify-norms", _VERIFY, ("dual",), {"refinement_iters": INF}),
+    ("verify-exact", _EXACT, ("cases", 0, "levels"), INF),
+    ("simulate", _SIMULATE, ("inner",), {"tolerance": INF}),
+    ("simulate", _SIMULATE, ("inner",), {"tolerance": NAN}),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
+                                          "refinement_iters": 1, "tolerance": NAN}),
+    ("simulate", _SIMULATE, ("monitors",), {"lambda": NAN}),
+    ("simulate", _SIMULATE, ("monitors",), {"lambda": INF}),
+    ("radial-solve", _RADIAL, ("times",), [INF]),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
-        "levels-0", "dt-0"])
+        "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
+        "radial-samples-inf", "verify-samples-inf", "seed-inf", "sphere-samples-inf",
+        "refinement-iters-inf", "levels-inf", "inner-tolerance-inf",
+        "inner-tolerance-nan", "dual-tolerance-nan", "lambda-nan", "lambda-inf",
+        "times-inf"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, command,
                                                             base, path, value):
     # json reads and writes Infinity, so a config can hold it

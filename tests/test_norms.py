@@ -1,3 +1,4 @@
+import json
 from typing import Optional
 
 import numpy as np
@@ -13,10 +14,8 @@ ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
 P4 = norms.p_norm(4, 2)
 SQUARE = norms.smoothed_polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.05)
 
-NUMERIC_CFG = norms.DualEvalConfig(method="sphere_maximization",
-                                   sphere_samples=4096, refinement_iters=48)
-NUMERIC_3D_CFG = norms.DualEvalConfig(method="sphere_maximization",
-                                      sphere_samples=8192, refinement_iters=40,
+NUMERIC_CFG = norms.DualEvalConfig(sphere_samples=4096, refinement_iters=48)
+NUMERIC_3D_CFG = norms.DualEvalConfig(sphere_samples=8192, refinement_iters=40,
                                       tolerance=1e-6)
 
 
@@ -97,14 +96,15 @@ def test_dual_p4_against_brute_force():
     closed = norms.dual_norm_eval(P4, x)
     assert closed == pytest.approx(2.0 ** 0.75, abs=1e-12)
     assert closed == pytest.approx(brute, abs=1e-6)
-    numeric = norms.dual_norm_eval(P4, x, NUMERIC_CFG)
+    numeric, _ = norms.sphere_maximization(P4, x, NUMERIC_CFG)
     assert numeric == pytest.approx(closed, abs=1e-6)
 
 
 def test_dual_ellipse_closed_and_numeric():
     x = np.array([1.0, 0.0])
     assert norms.dual_norm_eval(ELLIPSE, x) == pytest.approx(0.5)
-    assert norms.dual_norm_eval(ELLIPSE, x, NUMERIC_CFG) == pytest.approx(0.5, abs=1e-6)
+    assert norms.sphere_maximization(ELLIPSE, x, NUMERIC_CFG)[0] == pytest.approx(
+        0.5, abs=1e-6)
 
 
 def test_grad_dual_euclidean():
@@ -248,7 +248,7 @@ def test_biduality_recovers_primal():
         dual = norms.dual_spec(spec)
         xi = rng.standard_normal((100, 2))
         H = norms.eval_norm(spec, xi)
-        H_bidual = norms.dual_norm_eval(dual, xi, NUMERIC_CFG)
+        H_bidual, _ = norms.sphere_maximization(dual, xi, NUMERIC_CFG)
         np.testing.assert_allclose(H_bidual, H, rtol=1e-6)
 
 
@@ -266,7 +266,8 @@ def test_smoothed_polytope_numeric_dual_matches_quadratic_form(angles, eps, seed
                             epsilon=eps)
     assert norms.dual_spec(direct) is not None
     x = np.random.default_rng(seed).standard_normal((8, 2))
-    numeric = np.array([norms.dual_norm_eval(spec, row, NUMERIC_CFG) for row in x])
+    numeric = np.array([norms.sphere_maximization(spec, row, NUMERIC_CFG)[0]
+                        for row in x])
     np.testing.assert_allclose(norms.dual_norm_eval(direct, x), numeric, rtol=1e-9)
 
 
@@ -275,12 +276,12 @@ def test_smoothed_polytope_numeric_dual_matches_quadratic_form(angles, eps, seed
 def test_default_dual_never_maximizes(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("default dual evaluation reached the maximizer")
-    monkeypatch.setattr(norms, "_dual_maximize", refuse)
+    monkeypatch.setattr(norms, "sphere_maximization", refuse)
     x = np.random.default_rng(43).standard_normal((4, 3, spec.dimension))
-    for cfg in (None, norms.DualEvalConfig("auto")):
-        norms.dual_norm_eval(spec, x, cfg)
-        norms.grad_dual_norm(spec, x, cfg)
-        norms.grad_dual_norm(spec, x[0, 0], cfg)
+    norms.dual_norm_eval(spec, x)
+    norms.grad_dual_norm(spec, x)
+    norms.grad_dual_norm(spec, x[0, 0])
+    norms.verify_identities(spec, 5)
 
 
 def test_homogeneity_property():
@@ -298,7 +299,7 @@ def test_three_dimensional_numeric_dual():
     rng = np.random.default_rng(41)
     for _ in range(5):
         x = rng.standard_normal(3)
-        numeric = norms.dual_norm_eval(spec, x, NUMERIC_3D_CFG)
+        numeric, _ = norms.sphere_maximization(spec, x, NUMERIC_3D_CFG)
         closed = norms.dual_norm_eval(spec, x)
         assert numeric == pytest.approx(closed, rel=1e-5)
 
@@ -324,8 +325,7 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
     zero = rng.integers(0, len(x), 2)
     x[zero] = 0.0
     live = np.any(x != 0.0, axis=1)
-    H0 = norms.dual_norm_eval(spec, x, cfg)
-    xi = norms.grad_dual_norm(spec, x, cfg)
+    H0, xi = norms.sphere_maximization(spec, x, cfg)
     if dim == 1:   # no sampling error: H0(x) = |x| / H(1)
         np.testing.assert_array_equal(
             H0[live], np.abs(x[live, 0]) / norms.eval_norm(spec, np.ones(1)))
@@ -336,10 +336,12 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
     # rows on both sides of the first block edge, the zero rows and a sample
     rows = np.unique(np.r_[0, block - 1, block, len(x) - 1, zero,
                            rng.integers(0, len(x), 16)])
-    single = np.array([norms.dual_norm_eval(spec, x[i], cfg) for i in rows])
+    single = np.array([norms.sphere_maximization(spec, x[i], cfg)[0] for i in rows])
     np.testing.assert_allclose(single, H0[rows], rtol=1e-15, atol=0.0)
-    with pytest.raises(DomainError):
-        norms.grad_dual_norm(spec, np.zeros(dim), cfg)
+    # the closed-form gradient is undefined at a zero point, alone or in a batch
+    for zeros in (np.zeros(dim), x):
+        with pytest.raises(DomainError, match="grad of the dual norm is undefined"):
+            norms.grad_dual_norm(spec, zeros)
 
 
 @pytest.mark.parametrize("spec, samples", [
@@ -347,21 +349,20 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
 def test_numeric_dual_raises_once_for_the_worst_gap(spec, samples):
     # one golden-section iteration cannot reach the default tolerance; the
     # N = 3 gap is set by the sample count alone, so it takes a coarse scan
-    cfg = norms.DualEvalConfig(method="sphere_maximization", sphere_samples=samples,
-                               refinement_iters=1)
+    cfg = norms.DualEvalConfig(sphere_samples=samples, refinement_iters=1)
     x = np.random.default_rng(59).standard_normal((40, spec.dimension))
     x[0] = 0.0     # a zero row is exact and never the one reported
-    assert norms.dual_norm_eval(spec, x[0], cfg) == 0.0
+    H0, xi = norms.sphere_maximization(spec, x[0], cfg)
+    assert H0 == 0.0 and not np.any(xi)
     single = []
     for row in x[1:]:
         with pytest.raises(ConvergenceError) as err:
-            norms.dual_norm_eval(spec, row, cfg)
+            norms.sphere_maximization(spec, row, cfg)
         single.append((err.value.gap, err.value.best))
     worst = int(np.argmax([gap for gap, _ in single]))
-    for fn in (norms.dual_norm_eval, norms.grad_dual_norm):
-        with pytest.raises(ConvergenceError) as err:
-            fn(spec, x, cfg)
-        assert (err.value.gap, err.value.best) == single[worst]
+    with pytest.raises(ConvergenceError) as err:
+        norms.sphere_maximization(spec, x, cfg)
+    assert (err.value.gap, err.value.best) == single[worst]
 
 
 @pytest.mark.parametrize("spec, cfg", [(P4, NUMERIC_CFG), (SQUARE, NUMERIC_CFG),
@@ -370,12 +371,12 @@ def test_numeric_dual_raises_once_for_the_worst_gap(spec, samples):
 def test_numeric_identity_suite_maximizes_each_point_set_once(monkeypatch, spec, cfg):
     # the sample points x and the gradients grad H(xi): H0 and grad H0 of
     # each come from one maximization
-    rows, maximize = [], norms._dual_maximize
+    rows, maximize = [], norms.sphere_maximization
 
-    def counting(spec, X, cfg):
-        rows.append(len(X))
-        return maximize(spec, X, cfg)
-    monkeypatch.setattr(norms, "_dual_maximize", counting)
+    def counting(spec, x, cfg):
+        rows.append(len(x))
+        return maximize(spec, x, cfg)
+    monkeypatch.setattr(norms, "sphere_maximization", counting)
     norms.verify_identities(spec, 50, cfg, seed=3)
     assert rows == [50, 50]
 
@@ -406,12 +407,20 @@ def test_dimension_mismatch_raises():
 
 
 def test_json_round_trip():
-    for spec in (EUCLID, ELLIPSE, P4, SQUARE):
-        again = norms.NormSpec.from_dict(spec.to_dict())
-        rng = np.random.default_rng(43)
-        xi = rng.standard_normal((20, 2))
-        np.testing.assert_allclose(norms.eval_norm(again, xi),
-                                   norms.eval_norm(spec, xi), atol=1e-15)
+    literals = [
+        (EUCLID, '{"family": "euclidean", "params": {}, "dimension": 2}'),
+        (ELLIPSE, '{"family": "ellipse", "params": {"matrix": [[4, 0], [0, 1]]},'
+                  ' "dimension": 2}'),
+        (P4, '{"family": "p_norm", "params": {"p": 4}, "dimension": 2}'),
+        (SQUARE, '{"family": "smoothed_polytope", "dimension": 2, "params":'
+                 ' {"directions": [[1, 0], [0, 1]], "epsilon": 0.05}}'),
+    ]
+    xi = np.random.default_rng(43).standard_normal((20, 2))
+    for spec, text in literals:
+        again = norms.NormSpec.from_dict(json.loads(text))
+        assert again == spec
+        np.testing.assert_array_equal(norms.eval_norm(again, xi),
+                                      norms.eval_norm(spec, xi))
 
 
 def test_midpoint_convexity_property():
