@@ -444,7 +444,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out, args.seed,
                                        timestamp=not args.no_timestamp)
     except (SpecValidationError, DomainError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
+            OverflowError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -20,22 +20,22 @@ runs it: for quadratic norm families (H^2 = xi^T Q xi) the gradient is K u
 with K = (1/N) G^T Q G, translation invariant on the zero-extended grid,
 so it is applied as the constant stencil read off the face path (the
 face gradient stays the one definition).
-The inner solver is Newton with conjugate gradients, one solve of the SPD
-system (I/tau + K) u = u_prev/tau for quadratic norm families and damped
-steps on the exact objective for p-norms; every returned step is a
-descent point of the monitored energy.  A p-norm iterate's faces are
-evaluated once, by one `FaceKernel.form` (`_face_state`): its gradient
-and, once accepted, its Newton Hessian, an `operators.FaceHessian` (the
-same form over DA), both read them, with the arithmetic of separate
-evaluations bit for bit.  The quadratic solve is preconditioned by the
-DST-I inverse of I/tau + K on the box (Concus and Golub's
-fictitious-domain fast-Poisson solver; the symbol is
-`operators.stencil_symbol` of the same cached stencil) when the datum is
-below the stopping tolerance on the band of free nodes within
-the stencil's reach of a clamped node, where the box and the masked
-operator differ; otherwise CG runs unpreconditioned.  The explicit
-scheme advances with the face-flux operator under the usual parabolic
-step restriction.
+The prox is built once per solve (`_prox_stepper` holds the boundary
+band, the CG operator and the box preconditioner) and takes one path per
+norm family.  Quadratic norm families (H^2 = xi^T Q xi) take one CG solve
+of the SPD system (I/tau + K) u = u_prev/tau, preconditioned by the DST-I
+inverse of I/tau + K on the box (Concus and Golub's fictitious-domain
+fast-Poisson solver; the symbol is `operators.stencil_symbol` of the
+same cached stencil) when the datum is below the stopping tolerance on
+the band of free nodes within the stencil's reach of a clamped node,
+where the box and the masked operator differ.  p-norms take damped Newton
+steps on the exact objective; each iterate's faces are evaluated once,
+by one `FaceKernel.form` (`_face_state`), which its gradient and, once
+accepted, its Newton Hessian (an `operators.FaceHessian`, the same form
+over DA) both read, bit for bit as separate evaluations.  Every returned
+step is a descent point of the monitored energy.  The explicit scheme
+advances with the face-flux operator under the usual parabolic step
+restriction.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,20 +159,16 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None) 
     return 0.5 * gf.cell_volume * float(np.sum(vals * grad))
 
 
-def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
-                    mask: Optional[np.ndarray] = None) -> np.ndarray:
+def energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
     """Exact L^2 gradient (1/N) G^T A(G u) of the zero-extension energy.
 
     (Minus) the divergence-form operator the proximal solver descends on;
     it agrees with the face-flux operator to O(h^2) and, G^T being the
     exact adjoint, descent guarantees hold regardless of resolution.
     Quadratic families apply its cached constant stencil, p-norms the face
-    path (`operators.apply_operator`).  With a mask, values and gradient
-    are clamped to zero off it.
+    path (`operators.apply_operator`).  Unmasked: clamp the field first.
     """
-    vals = values if mask is None else np.where(mask, values, 0.0)
-    g = apply_operator(_face_energy_gradient, vals, spec, spacings)
-    return g if mask is None else np.where(mask, g, 0.0)
+    return apply_operator(_face_energy_gradient, values, spec, spacings)
 
 
 def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
@@ -195,13 +190,10 @@ def _face_state(values: np.ndarray, spec: NormSpec, spacings) -> tuple:
     return FaceKernel(values.shape, spacings).form(values, flux), state
 
 
-def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: Optional[list]):
-    """x -> (1/N) G^T DA(G w) G x, the Hessian of psi at w, unmasked; for
-    quadratic families the constant K of `energy_gradient`.  p-norms build
-    DA from `state`, the `_face_state` of w (or of w masked, which differs
-    only in signs of zeros), and apply it as one `operators.FaceHessian`."""
-    if spec.family != "p_norm":
-        return lambda x: energy_gradient(x, spec, spacings)
+def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: list) -> FaceHessian:
+    """x -> (1/N) G^T DA(G w) G x, the Hessian of psi at the p-norm field w,
+    unmasked, with DA from `state`, the `_face_state` of w (or of w masked:
+    only signs of zeros differ), applied as one `operators.FaceHessian`."""
     return FaceHessian(w.shape, spacings, [_p_jacobian(spec, xi, H, s) for xi, H, s in state])
 
 
@@ -219,27 +211,18 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
     return mask & ndimage.maximum_filter(~mask, size=5, mode="constant", cval=True)
 
 
-@lru_cache(maxsize=4)
-def _box_divisor(spec: NormSpec, spacings: tuple, shape: tuple, tau: float) -> np.ndarray:
-    """1/tau + sigma, sigma the DST-I symbol of the energy gradient's
-    stencil (`operators.stencil_symbol`), on the box of the nodes off the
-    box edge, each side n - 2 padded to the nearest length whose transform,
-    2 (n - 1) long unpadded, is fast."""
-    lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in shape)
-    divisor = stencil_symbol(_face_energy_gradient, spec, spacings, lengths) + 1.0 / tau
-    divisor.flags.writeable = False
-    return divisor
-
-
 def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray,
                         tau: float) -> LinearOperator:
     """r -> mask * (I/tau + K)^-1 r with K replaced by the box operator that
-    the DST-I diagonalizes: its inverse on the nodes off the box edge
-    (zero-padded to a fast length), tau r on the box edge.  SPD on the
-    masked fields; exact for axis-symmetric stencils away from the clamped
-    nodes and the box's far side."""
+    the DST-I diagonalizes: its inverse on the nodes off the box edge, tau r
+    on the box edge.  SPD on the masked fields; exact for axis-symmetric
+    stencils away from the clamped nodes and the box's far side.  The
+    divisor is 1/tau + the DST-I symbol of the stencil
+    (`operators.stencil_symbol`), each side n - 2 of the box zero-padded to
+    the nearest length whose transform, 2 (n - 1) long unpadded, is fast."""
     shape = mask.shape
-    divisor = _box_divisor(spec, spacings, shape, tau)
+    lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in shape)
+    divisor = stencil_symbol(_face_energy_gradient, spec, spacings, lengths) + 1.0 / tau
     interior = (slice(1, -1),) * mask.ndim
     box = tuple(slice(0, n - 2) for n in shape)
     off = ~mask
@@ -258,104 +241,113 @@ def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray,
     return LinearOperator((mask.size, mask.size), matvec=psolve, dtype=float)
 
 
-def _prox_minimize(v: GridFunction, spec: NormSpec, mask: np.ndarray, tau: float,
-                   inner: InnerSolverConfig):
-    """Minimize J(u) = ||u - v||^2/(2 tau) + psi(u) over masked fields.
+def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
+                  inner: InnerSolverConfig):
+    """The prox map of one (spec, spacings, mask, tau, inner), built once:
+    step(v) minimizes J(u) = ||u - v||^2/(2 tau) + psi(u) over masked
+    fields and returns (u, CG iterations, whether CG was preconditioned).
 
-    Inexact Newton from the masked v: CG on I/tau + (1/N) G^T DA(G u) G,
-    DA the Jacobian of the duality map; p-norms take it from the face state
-    of the last point the line search evaluated, the accepted iterate, and
-    evaluate no face twice.  For quadratic families (DA = Q) one step,
-    warm-started at v, solves the prox system (I/tau + K) u = v/tau, with
-    K u = `energy_gradient`(u), the cached constant stencil.
-    p-norms solve to the relative residual min(0.5, sqrt(||grad J|| /
-    (1 + ||v||))), cut a step past the minimum of J along d to the secant
-    root of J' (Newton overshoots where the p < 2 flux is only Hoelder) and
-    backtrack (Armijo) on J, up to its rounding, so J(u) <= J(v).  Stops at
-    ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); over max_iters CG
-    iterations raise ConvergenceError.
+    Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
+    masked v, K u = `energy_gradient`(u), preconditioned by the box inverse
+    of its stencil (`_box_preconditioner`, built at the first such step)
+    when v/tau is below the stopping tolerance in L^2 on the boundary band
+    (`_boundary_band`, built once), where the box and masked operators
+    differ.  `cg` stops on the unpreconditioned residual on both paths.
 
-    The quadratic solve is preconditioned by the DST-I inverse of its own
-    stencil on the box (`_box_preconditioner`) when the right side v/tau
-    has L^2 norm below that tolerance on the boundary band
-    (`_boundary_band`), where the box operator and the masked one differ;
-    otherwise, and for every p-norm Newton system, CG runs unpreconditioned.
-    scipy's `cg` stops on the unpreconditioned residual, so the stopping
-    test is the same on both paths.  Returns (u, CG iterations, whether
-    the quadratic solve was preconditioned).
+    p-norms: inexact Newton from the masked v, CG on I/tau + (1/N) G^T
+    DA(G u) G with DA, the duality map's Jacobian, from the face state of
+    the accepted iterate (the last point the line search evaluated), to the
+    relative residual min(0.5, sqrt(||grad J|| / (1 + ||v||))).  A step past
+    the minimum of J along d is cut to the secant root of J' (Newton
+    overshoots where the p < 2 flux is only Hoelder), then backtracked
+    (Armijo) on J, up to its rounding, so J(u) <= J(v).
+
+    Both stop at ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); past
+    max_iters CG iterations they raise ConvergenceError(best=u, gap).
     """
-    spacings, vol = v.spacing, v.cell_volume
-    u = np.where(mask, v.values, 0.0)
-    off = ~mask
-    scale = 1.0 + _l2(u, vol)
+    spacings, vol, off = tuple(spacings), float(np.prod(spacings)), ~mask
 
-    def grad_and_value(w: np.ndarray):
-        """grad J(w), J(w) and, for p-norms, the `_face_state` of w masked;
-        psi(w) = <w, grad psi(w)>/2 (2-homogeneous)."""
-        if spec.family == "p_norm":
-            grad, state = _face_state(np.where(mask, w, 0.0), spec, spacings)
-            grad = np.where(mask, grad, 0.0)
-        else:
-            state, grad = None, energy_gradient(w, spec, spacings, mask)
-        g = np.where(mask, (w - u) / tau + grad, 0.0)
-        return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau)), state
-
-    def newton_cg(w, state, rhs, x0, atol, maxiter, M=None):
-        hessian = _newton_hessian(w, spec, spacings, state)
-
+    def operator(hessian) -> LinearOperator:
         def matvec(x: np.ndarray) -> np.ndarray:
             # CG iterates vanish off the mask, as the start and right side do
-            x = x.reshape(w.shape)
+            x = x.reshape(mask.shape)
             h = hessian(x)
             np.copyto(h, 0.0, where=off)
             h += x / tau
             return h.ravel()
+        return LinearOperator((mask.size, mask.size), matvec=matvec, dtype=float)
 
+    def solve_cg(A, rhs, x0, atol, maxiter, M=None):
         steps = []
-        x, info = cg(LinearOperator((w.size, w.size), matvec=matvec, dtype=float),
-                     rhs.ravel(), x0=x0, rtol=0.0,
-                     atol=atol / np.sqrt(vol), maxiter=maxiter, M=M,
-                     callback=lambda _: steps.append(1))
-        return x.reshape(w.shape), info, len(steps)
+        x, info = cg(A, rhs.ravel(), x0=x0, rtol=0.0, atol=atol / np.sqrt(vol),
+                     maxiter=maxiter, M=M, callback=lambda _: steps.append(1))
+        return x.reshape(mask.shape), info, len(steps)
 
-    w, iters, M = u, 0, None
+    def fail(w, gap):
+        return ConvergenceError("proximal inner solve did not converge", best=w, gap=gap)
+
     if spec.family != "p_norm":
-        rhs, atol = u / tau, inner.tolerance * scale
-        if _l2(rhs[_boundary_band(mask)], vol) < atol:
-            M = _box_preconditioner(spec, tuple(spacings), mask, tau)
-        w, info, iters = newton_cg(u, None, rhs, u.ravel(), atol, inner.max_iters, M)
-        if not info:
-            return w, iters, M is not None
-    g, Jw, state = grad_and_value(w)
-    while not (gn := _l2(g, vol)) <= inner.tolerance * scale:  # NaN fails
-        if iters >= inner.max_iters:
-            raise ConvergenceError("proximal inner solve did not converge",
-                                   best=w, gap=gn)
-        # `state` is w's: w is the last point grad_and_value evaluated
-        d, _, steps = newton_cg(w, state, -g, None, min(0.5, np.sqrt(gn / scale)) * gn,
-                                inner.max_iters - iters)
-        iters += steps
-        slope = float(np.sum(g * d)) * vol
-        alpha, trial = 1.0, w + d
-        g_new, J_new, state = grad_and_value(trial)
-        if (overshoot := float(np.sum(g_new * d)) * vol) > 0.0:
-            alpha = slope / (slope - overshoot)
-            trial = w + alpha * d
+        band, box = _boundary_band(mask), []
+        A = operator(lambda x: energy_gradient(x, spec, spacings))
+
+        def quadratic_step(values: np.ndarray):
+            u = np.where(mask, values, 0.0)
+            rhs, atol = u / tau, inner.tolerance * (1.0 + _l2(u, vol))
+            quiet = _l2(rhs[band], vol) < atol
+            if quiet and not box:
+                box.append(_box_preconditioner(spec, spacings, mask, tau))
+            w, info, iters = solve_cg(A, rhs, u.ravel(), atol, inner.max_iters,
+                                      box[0] if quiet else None)
+            if info:    # the budget is spent: accept w only if its gap is in tolerance
+                gap = _l2(np.where(mask, (w - u) / tau + energy_gradient(w, spec, spacings),
+                                   0.0), vol)
+                if not gap <= atol:  # NaN fails
+                    raise fail(w, gap)
+            return w, iters, quiet
+        return quadratic_step
+
+    def newton_step(values: np.ndarray):
+        u = np.where(mask, values, 0.0)
+        scale = 1.0 + _l2(u, vol)
+
+        def grad_and_value(w: np.ndarray):
+            """grad J(w), J(w) and the `_face_state` of w masked;
+            psi(w) = <w, grad psi(w)>/2 (2-homogeneous)."""
+            grad, state = _face_state(np.where(mask, w, 0.0), spec, spacings)
+            g = np.where(mask, (w - u) / tau + grad, 0.0)
+            return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau)), state
+
+        w, iters = u, 0
+        g, Jw, state = grad_and_value(w)
+        while not (gn := _l2(g, vol)) <= inner.tolerance * scale:  # NaN fails
+            if iters >= inner.max_iters:
+                raise fail(w, gn)
+            # `state` is w's: w is the last point grad_and_value evaluated
+            d, _, steps = solve_cg(operator(_newton_hessian(w, spec, spacings, state)), -g,
+                                   None, min(0.5, np.sqrt(gn / scale)) * gn,
+                                   inner.max_iters - iters)
+            iters += steps
+            slope = float(np.sum(g * d)) * vol
+            alpha, trial = 1.0, w + d
             g_new, J_new, state = grad_and_value(trial)
-        while J_new > Jw + 1e-4 * alpha * slope + 1e-14 * Jw:
-            alpha *= 0.5
-            trial = w + alpha * d
-            g_new, J_new, state = grad_and_value(trial)
-        w, g, Jw = trial, g_new, J_new
-    return w, iters, M is not None
+            if (overshoot := float(np.sum(g_new * d)) * vol) > 0.0:
+                alpha = slope / (slope - overshoot)
+                trial = w + alpha * d
+                g_new, J_new, state = grad_and_value(trial)
+            while J_new > Jw + 1e-4 * alpha * slope + 1e-14 * Jw:
+                alpha *= 0.5
+                trial = w + alpha * d
+                g_new, J_new, state = grad_and_value(trial)
+            w, g, Jw = trial, g_new, J_new
+        return w, iters, False
+    return newton_step
 
 
 def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float, inner: Optional[InnerSolverConfig] = None) -> GridFunction:
     """One implicit Euler step: the proximal map of the discrete energy."""
-    inner = inner or InnerSolverConfig()
-    vals, _, _ = _prox_minimize(u_prev, spec, mask, tau, inner)
-    return u_prev.with_values(vals)
+    step = _prox_stepper(spec, u_prev.spacing, mask, tau, inner or InnerSolverConfig())
+    return u_prev.with_values(step(u_prev.values)[0])
 
 
 def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
@@ -504,12 +496,13 @@ def solve(problem: FlowProblem) -> Trajectory:
         return Trajectory(problem, h0, mask, times, slices, np.array(monitor_times),
                           {k: np.array(v, dtype=float) for k, v in logs.items()})
 
+    if problem.scheme == "implicit_proximal":
+        step = _prox_stepper(spec, lay.spacing, mask, tau, problem.inner)
     record(0, state, 0, False)
     for k in range(1, n_steps + 1):
         if problem.scheme == "implicit_proximal":
             try:
-                vals, iters, preconditioned = _prox_minimize(state, spec, mask, tau,
-                                                             problem.inner)
+                vals, iters, preconditioned = step(state.values)
             except ConvergenceError as exc:
                 exc.partial = trajectory()   # the steps before it, for diagnosis
                 raise
@@ -529,10 +522,10 @@ def prox_homogeneity_defect(u: GridFunction, spec: NormSpec, mask: np.ndarray,
                             tau: float, k: float,
                             inner: Optional[InnerSolverConfig] = None) -> float:
     """sup | prox(k u) - k prox(u) |; zero in exact arithmetic."""
-    inner = inner or InnerSolverConfig(tolerance=1e-12)
-    a = proximal_step(u.with_values(k * u.values), spec, mask, tau, inner)
-    b = proximal_step(u, spec, mask, tau, inner)
-    return float(np.max(np.abs(a.values - k * b.values)))
+    step = _prox_stepper(spec, u.spacing, mask, tau,
+                         inner or InnerSolverConfig(tolerance=1e-12))
+    a, b = step(k * u.values)[0], step(u.values)[0]
+    return float(np.max(np.abs(a - k * b)))
 
 
 @dataclass

@@ -175,6 +175,10 @@ class DualEvalConfig:
             raise SpecValidationError("tolerance must be finite and positive")
         if self.sphere_samples < 2:
             raise SpecValidationError("sphere_samples too small")
+        # 80 golden-section rounds leave 2e-17 of a bracket; more cannot narrow it
+        if not (isinstance(self.refinement_iters, (int, np.integer))
+                and 0 <= self.refinement_iters <= 100):
+            raise SpecValidationError("refinement_iters must be an integer in [0, 100]")
 
 
 # ---------------------------------------------------------------------------

@@ -549,7 +549,8 @@ _RADIAL = {"norm": EUCLID_JSON, "profile": {"type": "gaussian", "r_max": 14.0},
 INF, NAN = float("inf"), float("nan")
 
 
-# int() of Infinity raises OverflowError; the other values passed unchecked
+# int() of Infinity raises OverflowError, 1e15 samples a MemoryError; the
+# other values passed unchecked
 @pytest.mark.parametrize("command, base, path, value", [
     ("simulate", _SIMULATE, ("problem", "tau"), INF),
     ("simulate", _SIMULATE, ("problem", "radius"), INF),
@@ -573,12 +574,20 @@ INF, NAN = float("inf"), float("nan")
     ("simulate", _SIMULATE, ("monitors",), {"lambda": NAN}),
     ("simulate", _SIMULATE, ("monitors",), {"lambda": INF}),
     ("radial-solve", _RADIAL, ("times",), [INF]),
+    ("verify-norms", _VERIFY, ("samples",), 1e15),
+    ("radial-solve", _RADIAL, ("profile",), {"type": "gaussian", "r_max": 14.0,
+                                             "samples": 1e15}),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
+                                          "sphere_samples": 1e15}),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
+                                          "refinement_iters": 1e300}),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
         "radial-samples-inf", "verify-samples-inf", "seed-inf", "sphere-samples-inf",
         "refinement-iters-inf", "levels-inf", "inner-tolerance-inf",
         "inner-tolerance-nan", "dual-tolerance-nan", "lambda-nan", "lambda-inf",
-        "times-inf"])
+        "times-inf", "verify-samples-1e15", "radial-samples-1e15",
+        "sphere-samples-1e15", "refinement-iters-1e300"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, command,
                                                             base, path, value):
     # json reads and writes Infinity, so a config can hold it

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.sparse.linalg import LinearOperator, cg
 
 from finslerheat import flow, norms, operators
@@ -87,7 +88,7 @@ def test_energy_gradient_is_exact_adjoint(spec):
     mask = ball_mask(spec, lay, 1.0)
     u = np.where(mask, rng.standard_normal(lay.values.shape), 0.0)
     d = np.where(mask, rng.standard_normal(u.shape), 0.0)
-    g = energy_gradient(u, spec, lay.spacing, mask)
+    g = np.where(mask, energy_gradient(u, spec, lay.spacing), 0.0)
     eps = 1e-6
     fd = (energy(lay.with_values(u + eps * d), spec, mask)
           - energy(lay.with_values(u - eps * d), spec, mask)) / (2 * eps)
@@ -256,7 +257,7 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
 
     monkeypatch.setattr(flow, "_face_state", evaluate)
     monkeypatch.setattr(flow, "_newton_hessian", build)
-    flow._prox_minimize(v, spec, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
+    flow._prox_stepper(spec, lay.spacing, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))(v.values)
     monkeypatch.undo()
 
     # evaluations before each build: the start, then every trial point of
@@ -285,7 +286,7 @@ def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(monkeypatch):
     monkeypatch.setattr(FaceKernel, "__init__", _counting(calls, "kernel", FaceKernel.__init__))
     monkeypatch.setattr(flow, "_face_state", _counting(calls, "evaluation", flow._face_state))
     monkeypatch.setattr(flow, "_newton_hessian", _counting(calls, "build", flow._newton_hessian))
-    flow._prox_minimize(v, spec, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
+    flow._prox_stepper(spec, lay.spacing, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))(v.values)
     assert calls["evaluation"] > 2 and calls["build"] > 1
     assert calls["kernel"] == calls["evaluation"] + calls["build"]
     calls["kernel"] = 0
@@ -334,8 +335,9 @@ def test_constant_stencils_match_the_face_path(data):
     # the energy matvec, unmasked and masked (input already masked)
     for x, m in ((u, None), (um, mask)):
         face = flow._face_energy_gradient(x, spec, spacing)
-        face = face if m is None else np.where(m, face, 0.0)
-        stencil = energy_gradient(x, spec, spacing, m)
+        stencil = energy_gradient(x, spec, spacing)
+        if m is not None:
+            face, stencil = np.where(m, face, 0.0), np.where(m, stencil, 0.0)
         assert np.max(np.abs(stencil - face)) <= 1e-13 * np.max(np.abs(face))
     # the interior Laplacian, read on arrays (grids need >= 5 nodes per axis)
     inner = (slice(1, -1),) * N
@@ -478,16 +480,16 @@ def test_prox_p_norm_meets_its_stopping_test(p, tau):
     def J(w):
         return l2(w - v) ** 2 / (2 * tau) + energy(lay.with_values(w), spec, mask)
 
-    grad = np.where(mask, (u - v) / tau + energy_gradient(u, spec, lay.spacing, mask),
-                    0.0)
+    grad = np.where(mask, (u - v) / tau
+                    + energy_gradient(np.where(mask, u, 0.0), spec, lay.spacing), 0.0)
     assert l2(grad) <= inner.tolerance * (1 + l2(v))
     assert J(u) <= J(v)
 
 
 def _plain_prox(v, spec, mask, tau, inner, spacing, vol):
     """The unpreconditioned CG solve of (I/tau + K) u = v/tau from u = v, as
-    `_prox_minimize` ran it for every quadratic step before the box
-    preconditioner: (u, info, CG iterations)."""
+    the prox ran it for every quadratic step before the box preconditioner:
+    (u, info, CG iterations)."""
     u = np.where(mask, v, 0.0)
     scale = 1.0 + np.sqrt(np.sum(u * u) * vol)
 
@@ -507,10 +509,10 @@ def _plain_prox(v, spec, mask, tau, inner, spacing, vol):
 
 
 def _prox_residual(u, v, spec, mask, tau, spacing, vol):
-    """||v/tau - (I/tau + K) u||_{L^2} on the free nodes, K u recomputed with
+    """||(I/tau + K) u - v/tau||_{L^2} on the free nodes, K u recomputed with
     `energy_gradient`, and the stopping tolerance's 1 + ||v||_{L^2}."""
-    v = np.where(mask, v, 0.0)
-    r = np.where(mask, v / tau - u / tau - energy_gradient(u, spec, spacing, mask), 0.0)
+    v, u = np.where(mask, v, 0.0), np.where(mask, u, 0.0)
+    r = np.where(mask, (u - v) / tau + energy_gradient(u, spec, spacing), 0.0)
     return np.sqrt(np.sum(r * r) * vol), 1.0 + np.sqrt(np.sum(v * v) * vol)
 
 
@@ -546,10 +548,47 @@ def test_preconditioned_prox_meets_the_unpreconditioned_stopping_test():
     lay = ball_layout(spec, 6.0, 6 / 64)
     mask = ball_mask(spec, lay, 6.0)
     v = np.exp(-norms.dual_norm_eval(spec, lay.coords()) ** 2)
-    u, iters, preconditioned = flow._prox_minimize(lay.with_values(v), spec, mask, tau, inner)
+    u, iters, preconditioned = flow._prox_stepper(spec, lay.spacing, mask, tau, inner)(v)
     assert preconditioned and iters >= 1
     gap, scale = _prox_residual(u, v, spec, mask, tau, lay.spacing, lay.cell_volume)
     assert gap <= inner.tolerance * scale
+
+
+def test_a_solve_builds_the_band_and_the_box_preconditioner_once(monkeypatch):
+    # three quiet diag(4,1) steps share one stepper: one boundary band and
+    # one box preconditioner for the solve, not one per step
+    calls = {"band": 0, "box": 0}
+    monkeypatch.setattr(flow, "_boundary_band", _counting(calls, "band", flow._boundary_band))
+    monkeypatch.setattr(flow, "_box_preconditioner",
+                        _counting(calls, "box", flow._box_preconditioner))
+    problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=1e-2,
+                               t_end=3e-2, inner=InnerSolverConfig(tolerance=1e-7))
+    assert solve(problem).monitors["preconditioned"].tolist() == [0, 1, 1, 1]
+    assert calls == {"band": 1, "box": 1}
+
+
+ROTATED = norms.ellipse(np.array([[2.0, 1.2], [1.2, 1.0]]))
+
+
+@pytest.mark.parametrize("spec, radius, preconditioned", [
+    (ELLIPSE, 2.0, False), (ROTATED, 2.0, False), (ROTATED, 6.0, True)])
+def test_a_quadratic_solve_out_of_budget_raises_its_own_gap(spec, radius, preconditioned):
+    # one CG iteration cannot reach tolerance 1e-12 at h = 1/8 from
+    # exp(-2 H0^2): the quadratic path raises with its last iterate and that
+    # iterate's residual, on the plain and on the preconditioned path
+    lay = ball_layout(spec, radius, 1 / 8)
+    mask = ball_mask(spec, lay, radius)
+    v = np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2)
+    tau, inner = 1e-2, InnerSolverConfig(tolerance=1e-12, max_iters=1)
+    step = flow._prox_stepper(spec, lay.spacing, mask, tau, inner)
+    with pytest.raises(ConvergenceError) as err:
+        step(v)
+    gap, scale = _prox_residual(err.value.best, v, spec, mask, tau, lay.spacing,
+                                lay.cell_volume)
+    assert err.value.gap == gap > inner.tolerance * scale
+    # within budget, the same datum reports the path the failing step took
+    within = flow._prox_stepper(spec, lay.spacing, mask, tau, replace(inner, max_iters=10000))
+    assert within(v)[2] is preconditioned
 
 
 def _box_problem(data, N):
@@ -583,19 +622,18 @@ def test_box_preconditioner_paths(data):
     np.testing.assert_array_equal(band, mask & near.any(axis=tuple(range(N, 2 * N))))
     # 1/tau + sigma > 0: sigma is a mean of the nonnegative symbol of K,
     # also for a rotated ellipse, whose stencil is not axis-symmetric
-    divisor = flow._box_divisor(spec, tuple(spacing), mask.shape, tau)
-    sigma = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing,
-                                     divisor.shape)
+    lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in mask.shape)
+    sigma = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
     S, scale = constant_stencil(flow._face_energy_gradient, spec, tuple(spacing))
-    assert np.all(divisor > 0.0)
+    assert np.all(1.0 / tau + sigma > 0.0)
     assert np.all(sigma >= -1e-12 * scale * np.sum(np.abs(S)))
 
     # a datum that vanishes on the band takes the preconditioned path and
     # lands within the stopping tolerance of the plain solve: both residuals
     # are below tol (1 + ||v||), and I/tau + K >= I/tau
+    step = flow._prox_stepper(spec, spacing, mask, tau, inner)
     quiet = np.where(mask & ~band, rng.standard_normal(mask.shape), 0.0)
-    u, iters, preconditioned = flow._prox_minimize(lay.with_values(quiet), spec, mask,
-                                                   tau, inner)
+    u, iters, preconditioned = step(quiet)
     assert preconditioned
     plain, info, _ = _plain_prox(quiet, spec, mask, tau, inner, spacing, vol)
     assert info == 0
@@ -608,8 +646,7 @@ def test_box_preconditioner_paths(data):
     if np.sqrt(np.sum(loud[band] ** 2) * vol) / tau \
             < inner.tolerance * (1.0 + np.sqrt(np.sum(loud * loud) * vol)):
         return
-    u, iters, preconditioned = flow._prox_minimize(lay.with_values(loud), spec, mask,
-                                                   tau, inner)
+    u, iters, preconditioned = step(loud)
     plain, info, steps = _plain_prox(loud, spec, mask, tau, inner, spacing, vol)
     assert not preconditioned and info == 0
     assert _same_bits(u, plain) and iters == steps
