@@ -12,14 +12,14 @@ over fields vanishing outside the mask.  The discrete energy sums
 H(face gradient)^2 over all grid faces (each of the N face families sees
 the full gradient, hence the 1/(2N) normalization), with the masked field
 extended by zero; the face gradient G and its exact adjoint come from
-`operators`.  `energy_gradient` is its one gradient, (1/N) G^T A(G u),
-and psi is read through it: psi is 2-homogeneous, so Euler's identity
-gives psi(u) = (vol/2) <u, grad psi(u)> exactly, for every family.  The
-face sum is `operators.FaceKernel.form`, and `operators.apply_operator`
+`operators`.  `energy_gradient` is its one gradient, (1/N) G^T A(G u).
+The face sum is `operators.FaceKernel.form`, and `operators.apply_operator`
 runs it: for quadratic norm families (H^2 = xi^T Q xi) the gradient is K u
 with K = (1/N) G^T Q G, translation invariant on the zero-extended grid,
 so it is applied as the constant stencil read off the face path (the
-face gradient stays the one definition).
+face gradient stays the one definition).  psi = (vol/2) <u, grad psi(u)>
+by Euler's identity: p-norms read it so, quadratic families by the
+difference form of the stencil, whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary
 band, the CG operator and the box preconditioner) and takes one path per
 norm family.  Quadratic norm families (H^2 = xi^T Q xi) take one CG solve
@@ -35,7 +35,8 @@ accepted, its Newton Hessian (an `operators.FaceHessian`, the same form
 over DA) both read, bit for bit as separate evaluations.  Every returned
 step is a descent point of the monitored energy.  The explicit scheme
 advances with the face-flux operator under the usual parabolic step
-restriction.
+restriction; its step (`_explicit_stepper`) and the energy reading are
+built once per solve too.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -68,8 +69,8 @@ from .grids import GridFunction, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
-from .operators import (FaceHessian, FaceKernel, apply_operator, finsler_laplacian,
-                        interior_mask, stencil_symbol)
+from .operators import (FaceHessian, FaceKernel, _face_flux_divergence, apply_operator,
+                        constant_stencil, interior_mask, stencil_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +152,37 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None) 
 
     The field is clamped to zero outside the mask and extended by zero
     beyond the box (the H^1_0 reading; faces crossing the Dirichlet
-    boundary carry the anchoring energy).  Evaluated by Euler's identity
-    as (vol/2) <u, energy_gradient(u)>, the objective the prox descends.
+    boundary carry the anchoring energy).  It is (vol/2) <u, energy_gradient(u)>,
+    the objective the prox descends, read as `_energy_reader` says.
     """
     vals = gf.values if mask is None else np.where(mask, gf.values, 0.0)
-    grad = energy_gradient(vals, spec, gf.spacing)
-    return 0.5 * gf.cell_volume * float(np.sum(vals * grad))
+    return _energy_reader(spec, gf.spacing, vals.shape)(vals)
+
+
+def _energy_reader(spec: NormSpec, spacings, shape: tuple):
+    """`energy` of masked fields of one (spec, spacings, shape), built once.
+    Quadratic families: the gradient's stencil S is symmetric and sums to 0,
+    so <u, S * u> = -sum_k S_k sum_i (u_(i+k) - u_i)^2 over one lag k of
+    each +- pair, no 1/h^2 taps cancelling; each lag is one shift of u
+    flattened with a zero rim as wide as S (pairs that wrap join rim zeros).
+    """
+    spacings, vol = tuple(spacings), float(np.prod(spacings))
+    if spec.family == "p_norm":
+        return lambda u: 0.5 * vol * float(np.sum(u * energy_gradient(u, spec, spacings)))
+    S, scale = constant_stencil(_face_energy_gradient, spec, spacings)
+    reach = S.shape[0] // 2
+    padded = tuple(n + 2 * reach for n in shape)
+    strides = np.cumprod((1,) + padded[:0:-1])[::-1]     # of the flat copy, C order
+    lags = [(d, s) for k, s in np.ndenumerate(S)
+            if s and (d := int(np.dot(np.array(k) - reach, strides))) > 0]
+
+    def read(u: np.ndarray) -> float:
+        flat, total = np.pad(u, reach).ravel(), 0.0
+        for d, s in lags:
+            x = flat[d:] - flat[:-d]
+            total += s * float(np.einsum("i,i->", x, x))
+        return -0.5 * vol * scale * total
+    return read
 
 
 def energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
@@ -350,23 +376,38 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
     return u_prev.with_values(step(u_prev.values)[0])
 
 
-def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
-                  tau: float) -> GridFunction:
-    """Forward step with the face-flux operator; clamped outside the mask,
-    which leaves out the box edge, where the operator is undefined.
-
-    Stable for tau <= h^2 / (2 N C2), h the smallest spacing.
-    """
+def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float):
+    """The forward step, built once; stable for tau <= h^2 / (2 N C2), h the
+    smallest spacing.  step(u), u 0 off the mask, returns (u + tau L u, 0
+    there, 0, False) like `_prox_stepper`, L the face-flux operator, which is
+    undefined on the box edge: the mask must leave it out."""
+    if spec.dimension != mask.ndim:
+        raise SpecValidationError("norm/grid dimension mismatch")
+    if any(np.take(mask, [0, -1], axis=a).any() for a in range(mask.ndim)):
+        raise SpecValidationError("the explicit step's mask must leave out the box edge")
     _, c2 = coercivity_bounds(spec)
-    h = min(u_prev.spacing)
+    h = min(spacings)
     limit = h * h / (2.0 * spec.dimension * c2)
     if tau > limit * (1.0 + 1e-12):
         raise StabilityError(
             f"explicit step tau = {tau:g} exceeds the stability bound {limit:g}")
-    masked = np.where(mask, u_prev.values, 0.0)
-    lap = finsler_laplacian(u_prev.with_values(masked), spec).values
-    new = masked + tau * lap
-    return u_prev.with_values(np.where(mask, new, 0.0))
+    spacings, off = tuple(spacings), ~mask
+
+    def step(values: np.ndarray) -> tuple:
+        lap = apply_operator(_face_flux_divergence, values, spec, spacings)
+        lap *= tau
+        lap += values
+        np.copyto(lap, 0.0, where=off)
+        return lap, 0, False
+    return step
+
+
+def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
+                  tau: float) -> GridFunction:
+    """Forward step with the face-flux operator (`_explicit_stepper`);
+    clamped outside the mask, which leaves out the box edge."""
+    step = _explicit_stepper(spec, u_prev.spacing, mask, tau)
+    return u_prev.with_values(step(np.where(mask, u_prev.values, 0.0))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -472,45 +513,41 @@ def solve(problem: FlowProblem) -> Trajectory:
     # the domain, once: H0 at the nodes, the mask from it and the initial field
     h0 = dual_norm_eval(spec, lay.coords())
     mask = _free_nodes(h0, lay, problem.radius)
-    state = lay.with_values(np.where(mask, lay.values, 0.0))
+    u = np.where(mask, lay.values, 0.0)
     vol = lay.cell_volume
     lam, ell = problem.monitor_lambda, problem.monitor_ell
     unit_kernel = None if ell is None else _ball_kernel(spec, 1.0, lay.spacing)
+    psi = _energy_reader(spec, lay.spacing, mask.shape)
 
     logs, monitor_times, times, slices = {}, [], [], []
 
-    def record(k: int, gf: GridFunction, iters: int, preconditioned: bool) -> None:
+    def record(k: int, u: np.ndarray, iters: int, preconditioned: bool) -> None:
         t = k * tau
         monitor_times.append(t)
-        u = np.where(mask, gf.values, 0.0)
-        values = {"energy": energy(gf, spec, mask), "mass": float(np.sum(u)) * vol,
+        values = {"energy": psi(u), "mass": float(np.sum(u)) * vol,
                   "inner_iterations": iters, "preconditioned": int(preconditioned),
                   **_weighted_monitors(u, h0, vol, t, lam, ell, unit_kernel, mask)}
         for name, value in values.items():
             logs.setdefault(name, []).append(value)
         if k in store:
             times.append(t)
-            slices.append(gf.with_values(gf.values.copy()))
+            slices.append(lay.with_values(u.copy()))
 
     def trajectory() -> Trajectory:
         return Trajectory(problem, h0, mask, times, slices, np.array(monitor_times),
                           {k: np.array(v, dtype=float) for k, v in logs.items()})
 
-    if problem.scheme == "implicit_proximal":
-        step = _prox_stepper(spec, lay.spacing, mask, tau, problem.inner)
-    record(0, state, 0, False)
+    step = (_prox_stepper(spec, lay.spacing, mask, tau, problem.inner)
+            if problem.scheme == "implicit_proximal"
+            else _explicit_stepper(spec, lay.spacing, mask, tau))
+    record(0, u, 0, False)
     for k in range(1, n_steps + 1):
-        if problem.scheme == "implicit_proximal":
-            try:
-                vals, iters, preconditioned = step(state.values)
-            except ConvergenceError as exc:
-                exc.partial = trajectory()   # the steps before it, for diagnosis
-                raise
-            state = state.with_values(vals)
-        else:
-            state = explicit_step(state, spec, mask, tau)
-            iters, preconditioned = 0, False
-        record(k, state, iters, preconditioned)
+        try:
+            u, iters, preconditioned = step(u)
+        except ConvergenceError as exc:
+            exc.partial = trajectory()   # the steps before it, for diagnosis
+            raise
+        record(k, u, iters, preconditioned)
     return trajectory()
 
 

@@ -146,9 +146,11 @@ def grid_from_function(box, resolution, fn: Callable[[np.ndarray], np.ndarray]) 
 
 def refinements(layout: GridFunction, levels: int) -> list[GridFunction]:
     """Empty layouts over the box of `layout` with 2^l times its cells per
-    axis, l = 0 .. levels-1."""
-    if levels < 1:
-        raise SpecValidationError("levels must be >= 1")
+    axis, l = 0 .. levels-1; refused, before any is built, if the finest
+    has more than 2^25 nodes (268 MB a field), as it has past 26 levels."""
+    if not 1 <= levels <= 26 or math.prod(
+            r * 2**(levels - 1) + 1 for r in layout.resolution) > 2**25:
+        raise SpecValidationError("levels must be >= 1, with at most 2^25 nodes on the finest grid")
     return [empty_layout(layout.box, tuple(r * 2**level for r in layout.resolution))
             for level in range(levels)]
 

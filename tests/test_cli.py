@@ -549,8 +549,8 @@ _RADIAL = {"norm": EUCLID_JSON, "profile": {"type": "gaussian", "r_max": 14.0},
 INF, NAN = float("inf"), float("nan")
 
 
-# int() of Infinity raises OverflowError, 1e15 samples a MemoryError; the
-# other values passed unchecked
+# int() of Infinity raises OverflowError, 1e15 samples a MemoryError, 1e300
+# levels would build ever finer grids; the other values passed unchecked
 @pytest.mark.parametrize("command, base, path, value", [
     ("simulate", _SIMULATE, ("problem", "tau"), INF),
     ("simulate", _SIMULATE, ("problem", "radius"), INF),
@@ -581,13 +581,14 @@ INF, NAN = float("inf"), float("nan")
                                           "sphere_samples": 1e15}),
     ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
                                           "refinement_iters": 1e300}),
+    ("verify-exact", _EXACT, ("cases", 0, "levels"), 1e300),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
         "radial-samples-inf", "verify-samples-inf", "seed-inf", "sphere-samples-inf",
         "refinement-iters-inf", "levels-inf", "inner-tolerance-inf",
         "inner-tolerance-nan", "dual-tolerance-nan", "lambda-nan", "lambda-inf",
         "times-inf", "verify-samples-1e15", "radial-samples-1e15",
-        "sphere-samples-1e15", "refinement-iters-1e300"])
+        "sphere-samples-1e15", "refinement-iters-1e300", "levels-1e300"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, command,
                                                             base, path, value):
     # json reads and writes Infinity, so a config can hold it

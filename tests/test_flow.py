@@ -321,6 +321,59 @@ def _face_sum_energy(values, spec, spacing):
     return total * float(np.prod(spacing)) / (2.0 * N)
 
 
+def _long_double_face_energy(values, spec, spacing):
+    """(1/2N) vol sum over faces of xi^T Q xi, the face gradients xi of the
+    zero-extended field formed in long double, Q the family's form."""
+    N = values.ndim
+    Q = duality_map(spec, np.eye(N)).astype(np.longdouble)
+    u = np.pad(values.astype(np.longdouble), 2)     # the rim wraps under roll
+    h = np.array(spacing, dtype=np.longdouble)
+    total = np.longdouble(0.0)
+    for axis in range(N):
+        xi = []
+        for k in range(N):
+            if k == axis:      # (u_j - u_{j-1}) / h across the face
+                xi.append((u - np.roll(u, 1, axis)) / h[k])
+            else:              # the two nodal central differences, / (4 h)
+                central = np.roll(u, -1, k) - np.roll(u, 1, k)
+                xi.append((central + np.roll(central, 1, axis)) / (4 * h[k]))
+        total += sum(Q[i, j] * np.sum(xi[i] * xi[j]) for i in range(N) for j in range(N))
+    return total * np.prod(h) / (2 * N)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_quadratic_energy_matches_a_long_double_face_sum(data):
+    # random fields, nonzero on the box edge, read masked and unmasked
+    N = data.draw(st.integers(1, 3))
+    spec = _quadratic_spec(data, N)
+    shape = tuple(data.draw(st.integers(5, 9)) for _ in range(N))
+    spacing = tuple(data.draw(st.floats(0.01, 10.0)) for _ in range(N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(shape)
+    mask = rng.random(shape) < 0.7
+    gf = GridFunction(tuple((0.0, (n - 1) * h) for n, h in zip(shape, spacing)),
+                      tuple(n - 1 for n in shape), u)
+    for m in (None, mask):
+        exact = _long_double_face_energy(u if m is None else np.where(m, u, 0.0),
+                                         spec, gf.spacing)
+        assert abs(energy(gf, spec, m) - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 1.2], [1.2, 1.0]]])
+def test_quadratic_energy_is_exact_to_rounding_on_fine_grids(matrix):
+    # a smooth field at h = 6/256: the stencil reading (vol/2) <u, K u> sums
+    # 1/h^2 taps that cancel and misses by 2e-13 to 3e-13 here
+    spec = norms.ellipse(np.array(matrix))
+    lay = ball_layout(spec, 2.0, 6 / 256)
+    mask = ball_mask(spec, lay, 2.0)
+    gf = lay.with_values(np.exp(-norms.dual_norm_eval(spec, lay.coords()) ** 2))
+    for m in (None, mask):
+        exact = _long_double_face_energy(gf.values if m is None else np.where(m, gf.values, 0.0),
+                                         spec, lay.spacing)
+        assert abs(energy(gf, spec, m) - exact) <= 1e-14 * exact
+
+
 @settings(max_examples=60)
 @given(data=st.data())
 def test_constant_stencils_match_the_face_path(data):
@@ -766,6 +819,19 @@ def test_explicit_stability_guard():
         explicit_step(lay, EUCLID, mask, 1.0)
 
 
+@pytest.mark.parametrize("axis, side", [(0, 0), (0, -1), (1, 0), (1, -1)])
+def test_explicit_step_refuses_a_mask_on_the_box_edge(axis, side):
+    # the face-flux operator is undefined on the box edge: a mask that frees
+    # one node there is refused instead of stepping it with a partial sum
+    lay = ball_layout(EUCLID, 1.0, 1 / 16)
+    mask = ball_mask(EUCLID, lay, 1.0)
+    r = norms.dual_norm_eval(EUCLID, lay.coords())
+    gf = lay.with_values(np.exp(-3 * r**2))
+    np.moveaxis(mask, axis, 0)[side, 3] = True
+    with pytest.raises(SpecValidationError, match="box edge"):
+        explicit_step(gf, EUCLID, mask, 1e-4)
+
+
 def test_solve_zero_datum():
     problem, _ = _ball_problem(EUCLID, 1.0, 1 / 8, lambda r: 0.0 * r,
                                tau=1e-3, t_end=5e-3)
@@ -833,27 +899,29 @@ def test_monitor_weighted_l1_forms():
 
 
 def test_weighted_monitors_match_the_trajectory_bit_for_bit():
-    # solve records through the same path, with NaN lam weights from the
-    # horizon 1/(4 lam) = 0.05 on
+    # solve records through the same path, for either scheme, with NaN lam
+    # weights from the horizon 1/(4 lam) = 0.05 on
     lam, ell = 5.0, 0.25
-    problem, _ = _ball_problem(ELLIPSE, 2.0, 1 / 8, lambda r: np.exp(-r**2),
-                               tau=1e-2, t_end=6e-2,
-                               store_times=(0.0, 2e-2, 4e-2, 5e-2),
-                               monitor_lambda=lam, monitor_ell=ell,
-                               inner=InnerSolverConfig(tolerance=1e-9))
-    traj = solve(problem)
-    assert traj.times == [0.0, 0.02, 0.04, 0.05, 0.06]
     names = ["weighted_l2", "weighted_l1_lambda", "weighted_l1_local"]
-    for t, gf in zip(traj.times, traj.slices):
-        got = weighted_monitors(gf, ELLIPSE, t, lam=lam, ell=ell, mask=traj.mask)
-        assert sorted(got) == sorted(names)
-        step = int(np.flatnonzero(traj.monitor_times == t)[0])
-        for name in names:
-            np.testing.assert_array_equal(got[name], traj.monitors[name][step])
-        beyond = t >= 1 / (4 * lam) - 1e-12
-        assert np.isnan(got["weighted_l2"]) == beyond
-        assert np.isnan(got["weighted_l1_lambda"]) == beyond
-        assert np.isfinite(got["weighted_l1_local"])
+    for scheme, tau in (("implicit_proximal", 1e-2), ("explicit_euler", 5e-4)):
+        problem, _ = _ball_problem(ELLIPSE, 2.0, 1 / 8, lambda r: np.exp(-r**2),
+                                   tau=tau, t_end=6e-2, scheme=scheme,
+                                   store_times=(0.0, 2e-2, 4e-2, 5e-2),
+                                   monitor_lambda=lam, monitor_ell=ell,
+                                   inner=InnerSolverConfig(tolerance=1e-9))
+        traj = solve(problem)
+        # the stamps k tau; for tau = 1e-2 they equal 0.0, 0.02, .. exactly
+        assert traj.times == [round(t / tau) * tau for t in (0.0, 2e-2, 4e-2, 5e-2, 6e-2)]
+        for t, gf in zip(traj.times, traj.slices):
+            got = weighted_monitors(gf, ELLIPSE, t, lam=lam, ell=ell, mask=traj.mask)
+            assert sorted(got) == sorted(names)
+            step = int(np.flatnonzero(traj.monitor_times == t)[0])
+            for name in names:
+                np.testing.assert_array_equal(got[name], traj.monitors[name][step])
+            beyond = t >= 1 / (4 * lam) - 1e-12
+            assert np.isnan(got["weighted_l2"]) == beyond
+            assert np.isnan(got["weighted_l1_lambda"]) == beyond
+            assert np.isfinite(got["weighted_l1_local"])
 
 
 @pytest.mark.parametrize("spec", [ELLIPSE, norms.p_norm(3, 2)])
@@ -896,6 +964,30 @@ def test_solve_explicit_above_the_step_bound_raises():
                                tau=1e-2, t_end=2e-2, scheme="explicit_euler")
     with pytest.raises(StabilityError):
         solve(problem)
+
+
+@pytest.mark.parametrize("spec", [ELLIPSE, norms.ellipse(np.array([[2.0, 1.2], [1.2, 1.0]])),
+                                  norms.p_norm(3, 2)])
+def test_solve_records_states_that_vanish_off_the_mask(spec):
+    # solve reads its monitors off the state unclamped, so every step must
+    # leave it exactly 0 off the mask; the explicit run is explicit_step
+    # chained, bit for bit
+    tau = 1e-4
+    stamps = tuple(k * tau for k in range(5))
+    explicit = None
+    for scheme in ("implicit_proximal", "explicit_euler"):
+        problem, _ = _ball_problem(spec, 1.0, 1 / 8, lambda r: np.exp(-2 * r**2), r_max=8.0,
+                                   tau=tau, t_end=stamps[-1], store_times=stamps,
+                                   scheme=scheme, inner=InnerSolverConfig(tolerance=1e-9))
+        traj = solve(problem)
+        assert len(traj.slices) == len(stamps)
+        for gf in traj.slices:
+            assert np.all(gf.values[~traj.mask] == 0.0)
+        explicit = traj
+    gf = explicit.slices[0]
+    for stored in explicit.slices[1:]:
+        gf = explicit_step(gf, spec, explicit.mask, tau)
+        np.testing.assert_array_equal(gf.values, stored.values)
 
 
 def test_weighted_l2_monotone_along_trajectory():
