@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import flow, measures, norms, operators, radial, solutions
-from .errors import ConvergenceError, DomainError, SpecValidationError
+from .errors import ConvergenceError, DomainError, SpecValidationError, integer
 from .grids import GridFunction, RadialProfile, empty_layout
 
 EXIT_OK = 0
@@ -47,8 +47,9 @@ def _need(cfg: dict, key: str, context: str):
 
 
 def _optional(cfg: dict, casts: dict) -> dict:
-    """The optional keys that cfg sets, cast; the callee owns the defaults."""
-    return {key: cast(cfg[key]) for key, cast in casts.items() if key in cfg}
+    """The optional keys that cfg sets, cast (`int` by `integer`); the callee owns the defaults."""
+    return {key: integer(cfg[key], key) if cast is int else cast(cfg[key])
+            for key, cast in casts.items() if key in cfg}
 
 
 _NUMBER = (int, float, np.floating)
@@ -82,6 +83,9 @@ def _load_grid(path, context: str) -> GridFunction:
                                   f"{exc.strerror or exc}") from exc
 
 
+_PROFILE_KEYS = {"gaussian": {"scale"}, "bump": {"radius"}, "exp_power": {"coefficient", "power"}}
+
+
 def _profile_from_config(cfg: dict) -> RadialProfile:
     kind = _need(cfg, "type", "profile")
     if kind == "samples":
@@ -89,27 +93,23 @@ def _profile_from_config(cfg: dict) -> RadialProfile:
         return RadialProfile(np.asarray(cfg["radii"], dtype=float),
                              np.asarray(cfg["values"], dtype=float),
                              even=bool(cfg.get("even", True)))
+    if kind not in _PROFILE_KEYS:
+        raise SpecValidationError(f"unknown profile type {kind!r}")
+    _reject_unknown(cfg, {"type", "r_max", "samples", "amplitude", *_PROFILE_KEYS[kind]},
+                    "profile")
     r_max = float(_need(cfg, "r_max", "profile"))
-    samples = int(cfg.get("samples", 2049))
+    samples = integer(cfg.get("samples", 2049), "profile samples")
     amp = float(cfg.get("amplitude", 1.0))
     if kind == "gaussian":
-        _reject_unknown(cfg, {"type", "r_max", "samples", "amplitude", "scale"},
-                        "profile")
         scale = float(cfg.get("scale", 1.0))
         fn = lambda r: amp * np.exp(-((r / scale) ** 2))
     elif kind == "bump":
-        _reject_unknown(cfg, {"type", "r_max", "samples", "amplitude", "radius"},
-                        "profile")
         rad = float(cfg.get("radius", 1.0))
         fn = lambda r: amp * np.maximum(1.0 - (r / rad) ** 2, 0.0) ** 3
-    elif kind == "exp_power":
-        _reject_unknown(cfg, {"type", "r_max", "samples", "amplitude",
-                              "coefficient", "power"}, "profile")
+    else:
         c = float(_need(cfg, "coefficient", "profile"))
         q = float(_need(cfg, "power", "profile"))
         fn = lambda r: amp * np.exp(c * r**q)
-    else:
-        raise SpecValidationError(f"unknown profile type {kind!r}")
     return RadialProfile.from_function(fn, r_max, samples)
 
 
@@ -156,18 +156,17 @@ _IDENTITY_DEFAULTS = {
 def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     _reject_unknown(cfg, {"seed", "samples", "norms", "dual", "tolerances"},
                     "verify-norms config")
-    if seed is None:
-        seed = cfg.get("seed")
+    seed = cfg.get("seed") if seed is None else seed
     if seed is None:
         raise SpecValidationError("verify-norms samples randomly and needs a seed")
-    samples = int(cfg.get("samples", 1000))
+    seed, samples = integer(seed, "seed"), integer(cfg.get("samples", 1000), "samples")
     oracle = _dual_oracle(cfg.get("dual", {}))
     overrides = cfg.get("tolerances", {})
     _reject_unknown(overrides, set(_IDENTITY_DEFAULTS), "tolerances")
     rows, ok = [], True
     for norm_obj in _need(cfg, "norms", "verify-norms config"):
         spec = norms.NormSpec.from_dict(norm_obj)
-        report = norms.verify_identities(spec, samples, oracle, seed=int(seed))
+        report = norms.verify_identities(spec, samples, oracle, seed=seed)
         for name, value in report.items():
             tol = float(overrides.get(name, _IDENTITY_DEFAULTS[name]))
             passed = value <= tol

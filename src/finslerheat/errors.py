@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+from numbers import Real
 
 
 class SpecValidationError(ValueError):
@@ -28,3 +30,12 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.gap = gap
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int if it is an integral number, 300 or 300.0; else a
+    SpecValidationError naming `what` (2.7 is not truncated; NaN, infinity,
+    booleans and strings are refused)."""
+    if isinstance(value, Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise SpecValidationError(f"{what} must be an integer, not {value!r}")

@@ -20,23 +20,23 @@ so it is applied as the constant stencil read off the face path (the
 face gradient stays the one definition).  psi = (vol/2) <u, grad psi(u)>
 by Euler's identity: p-norms read it so, quadratic families by the
 difference form of the stencil, whose error does not grow like eps/h^2.
-The prox is built once per solve (`_prox_stepper` holds the boundary
-band, the CG operator and the box preconditioner) and takes one path per
-norm family.  Quadratic norm families (H^2 = xi^T Q xi) take one CG solve
-of the SPD system (I/tau + K) u = u_prev/tau, preconditioned by the DST-I
-inverse of I/tau + K on the box (Concus and Golub's fictitious-domain
-fast-Poisson solver; the symbol is `operators.stencil_symbol` of the
-same cached stencil) when the datum is below the stopping tolerance on
-the band of free nodes within the stencil's reach of a clamped node,
-where the box and the masked operator differ.  p-norms take damped Newton
-steps on the exact objective; each iterate's faces are evaluated once,
-by one `FaceKernel.form` (`_face_state`), which its gradient and, once
-accepted, its Newton Hessian (an `operators.FaceHessian`, the same form
-over DA) both read, bit for bit as separate evaluations.  Every returned
-step is a descent point of the monitored energy.  The explicit scheme
+The prox is built once per solve (`_prox_stepper` holds the boundary band,
+the box preconditioner and its own CG, scipy's, with inner products in a
+fixed order: no bit depends on the BLAS thread count) and takes one path per
+norm family.  Quadratic families take one CG solve of the SPD system
+(I/tau + K) u = u_prev/tau, preconditioned by the DST-I inverse of I/tau + K
+on the box (Concus and Golub's fictitious-domain fast-Poisson solver; the
+symbol is `operators.stencil_symbol` of the same cached stencil) when the
+datum is below the stopping tolerance on the band of free nodes within the
+stencil's reach of a clamped node, where the box and masked operators differ.
+p-norms take damped Newton steps on the exact objective; each iterate's faces
+are evaluated once, by one `FaceKernel.form` (`_face_state`), which its
+gradient and, once accepted, its Newton Hessian (an `operators.FaceHessian`,
+the same form over DA) both read, bit for bit as separate evaluations.  Every
+returned step is a descent point of the monitored energy.  The explicit scheme
 advances with the face-flux operator under the usual parabolic step
-restriction; its step (`_explicit_stepper`) and the energy reading are
-built once per solve too.
+restriction; its step (`_explicit_stepper`) and the energy reading are built
+once per solve too.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -62,7 +62,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage
 from scipy.fft import dstn, idstn, next_fast_len
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, SpecValidationError, StabilityError
 from .grids import GridFunction, empty_layout
@@ -237,24 +236,21 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
     return mask & ndimage.maximum_filter(~mask, size=5, mode="constant", cval=True)
 
 
-def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray,
-                        tau: float) -> LinearOperator:
-    """r -> mask * (I/tau + K)^-1 r with K replaced by the box operator that
-    the DST-I diagonalizes: its inverse on the nodes off the box edge, tau r
-    on the box edge.  SPD on the masked fields; exact for axis-symmetric
-    stencils away from the clamped nodes and the box's far side.  The
-    divisor is 1/tau + the DST-I symbol of the stencil
+def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray, tau: float):
+    """r -> mask * (I/tau + K)^-1 r on shaped fields, with K replaced by the
+    box operator that the DST-I diagonalizes: its inverse on the nodes off
+    the box edge, tau r on the box edge.  SPD on the masked fields; exact
+    for axis-symmetric stencils away from the clamped nodes and the box's
+    far side.  The divisor is 1/tau + the DST-I symbol of the stencil
     (`operators.stencil_symbol`), each side n - 2 of the box zero-padded to
     the nearest length whose transform, 2 (n - 1) long unpadded, is fast."""
-    shape = mask.shape
-    lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in shape)
+    lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in mask.shape)
     divisor = stencil_symbol(_face_energy_gradient, spec, spacings, lengths) + 1.0 / tau
     interior = (slice(1, -1),) * mask.ndim
-    box = tuple(slice(0, n - 2) for n in shape)
+    box = tuple(slice(0, n - 2) for n in mask.shape)
     off = ~mask
 
     def psolve(r: np.ndarray) -> np.ndarray:
-        r = r.reshape(shape)
         padded = np.zeros(divisor.shape)
         padded[box] = r[interior]
         coeffs = dstn(padded, type=1, overwrite_x=True)
@@ -262,9 +258,13 @@ def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray,
         out = tau * r
         out[interior] = idstn(coeffs, type=1, overwrite_x=True)[box]
         np.copyto(out, 0.0, where=off)
-        return out.ravel()
+        return out
+    return psolve
 
-    return LinearOperator((mask.size, mask.size), matvec=psolve, dtype=float)
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b>, summed in an order that does not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
@@ -293,28 +293,37 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     """
     spacings, vol, off = tuple(spacings), float(np.prod(spacings)), ~mask
 
-    def operator(hessian) -> LinearOperator:
-        def matvec(x: np.ndarray) -> np.ndarray:
-            # CG iterates vanish off the mask, as the start and right side do
-            x = x.reshape(mask.shape)
-            h = hessian(x)
+    def cg(hessian, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int, psolve=None):
+        """scipy's `cg` of (I/tau + hessian) x = b on masked fields, from x (updated
+        in place), every inner product by `_dot`; stops at ||r||_{L^2} < atol, r
+        unpreconditioned, tested before each iteration: (x, iterations, converged)."""
+        def apply(y: np.ndarray) -> np.ndarray:  # y vanishes off the mask, h is clamped
+            h = hessian(y)
             np.copyto(h, 0.0, where=off)
-            h += x / tau
-            return h.ravel()
-        return LinearOperator((mask.size, mask.size), matvec=matvec, dtype=float)
-
-    def solve_cg(A, rhs, x0, atol, maxiter, M=None):
-        steps = []
-        x, info = cg(A, rhs.ravel(), x0=x0, rtol=0.0, atol=atol / np.sqrt(vol),
-                     maxiter=maxiter, M=M, callback=lambda _: steps.append(1))
-        return x.reshape(mask.shape), info, len(steps)
+            h += y / tau
+            return h
+        atol, r = atol / np.sqrt(vol), (b - apply(x) if x.any() else b.copy())
+        for iters in range(maxiter):
+            if math.sqrt(_dot(r, r)) < atol:
+                return x, iters, True
+            z = r if psolve is None else psolve(r)
+            rho = _dot(r, z)
+            if iters:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z.copy()
+            q = apply(p)
+            alpha, rho_prev = rho / _dot(p, q), rho
+            x += alpha * p
+            r -= alpha * q
+        return x, maxiter, False
 
     def fail(w, gap):
         return ConvergenceError("proximal inner solve did not converge", best=w, gap=gap)
 
     if spec.family != "p_norm":
         band, box = _boundary_band(mask), []
-        A = operator(lambda x: energy_gradient(x, spec, spacings))
 
         def quadratic_step(values: np.ndarray):
             u = np.where(mask, values, 0.0)
@@ -322,9 +331,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             quiet = _l2(rhs[band], vol) < atol
             if quiet and not box:
                 box.append(_box_preconditioner(spec, spacings, mask, tau))
-            w, info, iters = solve_cg(A, rhs, u.ravel(), atol, inner.max_iters,
-                                      box[0] if quiet else None)
-            if info:    # the budget is spent: accept w only if its gap is in tolerance
+            w, iters, converged = cg(lambda x: energy_gradient(x, spec, spacings), rhs,
+                                     u.copy(), atol, inner.max_iters, box[0] if quiet else None)
+            if not converged:   # the budget is spent: accept w only if its gap is in tolerance
                 gap = _l2(np.where(mask, (w - u) / tau + energy_gradient(w, spec, spacings),
                                    0.0), vol)
                 if not gap <= atol:  # NaN fails
@@ -349,9 +358,8 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             if iters >= inner.max_iters:
                 raise fail(w, gn)
             # `state` is w's: w is the last point grad_and_value evaluated
-            d, _, steps = solve_cg(operator(_newton_hessian(w, spec, spacings, state)), -g,
-                                   None, min(0.5, np.sqrt(gn / scale)) * gn,
-                                   inner.max_iters - iters)
+            d, steps, _ = cg(_newton_hessian(w, spec, spacings, state), -g, np.zeros_like(g),
+                             min(0.5, np.sqrt(gn / scale)) * gn, inner.max_iters - iters)
             iters += steps
             slope = float(np.sum(g * d)) * vol
             alpha, trial = 1.0, w + d

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve, solve_banded
 
-from .errors import OutOfRangeError, SpecValidationError
+from .errors import OutOfRangeError, SpecValidationError, integer
 
 _HEADER_INT = np.dtype("<i8")
 _HEADER_FLOAT = np.dtype("<f8")
@@ -39,7 +39,7 @@ class GridFunction:
 
     def __post_init__(self, check_finite: bool = True):
         self.box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        self.resolution = tuple(int(r) for r in self.resolution)
+        self.resolution = tuple(integer(r, "resolution") for r in self.resolution)
         self.values = np.asarray(self.values, dtype=float)
         N = len(self.box)
         if N not in (1, 2, 3):
@@ -133,8 +133,8 @@ class GridFunction:
 
 def empty_layout(box, resolution) -> GridFunction:
     """Grid of zeros with `resolution` cells per axis over `box`."""
-    return GridFunction(tuple(box), tuple(resolution),
-                        np.zeros(tuple(r + 1 for r in resolution)))
+    resolution = tuple(integer(r, "resolution") for r in resolution)
+    return GridFunction(tuple(box), resolution, np.zeros(tuple(r + 1 for r in resolution)))
 
 
 def grid_from_function(box, resolution, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
@@ -261,24 +261,12 @@ class RadialProfile:
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
         return self._evaluate(r, order)
 
-    def _interval(self, r: np.ndarray) -> np.ndarray:
-        """Index i in [0, n-2] of the knot interval radii[i] <= r < radii[i+1]
-        (the last one for r >= R_max), as `searchsorted` finds it.  Rows
-        whose uniform-spacing guess floor(r (n-1)/R_max) fails that test go
-        to `searchsorted`, so the result is the same for any knots."""
-        radii, last, x = self.radii, len(self.radii) - 2, np.ravel(r)
-        # fmax/fmin send NaN to 0, where the test below fails
-        i = np.fmin(np.fmax(x * ((last + 1) / self.r_max), 0.0), last).astype(np.intp)
-        off = ~((radii[i] <= x) & (x < radii[i + 1]))
-        if off.any():
-            i[off] = np.clip(np.searchsorted(radii, x[off], side="right") - 1, 0, last)
-        return i.reshape(np.shape(r))
-
     def _evaluate(self, r: np.ndarray, order: int) -> np.ndarray:
-        """The order-th derivative at r in [0, R_max], summed as scipy's PPoly
-        sums it (term by term in rising powers of s = r - r_i, each times its
+        """The order-th derivative at r in [0, R_max] on its knot interval
+        [r_i, r_(i+1)) (the last one at R_max), summed as scipy's PPoly sums it
+        (term by term in rising powers of s = r - r_i, each times its
         falling-factorial prefactor), so the values keep its bits."""
-        i = self._interval(r)
+        i = np.clip(np.searchsorted(self.radii, r, side="right") - 1, 0, len(self.radii) - 2)
         s = r - self.radii[i]
         out, power = np.zeros_like(s), 1.0
         for k in range(order, 4):

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpecValidationError
+from .errors import ConvergenceError, DomainError, SpecValidationError, integer
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SCAN_ENTRIES = 1 << 18     # row-direction pairs per block of the sphere scan
@@ -124,22 +124,27 @@ class NormSpec:
 
     @staticmethod
     def from_dict(obj: dict) -> "NormSpec":
+        """The spec of a config's {"family", "dimension", "params"}, checked by
+        `__post_init__`; other keys and the params of other families are refused."""
         try:
-            family = obj["family"]
-            dim = int(obj["dimension"])
-            params = obj.get("params", {})
+            family, dim, params = obj["family"], obj["dimension"], obj.get("params", {})
+            if (casts := _PARAMS.get(family)) is None:
+                raise SpecValidationError(f"unknown norm family {family!r}")
+            unknown = (set(obj) - {"family", "dimension", "params"}) | (set(params) - set(casts))
+            values = {name: cast(params[name]) for name, cast in casts.items()}
         except (KeyError, TypeError) as exc:
             raise SpecValidationError(f"malformed norm spec: {exc}") from exc
-        if family == "euclidean":
-            return euclidean(dim)
-        if family == "p_norm":
-            return p_norm(float(params["p"]), dim)
-        if family == "ellipse":
-            return ellipse(np.asarray(params["matrix"], dtype=float))
-        if family == "smoothed_polytope":
-            return smoothed_polytope(
-                np.asarray(params["directions"], dtype=float), float(params["epsilon"]))
-        raise SpecValidationError(f"unknown norm family {family!r}")
+        if unknown:
+            raise SpecValidationError(f"unknown keys in norm spec: {', '.join(sorted(unknown))}")
+        return NormSpec(family, integer(dim, "norm dimension"), **values)
+
+
+def _rows(a) -> tuple:
+    return tuple(map(tuple, np.asarray(a, dtype=float)))
+
+
+_PARAMS = {"euclidean": {}, "p_norm": {"p": float}, "ellipse": {"matrix": _rows},
+           "smoothed_polytope": {"directions": _rows, "epsilon": float}}
 
 
 def euclidean(dimension: int) -> NormSpec:
@@ -151,15 +156,12 @@ def p_norm(p: float, dimension: int) -> NormSpec:
 
 
 def ellipse(M: np.ndarray) -> NormSpec:
-    M = np.asarray(M, dtype=float)
-    return NormSpec("ellipse", M.shape[0], matrix=tuple(map(tuple, M)))
+    return NormSpec("ellipse", np.shape(M)[0], matrix=_rows(M))
 
 
 def smoothed_polytope(directions: np.ndarray, epsilon: float) -> NormSpec:
-    D = np.asarray(directions, dtype=float)
-    return NormSpec(
-        "smoothed_polytope", D.shape[1],
-        directions=tuple(map(tuple, D)), epsilon=float(epsilon))
+    return NormSpec("smoothed_polytope", np.shape(directions)[1],
+                    directions=_rows(directions), epsilon=float(epsilon))
 
 
 @dataclass(frozen=True)

@@ -549,6 +549,16 @@ _RADIAL = {"norm": EUCLID_JSON, "profile": {"type": "gaussian", "r_max": 14.0},
 INF, NAN = float("inf"), float("nan")
 
 
+def _mutated(base: dict, path: tuple, value) -> dict:
+    """A copy of the config `base` with the entry at `path` set to `value`."""
+    cfg = json.loads(json.dumps(base))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
 # int() of Infinity raises OverflowError, 1e15 samples a MemoryError, 1e300
 # levels would build ever finer grids; the other values passed unchecked
 @pytest.mark.parametrize("command, base, path, value", [
@@ -582,25 +592,56 @@ INF, NAN = float("inf"), float("nan")
     ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
                                           "refinement_iters": 1e300}),
     ("verify-exact", _EXACT, ("cases", 0, "levels"), 1e300),
+    ("verify-norms", _VERIFY, ("norms",), [{"family": "ellipse", "dimension": 3,
+                                            "params": {"matrix": [[4, 0], [0, 1]]}}]),
+    ("verify-norms", _VERIFY, ("norms",), [{"family": "ellipse", "dimension": 2,
+                                            "params": {"matrix": [[4, 0], [0, 1]],
+                                                       "typo": 5}}]),
+    ("simulate", _SIMULATE, ("norm",), {"family": "smoothed_polytope", "dimension": 3,
+                                        "params": {"directions": [[1, 0], [0, 1]],
+                                                   "epsilon": 0.05}}),
+    ("simulate", _SIMULATE, ("norm", "params"), {"p": 3}),
+    ("simulate", _SIMULATE, ("norm", "dimensions"), 2),
+    ("simulate", _SIMULATE, ("norm", "dimension"), 2.7),
+    ("verify-norms", _VERIFY, ("seed",), 1.7),
+    ("verify-norms", _VERIFY, ("samples",), 20.9),
+    ("verify-exact", _EXACT, ("cases", 0, "levels"), 2.9),
+    ("verify-exact", _EXACT, ("cases", 0, "resolution"), [16.5, 16]),
+    ("simulate", _SIMULATE, ("inner",), {"max_iters": 10.5}),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
         "radial-samples-inf", "verify-samples-inf", "seed-inf", "sphere-samples-inf",
         "refinement-iters-inf", "levels-inf", "inner-tolerance-inf",
         "inner-tolerance-nan", "dual-tolerance-nan", "lambda-nan", "lambda-inf",
         "times-inf", "verify-samples-1e15", "radial-samples-1e15",
-        "sphere-samples-1e15", "refinement-iters-1e300", "levels-1e300"])
+        "sphere-samples-1e15", "refinement-iters-1e300", "levels-1e300",
+        "ellipse-dimension-3", "ellipse-typo-param", "polytope-dimension-3",
+        "euclidean-with-p", "norm-typo-key", "dimension-2.7", "seed-1.7",
+        "samples-20.9", "levels-2.9", "resolution-16.5", "max-iters-10.5"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, command,
                                                             base, path, value):
     # json reads and writes Infinity, so a config can hold it
-    cfg = json.loads(json.dumps(base))
-    node = cfg
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    code, outdir = _run(tmp_path, command, cfg)
+    code, outdir = _run(tmp_path, command, _mutated(base, path, value))
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("command, base, path, value", [
+    ("verify-norms", _VERIFY, ("samples",), 20.0),
+    ("verify-norms", _VERIFY, ("seed",), 1.0),
+    ("verify-norms", _VERIFY, ("norms", 0, "dimension"), 2.0),
+    ("verify-exact", _EXACT, ("cases", 0, "resolution"), [16.0, 16.0]),
+    ("verify-exact", _EXACT, ("cases", 0, "levels"), 2.0),
+])
+def test_integral_floats_are_integer_settings(tmp_path, command, base, path, value):
+    # 20.0 reads as 20: the run writes the bytes of the integer config
+    outputs = []
+    for name, config in (("float", _mutated(base, path, value)), ("int", base)):
+        code, outdir = _run(tmp_path, command, config, name=f"{name}.json", out=name)
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_config_file():
@@ -654,15 +695,43 @@ def test_simulate_non_convergence_writes_partial_artifacts(tmp_path, norm):
     assert (outdir / "slice_t0.000000.grid").is_file()
 
 
+def _src_env(**extra) -> dict:
+    """The environment with this package's `src` first on PYTHONPATH."""
+    src = str(Path(finslerheat.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_leaves_out_the_slow_scipy_modules():
     """`scipy.signal` pulls in `scipy.stats` and `scipy.interpolate` pulls in
-    `scipy.optimize`: about 0.9 s of start-up for every command."""
-    src = str(Path(finslerheat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    slow = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize"]
+    `scipy.optimize`: about 0.9 s of start-up for every command.  The prox
+    runs its own CG, so nothing needs `scipy.sparse` either."""
+    env = _src_env()
+    slow = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
+            "scipy.sparse"]
     code = ("import sys, finslerheat.cli; "
             f"print([m for m in {slow!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 257 x 129 nodes: OpenBLAS splits a dot product this long across its
+    # threads, so CG inner products taken with np.dot changed bits with the
+    # thread count (the energy, mass and slice of this run did)
+    ellipse = {"norm": ELLIPSE_JSON,
+               "problem": {"radius": 6.0, "spacing": 6 / 64, "tau": 1e-2, "t_end": 3e-2,
+                           "datum": {"kind": "radial",
+                                     "profile": {"type": "gaussian", "r_max": 16.0}}},
+               "inner": {"tolerance": 1e-7}}
+    (tmp_path / "cfg.json").write_text(json.dumps(ellipse))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "finslerheat.cli", "simulate",
+                        "--config", str(tmp_path / "cfg.json"), "--out", str(out),
+                        "--no-timestamp"], env=_src_env(OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "slice_t0.030000.grid" in outputs[0] and outputs[0] == outputs[1]

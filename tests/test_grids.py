@@ -113,35 +113,6 @@ def test_profile_spline_is_scipys_cubic_spline(n, even, uniform):
     assert np.array_equal(prof.derivative(r[-1], 2), spline(r[-1], nu=2))
 
 
-class _SearchsortedProfile(RadialProfile):
-    """The knot interval from `searchsorted` alone: the reference path."""
-
-    def _interval(self, r):
-        return np.clip(np.searchsorted(self.radii, r, side="right") - 1,
-                       0, len(self.radii) - 2)
-
-
-@settings(max_examples=60)
-@given(n=st.integers(2, 300), uniform=st.booleans(),
-       r_max=st.floats(0.5, 40.0), seed=st.integers(0, 2**16))
-def test_interval_guess_keeps_the_searchsorted_bits(n, uniform, r_max, seed):
-    rng = np.random.default_rng(seed)
-    r = (np.linspace(0.0, r_max, n) if uniform else
-         np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))]))
-    v = rng.standard_normal(n)
-    prof, ref = RadialProfile(r, v, even=False), _SearchsortedProfile(r, v, even=False)
-    R = prof.r_max
-    # knots, the points just below them, both ends and unsorted interior points
-    x = np.concatenate([r, np.nextafter(r[1:], 0.0), [0.0, R],
-                        rng.uniform(0.0, R, 500)])
-    rng.shuffle(x)
-    assert np.array_equal(prof._interval(x), ref._interval(x))
-    assert np.array_equal(prof(x), ref(x))
-    for order in (1, 2, 3):
-        assert np.array_equal(prof.derivative(x, order), ref.derivative(x, order))
-    assert prof(R) == ref(R) and prof(0.0) == ref(0.0)
-
-
 @settings(max_examples=60)
 @given(data=st.data())
 def test_refinements_and_observed_order(data):
