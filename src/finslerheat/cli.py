@@ -52,6 +52,30 @@ def _optional(cfg: dict, casts: dict) -> dict:
             for key, cast in casts.items() if key in cfg}
 
 
+def _limit(cfg: dict, key: str, context: str, default=None, low: float = -np.inf):
+    """cfg[key] as a float (`default` if absent), a number that a check
+    compares against; one that is NaN or not above `low` is a config error.
+    Commands read every limit before any work."""
+    if key not in cfg:
+        return default
+    value = float(cfg[key])
+    if not value > low:  # NaN fails
+        raise SpecValidationError(f"{context} {key} must be a number above {low:g}, "
+                                  f"not {cfg[key]!r}")
+    return value
+
+
+def _range(cfg: dict, key: str, context: str):
+    """cfg[key] as (lo, hi), two finite numbers lo < hi, or None if absent."""
+    if key not in cfg:
+        return None
+    pair = [float(x) for x in cfg[key]]
+    if not (len(pair) == 2 and np.isfinite(pair).all() and pair[0] < pair[1]):
+        raise SpecValidationError(f"{context} {key} must be two finite numbers in "
+                                  f"ascending order, not {cfg[key]!r}")
+    return tuple(pair)
+
+
 _NUMBER = (int, float, np.floating)
 
 
@@ -163,12 +187,14 @@ def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     oracle = _dual_oracle(cfg.get("dual", {}))
     overrides = cfg.get("tolerances", {})
     _reject_unknown(overrides, set(_IDENTITY_DEFAULTS), "tolerances")
+    tols = {name: _limit(overrides, name, "tolerances", default)
+            for name, default in _IDENTITY_DEFAULTS.items()}
     rows, ok = [], True
     for norm_obj in _need(cfg, "norms", "verify-norms config"):
         spec = norms.NormSpec.from_dict(norm_obj)
         report = norms.verify_identities(spec, samples, oracle, seed=seed)
         for name, value in report.items():
-            tol = float(overrides.get(name, _IDENTITY_DEFAULTS[name]))
+            tol = tols[name]
             passed = value <= tol
             ok &= passed
             rows.append((spec.label(), name, samples, value, tol, passed))
@@ -178,13 +204,21 @@ def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _case_limits(case: dict) -> tuple:
+    """A verify-exact case's (order_window, annulus, max_residual), its keys checked."""
+    _reject_unknown(case, {"kind", "params", "norm", "box", "resolution", "t", "dt",
+                           "levels", "order_window", "annulus", "max_residual"},
+                    "verify-exact case")
+    return (_range(case, "order_window", "verify-exact case"),
+            _range(case, "annulus", "verify-exact case"),
+            _limit(case, "max_residual", "verify-exact case", np.inf))
+
+
 def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     _reject_unknown(cfg, {"cases"}, "verify-exact config")
+    cases = _need(cfg, "cases", "verify-exact config")
     rows, ok = [], True
-    for case in _need(cfg, "cases", "verify-exact config"):
-        _reject_unknown(case, {"kind", "params", "norm", "box", "resolution",
-                               "t", "dt", "levels", "order_window", "annulus",
-                               "max_residual"}, "verify-exact case")
+    for case, (window, annulus, cap) in zip(cases, [_case_limits(c) for c in cases]):
         spec = norms.NormSpec.from_dict(_need(case, "norm", "case"))
         sol = solutions.SolutionSpec(_need(case, "kind", "case"), spec,
                                      **case.get("params", {}))
@@ -192,8 +226,7 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         t = float(case.get("t", 0.0))
         if sol.kind == "singular_poly":
             residual = solutions.singular_poly_check(
-                sol, layout, **_optional(case, {"annulus": tuple}))
-            cap = float(case.get("max_residual", np.inf))
+                sol, layout, **({} if annulus is None else {"annulus": annulus}))
             passed = residual <= cap
             ok &= passed
             rows.append((sol.kind, spec.label(), max(layout.spacing), 0.0,
@@ -201,10 +234,7 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
             continue
         rep = solutions.pde_residual(sol, layout, t, float(case.get("dt", 1e-2)),
                                      **_optional(case, {"levels": int}))
-        window = case.get("order_window")
-        passed = True
-        if window is not None:
-            passed = window[0] <= rep.order <= window[1]
+        passed = window is None or window[0] <= rep.order <= window[1]
         ok &= passed
         for family, norm_label, h, dt, mx, order in rep.rows():
             rows.append((family, norm_label, h, dt, mx, order, passed))
@@ -273,6 +303,13 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
                          "store_times"}, "problem")
     radius = float(_need(pc, "radius", "problem"))
     spacing = float(_need(pc, "spacing", "problem"))
+    checks, comp = cfg.get("checks", {}), cfg.get("compare")
+    _reject_unknown(checks, {"dissipation_slack", "weighted_l2_slack"}, "checks")
+    dissipation_slack, weighted_l2_slack = (
+        _limit(checks, key, "checks") for key in ("dissipation_slack", "weighted_l2_slack"))
+    if comp is not None:
+        reach = _limit(comp, "window", "compare", radius / 2, low=0.0)
+        tolerance = _limit(comp, "tolerance", "compare", np.inf)
     layout = flow.ball_layout(spec, radius, spacing)
     datum, profile = _datum_from_config(_need(pc, "datum", "problem"), spec, layout)
     ic = cfg.get("inner", {})
@@ -287,7 +324,6 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         t_end=float(_need(pc, "t_end", "problem")), inner=inner,
         monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"),
         **_optional(pc, {"scheme": str, "store_times": tuple}))
-    comp = cfg.get("compare")
     if comp is not None:  # checked before stepping
         kind = _comparison_kind(comp, pc["datum"])
         asked = float(comp.get("time", problem.t_end))
@@ -307,22 +343,18 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     if failure is not None:
         raise failure
 
-    checks = cfg.get("checks", {})
-    _reject_unknown(checks, {"dissipation_slack", "weighted_l2_slack"}, "checks")
     ok = True
-    slack = checks.get("dissipation_slack")
-    if slack is not None and problem.scheme == "implicit_proximal":
-        ok &= bool(np.all(np.diff(traj.monitors["energy"]) <= float(slack)))
-    slack = checks.get("weighted_l2_slack")
-    if slack is not None and "weighted_l2" in traj.monitors:
+    if dissipation_slack is not None and problem.scheme == "implicit_proximal":
+        ok &= bool(np.all(np.diff(traj.monitors["energy"]) <= dissipation_slack))
+    if weighted_l2_slack is not None and "weighted_l2" in traj.monitors:
         w = traj.monitors["weighted_l2"]
         w = w[np.isfinite(w)]
-        ok &= bool(np.all(w[1:] <= w[0] + float(slack)))
+        ok &= bool(np.all(w[1:] <= w[0] + weighted_l2_slack))
 
     if comp is not None:
         gf = traj.slice_at(t)
         r = traj.h0
-        window = r <= float(comp.get("window", radius / 2))
+        window = r <= reach
         if kind == "gaussian_closed_form":
             exact = (1 + 4 * t) ** (-spec.dimension / 2) \
                 * np.exp(-r[window] ** 2 / (1 + 4 * t))
@@ -333,7 +365,7 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         _write_csv(out / "comparison.csv", ["t", "max_abs_error", "max_rel_error"],
                    [(t, float(np.max(np.abs(gf.values[window] - exact))),
                      float(np.max(rel)))], timestamp)
-        ok &= float(np.max(rel)) <= float(comp.get("tolerance", np.inf))
+        ok &= float(np.max(rel)) <= tolerance
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -348,6 +380,7 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     refs = None
     if cross is not None:
         _reject_unknown(cross, {"path", "tolerance"}, "crosscheck")
+        tolerance = _limit(cross, "tolerance", "crosscheck", np.inf)
         ref = _load_grid(_need(cross, "path", "crosscheck"), "crosscheck")
         if ref.dimension != spec.dimension:
             raise SpecValidationError(f"crosscheck grid is {ref.dimension}-D, "
@@ -367,7 +400,7 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     if refs is not None:
         header.append("rel_error")
     _write_csv(out / "radial_solution.csv", header, rows, timestamp)
-    if cross is not None and worst > float(cross.get("tolerance", np.inf)):
+    if cross is not None and worst > tolerance:
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -391,6 +424,7 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 
 def cmd_compare(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     _reject_unknown(cfg, {"a", "b", "tolerance", "relative"}, "compare config")
+    tol = _limit(cfg, "tolerance", "compare config")
     a = _load_grid(_need(cfg, "a", "compare config"), "compare a")
     b = _load_grid(_need(cfg, "b", "compare config"), "compare b")
     if not a.same_layout(b):
@@ -401,10 +435,9 @@ def cmd_compare(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     max_rel = float(np.max(diff / denom))
     _write_csv(out / "comparison.csv", ["max_abs_diff", "max_rel_diff"],
                [(max_abs, max_rel)], timestamp)
-    tol = cfg.get("tolerance")
     if tol is not None:
         value = max_rel if cfg.get("relative", False) else max_abs
-        if value > float(tol):
+        if value > tol:
             return EXIT_CHECK_FAILED
     return EXIT_OK
 

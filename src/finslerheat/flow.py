@@ -46,11 +46,12 @@ are Dirichlet nodes.  `solve` evaluates H0 at the nodes once and returns it
 as `Trajectory.h0`, the run's one H0: the mask, the monitors and every
 comparison of the run read the domain from it.
 
-Monitors recorded every step: the energy, the plain mass, the quadratic
-weight integral int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing along
-the flow while t < 1/(4 lam)), the windowed-ball weighted L^1 quantity
-with weight e^(-H0^2 (1+t^ell)), inner-iteration counts and whether the
-step's CG was preconditioned.
+Each step's monitors come from two producers built once per solve: the
+stepper's stats by name (inner_iterations, preconditioned; 0 if absent)
+and `_monitor_reader` (also `weighted_monitors`): the energy, the mass,
+the quadratic weight integral int e^(-2 lam H0^2/(1-4 lam t)) u^2
+(nonincreasing while t < 1/(4 lam)) and the windowed-ball weighted L^1
+quantity with weight e^(-H0^2 (1+t^ell)).
 """
 
 from __future__ import annotations
@@ -271,7 +272,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                   inner: InnerSolverConfig):
     """The prox map of one (spec, spacings, mask, tau, inner), built once:
     step(v) minimizes J(u) = ||u - v||^2/(2 tau) + psi(u) over masked
-    fields and returns (u, CG iterations, whether CG was preconditioned).
+    fields and returns (u, stats), stats by monitor name: inner_iterations,
+    the CG iterations, and for quadratic families preconditioned, whether
+    CG was preconditioned.
 
     Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
     masked v, K u = `energy_gradient`(u), preconditioned by the box inverse
@@ -338,7 +341,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                                    0.0), vol)
                 if not gap <= atol:  # NaN fails
                     raise fail(w, gap)
-            return w, iters, quiet
+            return w, {"inner_iterations": iters, "preconditioned": quiet}
         return quadratic_step
 
     def newton_step(values: np.ndarray):
@@ -373,7 +376,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 trial = w + alpha * d
                 g_new, J_new, state = grad_and_value(trial)
             w, g, Jw = trial, g_new, J_new
-        return w, iters, False
+        return w, {"inner_iterations": iters}
     return newton_step
 
 
@@ -387,8 +390,8 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float):
     """The forward step, built once; stable for tau <= h^2 / (2 N C2), h the
     smallest spacing.  step(u), u 0 off the mask, returns (u + tau L u, 0
-    there, 0, False) like `_prox_stepper`, L the face-flux operator, which is
-    undefined on the box edge: the mask must leave it out."""
+    there, {}) like `_prox_stepper`, no stats, L the face-flux operator, which
+    is undefined on the box edge: the mask must leave it out."""
     if spec.dimension != mask.ndim:
         raise SpecValidationError("norm/grid dimension mismatch")
     if any(np.take(mask, [0, -1], axis=a).any() for a in range(mask.ndim)):
@@ -406,7 +409,7 @@ def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float):
         lap *= tau
         lap += values
         np.copyto(lap, 0.0, where=off)
-        return lap, 0, False
+        return lap, {}
     return step
 
 
@@ -422,49 +425,49 @@ def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 # monitors
 # ---------------------------------------------------------------------------
 
-def _weighted_monitors(u: np.ndarray, r: np.ndarray, vol: float, t: float,
-                       lam: Optional[float], ell: Optional[float],
-                       kernel: Optional[np.ndarray], centers: Optional[np.ndarray]) -> dict:
-    """Weighted monitors of the masked field u, from H0 values r at its nodes.
+def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], spacing,
+                    lam: Optional[float], ell: Optional[float]):
+    """The monitors of one solve, built once: read(u, t) of a field u that
+    vanishes off the mask returns the energy (`_energy_reader`), the mass
+    and the weighted monitors, from H0 values h0 at its nodes.
 
-    With lam: weighted_l2 and weighted_l1_lambda, NaN from the horizon
-    1/(4 lam) on (1 - 4 lam t <= 1e-12).  With ell: weighted_l1_local, the
-    sup over `centers` of the windowed integral, `kernel` being the
-    indicator of the unit H0-ball on the grid.
+    With lam: weighted_l2 = int e^(-2 lam H0^2/(1-4 lam t)) u^2 and
+    weighted_l1_lambda = int e^(-lam H0^2/(1-4 lam t)) |u|, both NaN from
+    the horizon 1/(4 lam) on (1 - 4 lam t <= 1e-12).  With ell:
+    weighted_l1_local, the sup over the mask (or every node) of the
+    integral of e^(-H0^2 (1+t^ell)) |u| over the unit H0-ball around it
+    (`measures.fftconvolve`).  Node sums times the cell volume.
     """
-    out = {}
-    if lam is not None and 1.0 - 4.0 * lam * t > 1e-12:
-        g = lam * r**2 / (1.0 - 4.0 * lam * t)
-        out["weighted_l2"] = float(np.sum(np.exp(-2.0 * g) * u * u)) * vol
-        out["weighted_l1_lambda"] = float(np.sum(np.exp(-g) * np.abs(u))) * vol
-    elif lam is not None:
-        out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
-    if ell is not None:
-        weight = np.exp(-(r**2) * (1.0 + t**ell))
-        conv = fftconvolve(weight * np.abs(u), kernel) * vol
-        out["weighted_l1_local"] = float(np.max(conv if centers is None
-                                                else conv[centers]))
-    return out
+    if ell is not None and not 0.0 < ell < 0.5:
+        raise SpecValidationError("ell must lie in (0, 1/2)")
+    vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing, h0.shape)
+    lam_h2 = None if lam is None else lam * h0**2
+    neg_h2 = None if ell is None else -(h0**2)
+    kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
+
+    def read(u: np.ndarray, t: float) -> dict:
+        out = {"energy": psi(u), "mass": float(np.sum(u)) * vol}
+        if lam is not None and 1.0 - 4.0 * lam * t > 1e-12:
+            g = lam_h2 / (1.0 - 4.0 * lam * t)
+            out["weighted_l2"] = float(np.sum(np.exp(-2.0 * g) * u * u)) * vol
+            out["weighted_l1_lambda"] = float(np.sum(np.exp(-g) * np.abs(u))) * vol
+        elif lam is not None:
+            out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
+        if ell is not None:
+            conv = fftconvolve(np.exp(neg_h2 * (1.0 + t**ell)) * np.abs(u), kernel) * vol
+            out["weighted_l1_local"] = float(np.max(conv if mask is None else conv[mask]))
+        return out
+    return read
 
 
 def weighted_monitors(gf: GridFunction, spec: NormSpec, t: float,
                       lam: Optional[float] = None, ell: Optional[float] = None,
                       mask: Optional[np.ndarray] = None) -> dict:
-    """The weighted monitors `solve` records, of one slice at time t.
-
-    With lam: weighted_l2 = int e^(-2 lam H0^2/(1-4 lam t)) u^2 and
-    weighted_l1_lambda = int e^(-lam H0^2/(1-4 lam t)) |u|, both NaN from
-    the horizon 1/(4 lam) on.  With ell: weighted_l1_local, the sup over
-    the mask (or every node) of the integral of e^(-H0^2 (1+t^ell)) |u|
-    over the unit H0-ball around it (`measures.fftconvolve`).  Node sums
-    of the field clamped to zero off the mask.
-    """
-    if ell is not None and not 0.0 < ell < 0.5:
-        raise SpecValidationError("ell must lie in (0, 1/2)")
+    """Every monitor `solve` reads off one slice at time t, all it records but
+    the stepper's stats (`_monitor_reader`), of the field clamped off the mask."""
     u = gf.values if mask is None else np.where(mask, gf.values, 0.0)
-    kernel = None if ell is None else _ball_kernel(spec, 1.0, gf.spacing)
-    return _weighted_monitors(u, dual_norm_eval(spec, gf.coords()), gf.cell_volume,
-                              t, lam, ell, kernel, mask)
+    return _monitor_reader(spec, dual_norm_eval(spec, gf.coords()), mask, gf.spacing,
+                           lam, ell)(u, t)
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +525,15 @@ def solve(problem: FlowProblem) -> Trajectory:
     h0 = dual_norm_eval(spec, lay.coords())
     mask = _free_nodes(h0, lay, problem.radius)
     u = np.where(mask, lay.values, 0.0)
-    vol = lay.cell_volume
-    lam, ell = problem.monitor_lambda, problem.monitor_ell
-    unit_kernel = None if ell is None else _ball_kernel(spec, 1.0, lay.spacing)
-    psi = _energy_reader(spec, lay.spacing, mask.shape)
+    read = _monitor_reader(spec, h0, mask, lay.spacing, problem.monitor_lambda,
+                           problem.monitor_ell)
 
     logs, monitor_times, times, slices = {}, [], [], []
 
-    def record(k: int, u: np.ndarray, iters: int, preconditioned: bool) -> None:
+    def record(k: int, u: np.ndarray, stats: dict) -> None:
         t = k * tau
         monitor_times.append(t)
-        values = {"energy": psi(u), "mass": float(np.sum(u)) * vol,
-                  "inner_iterations": iters, "preconditioned": int(preconditioned),
-                  **_weighted_monitors(u, h0, vol, t, lam, ell, unit_kernel, mask)}
+        values = {**read(u, t), "inner_iterations": 0, "preconditioned": 0, **stats}
         for name, value in values.items():
             logs.setdefault(name, []).append(value)
         if k in store:
@@ -548,14 +547,14 @@ def solve(problem: FlowProblem) -> Trajectory:
     step = (_prox_stepper(spec, lay.spacing, mask, tau, problem.inner)
             if problem.scheme == "implicit_proximal"
             else _explicit_stepper(spec, lay.spacing, mask, tau))
-    record(0, u, 0, False)
+    record(0, u, {})
     for k in range(1, n_steps + 1):
         try:
-            u, iters, preconditioned = step(u)
+            u, stats = step(u)
         except ConvergenceError as exc:
             exc.partial = trajectory()   # the steps before it, for diagnosis
             raise
-        record(k, u, iters, preconditioned)
+        record(k, u, stats)
     return trajectory()
 
 

@@ -157,8 +157,11 @@ def refinements(layout: GridFunction, levels: int) -> list[GridFunction]:
 
 def observed_order(errors, spacings) -> float:
     """log(e_0/e_last) / log(h_0/h_last): the convergence order that the
-    first and last of a sequence of errors, measured at spacings h, show."""
-    return float(np.log2(errors[0] / errors[-1]) / np.log2(spacings[0] / spacings[-1]))
+    first and last of a sequence of errors, measured at spacings h, show:
+    inf if only the last error is 0, nan if both are, without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.float64(errors[0]) / np.float64(errors[-1])
+        return float(np.log2(ratio) / np.log2(spacings[0] / spacings[-1]))
 
 
 def _spline_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray,

@@ -22,7 +22,8 @@ from finslerheat.measures import classify, measure_from_radial
 from finslerheat.operators import (check_linearity, check_radial_reduction,
                                    finsler_laplacian, interior_mask,
                                    lift_radial, radial_operator_values)
-from finslerheat.radial import bessel_I0, radial_heat_profile, sphere_integral_I
+from finslerheat.radial import (_scaled_sphere_integral, bessel_I0, radial_heat_profile,
+                               sphere_integral_I)
 from finslerheat.solutions import SolutionSpec, pde_residual
 
 EUCLID = norms.euclidean(2)
@@ -212,8 +213,15 @@ def test_criterion_05_sphere_bessel_identity():
     worst3 = max(abs(sphere_integral_I(z, 3) - 4 * np.pi * np.sinh(z) / z)
                  / (4 * np.pi * np.sinh(z) / z)
                  for z in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
-    ok = worst2 <= 1e-8 and worst3 <= 1e-10
-    _line(5, ok, f"N=2 identity rel {worst2:.2e}, N=3 closed form rel {worst3:.2e}")
+    # the kernel in use: radial_heat_profile reads e^(-z) I(z) from
+    # _scaled_sphere_integral, which must match I on all of [0, 700]
+    z = np.concatenate([[0.0, 1e-13, 1e-8, 1e-3], np.linspace(0.0, 700.0, 1401)[1:],
+                        np.geomspace(1e-6, 700.0, 200)])
+    scaled = [max(abs(np.exp(-zi) * sphere_integral_I(zi, N) - s) / s
+                  for zi, s in zip(z, _scaled_sphere_integral(z, N))) for N in (1, 2, 3)]
+    ok = worst2 <= 1e-8 and worst3 <= 1e-10 and max(scaled) <= 1e-10
+    _line(5, ok, f"N=2 identity rel {worst2:.2e}, N=3 closed form rel {worst3:.2e}, "
+          f"scaled kernel rel {max(scaled):.2e}")
     assert ok
 
 

@@ -546,7 +546,21 @@ _EXACT = {"cases": [{"kind": "gauss_kernel", "norm": EUCLID_JSON,
 _VERIFY = {"seed": 1, "samples": 20, "norms": [ELLIPSE_JSON]}
 _RADIAL = {"norm": EUCLID_JSON, "profile": {"type": "gaussian", "r_max": 14.0},
            "times": [1e-3], "points": [[0.5, 0.5], [1.0, 0.0]]}
+_SINGULAR = {"cases": [{"kind": "singular_poly", "params": {"m_order": 1},
+                        "norm": EUCLID_JSON, "box": [[-1.5, 1.5], [-1.5, 1.5]],
+                        "resolution": [64, 64], "annulus": [0.25, 1.0],
+                        "max_residual": 1e3}]}
+# grids that `_grid_pair` writes to the working directory, one apart
+_COMPARE = {"a": "a.grid", "b": "b.grid", "tolerance": 1e-6}
+_CROSSCHECK = dict(_RADIAL, crosscheck={"path": "a.grid", "tolerance": 1e-3})
 INF, NAN = float("inf"), float("nan")
+
+
+def _grid_pair(directory: Path) -> None:
+    """a.grid and b.grid in `directory`: 2-D grids that differ by 1."""
+    gf = grid_from_function([(-1, 1), (-1, 1)], (8, 8), lambda c: np.sum(c**2, axis=-1))
+    gf.save(directory / "a.grid")
+    gf.with_values(gf.values + 1.0).save(directory / "b.grid")
 
 
 def _mutated(base: dict, path: tuple, value) -> dict:
@@ -608,6 +622,19 @@ def _mutated(base: dict, path: tuple, value) -> dict:
     ("verify-exact", _EXACT, ("cases", 0, "levels"), 2.9),
     ("verify-exact", _EXACT, ("cases", 0, "resolution"), [16.5, 16]),
     ("simulate", _SIMULATE, ("inner",), {"max_iters": 10.5}),
+    ("compare", _COMPARE, ("tolerance",), NAN),
+    ("radial-solve", _CROSSCHECK, ("crosscheck", "tolerance"), NAN),
+    ("simulate", _SIMULATE, ("compare",), {"window": NAN}),
+    ("simulate", _SIMULATE, ("compare",), {"window": -1.0}),
+    ("simulate", _SIMULATE, ("compare",), {"tolerance": NAN}),
+    ("simulate", _SIMULATE, ("checks",), {"dissipation_slack": NAN}),
+    ("simulate", _SIMULATE, ("checks",), {"weighted_l2_slack": NAN}),
+    ("verify-norms", _VERIFY, ("tolerances",), {"homogeneity": NAN}),
+    ("verify-exact", _EXACT, ("cases", 0, "order_window"), [1.5]),
+    ("verify-exact", _EXACT, ("cases", 0, "order_window"), [NAN, 3.0]),
+    ("verify-exact", _EXACT, ("cases", 0, "order_window"), [3.0, 1.0]),
+    ("verify-exact", _SINGULAR, ("cases", 0, "annulus"), [0.5]),
+    ("verify-exact", _SINGULAR, ("cases", 0, "max_residual"), NAN),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
         "radial-samples-inf", "verify-samples-inf", "seed-inf", "sphere-samples-inf",
@@ -617,10 +644,18 @@ def _mutated(base: dict, path: tuple, value) -> dict:
         "sphere-samples-1e15", "refinement-iters-1e300", "levels-1e300",
         "ellipse-dimension-3", "ellipse-typo-param", "polytope-dimension-3",
         "euclidean-with-p", "norm-typo-key", "dimension-2.7", "seed-1.7",
-        "samples-20.9", "levels-2.9", "resolution-16.5", "max-iters-10.5"])
-def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, command,
-                                                            base, path, value):
-    # json reads and writes Infinity, so a config can hold it
+        "samples-20.9", "levels-2.9", "resolution-16.5", "max-iters-10.5",
+        "compare-tolerance-nan", "crosscheck-tolerance-nan", "compare-window-nan",
+        "compare-window-negative", "simulate-compare-tolerance-nan",
+        "dissipation-slack-nan", "weighted-l2-slack-nan", "identity-tolerance-nan",
+        "order-window-one-number", "order-window-nan", "order-window-descending",
+        "annulus-one-number", "max-residual-nan"])
+def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
+                                                            command, base, path, value):
+    # json reads and writes Infinity, so a config can hold it; a limit that
+    # a check compares against is refused before any work
+    monkeypatch.chdir(tmp_path)
+    _grid_pair(tmp_path)
     code, outdir = _run(tmp_path, command, _mutated(base, path, value))
     assert code == 2
     assert "config error" in capsys.readouterr().err
@@ -654,6 +689,32 @@ def test_rerun_is_byte_identical(tmp_path):
     _, out2 = _run(tmp_path, "verify-norms", cfg, out="two")
     assert (out1 / "norm_identities.csv").read_bytes() == \
         (out2 / "norm_identities.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, base, want", [
+    ("compare", _COMPARE, 1), ("radial-solve", _CROSSCHECK, 1), ("verify-exact", _SINGULAR, 0)])
+def test_the_bases_of_the_limit_cases_run(tmp_path, monkeypatch, command, base, want):
+    # the configs that the limit cases above mutate are valid: the grids
+    # differ by 1 (the crosscheck grid is far from the solution)
+    monkeypatch.chdir(tmp_path)
+    _grid_pair(tmp_path)
+    code, outdir = _run(tmp_path, command, base)
+    assert code == want and any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("window, want", [(None, 0), ([1.5, 2.5], 1)])
+def test_verify_exact_residuals_that_underflow_read_as_order_nan(tmp_path, window, want):
+    # far out on the Gauss kernel's tail every residual is exactly 0: the
+    # order reads nan, which only a window fails
+    case = {"kind": "gauss_kernel", "norm": EUCLID_JSON, "box": [[100, 108], [100, 108]],
+            "resolution": [16, 16], "t": 0.5, "dt": 0.01, "levels": 2}
+    if window is not None:
+        case["order_window"] = window
+    code, outdir = _run(tmp_path, "verify-exact", {"cases": [case]})
+    assert code == want
+    rows = list(csv.DictReader((outdir / "exact_residuals.csv").read_text().splitlines()))
+    assert [float(r["max_residual"]) for r in rows] == [0.0, 0.0]
+    assert np.isnan(float(rows[-1]["order"]))
 
 
 def test_verify_exact_singular_case(tmp_path):

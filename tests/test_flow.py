@@ -601,8 +601,8 @@ def test_preconditioned_prox_meets_the_unpreconditioned_stopping_test():
     lay = ball_layout(spec, 6.0, 6 / 64)
     mask = ball_mask(spec, lay, 6.0)
     v = np.exp(-norms.dual_norm_eval(spec, lay.coords()) ** 2)
-    u, iters, preconditioned = flow._prox_stepper(spec, lay.spacing, mask, tau, inner)(v)
-    assert preconditioned and iters >= 1
+    u, stats = flow._prox_stepper(spec, lay.spacing, mask, tau, inner)(v)
+    assert stats["preconditioned"] and stats["inner_iterations"] >= 1
     gap, scale = _prox_residual(u, v, spec, mask, tau, lay.spacing, lay.cell_volume)
     assert gap <= inner.tolerance * scale
 
@@ -641,7 +641,7 @@ def test_a_quadratic_solve_out_of_budget_raises_its_own_gap(spec, radius, precon
     assert err.value.gap == gap > inner.tolerance * scale
     # within budget, the same datum reports the path the failing step took
     within = flow._prox_stepper(spec, lay.spacing, mask, tau, replace(inner, max_iters=10000))
-    assert within(v)[2] is preconditioned
+    assert within(v)[1]["preconditioned"] is preconditioned
 
 
 def _box_problem(data, N):
@@ -686,8 +686,8 @@ def test_box_preconditioner_paths(data):
     # are below tol (1 + ||v||), and I/tau + K >= I/tau
     step = flow._prox_stepper(spec, spacing, mask, tau, inner)
     quiet = np.where(mask & ~band, rng.standard_normal(mask.shape), 0.0)
-    u, iters, preconditioned = step(quiet)
-    assert preconditioned
+    u, stats = step(quiet)
+    assert stats["preconditioned"]
     plain, info, _ = _plain_prox(quiet, spec, mask, tau, inner, spacing, vol)
     assert info == 0
     gap, scale = _prox_residual(u, quiet, spec, mask, tau, spacing, vol)
@@ -702,10 +702,10 @@ def test_box_preconditioner_paths(data):
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flow, "_dot", lambda a, b: float(np.dot(a.ravel(), b.ravel())))
-        u, iters, preconditioned = step(loud)
+        u, stats = step(loud)
     plain, info, steps = _plain_prox(loud, spec, mask, tau, inner, spacing, vol)
-    assert not preconditioned and info == 0
-    assert _same_bits(u, plain) and iters == steps
+    assert not stats["preconditioned"] and info == 0
+    assert _same_bits(u, plain) and stats["inner_iterations"] == steps
 
 
 @settings(max_examples=30)
@@ -903,9 +903,10 @@ def test_monitor_weighted_l1_forms():
 
 def test_weighted_monitors_match_the_trajectory_bit_for_bit():
     # solve records through the same path, for either scheme, with NaN lam
-    # weights from the horizon 1/(4 lam) = 0.05 on
+    # weights from the horizon 1/(4 lam) = 0.05 on: every recorded name but
+    # the stepper's stats
     lam, ell = 5.0, 0.25
-    names = ["weighted_l2", "weighted_l1_lambda", "weighted_l1_local"]
+    names = ["energy", "mass", "weighted_l2", "weighted_l1_lambda", "weighted_l1_local"]
     for scheme, tau in (("implicit_proximal", 1e-2), ("explicit_euler", 5e-4)):
         problem, _ = _ball_problem(ELLIPSE, 2.0, 1 / 8, lambda r: np.exp(-r**2),
                                    tau=tau, t_end=6e-2, scheme=scheme,
@@ -913,6 +914,7 @@ def test_weighted_monitors_match_the_trajectory_bit_for_bit():
                                    monitor_lambda=lam, monitor_ell=ell,
                                    inner=InnerSolverConfig(tolerance=1e-9))
         traj = solve(problem)
+        assert sorted(traj.monitors) == sorted(names + ["inner_iterations", "preconditioned"])
         # the stamps k tau; for tau = 1e-2 they equal 0.0, 0.02, .. exactly
         assert traj.times == [round(t / tau) * tau for t in (0.0, 2e-2, 4e-2, 5e-2, 6e-2)]
         for t, gf in zip(traj.times, traj.slices):

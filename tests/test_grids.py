@@ -132,3 +132,11 @@ def test_refinements_and_observed_order(data):
     p = data.draw(st.floats(0.5, 4.0))
     h = [max(lay.spacing) for lay in layouts]
     assert observed_order([C * hl**p for hl in h], h) == pytest.approx(p, abs=1e-12)
+
+
+def test_observed_order_of_a_vanishing_error_is_inf_or_nan():
+    # a finest error that underflows to 0 reads as order inf (nan if the
+    # first does too): no ZeroDivisionError, and no warning escapes
+    assert observed_order([1e-3, 0.0], [0.5, 0.25]) == np.inf
+    assert np.isnan(observed_order([0.0, 0.0], [0.5, 0.25]))
+    assert np.isnan(observed_order(np.zeros(3), [0.5, 0.25, 0.125]))
