@@ -5,7 +5,8 @@ compare.  Exit codes: 0 all checks passed, 1 a numerical check failed,
 2 malformed config, 3 an iterative procedure failed to converge.  All
 floats print with 17 significant digits; identical config + seed gives
 byte-identical CSVs (the timestamp header is suppressed by --no-timestamp).
-Schemas are documented in docs/formats.md.
+Each command reads its whole config, nested objects included, through
+`_section` before any work.  Schemas are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -31,49 +34,6 @@ EXIT_NO_CONVERGENCE = 3
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-def _reject_unknown(cfg: dict, allowed: set, context: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise SpecValidationError(
-            f"unknown keys in {context}: {', '.join(sorted(unknown))}")
-
-
-def _need(cfg: dict, key: str, context: str):
-    if key not in cfg:
-        raise SpecValidationError(f"{context} requires {key!r}")
-    return cfg[key]
-
-
-def _optional(cfg: dict, casts: dict) -> dict:
-    """The optional keys that cfg sets, cast (`int` by `integer`); the callee owns the defaults."""
-    return {key: integer(cfg[key], key) if cast is int else cast(cfg[key])
-            for key, cast in casts.items() if key in cfg}
-
-
-def _limit(cfg: dict, key: str, context: str, default=None, low: float = -np.inf):
-    """cfg[key] as a float (`default` if absent), a number that a check
-    compares against; one that is NaN or not above `low` is a config error.
-    Commands read every limit before any work."""
-    if key not in cfg:
-        return default
-    value = float(cfg[key])
-    if not value > low:  # NaN fails
-        raise SpecValidationError(f"{context} {key} must be a number above {low:g}, "
-                                  f"not {cfg[key]!r}")
-    return value
-
-
-def _range(cfg: dict, key: str, context: str):
-    """cfg[key] as (lo, hi), two finite numbers lo < hi, or None if absent."""
-    if key not in cfg:
-        return None
-    pair = [float(x) for x in cfg[key]]
-    if not (len(pair) == 2 and np.isfinite(pair).all() and pair[0] < pair[1]):
-        raise SpecValidationError(f"{context} {key} must be two finite numbers in "
-                                  f"ascending order, not {cfg[key]!r}")
-    return tuple(pair)
 
 
 _NUMBER = (int, float, np.floating)
@@ -98,71 +58,163 @@ def _write_csv(path: Path, header: list, rows: list, timestamp: bool) -> None:
                             and not isinstance(c, bool) else str(c) for c in row)
 
 
-def _load_grid(path, context: str) -> GridFunction:
-    """GridFunction.load; a path it cannot read is a config error."""
+# ---------------------------------------------------------------------------
+# config reading: one section reader, one reader per kind of value
+# ---------------------------------------------------------------------------
+
+def _section(cfg, what: str, required: dict, optional: dict | None = None) -> dict:
+    """The config object `cfg` with each value read by the reader of its key,
+    `reader(value, name)`.  A key outside `required` and `optional`, a missing
+    required key and a value that its reader refuses are config errors.  An
+    absent optional key stays absent, so the callee keeps its default."""
+    if not isinstance(cfg, dict):
+        raise SpecValidationError(f"{what} must be an object, not {cfg!r}")
+    readers = {**required, **(optional or {})}
+    if unknown := set(cfg) - set(readers):
+        raise SpecValidationError(f"unknown keys in {what}: {', '.join(sorted(unknown))}")
+    if missing := [key for key in required if key not in cfg]:
+        raise SpecValidationError(f"{what} requires {missing[0]!r}")
+    return {key: readers[key](value, f"{what} {key}") for key, value in cfg.items()}
+
+
+def _object(required: dict, optional: dict | None = None):
+    """The reader of a nested object with these keys (see `_section`)."""
+    return lambda value, what: _section(value, what, required, optional)
+
+
+def _reader(test, need: str):
+    """The reader of a value that passes `test`, returned as given; `need`
+    says what else is a config error."""
+    def read(value, what: str):
+        if test(value):
+            return value
+        raise SpecValidationError(f"{what} must be {need}, not {value!r}")
+    return read
+
+
+def _real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return _real(value) and math.isfinite(value)
+
+
+_text = _reader(lambda v: isinstance(v, str), "a string")
+_flag = _reader(lambda v: isinstance(v, bool), "true or false")
+_number = _reader(_finite, "a finite number")
+_positive = _reader(lambda v: _finite(v) and v > 0, "a finite number above 0")
+_range = _reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
+                 and v[0] < v[1], "two finite numbers in ascending order")
+
+
+def _limit(low: float = -math.inf):
+    """The reader of a limit that a check compares against: Infinity sets no
+    limit, NaN is refused."""
+    return _reader(lambda v: _real(v) and v > low, f"a number above {low:g}")
+
+
+def _one_of(*names: str):
+    """The reader of a string that names one of `names`."""
+    return _reader(lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
+
+
+def _list(item, least: int = 1):
+    """The reader of a list of at least `least` entries, each read by `item`."""
+    def read(value, what: str) -> list:
+        if isinstance(value, list) and len(value) >= least:
+            return [item(entry, what) for entry in value]
+        raise SpecValidationError(f"{what} must be a list of at least {least} "
+                                  f"entries, not {value!r}")
+    return read
+
+
+def _numbers(value, what: str):
+    """A finite number, or a nonempty list of such values (a matrix's rows)."""
+    return _list(_numbers)(value, what) if isinstance(value, list) else _number(value, what)
+
+
+def _params(value, what: str) -> dict:
+    """A norm's or a solution family's params: names that the family checks,
+    each a finite number or a nonempty list of them."""
+    return _section(value, what, {}, dict.fromkeys(value if isinstance(value, dict) else (),
+                                                   _numbers))
+
+
+def _norm(value, what: str) -> norms.NormSpec:
+    return norms.NormSpec.from_dict(_section(value, what, {"family": _text, "dimension": integer},
+                                             {"params": _params}))
+
+
+def _grid(value, what: str) -> GridFunction:
+    """The grid that the path `value` names; a file it cannot read, or one
+    that holds no grid dump, is a config error."""
+    path = _text(value, what)
     try:
         return GridFunction.load(path)
-    except OSError as exc:
-        raise SpecValidationError(f"{context}: cannot read grid {path!r}: "
-                                  f"{exc.strerror or exc}") from exc
+    except (OSError, IndexError, ValueError, OverflowError) as exc:
+        raise SpecValidationError(f"{what}: cannot read grid {path!r}: "
+                                  f"{getattr(exc, 'strerror', None) or exc}") from exc
 
 
-_PROFILE_KEYS = {"gaussian": {"scale"}, "bump": {"radius"}, "exp_power": {"coefficient", "power"}}
-
-
-def _profile_from_config(cfg: dict) -> RadialProfile:
-    kind = _need(cfg, "type", "profile")
+def _profile(value, what: str) -> RadialProfile:
+    """A radial profile: `samples`, or a gaussian, bump or exp_power sampled on
+    [0, r_max] (2049 samples unless `samples` says otherwise)."""
+    kind = _one_of("samples", "gaussian", "bump", "exp_power")(
+        value.get("type") if isinstance(value, dict) else None, f"{what} type")
     if kind == "samples":
-        _reject_unknown(cfg, {"type", "radii", "values", "even"}, "profile")
-        return RadialProfile(np.asarray(cfg["radii"], dtype=float),
-                             np.asarray(cfg["values"], dtype=float),
-                             even=bool(cfg.get("even", True)))
-    if kind not in _PROFILE_KEYS:
-        raise SpecValidationError(f"unknown profile type {kind!r}")
-    _reject_unknown(cfg, {"type", "r_max", "samples", "amplitude", *_PROFILE_KEYS[kind]},
-                    "profile")
-    r_max = float(_need(cfg, "r_max", "profile"))
-    samples = integer(cfg.get("samples", 2049), "profile samples")
-    amp = float(cfg.get("amplitude", 1.0))
+        c = _section(value, what, {"type": _text, "radii": _list(_number),
+                                   "values": _list(_number)}, {"even": _flag})
+        return RadialProfile(c["radii"], c["values"], even=c.get("even", True))
+    required = {"type": _text, "r_max": _positive}
+    optional = {"samples": integer, "amplitude": _number}
     if kind == "gaussian":
-        scale = float(cfg.get("scale", 1.0))
-        fn = lambda r: amp * np.exp(-((r / scale) ** 2))
+        c = _section(value, what, required, {**optional, "scale": _positive})
+        fn = lambda r, scale=c.get("scale", 1.0): np.exp(-((r / scale) ** 2))
     elif kind == "bump":
-        rad = float(cfg.get("radius", 1.0))
-        fn = lambda r: amp * np.maximum(1.0 - (r / rad) ** 2, 0.0) ** 3
+        c = _section(value, what, required, {**optional, "radius": _positive})
+        fn = lambda r, rad=c.get("radius", 1.0): np.maximum(1.0 - (r / rad) ** 2, 0.0) ** 3
     else:
-        c = float(_need(cfg, "coefficient", "profile"))
-        q = float(_need(cfg, "power", "profile"))
-        fn = lambda r: amp * np.exp(c * r**q)
-    return RadialProfile.from_function(fn, r_max, samples)
+        own = {"coefficient": _number, "power": _positive}
+        c = _section(value, what, {**required, **own}, optional)
+        fn = lambda r: np.exp(c["coefficient"] * r ** c["power"])
+    amp = c.get("amplitude", 1.0)
+    return RadialProfile.from_function(lambda r: amp * fn(r), c["r_max"], c.get("samples", 2049))
 
 
-def _measure_from_config(cfg: dict, spec: norms.NormSpec) -> measures.MeasureSpec:
-    kind = _need(cfg, "kind", "measure")
-    if kind == "atoms":
-        _reject_unknown(cfg, {"kind", "atoms"}, "measure")
-        return measures.measure_from_atoms([(p, w) for p, w in cfg["atoms"]])
-    if kind == "density":
-        _reject_unknown(cfg, {"kind", "path"}, "measure")
-        return measures.measure_from_density(
-            _load_grid(_need(cfg, "path", "measure"), "measure"))
-    if kind == "radial_density":
-        _reject_unknown(cfg, {"kind", "profile"}, "measure")
-        return measures.measure_from_radial(_profile_from_config(cfg["profile"]), spec)
-    raise SpecValidationError(f"unknown measure kind {kind!r}")
+# a datum or measure object: its kind, and the one key that kind takes
+_SOURCES = {"radial": ("profile", _profile), "grid": ("path", _grid),
+            "atoms": ("atoms", _list(_numbers)), "density": ("path", _grid),
+            "radial_density": ("profile", _profile)}
 
 
-_DUAL_KEYS = {"sphere_samples": int, "refinement_iters": int, "tolerance": float}
+def _source(*kinds: str):
+    """The reader of a datum or measure object of one of `kinds`; a path is
+    read as the grid it names."""
+    def read(value, what: str) -> dict:
+        kind = value.get("kind") if isinstance(value, dict) else None
+        key, reader = _SOURCES[_one_of(*kinds)(kind, f"{what} kind")]
+        return _section(value, what, {"kind": _text, key: reader})
+    return read
 
 
-def _dual_oracle(cfg: dict) -> norms.DualEvalConfig | None:
+def _measure(source: dict, spec: norms.NormSpec) -> measures.MeasureSpec:
+    """The measure of a read source; a radial density is radial in `spec`."""
+    if source["kind"] == "atoms":
+        return measures.measure_from_atoms(source["atoms"])
+    if source["kind"] == "density":
+        return measures.measure_from_density(source["path"])
+    return measures.measure_from_radial(source["profile"], spec)
+
+
+def _dual(value, what: str) -> norms.DualEvalConfig | None:
     """The `sphere_maximization` settings that `dual` selects, or None for
     the closed forms (method `auto`); the settings are checked either way."""
-    _reject_unknown(cfg, {"method", *_DUAL_KEYS}, "dual")
-    method = cfg.get("method", "auto")
-    if method not in ("auto", "sphere_maximization"):
-        raise SpecValidationError(f"unknown dual evaluation method {method!r}")
-    oracle = norms.DualEvalConfig(**_optional(cfg, _DUAL_KEYS))
+    c = _section(value, what, {}, {"method": _one_of("auto", "sphere_maximization"),
+                                   "sphere_samples": integer, "refinement_iters": integer,
+                                   "tolerance": _positive})
+    method = c.pop("method", "auto")
+    oracle = norms.DualEvalConfig(**c)
     return oracle if method == "sphere_maximization" else None
 
 
@@ -178,21 +230,17 @@ _IDENTITY_DEFAULTS = {
 
 
 def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
-    _reject_unknown(cfg, {"seed", "samples", "norms", "dual", "tolerances"},
-                    "verify-norms config")
-    seed = cfg.get("seed") if seed is None else seed
+    c = _section(cfg, "verify-norms config", {"norms": _list(_norm)}, {
+        "seed": integer, "samples": integer, "dual": _dual,
+        "tolerances": _object({}, dict.fromkeys(_IDENTITY_DEFAULTS, _limit()))})
+    seed = c.get("seed") if seed is None else seed
     if seed is None:
         raise SpecValidationError("verify-norms samples randomly and needs a seed")
-    seed, samples = integer(seed, "seed"), integer(cfg.get("samples", 1000), "samples")
-    oracle = _dual_oracle(cfg.get("dual", {}))
-    overrides = cfg.get("tolerances", {})
-    _reject_unknown(overrides, set(_IDENTITY_DEFAULTS), "tolerances")
-    tols = {name: _limit(overrides, name, "tolerances", default)
-            for name, default in _IDENTITY_DEFAULTS.items()}
+    samples = c.get("samples", 1000)
+    tols = {**_IDENTITY_DEFAULTS, **c.get("tolerances", {})}
     rows, ok = [], True
-    for norm_obj in _need(cfg, "norms", "verify-norms config"):
-        spec = norms.NormSpec.from_dict(norm_obj)
-        report = norms.verify_identities(spec, samples, oracle, seed=seed)
+    for spec in c["norms"]:
+        report = norms.verify_identities(spec, samples, c.get("dual"), seed=seed)
         for name, value in report.items():
             tol = tols[name]
             passed = value <= tol
@@ -204,36 +252,30 @@ def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _case_limits(case: dict) -> tuple:
-    """A verify-exact case's (order_window, annulus, max_residual), its keys checked."""
-    _reject_unknown(case, {"kind", "params", "norm", "box", "resolution", "t", "dt",
-                           "levels", "order_window", "annulus", "max_residual"},
-                    "verify-exact case")
-    return (_range(case, "order_window", "verify-exact case"),
-            _range(case, "annulus", "verify-exact case"),
-            _limit(case, "max_residual", "verify-exact case", np.inf))
+_CASE = _object({"kind": _text, "norm": _norm, "box": _list(_range),
+                 "resolution": _list(integer)},
+                {"params": _params, "t": _number, "dt": _positive, "levels": integer,
+                 "order_window": _range, "annulus": _range, "max_residual": _limit()})
 
 
 def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
-    _reject_unknown(cfg, {"cases"}, "verify-exact config")
-    cases = _need(cfg, "cases", "verify-exact config")
+    cases = _section(cfg, "verify-exact config", {"cases": _list(_CASE)})["cases"]
+    built = [(case, solutions.SolutionSpec(case["kind"], case["norm"], **case.get("params", {})),
+              empty_layout(case["box"], case["resolution"])) for case in cases]
     rows, ok = [], True
-    for case, (window, annulus, cap) in zip(cases, [_case_limits(c) for c in cases]):
-        spec = norms.NormSpec.from_dict(_need(case, "norm", "case"))
-        sol = solutions.SolutionSpec(_need(case, "kind", "case"), spec,
-                                     **case.get("params", {}))
-        layout = empty_layout(case["box"], case["resolution"])
-        t = float(case.get("t", 0.0))
+    for case, sol, layout in built:
+        spec, t = sol.norm, case.get("t", 0.0)
         if sol.kind == "singular_poly":
             residual = solutions.singular_poly_check(
-                sol, layout, **({} if annulus is None else {"annulus": annulus}))
-            passed = residual <= cap
+                sol, layout, **({"annulus": case["annulus"]} if "annulus" in case else {}))
+            passed = residual <= case.get("max_residual", np.inf)
             ok &= passed
             rows.append((sol.kind, spec.label(), max(layout.spacing), 0.0,
                          residual, np.nan, passed))
             continue
-        rep = solutions.pde_residual(sol, layout, t, float(case.get("dt", 1e-2)),
-                                     **_optional(case, {"levels": int}))
+        rep = solutions.pde_residual(sol, layout, t, case.get("dt", 1e-2),
+                                     **({"levels": case["levels"]} if "levels" in case else {}))
+        window = case.get("order_window")
         passed = window is None or window[0] <= rep.order <= window[1]
         ok &= passed
         for family, norm_label, h, dt, mx, order in rep.rows():
@@ -256,77 +298,52 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _datum_from_config(cfg: dict, spec: norms.NormSpec,
-                       layout: GridFunction):
-    kind = _need(cfg, "kind", "datum")
-    if kind == "radial":
-        _reject_unknown(cfg, {"kind", "profile"}, "datum")
-        profile = _profile_from_config(cfg["profile"])
-        return operators.lift_radial(profile, spec, layout), profile
-    if kind == "grid":
-        _reject_unknown(cfg, {"kind", "path"}, "datum")
-        datum = _load_grid(_need(cfg, "path", "datum"), "datum")
-        if not datum.same_layout(layout):
+def _datum(source: dict, spec: norms.NormSpec, layout: GridFunction):
+    """The run's datum on `layout`, and its profile if it is radial."""
+    if source["kind"] == "radial":
+        return operators.lift_radial(source["profile"], spec, layout), source["profile"]
+    if source["kind"] == "grid":
+        if not source["path"].same_layout(layout):
             raise SpecValidationError("grid datum does not lie on the layout of the "
                                       "run's radius and spacing")
-        return datum, None
-    if kind in ("atoms", "density", "radial_density"):  # mollified at two cells
-        measure = _measure_from_config(cfg, spec)
-        return measures.mollify(measure, 2.0 * max(layout.spacing), layout), None
-    raise SpecValidationError(f"unknown datum kind {kind!r}")
+        return source["path"], None
+    # a measure, mollified at two cells
+    return measures.mollify(_measure(source, spec), 2.0 * max(layout.spacing), layout), None
 
 
-def _comparison_kind(comp: dict, datum_cfg: dict) -> str:
-    """The comparison's kind; one that cannot hold for the datum is rejected."""
-    _reject_unknown(comp, {"kind", "window", "tolerance", "time"}, "compare")
-    kind = comp.get("kind", "gaussian_closed_form")
-    prof = datum_cfg.get("profile") if datum_cfg.get("kind") == "radial" else None
-    unit_gaussian = bool(prof) and prof.get("type") == "gaussian" and all(
-        float(prof.get(key, 1.0)) == 1.0 for key in ("amplitude", "scale"))
-    if kind == "gaussian_closed_form" and not unit_gaussian:
-        raise SpecValidationError("gaussian_closed_form holds only for the radial "
-                                  "gaussian datum of amplitude 1 and scale 1; "
-                                  "use radial_representation")
-    if kind == "radial_representation" and prof is None:
-        raise SpecValidationError("radial_representation comparison needs a radial datum")
-    if kind not in ("gaussian_closed_form", "radial_representation"):
-        raise SpecValidationError(f"unknown comparison {kind!r}")
-    return kind
+_PROBLEM = _object({"radius": _positive, "spacing": _positive, "tau": _positive,
+                    "t_end": _positive, "datum": _source(*_SOURCES)},
+                   {"scheme": _text, "store_times": _list(_number, least=0)})
+_COMPARISON = _object({}, {"kind": _one_of("gaussian_closed_form", "radial_representation"),
+                           "window": _limit(0.0), "tolerance": _limit(), "time": _number})
 
 
 def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
-    _reject_unknown(cfg, {"norm", "problem", "inner", "monitors", "checks",
-                          "compare"}, "simulate config")
-    spec = norms.NormSpec.from_dict(_need(cfg, "norm", "simulate config"))
-    pc = _need(cfg, "problem", "simulate config")
-    _reject_unknown(pc, {"radius", "spacing", "datum", "scheme", "tau", "t_end",
-                         "store_times"}, "problem")
-    radius = float(_need(pc, "radius", "problem"))
-    spacing = float(_need(pc, "spacing", "problem"))
-    checks, comp = cfg.get("checks", {}), cfg.get("compare")
-    _reject_unknown(checks, {"dissipation_slack", "weighted_l2_slack"}, "checks")
-    dissipation_slack, weighted_l2_slack = (
-        _limit(checks, key, "checks") for key in ("dissipation_slack", "weighted_l2_slack"))
-    if comp is not None:
-        reach = _limit(comp, "window", "compare", radius / 2, low=0.0)
-        tolerance = _limit(comp, "tolerance", "compare", np.inf)
-    layout = flow.ball_layout(spec, radius, spacing)
-    datum, profile = _datum_from_config(_need(pc, "datum", "problem"), spec, layout)
-    ic = cfg.get("inner", {})
-    _reject_unknown(ic, {"tolerance", "max_iters"}, "inner")
-    inner = flow.InnerSolverConfig(**_optional(ic, {"tolerance": float,
-                                                    "max_iters": int}))
-    mc = cfg.get("monitors", {})
-    _reject_unknown(mc, {"lambda", "ell"}, "monitors")
-    problem = flow.FlowProblem(
-        norm=spec, radius=radius, datum=datum,
-        tau=float(_need(pc, "tau", "problem")),
-        t_end=float(_need(pc, "t_end", "problem")), inner=inner,
-        monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"),
-        **_optional(pc, {"scheme": str, "store_times": tuple}))
+    c = _section(cfg, "simulate config", {"norm": _norm, "problem": _PROBLEM}, {
+        "inner": _object({}, {"tolerance": _positive, "max_iters": integer}),
+        "monitors": _object({}, {"lambda": _positive, "ell": _number}),
+        "checks": _object({}, {"dissipation_slack": _limit(), "weighted_l2_slack": _limit()}),
+        "compare": _COMPARISON})
+    spec, pc, checks, comp = c["norm"], c["problem"], c.get("checks", {}), c.get("compare")
+    if comp is not None:  # a comparison that cannot hold for the datum is refused
+        kind, datum_cfg = comp.get("kind", "gaussian_closed_form"), cfg["problem"]["datum"]
+        prof = datum_cfg["profile"] if datum_cfg["kind"] == "radial" else None
+        unit_gaussian = prof is not None and prof["type"] == "gaussian" and all(
+            prof.get(key, 1.0) == 1.0 for key in ("amplitude", "scale"))
+        if kind == "gaussian_closed_form" and not unit_gaussian:
+            raise SpecValidationError("gaussian_closed_form holds only for the radial "
+                                      "gaussian datum of amplitude 1 and scale 1; "
+                                      "use radial_representation")
+        if kind == "radial_representation" and prof is None:
+            raise SpecValidationError("radial_representation comparison needs a radial datum")
+    layout = flow.ball_layout(spec, pc["radius"], pc.pop("spacing"))
+    datum, profile = _datum(pc.pop("datum"), spec, layout)
+    mc = c.get("monitors", {})
+    problem = flow.FlowProblem(norm=spec, datum=datum,
+                               inner=flow.InnerSolverConfig(**c.get("inner", {})),
+                               monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"), **pc)
     if comp is not None:  # checked before stepping
-        kind = _comparison_kind(comp, pc["datum"])
-        asked = float(comp.get("time", problem.t_end))
+        asked = comp.get("time", problem.t_end)
         if (t := problem.stores(asked)) is None:
             raise SpecValidationError(f"compare.time {asked} is not a stored time")
 
@@ -344,17 +361,17 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         raise failure
 
     ok = True
-    if dissipation_slack is not None and problem.scheme == "implicit_proximal":
-        ok &= bool(np.all(np.diff(traj.monitors["energy"]) <= dissipation_slack))
-    if weighted_l2_slack is not None and "weighted_l2" in traj.monitors:
+    if "dissipation_slack" in checks and problem.scheme == "implicit_proximal":
+        ok &= bool(np.all(np.diff(traj.monitors["energy"]) <= checks["dissipation_slack"]))
+    if "weighted_l2_slack" in checks and "weighted_l2" in traj.monitors:
         w = traj.monitors["weighted_l2"]
         w = w[np.isfinite(w)]
-        ok &= bool(np.all(w[1:] <= w[0] + weighted_l2_slack))
+        ok &= bool(np.all(w[1:] <= w[0] + checks["weighted_l2_slack"]))
 
     if comp is not None:
         gf = traj.slice_at(t)
         r = traj.h0
-        window = r <= reach
+        window = r <= comp.get("window", problem.radius / 2)
         if kind == "gaussian_closed_form":
             exact = (1 + 4 * t) ** (-spec.dimension / 2) \
                 * np.exp(-r[window] ** 2 / (1 + 4 * t))
@@ -365,32 +382,29 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         _write_csv(out / "comparison.csv", ["t", "max_abs_error", "max_rel_error"],
                    [(t, float(np.max(np.abs(gf.values[window] - exact))),
                      float(np.max(rel)))], timestamp)
-        ok &= float(np.max(rel)) <= tolerance
+        ok &= float(np.max(rel)) <= comp.get("tolerance", np.inf)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
-    _reject_unknown(cfg, {"norm", "profile", "times", "points", "crosscheck"},
-                    "radial-solve config")
-    spec = norms.NormSpec.from_dict(_need(cfg, "norm", "radial-solve config"))
-    profile = _profile_from_config(_need(cfg, "profile", "radial-solve config"))
-    points = np.asarray(_need(cfg, "points", "radial-solve config"), dtype=float)
+    c = _section(cfg, "radial-solve config", {
+        "norm": _norm, "profile": _profile, "times": _list(_positive),
+        "points": _list(_list(_number))},
+        {"crosscheck": _object({"path": _grid}, {"tolerance": _limit()})})
+    spec, points, cross = c["norm"], np.array(c["points"]), c.get("crosscheck")
     rows = []
-    cross = cfg.get("crosscheck")
     refs = None
     if cross is not None:
-        _reject_unknown(cross, {"path", "tolerance"}, "crosscheck")
-        tolerance = _limit(cross, "tolerance", "crosscheck", np.inf)
-        ref = _load_grid(_need(cross, "path", "crosscheck"), "crosscheck")
+        ref = cross["path"]
         if ref.dimension != spec.dimension:
             raise SpecValidationError(f"crosscheck grid is {ref.dimension}-D, "
                                       f"the norm {spec.dimension}-D")
         refs = ref.sample_nearest(points)
     worst = 0.0
     rho = norms.dual_norm_eval(spec, points)
-    for t in _need(cfg, "times", "radial-solve config"):
-        vals = radial.radial_heat_profile(profile, spec.dimension, rho, float(t))
-        columns = [points, np.full(len(points), float(t)), vals]
+    for t in c["times"]:
+        vals = radial.radial_heat_profile(c["profile"], spec.dimension, rho, t)
+        columns = [points, np.full(len(points), t), vals]
         if refs is not None:
             rel = np.abs(vals - refs) / np.maximum(np.abs(vals), 1e-300)
             worst = max(worst, float(np.max(rel)))
@@ -400,20 +414,18 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     if refs is not None:
         header.append("rel_error")
     _write_csv(out / "radial_solution.csv", header, rows, timestamp)
-    if cross is not None and worst > tolerance:
+    if cross is not None and worst > cross.get("tolerance", np.inf):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
 def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
-    _reject_unknown(cfg, {"norm", "measure", "lambda_grid", "windows", "spacing",
-                          "stabilization_tol"}, "classify config")
-    spec = norms.NormSpec.from_dict(_need(cfg, "norm", "classify config"))
-    measure = _measure_from_config(_need(cfg, "measure", "classify config"), spec)
-    result = measures.classify(
-        measure, spec, _need(cfg, "lambda_grid", "classify config"),
-        **_optional(cfg, {"windows": tuple, "spacing": float,
-                          "stabilization_tol": float}))
+    c = _section(cfg, "classify config", {
+        "norm": _norm, "measure": _source("atoms", "density", "radial_density"),
+        "lambda_grid": _list(_positive)},
+        {"windows": _list(_positive), "spacing": _positive, "stabilization_tol": _number})
+    spec = c.pop("norm")
+    result = measures.classify(_measure(c.pop("measure"), spec), spec, c.pop("lambda_grid"), **c)
     _write_csv(out / "classification.csv",
                ["lambda", "window", "value", "stabilized"], result.rows(), timestamp)
     summary = {"admissible": result.admissible, "lambda_star": result.lam_star,
@@ -423,10 +435,9 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 
 
 def cmd_compare(cfg: dict, out: Path, seed, timestamp: bool) -> int:
-    _reject_unknown(cfg, {"a", "b", "tolerance", "relative"}, "compare config")
-    tol = _limit(cfg, "tolerance", "compare config")
-    a = _load_grid(_need(cfg, "a", "compare config"), "compare a")
-    b = _load_grid(_need(cfg, "b", "compare config"), "compare b")
+    c = _section(cfg, "compare config", {"a": _grid, "b": _grid},
+                 {"tolerance": _limit(), "relative": _flag})
+    a, b = c["a"], c["b"]
     if not a.same_layout(b):
         raise SpecValidationError("grids have different layouts")
     diff = np.abs(a.values - b.values)
@@ -435,9 +446,9 @@ def cmd_compare(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     max_rel = float(np.max(diff / denom))
     _write_csv(out / "comparison.csv", ["max_abs_diff", "max_rel_diff"],
                [(max_abs, max_rel)], timestamp)
-    if tol is not None:
-        value = max_rel if cfg.get("relative", False) else max_abs
-        if value > tol:
+    if "tolerance" in c:
+        value = max_rel if c.get("relative", False) else max_abs
+        if value > c["tolerance"]:
             return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -8,7 +8,7 @@ finite for some L > 0 exactly when the datum launches a solution up to
 the horizon S_L = 1/(4 L).  Finiteness cannot be decided from a bounded
 window, so the classifier operationalizes it as stabilization of G under
 window growth: the first L in the grid whose value changes by at most a
-relative threshold between the two largest windows wins.
+relative threshold between the two largest distinct windows wins.
 
 Density integrals use the node-sum (midpoint) rule; the ball-windowed
 supremum over all grid centers is a convolution with the H0-ball
@@ -187,15 +187,16 @@ def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
 
     Deterministic and window-monotone: all windows share one lattice, so
     enlarging the window never decreases a table entry.
+    The windows are taken as a set; fewer than two distinct ones are refused.
     """
     lam_grid = sorted(float(x) for x in lam_grid)
-    windows = sorted(float(w) for w in windows)
+    windows = sorted({float(w) for w in windows})
     if not lam_grid:
         raise SpecValidationError("lambda grid is empty: no lambda to test")
     if not (math.isfinite(stabilization_tol) and stabilization_tol >= 0):
         raise SpecValidationError("stabilization_tol must be finite and >= 0")
     if len(windows) < 2:
-        raise SpecValidationError("need at least two windows to test stabilization")
+        raise SpecValidationError("need at least two distinct windows to test stabilization")
     table, stabilized = {}, {}
     for lam in lam_grid:
         for w in windows:

@@ -214,13 +214,16 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     pi/(2n) <= 2 sqrt(t), so the node gaps resolve the kernel's width, and
     doubles, up to 4096 nodes, until successive values agree to 1e-9
     relative to 1 + max |u|.  ConvergenceError if they never do, or if t is
-    so small that the start already reaches 4096 nodes.
+    so small that the start already reaches 4096 nodes.  DomainError if any
+    rho is not finite.
     All exponentials are combined into e^(-(rho-r)^2/4t) times the scaled
     sphere factor, so small t cannot overflow.
     """
     if not (np.isfinite(t) and t > 0):
         raise DomainError("representation formula requires a finite t > 0")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not np.all(np.isfinite(rho)):  # a NaN would sort into a block and zero all of it
+        raise DomainError("representation formula requires finite rho")
     tails = _tail_bound(profile, dim, float(np.max(rho)), t)
 
     nodes = _MIN_NODES

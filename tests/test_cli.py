@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import finslerheat
@@ -86,11 +87,14 @@ def test_numeric_csv_bytes_match_the_per_cell_writer(tmp_path_factory, cells, wi
 
 def test_unreadable_grid_paths_are_config_errors(tmp_path, capsys):
     """Each place a config names a grid file: the density measure, the grid
-    datum, radial-solve's crosscheck and compare's a and b."""
+    datum, radial-solve's crosscheck and compare's a and b; and a file that
+    holds no grid dump (an empty one raised IndexError)."""
     grid = tmp_path / "there.grid"
     grid_from_function([(-1, 1), (-1, 1)], (8, 8),
                        lambda c: np.sum(c**2, axis=-1)).save(grid)
     missing = str(tmp_path / "nope.grid")
+    (tmp_path / "empty.grid").write_bytes(b"")
+    (tmp_path / "text.grid").write_text('{"a": 1}')
     gauss = {"type": "gaussian", "r_max": 4.0}
     cases = [
         ("classify", {"norm": EUCLID_JSON, "measure": {"kind": "density", "path": missing},
@@ -103,6 +107,8 @@ def test_unreadable_grid_paths_are_config_errors(tmp_path, capsys):
         ("compare", {"a": missing, "b": str(grid)}),
         ("compare", {"a": str(grid), "b": missing}),
         ("compare", {"a": str(grid), "b": str(tmp_path)}),     # a directory
+        ("compare", {"a": str(tmp_path / "empty.grid"), "b": str(grid)}),
+        ("compare", {"a": str(grid), "b": str(tmp_path / "text.grid")}),
     ]
     for n, (command, cfg) in enumerate(cases):
         code, outdir = _run(tmp_path, command, cfg, out=f"out{n}")
@@ -563,13 +569,19 @@ def _grid_pair(directory: Path) -> None:
     gf.with_values(gf.values + 1.0).save(directory / "b.grid")
 
 
-def _mutated(base: dict, path: tuple, value) -> dict:
-    """A copy of the config `base` with the entry at `path` set to `value`."""
+def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
+    """A copy of the config `base` with the entry at `path` set to `value`,
+    or (`how`) dropped or misspelled with a trailing "s"."""
     cfg = json.loads(json.dumps(base))
     node = cfg
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if how == "set":
+        node[path[-1]] = value
+    else:
+        child = node.pop(path[-1])
+        if how == "misspell":
+            node[path[-1] + "s"] = child
     return cfg
 
 
@@ -635,6 +647,17 @@ def _mutated(base: dict, path: tuple, value) -> dict:
     ("verify-exact", _EXACT, ("cases", 0, "order_window"), [3.0, 1.0]),
     ("verify-exact", _SINGULAR, ("cases", 0, "annulus"), [0.5]),
     ("verify-exact", _SINGULAR, ("cases", 0, "max_residual"), NAN),
+    ("radial-solve", _RADIAL, ("points",), [[NAN, 0.5], [0.1, 0.2]]),
+    ("radial-solve", _RADIAL, ("times",), []),
+    ("verify-norms", _VERIFY, ("norms",), []),
+    ("verify-exact", _EXACT, ("cases",), []),
+    ("verify-exact", _EXACT, ("cases", 0, "t"), INF),
+    ("simulate", _SIMULATE, ("problem", "tau"), "0.001"),
+    ("simulate", _SIMULATE, ("problem", "radius"), True),
+    ("simulate", _SIMULATE, ("problem", "datum", "profile", "scale"), 0),
+    ("classify", _CLASSIFY, ("measure", "profile", "radius"), 0),
+    ("classify", _CLASSIFY, ("windows",), [12, 12]),
+    ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
         "radial-samples-inf", "verify-samples-inf", "seed-inf", "sphere-samples-inf",
@@ -649,17 +672,77 @@ def _mutated(base: dict, path: tuple, value) -> dict:
         "compare-window-negative", "simulate-compare-tolerance-nan",
         "dissipation-slack-nan", "weighted-l2-slack-nan", "identity-tolerance-nan",
         "order-window-one-number", "order-window-nan", "order-window-descending",
-        "annulus-one-number", "max-residual-nan"])
+        "annulus-one-number", "max-residual-nan", "points-nan", "times-empty",
+        "norms-empty", "cases-empty", "exact-t-inf", "tau-string", "radius-true",
+        "gaussian-scale-0", "bump-radius-0", "windows-equal", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that
-    # a check compares against is refused before any work
+    # a check compares against is refused before any work.  The last eleven
+    # cases each ran without the section reader: a NaN point zeroed the
+    # valid one's u, an empty list wrote a header-only CSV, t = Infinity
+    # passed with residual 0, "0.001" and true read as numbers, a zero scale
+    # or radius divided by zero before the run refused it, equal windows
+    # gave every lambda as stabilized, and the path 5 read (and closed) file
+    # descriptor 5
     monkeypatch.chdir(tmp_path)
     _grid_pair(tmp_path)
     code, outdir = _run(tmp_path, command, _mutated(base, path, value))
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not any(outdir.iterdir())
+
+
+_BASES = {"_SIMULATE": ("simulate", _SIMULATE), "_CLASSIFY": ("classify", _CLASSIFY),
+          "_EXACT": ("verify-exact", _EXACT), "_VERIFY": ("verify-norms", _VERIFY),
+          "_RADIAL": ("radial-solve", _RADIAL), "_SINGULAR": ("verify-exact", _SINGULAR),
+          "_COMPARE": ("compare", _COMPARE), "_CROSSCHECK": ("radial-solve", _CROSSCHECK)}
+_BAD_VALUES = (0, -1, NAN, INF, -INF, "x", True, [], {})
+
+
+def _mutations(node, path=()):
+    """(path, how, value) for every config one step from `node`: each key
+    dropped or misspelled, each entry (a leaf, a list or an object) set to
+    each of `_BAD_VALUES`."""
+    if path:
+        for value in _BAD_VALUES:
+            yield path, "set", value
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,), "drop", None
+            yield path + (key,), "misspell", None
+            yield from _mutations(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _mutations(child, path + (index,))
+
+
+_MUTATIONS = [(name, *mutation) for name, (_, base) in _BASES.items()
+              for mutation in _mutations(base)]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(_MUTATIONS))
+@example(mutation=("_RADIAL", ("points",), "set", 0))   # raised IndexError
+@example(mutation=("_EXACT", ("cases", 0, "box", 0, 1), "set", INF))   # a RuntimeWarning
+def test_one_mutation_of_a_base_config_ends_in_an_exit_code(tmp_path, monkeypatch, capsys,
+                                                            mutation):
+    """Every command ends a config one step from a valid one in exit 0, 1, 2
+    or 3 and raises nothing (warnings are errors here); exit 2 says "config
+    error" and writes no file."""
+    name, path, how, value = mutation
+    command, base = _BASES[name]
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "a.grid").exists():
+        _grid_pair(tmp_path)
+    out = Path(tempfile.mkdtemp(dir=tmp_path)).name
+    code, outdir = _run(tmp_path, command, _mutated(base, path, value, how), out=out)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert "config error" in err
+        assert not any(outdir.iterdir())
 
 
 @pytest.mark.parametrize("command, base, path, value", [

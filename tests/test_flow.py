@@ -594,6 +594,18 @@ def test_plain_prox_path_keeps_its_cg_counts():
     assert mon["preconditioned"].tolist() == [0] * 12
 
 
+def test_newton_prox_backtracks_and_keeps_its_cg_counts():
+    # at p = 1.2 one Newton step of the first prox overshoots even after its
+    # secant cut and is halved once (Armijo); without the halving the two
+    # steps take 99 and 81 CG iterations
+    problem, _ = _ball_problem(norms.p_norm(1.2, 2), 1.0, 1 / 8, lambda r: np.exp(-2 * r**2),
+                               r_max=8.0, tau=1e-3, t_end=2e-3,
+                               inner=InnerSolverConfig(tolerance=1e-8, max_iters=3000))
+    mon = solve(problem).monitors
+    assert mon["inner_iterations"].tolist() == [0, 85, 84]
+    assert np.all(np.diff(mon["energy"]) <= 0.0)
+
+
 def test_preconditioned_prox_meets_the_unpreconditioned_stopping_test():
     # the CG stops on the unpreconditioned residual: the residual of the
     # returned field, recomputed here, is within tolerance (1 + ||v||)

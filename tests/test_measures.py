@@ -82,6 +82,17 @@ def test_classifier_quarter_growth_density():
     assert not res.stabilized[0.2]
 
 
+def test_classifier_needs_two_distinct_windows():
+    # the datum needs lam > 1/4: with the two largest windows equal every
+    # lam read as stabilized, and lam* came out 0.1
+    m = _radial_measure(lambda r: np.exp(0.25 * r**2))
+    with pytest.raises(SpecValidationError, match="two distinct windows"):
+        classify(m, EUCLID, [0.1, 0.2, 0.3, 0.5], windows=(12, 12), spacing=0.25)
+    res = classify(m, EUCLID, [0.1, 0.2, 0.3, 0.5], windows=(8, 12, 12), spacing=0.25)
+    assert res.windows == [8.0, 12.0]
+    assert res.lam_star == pytest.approx(0.3)
+
+
 def test_classifier_compact_density():
     m = _radial_measure(lambda r: np.maximum(1 - r**2, 0.0) ** 3, r_max=16.0)
     res = classify(m, EUCLID, [0.1, 0.2, 0.3], windows=(4, 6, 8), spacing=0.25)

@@ -201,6 +201,17 @@ def test_negative_time_rejected():
         radial_heat_profile(prof, 2, np.array([0.5]), 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rho_is_refused(bad):
+    # a NaN sorted into the last block of rows made every panel bound NaN:
+    # no panel was kept and every row of the block, the valid one too, read 0
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 8.0, 2049)
+    assert radial_heat_profile(prof, 2, np.array([0.2236]), 1e-3)[0] == \
+        pytest.approx(np.exp(-0.2236**2 / 1.004) / 1.004, rel=1e-9)
+    with pytest.raises(DomainError, match="finite rho"):
+        radial_heat_profile(prof, 2, np.array([bad, 0.2236]), 1e-3)
+
+
 def _dense_sum(profile, dim, rho, t, nodes):
     """Every kernel entry, each row summed exactly (math.fsum): the reference
     for the panel-pruned sum.  Returns the sum and sum_j |K_ij a_j|, both
