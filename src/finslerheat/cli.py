@@ -260,6 +260,8 @@ _CASE = _object({"kind": _text, "norm": _norm, "box": _list(_range),
 
 def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     cases = _section(cfg, "verify-exact config", {"cases": _list(_CASE)})["cases"]
+    if any("order_window" in case and case.get("levels", 2) < 2 for case in cases):
+        raise SpecValidationError("an order_window needs levels >= 2: an order compares two")
     built = [(case, solutions.SolutionSpec(case["kind"], case["norm"], **case.get("params", {})),
               empty_layout(case["box"], case["resolution"])) for case in cases]
     rows, ok = [], True
@@ -311,6 +313,7 @@ def _datum(source: dict, spec: norms.NormSpec, layout: GridFunction):
     return measures.mollify(_measure(source, spec), 2.0 * max(layout.spacing), layout), None
 
 
+_SLICE = "slice_t{:.6f}.grid"   # the file of the slice stamped t
 _PROBLEM = _object({"radius": _positive, "spacing": _positive, "tau": _positive,
                     "t_end": _positive, "datum": _source(*_SOURCES)},
                    {"scheme": _text, "store_times": _list(_number, least=0)})
@@ -342,10 +345,15 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     problem = flow.FlowProblem(norm=spec, datum=datum,
                                inner=flow.InnerSolverConfig(**c.get("inner", {})),
                                monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"), **pc)
+    names = {_SLICE.format(k * problem.tau) for k in problem.stored}
+    if len(names) < len(problem.stored):   # a save would overwrite another
+        raise SpecValidationError(f"{len(problem.stored)} stored slices would share "
+                                  f"the file names {sorted(names)}")
     if comp is not None:  # checked before stepping
         asked = comp.get("time", problem.t_end)
-        if (t := problem.stores(asked)) is None:
+        if (k := problem.step_of(asked)) not in problem.stored:
             raise SpecValidationError(f"compare.time {asked} is not a stored time")
+        t = k * problem.tau
 
     failure = None
     try:
@@ -356,7 +364,7 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         _write_csv(out / f"monitor_{name}.csv", ["t", name],
                    list(zip(traj.monitor_times, series)), timestamp)
     for stamp, gf in zip(traj.times, traj.slices):
-        gf.save(out / f"slice_t{stamp:.6f}.grid")
+        gf.save(out / _SLICE.format(stamp))
     if failure is not None:
         raise failure
 

@@ -110,6 +110,8 @@ class InnerSolverConfig:
 
 @dataclass
 class FlowProblem:
+    """A Dirichlet flow and its time axis, resolved once: `steps` = t_end / tau,
+    and `stored`, the steps whose slices `solve` keeps (the last, and each store time's)."""
     norm: NormSpec
     radius: float
     datum: GridFunction
@@ -120,6 +122,8 @@ class FlowProblem:
     inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
     monitor_lambda: Optional[float] = None
     monitor_ell: Optional[float] = None
+    steps: int = field(init=False)
+    stored: frozenset = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius >= 1.0):
@@ -135,12 +139,23 @@ class FlowProblem:
             raise SpecValidationError("ell must lie in (0, 1/2)")
         if not isinstance(self.datum, GridFunction):
             raise SpecValidationError("flow data must be grids (see measures.mollify)")
+        self.steps = round(self.t_end / self.tau)
+        if abs(self.steps * self.tau - self.t_end) > 1e-9 * self.t_end:
+            raise SpecValidationError("t_end must be an integer number of steps")
+        stored = {self.steps}
+        for s in self.store_times:
+            if (k := self.step_of(s)) is None:
+                raise SpecValidationError(
+                    f"store time {s} lies outside [0, t_end] or between two steps")
+            stored.add(k)
+        self.stored = frozenset(stored)
 
-    def stores(self, t: float) -> Optional[float]:
-        """The stamp k tau of the slice that `solve` stores and
-        `Trajectory.slice_at(t)` finds, or None if it stores none for t."""
-        k = _step_of(self, t)
-        return k * self.tau if k in _store_steps(self)[1] else None
+    def step_of(self, t: float) -> Optional[int]:
+        """The step that time t names: round(t / tau) if t / tau lies within
+        1e-6 of it and in [0, steps], else None.  The one rule that reads a
+        time: store times, the CLI's compare time and `Trajectory.slice_at`."""
+        k = float(t) / self.tau
+        return round(k) if abs(k - round(k)) <= 1e-6 and -1e-6 <= k <= self.steps + 1e-6 else None
 
 
 # ---------------------------------------------------------------------------
@@ -485,41 +500,19 @@ class Trajectory:
     monitors: dict                   # name -> array aligned with monitor_times
 
     def slice_at(self, t: float) -> GridFunction:
-        k = _step_of(self.problem, t)
-        for stamp, gf in zip(self.times, self.slices):
-            if round(stamp / self.problem.tau) == k:
-                return gf
+        """The slice of the step that t names (`FlowProblem.step_of`), stamped k tau."""
+        k = self.problem.step_of(t)
+        if k is not None and (stamp := k * self.problem.tau) in self.times:
+            return self.slices[self.times.index(stamp)]
         raise KeyError(f"no stored slice at t = {t}")
-
-
-def _step_of(problem: FlowProblem, t: float) -> Optional[int]:
-    """The step that time t names: round(t / tau) if t / tau lies within
-    1e-6 of it and in [0, n_steps], else None.  Store times, `stores` and
-    `Trajectory.slice_at` all read times by this rule."""
-    k, n_steps = float(t) / problem.tau, round(problem.t_end / problem.tau)
-    return round(k) if abs(k - round(k)) <= 1e-6 and -1e-6 <= k <= n_steps + 1e-6 else None
-
-
-def _store_steps(problem: FlowProblem) -> tuple[int, set]:
-    n_steps = int(round(problem.t_end / problem.tau))
-    if abs(n_steps * problem.tau - problem.t_end) > 1e-9 * problem.t_end:
-        raise SpecValidationError("t_end must be an integer number of steps")
-    store = {n_steps}
-    for s in problem.store_times:
-        if (k := _step_of(problem, s)) is None:
-            raise SpecValidationError(
-                f"store time {s} lies outside [0, t_end] or between two steps")
-        store.add(k)
-    return n_steps, store
 
 
 def solve(problem: FlowProblem) -> Trajectory:
     """March the Dirichlet flow from the datum to t_end, recording monitors.
 
-    Store times must be step multiples in [0, t_end]; t_end is always stored.
+    Keeps the slices of `problem.stored`, stamped k tau.
     """
     spec, tau, lay = problem.norm, problem.tau, problem.datum
-    n_steps, store = _store_steps(problem)
 
     # the domain, once: H0 at the nodes, the mask from it and the initial field
     h0 = dual_norm_eval(spec, lay.coords())
@@ -536,7 +529,7 @@ def solve(problem: FlowProblem) -> Trajectory:
         values = {**read(u, t), "inner_iterations": 0, "preconditioned": 0, **stats}
         for name, value in values.items():
             logs.setdefault(name, []).append(value)
-        if k in store:
+        if k in problem.stored:
             times.append(t)
             slices.append(lay.with_values(u.copy()))
 
@@ -548,7 +541,7 @@ def solve(problem: FlowProblem) -> Trajectory:
             if problem.scheme == "implicit_proximal"
             else _explicit_stepper(spec, lay.spacing, mask, tau))
     record(0, u, {})
-    for k in range(1, n_steps + 1):
+    for k in range(1, problem.steps + 1):
         try:
             u, stats = step(u)
         except ConvergenceError as exc:

@@ -281,5 +281,9 @@ class RadialProfile:
     @staticmethod
     def from_function(fn: Callable[[np.ndarray], np.ndarray], r_max: float,
                       samples: int = 1025, even: bool = True) -> "RadialProfile":
+        """fn sampled on `samples` radii over [0, r_max]; a sample that
+        overflows (or is NaN) is refused by the finite check, unwarned."""
         r = np.linspace(0.0, float(r_max), int(samples))
-        return RadialProfile(r, np.asarray(fn(r), dtype=float), even=even)
+        with np.errstate(all="ignore"):
+            values = np.asarray(fn(r), dtype=float)
+        return RadialProfile(r, values, even=even)

@@ -187,9 +187,10 @@ def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
 
     Deterministic and window-monotone: all windows share one lattice, so
     enlarging the window never decreases a table entry.
-    The windows are taken as a set; fewer than two distinct ones are refused.
+    The lambdas and the windows are taken as sets; fewer than two distinct
+    windows are refused.
     """
-    lam_grid = sorted(float(x) for x in lam_grid)
+    lam_grid = sorted({float(x) for x in lam_grid})
     windows = sorted({float(w) for w in windows})
     if not lam_grid:
         raise SpecValidationError("lambda grid is empty: no lambda to test")

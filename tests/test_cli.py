@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import finslerheat
 from finslerheat import cli, flow, measures, norms
 from finslerheat.cli import main
-from finslerheat.grids import RadialProfile, grid_from_function
+from finslerheat.grids import GridFunction, RadialProfile, grid_from_function
 
 EUCLID_JSON = {"family": "euclidean", "params": {}, "dimension": 2}
 ELLIPSE_JSON = {"family": "ellipse", "params": {"matrix": [[4, 0], [0, 1]]},
@@ -657,6 +657,16 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
     ("simulate", _SIMULATE, ("problem", "datum", "profile", "scale"), 0),
     ("classify", _CLASSIFY, ("measure", "profile", "radius"), 0),
     ("classify", _CLASSIFY, ("windows",), [12, 12]),
+    ("simulate", _SIMULATE, ("problem",), {
+        "radius": 1.0, "spacing": 0.125, "tau": 1e-7, "t_end": 3e-7,
+        "store_times": [1e-7, 2e-7],
+        "datum": {"kind": "radial", "profile": {"type": "gaussian", "r_max": 8.0}}}),
+    ("classify", _CLASSIFY, ("measure", "profile"), {"type": "exp_power", "r_max": 16.0,
+                                                     "coefficient": 1000, "power": 2}),
+    ("verify-exact", _EXACT, ("cases", 0), {"kind": "gauss_kernel", "norm": EUCLID_JSON,
+                                            "box": [[-2, 2], [-2, 2]], "resolution": [16, 16],
+                                            "t": 0.5, "dt": 0.01, "levels": 1,
+                                            "order_window": [1.5, 2.5]}),
     ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
@@ -674,17 +684,22 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "order-window-one-number", "order-window-nan", "order-window-descending",
         "annulus-one-number", "max-residual-nan", "points-nan", "times-empty",
         "norms-empty", "cases-empty", "exact-t-inf", "tau-string", "radius-true",
-        "gaussian-scale-0", "bump-radius-0", "windows-equal", "compare-path-number"])
+        "gaussian-scale-0", "bump-radius-0", "windows-equal", "slice-names-alike",
+        "exp-power-overflow", "order-window-one-level", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that
-    # a check compares against is refused before any work.  The last eleven
-    # cases each ran without the section reader: a NaN point zeroed the
-    # valid one's u, an empty list wrote a header-only CSV, t = Infinity
-    # passed with residual 0, "0.001" and true read as numbers, a zero scale
-    # or radius divided by zero before the run refused it, equal windows
-    # gave every lambda as stabilized, and the path 5 read (and closed) file
-    # descriptor 5
+    # a check compares against is refused before any work.  Eleven cases,
+    # from points-nan on, each ran without the section reader: a NaN point
+    # zeroed the valid one's u, an empty list wrote a header-only CSV,
+    # t = Infinity passed with residual 0, "0.001" and true read as numbers,
+    # a zero scale or radius divided by zero before the run refused it,
+    # equal windows gave every lambda as stabilized, and the path 5 read
+    # (and closed) file descriptor 5, so that case comes last.  Before it:
+    # three slices stamped 1e-7 apart were all saved as
+    # slice_t0.000000.grid, each over the last; exp(1000 r^2) warned of
+    # overflow before the profile's finite check; and the order of one
+    # level read nan, which failed the window as a numerical check (exit 1)
     monkeypatch.chdir(tmp_path)
     _grid_pair(tmp_path)
     code, outdir = _run(tmp_path, command, _mutated(base, path, value))
@@ -757,6 +772,17 @@ def test_integral_floats_are_integer_settings(tmp_path, command, base, path, val
     outputs = []
     for name, config in (("float", _mutated(base, path, value)), ("int", base)):
         code, outdir = _run(tmp_path, command, config, name=f"{name}.json", out=name)
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+def test_classify_reads_its_lambda_grid_as_a_set(tmp_path):
+    # [0.3, 0.3] wrote every (lambda, window) row twice
+    outputs = []
+    for grid in ([0.3, 0.3], [0.3]):
+        code, outdir = _run(tmp_path, "classify", dict(_CLASSIFY, lambda_grid=grid),
+                            out=str(len(grid)))
         assert code == 0
         outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
     assert outputs[0] == outputs[1]
@@ -879,3 +905,56 @@ def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                        check=True, capture_output=True)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert "slice_t0.030000.grid" in outputs[0] and outputs[0] == outputs[1]
+
+
+def _dispatched_above_x86_v3() -> list:
+    """numpy's dispatched SIMD targets above X86_V3 that this CPU runs (it
+    refuses to disable a target that is not dispatched)."""
+    from numpy._core import _multiarray_umath as umath
+    targets = list(umath.__cpu_dispatch__)
+    above = targets[targets.index("X86_V3") + 1:] if "X86_V3" in targets else []
+    return [t for t in above if umath.__cpu_features__.get(t)]
+
+
+def _output_values(path: Path) -> np.ndarray:
+    if path.suffix == ".grid":
+        return GridFunction.load(path).values.ravel()
+    return np.loadtxt(path, delimiter=",", skiprows=1).ravel()
+
+
+def test_simulate_values_do_not_depend_on_the_simd_dispatch_beyond_rounding(tmp_path):
+    # numpy's AVX-512 exp, log and fractional power round differently from
+    # their AVX2 loops, so the bytes hold only for one SIMD dispatch: with
+    # the targets above X86_V3 disabled, the solver's counts and paths keep
+    # their bytes and every value stays within rounding; with none to
+    # disable, the two runs are the same run
+    gauss = {"kind": "radial", "profile": {"type": "gaussian", "r_max": 8.0}}
+    configs = {
+        "quadratic": {"norm": ELLIPSE_JSON, "monitors": {"lambda": 0.5},
+                      "problem": {"radius": 2.0, "spacing": 1 / 8, "tau": 1e-2,
+                                  "t_end": 3e-2, "datum": gauss}},
+        "pnorm": {"norm": {"family": "p_norm", "params": {"p": 3}, "dimension": 2},
+                  "problem": {"radius": 1.0, "spacing": 1 / 16, "tau": 1e-2,
+                              "t_end": 2e-2, "datum": gauss},
+                  "inner": {"tolerance": 1e-8}}}
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    program = ("import sys; from finslerheat.cli import main; sys.exit(max(main(["
+               "'simulate', '--config', f'{n}.json', '--out', f'{sys.argv[1]}/{n}', "
+               f"'--no-timestamp']) for n in {tuple(configs)!r}))")
+    disabled = _dispatched_above_x86_v3()
+    for side, extra in (("as_is", {}), ("v3", {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+                                        if disabled else {})):
+        subprocess.run([sys.executable, "-c", program, side], cwd=tmp_path,
+                       env=_src_env(**extra), check=True, capture_output=True)
+    files = sorted(p.relative_to(tmp_path / "as_is") for p in (tmp_path / "as_is").rglob("*.*"))
+    assert files == sorted(p.relative_to(tmp_path / "v3") for p in (tmp_path / "v3").rglob("*.*"))
+    assert len(files) == 12
+    for name in files:
+        a, b = tmp_path / "as_is" / name, tmp_path / "v3" / name
+        if not disabled or name.stem in ("monitor_inner_iterations", "monitor_preconditioned"):
+            assert a.read_bytes() == b.read_bytes(), name
+        else:
+            x, y = _output_values(a), _output_values(b)
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x)), name

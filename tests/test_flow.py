@@ -970,9 +970,9 @@ def test_explicit_run_scans_the_p_norm_sphere_once(monkeypatch):
 
 def test_solve_rejects_store_times_outside_the_run():
     for bad in ((5e-3,), (-1e-3,), (5e-3, -1e-3)):
-        problem, _ = _ball_problem(EUCLID, 1.0, 1 / 8, lambda r: np.exp(-r**2),
-                                   tau=1e-3, t_end=2e-3, store_times=bad)
         with pytest.raises(SpecValidationError, match="outside"):
+            problem, _ = _ball_problem(EUCLID, 1.0, 1 / 8, lambda r: np.exp(-r**2),
+                                       tau=1e-3, t_end=2e-3, store_times=bad)
             solve(problem)
 
 
