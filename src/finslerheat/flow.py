@@ -21,9 +21,10 @@ face gradient stays the one definition).  psi = (vol/2) <u, grad psi(u)>
 by Euler's identity: p-norms read it so, quadratic families by the
 difference form of the stencil, whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary band,
-the box preconditioner and its own CG, scipy's, with inner products in a
-fixed order: no bit depends on the BLAS thread count) and takes one path per
-norm family.  Quadratic families take one CG solve of the SPD system
+the box preconditioner, whose DST-I is scipy's on numpy's real FFT
+(`_dst1`), and its own CG, scipy's `cg` step for step, with inner products
+in a fixed order: no bit depends on the BLAS thread count) and takes one
+path per norm family.  Quadratic families take one CG solve of the SPD system
 (I/tau + K) u = u_prev/tau, preconditioned by the DST-I inverse of I/tau + K
 on the box (Concus and Golub's fictitious-domain fast-Poisson solver; the
 symbol is `operators.stencil_symbol` of the same cached stencil) when the
@@ -61,12 +62,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
-from scipy.fft import dstn, idstn, next_fast_len
 
 from .errors import ConvergenceError, SpecValidationError, StabilityError
 from .grids import GridFunction, empty_layout
-from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify
+from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify, next_fast_len
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
 from .operators import (FaceHessian, FaceKernel, _face_flux_divergence, apply_operator,
@@ -108,10 +107,14 @@ class InnerSolverConfig:
             raise SpecValidationError("inner solver config out of range")
 
 
+MAX_STEPS = 10**7
+
+
 @dataclass
 class FlowProblem:
-    """A Dirichlet flow and its time axis, resolved once: `steps` = t_end / tau,
-    and `stored`, the steps whose slices `solve` keeps (the last, and each store time's)."""
+    """A Dirichlet flow and its time axis, resolved once: `steps` = t_end / tau
+    (at most MAX_STEPS, a bound on the run's length), and `stored`, the steps
+    whose slices `solve` keeps (the last, and each store time's)."""
     norm: NormSpec
     radius: float
     datum: GridFunction
@@ -139,7 +142,10 @@ class FlowProblem:
             raise SpecValidationError("ell must lie in (0, 1/2)")
         if not isinstance(self.datum, GridFunction):
             raise SpecValidationError("flow data must be grids (see measures.mollify)")
-        self.steps = round(self.t_end / self.tau)
+        steps = self.t_end / self.tau
+        if not steps <= MAX_STEPS + 0.5:    # rounds to at most MAX_STEPS; inf fails
+            raise SpecValidationError(f"t_end / tau must be at most {MAX_STEPS} steps")
+        self.steps = round(steps)
         if abs(self.steps * self.tau - self.t_end) > 1e-9 * self.t_end:
             raise SpecValidationError("t_end must be an integer number of steps")
         stored = {self.steps}
@@ -248,8 +254,15 @@ def _l2(values: np.ndarray, vol: float) -> float:
 
 def _boundary_band(mask: np.ndarray) -> np.ndarray:
     """Free nodes within the stencil's reach, 2 nodes along every axis, of a
-    clamped node; the zero extension beyond the box counts as clamped."""
-    return mask & ndimage.maximum_filter(~mask, size=5, mode="constant", cval=True)
+    clamped node; the zero extension beyond the box counts as clamped.  The
+    5^N box's OR, one axis at a time, over the clamped nodes padded by 2."""
+    near = np.pad(~mask, 2, constant_values=True)
+    for axis, n in enumerate(mask.shape):
+        windows = [near[(slice(None),) * axis + (slice(k, k + n),)] for k in range(5)]
+        near = windows[0].copy()
+        for window in windows[1:]:
+            near |= window
+    return mask & near
 
 
 def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray, tau: float):
@@ -260,22 +273,57 @@ def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray, tau: 
     far side.  The divisor is 1/tau + the DST-I symbol of the stencil
     (`operators.stencil_symbol`), each side n - 2 of the box zero-padded to
     the nearest length whose transform, 2 (n - 1) long unpadded, is fast."""
-    lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in mask.shape)
+    lengths = tuple(next_fast_len(n - 1) - 1 for n in mask.shape)
     divisor = stencil_symbol(_face_energy_gradient, spec, spacings, lengths) + 1.0 / tau
     interior = (slice(1, -1),) * mask.ndim
     box = tuple(slice(0, n - 2) for n in mask.shape)
     off = ~mask
+    dst = _dst1(lengths)
+    work = np.zeros(lengths)
 
     def psolve(r: np.ndarray) -> np.ndarray:
-        padded = np.zeros(divisor.shape)
-        padded[box] = r[interior]
-        coeffs = dstn(padded, type=1, overwrite_x=True)
-        coeffs /= divisor
+        work.fill(0.0)
+        work[box] = r[interior]
+        dst(work)
+        np.divide(work, divisor, out=work)
+        dst(work, inverse=True)
         out = tau * r
-        out[interior] = idstn(coeffs, type=1, overwrite_x=True)[box]
+        out[interior] = work[box]
         np.copyto(out, 0.0, where=off)
         return out
     return psolve
+
+
+def _dst1(shape: tuple):
+    """x -> the DST-I of x in place, `scipy.fft.dstn(x, type=1)` bit for bit,
+    and with inverse=True `idstn(x, type=1)`, on arrays of `shape`.
+
+    Axis by axis in order: along a side of length n the transform is
+    -Im rfft(0, x, 0, -x reversed)[1 : n + 1], numpy's real FFT of the odd
+    extension, as scipy's pocketfft forms it; the inverse scales by
+    1 / prod 2 (n + 1), rounded from long double, once, on the first axis.
+    The extensions and spectra are buffers built here, one pair per axis;
+    their zero entries are never written."""
+    buffers = []
+    for axis, n in enumerate(shape):
+        ext = np.zeros(shape[:axis] + (2 * (n + 1),) + shape[axis + 1:])
+        spectrum = np.empty(shape[:axis] + (n + 2,) + shape[axis + 1:], dtype=complex)
+        cut = (slice(None),) * axis
+        buffers.append((ext, spectrum, ext[cut + (slice(1, n + 1),)],
+                        ext[cut + (slice(2 * n + 1, n + 1, -1),)],
+                        spectrum.imag[cut + (slice(1, n + 1),)]))
+    scale = -float(1 / np.longdouble(math.prod(2 * (n + 1) for n in shape)))
+
+    def transform(x: np.ndarray, inverse: bool = False) -> None:
+        for axis, (ext, spectrum, head, tail, imag) in enumerate(buffers):
+            head[...] = x
+            np.negative(x, out=tail)
+            np.fft.rfft(ext, axis=axis, out=spectrum)
+            if inverse and axis == 0:
+                np.multiply(imag, scale, out=x)
+            else:
+                np.negative(imag, out=x)
+    return transform
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

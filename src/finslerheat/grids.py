@@ -5,9 +5,9 @@ grid over a box; spacing is derived from the per-axis cell counts.  A
 RadialProfile stores samples of a profile on [0, R] with a cubic
 interpolant; profiles flagged as even are clamped to zero slope at the
 origin so their lifts are smooth across the center.  The interpolant is
-scipy's `CubicSpline` rebuilt on `scipy.linalg`, with the same slope
-system, coefficients and power-sum evaluation and hence the same bits,
-so that `scipy.interpolate` (and with it `scipy.optimize`) stays unloaded.
+scipy's `CubicSpline` rebuilt on numpy, with the same slope system,
+solved as LAPACK solves it, the same coefficients and power-sum
+evaluation and hence the same bits, so that scipy stays unloaded.
 
 Every convergence check refines one way: `refinements` gives a layout and
 its 2^l-fold refinements over the same box, and `observed_order` reads
@@ -22,7 +22,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 from .errors import OutOfRangeError, SpecValidationError, integer
 
@@ -169,8 +168,10 @@ def _spline_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray,
     """Knot slopes of scipy's `CubicSpline(x, y)` with a not-a-knot end at
     x[-1] and, at x[0], a clamped zero slope when `even`, else not-a-knot.
 
-    The rows, the n = 2 and n = 3 special cases and the LAPACK calls are
-    scipy's, so the slopes carry its bits.
+    The rows and the n = 2 and n = 3 special cases are scipy's, and so are
+    the solves: numpy's `solve` (LAPACK's, as scipy's `solve`) for the
+    3-point parabola, `_tridiagonal_solve` (scipy's `solve_banded` with
+    one band each side) for the rest, so the slopes carry its bits.
     """
     n = len(x)
     start = 0.0 if even else None           # clamped slope; None: not-a-knot
@@ -182,31 +183,58 @@ def _spline_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray,
         A = np.array([[1.0, 1.0, 0.0],
                       [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
                       [0.0, 1.0, 1.0]])
-        b = np.array([[2 * slope[0]],
-                      [3 * (dx[0] * slope[1] + dx[1] * slope[0])],
-                      [2 * slope[1]]])
-        return solve(A, b, overwrite_a=True, overwrite_b=True,
-                     check_finite=False)[:, 0]
-    A = np.zeros((3, n))                    # banded: upper, diagonal, lower
-    b = np.empty(n)
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b = np.array([2 * slope[0],
+                      3 * (dx[0] * slope[1] + dx[1] * slope[0]),
+                      2 * slope[1]])
+        return np.linalg.solve(A, b)
+    lower, diagonal, upper = dx[1:].tolist(), (2 * (dx[:-1] + dx[1:])).tolist(), dx[:-1].tolist()
+    b = (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
     if start is None:
         d = x[2] - x[0]
-        A[1, 0], A[0, 1] = dx[1], d
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+        first = dx[1], d, ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
     else:
-        A[1, 0], A[0, 1], b[0] = 1, 0, start
+        first = 1.0, 0.0, start
     if end is None:
         d = x[-1] - x[-3]
-        A[1, -1], A[-1, -2] = dx[-2], d
-        b[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        last = d, dx[-2], (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
     else:
-        A[1, -1], A[-1, -2], b[-1] = 1, 0, end
-    return solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                        check_finite=False)
+        last = 0.0, 1.0, end
+    return np.array(_tridiagonal_solve([*lower, last[0]], [first[0], *diagonal, last[1]],
+                                       [first[1], *upper], [first[2], *b, last[2]]))
+
+
+def _tridiagonal_solve(dl: list, d: list, du: list, b: list) -> list:
+    """x with T x = b, T tridiagonal with subdiagonal dl, diagonal d and
+    superdiagonal du (Python floats, overwritten): LAPACK's dgtsv for one
+    right-hand side, as `scipy.linalg.solve_banded((1, 1), ...)` calls it,
+    in its order of operations.  Gaussian elimination swaps rows i and i+1
+    where |d_i| < |dl_i|, which fills in a second superdiagonal (kept in dl)."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise SpecValidationError("singular spline system")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise SpecValidationError("singular spline system")
+    b[-1] /= d[-1]
+    if n > 1:
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
 
 @dataclass

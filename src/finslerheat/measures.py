@@ -13,7 +13,9 @@ relative threshold between the two largest distinct windows wins.
 Density integrals use the node-sum (midpoint) rule; the ball-windowed
 supremum over all grid centers is a convolution with the H0-ball
 indicator and is evaluated by FFT (`fftconvolve`, scipy.signal's
-same-mode FFT convolution repeated step for step on scipy.fft).
+same-mode FFT convolution repeated step for step on numpy's FFT, with
+`rfftn` and `irfftn` taking scipy.fft's axis order and scaling, so that
+scipy stays unloaded).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DomainError, SpecValidationError
 from .grids import GridFunction, RadialProfile, empty_layout
@@ -86,6 +87,40 @@ def _lattice_box(spec: NormSpec, radius: float, spacing: float):
     return box, tuple(2 * c for c in cells)
 
 
+def next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, n >= 1: `scipy.fft.next_fast_len(n, real=True)`."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def rfftn(x: np.ndarray, shape, axes) -> np.ndarray:
+    """`scipy.fft.rfftn(x, shape, axes=axes)` bit for bit: numpy's real FFT
+    along the last axis, then its complex FFT along the others in order
+    (`np.fft.rfftn` goes in reverse order, which moves bits in 3-D)."""
+    out = np.fft.rfft(x, shape[-1], axis=axes[-1])
+    for n, axis in zip(shape[:-1], axes[:-1]):
+        out = np.fft.fft(out, n, axis=axis)
+    return out
+
+
+def irfftn(X: np.ndarray, shape, axes) -> np.ndarray:
+    """`scipy.fft.irfftn(X, shape, axes=axes)` bit for bit: numpy's unscaled
+    inverse FFTs along every axis but the last, in order, its unscaled
+    inverse real FFT along the last, then one scaling by 1 / prod(shape),
+    rounded from long double as scipy's is."""
+    for n, axis in zip(shape[:-1], axes[:-1]):
+        X = np.fft.ifft(X, n, axis=axis, norm="forward")
+    out = np.fft.irfft(X, shape[-1], axis=axes[-1], norm="forward")
+    out *= float(1 / np.longdouble(math.prod(shape)))
+    return out
+
+
 def fftconvolve(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Linear convolution of two real arrays of equal rank, cropped to the
     centred `field.shape`: `scipy.signal.fftconvolve(field, kernel,
@@ -97,9 +132,9 @@ def fftconvolve(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     s1, s2 = field.shape, kernel.shape
     axes = [a for a in range(field.ndim) if s1[a] != 1 and s2[a] != 1]
     if axes:
-        fshape = [next_fast_len(s1[a] + s2[a] - 1, True) for a in axes]
-        spectrum = rfftn(field, fshape, axes=axes) * rfftn(kernel, fshape, axes=axes)
-        full = irfftn(spectrum, fshape, axes=axes)
+        fshape = [next_fast_len(s1[a] + s2[a] - 1) for a in axes]
+        spectrum = rfftn(field, fshape, axes) * rfftn(kernel, fshape, axes)
+        full = irfftn(spectrum, fshape, axes)
     else:
         full = field * kernel
     size = [s1[a] + s2[a] - 1 if a in axes else full.shape[a]

@@ -19,8 +19,9 @@ Jacobian DA per face (the p-norm Newton Hessian).
 `apply_operator` runs a face operator (this one or the energy gradient)
 for p-norms; for quadratic families (H^2 = xi^T Q xi: euclidean, ellipse,
 smoothed polytope) it is linear with constant coefficients, and it
-applies as one correlation the stencil that `constant_stencil` reads off
-the face path at a unit impulse and caches per (operator, spec, spacing).
+applies as one correlation (`correlate`) the stencil that `constant_stencil`
+reads off the face path at a unit impulse and caches per (operator, spec,
+spacing), its taps listed once (`correlation_taps`).
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import OutOfRangeError, SpecValidationError
 from .grids import GridFunction, RadialProfile, observed_order, refinements
@@ -55,6 +55,13 @@ def _index(ndim: int, cuts: dict, rest: slice = slice(1, -1)) -> tuple:
 
 
 _WHOLE = slice(None)
+
+
+@lru_cache(maxsize=None)
+def _component_axes(ndim: int) -> tuple:
+    """The axis orders that move the component axis of a face array, shape
+    (N, *faces), last and back first: its views as (*faces, N) and back."""
+    return (*range(1, ndim + 1), 0), (ndim, *range(ndim))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +138,8 @@ class FaceKernel:
         Each G^T term sums its components' terms in axis order before it
         is added to the sum, accumulated from zero."""
         N, total, term = self.ndim, self._total, self._term
-        fluxes = [np.moveaxis(flux(axis, np.moveaxis(G, 0, -1)), -1, 0)
+        last, first = _component_axes(N)
+        fluxes = [flux(axis, G.transpose(last)).transpose(first)
                   for axis, G in enumerate(self.gradients(values))]
         acc = np.zeros(self.shape)
         for axis, (F, D) in enumerate(zip(fluxes, self._differences)):
@@ -175,7 +183,7 @@ class FaceHessian:
             for j in range(1, self.kernel.ndim):
                 np.multiply(DA[min(i, j), max(i, j)], xi[..., j], out=product)
                 F[i] += product
-        return np.moveaxis(F, 0, -1)
+        return F.transpose(_component_axes(self.kernel.ndim)[0])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.kernel.form(x, self._apply)
@@ -190,7 +198,7 @@ def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
     face_op runs once, on an unmasked 11^N grid holding a unit impulse at
     its centre; S, read-only, is the central 5^N block of the response,
     reflected and divided by scale, the largest power of two not above its
-    largest tap: ndimage drops weights of magnitude <= machine epsilon.
+    largest tap: `correlate` drops weights of magnitude <= machine epsilon.
     """
     N = spec.dimension
     impulse = np.zeros((11,) * N)
@@ -200,6 +208,70 @@ def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
     S = S / scale
     S.flags.writeable = False
     return S, scale
+
+
+@lru_cache(maxsize=128)
+def _stencil_taps(face_op, spec: NormSpec, spacing: tuple) -> tuple:
+    """(`correlation_taps` of S, scale), (S, scale) the `constant_stencil` of face_op."""
+    S, scale = constant_stencil(face_op, spec, spacing)
+    return correlation_taps(S), scale
+
+
+def correlation_taps(S: np.ndarray) -> tuple:
+    """(reach, taps) of an odd stencil S, 2 reach + 1 wide along every axis:
+    taps are the (shift, weight) pairs of its weights of magnitude above
+    machine epsilon, in C order, shift the weight's index less the centre's.
+    `scipy.ndimage.correlate` drops the same weights."""
+    reach, eps = S.shape[0] // 2, np.finfo(float).eps
+    return reach, tuple((tuple(i - reach for i in k), float(w))
+                        for k, w in np.ndenumerate(S) if abs(w) > eps)
+
+
+_BLOCK = 16384
+
+
+@lru_cache(maxsize=8)
+def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
+    """`correlate`'s plan for fields of `shape`: the zero-rimmed copy (its
+    rim is never written), the flat sums, one block's products, the flat
+    shift and weight of each tap, and the flat span from the first node to
+    the last."""
+    reach, terms = taps
+    padded = np.zeros(tuple(n + 2 * reach for n in shape))
+    strides = [s // padded.itemsize for s in padded.strides]
+    shifted = [(sum(k * s for k, s in zip(shift, strides)), w) for shift, w in terms]
+    first = reach * sum(strides)
+    stop = first + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
+    return (padded, np.empty(padded.size), np.empty(min(_BLOCK, stop - first)), shifted,
+            range(first, stop, _BLOCK), stop)
+
+
+def correlate(values: np.ndarray, taps: tuple) -> np.ndarray:
+    """sum over taps of weight * values[i + shift], values extended by zero:
+    `scipy.ndimage.correlate(values, S, mode="constant")` bit for bit, taps
+    the `correlation_taps` of S.  Each node sums the products in tap order
+    from +0.0.  The field is copied into a zero rim `reach` wide, so that
+    each tap is one shift of the flat copy; the sums run over the flat span
+    from the first node to the last in blocks of _BLOCK, so that the
+    products stay in cache (rim positions inside the span are summed too,
+    from the rim and wrapped rows, and dropped)."""
+    reach, terms = taps
+    if not terms:
+        return np.zeros(values.shape)
+    padded, sums, product, shifted, blocks, stop = _correlation_plan(values.shape, taps)
+    inner = (slice(reach, -reach or None),) * values.ndim
+    padded[inner] = values
+    flat = padded.ravel()
+    (d0, w0), rest = shifted[0], shifted[1:]
+    for lo in blocks:
+        hi = min(lo + _BLOCK, stop)
+        dest, spare = sums[lo:hi], product[:hi - lo]
+        np.multiply(flat[lo + d0:hi + d0], w0, out=dest)
+        for d, w in rest:
+            np.multiply(flat[lo + d:hi + d], w, out=spare)
+            dest += spare
+        dest += 0.0     # ndimage sums from +0.0: a sum of -0.0 terms reads +0.0
+    return sums.reshape(padded.shape)[inner].copy()
 
 
 def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> np.ndarray:
@@ -229,8 +301,8 @@ def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing) -> np.n
     apply its constant stencil as one correlation, values extended by zero."""
     if spec.family == "p_norm":
         return face_op(values, spec, spacing)
-    S, scale = constant_stencil(face_op, spec, tuple(spacing))
-    out = ndimage.correlate(values, S, mode="constant")
+    taps, scale = _stencil_taps(face_op, spec, tuple(spacing))
+    out = correlate(values, taps)
     out *= scale
     return out
 
@@ -240,8 +312,9 @@ def _face_flux_divergence(values: np.ndarray, spec: NormSpec, spacing) -> np.nda
     only partial sums."""
     out = np.zeros_like(values)
     between_nodes = (slice(1, -1),) * values.ndim
+    last = _component_axes(values.ndim)[0]
     for axis, G in enumerate(FaceKernel(values.shape, spacing).gradients(values)):
-        flux = duality_map(spec, np.moveaxis(G, 0, -1)[between_nodes])[..., axis]
+        flux = duality_map(spec, G.transpose(last)[between_nodes])[..., axis]
         out[(slice(None),) * axis + (slice(1, -1),)] += np.diff(flux, axis=axis) / spacing[axis]
     return out
 

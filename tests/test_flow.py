@@ -441,7 +441,7 @@ def test_stencil_cache_is_read_only_and_keyed_on_spacing(monkeypatch):
     # p-norms keep the face path everywhere
     def refuse(*args, **kwargs):
         raise AssertionError("a p-norm reached the stencil path")
-    monkeypatch.setattr(operators.ndimage, "correlate", refuse)
+    monkeypatch.setattr(operators, "correlate", refuse)
     pn = norms.p_norm(3, 2)
     lay = ball_layout(pn, 1.0, 1 / 8)
     mask = ball_mask(pn, lay, 1.0)
@@ -1102,3 +1102,59 @@ def test_three_dimensional_flow_dissipates():
     assert np.all(np.diff(traj.monitors["energy"]) <= 1e-9)
     w = traj.monitors["weighted_l2"]
     assert np.all(w[1:] <= w[0] + 1e-6)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_boundary_band_is_the_maximum_filter_of_the_clamped_nodes(data):
+    from scipy import ndimage
+    N = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(1, 40 if N == 1 else 12)) for _ in range(N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    mask = rng.random(shape) < data.draw(st.floats(0.0, 1.0))
+    expected = mask & ndimage.maximum_filter(~mask, size=5, mode="constant", cval=True)
+    assert np.array_equal(flow._boundary_band(mask), expected)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_dst1_pair_is_scipys_bit_for_bit(data):
+    """`_dst1` against scipy.fft's dstn and idstn of type 1 in 1-3 D, at
+    lengths that are mostly not powers of two, twice on one set of buffers."""
+    from scipy.fft import dstn, idstn
+    N = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(1, 70 if N == 1 else 14)) for _ in range(N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    transform = flow._dst1(shape)
+    for _ in range(2):
+        x = rng.standard_normal(shape)
+        forward, inverse = x.copy(), x.copy()
+        transform(forward)
+        transform(inverse, inverse=True)
+        assert _same_bits(forward, dstn(x, type=1))
+        assert _same_bits(inverse, idstn(x, type=1))
+
+
+def test_dst1_inverse_scale_is_rounded_from_long_double():
+    """At n = 2730 the inverse scale 1 / 5462 rounds differently from long
+    double than from double; scipy's idstn takes the long double one."""
+    from scipy.fft import idstn
+    x = np.random.default_rng(3).standard_normal(2730)
+    y = x.copy()
+    flow._dst1((2730,))(y, inverse=True)
+    assert _same_bits(y, idstn(x, type=1))
+
+
+def test_flow_problem_bounds_its_steps():
+    """t_end / tau above MAX_STEPS, or past the largest float, is refused
+    when the problem is built: the first would step for ever, the second
+    raised OverflowError from round(inf)."""
+    lay = ball_layout(EUCLID, 1.0, 0.25)
+    for tau, t_end in ((1.0, 1e300), (1e-300, 1e10), (1e-3, 1e-3 * (flow.MAX_STEPS + 1))):
+        with pytest.raises(SpecValidationError, match="steps"):
+            FlowProblem(EUCLID, 1.0, lay, tau, t_end)
+    assert FlowProblem(EUCLID, 1.0, lay, 1e-3, 1e-3 * flow.MAX_STEPS).steps == flow.MAX_STEPS

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from finslerheat.errors import OutOfRangeError, SpecValidationError
-from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
+from finslerheat.grids import (GridFunction, RadialProfile, _tridiagonal_solve, empty_layout,
                                grid_from_function, observed_order, refinements)
 
 
@@ -140,3 +140,29 @@ def test_observed_order_of_a_vanishing_error_is_inf_or_nan():
     assert observed_order([1e-3, 0.0], [0.5, 0.25]) == np.inf
     assert np.isnan(observed_order([0.0, 0.0], [0.5, 0.25]))
     assert np.isnan(observed_order(np.zeros(3), [0.5, 0.25, 0.125]))
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_tridiagonal_solve_is_solve_banded_bit_for_bit(data):
+    """`_tridiagonal_solve` against scipy.linalg.solve_banded((1, 1), ...),
+    with diagonals scaled down so that most draws swap rows."""
+    from scipy.linalg import solve_banded
+    n = data.draw(st.integers(2, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dl, du, b = rng.standard_normal(n - 1), rng.standard_normal(n - 1), rng.standard_normal(n)
+    d = rng.standard_normal(n) * data.draw(st.sampled_from([0.1, 1.0, 10.0]))
+    bands = np.zeros((3, n))
+    bands[0, 1:], bands[1], bands[2, :-1] = du, d, dl
+    ours = _tridiagonal_solve(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
+    assert np.array(ours).tobytes() == solve_banded((1, 1), bands, b).tobytes()
+
+
+def test_three_point_solve_is_scipys_bit_for_bit():
+    """numpy's `solve`, which the 3-point not-a-knot spline takes, against
+    scipy.linalg.solve on random 3 x 3 systems, pivoting rows included."""
+    from scipy.linalg import solve
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        A, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
+        assert np.linalg.solve(A, b).tobytes() == solve(A, b[:, None])[:, 0].tobytes()

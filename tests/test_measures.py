@@ -8,9 +8,9 @@ from finslerheat import norms
 from finslerheat.errors import SpecValidationError
 from finslerheat.grids import GridFunction, RadialProfile, empty_layout
 from finslerheat.measures import (_ball_kernel, _lattice_box, classify, fftconvolve,
-                                  growth_functional, measure_from_atoms,
+                                  growth_functional, irfftn, measure_from_atoms,
                                   measure_from_density, measure_from_radial,
-                                  mollify)
+                                  mollify, next_fast_len, rfftn)
 
 EUCLID = norms.euclidean(2)
 
@@ -216,3 +216,37 @@ def test_fftconvolve_matches_scipy_on_the_monitor_kernel():
     field = np.random.default_rng(3).uniform(0.0, 1.0, (257, 129))
     assert np.array_equal(fftconvolve(field, kernel),
                           signal.fftconvolve(field, kernel, mode="same"))
+
+
+def test_next_fast_len_is_scipys():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+    assert [next_fast_len(n) for n in range(1, 5001)] == \
+        [scipy_next_fast_len(n, True) for n in range(1, 5001)]
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_fft_pair_is_scipys_bit_for_bit(data):
+    """`rfftn` and `irfftn` against scipy.fft's over 1-3 of 1-3 axes, each
+    transform length padded past or truncated below the input's."""
+    from scipy import fft
+    N = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(1, 40 if N == 1 else 12)) for _ in range(N))
+    axes = sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=1)))
+    lengths = [max(1, shape[a] + data.draw(st.integers(-6, 12))) for a in axes]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    x = rng.standard_normal(shape)
+    X = fft.rfftn(x, lengths, axes=axes)
+    ours = rfftn(x, lengths, axes)
+    assert ours.dtype == X.dtype and ours.tobytes() == X.tobytes()
+    back = irfftn(X, lengths, axes)
+    assert back.dtype == x.dtype and back.tobytes() == fft.irfftn(X, lengths, axes=axes).tobytes()
+
+
+def test_inverse_fft_scale_is_rounded_from_long_double():
+    """scipy scales by 1 / n computed in long double: at n = 2731 that
+    rounds to a different double than 1.0 / 2731."""
+    from scipy import fft
+    assert float(1 / np.longdouble(2731)) != 1.0 / 2731
+    X = fft.rfft(np.random.default_rng(2).standard_normal(2731))
+    assert irfftn(X, [2731], [0]).tobytes() == fft.irfftn(X, [2731], axes=[0]).tobytes()

@@ -226,3 +226,43 @@ def test_dual_norm_grid_matches_pointwise():
     r = norms.dual_norm_eval(ELLIPSE, lay.coords())
     x = lay.coords()[5, 7]
     assert r[5, 7] == pytest.approx(float(norms.dual_norm_eval(ELLIPSE, x)))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_correlate_is_ndimage_correlate_bit_for_bit(data):
+    """`correlate` against scipy.ndimage.correlate(mode="constant") at
+    N = 1, 2 and 3, with taps of 0, of machine epsilon and below (both
+    dropped) and above it, and fields that hold signed zeros."""
+    from scipy import ndimage
+    N = data.draw(st.integers(1, 3))
+    width = data.draw(st.sampled_from([1, 3, 5]))
+    shape = tuple(data.draw(st.integers(1, 70 if N == 1 else 12)) for _ in range(N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    S = rng.standard_normal((width,) * N)
+    pick = rng.integers(0, 5, S.shape)
+    S[pick == 0] = 0.0
+    S[pick == 1] = np.finfo(float).eps * rng.choice([-1.0, 1.0, 0.5, 1.5], S.shape)[pick == 1]
+    values = rng.standard_normal(shape)
+    values[rng.random(shape) < 0.3] = rng.choice([0.0, -0.0])
+    assert _same_bits(operators.correlate(values, operators.correlation_taps(S)),
+                      ndimage.correlate(values, S, mode="constant"))
+
+
+def test_correlate_keeps_the_bits_of_ndimage_on_both_ellipse_stencils():
+    """The energy gradient's 17 taps and the face-flux divergence's 5, on a
+    field larger than one block of the flat sums."""
+    from scipy import ndimage
+
+    from finslerheat import flow
+    u = np.random.default_rng(7).standard_normal((257, 129))
+    for face_op, count in ((flow._face_energy_gradient, 17),
+                           (operators._face_flux_divergence, 5)):
+        S, scale = operators.constant_stencil(face_op, ELLIPSE, (6 / 64, 6 / 64))
+        taps = operators.correlation_taps(S)
+        assert len(taps[1]) == count
+        assert _same_bits(operators.correlate(u, taps), ndimage.correlate(u, S, mode="constant"))

@@ -321,3 +321,15 @@ def test_tail_bound_is_set_by_the_largest_rho(dim):
         for t in (0.01, 0.5, 2.0):
             lo, hi = (_tail_bound(prof, dim, r, t) for r in (min(rho), max(rho)))
             assert max(lo, hi) == hi
+
+
+def test_i0e_is_scipys_bit_for_bit():
+    """Cephes' i0e against scipy.special.i0e on [0, 700] and at 0, 8 (the
+    switch of series) and its neighbours, 1e300, inf and NaN."""
+    from scipy.special import i0e as scipy_i0e
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.uniform(0.0, 700.0, 20000), rng.uniform(0.0, 16.0, 20000),
+                        [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0),
+                         5e-324, 1e300, np.inf, np.nan]])
+    assert radial.i0e(z).tobytes() == scipy_i0e(z).tobytes()
+    assert radial.i0e(z.reshape(-1, 8)).tobytes() == scipy_i0e(z).tobytes()
