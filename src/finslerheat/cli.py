@@ -329,14 +329,13 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         "compare": _COMPARISON})
     spec, pc, checks, comp = c["norm"], c["problem"], c.get("checks", {}), c.get("compare")
     if comp is not None:  # a comparison that cannot hold for the datum is refused
-        kind, datum_cfg = comp.get("kind", "gaussian_closed_form"), cfg["problem"]["datum"]
-        prof = datum_cfg["profile"] if datum_cfg["kind"] == "radial" else None
-        unit_gaussian = prof is not None and prof["type"] == "gaussian" and all(
-            prof.get(key, 1.0) == 1.0 for key in ("amplitude", "scale"))
+        kind, source = comp.get("kind", "gaussian_closed_form"), pc["datum"]
+        prof = source["profile"] if source["kind"] == "radial" else None
+        unit_gaussian = prof is not None and np.array_equal(prof.values, np.exp(-prof.radii**2))
         if kind == "gaussian_closed_form" and not unit_gaussian:
             raise SpecValidationError("gaussian_closed_form holds only for the radial "
-                                      "gaussian datum of amplitude 1 and scale 1; "
-                                      "use radial_representation")
+                                      "datum exp(-r^2) (a gaussian of amplitude 1 and "
+                                      "scale 1); use radial_representation")
         if kind == "radial_representation" and prof is None:
             raise SpecValidationError("radial_representation comparison needs a radial datum")
     layout = flow.ball_layout(spec, pc["radius"], pc.pop("spacing"))

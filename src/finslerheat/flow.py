@@ -19,7 +19,8 @@ with K = (1/N) G^T Q G, translation invariant on the zero-extended grid,
 so it is applied as the constant stencil read off the face path (the
 face gradient stays the one definition).  psi = (vol/2) <u, grad psi(u)>
 by Euler's identity: p-norms read it so, quadratic families by the
-difference form of the stencil, whose error does not grow like eps/h^2.
+difference form of the same cached stencil (`operators.stencil_energy`),
+whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary band,
 the box preconditioner, whose DST-I is scipy's on numpy's real FFT
 (`_dst1`), and its own CG, scipy's `cg` step for step, with inner products
@@ -69,7 +70,7 @@ from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify, next_fast
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
 from .operators import (FaceHessian, FaceKernel, _face_flux_divergence, apply_operator,
-                        constant_stencil, interior_mask, stencil_symbol)
+                        constant_stencil, interior_mask, stencil_energy, stencil_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -177,33 +178,18 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None) 
     the objective the prox descends, read as `_energy_reader` says.
     """
     vals = gf.values if mask is None else np.where(mask, gf.values, 0.0)
-    return _energy_reader(spec, gf.spacing, vals.shape)(vals)
+    return _energy_reader(spec, gf.spacing)(vals)
 
 
-def _energy_reader(spec: NormSpec, spacings, shape: tuple):
-    """`energy` of masked fields of one (spec, spacings, shape), built once.
-    Quadratic families: the gradient's stencil S is symmetric and sums to 0,
-    so <u, S * u> = -sum_k S_k sum_i (u_(i+k) - u_i)^2 over one lag k of
-    each +- pair, no 1/h^2 taps cancelling; each lag is one shift of u
-    flattened with a zero rim as wide as S (pairs that wrap join rim zeros).
-    """
+def _energy_reader(spec: NormSpec, spacings):
+    """`energy` of masked fields of one (spec, spacings), built once: p-norms
+    read it by Euler's identity, quadratic families by the difference form
+    of the gradient's stencil (`operators.stencil_energy`)."""
     spacings, vol = tuple(spacings), float(np.prod(spacings))
     if spec.family == "p_norm":
         return lambda u: 0.5 * vol * float(np.sum(u * energy_gradient(u, spec, spacings)))
-    S, scale = constant_stencil(_face_energy_gradient, spec, spacings)
-    reach = S.shape[0] // 2
-    padded = tuple(n + 2 * reach for n in shape)
-    strides = np.cumprod((1,) + padded[:0:-1])[::-1]     # of the flat copy, C order
-    lags = [(d, s) for k, s in np.ndenumerate(S)
-            if s and (d := int(np.dot(np.array(k) - reach, strides))) > 0]
-
-    def read(u: np.ndarray) -> float:
-        flat, total = np.pad(u, reach).ravel(), 0.0
-        for d, s in lags:
-            x = flat[d:] - flat[:-d]
-            total += s * float(np.einsum("i,i->", x, x))
-        return -0.5 * vol * scale * total
-    return read
+    _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacings)
+    return lambda u: 0.5 * vol * scale * stencil_energy(u, taps)
 
 
 def energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
@@ -503,7 +489,7 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     """
     if ell is not None and not 0.0 < ell < 0.5:
         raise SpecValidationError("ell must lie in (0, 1/2)")
-    vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing, h0.shape)
+    vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing)
     lam_h2 = None if lam is None else lam * h0**2
     neg_h2 = None if ell is None else -(h0**2)
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)

@@ -130,9 +130,15 @@ class GridFunction:
             return GridFunction.from_bytes(fh.read())
 
 
+MAX_NODES = 2**25      # 268 MB a field
+
+
 def empty_layout(box, resolution) -> GridFunction:
-    """Grid of zeros with `resolution` cells per axis over `box`."""
+    """Grid of zeros with `resolution` cells per axis over `box`; refused,
+    before it is allocated, past MAX_NODES nodes."""
     resolution = tuple(integer(r, "resolution") for r in resolution)
+    if math.prod(r + 1 for r in resolution) > MAX_NODES:
+        raise SpecValidationError(f"a grid of {resolution} cells has more than {MAX_NODES} nodes")
     return GridFunction(tuple(box), resolution, np.zeros(tuple(r + 1 for r in resolution)))
 
 
@@ -146,9 +152,9 @@ def grid_from_function(box, resolution, fn: Callable[[np.ndarray], np.ndarray]) 
 def refinements(layout: GridFunction, levels: int) -> list[GridFunction]:
     """Empty layouts over the box of `layout` with 2^l times its cells per
     axis, l = 0 .. levels-1; refused, before any is built, if the finest
-    has more than 2^25 nodes (268 MB a field), as it has past 26 levels."""
+    has more than MAX_NODES nodes, as it has past 26 levels."""
     if not 1 <= levels <= 26 or math.prod(
-            r * 2**(levels - 1) + 1 for r in layout.resolution) > 2**25:
+            r * 2**(levels - 1) + 1 for r in layout.resolution) > MAX_NODES:
         raise SpecValidationError("levels must be >= 1, with at most 2^25 nodes on the finest grid")
     return [empty_layout(layout.box, tuple(r * 2**level for r in layout.resolution))
             for level in range(levels)]
@@ -237,6 +243,9 @@ def _tridiagonal_solve(dl: list, d: list, du: list, b: list) -> list:
     return b
 
 
+MAX_RADIUS = 1e6       # the even-slope fit's r^4 overflows near 1e77
+
+
 @dataclass
 class RadialProfile:
     """Samples of a profile v(r) on [0, R_max] with a cubic interpolant."""
@@ -252,6 +261,8 @@ class RadialProfile:
         self.values = np.asarray(self.values, dtype=float)
         if self.radii.ndim != 1 or self.radii.shape != self.values.shape:
             raise SpecValidationError("radii and values must be matching 1-D arrays")
+        if not np.all(np.abs(self.radii) <= MAX_RADIUS):
+            raise SpecValidationError(f"profile radii must lie in [0, {MAX_RADIUS:g}]")
         if len(self.radii) < 2:
             raise SpecValidationError("a profile needs at least 2 samples")
         if self.radii[0] != 0.0:

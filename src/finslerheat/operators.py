@@ -20,8 +20,8 @@ Jacobian DA per face (the p-norm Newton Hessian).
 for p-norms; for quadratic families (H^2 = xi^T Q xi: euclidean, ellipse,
 smoothed polytope) it is linear with constant coefficients, and it
 applies as one correlation (`correlate`) the stencil that `constant_stencil`
-reads off the face path at a unit impulse and caches per (operator, spec,
-spacing), its taps listed once (`correlation_taps`).
+reads off the face path at a unit impulse and caches with its taps per
+(operator, spec, spacing); `flow`'s energy reads the same taps (`stencil_energy`).
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -191,14 +191,15 @@ class FaceHessian:
 
 @lru_cache(maxsize=128)
 def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
-    """(S, scale) with face_op(x, spec, spacing) = scale * (S * x) away from
-    the edges of the grid, for an operator of a quadratic family that is
-    linear, translation invariant and of reach <= 2 nodes per axis.
+    """(S, scale, taps) with face_op(x, spec, spacing) = scale * (S * x) away
+    from the edges of the grid, taps the `correlation_taps` of S, for an
+    operator of a quadratic family that is linear, translation invariant
+    and of reach <= 2 nodes per axis: the one cache of the stencil.
 
     face_op runs once, on an unmasked 11^N grid holding a unit impulse at
     its centre; S, read-only, is the central 5^N block of the response,
     reflected and divided by scale, the largest power of two not above its
-    largest tap: `correlate` drops weights of magnitude <= machine epsilon.
+    largest tap: the taps leave out weights of magnitude <= machine epsilon.
     """
     N = spec.dimension
     impulse = np.zeros((11,) * N)
@@ -207,14 +208,7 @@ def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
     scale = 2.0 ** np.floor(np.log2(np.max(np.abs(S))))
     S = S / scale
     S.flags.writeable = False
-    return S, scale
-
-
-@lru_cache(maxsize=128)
-def _stencil_taps(face_op, spec: NormSpec, spacing: tuple) -> tuple:
-    """(`correlation_taps` of S, scale), (S, scale) the `constant_stencil` of face_op."""
-    S, scale = constant_stencil(face_op, spec, spacing)
-    return correlation_taps(S), scale
+    return S, scale, correlation_taps(S)
 
 
 def correlation_taps(S: np.ndarray) -> tuple:
@@ -232,18 +226,19 @@ _BLOCK = 16384
 
 @lru_cache(maxsize=8)
 def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
-    """`correlate`'s plan for fields of `shape`: the zero-rimmed copy (its
-    rim is never written), the flat sums, one block's products, the flat
-    shift and weight of each tap, and the flat span from the first node to
-    the last."""
+    """The plan of `correlate` and `stencil_energy` for fields of `shape`:
+    the zero-rimmed copy (its rim is never written), its nodes' index, the
+    flat sums (also a work buffer), one block's products, the flat shift and
+    weight of each tap, and the flat span from the first node to the last."""
     reach, terms = taps
     padded = np.zeros(tuple(n + 2 * reach for n in shape))
+    inner = (slice(reach, -reach or None),) * len(shape)
     strides = [s // padded.itemsize for s in padded.strides]
     shifted = [(sum(k * s for k, s in zip(shift, strides)), w) for shift, w in terms]
     first = reach * sum(strides)
     stop = first + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
-    return (padded, np.empty(padded.size), np.empty(min(_BLOCK, stop - first)), shifted,
-            range(first, stop, _BLOCK), stop)
+    return (padded, inner, np.empty(padded.size), np.empty(min(_BLOCK, stop - first)),
+            shifted, range(first, stop, _BLOCK), stop)
 
 
 def correlate(values: np.ndarray, taps: tuple) -> np.ndarray:
@@ -255,11 +250,9 @@ def correlate(values: np.ndarray, taps: tuple) -> np.ndarray:
     from the first node to the last in blocks of _BLOCK, so that the
     products stay in cache (rim positions inside the span are summed too,
     from the rim and wrapped rows, and dropped)."""
-    reach, terms = taps
-    if not terms:
+    if not taps[1]:
         return np.zeros(values.shape)
-    padded, sums, product, shifted, blocks, stop = _correlation_plan(values.shape, taps)
-    inner = (slice(reach, -reach or None),) * values.ndim
+    padded, inner, sums, product, shifted, blocks, stop = _correlation_plan(values.shape, taps)
     padded[inner] = values
     flat = padded.ravel()
     (d0, w0), rest = shifted[0], shifted[1:]
@@ -274,6 +267,21 @@ def correlate(values: np.ndarray, taps: tuple) -> np.ndarray:
     return sums.reshape(padded.shape)[inner].copy()
 
 
+def stencil_energy(values: np.ndarray, taps: tuple) -> float:
+    """-sum over the taps (k, S_k) of positive flat shift d of S_k sum_i
+    (u_(i+k) - u_i)^2, u extended by zero: <u, S * u> for a symmetric S that
+    sums to 0, with no large taps cancelling.  Each lag, in tap order, differences
+    `correlate`'s zero-rimmed flat copy shifted by d into its work buffer."""
+    padded, inner, work, _, shifted, _, _ = _correlation_plan(values.shape, taps)
+    padded[inner] = values
+    flat, total = padded.ravel(), 0.0
+    for d, w in shifted:
+        if d > 0:
+            x = np.subtract(flat[d:], flat[:-d], out=work[:-d])
+            total += w * float(np.einsum("i,i->", x, x))
+    return -total
+
+
 def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> np.ndarray:
     """sigma(theta) = scale * sum_k S_k prod_m cos(k_m theta_m), (S, scale)
     the `constant_stencil` of face_op, at the DST-I frequencies
@@ -286,7 +294,7 @@ def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> n
     operator is positive semidefinite.  Summed from one cosine table per
     axis, one `tensordot` per axis.
     """
-    S, scale = constant_stencil(face_op, spec, tuple(spacing))
+    S, scale, _ = constant_stencil(face_op, spec, tuple(spacing))
     reach = S.shape[0] // 2
     sigma = S
     for n in lengths:
@@ -301,7 +309,7 @@ def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing) -> np.n
     apply its constant stencil as one correlation, values extended by zero."""
     if spec.family == "p_norm":
         return face_op(values, spec, spacing)
-    taps, scale = _stencil_taps(face_op, spec, tuple(spacing))
+    _, scale, taps = constant_stencil(face_op, spec, tuple(spacing))
     out = correlate(values, taps)
     out *= scale
     return out

@@ -286,6 +286,15 @@ def test_simulate_closed_form_comparison_needs_the_unit_gaussian(tmp_path, capsy
     assert code == 0
 
 
+def test_simulate_closed_form_comparison_takes_samples_of_the_unit_gaussian(tmp_path):
+    # the datum decides, not its type: exp(-r^2) sampled by hand is admitted
+    r = np.linspace(0.0, 8.0, 257)
+    profile = {"type": "samples", "radii": r.tolist(), "values": np.exp(-r**2).tolist()}
+    code, outdir = _run(tmp_path, "simulate", _gaussian_flow(profile, compare={"window": 1.0}))
+    assert code == 0
+    assert (outdir / "comparison.csv").exists()
+
+
 def test_simulate_rejects_store_times_outside_the_run(tmp_path):
     cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
                          store_times=(0.1, -0.01))
@@ -586,7 +595,11 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
 
 
 # int() of Infinity raises OverflowError, 1e15 samples a MemoryError, 1e300
-# levels would build ever finer grids; the other values passed unchecked
+# levels would build ever finer grids; the other values passed unchecked.
+# A window of 8001^2 nodes at spacing 0.001 and a ball of 20001^2 at 1e-4
+# would take 0.5 and 3.2 GB a field, so `grids.MAX_NODES` refuses them
+# before any allocation; r_max 1e300 and 1e200 would overflow in the even
+# profile's slope fit, so `grids.MAX_RADIUS` refuses them before any arithmetic
 @pytest.mark.parametrize("command, base, path, value", [
     ("simulate", _SIMULATE, ("problem", "tau"), INF),
     ("simulate", _SIMULATE, ("problem", "radius"), INF),
@@ -671,6 +684,10 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
     ("simulate", _SIMULATE, ("problem",), {
         "radius": 1.0, "spacing": 0.125, "tau": 1e-300, "t_end": 1e10,
         "datum": {"kind": "radial", "profile": {"type": "gaussian", "r_max": 8.0}}}),
+    ("classify", _CLASSIFY, ("spacing",), 0.001),
+    ("simulate", _SIMULATE, ("problem", "spacing"), 1e-4),
+    ("classify", _CLASSIFY, ("measure", "profile"), {"type": "gaussian", "r_max": 1e300}),
+    ("classify", _CLASSIFY, ("measure", "profile"), {"type": "gaussian", "r_max": 1e200}),
     ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
@@ -690,7 +707,8 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "norms-empty", "cases-empty", "exact-t-inf", "tau-string", "radius-true",
         "gaussian-scale-0", "bump-radius-0", "windows-equal", "slice-names-alike",
         "exp-power-overflow", "order-window-one-level", "steps-unbounded",
-        "steps-overflow", "compare-path-number"])
+        "steps-overflow", "window-nodes-unbounded", "ball-nodes-unbounded",
+        "profile-r-max-1e300", "profile-r-max-1e200", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that

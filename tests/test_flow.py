@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -360,6 +361,23 @@ def test_quadratic_energy_matches_a_long_double_face_sum(data):
         assert abs(energy(gf, spec, m) - exact) <= 1e-14 * exact
 
 
+def test_quadratic_energy_read_allocates_no_field():
+    # a warm read on the 513 x 257 ellipse grid differences the correlation's
+    # zero-rimmed copy in its work buffer, so it allocates no field
+    lay = ball_layout(ELLIPSE, 6.0, 6 / 128)
+    h0 = norms.dual_norm_eval(ELLIPSE, lay.coords())
+    gf = lay.with_values(np.where(ball_mask(ELLIPSE, lay, 6.0), np.exp(-h0**2), 0.0))
+    first = energy(gf, ELLIPSE)
+    tracemalloc.start()
+    try:
+        again = energy(gf, ELLIPSE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < gf.values.nbytes / 10
+
+
 @pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 1.2], [1.2, 1.0]]])
 def test_quadratic_energy_is_exact_to_rounding_on_fine_grids(matrix):
     # a smooth field at h = 6/256: the stencil reading (vol/2) <u, K u> sums
@@ -418,10 +436,10 @@ def test_constant_stencils_match_the_face_path(data):
 def test_stencil_cache_is_read_only_and_keyed_on_spacing(monkeypatch):
     face_ops = (flow._face_energy_gradient, operators._face_flux_divergence)
     for face_op in face_ops:
-        S, _ = constant_stencil(face_op, ELLIPSE, (0.1, 0.1))
+        S, _, _ = constant_stencil(face_op, ELLIPSE, (0.1, 0.1))
         with pytest.raises(ValueError):
             S[(2, 2)] = 0.0
-        T, _ = constant_stencil(face_op, ELLIPSE, (0.1, 0.2))
+        T, _, _ = constant_stencil(face_op, ELLIPSE, (0.1, 0.2))
         assert not np.array_equal(S, T)
         assert constant_stencil(face_op, ELLIPSE, (0.1, 0.1))[0] is S
     # one cache, keyed on the operator too
@@ -689,7 +707,7 @@ def test_box_preconditioner_paths(data):
     # also for a rotated ellipse, whose stencil is not axis-symmetric
     lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in mask.shape)
     sigma = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
-    S, scale = constant_stencil(flow._face_energy_gradient, spec, tuple(spacing))
+    S, scale, _ = constant_stencil(flow._face_energy_gradient, spec, tuple(spacing))
     assert np.all(1.0 / tau + sigma > 0.0)
     assert np.all(sigma >= -1e-12 * scale * np.sum(np.abs(S)))
 

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from finslerheat.errors import OutOfRangeError, SpecValidationError
-from finslerheat.grids import (GridFunction, RadialProfile, _tridiagonal_solve, empty_layout,
-                               grid_from_function, observed_order, refinements)
+from finslerheat.grids import (MAX_NODES, MAX_RADIUS, GridFunction, RadialProfile,
+                               _tridiagonal_solve, empty_layout, grid_from_function,
+                               observed_order, refinements)
 
 
 def _demo_grid():
@@ -132,6 +133,22 @@ def test_refinements_and_observed_order(data):
     p = data.draw(st.floats(0.5, 4.0))
     h = [max(lay.spacing) for lay in layouts]
     assert observed_order([C * hl**p for hl in h], h) == pytest.approx(p, abs=1e-12)
+
+
+def test_layouts_and_profile_radii_are_bounded():
+    # 6001^2 nodes (288 MB) are refused before they are allocated, and so is
+    # a profile beyond MAX_RADIUS before its slope fit overflows (no warning)
+    assert MAX_NODES == 2**25 and MAX_RADIUS == 1e6
+    with pytest.raises(SpecValidationError, match="nodes"):
+        empty_layout([(0.0, 1.0), (0.0, 1.0)], (6000, 6000))
+    with pytest.raises(SpecValidationError, match="nodes"):
+        refinements(empty_layout([(0.0, 1.0), (0.0, 1.0)], (2048, 2048)), 3)
+    assert RadialProfile([0.0, MAX_RADIUS], [1.0, 0.0], even=False).r_max == MAX_RADIUS
+    for r_max in (2 * MAX_RADIUS, np.inf, np.nan):
+        with pytest.raises(SpecValidationError, match="radii"):
+            RadialProfile([0.0, r_max], [1.0, 0.0], even=False)
+    with pytest.raises(SpecValidationError, match="radii"):
+        RadialProfile.from_function(lambda r: np.exp(-r**2), 1e200, 9)
 
 
 def test_observed_order_of_a_vanishing_error_is_inf_or_nan():

@@ -262,7 +262,37 @@ def test_correlate_keeps_the_bits_of_ndimage_on_both_ellipse_stencils():
     u = np.random.default_rng(7).standard_normal((257, 129))
     for face_op, count in ((flow._face_energy_gradient, 17),
                            (operators._face_flux_divergence, 5)):
-        S, scale = operators.constant_stencil(face_op, ELLIPSE, (6 / 64, 6 / 64))
-        taps = operators.correlation_taps(S)
+        S, _, taps = operators.constant_stencil(face_op, ELLIPSE, (6 / 64, 6 / 64))
         assert len(taps[1]) == count
         assert _same_bits(operators.correlate(u, taps), ndimage.correlate(u, S, mode="constant"))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_stencil_energy_is_the_lag_sum_on_a_padded_copy(data):
+    """`stencil_energy` on the correlation's plan keeps the bits of the lag
+    sum over a fresh zero-padded copy, lag by lag in C order, and equals
+    <u, S * u> for a symmetric S that sums to 0; the plan's copy is
+    shared with `correlate`, which it leaves right."""
+    N = data.draw(st.integers(1, 3))
+    width = data.draw(st.sampled_from([3, 5]))
+    shape = tuple(data.draw(st.integers(1, 40 if N == 1 else 9)) for _ in range(N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    S = rng.standard_normal((width,) * N)
+    S = S + np.flip(S)
+    S[(width // 2,) * N] -= np.sum(S)
+    taps = operators.correlation_taps(S)
+    u = rng.standard_normal(shape)
+    reach = width // 2
+    padded = np.pad(u, reach)
+    flat, total = padded.ravel(), 0.0
+    for shift, w in taps[1]:
+        d = sum(k * s // padded.itemsize for k, s in zip(shift, padded.strides))
+        if d > 0:
+            x = flat[d:] - flat[:-d]
+            total += w * float(np.einsum("i,i->", x, x))
+    energy = operators.stencil_energy(u, taps)
+    assert _same_bits(np.float64(energy), np.float64(-total))
+    quadratic = float(np.sum(u * operators.correlate(u, taps)))
+    assert abs(energy - quadratic) <= 1e-12 * np.sum(np.abs(S)) * np.sum(u * u)
+    assert operators.stencil_energy(u, taps) == energy
