@@ -119,6 +119,11 @@ def _one_of(*names: str):
     return _reader(lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
 
 
+def _kind(table, key: str, value, what: str) -> str:
+    """The tag `value[key]` of a tagged object, which must name an entry of `table`."""
+    return _one_of(*table)(value.get(key) if isinstance(value, dict) else None, f"{what} {key}")
+
+
 def _list(item, least: int = 1):
     """The reader of a list of at least `least` entries, each read by `item`."""
     def read(value, what: str) -> list:
@@ -130,20 +135,30 @@ def _list(item, least: int = 1):
 
 
 def _numbers(value, what: str):
-    """A finite number, or a nonempty list of such values (a matrix's rows)."""
+    """A finite number, or a nonempty list of such values (an atom's point and mass)."""
     return _list(_numbers)(value, what) if isinstance(value, list) else _number(value, what)
 
 
-def _params(value, what: str) -> dict:
-    """A norm's or a solution family's params: names that the family checks,
-    each a finite number or a nonempty list of them."""
-    return _section(value, what, {}, dict.fromkeys(value if isinstance(value, dict) else (),
-                                                   _numbers))
+def _float(value, what: str) -> float:
+    return float(_number(value, what))
+
+
+def _rows(value, what: str) -> tuple:
+    """A matrix: a nonempty list of rows of finite numbers, as `norms._rows` keeps it."""
+    return norms._rows(_list(_list(_number))(value, what))
+
+
+# each norm family's params, all required: NormSpec(family, dimension, **params)
+_NORM_PARAMS = {"euclidean": {}, "p_norm": {"p": _float}, "ellipse": {"matrix": _rows},
+                "smoothed_polytope": {"directions": _rows, "epsilon": _float}}
 
 
 def _norm(value, what: str) -> norms.NormSpec:
-    return norms.NormSpec.from_dict(_section(value, what, {"family": _text, "dimension": integer},
-                                             {"params": _params}))
+    """A norm: its `family`, its `dimension` and the params of that family."""
+    params = _NORM_PARAMS[_kind(_NORM_PARAMS, "family", value, what)]
+    c = _section(value, what, {"family": _text, "dimension": integer},
+                 {"params": _object(params)})
+    return norms.NormSpec(c["family"], c["dimension"], **c.get("params", {}))
 
 
 def _grid(value, what: str) -> GridFunction:
@@ -160,8 +175,7 @@ def _grid(value, what: str) -> GridFunction:
 def _profile(value, what: str) -> RadialProfile:
     """A radial profile: `samples`, or a gaussian, bump or exp_power sampled on
     [0, r_max] (2049 samples unless `samples` says otherwise)."""
-    kind = _one_of("samples", "gaussian", "bump", "exp_power")(
-        value.get("type") if isinstance(value, dict) else None, f"{what} type")
+    kind = _kind(("samples", "gaussian", "bump", "exp_power"), "type", value, what)
     if kind == "samples":
         c = _section(value, what, {"type": _text, "radii": _list(_number),
                                    "values": _list(_number)}, {"even": _flag})
@@ -192,8 +206,7 @@ def _source(*kinds: str):
     """The reader of a datum or measure object of one of `kinds`; a path is
     read as the grid it names."""
     def read(value, what: str) -> dict:
-        kind = value.get("kind") if isinstance(value, dict) else None
-        key, reader = _SOURCES[_one_of(*kinds)(kind, f"{what} kind")]
+        key, reader = _SOURCES[_kind(kinds, "kind", value, what)]
         return _section(value, what, {"kind": _text, key: reader})
     return read
 
@@ -252,14 +265,25 @@ def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-_CASE = _object({"kind": _text, "norm": _norm, "box": _list(_range),
-                 "resolution": _list(integer)},
-                {"params": _params, "t": _number, "dt": _positive, "levels": integer,
-                 "order_window": _range, "annulus": _range, "max_residual": _limit()})
+_ORDER = {"levels": integer, "order_window": _range}
+_TIMED = {"t": _number, "dt": _positive, **_ORDER}
+# each case kind: its optional keys and its params, all required (SolutionSpec's)
+_CASES = {"gauss_kernel": (_TIMED, {}), "blowup": (_TIMED, {"lam": _number}),
+          "barenblatt": (_TIMED, {"m": _number, "C": _number}),
+          "talenti": (_ORDER, {"p": _number, "A": _number, "B": _number}),
+          "singular_poly": ({"annulus": _range, "max_residual": _limit()}, {"m_order": integer})}
+
+
+def _case(value, what: str) -> dict:
+    """A verify-exact case: the keys and params of its kind."""
+    optional, params = _CASES[_kind(_CASES, "kind", value, what)]
+    return _section(value, what, {"kind": _text, "norm": _norm, "box": _list(_range),
+                                  "resolution": _list(integer)},
+                    {**optional, "params": _object(params)})
 
 
 def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
-    cases = _section(cfg, "verify-exact config", {"cases": _list(_CASE)})["cases"]
+    cases = _section(cfg, "verify-exact config", {"cases": _list(_case)})["cases"]
     if any("order_window" in case and case.get("levels", 2) < 2 for case in cases):
         raise SpecValidationError("an order_window needs levels >= 2: an order compares two")
     built = [(case, solutions.SolutionSpec(case["kind"], case["norm"], **case.get("params", {})),
@@ -354,11 +378,19 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
             raise SpecValidationError(f"compare.time {asked} is not a stored time")
         t = k * problem.tau
 
-    failure = None
     try:
         traj = flow.solve(problem)
     except ConvergenceError as exc:  # write the steps before it, then fail
         traj, failure = exc.partial, exc
+    else:
+        failure = None
+        if comp is not None:  # the reference, which may refuse, before the first file
+            window = traj.h0 <= comp.get("window", problem.radius / 2)
+            r = traj.h0[window]
+            if kind == "gaussian_closed_form":
+                exact = (1 + 4 * t) ** (-spec.dimension / 2) * np.exp(-r ** 2 / (1 + 4 * t))
+            else:
+                exact = radial.radial_heat_profile(profile, spec.dimension, r, t)
     for name, series in traj.monitors.items():
         _write_csv(out / f"monitor_{name}.csv", ["t", name],
                    list(zip(traj.monitor_times, series)), timestamp)
@@ -377,14 +409,6 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 
     if comp is not None:
         gf = traj.slice_at(t)
-        r = traj.h0
-        window = r <= comp.get("window", problem.radius / 2)
-        if kind == "gaussian_closed_form":
-            exact = (1 + 4 * t) ** (-spec.dimension / 2) \
-                * np.exp(-r[window] ** 2 / (1 + 4 * t))
-        else:
-            exact = radial.radial_heat_profile(profile, spec.dimension,
-                                               r[window], t)
         rel = np.abs(gf.values[window] - exact) / np.maximum(np.abs(exact), 1e-300)
         _write_csv(out / "comparison.csv", ["t", "max_abs_error", "max_rel_error"],
                    [(t, float(np.max(np.abs(gf.values[window] - exact))),

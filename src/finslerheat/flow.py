@@ -136,11 +136,7 @@ class FlowProblem:
             raise SpecValidationError("tau and t_end must be positive and finite")
         if self.scheme not in ("implicit_proximal", "explicit_euler"):
             raise SpecValidationError(f"unknown scheme {self.scheme!r}")
-        if self.monitor_lambda is not None and not (
-                math.isfinite(self.monitor_lambda) and self.monitor_lambda > 0):
-            raise SpecValidationError("lambda must be finite and positive")
-        if self.monitor_ell is not None and not 0.0 < self.monitor_ell < 0.5:
-            raise SpecValidationError("ell must lie in (0, 1/2)")
+        _monitor_settings(self.monitor_lambda, self.monitor_ell)
         if not isinstance(self.datum, GridFunction):
             raise SpecValidationError("flow data must be grids (see measures.mollify)")
         steps = self.t_end / self.tau
@@ -474,6 +470,14 @@ def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 # monitors
 # ---------------------------------------------------------------------------
 
+def _monitor_settings(lam: Optional[float], ell: Optional[float]) -> None:
+    """Refuse a monitor lambda that is not finite and above 0, and an ell outside (0, 1/2)."""
+    if lam is not None and not (math.isfinite(lam) and lam > 0):
+        raise SpecValidationError("lambda must be finite and positive")
+    if ell is not None and not 0.0 < ell < 0.5:
+        raise SpecValidationError("ell must lie in (0, 1/2)")
+
+
 def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], spacing,
                     lam: Optional[float], ell: Optional[float]):
     """The monitors of one solve, built once: read(u, t) of a field u that
@@ -487,8 +491,7 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     integral of e^(-H0^2 (1+t^ell)) |u| over the unit H0-ball around it
     (`measures.fftconvolve`).  Node sums times the cell volume.
     """
-    if ell is not None and not 0.0 < ell < 0.5:
-        raise SpecValidationError("ell must lie in (0, 1/2)")
+    _monitor_settings(lam, ell)
     vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing)
     lam_h2 = None if lam is None else lam * h0**2
     neg_h2 = None if ell is None else -(h0**2)

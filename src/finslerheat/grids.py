@@ -145,8 +145,7 @@ def empty_layout(box, resolution) -> GridFunction:
 def grid_from_function(box, resolution, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
     """Sample fn (batched over (..., N) coordinates) onto a new grid."""
     gf = empty_layout(box, resolution)
-    gf.values = np.asarray(fn(gf.coords()), dtype=float)
-    return gf
+    return gf.with_values(fn(gf.coords()))
 
 
 def refinements(layout: GridFunction, levels: int) -> list[GridFunction]:
@@ -320,9 +319,13 @@ class RadialProfile:
     @staticmethod
     def from_function(fn: Callable[[np.ndarray], np.ndarray], r_max: float,
                       samples: int = 1025, even: bool = True) -> "RadialProfile":
-        """fn sampled on `samples` radii over [0, r_max]; a sample that
-        overflows (or is NaN) is refused by the finite check, unwarned."""
-        r = np.linspace(0.0, float(r_max), int(samples))
+        """fn sampled on `samples` radii over [0, r_max], at most MAX_NODES of
+        them; a sample that overflows (or is NaN) is refused by the finite
+        check, unwarned."""
+        samples = int(samples)
+        if samples > MAX_NODES:
+            raise SpecValidationError(f"a profile takes at most {MAX_NODES} samples")
+        r = np.linspace(0.0, float(r_max), samples)
         with np.errstate(all="ignore"):
             values = np.asarray(fn(r), dtype=float)
         return RadialProfile(r, values, even=even)

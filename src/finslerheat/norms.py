@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpecValidationError, integer
+from .errors import ConvergenceError, DomainError, SpecValidationError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SCAN_ENTRIES = 1 << 18     # row-direction pairs per block of the sphere scan
@@ -122,29 +122,9 @@ class NormSpec:
             return f"smoothed_polytope(k={len(self.directions)},eps={self.epsilon:g})"
         return f"{self.family}(N={self.dimension})"
 
-    @staticmethod
-    def from_dict(obj: dict) -> "NormSpec":
-        """The spec of a config's {"family", "dimension", "params"}, checked by
-        `__post_init__`; other keys and the params of other families are refused."""
-        try:
-            family, dim, params = obj["family"], obj["dimension"], obj.get("params", {})
-            if (casts := _PARAMS.get(family)) is None:
-                raise SpecValidationError(f"unknown norm family {family!r}")
-            unknown = (set(obj) - {"family", "dimension", "params"}) | (set(params) - set(casts))
-            values = {name: cast(params[name]) for name, cast in casts.items()}
-        except (KeyError, TypeError) as exc:
-            raise SpecValidationError(f"malformed norm spec: {exc}") from exc
-        if unknown:
-            raise SpecValidationError(f"unknown keys in norm spec: {', '.join(sorted(unknown))}")
-        return NormSpec(family, integer(dim, "norm dimension"), **values)
-
 
 def _rows(a) -> tuple:
     return tuple(map(tuple, np.asarray(a, dtype=float)))
-
-
-_PARAMS = {"euclidean": {}, "p_norm": {"p": float}, "ellipse": {"matrix": _rows},
-           "smoothed_polytope": {"directions": _rows, "epsilon": float}}
 
 
 def euclidean(dimension: int) -> NormSpec:

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecValidationError
-from .grids import RadialProfile
+from .grids import MAX_NODES, RadialProfile
 
 _OVERFLOW_Z = 700.0
 _SPHERE_NODES = 160
@@ -276,10 +276,12 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     Composite Gauss-Legendre panels of unit length cover [0, R_max]; the
     per-panel node count starts at the smallest power of two n >= 16 with
     pi/(2n) <= 2 sqrt(t), so the node gaps resolve the kernel's width, and
-    doubles, up to 4096 nodes, until successive values agree to 1e-9
-    relative to 1 + max |u|.  ConvergenceError if they never do, or if t is
-    so small that the start already reaches 4096 nodes.  DomainError if any
-    rho is not finite.
+    doubles, up to 4096 nodes and `grids.MAX_NODES` over all panels, until
+    successive values agree to 1e-9 relative to 1 + max |u|.
+    ConvergenceError if they never do, or if t is so small that the start
+    already reaches 4096 nodes.  DomainError if any rho is not finite, or if
+    the start already lays out more than MAX_NODES nodes (a long profile at
+    a small t), checked before any is allocated.
     All exponentials are combined into e^(-(rho-r)^2/4t) times the scaled
     sphere factor, so small t cannot overflow.
     """
@@ -297,8 +299,12 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
         raise ConvergenceError(
             f"t = {t:g} is below what {_MAX_NODES} radial quadrature nodes "
             "per unit panel resolve")
-    prev = _representation_sum(profile, dim, rho, t, nodes)
-    while nodes < _MAX_NODES:
+    panels = max(1, int(np.ceil(profile.r_max)))   # _representation_sum's unit panels
+    if panels * nodes > MAX_NODES:
+        raise DomainError(f"{panels} panels of {nodes} nodes at t = {t:g} pass "
+                          f"the bound of {MAX_NODES} quadrature nodes")
+    prev, gap = _representation_sum(profile, dim, rho, t, nodes), np.inf
+    while 2 * nodes <= min(_MAX_NODES, MAX_NODES // panels):
         nodes *= 2
         cur = _representation_sum(profile, dim, rho, t, nodes)
         gap, prev = float(np.max(np.abs(cur - prev))), cur

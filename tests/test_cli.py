@@ -688,6 +688,17 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
     ("simulate", _SIMULATE, ("problem", "spacing"), 1e-4),
     ("classify", _CLASSIFY, ("measure", "profile"), {"type": "gaussian", "r_max": 1e300}),
     ("classify", _CLASSIFY, ("measure", "profile"), {"type": "gaussian", "r_max": 1e200}),
+    ("verify-exact", _EXACT, ("cases", 0, "max_residual"), 1e-30),
+    ("verify-exact", _SINGULAR, ("cases", 0, "order_window"), [5, 6]),
+    ("verify-exact", _EXACT, ("cases", 0, "params"), {"lam": 5}),
+    ("verify-exact", _EXACT, ("cases", 0), {
+        "kind": "talenti", "params": {"p": 2.0, "A": 1.0, "B": 1 / 3}, "t": 0.5,
+        "norm": {"family": "euclidean", "params": {}, "dimension": 3},
+        "box": [[0.5, 1.5]] * 3, "resolution": [8, 8, 8]}),
+    ("simulate", dict(_SIMULATE, compare={"kind": "radial_representation", "window": 0.5}),
+     ("problem",), {"radius": 1.0, "spacing": 0.125, "tau": 0.01, "t_end": 0.05, "datum": {
+         "kind": "radial", "profile": {"type": "gaussian", "r_max": 1.5}}}),
+    ("radial-solve", _RADIAL, ("profile", "samples"), 2**25 + 1),
     ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
@@ -708,7 +719,9 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "gaussian-scale-0", "bump-radius-0", "windows-equal", "slice-names-alike",
         "exp-power-overflow", "order-window-one-level", "steps-unbounded",
         "steps-overflow", "window-nodes-unbounded", "ball-nodes-unbounded",
-        "profile-r-max-1e300", "profile-r-max-1e200", "compare-path-number"])
+        "profile-r-max-1e300", "profile-r-max-1e200", "gauss-max-residual",
+        "singular-order-window", "gauss-params-lam", "talenti-t", "compare-profile-too-short",
+        "radial-samples-past-max-nodes", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that
@@ -724,7 +737,10 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
     # overflow before the profile's finite check; and the order of one
     # level read nan, which failed the window as a numerical check (exit 1);
     # 1e303 steps were accepted (the run would not end) and 1e310 raised
-    # OverflowError from round(inf)
+    # OverflowError from round(inf).  A case key or param that its kind does
+    # not read (a bound never checked) passed with every row "pass", and a
+    # comparison whose profile is too short for its reference wrote the
+    # monitors and the slice before it was refused
     monkeypatch.chdir(tmp_path)
     _grid_pair(tmp_path)
     code, outdir = _run(tmp_path, command, _mutated(base, path, value))

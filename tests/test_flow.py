@@ -1073,6 +1073,20 @@ def test_flow_problem_validation():
         solve(FlowProblem(**{**valid, "t_end": 1.05e-2}))
 
 
+def test_weighted_monitors_refuse_the_lambdas_that_flow_problem_refuses():
+    # lam = -1 read a weight that grows, weighted_l2 12.17 against mass 3.27,
+    # and NaN read NaN monitors
+    lay = lift_radial(RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 65),
+                      EUCLID, ball_layout(EUCLID, 1.0, 1 / 8))
+    weighted_monitors(lay, EUCLID, 0.0, lam=0.5)
+    for lam in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(SpecValidationError, match="lambda"):
+            weighted_monitors(lay, EUCLID, 0.0, lam=lam)
+        with pytest.raises(SpecValidationError, match="lambda"):
+            FlowProblem(norm=EUCLID, radius=1.0, datum=lay, tau=1e-3, t_end=1e-2,
+                        monitor_lambda=lam)
+
+
 def test_local_weighted_l1_stays_bounded_along_trajectory():
     # the localized weighted quantity stays below an O(1) multiple of its
     # initial value along the flow; the empirical ratio is recorded

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from finslerheat import grids
 from finslerheat.errors import OutOfRangeError, SpecValidationError
 from finslerheat.grids import (MAX_NODES, MAX_RADIUS, GridFunction, RadialProfile,
                                _tridiagonal_solve, empty_layout, grid_from_function,
@@ -149,6 +150,24 @@ def test_layouts_and_profile_radii_are_bounded():
             RadialProfile([0.0, r_max], [1.0, 0.0], even=False)
     with pytest.raises(SpecValidationError, match="radii"):
         RadialProfile.from_function(lambda r: np.exp(-r**2), 1e200, 9)
+
+
+def test_profile_samples_are_bounded_before_they_are_laid_out(monkeypatch):
+    # 2^25 + 1 samples would lay out 268 MB and solve the spline over them
+    # in Python floats: the count is refused first, here against a bound of 64
+    monkeypatch.setattr(grids, "MAX_NODES", 64)
+    assert len(RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 64).radii) == 64
+    with pytest.raises(SpecValidationError, match="samples"):
+        RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 65)
+
+
+def test_grid_from_function_checks_the_values_it_samples():
+    # the values pass GridFunction's checks: a NaN, or a shape off the layout's nodes
+    box = [(0.0, 1.0), (0.0, 1.0)]
+    with pytest.raises(SpecValidationError, match="finite"):
+        grid_from_function(box, (4, 4), lambda c: np.full(c.shape[:-1], np.nan))
+    with pytest.raises(SpecValidationError, match="shape"):
+        grid_from_function(box, (4, 4), lambda c: np.zeros(3))
 
 
 def test_observed_order_of_a_vanishing_error_is_inf_or_nan():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finslerheat import norms
+from finslerheat import cli, norms
 from finslerheat.errors import ConvergenceError, DomainError, SpecValidationError
 
 EUCLID = norms.euclidean(2)
@@ -417,8 +417,8 @@ def test_json_round_trip():
     ]
     xi = np.random.default_rng(43).standard_normal((20, 2))
     for spec, text in literals:
-        again = norms.NormSpec.from_dict(json.loads(text))
-        assert again == spec
+        again = cli._norm(json.loads(text), "norm")
+        assert again == spec and hash(again) == hash(spec)
         np.testing.assert_array_equal(norms.eval_norm(again, xi),
                                       norms.eval_norm(spec, xi))
 

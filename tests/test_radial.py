@@ -131,6 +131,30 @@ def test_short_profile_tail_is_flagged():
         radial_heat_profile(prof, 2, np.array([1.5]), 0.5)
 
 
+def test_quadrature_lays_out_at_most_max_nodes(monkeypatch):
+    # at t = 0.05 the sum starts at 16 nodes on each of 16 unit panels: a
+    # bound below 256 refuses the start before it is laid out, and a bound
+    # of 256 stops the doubling, as the 4096-node ceiling does
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 16.0, 1025)
+    rho = np.linspace(0.0, 2.0, 5)
+    monkeypatch.setattr(radial, "MAX_NODES", 255)
+    with pytest.raises(DomainError, match="quadrature nodes"):
+        radial_heat_profile(prof, 2, rho, 0.05)
+    monkeypatch.setattr(radial, "MAX_NODES", 256)
+    with pytest.raises(ConvergenceError) as info:
+        radial_heat_profile(prof, 2, rho, 0.05)
+    np.testing.assert_array_equal(info.value.best, _representation_sum(prof, 2, rho, 0.05, 16))
+    monkeypatch.setattr(radial, "MAX_NODES", 512)
+    assert np.all(np.isfinite(radial_heat_profile(prof, 2, rho, 0.05)))
+
+
+def test_quadrature_refuses_a_profile_reaching_max_radius_at_small_t():
+    # 10^6 unit panels of 128 nodes would be 1.28e8 nodes and 1 GB an array
+    prof = RadialProfile([0.0, 1e6], [0.0, 0.0], even=False)
+    with pytest.raises(DomainError, match="quadrature nodes"):
+        radial_heat_profile(prof, 2, np.zeros(1), 1e-4)
+
+
 def test_unsettled_quadrature_reports_the_last_change(monkeypatch):
     # with a zero tolerance no doubling settles: the error carries the last
     # sum and its change against the sum before it.  The sums run from the
