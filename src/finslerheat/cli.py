@@ -222,13 +222,12 @@ def _measure(source: dict, spec: norms.NormSpec) -> measures.MeasureSpec:
 
 def _dual(value, what: str) -> norms.DualEvalConfig | None:
     """The `sphere_maximization` settings that `dual` selects, or None for
-    the closed forms (method `auto`); the settings are checked either way."""
-    c = _section(value, what, {}, {"method": _one_of("auto", "sphere_maximization"),
-                                   "sphere_samples": integer, "refinement_iters": integer,
-                                   "tolerance": _positive})
-    method = c.pop("method", "auto")
-    oracle = norms.DualEvalConfig(**c)
-    return oracle if method == "sphere_maximization" else None
+    the closed forms (method `auto`, the default, which takes no settings)."""
+    oracle = isinstance(value, dict) and value.get("method") == "sphere_maximization"
+    settings = {"sphere_samples": integer, "tolerance": _positive} if oracle else {}
+    c = _section(value, what, {}, {"method": _one_of("auto", "sphere_maximization"), **settings})
+    c.pop("method", None)
+    return norms.DualEvalConfig(**c) if oracle else None
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .errors import ConvergenceError, DomainError, SpecValidationError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SCAN_ENTRIES = 1 << 18     # row-direction pairs per block of the sphere scan
+_GOLDEN_STEPS = 20          # golden-section steps of each line search of the oracle
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,7 @@ class NormSpec:
                     "p_norm requires 1 < p < inf (endpoints break C^1 smoothness "
                     "and strict convexity of the unit ball)")
         elif self.family == "ellipse":
-            M = self._matrix()
+            M = self._table("matrix")
             if M.shape != (self.dimension, self.dimension):
                 raise SpecValidationError("ellipse matrix shape mismatch")
             if not np.allclose(M, M.T, atol=1e-12):
@@ -84,9 +85,7 @@ class NormSpec:
         elif self.family == "smoothed_polytope":
             if self.epsilon is None or self.epsilon <= 0:
                 raise SpecValidationError("smoothed_polytope requires epsilon > 0")
-            D = self._directions()
-            if D.shape[1] != self.dimension:
-                raise SpecValidationError("direction dimension mismatch")
+            D = self._table("directions")
             if np.linalg.matrix_rank(D) < self.dimension:
                 raise SpecValidationError(
                     "smoothed_polytope needs >= N linearly independent directions")
@@ -95,22 +94,27 @@ class NormSpec:
         else:
             raise SpecValidationError(f"unknown norm family {self.family!r}")
 
-    def _matrix(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float)
-
-    def _directions(self) -> np.ndarray:
-        return np.asarray(self.directions, dtype=float)
+    def _table(self, name: str) -> np.ndarray:
+        """The param `name` as rows of N numbers, shape (k, N); anything
+        else, absent or ragged rows included, is refused."""
+        try:
+            rows = np.asarray(getattr(self, name), dtype=float)
+        except (TypeError, ValueError):
+            rows = None
+        if rows is None or rows.ndim != 2 or rows.shape[1] != self.dimension:
+            raise SpecValidationError(
+                f"{self.family} {name} must be rows of {self.dimension} numbers")
+        return rows
 
     def _quadratic_form(self) -> np.ndarray:
         """The SPD matrix Q with H(xi)^2 = xi^T Q xi, for quadratic families."""
         if self.family == "euclidean":
             return np.eye(self.dimension)
         if self.family == "ellipse":
-            return self._matrix()
+            return self._table("matrix")
         if self.family == "smoothed_polytope":
-            D = self._directions()
-            Q = D.T @ D + len(D) * self.epsilon**2 * np.eye(self.dimension)
-            return Q
+            D = self._table("directions")
+            return D.T @ D + len(D) * self.epsilon**2 * np.eye(self.dimension)
         raise DomainError(f"{self.family} is not a quadratic-form norm")
 
     def label(self) -> str:
@@ -146,10 +150,11 @@ def smoothed_polytope(directions: np.ndarray, epsilon: float) -> NormSpec:
 
 @dataclass(frozen=True)
 class DualEvalConfig:
-    """Settings of the sphere-maximization oracle (`sphere_maximization`)."""
+    """Settings of the sphere-maximization oracle (`sphere_maximization`):
+    the directions of its scan and the largest gap it accepts.  Its three
+    great-circle rounds of `_GOLDEN_STEPS` steps each are fixed."""
 
     sphere_samples: int = 2048
-    refinement_iters: int = 20
     tolerance: float = 1e-9
 
     def __post_init__(self):
@@ -157,10 +162,6 @@ class DualEvalConfig:
             raise SpecValidationError("tolerance must be finite and positive")
         if self.sphere_samples < 2:
             raise SpecValidationError("sphere_samples too small")
-        # 80 golden-section rounds leave 2e-17 of a bracket; more cannot narrow it
-        if not (isinstance(self.refinement_iters, (int, np.integer))
-                and 0 <= self.refinement_iters <= 100):
-            raise SpecValidationError("refinement_iters must be an integer in [0, 100]")
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +317,18 @@ def _ratio(spec: NormSpec, X: np.ndarray, D: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ D[:, :, None])[:, 0, 0] / eval_norm(spec, D)
 
 
-def _circle(theta: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-
 def _unit(D: np.ndarray) -> np.ndarray:
     return D / np.sqrt(D[:, None, :] @ D[:, :, None])[:, 0]  # bitwise np.linalg.norm(d)
 
 
-def _golden_max(spec: NormSpec, X: np.ndarray, direction, lo, hi, iters: int):
+def _golden_max(spec: NormSpec, X: np.ndarray, direction, lo, hi):
     """Golden-section maximization of x.d / H(d) along d = direction(s), one
     bracket [lo, hi] of s per row x of X; returns the best s and value per row.
     """
     a, b = lo, hi
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = _ratio(spec, X, direction(c)), _ratio(spec, X, direction(d))
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         left = fc >= fd                 # the maximum lies in [a, d]
         a, b = np.where(left, a, c), np.where(left, d, b)
         c, d = (np.where(left, b - _GOLDEN * (b - a), d),
@@ -342,8 +339,10 @@ def _golden_max(spec: NormSpec, X: np.ndarray, direction, lo, hi, iters: int):
     return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def _tangent_basis(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal tangents at each row of D, unit vectors in R^3."""
+def _tangents(D: np.ndarray) -> tuple:
+    """The N - 1 orthonormal tangents at each unit row of D, for N = 2 or 3."""
+    if D.shape[1] == 2:
+        return (np.stack([-D[:, 1], D[:, 0]], axis=-1),)
     t1 = _unit(np.cross(D, np.eye(3)[np.argmin(np.abs(D), axis=1)]))
     return t1, np.cross(D, t1)
 
@@ -355,8 +354,10 @@ def sphere_maximization(spec: NormSpec, x: np.ndarray,
 
     Each point is maximized once, and a zero point gives (0, 0): a
     quasi-uniform sphere scan in blocks of at most `_SCAN_ENTRIES`
-    point-direction pairs, then golden-section refinement in each point's
-    best cell.  Values are lower bounds, tight to about (final cell size)^2;
+    point-direction pairs, exact for N = 1.  For N = 2 and 3, three rounds
+    follow of one golden-section search per tangent t at the best direction
+    d, along cos(s) d + sin(s) t with |s| <= delta, the scan's cell size
+    shrunk 20x per round.  Values are lower bounds with the gap delta^2;
     points that miss the tolerance raise one ConvergenceError, for the
     worst gap.  The maximizer satisfies H(grad H0(x)) = 1 by construction.
     """
@@ -372,27 +373,18 @@ def sphere_maximization(spec: NormSpec, x: np.ndarray,
     rows = max(1, _SCAN_ENTRIES // len(dirs))
     for i in range(0, len(X), rows):
         best[i:i + rows] = np.argmax(X[i:i + rows] @ dirs.T / H_dirs, axis=1)
-    d_best, iters = dirs[best], cfg.refinement_iters
-    v_best, gap = _ratio(spec, X, d_best), np.zeros(len(X))   # exact for N = 1
-
-    if N == 2:
-        delta = 2.0 * np.pi / cfg.sphere_samples
-        theta0 = np.arctan2(d_best[:, 1], d_best[:, 0])
-        theta, v_best = _golden_max(spec, X, _circle, theta0 - delta,
-                                    theta0 + delta, iters)
-        step = delta * _GOLDEN**iters
-        gap = np.abs(v_best - np.maximum(_ratio(spec, X, _circle(theta - step)),
-                                         _ratio(spec, X, _circle(theta + step))))
-        d_best = _circle(theta)
-    elif N == 3:
-        delta = 2.2 * np.sqrt(4.0 * np.pi / cfg.sphere_samples)
-        for _ in range(3):   # alternating tangent-coordinate refinement
-            for t in _tangent_basis(d_best):
-                line = lambda s: _unit(d_best + np.reshape(s, (-1, 1)) * t)
-                s, v_best = _golden_max(spec, X, line, -delta, delta, iters)
-                d_best = _unit(d_best + s[:, None] * t)
+    d_best = dirs[best]
+    v_best, delta = _ratio(spec, X, d_best), 0.0    # exact for N = 1
+    if N > 1:
+        delta = (2.0 * np.pi / cfg.sphere_samples if N == 2
+                 else 2.2 * np.sqrt(4.0 * np.pi / cfg.sphere_samples))
+        for _ in range(3):
+            for t in _tangents(d_best):
+                circle = lambda s: np.cos(s)[..., None] * d_best + np.sin(s)[..., None] * t
+                s, v_best = _golden_max(spec, X, circle, -delta, delta)
+                d_best = circle(s)
             delta *= 0.05
-        gap = np.full(len(X), delta**2)
+    gap = np.full(len(X), delta**2)
     live = np.any(X != 0.0, axis=1)
     failed = live & (gap > np.maximum(cfg.tolerance, 1e-12 * (1.0 + np.abs(v_best))))
     if np.any(failed):

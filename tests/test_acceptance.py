@@ -99,7 +99,7 @@ def nested_run():
 def test_criterion_01_norm_identity_suite():
     closed = [EUCLID, norms.p_norm(1.5, 2), norms.p_norm(2, 2),
               norms.p_norm(3, 2), norms.p_norm(4, 2), ELLIPSE, ROTATED]
-    numeric_cfg = norms.DualEvalConfig(sphere_samples=4096, refinement_iters=48)
+    numeric_cfg = norms.DualEvalConfig(sphere_samples=4096)
     closed_tols = {"duality_inequality": 1e-10, "grad_on_dual_sphere": 1e-8,
                    "dual_grad_on_primal_sphere": 1e-8, "inversion_primal": 1e-6,
                    "inversion_dual": 1e-6}

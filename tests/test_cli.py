@@ -168,7 +168,7 @@ def test_identity_suite_and_cli_tolerances_list_the_same_names(tmp_path, dual):
 
 
 @pytest.mark.parametrize("dual", [{"method": "sphere_maximisation"},
-                                  {"method": "auto", "tolerance": -1.0}])
+                                  {"method": "sphere_maximization", "tolerance": -1.0}])
 def test_verify_norms_rejects_a_bad_dual_setting(tmp_path, capsys, dual):
     cfg = {"seed": 1, "samples": 20, "norms": [ELLIPSE_JSON], "dual": dual}
     code, outdir = _run(tmp_path, "verify-norms", cfg)
@@ -179,7 +179,7 @@ def test_verify_norms_rejects_a_bad_dual_setting(tmp_path, capsys, dual):
 
 def test_verify_norms_unconverged_oracle_exits_3(tmp_path, capsys):
     cfg = {"seed": 1, "samples": 50, "norms": [ELLIPSE_JSON],
-           "dual": {"method": "sphere_maximization", "refinement_iters": 1}}
+           "dual": {"method": "sphere_maximization", "sphere_samples": 4}}
     code, _ = _run(tmp_path, "verify-norms", cfg)
     assert code == 3
     assert "non-convergence" in capsys.readouterr().err
@@ -613,13 +613,13 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
     ("radial-solve", _RADIAL, ("profile", "samples"), INF),
     ("verify-norms", _VERIFY, ("samples",), INF),
     ("verify-norms", _VERIFY, ("seed",), INF),
-    ("verify-norms", _VERIFY, ("dual",), {"sphere_samples": INF}),
-    ("verify-norms", _VERIFY, ("dual",), {"refinement_iters": INF}),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
+                                          "sphere_samples": INF}),
     ("verify-exact", _EXACT, ("cases", 0, "levels"), INF),
     ("simulate", _SIMULATE, ("inner",), {"tolerance": INF}),
     ("simulate", _SIMULATE, ("inner",), {"tolerance": NAN}),
     ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
-                                          "refinement_iters": 1, "tolerance": NAN}),
+                                          "tolerance": NAN}),
     ("simulate", _SIMULATE, ("monitors",), {"lambda": NAN}),
     ("simulate", _SIMULATE, ("monitors",), {"lambda": INF}),
     ("radial-solve", _RADIAL, ("times",), [INF]),
@@ -628,8 +628,6 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
                                              "samples": 1e15}),
     ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
                                           "sphere_samples": 1e15}),
-    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
-                                          "refinement_iters": 1e300}),
     ("verify-exact", _EXACT, ("cases", 0, "levels"), 1e300),
     ("verify-norms", _VERIFY, ("norms",), [{"family": "ellipse", "dimension": 3,
                                             "params": {"matrix": [[4, 0], [0, 1]]}}]),
@@ -699,14 +697,16 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
      ("problem",), {"radius": 1.0, "spacing": 0.125, "tau": 0.01, "t_end": 0.05, "datum": {
          "kind": "radial", "profile": {"type": "gaussian", "r_max": 1.5}}}),
     ("radial-solve", _RADIAL, ("profile", "samples"), 2**25 + 1),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "auto", "sphere_samples": 4,
+                                          "tolerance": 1e-300}),
     ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
         "radial-samples-inf", "verify-samples-inf", "seed-inf", "sphere-samples-inf",
-        "refinement-iters-inf", "levels-inf", "inner-tolerance-inf",
+        "levels-inf", "inner-tolerance-inf",
         "inner-tolerance-nan", "dual-tolerance-nan", "lambda-nan", "lambda-inf",
         "times-inf", "verify-samples-1e15", "radial-samples-1e15",
-        "sphere-samples-1e15", "refinement-iters-1e300", "levels-1e300",
+        "sphere-samples-1e15", "levels-1e300",
         "ellipse-dimension-3", "ellipse-typo-param", "polytope-dimension-3",
         "euclidean-with-p", "norm-typo-key", "dimension-2.7", "seed-1.7",
         "samples-20.9", "levels-2.9", "resolution-16.5", "max-iters-10.5",
@@ -721,7 +721,7 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "steps-overflow", "window-nodes-unbounded", "ball-nodes-unbounded",
         "profile-r-max-1e300", "profile-r-max-1e200", "gauss-max-residual",
         "singular-order-window", "gauss-params-lam", "talenti-t", "compare-profile-too-short",
-        "radial-samples-past-max-nodes", "compare-path-number"])
+        "radial-samples-past-max-nodes", "dual-auto-with-settings", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that

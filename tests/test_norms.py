@@ -14,9 +14,8 @@ ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
 P4 = norms.p_norm(4, 2)
 SQUARE = norms.smoothed_polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.05)
 
-NUMERIC_CFG = norms.DualEvalConfig(sphere_samples=4096, refinement_iters=48)
-NUMERIC_3D_CFG = norms.DualEvalConfig(sphere_samples=8192, refinement_iters=40,
-                                      tolerance=1e-6)
+NUMERIC_CFG = norms.DualEvalConfig(sphere_samples=4096)
+NUMERIC_3D_CFG = norms.DualEvalConfig(sphere_samples=8192, tolerance=1e-6)
 
 
 def central_difference_gradient(fn, xi: np.ndarray, h: Optional[float] = None) -> np.ndarray:
@@ -345,11 +344,11 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
 
 
 @pytest.mark.parametrize("spec, samples", [
-    (P4, 2048), (norms.ellipse(np.diag([4.0, 1.0, 2.25])), 64)])
+    (P4, 4), (norms.ellipse(np.diag([4.0, 1.0, 2.25])), 64)])
 def test_numeric_dual_raises_once_for_the_worst_gap(spec, samples):
-    # one golden-section iteration cannot reach the default tolerance; the
-    # N = 3 gap is set by the sample count alone, so it takes a coarse scan
-    cfg = norms.DualEvalConfig(sphere_samples=samples, refinement_iters=1)
+    # the gap is set by the sample count alone, so a coarse scan cannot
+    # reach the default tolerance
+    cfg = norms.DualEvalConfig(sphere_samples=samples)
     x = np.random.default_rng(59).standard_normal((40, spec.dimension))
     x[0] = 0.0     # a zero row is exact and never the one reported
     H0, xi = norms.sphere_maximization(spec, x[0], cfg)
@@ -399,6 +398,17 @@ def test_polytope_needs_spanning_directions():
         norms.smoothed_polytope(np.array([[1.0, 0.0]]), 0.05)
     with pytest.raises(SpecValidationError):
         norms.smoothed_polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.0)
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "smoothed_polytope", "epsilon": 0.1},
+    {"family": "smoothed_polytope", "epsilon": 0.1, "directions": ((1.0, 0.0), (0.0,))},
+    {"family": "ellipse", "matrix": ((4.0, 0.0), (0.0,))},
+], ids=["polytope-without-directions", "polytope-ragged-directions", "ellipse-ragged-matrix"])
+def test_malformed_rows_are_spec_errors(params):
+    # these raised IndexError and numpy's inhomogeneous-shape ValueError
+    with pytest.raises(SpecValidationError, match="must be rows of 2 numbers"):
+        norms.NormSpec(dimension=2, **params)
 
 
 def test_dimension_mismatch_raises():
