@@ -24,18 +24,25 @@ whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary band,
 the box preconditioner, whose DST-I is scipy's on numpy's real FFT
 (`_dst1`), and its own CG, scipy's `cg` step for step, with inner products
-in a fixed order: no bit depends on the BLAS thread count) and takes one
-path per norm family.  Quadratic families take one CG solve of the SPD system
-(I/tau + K) u = u_prev/tau, preconditioned by the DST-I inverse of I/tau + K
-on the box (Concus and Golub's fictitious-domain fast-Poisson solver; the
-symbol is `operators.stencil_symbol` of the same cached stencil) when the
-datum is below the stopping tolerance on the band of free nodes within the
-stencil's reach of a clamped node, where the box and masked operators differ.
-p-norms take damped Newton steps on the exact objective; each iterate's faces
-are evaluated once, by one `FaceKernel.form` (`_face_state`), which its
-gradient and, once accepted, its Newton Hessian (an `operators.FaceHessian`,
-the same form over DA) both read, bit for bit as separate evaluations.  Every
-returned step is a descent point of the monitored energy.  The explicit scheme
+in a fixed order, so that no bit depends on the BLAS thread count, and its
+products in buffers of the solve) and takes one path per norm family.  The
+one box solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
+fast-Poisson solver: the DST-I inverse on the bounding box of an operator
+given by its symbol (`operators.stencil_symbol`), then masked.  Quadratic
+families take one CG solve of the SPD system (I/tau + K) u = u_prev/tau,
+preconditioned by the box inverse of I/tau + K (the symbol of the same
+cached stencil) when the datum is below the stopping tolerance on the band
+of free nodes within the stencil's reach of a clamped node, where the box
+and masked operators differ.  p-norms take damped Newton steps on the exact
+objective; each iterate's faces are evaluated once, by one `FaceKernel.form`
+(`_face_state`), which its gradient and, once accepted, its Newton Hessian
+(an `operators.FaceHessian`, the same form over DA) both read, bit for bit
+as separate evaluations.  For p >= 2 each Newton CG is preconditioned by the
+box inverse of I/tau + (1/N) G^T diag(c) G, c_k the median over the faces
+of the Hessian's positive DA_kk, whose symbol is sum_k c_k sigma_k over the
+symbols of the unit forms, built once per solve; for p < 2, where DA_kk is
+unbounded as xi_k -> 0, CG is plain.  Every returned step is a descent
+point of the monitored energy.  The explicit scheme
 advances with the face-flux operator under the usual parabolic step
 restriction; its step (`_explicit_stepper`) and the energy reading are built
 once per solve too.
@@ -60,13 +67,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, SpecValidationError, StabilityError
 from .grids import GridFunction, empty_layout
-from .measures import MeasureSpec, _ball_kernel, fftconvolve, mollify, next_fast_len
+from .measures import (MeasureSpec, _ball_kernel, fftconvolve, kernel_spectrum, mollify,
+                       next_fast_len)
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
 from .operators import (FaceHessian, FaceKernel, _face_flux_divergence, apply_operator,
@@ -247,16 +256,23 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
     return mask & near
 
 
-def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray, tau: float):
-    """r -> mask * (I/tau + K)^-1 r on shaped fields, with K replaced by the
-    box operator that the DST-I diagonalizes: its inverse on the nodes off
-    the box edge, tau r on the box edge.  SPD on the masked fields; exact
-    for axis-symmetric stencils away from the clamped nodes and the box's
-    far side.  The divisor is 1/tau + the DST-I symbol of the stencil
-    (`operators.stencil_symbol`), each side n - 2 of the box zero-padded to
-    the nearest length whose transform, 2 (n - 1) long unpadded, is fast."""
-    lengths = tuple(next_fast_len(n - 1) - 1 for n in mask.shape)
-    divisor = stencil_symbol(_face_energy_gradient, spec, spacings, lengths) + 1.0 / tau
+def _box_lengths(shape: tuple) -> tuple:
+    """The box that `_box_preconditioner` transforms for fields of `shape`:
+    each side n - 2 off the box edge zero-padded to the nearest length whose
+    DST-I, 2 (n - 1) long unpadded, is fast."""
+    return tuple(next_fast_len(n - 1) - 1 for n in shape)
+
+
+def _box_preconditioner(mask: np.ndarray, tau: float, divisor: np.ndarray):
+    """r -> mask * B^-1 r on shaped fields, B the box operator that the DST-I
+    diagonalizes with eigenvalues `divisor` on the box of `_box_lengths`:
+    its inverse on the nodes off the box edge, tau r on the box edge.  SPD
+    on the masked fields where the divisor is positive.  The divisor is
+    1/tau + the DST-I symbol of a stencil (`operators.stencil_symbol`),
+    read at each call: quadratic families pass that of K, so that B^-1 is
+    (I/tau + K)^-1, exact for axis-symmetric stencils away from the clamped
+    nodes and the box's far side; the p-norm Newton steps refill theirs."""
+    lengths = divisor.shape
     interior = (slice(1, -1),) * mask.ndim
     box = tuple(slice(0, n - 2) for n in mask.shape)
     off = ~mask
@@ -276,6 +292,29 @@ def _box_preconditioner(spec: NormSpec, spacings: tuple, mask: np.ndarray, tau: 
     return psolve
 
 
+@lru_cache(maxsize=None)
+def _unit_face_form(k: int):
+    """The face op x -> (1/N) G^T e_k e_k^T G x: the `operators.FaceHessian`
+    with DA_kk = 1 on every face and every other entry 0.  One op per k, so
+    that `constant_stencil` caches its stencil per (spec, spacing)."""
+    def form(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
+        N = values.ndim
+        unit = {(i, j): float(i == j == k) for i in range(N) for j in range(i, N)}
+        return FaceHessian(values.shape, spacings, [unit] * N)(values)
+    return form
+
+
+def _face_median_divisor(divisor: np.ndarray, symbols: list, hessian: FaceHessian,
+                         tau: float) -> None:
+    """Refill `divisor` with 1/tau + sum_k c_k sigma_k, sigma_k the symbol of
+    `_unit_face_form`(k) and c_k the median of the Newton Hessian's DA_kk
+    over the faces, of every family, where it is positive."""
+    divisor.fill(1.0 / tau)
+    for k, sigma in enumerate(symbols):
+        entries = np.concatenate([J[k, k].ravel() for J in hessian.jacobians])
+        divisor += float(np.median(entries[entries > 0.0])) * sigma
+
+
 def _dst1(shape: tuple):
     """x -> the DST-I of x in place, `scipy.fft.dstn(x, type=1)` bit for bit,
     and with inverse=True `idstn(x, type=1)`, on arrays of `shape`.
@@ -284,20 +323,27 @@ def _dst1(shape: tuple):
     -Im rfft(0, x, 0, -x reversed)[1 : n + 1], numpy's real FFT of the odd
     extension, as scipy's pocketfft forms it; the inverse scales by
     1 / prod 2 (n + 1), rounded from long double, once, on the first axis.
-    The extensions and spectra are buffers built here, one pair per axis;
-    their zero entries are never written."""
+    Each axis's extension and spectrum are views of two buffers built here
+    and shared by the axes, which run one at a time, so the extension's two
+    zero planes are written before each use."""
+    size = math.prod(shape)
+    ext_buffer = np.empty(max(size // n * 2 * (n + 1) for n in shape))
+    spectrum_buffer = np.empty(max(size // n * (n + 2) for n in shape), dtype=complex)
     buffers = []
     for axis, n in enumerate(shape):
-        ext = np.zeros(shape[:axis] + (2 * (n + 1),) + shape[axis + 1:])
-        spectrum = np.empty(shape[:axis] + (n + 2,) + shape[axis + 1:], dtype=complex)
+        ext_shape = shape[:axis] + (2 * (n + 1),) + shape[axis + 1:]
+        spectrum_shape = shape[:axis] + (n + 2,) + shape[axis + 1:]
+        ext = ext_buffer[:math.prod(ext_shape)].reshape(ext_shape)
+        spectrum = spectrum_buffer[:math.prod(spectrum_shape)].reshape(spectrum_shape)
         cut = (slice(None),) * axis
-        buffers.append((ext, spectrum, ext[cut + (slice(1, n + 1),)],
-                        ext[cut + (slice(2 * n + 1, n + 1, -1),)],
+        buffers.append((ext, spectrum, ext[cut + (slice(None, None, n + 1),)],
+                        ext[cut + (slice(1, n + 1),)], ext[cut + (slice(2 * n + 1, n + 1, -1),)],
                         spectrum.imag[cut + (slice(1, n + 1),)]))
     scale = -float(1 / np.longdouble(math.prod(2 * (n + 1) for n in shape)))
 
     def transform(x: np.ndarray, inverse: bool = False) -> None:
-        for axis, (ext, spectrum, head, tail, imag) in enumerate(buffers):
+        for axis, (ext, spectrum, zeros, head, tail, imag) in enumerate(buffers):
+            zeros.fill(0.0)
             head[...] = x
             np.negative(x, out=tail)
             np.fft.rfft(ext, axis=axis, out=spectrum)
@@ -318,28 +364,33 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     """The prox map of one (spec, spacings, mask, tau, inner), built once:
     step(v) minimizes J(u) = ||u - v||^2/(2 tau) + psi(u) over masked
     fields and returns (u, stats), stats by monitor name: inner_iterations,
-    the CG iterations, and for quadratic families preconditioned, whether
-    CG was preconditioned.
+    the CG iterations, and preconditioned, whether CG was preconditioned.
 
     Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
     masked v, K u = `energy_gradient`(u), preconditioned by the box inverse
-    of its stencil (`_box_preconditioner`, built at the first such step)
-    when v/tau is below the stopping tolerance in L^2 on the boundary band
-    (`_boundary_band`, built once), where the box and masked operators
-    differ.  `cg` stops on the unpreconditioned residual on both paths.
+    of I/tau + K (`_box_preconditioner` on the symbol of K's stencil, built
+    at the first such step) when v/tau is below the stopping tolerance in
+    L^2 on the boundary band (`_boundary_band`, built once), where the box
+    and masked operators differ.
 
     p-norms: inexact Newton from the masked v, CG on I/tau + (1/N) G^T
     DA(G u) G with DA, the duality map's Jacobian, from the face state of
     the accepted iterate (the last point the line search evaluated), to the
-    relative residual min(0.5, sqrt(||grad J|| / (1 + ||v||))).  A step past
-    the minimum of J along d is cut to the secant root of J' (Newton
-    overshoots where the p < 2 flux is only Hoelder), then backtracked
-    (Armijo) on J, up to its rounding, so J(u) <= J(v).
+    relative residual min(0.5, sqrt(||grad J|| / (1 + ||v||))).  For
+    p >= 2 each Newton step's CG is preconditioned by the box inverse of
+    I/tau + (1/N) G^T diag(c) G, c_k the median of the Hessian's positive
+    DA_kk (`_face_median_divisor`; the symbols of the unit forms and the
+    box are built once); for p < 2, where DA_kk is unbounded as xi_k -> 0,
+    CG is plain.  A step past the minimum of J along d is cut to the secant
+    root of J' (Newton overshoots where the p < 2 flux is only Hoelder),
+    then backtracked (Armijo) on J, up to its rounding, so J(u) <= J(v).
 
-    Both stop at ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); past
-    max_iters CG iterations they raise ConvergenceError(best=u, gap).
+    `cg` stops on the unpreconditioned residual on every path.  Both stop
+    at ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); past max_iters CG
+    iterations they raise ConvergenceError(best=u, gap).
     """
     spacings, vol, off = tuple(spacings), float(np.prod(spacings)), ~mask
+    work = np.empty(mask.shape)     # the products of `cg` and its matvec
 
     def cg(hessian, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int, psolve=None):
         """scipy's `cg` of (I/tau + hessian) x = b on masked fields, from x (updated
@@ -348,7 +399,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
         def apply(y: np.ndarray) -> np.ndarray:  # y vanishes off the mask, h is clamped
             h = hessian(y)
             np.copyto(h, 0.0, where=off)
-            h += y / tau
+            h += np.divide(y, tau, out=work)
             return h
         atol, r = atol / np.sqrt(vol), (b - apply(x) if x.any() else b.copy())
         for iters in range(maxiter):
@@ -363,8 +414,8 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 p = z.copy()
             q = apply(p)
             alpha, rho_prev = rho / _dot(p, q), rho
-            x += alpha * p
-            r -= alpha * q
+            x += np.multiply(p, alpha, out=work)
+            r -= np.multiply(q, alpha, out=work)
         return x, maxiter, False
 
     def fail(w, gap):
@@ -378,7 +429,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             rhs, atol = u / tau, inner.tolerance * (1.0 + _l2(u, vol))
             quiet = _l2(rhs[band], vol) < atol
             if quiet and not box:
-                box.append(_box_preconditioner(spec, spacings, mask, tau))
+                lengths = _box_lengths(mask.shape)
+                box.append(_box_preconditioner(mask, tau, stencil_symbol(
+                    _face_energy_gradient, spec, spacings, lengths) + 1.0 / tau))
             w, iters, converged = cg(lambda x: energy_gradient(x, spec, spacings), rhs,
                                      u.copy(), atol, inner.max_iters, box[0] if quiet else None)
             if not converged:   # the budget is spent: accept w only if its gap is in tolerance
@@ -388,6 +441,14 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                     raise fail(w, gap)
             return w, {"inner_iterations": iters, "preconditioned": quiet}
         return quadratic_step
+
+    precondition = spec.p >= 2.0
+    if precondition:
+        lengths = _box_lengths(mask.shape)
+        symbols = [stencil_symbol(_unit_face_form(k), spec, spacings, lengths)
+                   for k in range(mask.ndim)]
+        divisor = np.empty(lengths)
+        box_solve = _box_preconditioner(mask, tau, divisor)
 
     def newton_step(values: np.ndarray):
         u = np.where(mask, values, 0.0)
@@ -406,8 +467,13 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             if iters >= inner.max_iters:
                 raise fail(w, gn)
             # `state` is w's: w is the last point grad_and_value evaluated
-            d, steps, _ = cg(_newton_hessian(w, spec, spacings, state), -g, np.zeros_like(g),
-                             min(0.5, np.sqrt(gn / scale)) * gn, inner.max_iters - iters)
+            hessian = _newton_hessian(w, spec, spacings, state)
+            if precondition:
+                _face_median_divisor(divisor, symbols, hessian, tau)
+            d, steps, _ = cg(hessian, -g, np.zeros_like(g),
+                             min(0.5, np.sqrt(gn / scale)) * gn, inner.max_iters - iters,
+                             box_solve if precondition else None)
+            del hessian     # its buffers are not held through the line search
             iters += steps
             slope = float(np.sum(g * d)) * vol
             alpha, trial = 1.0, w + d
@@ -421,7 +487,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 trial = w + alpha * d
                 g_new, J_new, state = grad_and_value(trial)
             w, g, Jw = trial, g_new, J_new
-        return w, {"inner_iterations": iters}
+        return w, {"inner_iterations": iters, "preconditioned": precondition}
     return newton_step
 
 
@@ -489,13 +555,15 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     the horizon 1/(4 lam) on (1 - 4 lam t <= 1e-12).  With ell:
     weighted_l1_local, the sup over the mask (or every node) of the
     integral of e^(-H0^2 (1+t^ell)) |u| over the unit H0-ball around it
-    (`measures.fftconvolve`).  Node sums times the cell volume.
+    (`measures.fftconvolve`, the ball's spectrum transformed once).  Node
+    sums times the cell volume.
     """
     _monitor_settings(lam, ell)
     vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing)
     lam_h2 = None if lam is None else lam * h0**2
     neg_h2 = None if ell is None else -(h0**2)
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
+    spectrum = None if ell is None else kernel_spectrum(kernel, h0.shape)
 
     def read(u: np.ndarray, t: float) -> dict:
         out = {"energy": psi(u), "mass": float(np.sum(u)) * vol}
@@ -506,7 +574,8 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
         elif lam is not None:
             out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
         if ell is not None:
-            conv = fftconvolve(np.exp(neg_h2 * (1.0 + t**ell)) * np.abs(u), kernel) * vol
+            conv = fftconvolve(np.exp(neg_h2 * (1.0 + t**ell)) * np.abs(u), kernel,
+                               spectrum) * vol
             out["weighted_l1_local"] = float(np.max(conv if mask is None else conv[mask]))
         return out
     return read

@@ -243,6 +243,7 @@ def _tridiagonal_solve(dl: list, d: list, du: list, b: list) -> list:
 
 
 MAX_RADIUS = 1e6       # the even-slope fit's r^4 overflows near 1e77
+MAX_VALUE = 1e100      # squares of such values, summed over MAX_NODES nodes, stay finite
 
 
 @dataclass
@@ -269,8 +270,9 @@ class RadialProfile:
         dx = np.diff(self.radii)
         if np.any(dx <= 0):
             raise SpecValidationError("radii must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise SpecValidationError("profile values must be finite")
+        if not np.all(np.abs(self.values) <= MAX_VALUE):     # NaN fails
+            raise SpecValidationError(
+                f"profile values must be finite and at most {MAX_VALUE:g} in magnitude")
         if self.even:
             # clamped zero slope realizes the even extension; reject data
             # that visibly contradicts it (quadratic fit through the first
@@ -320,8 +322,8 @@ class RadialProfile:
     def from_function(fn: Callable[[np.ndarray], np.ndarray], r_max: float,
                       samples: int = 1025, even: bool = True) -> "RadialProfile":
         """fn sampled on `samples` radii over [0, r_max], at most MAX_NODES of
-        them; a sample that overflows (or is NaN) is refused by the finite
-        check, unwarned."""
+        them; a sample that overflows, is NaN or exceeds MAX_VALUE is refused
+        by the value check, unwarned."""
         samples = int(samples)
         if samples > MAX_NODES:
             raise SpecValidationError(f"a profile takes at most {MAX_NODES} samples")

@@ -121,26 +121,42 @@ def irfftn(X: np.ndarray, shape, axes) -> np.ndarray:
     return out
 
 
-def fftconvolve(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def fftconvolve(field: np.ndarray, kernel: np.ndarray, spectrum=None) -> np.ndarray:
     """Linear convolution of two real arrays of equal rank, cropped to the
     centred `field.shape`: `scipy.signal.fftconvolve(field, kernel,
     mode="same")` step for step, so bit for bit.
 
     Axes where either side has length 1 broadcast instead of transforming;
-    the others are zero-padded to scipy's fast real-FFT length.
+    the others are zero-padded to scipy's fast real-FFT length.  `spectrum`,
+    the `kernel_spectrum` of the kernel for fields of this shape, spares
+    transforming the kernel again.
     """
     s1, s2 = field.shape, kernel.shape
-    axes = [a for a in range(field.ndim) if s1[a] != 1 and s2[a] != 1]
+    axes, fshape = _padded_axes(s1, s2)
     if axes:
-        fshape = [next_fast_len(s1[a] + s2[a] - 1) for a in axes]
-        spectrum = rfftn(field, fshape, axes) * rfftn(kernel, fshape, axes)
-        full = irfftn(spectrum, fshape, axes)
+        if spectrum is None:
+            spectrum = rfftn(kernel, fshape, axes)
+        full = irfftn(rfftn(field, fshape, axes) * spectrum, fshape, axes)
     else:
         full = field * kernel
     size = [s1[a] + s2[a] - 1 if a in axes else full.shape[a]
             for a in range(field.ndim)]
     start = [(n - m) // 2 for n, m in zip(size, s1)]
     return full[tuple(slice(b, b + m) for b, m in zip(start, s1))]
+
+
+def kernel_spectrum(kernel: np.ndarray, shape: tuple):
+    """The kernel's transform that `fftconvolve` of fields of `shape`
+    multiplies by, or None where it transforms no axis."""
+    axes, fshape = _padded_axes(shape, kernel.shape)
+    return rfftn(kernel, fshape, axes) if axes else None
+
+
+def _padded_axes(s1: tuple, s2: tuple) -> tuple:
+    """The axes `fftconvolve` transforms, those where neither shape has
+    length 1, and the fast real-FFT length each is zero-padded to."""
+    axes = [a for a in range(len(s1)) if s1[a] != 1 and s2[a] != 1]
+    return axes, [next_fast_len(s1[a] + s2[a] - 1) for a in axes]
 
 
 def _ball_kernel(spec: NormSpec, radius: float, spacing: Sequence[float]) -> np.ndarray:

@@ -436,7 +436,9 @@ def test_simulate_ellipse_representation_and_weighted_l2_check(tmp_path):
     (ELLIPSE_JSON, "implicit_proximal", 1.0, [0, 0, 0]),   # datum reaches it
     (ELLIPSE_JSON, "explicit_euler", 6.0, [0, 0, 0]),
     ({"family": "p_norm", "params": {"p": 3}, "dimension": 2}, "implicit_proximal",
-     6.0, [0, 0, 0]),
+     6.0, [0, 1, 1]),   # p >= 2: every Newton step's CG
+    ({"family": "p_norm", "params": {"p": 1.5}, "dimension": 2}, "implicit_proximal",
+     6.0, [0, 0, 0]),   # p < 2: plain CG
 ])
 def test_simulate_writes_whether_each_step_was_preconditioned(tmp_path, norm, scheme,
                                                                radius, want):
@@ -699,6 +701,8 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
     ("radial-solve", _RADIAL, ("profile", "samples"), 2**25 + 1),
     ("verify-norms", _VERIFY, ("dual",), {"method": "auto", "sphere_samples": 4,
                                           "tolerance": 1e-300}),
+    ("simulate", _SIMULATE, ("problem", "datum", "profile", "amplitude"), 1e300),
+    ("radial-solve", _RADIAL, ("profile", "amplitude"), 1e308),
     ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
@@ -721,7 +725,8 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "steps-overflow", "window-nodes-unbounded", "ball-nodes-unbounded",
         "profile-r-max-1e300", "profile-r-max-1e200", "gauss-max-residual",
         "singular-order-window", "gauss-params-lam", "talenti-t", "compare-profile-too-short",
-        "radial-samples-past-max-nodes", "dual-auto-with-settings", "compare-path-number"])
+        "radial-samples-past-max-nodes", "dual-auto-with-settings", "gaussian-amplitude-1e300",
+        "radial-amplitude-1e308", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that
@@ -740,7 +745,9 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
     # OverflowError from round(inf).  A case key or param that its kind does
     # not read (a bound never checked) passed with every row "pass", and a
     # comparison whose profile is too short for its reference wrote the
-    # monitors and the slice before it was refused
+    # monitors and the slice before it was refused.  A gaussian of amplitude
+    # 1e300 overflowed in the flow's L^2 norm and exited 3 with partial
+    # files, and radial-solve wrote u = 8e307 from an amplitude of 1e308
     monkeypatch.chdir(tmp_path)
     _grid_pair(tmp_path)
     code, outdir = _run(tmp_path, command, _mutated(base, path, value))

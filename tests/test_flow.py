@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.sparse.linalg import LinearOperator, cg
 
-from finslerheat import flow, norms, operators
+from finslerheat import flow, measures, norms, operators
 from finslerheat.errors import ConvergenceError, SpecValidationError, StabilityError
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               ball_mask, energy, energy_gradient,
@@ -277,7 +277,9 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
 
 def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(monkeypatch):
     """A p-norm prox builds one FaceKernel per gradient evaluation (its
-    `_face_state`) and one per Newton Hessian, and no other; the energy
+    `_face_state`) and one per Newton Hessian, and no other; at p >= 2 a
+    stepper built on a cold stencil cache builds one more per axis (the
+    unit forms of its preconditioner), on a warm one none; the energy
     gradient builds one."""
     spec = norms.p_norm(3, 2)
     lay = ball_layout(spec, 1.0, 1 / 8)
@@ -287,9 +289,13 @@ def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(monkeypatch):
     monkeypatch.setattr(FaceKernel, "__init__", _counting(calls, "kernel", FaceKernel.__init__))
     monkeypatch.setattr(flow, "_face_state", _counting(calls, "evaluation", flow._face_state))
     monkeypatch.setattr(flow, "_newton_hessian", _counting(calls, "build", flow._newton_hessian))
-    flow._prox_stepper(spec, lay.spacing, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))(v.values)
-    assert calls["evaluation"] > 2 and calls["build"] > 1
-    assert calls["kernel"] == calls["evaluation"] + calls["build"]
+    constant_stencil.cache_clear()
+    for cold in (spec.dimension, 0):
+        calls.update(kernel=0, evaluation=0, build=0)
+        flow._prox_stepper(spec, lay.spacing, mask, 1e-2,
+                           InnerSolverConfig(tolerance=1e-8))(v.values)
+        assert calls["evaluation"] > 2 and calls["build"] > 1
+        assert calls["kernel"] == calls["evaluation"] + calls["build"] + cold
     calls["kernel"] = 0
     energy_gradient(v.values, spec, lay.spacing)
     assert calls["kernel"] == 1
@@ -624,6 +630,50 @@ def test_newton_prox_backtracks_and_keeps_its_cg_counts():
     assert np.all(np.diff(mon["energy"]) <= 0.0)
 
 
+def test_newton_prox_preconditions_p3_and_keeps_its_cg_counts():
+    # p = 3 on the unit ball from a ridge exp(-8 x^2 - y^2/2), whose DA_yy is
+    # small (c_y about 0.4): each Newton CG is preconditioned by the box
+    # solve of the face-median stencil (plain: 48, 46, 49; with c = 1:
+    # 29, 27, 28), and the energy falls
+    spec = norms.p_norm(3, 2)
+    lay = ball_layout(spec, 1.0, 1 / 16)
+    x = lay.coords()
+    problem = FlowProblem(norm=spec, radius=1.0,
+                          datum=lay.with_values(np.exp(-8 * x[..., 0]**2 - 0.5 * x[..., 1]**2)),
+                          tau=1e-2, t_end=3e-2, inner=InnerSolverConfig(tolerance=1e-8))
+    mon = solve(problem).monitors
+    assert mon["inner_iterations"].tolist() == [0, 23, 29, 24]
+    assert mon["preconditioned"].tolist() == [0, 1, 1, 1]
+    assert np.all(np.diff(mon["energy"]) <= 0.0)
+
+
+@pytest.mark.parametrize("p, preconditioned", [(1.5, False), (2.0, True), (3.0, True)])
+def test_newton_steps_report_whether_they_were_preconditioned(p, preconditioned):
+    spec = norms.p_norm(p, 2)
+    lay = ball_layout(spec, 1.0, 1 / 8)
+    v = np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2)
+    step = flow._prox_stepper(spec, lay.spacing, ball_mask(spec, lay, 1.0), 1e-2,
+                              InnerSolverConfig(tolerance=1e-8))
+    assert step(v)[1]["preconditioned"] is preconditioned
+
+
+def test_preconditioned_newton_cg_grows_slowly_under_refinement(monkeypatch):
+    # one prox at p = 3, tau = 1e-2 from exp(-2 H0^2): CG iterations per
+    # Newton step grow by at most 1.5x per halving of h, on average from
+    # h = 1/16 to 1/64 (2.6, 2.9, 4.9 here; plain CG 4.1, 7.2, 12.5)
+    spec, per_step, newton_hessian = norms.p_norm(3, 2), [], flow._newton_hessian
+    for cells in (16, 32, 64):
+        lay = ball_layout(spec, 1.0, 1 / cells)
+        v = np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2)
+        calls = {"build": 0}
+        monkeypatch.setattr(flow, "_newton_hessian",
+                            _counting(calls, "build", newton_hessian))
+        _, stats = flow._prox_stepper(spec, lay.spacing, ball_mask(spec, lay, 1.0), 1e-2,
+                                      InnerSolverConfig(tolerance=1e-8))(v)
+        per_step.append(stats["inner_iterations"] / calls["build"])
+    assert (per_step[-1] / per_step[0]) ** 0.5 <= 1.5, per_step
+
+
 def test_preconditioned_prox_meets_the_unpreconditioned_stopping_test():
     # the CG stops on the unpreconditioned residual: the residual of the
     # returned field, recomputed here, is within tolerance (1 + ||v||)
@@ -757,13 +807,38 @@ def test_box_preconditioner_inverts_axis_symmetric_stencils(data):
     x = np.zeros(shape)
     x[(slice(2, -3),) * N] = rng.standard_normal(tuple(n - 5 for n in shape))
     y = np.where(mask, x / tau + energy_gradient(x, spec, spacing), 0.0)
-    back = flow._box_preconditioner(spec, spacing, mask, tau)(y)
+    back = _quadratic_box(spec, spacing, mask, tau)(y)
     assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
     # a mask that frees the box edge keeps the preconditioner positive
     # definite on the fields it admits, those on the edge alone too
     edge = np.where(mask, 0.0, rng.standard_normal(shape))
     free = np.ones(shape, dtype=bool)
-    assert np.sum(edge * flow._box_preconditioner(spec, spacing, free, tau)(edge)) > 0.0
+    assert np.sum(edge * _quadratic_box(spec, spacing, free, tau)(edge)) > 0.0
+
+
+def _quadratic_box(spec, spacing, mask, tau):
+    """The quadratic path's box preconditioner: the divisor 1/tau + the
+    symbol of K's stencil."""
+    symbol = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing,
+                                      flow._box_lengths(mask.shape))
+    return flow._box_preconditioner(mask, tau, symbol + 1.0 / tau)
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_unit_form_symbols_sum_to_the_diagonal_ellipse_symbol(data):
+    # the face form with DA = diag(c) is the energy gradient of the ellipse
+    # diag(c): its DST-I symbol is sum_k c_k sigma_k, sigma_k that of the
+    # unit form along k, which the p-norm Newton preconditioner sums
+    N = data.draw(st.integers(1, 3))
+    c = [data.draw(st.floats(0.1, 10.0)) for _ in range(N)]
+    spacing = tuple(data.draw(st.floats(0.05, 2.0)) for _ in range(N))
+    lengths = tuple(data.draw(st.integers(1, (40, 20, 10)[N - 1])) for _ in range(N))
+    spec = norms.ellipse(np.diag(c))
+    whole = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
+    parts = sum(ck * operators.stencil_symbol(flow._unit_face_form(k), spec, spacing, lengths)
+                for k, ck in enumerate(c))
+    assert np.max(np.abs(parts - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
 @settings(max_examples=8)
@@ -957,6 +1032,26 @@ def test_weighted_monitors_match_the_trajectory_bit_for_bit():
             assert np.isnan(got["weighted_l2"]) == beyond
             assert np.isnan(got["weighted_l1_lambda"]) == beyond
             assert np.isfinite(got["weighted_l1_local"])
+
+
+def test_the_local_monitor_transforms_its_ball_kernel_once(monkeypatch):
+    # a solve of K steps makes K + 2 forward transforms, the ball kernel's
+    # once and the weighted field's per read, and each reading is that of
+    # `fftconvolve` transforming the kernel anew, bit for bit
+    ell = 0.25
+    problem, _ = _ball_problem(ELLIPSE, 2.0, 1 / 8, lambda r: np.exp(-r**2), tau=1e-2,
+                               t_end=3e-2, store_times=(0.0, 1e-2, 2e-2), monitor_ell=ell)
+    calls = {"rfftn": 0}
+    monkeypatch.setattr(measures, "rfftn", _counting(calls, "rfftn", measures.rfftn))
+    traj = solve(problem)
+    monkeypatch.undo()
+    assert calls["rfftn"] == problem.steps + 2
+    kernel = measures._ball_kernel(ELLIPSE, 1.0, problem.datum.spacing)
+    vol = problem.datum.cell_volume
+    for step, (t, gf) in enumerate(zip(traj.times, traj.slices)):
+        weighted = np.exp(-traj.h0**2 * (1.0 + t**ell)) * np.abs(gf.values)
+        direct = measures.fftconvolve(weighted, kernel) * vol
+        assert float(np.max(direct[traj.mask])) == traj.monitors["weighted_l1_local"][step]
 
 
 @pytest.mark.parametrize("spec", [ELLIPSE, norms.p_norm(3, 2)])

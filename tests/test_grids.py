@@ -6,7 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from finslerheat import grids
 from finslerheat.errors import OutOfRangeError, SpecValidationError
-from finslerheat.grids import (MAX_NODES, MAX_RADIUS, GridFunction, RadialProfile,
+from finslerheat.grids import (MAX_NODES, MAX_RADIUS, MAX_VALUE, GridFunction, RadialProfile,
                                _tridiagonal_solve, empty_layout, grid_from_function,
                                observed_order, refinements)
 
@@ -150,6 +150,19 @@ def test_layouts_and_profile_radii_are_bounded():
             RadialProfile([0.0, r_max], [1.0, 0.0], even=False)
     with pytest.raises(SpecValidationError, match="radii"):
         RadialProfile.from_function(lambda r: np.exp(-r**2), 1e200, 9)
+
+
+def test_profile_values_are_bounded():
+    # values past MAX_VALUE (a flow of 1e300 overflowed in its L^2 norm's
+    # squares) are refused with the non-finite ones; the growing classify
+    # profiles stay admissible, exp(r^3) to r = 6 reading 6.4e93
+    assert MAX_VALUE == 1e100
+    assert RadialProfile([0.0, 1.0], [-MAX_VALUE, MAX_VALUE], even=False).values[1] == MAX_VALUE
+    for value in (2 * MAX_VALUE, -np.inf, np.nan):
+        with pytest.raises(SpecValidationError, match="values"):
+            RadialProfile([0.0, 1.0], [1.0, value], even=False)
+    with pytest.raises(SpecValidationError, match="values"):
+        RadialProfile.from_function(lambda r: 1e308 * np.exp(-r**2), 4.0, 9)
 
 
 def test_profile_samples_are_bounded_before_they_are_laid_out(monkeypatch):
