@@ -24,7 +24,7 @@ import numpy as np
 
 from . import flow, measures, norms, operators, radial, solutions
 from .errors import ConvergenceError, DomainError, SpecValidationError, integer
-from .grids import GridFunction, RadialProfile, empty_layout
+from .grids import GridFunction, RadialProfile, empty_layout, observed_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -289,22 +289,20 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
               empty_layout(case["box"], case["resolution"])) for case in cases]
     rows, ok = [], True
     for case, sol, layout in built:
-        spec, t = sol.norm, case.get("t", 0.0)
+        spec, t, coarse = sol.norm, case.get("t", 0.0), [max(layout.spacing)]
+        # each check: its family, per level its h, dt (nan where it takes no
+        # time difference) and residual, and whether it passed
         if sol.kind == "singular_poly":
             residual = solutions.singular_poly_check(
                 sol, layout, **({"annulus": case["annulus"]} if "annulus" in case else {}))
-            passed = residual <= case.get("max_residual", np.inf)
-            ok &= passed
-            rows.append((sol.kind, spec.label(), max(layout.spacing), 0.0,
-                         residual, np.nan, passed))
-            continue
-        rep = solutions.pde_residual(sol, layout, t, case.get("dt", 1e-2),
-                                     **({"levels": case["levels"]} if "levels" in case else {}))
-        window = case.get("order_window")
-        passed = window is None or window[0] <= rep.order <= window[1]
-        ok &= passed
-        for family, norm_label, h, dt, mx, order in rep.rows():
-            rows.append((family, norm_label, h, dt, mx, order, passed))
+            checks = [(sol.kind, coarse, [np.nan], [residual],
+                       residual <= case.get("max_residual", np.inf))]
+        else:
+            rep = solutions.pde_residual(sol, layout, t, case.get("dt", 1e-2),
+                                         **({"levels": case["levels"]} if "levels" in case else {}))
+            window = case.get("order_window")
+            checks = [(sol.kind, rep.spacings, rep.time_steps, rep.max_residuals,
+                       window is None or window[0] <= rep.order <= window[1])]
         if sol.kind == "blowup":
             # the minimum over x sits at the origin, so over the nodes it
             # sits at the node of least H0
@@ -314,9 +312,12 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
             least = np.argmin(h0)
             origin_ok = bool(abs(u.min() - u[least]) < 1e-12
                              and h0[np.argmin(u)] - h0[least] < 1e-12)
-            ok &= origin_ok
-            rows.append(("blowup_min_at_origin", spec.label(),
-                         max(layout.spacing), 0.0, 0.0, np.nan, origin_ok))
+            checks.append(("blowup_min_at_origin", coarse, [np.nan], [0.0], origin_ok))
+        for family, spacings, steps, values, passed in checks:
+            ok &= passed
+            rows.extend((family, spec.label(), h, dt, value, np.nan if i == 0 else
+                         observed_order(values[i - 1:i + 1], spacings[i - 1:i + 1]), passed)
+                        for i, (h, dt, value) in enumerate(zip(spacings, steps, values)))
     _write_csv(out / "exact_residuals.csv",
                ["family", "norm", "h", "dt", "max_residual", "order", "pass"],
                rows, timestamp)
@@ -456,8 +457,9 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         {"windows": _list(_positive), "spacing": _positive, "stabilization_tol": _number})
     spec = c.pop("norm")
     result = measures.classify(_measure(c.pop("measure"), spec), spec, c.pop("lambda_grid"), **c)
-    _write_csv(out / "classification.csv",
-               ["lambda", "window", "value", "stabilized"], result.rows(), timestamp)
+    _write_csv(out / "classification.csv", ["lambda", "window", "value", "stabilized"],
+               [(lam, w, value, result.stabilized[lam])
+                for (lam, w), value in result.table.items()], timestamp)
     summary = {"admissible": result.admissible, "lambda_star": result.lam_star,
                "horizon": result.horizon}
     (out / "classification.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -673,8 +673,6 @@ def prox_homogeneity_defect(u: GridFunction, spec: NormSpec, mask: np.ndarray,
 
 @dataclass
 class ScalingReport:
-    k: float
-    compare_times: list
     defects: list        # max |u_k(x, t) - u(k x, k^2 t)| per compare time
     base_trajectory: Optional[Trajectory] = None
     scaled_trajectory: Optional[Trajectory] = None
@@ -715,15 +713,11 @@ def scaling_check(problem: FlowProblem, k: float,
         u_scaled = ts.slice_at(t).values
         mapped = tb.slice_at(k * k * t).sample_nearest(k * coords)
         defects.append(float(np.max(np.abs(u_scaled - mapped)[core])))
-    return ScalingReport(k, list(compare_times), defects,
-                         base_trajectory=tb, scaled_trajectory=ts)
+    return ScalingReport(defects, base_trajectory=tb, scaled_trajectory=ts)
 
 
 @dataclass
 class NestedDomainReport:
-    radii: list
-    core_radius: float
-    compare_times: list
     differences: list     # consecutive sup differences on the core window
     trajectories: list = field(default_factory=list)
 
@@ -768,5 +762,4 @@ def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSp
             ub = b.slice_at(t).sample_nearest(core_pts)
             worst = max(worst, float(np.max(np.abs(ua - ub)[core])))
         diffs.append(worst)
-    return NestedDomainReport(list(radii), core_radius, list(compare_times), diffs,
-                              trajectories=solutions)
+    return NestedDomainReport(diffs, trajectories=solutions)

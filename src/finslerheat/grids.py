@@ -320,14 +320,14 @@ class RadialProfile:
 
     @staticmethod
     def from_function(fn: Callable[[np.ndarray], np.ndarray], r_max: float,
-                      samples: int = 1025, even: bool = True) -> "RadialProfile":
-        """fn sampled on `samples` radii over [0, r_max], at most MAX_NODES of
-        them; a sample that overflows, is NaN or exceeds MAX_VALUE is refused
-        by the value check, unwarned."""
+                      samples: int) -> "RadialProfile":
+        """The even profile of fn sampled on `samples` radii over [0, r_max],
+        at most MAX_NODES of them; a sample that overflows, is NaN or exceeds
+        MAX_VALUE is refused by the value check, unwarned."""
         samples = int(samples)
         if samples > MAX_NODES:
             raise SpecValidationError(f"a profile takes at most {MAX_NODES} samples")
         r = np.linspace(0.0, float(r_max), samples)
         with np.errstate(all="ignore"):
             values = np.asarray(fn(r), dtype=float)
-        return RadialProfile(r, values, even=even)
+        return RadialProfile(r, values)

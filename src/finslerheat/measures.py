@@ -8,7 +8,9 @@ finite for some L > 0 exactly when the datum launches a solution up to
 the horizon S_L = 1/(4 L).  Finiteness cannot be decided from a bounded
 window, so the classifier operationalizes it as stabilization of G under
 window growth: the first L in the grid whose value changes by at most a
-relative threshold between the two largest distinct windows wins.
+relative threshold between the two largest distinct windows wins.  The
+result holds the values by (L, window), filled L outer and window inner,
+and the verdict per L; the caller lays out its rows.
 
 Density integrals use the node-sum (midpoint) rule; the ball-windowed
 supremum over all grid centers is a convolution with the H0-ball
@@ -212,9 +214,8 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
 
 @dataclass
 class ClassifyResult:
-    lam_grid: list
     windows: list
-    table: dict                  # (lam, window) -> value
+    table: dict                  # (lam, window) -> value, lam outer, window inner
     stabilized: dict             # lam -> bool
     lam_star: Optional[float]
     horizon: Optional[float]     # 1 / (4 lam_star)
@@ -222,13 +223,6 @@ class ClassifyResult:
     @property
     def admissible(self) -> bool:
         return self.lam_star is not None
-
-    def rows(self):
-        out = []
-        for lam in self.lam_grid:
-            for w in self.windows:
-                out.append((lam, w, self.table[(lam, w)], self.stabilized[lam]))
-        return out
 
 
 def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
@@ -239,7 +233,8 @@ def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
     Deterministic and window-monotone: all windows share one lattice, so
     enlarging the window never decreases a table entry.
     The lambdas and the windows are taken as sets; fewer than two distinct
-    windows are refused.
+    windows are refused.  The table is filled in ascending order, lambda
+    outer and window inner.
     """
     lam_grid = sorted({float(x) for x in lam_grid})
     windows = sorted({float(w) for w in windows})
@@ -261,8 +256,7 @@ def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
             stabilized[lam] = False
     lam_star = next((lam for lam in lam_grid if stabilized[lam]), None)
     horizon = None if lam_star is None else 1.0 / (4.0 * lam_star)
-    return ClassifyResult(list(lam_grid), list(windows), table, stabilized,
-                          lam_star, horizon)
+    return ClassifyResult(windows, table, stabilized, lam_star, horizon)
 
 
 # ---------------------------------------------------------------------------

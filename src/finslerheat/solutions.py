@@ -21,7 +21,9 @@ Families (all anisotropic through r = H0(x)):
 The residual evaluator substitutes a family into the discrete equation
 (centered time difference minus the discrete operator) on the layouts of
 `grids.refinements`, halving dt with h, and reads the order of the defect
-with `grids.observed_order`.
+with `grids.observed_order`.  Its report holds the per-level spacings, time
+steps (NaN for the stationary family, which takes none) and residuals;
+how they are laid out as rows is the caller's business.
 """
 
 from __future__ import annotations
@@ -129,8 +131,6 @@ def eval_solution(spec: SolutionSpec, x: np.ndarray, t: float = 0.0) -> np.ndarr
 
 @dataclass
 class ResidualReport:
-    family: str
-    norm_label: str
     spacings: list
     time_steps: list
     max_residuals: list
@@ -138,14 +138,6 @@ class ResidualReport:
     @property
     def order(self) -> float:
         return observed_order(self.max_residuals, self.spacings)
-
-    def rows(self):
-        """(family, norm, h, dt, max residual, order against the level before)."""
-        return [(self.family, self.norm_label, h, dt, mx,
-                 np.nan if i == 0 else observed_order(self.max_residuals[i - 1:i + 1],
-                                                      self.spacings[i - 1:i + 1]))
-                for i, (h, dt, mx) in enumerate(zip(self.spacings, self.time_steps,
-                                                    self.max_residuals))]
 
 
 def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
@@ -156,7 +148,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     operator applied to u^m for the porous-medium family, which also
     excludes a band around its free boundary (2h plus the interface
     displacement over the time stencil).  The stationary critical family
-    uses r = -lap_h(w) - w^((N+2)/(N-2)).
+    uses r = -lap_h(w) - w^((N+2)/(N-2)) and records NaN time steps.
     """
     if spec.kind == "singular_poly":
         raise DomainError("use singular_poly_check for the singular family")
@@ -170,6 +162,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
         x = lay.coords()
         window = interior_mask(lay)
         if spec.kind == "talenti":
+            dt_l = math.nan     # the stationary residual takes no time step
             w = eval_solution(spec, x)
             N = spec.norm.dimension
             lap = finsler_laplacian(lay.with_values(w), spec.norm).values
@@ -189,7 +182,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
         spacings.append(h)
         dts.append(dt_l)
         maxes.append(float(np.max(np.abs(residual)[window])))
-    return ResidualReport(spec.kind, spec.norm.label(), spacings, dts, maxes)
+    return ResidualReport(spacings, dts, maxes)
 
 
 def singular_poly_check(spec: SolutionSpec, layout: GridFunction,

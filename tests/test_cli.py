@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import finslerheat
-from finslerheat import cli, flow, measures, norms
+from finslerheat import cli, flow, measures, norms, solutions
 from finslerheat.cli import main
-from finslerheat.grids import GridFunction, RadialProfile, grid_from_function
+from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
+                               grid_from_function, observed_order)
 
 EUCLID_JSON = {"family": "euclidean", "params": {}, "dimension": 2}
 ELLIPSE_JSON = {"family": "ellipse", "params": {"matrix": [[4, 0], [0, 1]]},
@@ -219,6 +220,95 @@ def test_verify_exact_blowup_row_passes_off_the_origin(tmp_path):
     assert [row["pass"] for row in rows if row["family"] == "blowup"] == ["True"] * 2
     assert [(row["family"], row["pass"]) for row in rows][-1] == \
         ("blowup_min_at_origin", "True")
+
+
+EUCLID3_JSON = {"family": "euclidean", "params": {}, "dimension": 3}
+# one case of each kind, with a library twin (norm, params); barenblatt's
+# window cannot hold, so its rows read False
+_FIVE_KINDS = [
+    ({"kind": "gauss_kernel", "norm": ELLIPSE_JSON, "box": [[-4, 4], [-2, 2]],
+      "resolution": [32, 16], "t": 0.5, "dt": 0.01, "levels": 3,
+      "order_window": [1.5, 2.5]}, norms.ellipse(np.diag([4.0, 1.0]))),
+    ({"kind": "blowup", "params": {"lam": 0.25}, "norm": EUCLID_JSON,
+      "box": [[-1, 1], [-1, 1]], "resolution": [16, 16], "t": 0.5, "dt": 0.005},
+     norms.euclidean(2)),
+    ({"kind": "barenblatt", "params": {"m": 2.0, "C": 1.0},
+      "norm": {"family": "euclidean", "params": {}, "dimension": 1}, "box": [[-6, 6]],
+      "resolution": [96], "t": 1.5, "dt": 0.002, "order_window": [5, 6]},
+     norms.euclidean(1)),
+    ({"kind": "talenti", "params": {"p": 2.0, "A": 1.0, "B": 1 / 3}, "norm": EUCLID3_JSON,
+      "box": [[0.5, 1.5]] * 3, "resolution": [8] * 3, "levels": 2}, norms.euclidean(3)),
+    ({"kind": "singular_poly", "params": {"m_order": 1}, "norm": EUCLID_JSON,
+      "box": [[-1.5, 1.5], [-1.5, 1.5]], "resolution": [32, 32]}, norms.euclidean(2)),
+]
+
+
+def _exact_rows(outdir):
+    with open(outdir / "exact_residuals.csv", newline="") as fh:
+        reader = csv.reader(fh)
+        return next(reader), list(reader)
+
+
+def test_exact_residual_rows_are_the_library_checks_laid_out(tmp_path):
+    # the layout only: each value comes from the library, so no float is pinned
+    code, outdir = _run(tmp_path, "verify-exact", {"cases": [c for c, _ in _FIVE_KINDS]})
+    assert code == 1
+    want = []
+    for case, norm in _FIVE_KINDS:
+        sol = solutions.SolutionSpec(case["kind"], norm, **case.get("params", {}))
+        layout = empty_layout(case["box"], case["resolution"])
+        h = max(layout.spacing)
+        if sol.kind == "singular_poly":
+            residual = solutions.singular_poly_check(sol, layout)
+            want.append((sol.kind, norm.label(), h, np.nan, residual, np.nan, "True"))
+            continue
+        rep = solutions.pde_residual(sol, layout, case.get("t", 0.0), case.get("dt", 1e-2),
+                                     case.get("levels", 2))
+        window = case.get("order_window", [-np.inf, np.inf])
+        passed = str(window[0] <= rep.order <= window[1])
+        for i, (hi, dt, mx) in enumerate(zip(rep.spacings, rep.time_steps, rep.max_residuals)):
+            order = np.nan if i == 0 else observed_order(rep.max_residuals[i - 1:i + 1],
+                                                         rep.spacings[i - 1:i + 1])
+            want.append((sol.kind, norm.label(), hi, dt, mx, order, passed))
+        if sol.kind == "blowup":
+            want.append(("blowup_min_at_origin", norm.label(), h, np.nan, 0.0, np.nan, "True"))
+    header, rows = _exact_rows(outdir)
+    assert header == ["family", "norm", "h", "dt", "max_residual", "order", "pass"]
+    assert [(r[0], r[1], r[6]) for r in rows] == [(w[0], w[1], w[6]) for w in want]
+    assert [w[6] for w in want].count("False") == 2
+    np.testing.assert_array_equal(np.array([r[2:6] for r in rows], dtype=float),
+                                  np.array([w[2:6] for w in want], dtype=float))
+
+
+def test_rows_without_a_time_difference_write_nan_dt(tmp_path):
+    # the stationary talenti levels, the singular row and the blowup
+    # property row take no time step; every timed level halves the case's dt
+    cases = [c for c, _ in _FIVE_KINDS if c["kind"] != "barenblatt"]
+    code, outdir = _run(tmp_path, "verify-exact", {"cases": cases})
+    assert code == 0
+    rows = _exact_rows(outdir)[1]
+    untimed = [r for r in rows if r[0] in ("talenti", "singular_poly", "blowup_min_at_origin")]
+    assert len(untimed) == 4 and all(r[3] == "nan" for r in untimed)
+    for case in cases[:2]:
+        steps = [float(r[3]) for r in rows if r[0] == case["kind"]]
+        assert steps == [case["dt"] / 2**level for level in range(case.get("levels", 2))]
+
+
+def test_classification_rows_run_lambda_outer_window_inner(tmp_path):
+    atoms = [[[0.0, 0.0], 1.0], [[1.0, 0.0], -0.5]]
+    cfg = {"norm": EUCLID_JSON, "measure": {"kind": "atoms", "atoms": atoms},
+           "lambda_grid": [0.5, 0.1, 0.5, 0.3], "windows": [8, 4, 8, 6], "spacing": 0.25}
+    code, outdir = _run(tmp_path, "classify", cfg)
+    assert code == 0
+    result = measures.classify(measures.measure_from_atoms(atoms), norms.euclidean(2),
+                               cfg["lambda_grid"], windows=cfg["windows"], spacing=0.25)
+    want = [(lam, w, result.table[(lam, w)], str(result.stabilized[lam]))
+            for lam in (0.1, 0.3, 0.5) for w in (4.0, 6.0, 8.0)]
+    with open(outdir / "classification.csv", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["lambda", "window", "value", "stabilized"]
+        rows = [(float(a), float(b), float(c), d) for a, b, c, d in reader]
+    assert rows == want
 
 
 def test_simulate_zero_datum(tmp_path):
