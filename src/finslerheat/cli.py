@@ -281,20 +281,31 @@ def _case(value, what: str) -> dict:
                     {**optional, "params": _object(params)})
 
 
+def _annulus(case: dict) -> dict:
+    """The annulus a singular_poly case names, if it names one."""
+    return {"annulus": case["annulus"]} if "annulus" in case else {}
+
+
 def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     cases = _section(cfg, "verify-exact config", {"cases": _list(_case)})["cases"]
     if any("order_window" in case and case.get("levels", 2) < 2 for case in cases):
         raise SpecValidationError("an order_window needs levels >= 2: an order compares two")
     built = [(case, solutions.SolutionSpec(case["kind"], case["norm"], **case.get("params", {})),
               empty_layout(case["box"], case["resolution"])) for case in cases]
+    for i, (case, sol, layout) in enumerate(built):     # every window before any case runs
+        if sol.kind == "singular_poly":
+            try:
+                solutions.singular_poly_window(sol, layout, **_annulus(case))
+            except DomainError as exc:
+                raise SpecValidationError(f"verify-exact cases[{i}] (singular_poly): "
+                                          f"{exc}") from None
     rows, ok = [], True
     for case, sol, layout in built:
         spec, t, coarse = sol.norm, case.get("t", 0.0), [max(layout.spacing)]
         # each check: its family, per level its h, dt (nan where it takes no
         # time difference) and residual, and whether it passed
         if sol.kind == "singular_poly":
-            residual = solutions.singular_poly_check(
-                sol, layout, **({"annulus": case["annulus"]} if "annulus" in case else {}))
+            residual = solutions.singular_poly_check(sol, layout, **_annulus(case))
             checks = [(sol.kind, coarse, [np.nan], [residual],
                        residual <= case.get("max_residual", np.inf))]
         else:
@@ -362,8 +373,9 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
                                       "scale 1); use radial_representation")
         if kind == "radial_representation" and prof is None:
             raise SpecValidationError("radial_representation comparison needs a radial datum")
-    layout = flow.ball_layout(spec, pc["radius"], pc.pop("spacing"))
-    datum, profile = _datum(pc.pop("datum"), spec, layout)
+    # the layout's zero field is not held through the solve
+    datum, profile = _datum(pc.pop("datum"), spec,
+                            flow.ball_layout(spec, pc["radius"], pc.pop("spacing")))
     mc = c.get("monitors", {})
     problem = flow.FlowProblem(norm=spec, datum=datum,
                                inner=flow.InnerSolverConfig(**c.get("inner", {})),

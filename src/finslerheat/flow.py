@@ -23,9 +23,11 @@ difference form of the same cached stencil (`operators.stencil_energy`),
 whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary band,
 the box preconditioner, whose DST-I is scipy's on numpy's real FFT
-(`_dst1`), and its own CG, scipy's `cg` step for step, with inner products
-in a fixed order, so that no bit depends on the BLAS thread count, and its
-products in buffers of the solve) and takes one path per norm family.  The
+(`_dst1`, run in slabs of a few dozen lines, so that its extension and
+spectrum are a fraction of a field), and its own CG, scipy's `cg` step for
+step, with inner products in a fixed order, so that no bit depends on the
+BLAS thread count, its products in buffers of each CG solve and no copy of an
+array it does not need) and takes one path per norm family.  The
 one box solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
 fast-Poisson solver: the DST-I inverse on the bounding box of an operator
 given by its symbol (`operators.stencil_symbol`), then masked.  Quadratic
@@ -45,7 +47,10 @@ unbounded as xi_k -> 0, CG is plain.  Every returned step is a descent
 point of the monitored energy.  The explicit scheme
 advances with the face-flux operator under the usual parabolic step
 restriction; its step (`_explicit_stepper`) and the energy reading are built
-once per solve too.
+once per solve too.  The stepper and the monitor reader of a solve, which
+never run at once, share one set of correlation buffers (the `buffers`
+that `solve` hands both, see `operators.correlate`), which die with the
+solve: no module-level cache holds a field.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -60,7 +65,8 @@ stepper's stats by name (inner_iterations, preconditioned; 0 if absent)
 and `_monitor_reader` (also `weighted_monitors`): the energy, the mass,
 the quadratic weight integral int e^(-2 lam H0^2/(1-4 lam t)) u^2
 (nonincreasing while t < 1/(4 lam)) and the windowed-ball weighted L^1
-quantity with weight e^(-H0^2 (1+t^ell)).
+quantity with weight e^(-H0^2 (1+t^ell)), read from one field of H0^2,
+with each weight built in place.
 """
 
 from __future__ import annotations
@@ -183,30 +189,42 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None) 
     the objective the prox descends, read as `_energy_reader` says.
     """
     vals = gf.values if mask is None else np.where(mask, gf.values, 0.0)
-    return _energy_reader(spec, gf.spacing)(vals)
+    return _energy_reader(spec, gf.spacing, _energy_buffers(vals.shape))(vals)
 
 
-def _energy_reader(spec: NormSpec, spacings):
+@lru_cache(maxsize=1)
+def _energy_buffers(shape: tuple) -> dict:
+    """The correlation buffers of `energy`, kept for the last shape read, so
+    that reading a field of the same grid again allocates no field."""
+    return {}
+
+
+def _energy_reader(spec: NormSpec, spacings, buffers: Optional[dict] = None):
     """`energy` of masked fields of one (spec, spacings), built once: p-norms
     read it by Euler's identity, quadratic families by the difference form
-    of the gradient's stencil (`operators.stencil_energy`)."""
+    of the gradient's stencil (`operators.stencil_energy`), in `buffers`, the
+    reader's own unless given."""
     spacings, vol = tuple(spacings), float(np.prod(spacings))
     if spec.family == "p_norm":
         return lambda u: 0.5 * vol * float(np.sum(u * energy_gradient(u, spec, spacings)))
     _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacings)
-    return lambda u: 0.5 * vol * scale * stencil_energy(u, taps)
+    buffers = {} if buffers is None else buffers
+    return lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
 
 
-def energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
+def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
+                    out: Optional[np.ndarray] = None,
+                    buffers: Optional[dict] = None) -> np.ndarray:
     """Exact L^2 gradient (1/N) G^T A(G u) of the zero-extension energy.
 
     (Minus) the divergence-form operator the proximal solver descends on;
     it agrees with the face-flux operator to O(h^2) and, G^T being the
     exact adjoint, descent guarantees hold regardless of resolution.
     Quadratic families apply its cached constant stencil, p-norms the face
-    path (`operators.apply_operator`).  Unmasked: clamp the field first.
+    path (`operators.apply_operator`, into out and in the caller's
+    correlation buffers if given).  Unmasked: clamp the field first.
     """
-    return apply_operator(_face_energy_gradient, values, spec, spacings)
+    return apply_operator(_face_energy_gradient, values, spec, spacings, out, buffers)
 
 
 def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
@@ -308,49 +326,73 @@ def _face_median_divisor(divisor: np.ndarray, symbols: list, hessian: FaceHessia
                          tau: float) -> None:
     """Refill `divisor` with 1/tau + sum_k c_k sigma_k, sigma_k the symbol of
     `_unit_face_form`(k) and c_k the median of the Newton Hessian's DA_kk
-    over the faces, of every family, where it is positive."""
+    over the faces, of every family, where it is positive: `np.median` bit
+    for bit, from one partition at the middle m = n // 2, whose lower part
+    holds the other middle value of an even count as its maximum."""
     divisor.fill(1.0 / tau)
     for k, sigma in enumerate(symbols):
         entries = np.concatenate([J[k, k].ravel() for J in hessian.jacobians])
-        divisor += float(np.median(entries[entries > 0.0])) * sigma
+        positive = entries[entries > 0.0]
+        m = positive.size // 2
+        part = np.partition(positive, m)
+        median = part[m] if positive.size % 2 else (part[:m].max() + part[m]) / 2
+        divisor += float(median) * sigma
+
+
+_DST_SLAB = 8192    # lines times (n + 1) per slab of `_dst1`: 16 lines of 511, 128 of 63
 
 
 def _dst1(shape: tuple):
     """x -> the DST-I of x in place, `scipy.fft.dstn(x, type=1)` bit for bit,
-    and with inverse=True `idstn(x, type=1)`, on arrays of `shape`.
+    and with inverse=True `idstn(x, type=1)`, on C-contiguous arrays of `shape`.
 
     Axis by axis in order: along a side of length n the transform is
     -Im rfft(0, x, 0, -x reversed)[1 : n + 1], numpy's real FFT of the odd
     extension, as scipy's pocketfft forms it; the inverse scales by
     1 / prod 2 (n + 1), rounded from long double, once, on the first axis.
-    Each axis's extension and spectrum are views of two buffers built here
-    and shared by the axes, which run one at a time, so the extension's two
-    zero planes are written before each use."""
-    size = math.prod(shape)
-    ext_buffer = np.empty(max(size // n * 2 * (n + 1) for n in shape))
-    spectrum_buffer = np.empty(max(size // n * (n + 2) for n in shape), dtype=complex)
-    buffers = []
+    The lines along an axis run in slabs of _DST_SLAB // (n + 1) lines (at
+    least one): with x viewed as (rows, n, columns), a slab is a run of
+    columns of one row, or whole rows.  Each slab is copied into a
+    contiguous extension, whose two zero columns are written before each
+    use, and transformed into a contiguous spectrum; both are views of two
+    buffers of one slab, built here and shared by every slab of every axis."""
+    axes = []
     for axis, n in enumerate(shape):
-        ext_shape = shape[:axis] + (2 * (n + 1),) + shape[axis + 1:]
-        spectrum_shape = shape[:axis] + (n + 2,) + shape[axis + 1:]
-        ext = ext_buffer[:math.prod(ext_shape)].reshape(ext_shape)
-        spectrum = spectrum_buffer[:math.prod(spectrum_shape)].reshape(spectrum_shape)
-        cut = (slice(None),) * axis
-        buffers.append((ext, spectrum, ext[cut + (slice(None, None, n + 1),)],
-                        ext[cut + (slice(1, n + 1),)], ext[cut + (slice(2 * n + 1, n + 1, -1),)],
-                        spectrum.imag[cut + (slice(1, n + 1),)]))
+        rows, columns = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+        lines = max(1, _DST_SLAB // (n + 1))
+        if columns >= lines:    # runs of `lines` columns of one row
+            blocks = [(r, r + 1, c, min(c + lines, columns))
+                      for r in range(rows) for c in range(0, columns, lines)]
+        else:                   # whole rows, lines // columns at a time
+            blocks = [(r, min(r + lines // columns, rows), 0, columns)
+                      for r in range(0, rows, lines // columns)]
+        axes.append(((rows, n, columns), [((slice(r0, r1), slice(None), slice(c0, c1)),
+                                           (r1 - r0, c1 - c0, n)) for r0, r1, c0, c1 in blocks]))
+    keys = {key for _, slabs in axes for _, key in slabs}
+    ext_buffer = np.empty(max(a * b * 2 * (n + 1) for a, b, n in keys))
+    spectrum_buffer = np.empty(max(a * b * (n + 2) for a, b, n in keys), dtype=complex)
+    views = {}
+    for a, b, n in keys:    # extension, spectrum, zero columns, head, tail, imag
+        ext = ext_buffer[:a * b * 2 * (n + 1)].reshape(a, b, 2 * (n + 1))
+        spectrum = spectrum_buffer[:a * b * (n + 2)].reshape(a, b, n + 2)
+        views[a, b, n] = (ext, spectrum, ext[..., ::n + 1], ext[..., 1:n + 1],
+                          ext[..., 2 * n + 1:n + 1:-1], spectrum.imag[..., 1:n + 1])
+    axes = [(folded, [(index, views[key]) for index, key in slabs]) for folded, slabs in axes]
     scale = -float(1 / np.longdouble(math.prod(2 * (n + 1) for n in shape)))
 
     def transform(x: np.ndarray, inverse: bool = False) -> None:
-        for axis, (ext, spectrum, zeros, head, tail, imag) in enumerate(buffers):
-            zeros.fill(0.0)
-            head[...] = x
-            np.negative(x, out=tail)
-            np.fft.rfft(ext, axis=axis, out=spectrum)
-            if inverse and axis == 0:
-                np.multiply(imag, scale, out=x)
-            else:
-                np.negative(imag, out=x)
+        for axis, (folded, slabs) in enumerate(axes):
+            x3 = x.reshape(folded)
+            for index, (ext, spectrum, zeros, head, tail, imag) in slabs:
+                lines = x3[index].transpose(0, 2, 1)
+                zeros.fill(0.0)
+                head[...] = lines
+                np.negative(lines, out=tail)
+                np.fft.rfft(ext, axis=-1, out=spectrum)
+                if inverse and axis == 0:
+                    np.multiply(imag, scale, out=lines)
+                else:
+                    np.negative(imag, out=lines)
     return transform
 
 
@@ -360,7 +402,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
-                  inner: InnerSolverConfig):
+                  inner: InnerSolverConfig, buffers: Optional[dict] = None):
     """The prox map of one (spec, spacings, mask, tau, inner), built once:
     step(v) minimizes J(u) = ||u - v||^2/(2 tau) + psi(u) over masked
     fields and returns (u, stats), stats by monitor name: inner_iterations,
@@ -390,18 +432,23 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     iterations they raise ConvergenceError(best=u, gap).
     """
     spacings, vol, off = tuple(spacings), float(np.prod(spacings)), ~mask
-    work = np.empty(mask.shape)     # the products of `cg` and its matvec
+    buffers = {} if buffers is None else buffers
 
     def cg(hessian, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int, psolve=None):
         """scipy's `cg` of (I/tau + hessian) x = b on masked fields, from x (updated
-        in place), every inner product by `_dot`; stops at ||r||_{L^2} < atol, r
-        unpreconditioned, tested before each iteration: (x, iterations, converged)."""
+        in place; b becomes the residual r), every inner product by `_dot`; stops
+        at ||r||_{L^2} < atol, r unpreconditioned, tested before each iteration:
+        (x, iterations, converged)."""
+        work = np.empty(b.shape)    # the products of its updates and its matvec
+
         def apply(y: np.ndarray) -> np.ndarray:  # y vanishes off the mask, h is clamped
             h = hessian(y)
             np.copyto(h, 0.0, where=off)
             h += np.divide(y, tau, out=work)
             return h
-        atol, r = atol / np.sqrt(vol), (b - apply(x) if x.any() else b.copy())
+        atol, r = atol / np.sqrt(vol), b
+        if x.any():
+            r -= apply(x)
         for iters in range(maxiter):
             if math.sqrt(_dot(r, r)) < atol:
                 return x, iters, True
@@ -410,8 +457,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             if iters:
                 p *= rho / rho_prev
                 p += z
-            else:
-                p = z.copy()
+            else:       # a preconditioned z is the box solve's own array
+                p = z.copy() if z is r else z
+            del z       # not held through the matvec
             q = apply(p)
             alpha, rho_prev = rho / _dot(p, q), rho
             x += np.multiply(p, alpha, out=work)
@@ -425,6 +473,11 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
         band, box = _boundary_band(mask), []
 
         def quadratic_step(values: np.ndarray):
+            product = np.empty(mask.shape)      # K y of this step's matvecs
+
+            def gradient(x: np.ndarray) -> np.ndarray:
+                return energy_gradient(x, spec, spacings, product, buffers)
+
             u = np.where(mask, values, 0.0)
             rhs, atol = u / tau, inner.tolerance * (1.0 + _l2(u, vol))
             quiet = _l2(rhs[band], vol) < atol
@@ -432,10 +485,11 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 lengths = _box_lengths(mask.shape)
                 box.append(_box_preconditioner(mask, tau, stencil_symbol(
                     _face_energy_gradient, spec, spacings, lengths) + 1.0 / tau))
-            w, iters, converged = cg(lambda x: energy_gradient(x, spec, spacings), rhs,
-                                     u.copy(), atol, inner.max_iters, box[0] if quiet else None)
+            w, iters, converged = cg(gradient, rhs, u, atol,
+                                     inner.max_iters, box[0] if quiet else None)
             if not converged:   # the budget is spent: accept w only if its gap is in tolerance
-                gap = _l2(np.where(mask, (w - u) / tau + energy_gradient(w, spec, spacings),
+                u = np.where(mask, values, 0.0)     # cg moved u to w
+                gap = _l2(np.where(mask, (w - u) / tau + gradient(w),
                                    0.0), vol)
                 if not gap <= atol:  # NaN fails
                     raise fail(w, gap)
@@ -498,7 +552,8 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
     return u_prev.with_values(step(u_prev.values)[0])
 
 
-def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float):
+def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
+                      buffers: Optional[dict] = None):
     """The forward step, built once; stable for tau <= h^2 / (2 N C2), h the
     smallest spacing.  step(u), u 0 off the mask, returns (u + tau L u, 0
     there, {}) like `_prox_stepper`, no stats, L the face-flux operator, which
@@ -513,10 +568,10 @@ def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float):
     if tau > limit * (1.0 + 1e-12):
         raise StabilityError(
             f"explicit step tau = {tau:g} exceeds the stability bound {limit:g}")
-    spacings, off = tuple(spacings), ~mask
+    spacings, off, buffers = tuple(spacings), ~mask, {} if buffers is None else buffers
 
     def step(values: np.ndarray) -> tuple:
-        lap = apply_operator(_face_flux_divergence, values, spec, spacings)
+        lap = apply_operator(_face_flux_divergence, values, spec, spacings, buffers=buffers)
         lap *= tau
         lap += values
         np.copyto(lap, 0.0, where=off)
@@ -545,7 +600,7 @@ def _monitor_settings(lam: Optional[float], ell: Optional[float]) -> None:
 
 
 def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], spacing,
-                    lam: Optional[float], ell: Optional[float]):
+                    lam: Optional[float], ell: Optional[float], buffers: Optional[dict] = None):
     """The monitors of one solve, built once: read(u, t) of a field u that
     vanishes off the mask returns the energy (`_energy_reader`), the mass
     and the weighted monitors, from H0 values h0 at its nodes.
@@ -556,26 +611,39 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     weighted_l1_local, the sup over the mask (or every node) of the
     integral of e^(-H0^2 (1+t^ell)) |u| over the unit H0-ball around it
     (`measures.fftconvolve`, the ball's spectrum transformed once).  Node
-    sums times the cell volume.
+    sums times the cell volume.  The reader holds one field of H0, H0^2,
+    and builds each weight in a buffer of the read: the lambda exponent as
+    (H0^2 lam) / (1 - 4 lam t), the ell one as H0^2 (-(1 + t^ell)), and
+    e^w |u| as |e^w u|, which round alike.
     """
     _monitor_settings(lam, ell)
-    vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing)
-    lam_h2 = None if lam is None else lam * h0**2
-    neg_h2 = None if ell is None else -(h0**2)
+    vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing, buffers)
+    h2 = None if lam is None and ell is None else h0**2
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
     spectrum = None if ell is None else kernel_spectrum(kernel, h0.shape)
+
+    def weighted(w: np.ndarray, u: np.ndarray, square: bool = False) -> np.ndarray:
+        """e^w u^2 with square, else e^w |u|, in w's buffer."""
+        np.exp(w, out=w)
+        w *= u
+        if square:
+            w *= u
+        else:
+            np.abs(w, out=w)
+        return w
 
     def read(u: np.ndarray, t: float) -> dict:
         out = {"energy": psi(u), "mass": float(np.sum(u)) * vol}
         if lam is not None and 1.0 - 4.0 * lam * t > 1e-12:
-            g = lam_h2 / (1.0 - 4.0 * lam * t)
-            out["weighted_l2"] = float(np.sum(np.exp(-2.0 * g) * u * u)) * vol
-            out["weighted_l1_lambda"] = float(np.sum(np.exp(-g) * np.abs(u))) * vol
+            g = np.multiply(h2, lam)
+            g /= 1.0 - 4.0 * lam * t
+            out["weighted_l2"] = float(np.sum(weighted(g * -2.0, u, square=True))) * vol
+            out["weighted_l1_lambda"] = float(np.sum(weighted(np.negative(g, out=g), u))) * vol
         elif lam is not None:
             out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
         if ell is not None:
-            conv = fftconvolve(np.exp(neg_h2 * (1.0 + t**ell)) * np.abs(u), kernel,
-                               spectrum) * vol
+            conv = fftconvolve(weighted(np.multiply(h2, -(1.0 + t**ell)), u), kernel, spectrum)
+            conv *= vol
             out["weighted_l1_local"] = float(np.max(conv if mask is None else conv[mask]))
         return out
     return read
@@ -624,8 +692,10 @@ def solve(problem: FlowProblem) -> Trajectory:
     h0 = dual_norm_eval(spec, lay.coords())
     mask = _free_nodes(h0, lay, problem.radius)
     u = np.where(mask, lay.values, 0.0)
+    # the stepper and the reader run one at a time: their correlations share buffers
+    buffers = {}
     read = _monitor_reader(spec, h0, mask, lay.spacing, problem.monitor_lambda,
-                           problem.monitor_ell)
+                           problem.monitor_ell, buffers)
 
     logs, monitor_times, times, slices = {}, [], [], []
 
@@ -643,9 +713,9 @@ def solve(problem: FlowProblem) -> Trajectory:
         return Trajectory(problem, h0, mask, times, slices, np.array(monitor_times),
                           {k: np.array(v, dtype=float) for k, v in logs.items()})
 
-    step = (_prox_stepper(spec, lay.spacing, mask, tau, problem.inner)
+    step = (_prox_stepper(spec, lay.spacing, mask, tau, problem.inner, buffers)
             if problem.scheme == "implicit_proximal"
-            else _explicit_stepper(spec, lay.spacing, mask, tau))
+            else _explicit_stepper(spec, lay.spacing, mask, tau, buffers))
     record(0, u, {})
     for k in range(1, problem.steps + 1):
         try:

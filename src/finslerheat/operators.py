@@ -22,6 +22,12 @@ smoothed polytope) it is linear with constant coefficients, and it
 applies as one correlation (`correlate`) the stencil that `constant_stencil`
 reads off the face path at a unit impulse and caches with its taps per
 (operator, spec, spacing); `flow`'s energy reads the same taps (`stencil_energy`).
+The correlation's buffers, a zero-rimmed copy and a flat sums buffer of
+about one field each, belong to whoever applies the stencil: a caller
+that applies stencils again and again keeps a `buffers` dict and passes
+it each time (`flow`'s steppers and monitor reader share one per solve),
+and a call without one makes its own.  Only the plan of taps, shifts and
+blocks, which holds no field, is cached.
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -39,8 +45,10 @@ with `grids.observed_order`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -226,33 +234,53 @@ _BLOCK = 16384
 
 @lru_cache(maxsize=8)
 def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
-    """The plan of `correlate` and `stencil_energy` for fields of `shape`:
-    the zero-rimmed copy (its rim is never written), its nodes' index, the
-    flat sums (also a work buffer), one block's products, the flat shift and
-    weight of each tap, and the flat span from the first node to the last."""
+    """The plan of `correlate` and `stencil_energy` for fields of `shape`,
+    which holds no field: the zero-rimmed copy's shape, its nodes' index,
+    the flat shift and weight of each tap, the flat span from the first
+    node to the last in blocks of _BLOCK, and the span's end."""
     reach, terms = taps
-    padded = np.zeros(tuple(n + 2 * reach for n in shape))
+    padded = tuple(n + 2 * reach for n in shape)
     inner = (slice(reach, -reach or None),) * len(shape)
-    strides = [s // padded.itemsize for s in padded.strides]
-    shifted = [(sum(k * s for k, s in zip(shift, strides)), w) for shift, w in terms]
+    strides = [math.prod(padded[m + 1:]) for m in range(len(shape))]
+    shifted = tuple((sum(k * s for k, s in zip(shift, strides)), w) for shift, w in terms)
     first = reach * sum(strides)
     stop = first + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
-    return (padded, inner, np.empty(padded.size), np.empty(min(_BLOCK, stop - first)),
-            shifted, range(first, stop, _BLOCK), stop)
+    return padded, inner, shifted, range(first, stop, _BLOCK), stop
 
 
-def correlate(values: np.ndarray, taps: tuple) -> np.ndarray:
+def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict]) -> tuple:
+    """The buffers of `correlate` and `stencil_energy` for fields of
+    `shape`: the zero-rimmed copy (its rim is never written), the flat sums
+    (also the energy's work buffer) and one block's products.  They are
+    their owner's: `buffers`, a dict that the owner keeps, holds one set per
+    shape and reach, lent to every stencil it applies, which is safe while
+    no two applications run at once; without it they are made for the call.
+    No module-level cache holds them."""
+    padded, _, _, blocks, stop = _correlation_plan(shape, taps)
+    buffers = {} if buffers is None else buffers
+    if (key := (shape, taps[0])) not in buffers:
+        buffers[key] = (np.zeros(padded), np.empty(math.prod(padded)),
+                        np.empty(min(_BLOCK, stop - blocks.start)))
+    return buffers[key]
+
+
+def correlate(values: np.ndarray, taps: tuple, out: Optional[np.ndarray] = None,
+              buffers: Optional[dict] = None) -> np.ndarray:
     """sum over taps of weight * values[i + shift], values extended by zero:
     `scipy.ndimage.correlate(values, S, mode="constant")` bit for bit, taps
-    the `correlation_taps` of S.  Each node sums the products in tap order
-    from +0.0.  The field is copied into a zero rim `reach` wide, so that
-    each tap is one shift of the flat copy; the sums run over the flat span
-    from the first node to the last in blocks of _BLOCK, so that the
-    products stay in cache (rim positions inside the span are summed too,
-    from the rim and wrapped rows, and dropped)."""
+    the `correlation_taps` of S, into out if given.  Each node sums the
+    products in tap order from +0.0.  The field is copied into a zero rim
+    `reach` wide, so that each tap is one shift of the flat copy; the sums
+    run over the flat span from the first node to the last in blocks of
+    _BLOCK, so that the products stay in cache (rim positions inside the
+    span are summed too, from the rim and wrapped rows, and dropped).  In
+    the owner's `buffers` (`_correlation_buffers`)."""
+    out = np.empty(values.shape) if out is None else out
     if not taps[1]:
-        return np.zeros(values.shape)
-    padded, inner, sums, product, shifted, blocks, stop = _correlation_plan(values.shape, taps)
+        out.fill(0.0)
+        return out
+    _, inner, shifted, blocks, stop = _correlation_plan(values.shape, taps)
+    padded, sums, product = _correlation_buffers(values.shape, taps, buffers)
     padded[inner] = values
     flat = padded.ravel()
     (d0, w0), rest = shifted[0], shifted[1:]
@@ -264,15 +292,18 @@ def correlate(values: np.ndarray, taps: tuple) -> np.ndarray:
             np.multiply(flat[lo + d:hi + d], w, out=spare)
             dest += spare
         dest += 0.0     # ndimage sums from +0.0: a sum of -0.0 terms reads +0.0
-    return sums.reshape(padded.shape)[inner].copy()
+    np.copyto(out, sums.reshape(padded.shape)[inner])
+    return out
 
 
-def stencil_energy(values: np.ndarray, taps: tuple) -> float:
+def stencil_energy(values: np.ndarray, taps: tuple, buffers: Optional[dict] = None) -> float:
     """-sum over the taps (k, S_k) of positive flat shift d of S_k sum_i
     (u_(i+k) - u_i)^2, u extended by zero: <u, S * u> for a symmetric S that
-    sums to 0, with no large taps cancelling.  Each lag, in tap order, differences
-    `correlate`'s zero-rimmed flat copy shifted by d into its work buffer."""
-    padded, inner, work, _, shifted, _, _ = _correlation_plan(values.shape, taps)
+    sums to 0, with no large taps cancelling.  Each lag, in tap order,
+    differences the zero-rimmed flat copy of `correlate` shifted by d into
+    the flat sums' buffer, both the owner's (`_correlation_buffers`)."""
+    _, inner, shifted, _, _ = _correlation_plan(values.shape, taps)
+    padded, work, _ = _correlation_buffers(values.shape, taps, buffers)
     padded[inner] = values
     flat, total = padded.ravel(), 0.0
     for d, w in shifted:
@@ -304,13 +335,19 @@ def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> n
     return scale * sigma
 
 
-def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing) -> np.ndarray:
-    """face_op(values, spec, spacing): p-norms run it, quadratic families
-    apply its constant stencil as one correlation, values extended by zero."""
+def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing,
+                   out: Optional[np.ndarray] = None, buffers: Optional[dict] = None) -> np.ndarray:
+    """face_op(values, spec, spacing), into out if given: p-norms run it,
+    quadratic families apply its constant stencil as one correlation,
+    values extended by zero, in the caller's `buffers` if given."""
     if spec.family == "p_norm":
-        return face_op(values, spec, spacing)
+        result = face_op(values, spec, spacing)
+        if out is None:
+            return result
+        np.copyto(out, result)
+        return out
     _, scale, taps = constant_stencil(face_op, spec, tuple(spacing))
-    out = correlate(values, taps)
+    out = correlate(values, taps, out, buffers)
     out *= scale
     return out
 

@@ -185,9 +185,27 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     return ResidualReport(spacings, dts, maxes)
 
 
+def singular_poly_window(spec: SolutionSpec, layout: GridFunction,
+                         annulus: tuple[float, float] = (0.25, 1.0)) -> np.ndarray:
+    """The nodes whose residual `singular_poly_check` reads: r = H0(x) in
+    the annulus [lo, hi] and at least m_order cells off the box edge, where
+    (lap_h)^m v is defined (each application leaves its one-cell halo NaN).
+    An annulus that holds none of them is a DomainError naming it."""
+    r = dual_norm_eval(spec.norm, layout.coords())
+    m = spec.m_order
+    off_rim = np.zeros(r.shape, dtype=bool)
+    off_rim[tuple(slice(m, max(m, n - m)) for n in r.shape)] = True
+    window = off_rim & (r >= annulus[0]) & (r <= annulus[1])
+    if not window.any():
+        raise DomainError(f"the annulus {list(annulus)} holds no node at least {m} "
+                          f"cell(s) off the box edge, where (lap_h)^{m} v is defined")
+    return window
+
+
 def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
                         annulus: tuple[float, float] = (0.25, 1.0)) -> float:
-    """Max |(lap_h)^m v| on the annulus r in [lo, hi], away from the origin.
+    """Max |(lap_h)^m v| on the annulus r in [lo, hi], away from the origin
+    and the box edge (`singular_poly_window`).
 
     The Dirac mass at the origin is not estimated; the puncture at x = 0 is
     filled with 0 and its stencil pollution stays inside r < lo for the
@@ -196,6 +214,7 @@ def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
     """
     if spec.kind != "singular_poly":
         raise DomainError("singular_poly_check requires the singular family")
+    window = singular_poly_window(spec, layout, annulus)
     x = layout.coords()
     r = dual_norm_eval(spec.norm, x)
     puncture = r == 0.0     # eval_solution rejects it: sample elsewhere, then fill
@@ -203,5 +222,4 @@ def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
     field = layout.with_values(np.where(puncture, 0.0, v))
     for _ in range(spec.m_order):
         field = finsler_laplacian(field, spec.norm)
-    window = (r >= annulus[0]) & (r <= annulus[1]) & np.isfinite(field.values)
-    return float(np.max(np.abs(field.values[window])))
+    return float(np.max(np.abs(field.values[window & np.isfinite(field.values)])))

@@ -974,6 +974,26 @@ def test_verify_exact_singular_case(tmp_path):
     assert "singular_poly" in (outdir / "exact_residuals.csv").read_text()
 
 
+def test_an_empty_singular_annulus_is_refused_by_name_before_any_case_runs(tmp_path, capsys):
+    """On [0.5, 1.5]^3 with 8 cells the only nodes with H0 <= 1 lie on the
+    box edge, where lap_h v is not defined: the case and its default
+    annulus are named, and no file is written, not even the first case's."""
+    euclid3 = {"family": "euclidean", "params": {}, "dimension": 3}
+    cfg = {"cases": [{"kind": "gauss_kernel", "norm": EUCLID_JSON,
+                      "box": [[-2, 2], [-2, 2]], "resolution": [16, 16], "t": 0.5},
+                     {"kind": "singular_poly", "params": {"m_order": 1}, "norm": euclid3,
+                      "box": [[0.5, 1.5]] * 3, "resolution": [8, 8, 8]}]}
+    code, outdir = _run(tmp_path, "verify-exact", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cases[1] (singular_poly)" in err and "annulus [0.25, 1.0]" in err
+    assert list(outdir.iterdir()) == []
+    # an annulus that reaches one node a cell off the edge is read
+    cfg["cases"][1]["annulus"] = [0.25, 1.5]
+    code, outdir = _run(tmp_path, "verify-exact", cfg, out="wider")
+    assert code == 0 and (outdir / "exact_residuals.csv").is_file()
+
+
 def test_simulate_non_convergence_exit_code(tmp_path):
     cfg = {"norm": EUCLID_JSON,
            "problem": {"radius": 1.0, "spacing": 0.125,

@@ -647,6 +647,26 @@ def test_newton_prox_preconditions_p3_and_keeps_its_cg_counts():
     assert np.all(np.diff(mon["energy"]) <= 0.0)
 
 
+def test_face_median_is_np_median_bit_for_bit():
+    """`_face_median_divisor` reads c_k as `np.median` of the positive
+    DA_kk over two face families, on odd and even counts, with ties, zeros
+    and negative entries (which it leaves out)."""
+    from types import SimpleNamespace
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 50), 34000, 34001]:
+        for draw in range(3 if n < 50 else 2):
+            values = (rng.integers(-2, 6, n).astype(float) if draw == 1
+                      else rng.standard_normal(n) * np.exp(rng.standard_normal(n)))
+            positive = values[values > 0.0]
+            if not positive.size:
+                continue
+            families = [{(0, 0): values[:n // 3]}, {(0, 0): values[n // 3:]}]
+            divisor = np.empty(1)
+            flow._face_median_divisor(divisor, [np.ones(1)], SimpleNamespace(jacobians=families),
+                                      np.inf)
+            assert _same_bits(divisor, np.array([np.median(positive)])), (n, draw)
+
+
 @pytest.mark.parametrize("p, preconditioned", [(1.5, False), (2.0, True), (3.0, True)])
 def test_newton_steps_report_whether_they_were_preconditioned(p, preconditioned):
     spec = norms.p_norm(p, 2)
@@ -1006,6 +1026,26 @@ def test_monitor_weighted_l1_forms():
     assert 0.0 < local["weighted_l1_local"] <= direct + 1e-12
 
 
+def test_monitor_weights_round_as_their_closed_forms():
+    """Each weighted monitor keeps the bits of its formula written out:
+    e^(-2 g) u^2 and e^(-g) |u| with g = lam H0^2 / (1 - 4 lam t), and the
+    ball window of e^(-H0^2 (1 + t^ell)) |u|, on a field of both signs."""
+    lam, ell = 0.5, 0.25
+    lay = ball_layout(ELLIPSE, 2.0, 1 / 8)
+    mask = ball_mask(ELLIPSE, lay, 2.0)
+    h0 = norms.dual_norm_eval(ELLIPSE, lay.coords())
+    u = np.where(mask, np.exp(-h0**2) * np.cos(3.0 * lay.coords()[..., 0]), 0.0)
+    kernel, vol = measures._ball_kernel(ELLIPSE, 1.0, lay.spacing), lay.cell_volume
+    read = flow._monitor_reader(ELLIPSE, h0, mask, lay.spacing, lam, ell)
+    for t in (0.0, 0.01, 0.3):
+        got = read(u, t)
+        g = lam * h0**2 / (1.0 - 4.0 * lam * t)
+        assert got["weighted_l2"] == float(np.sum(np.exp(-2.0 * g) * u * u)) * vol
+        assert got["weighted_l1_lambda"] == float(np.sum(np.exp(-g) * np.abs(u))) * vol
+        window = measures.fftconvolve(np.exp(-(h0**2) * (1.0 + t**ell)) * np.abs(u), kernel)
+        assert got["weighted_l1_local"] == float(np.max((window * vol)[mask]))
+
+
 def test_weighted_monitors_match_the_trajectory_bit_for_bit():
     # solve records through the same path, for either scheme, with NaN lam
     # weights from the horizon 1/(4 lam) = 0.05 on: every recorded name but
@@ -1274,6 +1314,101 @@ def test_dst1_inverse_scale_is_rounded_from_long_double():
     y = x.copy()
     flow._dst1((2730,))(y, inverse=True)
     assert _same_bits(y, idstn(x, type=1))
+
+
+@pytest.mark.parametrize("shape", [(7,), (40,), (9000,), (511, 255), (9, 5), (31, 17, 13),
+                                   (5, 64, 3), (127, 63, 63)])
+def test_dst1_slabs_keep_scipys_bits(shape):
+    """`_dst1` against scipy.fft's dstn and idstn of type 1 on shapes whose
+    lines fill several slabs, the last one partial: 511 x 255 runs axis 0
+    in 15 runs of 16 columns and one of 15, and axis 1 in 15 slabs of 32
+    rows and one of 31; 127 x 63 x 63 runs axis 0 in 62 runs of 64
+    columns and one of 1."""
+    from scipy.fft import dstn, idstn
+    rng = np.random.default_rng(sum(shape))
+    transform = flow._dst1(shape)
+    for _ in range(2):
+        x = rng.standard_normal(shape)
+        forward, inverse = x.copy(), x.copy()
+        transform(forward)
+        transform(inverse, inverse=True)
+        assert _same_bits(forward, dstn(x, type=1))
+        assert _same_bits(inverse, idstn(x, type=1))
+
+
+def test_dst1_pair_allocates_well_under_one_field():
+    """Building the 511 x 255 box's DST-I and running a forward and an
+    inverse transform allocate under half of one field: the slabs'
+    extension and spectrum take 16 lines of 511 or 32 of 255, 0.27 field,
+    and numpy's strided ufuncs 128 KiB of buffers, 0.13 (a full-size
+    extension and spectrum took four fields)."""
+    flow._dst1((3,))(np.zeros(3))
+    x = np.random.default_rng(5).standard_normal((511, 255))
+    tracemalloc.start()
+    try:
+        transform = flow._dst1(x.shape)
+        transform(x)
+        transform(x, inverse=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
+
+
+def _clear_module_caches():
+    """Empty every lru_cache of the package's modules."""
+    from finslerheat import cli, grids, radial, solutions
+    for module in (cli, flow, grids, measures, norms, operators, radial, solutions):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 17),
+                                                 ("explicit_euler", 1e-4, 14)])
+def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
+    """One solve of the ellipse diag(4, 1) on 257 x 129 nodes with both
+    monitors, from cleared caches, allocates at most `fields` field sizes
+    at its peak (15.8 and 12.6 with numpy 2.4): the stepper and the monitor
+    reader share one set of correlation buffers, the DST-I runs in slabs,
+    the reader holds one field of H0^2 and builds its weights in place, and
+    the CG keeps no dead copy."""
+    problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
+                               t_end=3 * tau, scheme=scheme, monitor_lambda=0.5,
+                               monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
+    solve(problem)      # imports what the solve imports
+    _clear_module_caches()
+    tracemalloc.start()
+    try:
+        solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fields * problem.datum.values.nbytes
+
+
+def test_a_solve_leaves_no_field_in_a_module_cache():
+    """What a solve allocates and still holds once its trajectory is
+    dropped is under a quarter of a field, for either scheme: its
+    correlation buffers and DST-I slabs die with it, and only plans that
+    hold no field stay cached."""
+    import gc
+    for scheme, tau in (("implicit_proximal", 1e-2), ("explicit_euler", 1e-4)):
+        problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
+                                   t_end=2 * tau, scheme=scheme, monitor_lambda=0.5,
+                                   monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
+        solve(problem)
+        _clear_module_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            traj = solve(problem)
+            del traj
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < problem.datum.values.nbytes / 4, scheme
 
 
 def test_flow_problem_bounds_its_steps():
