@@ -46,11 +46,12 @@ symbols of the unit forms, built once per solve; for p < 2, where DA_kk is
 unbounded as xi_k -> 0, CG is plain.  Every returned step is a descent
 point of the monitored energy.  The explicit scheme
 advances with the face-flux operator under the usual parabolic step
-restriction; its step (`_explicit_stepper`) and the energy reading are built
-once per solve too.  The stepper and the monitor reader of a solve, which
-never run at once, share one set of correlation buffers (the `buffers`
-that `solve` hands both, see `operators.correlate`), which die with the
-solve: no module-level cache holds a field.
+restriction; its step (`_explicit_stepper`) is built once per solve too.
+The stepper and the monitor reader of a solve, which never run at once,
+share one set of correlation buffers (the `buffers` that `solve` hands
+both, see `operators.correlate`), which die with the solve; `energy`,
+`weighted_monitors`, `proximal_step` and `explicit_step` build theirs per
+call: no module-level cache holds a field.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -62,11 +63,11 @@ comparison of the run read the domain from it.
 
 Each step's monitors come from two producers built once per solve: the
 stepper's stats by name (inner_iterations, preconditioned; 0 if absent)
-and `_monitor_reader` (also `weighted_monitors`): the energy, the mass,
-the quadratic weight integral int e^(-2 lam H0^2/(1-4 lam t)) u^2
-(nonincreasing while t < 1/(4 lam)) and the windowed-ball weighted L^1
-quantity with weight e^(-H0^2 (1+t^ell)), read from one field of H0^2,
-with each weight built in place.
+and `_monitor_reader`, the one energy reader (also of `energy` and
+`weighted_monitors`): the energy, the mass, the quadratic weight integral
+int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing while t < 1/(4 lam))
+and the windowed-ball weighted L^1 quantity with weight e^(-H0^2 (1+t^ell)),
+read from one field of H0^2, with each weight built in place.
 """
 
 from __future__ import annotations
@@ -186,30 +187,10 @@ def energy(gf: GridFunction, spec: NormSpec, mask: Optional[np.ndarray] = None) 
     The field is clamped to zero outside the mask and extended by zero
     beyond the box (the H^1_0 reading; faces crossing the Dirichlet
     boundary carry the anchoring energy).  It is (vol/2) <u, energy_gradient(u)>,
-    the objective the prox descends, read as `_energy_reader` says.
+    the objective the prox descends, read by `_monitor_reader`, the one energy reader.
     """
-    vals = gf.values if mask is None else np.where(mask, gf.values, 0.0)
-    return _energy_reader(spec, gf.spacing, _energy_buffers(vals.shape))(vals)
-
-
-@lru_cache(maxsize=1)
-def _energy_buffers(shape: tuple) -> dict:
-    """The correlation buffers of `energy`, kept for the last shape read, so
-    that reading a field of the same grid again allocates no field."""
-    return {}
-
-
-def _energy_reader(spec: NormSpec, spacings, buffers: Optional[dict] = None):
-    """`energy` of masked fields of one (spec, spacings), built once: p-norms
-    read it by Euler's identity, quadratic families by the difference form
-    of the gradient's stencil (`operators.stencil_energy`), in `buffers`, the
-    reader's own unless given."""
-    spacings, vol = tuple(spacings), float(np.prod(spacings))
-    if spec.family == "p_norm":
-        return lambda u: 0.5 * vol * float(np.sum(u * energy_gradient(u, spec, spacings)))
-    _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacings)
-    buffers = {} if buffers is None else buffers
-    return lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
+    u = gf.values if mask is None else np.where(mask, gf.values, 0.0)
+    return _monitor_reader(spec, None, mask, gf.spacing, None, None)(u, 0.0)["energy"]
 
 
 def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
@@ -602,8 +583,11 @@ def _monitor_settings(lam: Optional[float], ell: Optional[float]) -> None:
 def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], spacing,
                     lam: Optional[float], ell: Optional[float], buffers: Optional[dict] = None):
     """The monitors of one solve, built once: read(u, t) of a field u that
-    vanishes off the mask returns the energy (`_energy_reader`), the mass
-    and the weighted monitors, from H0 values h0 at its nodes.
+    vanishes off the mask returns the energy, the mass and the weighted
+    monitors, from H0 values h0 at its nodes (None without lam and ell).
+    It is the one energy reader: p-norms read psi by Euler's identity,
+    quadratic families by the stencil's difference form
+    (`operators.stencil_energy`) in `buffers`, the reader's own unless given.
 
     With lam: weighted_l2 = int e^(-2 lam H0^2/(1-4 lam t)) u^2 and
     weighted_l1_lambda = int e^(-lam H0^2/(1-4 lam t)) |u|, both NaN from
@@ -617,7 +601,13 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     e^w |u| as |e^w u|, which round alike.
     """
     _monitor_settings(lam, ell)
-    vol, psi = float(np.prod(spacing)), _energy_reader(spec, spacing, buffers)
+    vol = float(np.prod(spacing))
+    if spec.family == "p_norm":
+        psi = lambda u: 0.5 * vol * float(np.sum(u * energy_gradient(u, spec, spacing)))
+    else:
+        _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacing)
+        buffers = {} if buffers is None else buffers
+        psi = lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
     h2 = None if lam is None and ell is None else h0**2
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
     spectrum = None if ell is None else kernel_spectrum(kernel, h0.shape)

@@ -187,14 +187,12 @@ def grad_norm(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     grad H(t xi) = sign(t) grad H(xi).
     """
     xi = np.asarray(xi, dtype=float)
-    H = eval_norm(spec, xi)
+    H, s = _p_terms(spec, xi) if spec.family == "p_norm" else (eval_norm(spec, xi), None)
     if np.any(H == 0.0):
         raise DomainError("grad_norm is undefined at xi = 0; use duality_map")
-    if spec.family == "p_norm":
-        p = spec.p
-        return np.sign(xi) * np.abs(xi) ** (p - 1.0) / H[..., None] ** (p - 1.0)
-    Q = spec._quadratic_form()
-    return np.einsum("ij,...j->...i", Q, xi) / H[..., None]
+    if s is not None:
+        return s / H[..., None] ** (spec.p - 1.0)     # g, as `_p_jacobian` forms it
+    return np.einsum("ij,...j->...i", spec._quadratic_form(), xi) / H[..., None]
 
 
 def duality_map(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
@@ -229,8 +227,8 @@ def duality_jacobian(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
 
 def _p_terms(spec: NormSpec, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H(xi) and s = sign(xi) |xi|^(p-1) of a p-norm, xi of shape (..., N):
-    the terms that A = s H^(2-p) (`_p_flux`) and DA, through
-    g = grad H = s / H^(p-1) (`_p_jacobian`), are built from."""
+    the terms that A = s H^(2-p) (`_p_flux`), g = grad H = s / H^(p-1)
+    (`grad_norm`) and DA, through g (`_p_jacobian`), are built from."""
     return eval_norm(spec, xi), np.sign(xi) * np.abs(xi) ** (spec.p - 1.0)
 
 

@@ -32,6 +32,14 @@ def _ball_problem(spec, radius, spacing, profile_fn, r_max=16.0, **kw):
     return FlowProblem(norm=spec, radius=radius, datum=datum, **kw), prof
 
 
+def _ellipse_ball(spacing):
+    """The datum exp(-H0^2) on the R = 6 ball of the ellipse diag(4, 1), and its mask."""
+    lay = ball_layout(ELLIPSE, 6.0, spacing)
+    mask = ball_mask(ELLIPSE, lay, 6.0)
+    h0 = norms.dual_norm_eval(ELLIPSE, lay.coords())
+    return lay.with_values(np.where(mask, np.exp(-h0**2), 0.0)), mask
+
+
 def test_ball_layout_hugs_the_ball():
     lay = ball_layout(ELLIPSE, 6.0, 6 / 128)
     assert lay.box == ((-12.0, 12.0), (-6.0, 6.0))
@@ -368,19 +376,20 @@ def test_quadratic_energy_matches_a_long_double_face_sum(data):
 
 
 def test_quadratic_energy_read_allocates_no_field():
-    # a warm read on the 513 x 257 ellipse grid differences the correlation's
-    # zero-rimmed copy in its work buffer, so it allocates no field
-    lay = ball_layout(ELLIPSE, 6.0, 6 / 128)
-    h0 = norms.dual_norm_eval(ELLIPSE, lay.coords())
-    gf = lay.with_values(np.where(ball_mask(ELLIPSE, lay, 6.0), np.exp(-h0**2), 0.0))
-    first = energy(gf, ELLIPSE)
+    # a warm read of the monitor reader that `solve` uses, on the 513 x 257
+    # ellipse grid, differences the correlation's zero-rimmed copy in the
+    # reader's own work buffer, so it allocates no field; `energy` reads the same
+    gf, _ = _ellipse_ball(6 / 128)
+    read = flow._monitor_reader(ELLIPSE, None, None, gf.spacing, None, None)
+    first = read(gf.values, 0.0)
     tracemalloc.start()
     try:
-        again = energy(gf, ELLIPSE)
+        again = read(gf.values, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert again == first
+    assert energy(gf, ELLIPSE) == first["energy"]
     assert peak < gf.values.nbytes / 10
 
 
@@ -1409,6 +1418,41 @@ def test_a_solve_leaves_no_field_in_a_module_cache():
         finally:
             tracemalloc.stop()
         assert held < problem.datum.values.nbytes / 4, scheme
+
+
+_ENTRY_POINTS = {
+    "energy": lambda gf, mask: energy(gf, ELLIPSE, mask),
+    "weighted_monitors": lambda gf, mask: weighted_monitors(gf, ELLIPSE, 0.1, 0.5, 0.25, mask),
+    "energy_gradient": lambda gf, mask: energy_gradient(gf.values, ELLIPSE, gf.spacing),
+    "finsler_laplacian": lambda gf, mask: finsler_laplacian(gf, ELLIPSE),
+    "proximal_step": lambda gf, mask: proximal_step(gf, ELLIPSE, mask, 1e-2,
+                                                    InnerSolverConfig(tolerance=1e-7)),
+    "explicit_step": lambda gf, mask: explicit_step(gf, ELLIPSE, mask, 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_public_entry_points_leave_no_field_in_a_module_cache(name):
+    """What one call of a public entry point on the 257 x 129 ellipse
+    diag(4, 1) ball allocates and still holds once its result is dropped is
+    under a quarter of a field: each one-shot call makes its correlation
+    buffers for the call, and only plans that hold no field stay cached.
+    The warm call runs on a coarser grid of the same ball, so that a cache
+    keyed by the grid, cleared or not, fills under the trace."""
+    import gc
+    call = _ENTRY_POINTS[name]
+    call(*_ellipse_ball(6 / 16))
+    gf, mask = _ellipse_ball(6 / 64)
+    _clear_module_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(gf, mask)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < gf.values.nbytes / 4
 
 
 def test_flow_problem_bounds_its_steps():

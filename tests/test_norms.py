@@ -82,6 +82,23 @@ def test_grad_at_zero_raises():
         norms.grad_norm(EUCLID, np.zeros(2))
 
 
+@settings(max_examples=30)
+@given(p=st.one_of(st.sampled_from([1.2, 1.5, 2.0, 3.0, 7.5]), st.floats(1.01, 12.0)),
+       dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_p_norm_gradient_is_s_over_h_to_the_p_minus_1_bit_for_bit(p, dim, seed):
+    """grad_norm of a p-norm, s / H^(p-1) from its `_p_terms`, is the
+    written-out sign(xi) |xi|^(p-1) / H^(p-1) bit for bit, on vectors whose
+    components span e^-9 to e^9 in magnitude, some zero."""
+    spec = norms.p_norm(p, dim)
+    rng = np.random.default_rng(seed)
+    xi = rng.choice([-1.0, 1.0], (1000, dim)) * np.exp(rng.uniform(-9.0, 9.0, (1000, dim)))
+    xi[rng.random((1000, dim)) < 0.1] = 0.0
+    xi[~xi.any(axis=1), 0] = 1.0
+    H = norms.eval_norm(spec, xi)[..., None]
+    expected = np.sign(xi) * np.abs(xi) ** (p - 1.0) / H ** (p - 1.0)
+    assert np.array_equal(norms.grad_norm(spec, xi).view(np.int64), expected.view(np.int64))
+
+
 def test_dual_self_euclidean():
     assert norms.dual_norm_eval(EUCLID, np.array([3.0, 4.0])) == pytest.approx(5.0)
 
