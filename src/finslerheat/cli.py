@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import flow, measures, norms, operators, radial, solutions
-from .errors import ConvergenceError, DomainError, SpecValidationError, integer
+from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer
 from .grids import GridFunction, RadialProfile, empty_layout, observed_order
 
 EXIT_OK = 0
@@ -96,15 +96,11 @@ def _real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _finite(value) -> bool:
-    return _real(value) and math.isfinite(value)
-
-
 _text = _reader(lambda v: isinstance(v, str), "a string")
 _flag = _reader(lambda v: isinstance(v, bool), "true or false")
-_number = _reader(_finite, "a finite number")
-_positive = _reader(lambda v: _finite(v) and v > 0, "a finite number above 0")
-_range = _reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
+_number = _reader(finite, "a finite number")
+_positive = _reader(lambda v: finite(v) and v > 0, "a finite number above 0")
+_range = _reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(finite, v))
                  and v[0] < v[1], "two finite numbers in ascending order")
 
 

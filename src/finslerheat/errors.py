@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its one finite-number
+and one integer check."""
 
+import math
 from numbers import Real
 
 
@@ -32,10 +34,15 @@ class ConvergenceError(RuntimeError):
         self.gap = gap
 
 
+def finite(value) -> bool:
+    """Whether `value` is a finite real number (booleans and strings are not)."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def integer(value, what: str) -> int:
     """`value` as an int if it is an integral number, 300 or 300.0; else a
     SpecValidationError naming `what` (2.7 is not truncated; NaN, infinity,
     booleans and strings are refused)."""
-    if isinstance(value, Real) and not isinstance(value, bool) and float(value).is_integer():
+    if finite(value) and float(value).is_integer():
         return int(value)
     raise SpecValidationError(f"{what} must be an integer, not {value!r}")

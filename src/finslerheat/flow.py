@@ -27,26 +27,27 @@ the box preconditioner, whose DST-I is scipy's on numpy's real FFT
 spectrum are a fraction of a field), and its own CG, scipy's `cg` step for
 step, with inner products in a fixed order, so that no bit depends on the
 BLAS thread count, its products in buffers of each CG solve and no copy of an
-array it does not need) and takes one path per norm family.  The
-one box solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
-fast-Poisson solver: the DST-I inverse on the bounding box of an operator
-given by its symbol (`operators.stencil_symbol`), then masked.  Quadratic
-families take one CG solve of the SPD system (I/tau + K) u = u_prev/tau,
-preconditioned by the box inverse of I/tau + K (the symbol of the same
-cached stencil) when the datum is below the stopping tolerance on the band
-of free nodes within the stencil's reach of a clamped node, where the box
-and masked operators differ.  p-norms take damped Newton steps on the exact
-objective; each iterate's faces are evaluated once, by one `FaceKernel.form`
-(`_face_state`), which its gradient and, once accepted, its Newton Hessian
-(an `operators.FaceHessian`, the same form over DA) both read, bit for bit
-as separate evaluations.  For p >= 2 each Newton CG is preconditioned by the
-box inverse of I/tau + (1/N) G^T diag(c) G, c_k the median over the faces
-of the Hessian's positive DA_kk, whose symbol is sum_k c_k sigma_k over the
-symbols of the unit forms, built once per solve; for p < 2, where DA_kk is
-unbounded as xi_k -> 0, CG is plain.  Every returned step is a descent
-point of the monitored energy.  The explicit scheme
-advances with the face-flux operator under the usual parabolic step
-restriction; its step (`_explicit_stepper`) is built once per solve too.
+array it does not need) and takes one path per norm family.  The one box
+solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
+fast-Poisson solver: the DST-I inverse on the bounding box of I/tau +
+sum_k c_k S_k, then masked.  The stepper names the stencils S_k (as face
+operators) and their weights c_k; the builder alone forms the divisor from
+their symbols (`operators.stencil_symbol`).  Quadratic families take one
+CG solve of the SPD system (I/tau + K) u = u_prev/tau, preconditioned by
+the box inverse of I/tau + K (K's stencil weighed by 1) when the datum is
+below the stopping tolerance on the band of free nodes within the stencil's
+reach of a clamped node, where the box and masked operators differ.
+p-norms take damped Newton steps on the exact objective; each iterate's
+faces are evaluated once, by one `FaceKernel.form` (`_face_state`), which
+its gradient and, once accepted, its Newton Hessian (an
+`operators.FaceHessian`, the same form over DA) both read, bit for bit as
+separate evaluations.  For p >= 2 each Newton CG is preconditioned by the
+box inverse of I/tau + (1/N) G^T diag(c) G, the unit forms weighed by c_k,
+the median over the faces of the Hessian's positive DA_kk; for p < 2, where
+DA_kk is unbounded as xi_k -> 0, CG is plain.  Every returned step is a
+descent point of the monitored energy.  The explicit scheme advances with
+the face-flux operator under the usual parabolic step restriction; its
+step (`_explicit_stepper`) is built once per solve too.
 The stepper and the monitor reader of a solve, which never run at once,
 share one set of correlation buffers (the `buffers` that `solve` hands
 both, see `operators.correlate`), which die with the solve; `energy`,
@@ -79,7 +80,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, SpecValidationError, StabilityError
+from .errors import ConvergenceError, SpecValidationError, StabilityError, integer
 from .grids import GridFunction, empty_layout
 from .measures import (MeasureSpec, _ball_kernel, fftconvolve, kernel_spectrum, mollify,
                        next_fast_len)
@@ -120,7 +121,7 @@ class InnerSolverConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0
-                and self.max_iters >= 1):
+                and integer(self.max_iters, "max_iters") >= 1):
             raise SpecValidationError("inner solver config out of range")
 
 
@@ -255,28 +256,26 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
     return mask & near
 
 
-def _box_lengths(shape: tuple) -> tuple:
-    """The box that `_box_preconditioner` transforms for fields of `shape`:
-    each side n - 2 off the box edge zero-padded to the nearest length whose
-    DST-I, 2 (n - 1) long unpadded, is fast."""
-    return tuple(next_fast_len(n - 1) - 1 for n in shape)
-
-
-def _box_preconditioner(mask: np.ndarray, tau: float, divisor: np.ndarray):
-    """r -> mask * B^-1 r on shaped fields, B the box operator that the DST-I
-    diagonalizes with eigenvalues `divisor` on the box of `_box_lengths`:
-    its inverse on the nodes off the box edge, tau r on the box edge.  SPD
-    on the masked fields where the divisor is positive.  The divisor is
-    1/tau + the DST-I symbol of a stencil (`operators.stencil_symbol`),
-    read at each call: quadratic families pass that of K, so that B^-1 is
-    (I/tau + K)^-1, exact for axis-symmetric stencils away from the clamped
-    nodes and the box's far side; the p-norm Newton steps refill theirs."""
-    lengths = divisor.shape
+def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
+                        face_ops: list):
+    """The box solve of one prox, built once on the box of each side n - 2
+    off the box edge, zero-padded to the nearest length whose DST-I, 2 (n - 1)
+    long unpadded, is fast: the DST plan, the divisor and, last, since the
+    quadratic path drops them after one weigh, the DST-I symbols sigma_k of
+    the stencils of `face_ops` (`operators.stencil_symbol`).  weigh(c) fills
+    the divisor with 1/tau + sum_k c_k sigma_k and returns r -> mask B^-1 r,
+    B the box operator with eigenvalues the divisor (tau r on the box edge),
+    SPD on masked fields where the divisor is positive.  Quadratic families
+    weigh K's stencil by 1: B^-1 is (I/tau + K)^-1, exact for axis-symmetric
+    stencils away from the clamped nodes and the box's far side; p >= 2
+    Newton steps weigh the unit forms by the face medians (`_face_medians`)."""
+    lengths = tuple(next_fast_len(n - 1) - 1 for n in mask.shape)
     interior = (slice(1, -1),) * mask.ndim
     box = tuple(slice(0, n - 2) for n in mask.shape)
     off = ~mask
     dst = _dst1(lengths)
-    work = np.zeros(lengths)
+    work, divisor = np.zeros(lengths), np.empty(lengths)
+    symbols = [stencil_symbol(op, spec, spacings, lengths) for op in face_ops]
 
     def psolve(r: np.ndarray) -> np.ndarray:
         work.fill(0.0)
@@ -288,7 +287,13 @@ def _box_preconditioner(mask: np.ndarray, tau: float, divisor: np.ndarray):
         out[interior] = work[box]
         np.copyto(out, 0.0, where=off)
         return out
-    return psolve
+
+    def weigh(c):
+        divisor.fill(1.0 / tau)
+        for ck, sigma in zip(c, symbols):
+            divisor[...] += float(ck) * sigma
+        return psolve
+    return weigh
 
 
 @lru_cache(maxsize=None)
@@ -303,21 +308,19 @@ def _unit_face_form(k: int):
     return form
 
 
-def _face_median_divisor(divisor: np.ndarray, symbols: list, hessian: FaceHessian,
-                         tau: float) -> None:
-    """Refill `divisor` with 1/tau + sum_k c_k sigma_k, sigma_k the symbol of
-    `_unit_face_form`(k) and c_k the median of the Newton Hessian's DA_kk
-    over the faces, of every family, where it is positive: `np.median` bit
-    for bit, from one partition at the middle m = n // 2, whose lower part
-    holds the other middle value of an even count as its maximum."""
-    divisor.fill(1.0 / tau)
-    for k, sigma in enumerate(symbols):
-        entries = np.concatenate([J[k, k].ravel() for J in hessian.jacobians])
+def _face_medians(jacobians: list, N: int) -> list:
+    """c_k, k < N, the median of the Newton Hessian's DA_kk over the faces,
+    of every family of `jacobians`, where it is positive: `np.median` bit for
+    bit, from one partition at the middle m = n // 2, whose lower part holds
+    the other middle value of an even count as its maximum."""
+    medians = []
+    for k in range(N):
+        entries = np.concatenate([J[k, k].ravel() for J in jacobians])
         positive = entries[entries > 0.0]
         m = positive.size // 2
         part = np.partition(positive, m)
-        median = part[m] if positive.size % 2 else (part[:m].max() + part[m]) / 2
-        divisor += float(median) * sigma
+        medians.append(part[m] if positive.size % 2 else (part[:m].max() + part[m]) / 2)
+    return medians
 
 
 _DST_SLAB = 8192    # lines times (n + 1) per slab of `_dst1`: 16 lines of 511, 128 of 63
@@ -331,9 +334,10 @@ def _dst1(shape: tuple):
     -Im rfft(0, x, 0, -x reversed)[1 : n + 1], numpy's real FFT of the odd
     extension, as scipy's pocketfft forms it; the inverse scales by
     1 / prod 2 (n + 1), rounded from long double, once, on the first axis.
-    The lines along an axis run in slabs of _DST_SLAB // (n + 1) lines (at
-    least one): with x viewed as (rows, n, columns), a slab is a run of
-    columns of one row, or whole rows.  Each slab is copied into a
+    The lines along an axis run in slabs of lines = _DST_SLAB // (n + 1)
+    lines (at least one): with x viewed as (rows, n, columns), a slab is
+    R = max(1, lines // columns) rows by C = min(columns, lines) columns, a
+    run of columns of one row or whole rows.  Each slab is copied into a
     contiguous extension, whose two zero columns are written before each
     use, and transformed into a contiguous spectrum; both are views of two
     buffers of one slab, built here and shared by every slab of every axis."""
@@ -341,12 +345,9 @@ def _dst1(shape: tuple):
     for axis, n in enumerate(shape):
         rows, columns = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
         lines = max(1, _DST_SLAB // (n + 1))
-        if columns >= lines:    # runs of `lines` columns of one row
-            blocks = [(r, r + 1, c, min(c + lines, columns))
-                      for r in range(rows) for c in range(0, columns, lines)]
-        else:                   # whole rows, lines // columns at a time
-            blocks = [(r, min(r + lines // columns, rows), 0, columns)
-                      for r in range(0, rows, lines // columns)]
+        R, C = max(1, lines // columns), min(columns, lines)
+        blocks = [(r, min(r + R, rows), c, min(c + C, columns))
+                  for r in range(0, rows, R) for c in range(0, columns, C)]
         axes.append(((rows, n, columns), [((slice(r0, r1), slice(None), slice(c0, c1)),
                                            (r1 - r0, c1 - c0, n)) for r0, r1, c0, c1 in blocks]))
     keys = {key for _, slabs in axes for _, key in slabs}
@@ -391,22 +392,21 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
 
     Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
     masked v, K u = `energy_gradient`(u), preconditioned by the box inverse
-    of I/tau + K (`_box_preconditioner` on the symbol of K's stencil, built
-    at the first such step) when v/tau is below the stopping tolerance in
-    L^2 on the boundary band (`_boundary_band`, built once), where the box
-    and masked operators differ.
+    of I/tau + K (K's stencil weighed by 1, built at the first such step)
+    when v/tau is below the stopping tolerance in L^2 on the boundary band
+    (`_boundary_band`, built once), where the box and masked operators differ.
 
     p-norms: inexact Newton from the masked v, CG on I/tau + (1/N) G^T
     DA(G u) G with DA, the duality map's Jacobian, from the face state of
     the accepted iterate (the last point the line search evaluated), to the
     relative residual min(0.5, sqrt(||grad J|| / (1 + ||v||))).  For
-    p >= 2 each Newton step's CG is preconditioned by the box inverse of
-    I/tau + (1/N) G^T diag(c) G, c_k the median of the Hessian's positive
-    DA_kk (`_face_median_divisor`; the symbols of the unit forms and the
-    box are built once); for p < 2, where DA_kk is unbounded as xi_k -> 0,
-    CG is plain.  A step past the minimum of J along d is cut to the secant
-    root of J' (Newton overshoots where the p < 2 flux is only Hoelder),
-    then backtracked (Armijo) on J, up to its rounding, so J(u) <= J(v).
+    p >= 2 each Newton CG is preconditioned by the box inverse of I/tau +
+    (1/N) G^T diag(c) G, the unit forms' box solve (built once) weighed by
+    c_k, the median of the Hessian's positive DA_kk (`_face_medians`); for
+    p < 2, where DA_kk is unbounded as xi_k -> 0, CG is plain.  A step past
+    the minimum of J along d is cut to the secant root of J' (Newton
+    overshoots where the p < 2 flux is only Hoelder), then backtracked
+    (Armijo) on J, up to its rounding, so J(u) <= J(v).
 
     `cg` stops on the unpreconditioned residual on every path.  Both stop
     at ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); past max_iters CG
@@ -463,9 +463,8 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             rhs, atol = u / tau, inner.tolerance * (1.0 + _l2(u, vol))
             quiet = _l2(rhs[band], vol) < atol
             if quiet and not box:
-                lengths = _box_lengths(mask.shape)
-                box.append(_box_preconditioner(mask, tau, stencil_symbol(
-                    _face_energy_gradient, spec, spacings, lengths) + 1.0 / tau))
+                box.append(_box_preconditioner(mask, tau, spec, spacings,
+                                               [_face_energy_gradient])((1.0,)))
             w, iters, converged = cg(gradient, rhs, u, atol,
                                      inner.max_iters, box[0] if quiet else None)
             if not converged:   # the budget is spent: accept w only if its gap is in tolerance
@@ -477,13 +476,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             return w, {"inner_iterations": iters, "preconditioned": quiet}
         return quadratic_step
 
-    precondition = spec.p >= 2.0
-    if precondition:
-        lengths = _box_lengths(mask.shape)
-        symbols = [stencil_symbol(_unit_face_form(k), spec, spacings, lengths)
-                   for k in range(mask.ndim)]
-        divisor = np.empty(lengths)
-        box_solve = _box_preconditioner(mask, tau, divisor)
+    weigh = (_box_preconditioner(mask, tau, spec, spacings,
+                                 [_unit_face_form(k) for k in range(mask.ndim)])
+             if spec.p >= 2.0 else None)
 
     def newton_step(values: np.ndarray):
         u = np.where(mask, values, 0.0)
@@ -503,11 +498,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 raise fail(w, gn)
             # `state` is w's: w is the last point grad_and_value evaluated
             hessian = _newton_hessian(w, spec, spacings, state)
-            if precondition:
-                _face_median_divisor(divisor, symbols, hessian, tau)
+            psolve = None if weigh is None else weigh(_face_medians(hessian.jacobians, w.ndim))
             d, steps, _ = cg(hessian, -g, np.zeros_like(g),
-                             min(0.5, np.sqrt(gn / scale)) * gn, inner.max_iters - iters,
-                             box_solve if precondition else None)
+                             min(0.5, np.sqrt(gn / scale)) * gn, inner.max_iters - iters, psolve)
             del hessian     # its buffers are not held through the line search
             iters += steps
             slope = float(np.sum(g * d)) * vol
@@ -522,7 +515,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 trial = w + alpha * d
                 g_new, J_new, state = grad_and_value(trial)
             w, g, Jw = trial, g_new, J_new
-        return w, {"inner_iterations": iters, "preconditioned": precondition}
+        return w, {"inner_iterations": iters, "preconditioned": weigh is not None}
     return newton_step
 
 

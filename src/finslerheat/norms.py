@@ -42,7 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpecValidationError
+from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer
+from .grids import MAX_NODES
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SCAN_ENTRIES = 1 << 18     # row-direction pairs per block of the sphere scan
@@ -78,13 +79,15 @@ class NormSpec:
             M = self._table("matrix")
             if M.shape != (self.dimension, self.dimension):
                 raise SpecValidationError("ellipse matrix shape mismatch")
+            if not np.all(np.isfinite(M)):
+                raise SpecValidationError("ellipse matrix entries must be finite")
             if not np.allclose(M, M.T, atol=1e-12):
                 raise SpecValidationError("ellipse matrix must be symmetric")
             if np.linalg.eigvalsh(M)[0] <= 0:
                 raise SpecValidationError("ellipse matrix must be positive definite")
         elif self.family == "smoothed_polytope":
-            if self.epsilon is None or self.epsilon <= 0:
-                raise SpecValidationError("smoothed_polytope requires epsilon > 0")
+            if not (finite(self.epsilon) and self.epsilon > 0):
+                raise SpecValidationError("smoothed_polytope requires a finite epsilon > 0")
             D = self._table("directions")
             if np.linalg.matrix_rank(D) < self.dimension:
                 raise SpecValidationError(
@@ -160,8 +163,9 @@ class DualEvalConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise SpecValidationError("tolerance must be finite and positive")
-        if self.sphere_samples < 2:
-            raise SpecValidationError("sphere_samples too small")
+        if not 2 <= integer(self.sphere_samples, "sphere_samples") <= MAX_NODES:
+            raise SpecValidationError(f"sphere_samples must lie in [2, {MAX_NODES}], "
+                                      f"not {self.sphere_samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +436,9 @@ def verify_identities(spec: NormSpec, sample_count: int,
         homogeneity                 |H(a xi) - |a| H(xi)| / (1 + H(xi))
         map_quadratic               |A(xi).xi - H(xi)^2|
     """
-    if sample_count < 1:
-        raise SpecValidationError("sample_count >= 1 required")
+    if not 1 <= integer(sample_count, "sample_count") <= MAX_NODES:
+        raise SpecValidationError(f"verify_identities takes 1 to {MAX_NODES} samples, "
+                                  f"not {sample_count}")
     rng = np.random.default_rng(seed)
     N = spec.dimension
     xi = rng.standard_normal((sample_count, N))

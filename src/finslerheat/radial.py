@@ -279,12 +279,15 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     doubles, up to 4096 nodes and `grids.MAX_NODES` over all panels, until
     successive values agree to 1e-9 relative to 1 + max |u|.
     ConvergenceError if they never do, or if t is so small that the start
-    already reaches 4096 nodes.  DomainError if any rho is not finite, or if
-    the start already lays out more than MAX_NODES nodes (a long profile at
-    a small t), checked before any is allocated.
+    already reaches 4096 nodes.  DomainError if dim is not 1, 2 or 3, if any
+    rho is not finite, or if the start already lays out more than MAX_NODES
+    nodes (a long profile at a small t), checked before any is allocated.
     All exponentials are combined into e^(-(rho-r)^2/4t) times the scaled
     sphere factor, so small t cannot overflow.
     """
+    if dim not in _SPHERE_SUP:
+        raise DomainError(f"the radial representation formula is implemented for "
+                          f"dimension 1, 2 or 3, not {dim}")
     if not (np.isfinite(t) and t > 0):
         raise DomainError("representation formula requires a finite t > 0")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))

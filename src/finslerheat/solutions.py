@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SpecValidationError
+from .errors import DomainError, SpecValidationError, finite
 from .grids import GridFunction, observed_order, refinements
 from .norms import NormSpec, dual_norm_eval
 from .operators import finsler_laplacian, interior_mask
@@ -57,20 +57,20 @@ class SolutionSpec:
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise SpecValidationError(f"unknown solution family {self.kind!r}")
-        if self.kind == "blowup" and (self.lam is None or self.lam <= 0):
-            raise SpecValidationError("blowup requires lam > 0")
+        if self.kind == "blowup" and not (finite(self.lam) and self.lam > 0):
+            raise SpecValidationError("blowup requires a finite lam > 0")
         if self.kind == "barenblatt":
-            if self.m is None or self.m <= 1:
-                raise SpecValidationError("barenblatt requires m > 1")
-            if self.C is None or self.C <= 0:
-                raise SpecValidationError("barenblatt requires C > 0")
+            if not (finite(self.m) and self.m > 1):
+                raise SpecValidationError("barenblatt requires a finite m > 1")
+            if not (finite(self.C) and self.C > 0):
+                raise SpecValidationError("barenblatt requires a finite C > 0")
         if self.kind == "talenti":
             N = self.norm.dimension
             if self.p != 2.0 or N < 3:
                 raise SpecValidationError(
                     "talenti solves -lap_H w = w^((N+2)/(N-2)) only for p = 2, N >= 3")
-            if self.A is None or self.A <= 0 or self.B is None or self.B <= 0:
-                raise SpecValidationError("talenti requires A > 0 and B > 0")
+            if not all(finite(v) and v > 0 for v in (self.A, self.B)):
+                raise SpecValidationError("talenti requires finite A > 0 and B > 0")
             if abs(N * (N - 2) * self.A * self.B - 1.0) > 1e-9:
                 raise SpecValidationError("talenti requires N(N-2)AB = 1")
         if self.kind == "singular_poly" and (self.m_order is None or self.m_order < 1):

@@ -456,6 +456,50 @@ def test_simulate_mollifies_measures_at_two_cells_on_the_ball_layout(
         assert (outdir / f"slice_t{stamp:.6f}.grid").read_bytes() == gf.to_bytes()
 
 
+def test_classify_and_simulate_read_a_density_grid_on_another_layout(tmp_path):
+    # a density measure is the grid that its path names: classify takes the
+    # centres over that grid's nodes, and simulate samples it at the nearest
+    # node of the ball layout, then mollifies it there at two cells
+    grid_from_function([(-8, 8), (-8, 8)], (64, 64),
+                       lambda c: np.exp(-np.sum(c**2, axis=-1))).save(tmp_path / "d.grid")
+    density = GridFunction.load(tmp_path / "d.grid")
+    source, measure = ({"kind": "density", "path": str(tmp_path / "d.grid")},
+                       measures.measure_from_density(density))
+    spec = norms.euclidean(2)
+    cfg = {"norm": EUCLID_JSON, "measure": source, "lambda_grid": [0.1, 0.3],
+           "windows": [4, 5, 6]}
+    code, outdir = _run(tmp_path, "classify", cfg, out="classify")
+    assert code == 0
+    result = measures.classify(measure, spec, [0.1, 0.3], windows=[4, 5, 6])
+    with open(outdir / "classification.csv", newline="") as fh:
+        assert [float(row["value"]) for row in csv.DictReader(fh)] == list(result.table.values())
+    assert json.loads((outdir / "classification.json").read_text())["lambda_star"] \
+        == result.lam_star
+
+    cfg = _gaussian_flow({}, store_times=(0.0,))
+    cfg["problem"]["datum"] = source
+    code, outdir = _run(tmp_path, "simulate", cfg, out="simulate")
+    assert code == 0
+    lay = flow.ball_layout(spec, 2.0, 1 / 8)
+    assert not density.same_layout(lay)
+    traj = flow.solve(flow.FlowProblem(
+        norm=spec, radius=2.0, datum=measures.mollify(measure, 2 / 8, lay),
+        tau=1e-2, t_end=0.05, store_times=(0.0,)))
+    assert len(traj.slices) == 2
+    for stamp, gf in zip(traj.times, traj.slices):
+        assert (outdir / f"slice_t{stamp:.6f}.grid").read_bytes() == gf.to_bytes()
+
+
+def test_simulate_refuses_a_radial_representation_of_a_datum_that_is_not_radial(
+        tmp_path, capsys):
+    cfg = _gaussian_flow({}, compare={"kind": "radial_representation"})
+    cfg["problem"]["datum"] = {"kind": "atoms", "atoms": [[[0.0, 0.0], 1.0]]}
+    code, outdir = _run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert "radial_representation comparison needs a radial datum" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
 def test_simulate_restarts_from_a_stored_grid(tmp_path):
     cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0}, store_times=(0.0,))
     code, radial = _run(tmp_path, "simulate", cfg, out="radial")
@@ -576,6 +620,18 @@ def test_radial_solve_refuses_an_unresolved_time(tmp_path):
     assert not (outdir / "radial_solution.csv").exists()
 
 
+def test_radial_solve_refuses_a_dimension_past_3_by_name(tmp_path, capsys):
+    # the sphere factor of the representation formula is known for N <= 3:
+    # N = 4 raised KeyError(4) and printed "config error: 4"
+    cfg = {"norm": {"family": "euclidean", "params": {}, "dimension": 4},
+           "profile": {"type": "gaussian", "r_max": 14.0},
+           "times": [1e-3], "points": [[0.5, 0.5, 0.0, 0.0]]}
+    code, outdir = _run(tmp_path, "radial-solve", cfg)
+    assert code == 2
+    assert "dimension 1, 2 or 3, not 4" in capsys.readouterr().err
+    assert not (outdir / "radial_solution.csv").exists()
+
+
 def test_radial_solve_crosscheck_column(tmp_path):
     gf = grid_from_function([(-2, 2), (-2, 2)], (32, 32),
                             lambda c: np.exp(-np.sum(c**2, axis=-1)))
@@ -637,6 +693,17 @@ def test_compare_equal_and_different(tmp_path):
     code, _ = _run(tmp_path, "compare",
                    {"a": str(a), "b": str(b), "tolerance": 1e-6}, out="ne")
     assert code == 1
+
+
+def test_compare_refuses_grids_on_different_layouts(tmp_path, capsys):
+    for name, cells in (("a.grid", 8), ("b.grid", 16)):
+        grid_from_function([(-1, 1), (-1, 1)], (cells, cells),
+                           lambda c: np.sum(c**2, axis=-1)).save(tmp_path / name)
+    code, outdir = _run(tmp_path, "compare", {"a": str(tmp_path / "a.grid"),
+                                              "b": str(tmp_path / "b.grid")})
+    assert code == 2
+    assert "grids have different layouts" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
 
 
 _SIMULATE = {"norm": EUCLID_JSON,
@@ -844,6 +911,22 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not any(outdir.iterdir())
+
+
+def test_verify_norms_refuses_sample_counts_past_max_nodes(tmp_path, capsys, monkeypatch):
+    # verify_identities allocates a dozen arrays of samples x N and the
+    # oracle's scan one of sphere_samples x N: each count is refused past
+    # MAX_NODES, here 64, before any allocation
+    monkeypatch.setattr(norms, "MAX_NODES", 64)
+    oracle = {"method": "sphere_maximization", "sphere_samples": 65}
+    for out, cfg in (("samples", dict(_VERIFY, samples=65)),
+                     ("oracle", dict(_VERIFY, dual=oracle))):
+        code, outdir = _run(tmp_path, "verify-norms", cfg, out=out)
+        assert code == 2
+        assert "samples" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+    code, _ = _run(tmp_path, "verify-norms", dict(_VERIFY, samples=64), out="64")
+    assert code == 0
 
 
 _BASES = {"_SIMULATE": ("simulate", _SIMULATE), "_CLASSIFY": ("classify", _CLASSIFY),

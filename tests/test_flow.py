@@ -657,10 +657,9 @@ def test_newton_prox_preconditions_p3_and_keeps_its_cg_counts():
 
 
 def test_face_median_is_np_median_bit_for_bit():
-    """`_face_median_divisor` reads c_k as `np.median` of the positive
+    """`_face_medians` reads c_k as `np.median` of the positive
     DA_kk over two face families, on odd and even counts, with ties, zeros
     and negative entries (which it leaves out)."""
-    from types import SimpleNamespace
     rng = np.random.default_rng(11)
     for n in [*range(1, 50), 34000, 34001]:
         for draw in range(3 if n < 50 else 2):
@@ -670,10 +669,8 @@ def test_face_median_is_np_median_bit_for_bit():
             if not positive.size:
                 continue
             families = [{(0, 0): values[:n // 3]}, {(0, 0): values[n // 3:]}]
-            divisor = np.empty(1)
-            flow._face_median_divisor(divisor, [np.ones(1)], SimpleNamespace(jacobians=families),
-                                      np.inf)
-            assert _same_bits(divisor, np.array([np.median(positive)])), (n, draw)
+            medians = np.array(flow._face_medians(families, 1))
+            assert _same_bits(medians, np.array([np.median(positive)])), (n, draw)
 
 
 @pytest.mark.parametrize("p, preconditioned", [(1.5, False), (2.0, True), (3.0, True)])
@@ -846,11 +843,9 @@ def test_box_preconditioner_inverts_axis_symmetric_stencils(data):
 
 
 def _quadratic_box(spec, spacing, mask, tau):
-    """The quadratic path's box preconditioner: the divisor 1/tau + the
-    symbol of K's stencil."""
-    symbol = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing,
-                                      flow._box_lengths(mask.shape))
-    return flow._box_preconditioner(mask, tau, symbol + 1.0 / tau)
+    """The quadratic path's box preconditioner: K's stencil weighed by 1,
+    the divisor 1/tau + the symbol of K's stencil."""
+    return flow._box_preconditioner(mask, tau, spec, spacing, [flow._face_energy_gradient])((1.0,))
 
 
 @settings(max_examples=30)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finslerheat import cli, norms
+from finslerheat import cli, flow, norms, solutions
 from finslerheat.errors import ConvergenceError, DomainError, SpecValidationError
 
 EUCLID = norms.euclidean(2)
@@ -426,6 +426,41 @@ def test_malformed_rows_are_spec_errors(params):
     # these raised IndexError and numpy's inhomogeneous-shape ValueError
     with pytest.raises(SpecValidationError, match="must be rows of 2 numbers"):
         norms.NormSpec(dimension=2, **params)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: norms.smoothed_polytope(np.eye(2), float("nan")), "epsilon"),
+    (lambda: norms.smoothed_polytope(np.eye(2), float("inf")), "epsilon"),
+    (lambda: norms.ellipse(np.array([[4.0, 0.0], [0.0, float("inf")]])), "matrix"),
+    (lambda: solutions.SolutionSpec("blowup", EUCLID, lam=float("nan")), "lam"),
+    (lambda: solutions.SolutionSpec("barenblatt", EUCLID, m=float("nan"), C=1.0), "m > 1"),
+    (lambda: solutions.SolutionSpec("barenblatt", EUCLID, m=2.0, C=float("inf")), "C > 0"),
+    (lambda: solutions.SolutionSpec("talenti", norms.euclidean(3), p=2.0, A=float("nan"),
+                                    B=1 / 3), "A > 0"),
+    (lambda: norms.DualEvalConfig(sphere_samples=2.5), "sphere_samples"),
+    (lambda: norms.DualEvalConfig(sphere_samples=float("nan")), "sphere_samples"),
+    (lambda: flow.InnerSolverConfig(max_iters=2.5), "max_iters"),
+], ids=["polytope-epsilon-nan", "polytope-epsilon-inf", "ellipse-entry-inf", "blowup-lam-nan",
+        "barenblatt-m-nan", "barenblatt-c-inf", "talenti-a-nan", "sphere-samples-2.5",
+        "sphere-samples-nan", "max-iters-2.5"])
+def test_specs_refuse_non_finite_and_non_integral_values_by_name(build, name):
+    # each was accepted: the norm evaluated to inf or NaN, the solution
+    # families to NaN, and the counts ran as floats; the CLI's readers
+    # refuse them before any spec is built
+    with pytest.raises(SpecValidationError, match=name):
+        build()
+
+
+def test_sample_counts_are_bounded_before_any_allocation(monkeypatch):
+    # verify_identities and the oracle's scan allocate arrays of the sample
+    # count times N: each count is refused past MAX_NODES, here 64
+    monkeypatch.setattr(norms, "MAX_NODES", 64)
+    assert set(norms.verify_identities(EUCLID, 64)) >= {"duality_inequality"}
+    assert norms.DualEvalConfig(sphere_samples=64).sphere_samples == 64
+    with pytest.raises(SpecValidationError, match="samples"):
+        norms.verify_identities(EUCLID, 65)
+    with pytest.raises(SpecValidationError, match="sphere_samples"):
+        norms.DualEvalConfig(sphere_samples=65)
 
 
 def test_dimension_mismatch_raises():
