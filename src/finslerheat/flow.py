@@ -202,9 +202,9 @@ def energy_gradient(values: np.ndarray, spec: NormSpec, spacings,
     (Minus) the divergence-form operator the proximal solver descends on;
     it agrees with the face-flux operator to O(h^2) and, G^T being the
     exact adjoint, descent guarantees hold regardless of resolution.
-    Quadratic families apply its cached constant stencil, p-norms the face
-    path (`operators.apply_operator`, into out and in the caller's
-    correlation buffers if given).  Unmasked: clamp the field first.
+    Quadratic families apply its cached constant stencil, into out and the
+    caller's correlation buffers if given; p-norms run the face path, which
+    returns its own array (`operators.apply_operator`).  Unmasked: clamp first.
     """
     return apply_operator(_face_energy_gradient, values, spec, spacings, out, buffers)
 
@@ -532,8 +532,6 @@ def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     smallest spacing.  step(u), u 0 off the mask, returns (u + tau L u, 0
     there, {}) like `_prox_stepper`, no stats, L the face-flux operator, which
     is undefined on the box edge: the mask must leave it out."""
-    if spec.dimension != mask.ndim:
-        raise SpecValidationError("norm/grid dimension mismatch")
     if any(np.take(mask, [0, -1], axis=a).any() for a in range(mask.ndim)):
         raise SpecValidationError("the explicit step's mask must leave out the box edge")
     _, c2 = coercivity_bounds(spec)

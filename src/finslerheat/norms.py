@@ -110,15 +110,13 @@ class NormSpec:
         return rows
 
     def _quadratic_form(self) -> np.ndarray:
-        """The SPD matrix Q with H(xi)^2 = xi^T Q xi, for quadratic families."""
+        """The SPD Q with H(xi)^2 = xi^T Q xi; every caller branches on p_norm first."""
         if self.family == "euclidean":
             return np.eye(self.dimension)
         if self.family == "ellipse":
             return self._table("matrix")
-        if self.family == "smoothed_polytope":
-            D = self._table("directions")
-            return D.T @ D + len(D) * self.epsilon**2 * np.eye(self.dimension)
-        raise DomainError(f"{self.family} is not a quadratic-form norm")
+        D = self._table("directions")
+        return D.T @ D + len(D) * self.epsilon**2 * np.eye(self.dimension)
 
     def label(self) -> str:
         if self.family == "p_norm":

@@ -202,7 +202,8 @@ def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
     """(S, scale, taps) with face_op(x, spec, spacing) = scale * (S * x) away
     from the edges of the grid, taps the `correlation_taps` of S, for an
     operator of a quadratic family that is linear, translation invariant
-    and of reach <= 2 nodes per axis: the one cache of the stencil.
+    and of reach <= 2 nodes per axis: the one cache of the stencil, and the
+    one refusal of a spec whose dimension is not the grid's, len(spacing).
 
     face_op runs once, on an unmasked 11^N grid holding a unit impulse at
     its centre; S, read-only, is the central 5^N block of the response,
@@ -210,6 +211,8 @@ def constant_stencil(face_op, spec: NormSpec, spacing: tuple) -> tuple:
     largest tap: the taps leave out weights of magnitude <= machine epsilon.
     """
     N = spec.dimension
+    if len(spacing) != N:
+        raise SpecValidationError("norm/grid dimension mismatch")
     impulse = np.zeros((11,) * N)
     impulse[(5,) * N] = 1.0
     S = np.flip(face_op(impulse, spec, spacing)[(slice(3, 8),) * N])
@@ -337,15 +340,11 @@ def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> n
 
 def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing,
                    out: Optional[np.ndarray] = None, buffers: Optional[dict] = None) -> np.ndarray:
-    """face_op(values, spec, spacing), into out if given: p-norms run it,
-    quadratic families apply its constant stencil as one correlation,
-    values extended by zero, in the caller's `buffers` if given."""
+    """face_op(values, spec, spacing): p-norms run it and return its own
+    array; quadratic families apply its constant stencil as one correlation,
+    values extended by zero, into out and in the caller's `buffers` if given."""
     if spec.family == "p_norm":
-        result = face_op(values, spec, spacing)
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
+        return face_op(values, spec, spacing)
     _, scale, taps = constant_stencil(face_op, spec, tuple(spacing))
     out = correlate(values, taps, out, buffers)
     out *= scale
@@ -366,8 +365,6 @@ def _face_flux_divergence(values: np.ndarray, spec: NormSpec, spacing) -> np.nda
 
 def finsler_laplacian(gf: GridFunction, spec: NormSpec) -> GridFunction:
     """div A(grad u) by face-flux differencing; NaN on the one-cell halo."""
-    if spec.dimension != gf.dimension:
-        raise SpecValidationError("norm/grid dimension mismatch")
     out = apply_operator(_face_flux_divergence, gf.values, spec, gf.spacing)
     out[~interior_mask(gf)] = np.nan
     return gf.with_values(out, check_finite=False)

@@ -179,20 +179,17 @@ def i0e(z: np.ndarray) -> np.ndarray:
 
 
 def _scaled_sphere_integral(z: np.ndarray, dim: int) -> np.ndarray:
-    """e^(-z) I(z), stable for arbitrarily large z >= 0."""
+    """e^(-z) I(z), stable for any z >= 0, dim 1, 2 or 3: `radial_heat_profile` refuses others."""
     z = np.asarray(z, dtype=float)
     if dim == 1:
         return 1.0 + np.exp(-2.0 * z)
     if dim == 2:
         return 2.0 * np.pi * i0e(z)
-    if dim == 3:
-        # 4 pi sinh(z) e^(-z) / z = 2 pi (1 - e^(-2z)) / z
-        out = np.where(z > 1e-12,
-                       2.0 * np.pi * (-np.expm1(-2.0 * np.clip(z, 1e-300, None)))
-                       / np.where(z > 0, z, 1.0),
-                       4.0 * np.pi * (1.0 - z))
-        return out
-    raise DomainError("scaled sphere integral implemented for N <= 3")
+    # dim == 3: 4 pi sinh(z) e^(-z) / z = 2 pi (1 - e^(-2z)) / z
+    return np.where(z > 1e-12,
+                    2.0 * np.pi * (-np.expm1(-2.0 * np.clip(z, 1e-300, None)))
+                    / np.where(z > 0, z, 1.0),
+                    4.0 * np.pi * (1.0 - z))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SpecValidationError, finite
+from .errors import DomainError, SpecValidationError, finite, integer
 from .grids import GridFunction, observed_order, refinements
 from .norms import NormSpec, dual_norm_eval
 from .operators import finsler_laplacian, interior_mask
@@ -73,8 +73,10 @@ class SolutionSpec:
                 raise SpecValidationError("talenti requires finite A > 0 and B > 0")
             if abs(N * (N - 2) * self.A * self.B - 1.0) > 1e-9:
                 raise SpecValidationError("talenti requires N(N-2)AB = 1")
-        if self.kind == "singular_poly" and (self.m_order is None or self.m_order < 1):
-            raise SpecValidationError("singular_poly requires m_order >= 1")
+        if self.kind == "singular_poly":     # kept as an int: 2.0 reads as 2
+            object.__setattr__(self, "m_order", integer(self.m_order, "m_order"))
+            if self.m_order < 1:
+                raise SpecValidationError("singular_poly requires m_order >= 1")
 
     @property
     def blowup_time(self) -> float:

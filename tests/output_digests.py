@@ -41,23 +41,33 @@ def _load_workloads():
     return module
 
 
+def jobs(seed: int = 1) -> list:
+    """(workload, job) for every job of both workloads at `seed`, in order."""
+    workloads = _load_workloads().WORKLOADS
+    return [(workload, job) for workload in ("ellipse-flow", "pnorm-oracles")
+            for job in workloads[workload](seed)]
+
+
+def run_job(job, directory: Path) -> tuple:
+    """Run one job in this process with `--no-timestamp`, its config and its
+    outputs in `directory`, its output quiet: (exit code, output directory)."""
+    config, out = directory / "job.json", directory / "out"
+    config.write_text(json.dumps(job.config))
+    argv = [job.command, "--config", str(config), "--out", str(out), "--no-timestamp"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_main(argv), out
+
+
 def digests(seed: int = 1) -> list:
     """The sorted digest and exit lines of every job of both workloads."""
-    workloads, lines = _load_workloads().WORKLOADS, []
-    for workload in ("ellipse-flow", "pnorm-oracles"):
-        for job in workloads[workload](seed):
-            with tempfile.TemporaryDirectory() as tmp:
-                config, out = Path(tmp) / "job.json", Path(tmp) / "out"
-                config.write_text(json.dumps(job.config))
-                argv = [job.command, "--config", str(config), "--out", str(out),
-                        "--no-timestamp"]
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = cli_main(argv)
-                lines.append(f"exit {code}  {workload}/{job.name}")
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{digest}  {workload}/{job.name}/{path.relative_to(out)}")
+    lines = []
+    for workload, job in jobs(seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = run_job(job, Path(tmp))
+            lines.append(f"exit {code}  {workload}/{job.name}")
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                lines.append(f"{digest}  {workload}/{job.name}/{path.relative_to(out)}")
     return sorted(lines)
 
 

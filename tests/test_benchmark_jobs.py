@@ -7,45 +7,39 @@ job as correct when it exits 0 and its check finds no problem; that
 verdict is taken here for every job at seed 1, and for the numeric-oracle
 job at the seeds where its identities once failed, so a change that
 renames an output file or breaks a job fails in the suite, not only at
-benchmark time.  The module is loaded from its file and only read.
+benchmark time.  The module is loaded from its file and only read, and
+each job runs in this process, through `tests/output_digests.py`'s loader
+and job runner.
 """
-
-import importlib.util
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
-from finslerheat.cli import main
+import cost_ledger
+import output_digests
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # a dataclass resolves its string annotations through sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_WORKLOADS = _load_workloads().WORKLOADS
-JOBS = {f"{workload}:{job.name}": job for workload in ("ellipse-flow", "pnorm-oracles")
-        for job in _WORKLOADS[workload](1)}
+JOBS = {f"{workload}:{job.name}": job for workload, job in output_digests.jobs(1)}
 # seeds at which `verify-norms-numeric` read inversion violations of up to
 # 1.02e-6 against its 1e-6 tolerance, while the oracle's 2-D maximizer
 # stopped about 2e-7 rad short of the optimum
 JOBS.update({f"pnorm-oracles:{job.name}:seed-{seed}": job for seed in (34, 123, 148, 189)
-             for job in _WORKLOADS["pnorm-oracles"](seed) if job.name == "verify-norms-numeric"})
+             for workload, job in output_digests.jobs(seed)
+             if job.name == "verify-norms-numeric"})
 
 
 @pytest.mark.parametrize("job", list(JOBS.values()), ids=list(JOBS))
 def test_benchmark_job_passes_its_check(tmp_path, job):
-    config = tmp_path / "job.json"
-    config.write_text(json.dumps(job.config))
-    out = tmp_path / "out"
-    code = main([job.command, "--config", str(config), "--out", str(out), "--no-timestamp"])
+    code, out = output_digests.run_job(job, tmp_path)
     assert code == 0
     assert job.check(out, job) == []
+
+
+def test_cost_ledger_pins_the_work_of_the_polytope_flow():
+    # the counts part of `tests/cost_ledger.py`'s line: one more matvec per
+    # CG step, or one more solve, moves a count; the traced peak is left
+    # out, since a tracer that runs the suite (tests/line_coverage.py) adds
+    # its own allocations to it
+    workload, job = next((w, j) for w, j in output_digests.jobs(1) if j.name == "polytope-flow")
+    counts = cost_ledger.ledger_line(workload, job).rsplit(" peak_kib=", 1)[0]
+    assert counts == ("pnorm-oracles/polytope-flow exit=0 correlate=64 stencil_energy=6 "
+                      "FaceKernel.form=1 cg_solves=5 dst1=0 fftconvolve=0 rfft=0 irfft=0 "
+                      "fft=0 ifft=0 cg_iterations=59")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,21 @@ def test_numeric_csv_bytes_match_the_per_cell_writer(tmp_path_factory, cells, wi
         cli._write_csv(tmp / "new.csv", ["c"] * width, table, timestamp=False)
         _per_cell_csv(tmp / "old.csv", ["c"] * width, table)
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_default_header_is_the_utc_time_over_the_untimestamped_bytes(tmp_path):
+    # every other test passes --no-timestamp; without it each CSV opens
+    # with "# generated <UTC time in ISO 8601>" and is otherwise the same
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "samples": 20, "norms": [ELLIPSE_JSON]}))
+    for out, flags in (("stamped", ()), ("plain", ("--no-timestamp",))):
+        assert main(["verify-norms", "--config", str(config), "--out", str(tmp_path / out),
+                     *flags]) == 0
+    head, rest = (tmp_path / "stamped" / "norm_identities.csv").read_bytes().split(b"\n", 1)
+    assert head.startswith(b"# generated ")
+    stamp = datetime.fromisoformat(head.decode()[len("# generated "):])
+    assert stamp.utcoffset() == timedelta(0)
+    assert rest == (tmp_path / "plain" / "norm_identities.csv").read_bytes()
 
 
 def test_unreadable_grid_paths_are_config_errors(tmp_path, capsys):
@@ -731,10 +747,15 @@ INF, NAN = float("inf"), float("nan")
 
 
 def _grid_pair(directory: Path) -> None:
-    """a.grid and b.grid in `directory`: 2-D grids that differ by 1."""
+    """a.grid and b.grid in `directory`: 2-D grids that differ by 1; and
+    d4.grid, a dump in the grid layout (docs/formats.md) of a 4-D grid,
+    which no grid holds."""
     gf = grid_from_function([(-1, 1), (-1, 1)], (8, 8), lambda c: np.sum(c**2, axis=-1))
     gf.save(directory / "a.grid")
     gf.with_values(gf.values + 1.0).save(directory / "b.grid")
+    (directory / "d4.grid").write_bytes(
+        np.array([4], "<i8").tobytes() + np.array([-1.0, 1.0] * 4, "<f8").tobytes()
+        + np.array([4] * 4, "<i8").tobytes() + np.zeros(5**4, "<f8").tobytes())
 
 
 def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
@@ -860,6 +881,28 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
                                           "tolerance": 1e-300}),
     ("simulate", _SIMULATE, ("problem", "datum", "profile", "amplitude"), 1e300),
     ("radial-solve", _RADIAL, ("profile", "amplitude"), 1e308),
+    ("classify", dict(_CLASSIFY, windows=[4, 6]), ("measure", "profile", "r_max"), 2.0),
+    ("verify-exact", _EXACT, ("cases", 0, "resolution"), [16, 16, 16]),
+    ("verify-exact", _EXACT, ("cases", 0, "t"), 0.005),
+    ("verify-exact", _EXACT, ("cases", 0), {
+        "kind": "barenblatt", "params": {"m": 2.0, "C": 1.0},
+        "norm": {"family": "euclidean", "params": {}, "dimension": 1}, "box": [[-6, 6]],
+        "resolution": [96], "t": 0.005, "dt": 0.01}),
+    ("verify-exact", _SINGULAR, ("cases", 0, "params", "m_order"), 0),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization",
+                                          "sphere_samples": 3}),
+    ("verify-norms", dict(_VERIFY, dual={"method": "sphere_maximization"}), ("norms",),
+     [{"family": "euclidean", "params": {}, "dimension": 4}]),
+    ("verify-norms", _VERIFY, ("norms",), [{"family": "ellipse", "dimension": 2,
+                                            "params": {"matrix": [[4, 0], [0, 1], [0, 0]]}}]),
+    ("verify-norms", _VERIFY, ("norms",), [{"family": "smoothed_polytope", "dimension": 2,
+                                            "params": {"directions": [[2, 0], [0, 1]],
+                                                       "epsilon": 0.05}}]),
+    ("radial-solve", _RADIAL, ("profile",), {"type": "samples", "radii": [0, 1, 2],
+                                             "values": [1, 0]}),
+    ("radial-solve", _RADIAL, ("profile", "samples"), 1),
+    ("simulate", _SIMULATE, ("problem", "datum"), {"kind": "atoms", "atoms": [[[5, 5], 1]]}),
+    ("compare", _COMPARE, ("a",), "d4.grid"),
     ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
         "levels-0", "dt-0", "max-iters-inf", "simulate-samples-inf",
@@ -883,7 +926,11 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "profile-r-max-1e300", "profile-r-max-1e200", "gauss-max-residual",
         "singular-order-window", "gauss-params-lam", "talenti-t", "compare-profile-too-short",
         "radial-samples-past-max-nodes", "dual-auto-with-settings", "gaussian-amplitude-1e300",
-        "radial-amplitude-1e308", "compare-path-number"])
+        "radial-amplitude-1e308", "profile-shorter-than-window", "resolution-rank-3",
+        "gauss-t-below-dt", "barenblatt-t-below-dt", "m-order-0", "sphere-samples-below-2n",
+        "oracle-dimension-4", "ellipse-matrix-3x2", "polytope-directions-not-unit",
+        "samples-radii-values-unmatched", "gaussian-samples-1", "atom-outside-the-grid",
+        "compare-grid-4d", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that
@@ -904,7 +951,9 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
     # comparison whose profile is too short for its reference wrote the
     # monitors and the slice before it was refused.  A gaussian of amplitude
     # 1e300 overflowed in the flow's L^2 norm and exited 3 with partial
-    # files, and radial-solve wrote u = 8e307 from an amplitude of 1e308
+    # files, and radial-solve wrote u = 8e307 from an amplitude of 1e308.
+    # The thirteen rows from profile-shorter-than-window on were refused
+    # already; each is the one run of a library refusal through the CLI
     monkeypatch.chdir(tmp_path)
     _grid_pair(tmp_path)
     code, outdir = _run(tmp_path, command, _mutated(base, path, value))

@@ -1459,3 +1459,47 @@ def test_flow_problem_bounds_its_steps():
         with pytest.raises(SpecValidationError, match="steps"):
             FlowProblem(EUCLID, 1.0, lay, tau, t_end)
     assert FlowProblem(EUCLID, 1.0, lay, 1e-3, 1e-3 * flow.MAX_STEPS).steps == flow.MAX_STEPS
+
+
+def _unstored_slice():
+    """A solve that stores only its last step, asked for its first."""
+    lay = ball_layout(EUCLID, 1.0, 0.25)
+    return solve(FlowProblem(norm=EUCLID, radius=1.0, datum=lay, tau=0.01,
+                             t_end=0.02)).slice_at(0.01)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ball_layout(EUCLID, 1.0, 0.0), SpecValidationError, "spacing"),
+    (_unstored_slice, KeyError, "no stored slice at t = 0.01"),
+    (lambda: scaling_check(_ball_problem(EUCLID, 1.0, 0.25, lambda r: np.exp(-r**2),
+                                         tau=0.01, t_end=0.01)[0], 1.5, [0.01]),
+     SpecValidationError, "k must be a positive integer"),
+], ids=["ball-layout-spacing-0", "slice-at-an-unstored-time", "scaling-k-1.5"])
+def test_flow_refuses_bad_arguments_by_name(call, error, match):
+    # the CLI reads each of these values itself and never passes such a
+    # one; the library's own check guards its Python callers
+    with pytest.raises(error, match=match):
+        call()
+
+
+_DIMENSION_ENTRY_POINTS = {
+    "proximal_step": lambda gf, spec, mask: proximal_step(gf, spec, mask, 1e-3),
+    "energy": lambda gf, spec, mask: energy(gf, spec, mask),
+    "energy_gradient": lambda gf, spec, mask: energy_gradient(gf.values, spec, gf.spacing),
+    "explicit_step": lambda gf, spec, mask: explicit_step(gf, spec, mask, 1e-5),
+    "finsler_laplacian": lambda gf, spec, mask: finsler_laplacian(gf, spec)}
+
+
+@pytest.mark.parametrize("entry", list(_DIMENSION_ENTRY_POINTS))
+@pytest.mark.parametrize("spec", [EUCLID, ELLIPSE, norms.p_norm(3.0, 2), norms.p_norm(1.5, 2)],
+                         ids=["euclidean", "ellipse", "p3", "p1.5"])
+def test_every_operator_entry_point_refuses_a_norm_of_another_dimension(spec, entry):
+    # a 2-D norm on a 3-D grid: the quadratic families and the p >= 2 box
+    # solve are refused by `constant_stencil`, the face path by eval_norm.
+    # proximal_step, energy and energy_gradient returned a field or a number
+    # for the quadratic families (a 2-D stencil zipped against three
+    # strides), and the p = 3 prox failed on a numpy shape mismatch
+    lay = empty_layout([(-1.0, 1.0)] * 3, (8, 8, 8))
+    gf = lay.with_values(np.exp(-np.sum(lay.coords() ** 2, axis=-1)))
+    with pytest.raises(ValueError, match="dimension"):
+        _DIMENSION_ENTRY_POINTS[entry](gf, spec, ball_mask(norms.euclidean(3), gf, 0.9))

@@ -215,3 +215,25 @@ def test_three_point_solve_is_scipys_bit_for_bit():
     for _ in range(500):
         A, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
         assert np.linalg.solve(A, b).tobytes() == solve(A, b[:, None])[:, 0].tobytes()
+
+
+def _zero_pivot(dl: list, d: list, du: list) -> list:
+    """`_tridiagonal_solve` of a singular system that dgtsv, as
+    `scipy.linalg.solve_banded((1, 1), ...)` calls it, refuses too."""
+    from scipy.linalg import LinAlgError, solve_banded
+    bands = np.zeros((3, len(d)))
+    bands[0, 1:], bands[1], bands[2, :-1] = du, d, dl
+    with pytest.raises(LinAlgError, match="singular"):
+        solve_banded((1, 1), bands, np.ones(len(d)))
+    return _tridiagonal_solve(dl, d, du, [1.0] * len(d))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: GridFunction(((1.0, 0.0),), (4,), np.zeros(5)), "box sides"),
+    (lambda: _zero_pivot([0.0], [0.0, 1.0], [1.0]), "singular spline system"),
+    (lambda: _zero_pivot([0.0], [1.0, 0.0], [0.0]), "singular spline system"),
+], ids=["box-side-hi-below-lo", "tridiagonal-pivot-in-elimination",
+        "tridiagonal-last-pivot"])
+def test_grids_refuse_bad_arguments_by_name(call, match):
+    with pytest.raises(SpecValidationError, match=match):
+        call()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from finslerheat import norms
+from finslerheat import measures, norms
 from finslerheat.errors import SpecValidationError
 from finslerheat.grids import GridFunction, RadialProfile, empty_layout
 from finslerheat.measures import (_ball_kernel, _lattice_box, classify, fftconvolve,
@@ -250,3 +250,35 @@ def test_inverse_fft_scale_is_rounded_from_long_double():
     assert float(1 / np.longdouble(2731)) != 1.0 / 2731
     X = fft.rfft(np.random.default_rng(2).standard_normal(2731))
     assert irfftn(X, [2731], [0]).tobytes() == fft.irfftn(X, [2731], axes=[0]).tobytes()
+
+
+_PROFILED = _radial_measure(lambda r: np.exp(-r**2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: measures.MeasureSpec("density"), "needs a grid"),
+    (lambda: measures.MeasureSpec("radial_density", profile=_PROFILED.profile),
+     "needs a profile and a norm"),
+    (lambda: measures.MeasureSpec("mist"), "unknown measure kind 'mist'"),
+    (lambda: growth_functional(_PROFILED, 0.1, EUCLID, window=4.0, spacing=0.0), "spacing"),
+    (lambda: growth_functional(_PROFILED, 0.0, EUCLID, window=4.0), "lam"),
+    (lambda: growth_functional(_PROFILED, 0.1, EUCLID), "window"),
+    (lambda: classify(_PROFILED, EUCLID, []), "lambda grid is empty"),
+    (lambda: classify(_PROFILED, EUCLID, [0.1], stabilization_tol=-1.0), "stabilization_tol"),
+], ids=["density-without-grid", "radial-without-norm", "kind-unknown", "spacing-0", "lam-0",
+        "radial-without-window", "lambda-grid-empty", "stabilization-tol-negative"])
+def test_measures_refuse_bad_arguments_by_name(call, match):
+    with pytest.raises(SpecValidationError, match=match):
+        call()
+
+
+def test_an_overflowing_functional_is_not_stabilized():
+    # two atoms of mass 1e308 sum to inf in every window: each lambda is
+    # marked not stabilized, so none is admissible, and numpy warns of the
+    # overflow in the sum (a warning, not a refusal)
+    atoms = measure_from_atoms([((0.0, 0.0), 1e308), ((0.5, 0.0), 1e308)])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        result = classify(atoms, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
+    assert all(v == np.inf for v in result.table.values())
+    assert result.stabilized == {0.1: False, 0.3: False}
+    assert result.lam_star is None and not result.admissible

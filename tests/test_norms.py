@@ -440,13 +440,21 @@ def test_malformed_rows_are_spec_errors(params):
     (lambda: norms.DualEvalConfig(sphere_samples=2.5), "sphere_samples"),
     (lambda: norms.DualEvalConfig(sphere_samples=float("nan")), "sphere_samples"),
     (lambda: flow.InnerSolverConfig(max_iters=2.5), "max_iters"),
+    (lambda: solutions.SolutionSpec("singular_poly", EUCLID, m_order=1.5), "m_order"),
+    (lambda: solutions.SolutionSpec("singular_poly", EUCLID, m_order=float("inf")), "m_order"),
+    (lambda: solutions.SolutionSpec("singular_poly", EUCLID, m_order=float("nan")), "m_order"),
+    (lambda: norms.NormSpec("octagon", 2), "octagon"),
+    (lambda: norms.DualEvalConfig(tolerance=0), "tolerance"),
 ], ids=["polytope-epsilon-nan", "polytope-epsilon-inf", "ellipse-entry-inf", "blowup-lam-nan",
         "barenblatt-m-nan", "barenblatt-c-inf", "talenti-a-nan", "sphere-samples-2.5",
-        "sphere-samples-nan", "max-iters-2.5"])
+        "sphere-samples-nan", "max-iters-2.5", "m-order-1.5", "m-order-inf", "m-order-nan",
+        "family-unknown", "dual-tolerance-0"])
 def test_specs_refuse_non_finite_and_non_integral_values_by_name(build, name):
     # each was accepted: the norm evaluated to inf or NaN, the solution
-    # families to NaN, and the counts ran as floats; the CLI's readers
-    # refuse them before any spec is built
+    # families to NaN, and the counts ran as floats (m_order 1.5 and inf
+    # failed in singular_poly_check on a slice index); the CLI's readers
+    # refuse them before any spec is built.  The last two rows, an unknown
+    # family and a zero oracle tolerance, were refused already
     with pytest.raises(SpecValidationError, match=name):
         build()
 

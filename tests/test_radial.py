@@ -357,3 +357,13 @@ def test_i0e_is_scipys_bit_for_bit():
                          5e-324, 1e300, np.inf, np.nan]])
     assert radial.i0e(z).tobytes() == scipy_i0e(z).tobytes()
     assert radial.i0e(z.reshape(-1, 8)).tobytes() == scipy_i0e(z).tobytes()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: sphere_integral_I(-1.0, 2), DomainError, "z >= 0"),
+    (lambda: sphere_integral_I(1.0, 0), SpecValidationError, "dimension"),
+    (lambda: bessel_I0(1.0, 0), SpecValidationError, "terms"),
+], ids=["sphere-integral-z-negative", "sphere-integral-dimension-0", "bessel-terms-0"])
+def test_radial_refuses_bad_arguments_by_name(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

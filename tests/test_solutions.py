@@ -186,3 +186,20 @@ def test_validation_of_parameters():
         SolutionSpec("talenti", EUCLID, p=3.0, A=-1.0, B=1.0)
     with pytest.raises(SpecValidationError):
         SolutionSpec("nope", EUCLID)
+
+
+_LAYOUT = empty_layout([(-1.0, 1.0), (-1.0, 1.0)], (8, 8))
+_GAUSS = SolutionSpec("gauss_kernel", EUCLID)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: _GAUSS.blowup_time, DomainError, "blowup_time"),
+    (lambda: pde_residual(SolutionSpec("singular_poly", EUCLID, m_order=1), _LAYOUT, 0.5, 0.01),
+     DomainError, "singular_poly_check"),
+    (lambda: pde_residual(_GAUSS, _LAYOUT, 0.5, 0.0), SpecValidationError, "dt"),
+    (lambda: singular_poly_check(_GAUSS, _LAYOUT), DomainError, "singular family"),
+], ids=["blowup-time-of-gauss", "residual-of-singular-poly", "residual-dt-0",
+        "singular-check-of-gauss"])
+def test_solutions_refuse_bad_arguments_by_name(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
