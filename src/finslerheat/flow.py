@@ -67,8 +67,10 @@ stepper's stats by name (inner_iterations, preconditioned; 0 if absent)
 and `_monitor_reader`, the one energy reader (also of `energy` and
 `weighted_monitors`): the energy, the mass, the quadratic weight integral
 int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing while t < 1/(4 lam))
-and the windowed-ball weighted L^1 quantity with weight e^(-H0^2 (1+t^ell)),
-read from one field of H0^2, with each weight built in place.
+and the windowed-ball weighted L^1 quantity with weight e^(-H0^2 (1+t^ell)).
+The reader holds no field of H0^2: each read squares H0 into its own
+weight buffer and scales it in place, and the ell window convolves in one
+spectrum buffer (`measures.fftconvolve`).
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ class InnerSolverConfig:
     tolerance: float = 1e-10
     max_iters: int = 10000
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0
-                and integer(self.max_iters, "max_iters") >= 1):
+    def __post_init__(self):     # max_iters kept as an int: 10.0 reads as 10
+        object.__setattr__(self, "max_iters", integer(self.max_iters, "max_iters"))
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0 and self.max_iters >= 1):
             raise SpecValidationError("inner solver config out of range")
 
 
@@ -586,10 +588,12 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     weighted_l1_local, the sup over the mask (or every node) of the
     integral of e^(-H0^2 (1+t^ell)) |u| over the unit H0-ball around it
     (`measures.fftconvolve`, the ball's spectrum transformed once).  Node
-    sums times the cell volume.  The reader holds one field of H0, H0^2,
-    and builds each weight in a buffer of the read: the lambda exponent as
-    (H0^2 lam) / (1 - 4 lam t), the ell one as H0^2 (-(1 + t^ell)), and
-    e^w |u| as |e^w u|, which round alike.
+    sums times the cell volume.  The reader holds the ball's spectrum and
+    no field of H0^2: each read squares h0 into its one weight buffer and
+    scales it in place, the lambda exponent as (H0^2 lam) / (1 - 4 lam t),
+    the ell one as H0^2 (-(1 + t^ell)), and e^w |u| as |e^w u|, which round
+    alike; the ell weight rebinds the buffer, so the lambda weights are not
+    held through the convolution.
     """
     _monitor_settings(lam, ell)
     vol = float(np.prod(spacing))
@@ -599,7 +603,6 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
         _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacing)
         buffers = {} if buffers is None else buffers
         psi = lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
-    h2 = None if lam is None and ell is None else h0**2
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
     spectrum = None if ell is None else kernel_spectrum(kernel, h0.shape)
 
@@ -616,14 +619,17 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     def read(u: np.ndarray, t: float) -> dict:
         out = {"energy": psi(u), "mass": float(np.sum(u)) * vol}
         if lam is not None and 1.0 - 4.0 * lam * t > 1e-12:
-            g = np.multiply(h2, lam)
-            g /= 1.0 - 4.0 * lam * t
-            out["weighted_l2"] = float(np.sum(weighted(g * -2.0, u, square=True))) * vol
-            out["weighted_l1_lambda"] = float(np.sum(weighted(np.negative(g, out=g), u))) * vol
+            w = np.square(h0)
+            w *= lam
+            w /= 1.0 - 4.0 * lam * t
+            out["weighted_l2"] = float(np.sum(weighted(w * -2.0, u, square=True))) * vol
+            out["weighted_l1_lambda"] = float(np.sum(weighted(np.negative(w, out=w), u))) * vol
         elif lam is not None:
             out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
         if ell is not None:
-            conv = fftconvolve(weighted(np.multiply(h2, -(1.0 + t**ell)), u), kernel, spectrum)
+            w = np.square(h0)
+            w *= -(1.0 + t**ell)
+            conv = fftconvolve(weighted(w, u), kernel, spectrum)
             conv *= vol
             out["weighted_l1_local"] = float(np.max(conv if mask is None else conv[mask]))
         return out

@@ -69,9 +69,12 @@ class GridFunction:
                 for (lo, hi), r in zip(self.box, self.resolution)]
 
     def coords(self) -> np.ndarray:
-        """Node coordinates, shape (*nodes, N)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """Node coordinates, shape (*nodes, N), each axis broadcast into one array."""
+        axes = self.axes()
+        out = np.empty((*(len(a) for a in axes), len(axes)))
+        for k, a in enumerate(axes):
+            out[..., k] = a.reshape((-1,) + (1,) * (len(axes) - 1 - k))
+        return out
 
     @property
     def cell_volume(self) -> float:

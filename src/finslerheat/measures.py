@@ -17,7 +17,9 @@ supremum over all grid centers is a convolution with the H0-ball
 indicator and is evaluated by FFT (`fftconvolve`, scipy.signal's
 same-mode FFT convolution repeated step for step on numpy's FFT, with
 `rfftn` and `irfftn` taking scipy.fft's axis order and scaling, so that
-scipy stays unloaded).
+scipy stays unloaded).  The transforms run in place: a convolution
+allocates one complex array of the padded spectrum's shape and one real
+array of the padded shape, and no other array of the field's size.
 """
 
 from __future__ import annotations
@@ -104,20 +106,31 @@ def next_fast_len(n: int) -> int:
 def rfftn(x: np.ndarray, shape, axes) -> np.ndarray:
     """`scipy.fft.rfftn(x, shape, axes=axes)` bit for bit: numpy's real FFT
     along the last axis, then its complex FFT along the others in order
-    (`np.fft.rfftn` goes in reverse order, which moves bits in 3-D)."""
-    out = np.fft.rfft(x, shape[-1], axis=axes[-1])
+    (`np.fft.rfftn` goes in reverse order, which moves bits in 3-D).
+
+    One zeroed spectrum is allocated: the real FFT fills its leading block
+    (x cut to the transform lengths) and each complex FFT runs in place."""
+    lead, dims = [slice(None)] * x.ndim, list(x.shape)
     for n, axis in zip(shape[:-1], axes[:-1]):
-        out = np.fft.fft(out, n, axis=axis)
+        lead[axis], dims[axis] = slice(0, min(n, x.shape[axis])), n
+    dims[axes[-1]] = shape[-1] // 2 + 1
+    out = np.zeros(dims, dtype=complex)
+    np.fft.rfft(x[tuple(lead)], shape[-1], axis=axes[-1], out=out[tuple(lead)])
+    for n, axis in zip(shape[:-1], axes[:-1]):
+        np.fft.fft(out, n, axis=axis, out=out)
     return out
 
 
-def irfftn(X: np.ndarray, shape, axes) -> np.ndarray:
+def irfftn(X: np.ndarray, shape, axes, overwrite_x: bool = False) -> np.ndarray:
     """`scipy.fft.irfftn(X, shape, axes=axes)` bit for bit: numpy's unscaled
     inverse FFTs along every axis but the last, in order, its unscaled
     inverse real FFT along the last, then one scaling by 1 / prod(shape),
-    rounded from long double as scipy's is."""
+    rounded from long double as scipy's is.
+
+    With overwrite_x the inverse complex FFTs run in place in X, which
+    holds each of their lengths already."""
     for n, axis in zip(shape[:-1], axes[:-1]):
-        X = np.fft.ifft(X, n, axis=axis, norm="forward")
+        X = np.fft.ifft(X, n, axis=axis, norm="forward", out=X if overwrite_x else None)
     out = np.fft.irfft(X, shape[-1], axis=axes[-1], norm="forward")
     out *= float(1 / np.longdouble(math.prod(shape)))
     return out
@@ -131,14 +144,21 @@ def fftconvolve(field: np.ndarray, kernel: np.ndarray, spectrum=None) -> np.ndar
     Axes where either side has length 1 broadcast instead of transforming;
     the others are zero-padded to scipy's fast real-FFT length.  `spectrum`,
     the `kernel_spectrum` of the kernel for fields of this shape, spares
-    transforming the kernel again.
+    transforming the kernel again.  A call allocates one complex array of
+    the padded spectrum's shape, which the field's transform, the product
+    and the inverse's complex passes share, and one real array of the
+    padded shape, which the result is a view of.
     """
     s1, s2 = field.shape, kernel.shape
     axes, fshape = _padded_axes(s1, s2)
     if axes:
         if spectrum is None:
             spectrum = rfftn(kernel, fshape, axes)
-        full = irfftn(rfftn(field, fshape, axes) * spectrum, fshape, axes)
+        # the broadcast axes at their product's length, so that it fits in place
+        wide = [n if a in axes else max(n, m) for a, (n, m) in enumerate(zip(s1, s2))]
+        product = rfftn(np.broadcast_to(field, wide), fshape, axes)
+        product *= spectrum
+        full = irfftn(product, fshape, axes, overwrite_x=True)
     else:
         full = field * kernel
     size = [s1[a] + s2[a] - 1 if a in axes else full.shape[a]

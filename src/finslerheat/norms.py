@@ -434,7 +434,8 @@ def verify_identities(spec: NormSpec, sample_count: int,
         homogeneity                 |H(a xi) - |a| H(xi)| / (1 + H(xi))
         map_quadratic               |A(xi).xi - H(xi)^2|
     """
-    if not 1 <= integer(sample_count, "sample_count") <= MAX_NODES:
+    sample_count = integer(sample_count, "sample_count")     # 20.0 reads as 20
+    if not 1 <= sample_count <= MAX_NODES:
         raise SpecValidationError(f"verify_identities takes 1 to {MAX_NODES} samples, "
                                   f"not {sample_count}")
     rng = np.random.default_rng(seed)

@@ -326,7 +326,8 @@ def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> n
     box, and sigma is its eigenvalue; it is the mean of the operator's
     Fourier symbol over the sign flips of theta, so sigma >= 0 where the
     operator is positive semidefinite.  Summed from one cosine table per
-    axis, one `tensordot` per axis.
+    axis, one `tensordot` per axis, and scaled in place, so that the box
+    build holds one symbol, not a scaled copy besides.
     """
     S, scale, _ = constant_stencil(face_op, spec, tuple(spacing))
     reach = S.shape[0] // 2
@@ -335,7 +336,8 @@ def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> n
         theta = np.pi * np.arange(1, n + 1) / (n + 1)
         sigma = np.tensordot(sigma, np.cos(np.outer(np.arange(-reach, reach + 1), theta)),
                              axes=([0], [0]))
-    return scale * sigma
+    sigma *= scale
+    return sigma
 
 
 def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing,

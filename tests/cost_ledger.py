@@ -17,13 +17,29 @@ no count.
 
     PYTHONPATH=src python tests/cost_ledger.py > ledger.txt
 
+With `--fresh`, each job (or each job named, as <workload>/<job>) runs in
+a new process instead, and its line ends in ` maxrss_kib=<kib>`, that
+process's `ru_maxrss`: the resident peak beside the traced one.  Two trees
+whose traced peaks agree but whose resident peaks differ place the same
+arrays differently in the heap; a traced peak that moves is a change of
+the arrays alive.  The resident peak includes the interpreter, numpy and
+the tracers, and it varies from run to run by a few hundred KiB.  A fresh
+line's traced peak can differ from the in-process line's by 64 KiB steps,
+since the profiler's tables and what the earlier jobs left cached differ.
+
+    PYTHONPATH=src python tests/cost_ledger.py --fresh ellipse-flow/implicit-tau1e-3
+
 pytest does not collect this file.
 """
 
+import argparse
 import cProfile
 import csv
 import inspect
+import os
 import pstats
+import resource
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -99,5 +115,33 @@ def ledger(seed: int = 1) -> list:
     return sorted(ledger_line(workload, job) for workload, job in jobs(seed))
 
 
+def fresh_line(name: str) -> str:
+    """The ledger line of the job `name`, <workload>/<job>, run at seed 1 in a
+    new process, with that process's `ru_maxrss` in KiB appended."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, __file__, "--in-process", name],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _in_process(name: str) -> str:
+    workload, job = next((w, j) for w, j in jobs(1) if f"{w}/{j.name}" == name)
+    line = ledger_line(workload, job)
+    return f"{line} maxrss_kib={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}"
+
+
 if __name__ == "__main__":
-    print("\n".join(ledger()))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--fresh", nargs="*", metavar="JOB",
+                        help="run each job named as <workload>/<job> (default all) in "
+                             "a new process and add its ru_maxrss")
+    parser.add_argument("--in-process", metavar="JOB", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.in_process:
+        print(_in_process(args.in_process))
+    elif args.fresh is not None:
+        names = args.fresh or [f"{w}/{j.name}" for w, j in jobs(1)]
+        print("\n".join(sorted(fresh_line(name) for name in names)))
+    else:
+        print("\n".join(ledger()))

@@ -43,3 +43,15 @@ def test_cost_ledger_pins_the_work_of_the_polytope_flow():
     assert counts == ("pnorm-oracles/polytope-flow exit=0 correlate=64 stencil_energy=6 "
                       "FaceKernel.form=1 cg_solves=5 dst1=0 fftconvolve=0 rfft=0 irfft=0 "
                       "fft=0 ifft=0 cg_iterations=59")
+
+
+def test_cost_ledger_runs_a_job_in_a_fresh_process():
+    # `--fresh` mode on the smallest job: the in-process line's counts, the
+    # traced peak and the new process's ru_maxrss, which holds the peak
+    workload, job = next((w, j) for w, j in output_digests.jobs(1) if j.name == "verify-norms")
+    line = cost_ledger.fresh_line(f"{workload}/{job.name}")
+    counts = cost_ledger.ledger_line(workload, job).rsplit(" peak_kib=", 1)[0]
+    head, peak, rss = line.rsplit(" ", 2)
+    assert head == counts
+    assert peak.startswith("peak_kib=") and rss.startswith("maxrss_kib=")
+    assert int(rss.split("=")[1]) > int(peak.split("=")[1]) > 0

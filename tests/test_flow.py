@@ -393,6 +393,36 @@ def test_quadratic_energy_read_allocates_no_field():
     assert peak < gf.values.nbytes / 10
 
 
+def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum():
+    """The reader that `solve` builds for lambda 0.5 and ell 0.25, on the
+    513 x 257 ellipse grid, holds its ball kernel's spectrum (1.47 fields)
+    and the correlation buffers it was handed, and no field of H0^2 (it
+    held one).  A warm read peaks under four fields: its one weight buffer,
+    squared from H0 and scaled in place, and the convolution's spectrum and
+    padded result (the lambda weights were held through the convolution,
+    4.9 fields)."""
+    gf, mask = _ellipse_ball(6 / 128)
+    h0 = norms.dual_norm_eval(ELLIPSE, gf.coords())
+    spectrum = measures.kernel_spectrum(measures._ball_kernel(ELLIPSE, 1.0, gf.spacing),
+                                        h0.shape)
+    field, buffers = gf.values.nbytes, {}
+    flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25)(gf.values, 1e-3)
+    tracemalloc.start()
+    try:
+        read = flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25, buffers)
+        first = read(gf.values, 1e-3)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        again = read(gf.values, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    handed = sum(a.nbytes for plan in buffers.values() for a in plan)
+    assert held - handed < spectrum.nbytes + field / 8
+    assert peak < 4 * field
+
+
 @pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 1.2], [1.2, 1.0]]])
 def test_quadratic_energy_is_exact_to_rounding_on_fine_grids(matrix):
     # a smooth field at h = 6/256: the stencil reading (vol/2) <u, K u> sums
@@ -1359,6 +1389,21 @@ def test_dst1_pair_allocates_well_under_one_field():
     assert peak < x.nbytes / 2
 
 
+def test_box_symbol_allocates_one_symbol():
+    """The DST-I symbol of K's stencil on the 511 x 255 box, the box of the
+    513 x 257 ellipse grid, peaks at its one result and the cosine tables:
+    its sum is scaled in place (a scaled copy took two symbols)."""
+    spec, spacing, lengths = ELLIPSE, (6 / 128, 6 / 128), (511, 255)
+    operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
+    tracemalloc.start()
+    try:
+        sigma = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sigma.shape == lengths and peak < 1.25 * sigma.nbytes
+
+
 def _clear_module_caches():
     """Empty every lru_cache of the package's modules."""
     from finslerheat import cli, grids, radial, solutions
@@ -1368,15 +1413,16 @@ def _clear_module_caches():
                 value.cache_clear()
 
 
-@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 17),
-                                                 ("explicit_euler", 1e-4, 14)])
+@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 15.5),
+                                                 ("explicit_euler", 1e-4, 11.5)])
 def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
     """One solve of the ellipse diag(4, 1) on 257 x 129 nodes with both
     monitors, from cleared caches, allocates at most `fields` field sizes
-    at its peak (15.8 and 12.6 with numpy 2.4): the stepper and the monitor
+    at its peak (14.7 and 10.6 with numpy 2.4): the stepper and the monitor
     reader share one set of correlation buffers, the DST-I runs in slabs,
-    the reader holds one field of H0^2 and builds its weights in place, and
-    the CG keeps no dead copy."""
+    the reader holds no field of H0^2 and builds each weight in one buffer
+    of the read, the box symbol is scaled in place, and the CG keeps no
+    dead copy (15.8 and 12.6 with a held field of H0^2)."""
     problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
                                t_end=3 * tau, scheme=scheme, monitor_lambda=0.5,
                                monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
@@ -1459,6 +1505,20 @@ def test_flow_problem_bounds_its_steps():
         with pytest.raises(SpecValidationError, match="steps"):
             FlowProblem(EUCLID, 1.0, lay, tau, t_end)
     assert FlowProblem(EUCLID, 1.0, lay, 1e-3, 1e-3 * flow.MAX_STEPS).steps == flow.MAX_STEPS
+
+
+def test_an_integral_float_max_iters_is_kept_as_an_int():
+    """InnerSolverConfig reads max_iters through `errors.integer` and keeps
+    its int: 50.0 steps as 50 (the float failed in the prox's CG with
+    "'float' object cannot be interpreted as an integer")."""
+    lay = ball_layout(EUCLID, 1.0, 1 / 8)
+    mask = ball_mask(EUCLID, lay, 1.0)
+    v = lay.with_values(np.exp(-np.sum(lay.coords() ** 2, axis=-1)))
+    inner = InnerSolverConfig(tolerance=1e-8, max_iters=50.0)
+    assert type(inner.max_iters) is int and inner.max_iters == 50
+    got = proximal_step(v, EUCLID, mask, 1e-2, inner)
+    want = proximal_step(v, EUCLID, mask, 1e-2, InnerSolverConfig(tolerance=1e-8, max_iters=50))
+    np.testing.assert_array_equal(got.values, want.values)
 
 
 def _unstored_slice():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,29 @@ def test_spacing_and_axes():
     assert gf.spacing == (0.5, 0.25)
     assert gf.values.shape == (7, 5)
     np.testing.assert_allclose(gf.axes()[0], np.linspace(-1, 2, 7))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_coords_fill_one_array_with_the_stacked_meshgrid(data):
+    """`coords` is the stacked `meshgrid` of the axes bit for bit, for N = 1
+    to 3, and its traced peak is its one result plus the axes (the
+    meshgrid's copies and the stack took two results)."""
+    N = data.draw(st.integers(1, 3))
+    resolution = tuple(data.draw(st.integers(4, 80 if N < 3 else 24)) for _ in range(N))
+    box = tuple((lo, lo + data.draw(st.floats(0.1, 50.0)))
+                for lo in (data.draw(st.floats(-20.0, 20.0)) for _ in range(N)))
+    gf = GridFunction(box, resolution, np.zeros(tuple(r + 1 for r in resolution)))
+    want = np.stack(np.meshgrid(*gf.axes(), indexing="ij"), axis=-1)
+    gf.coords()
+    tracemalloc.start()
+    try:
+        got = gf.coords()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert peak <= got.nbytes + 8 * sum(resolution) + 8 * N + 2048
 
 
 def test_resolution_floor():

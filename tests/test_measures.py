@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,10 @@ def test_next_fast_len_is_scipys():
 @given(data=st.data())
 def test_fft_pair_is_scipys_bit_for_bit(data):
     """`rfftn` and `irfftn` against scipy.fft's over 1-3 of 1-3 axes, each
-    transform length padded past or truncated below the input's."""
+    transform length padded past or truncated below the input's.  Memory of
+    the spectrum's size is filled with NaN and freed just before `rfftn`
+    allocates, so pad rows it left unzeroed would show; `irfftn` keeps the
+    bits with overwrite_x, as `fftconvolve` calls it."""
     from scipy import fft
     N = data.draw(st.integers(1, 3))
     shape = tuple(data.draw(st.integers(1, 40 if N == 1 else 12)) for _ in range(N))
@@ -237,10 +242,34 @@ def test_fft_pair_is_scipys_bit_for_bit(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     x = rng.standard_normal(shape)
     X = fft.rfftn(x, lengths, axes=axes)
+    np.full(X.shape, np.nan, dtype=complex)
     ours = rfftn(x, lengths, axes)
     assert ours.dtype == X.dtype and ours.tobytes() == X.tobytes()
+    want = fft.irfftn(X, lengths, axes=axes).tobytes()
     back = irfftn(X, lengths, axes)
-    assert back.dtype == x.dtype and back.tobytes() == fft.irfftn(X, lengths, axes=axes).tobytes()
+    assert back.dtype == x.dtype and back.tobytes() == want
+    assert irfftn(X.copy(), lengths, axes, overwrite_x=True).tobytes() == want
+
+
+def test_fftconvolve_allocates_one_spectrum_and_one_padded_array():
+    """A convolution with its kernel's spectrum allocates one complex array
+    of the padded spectrum's shape and one real array of the padded shape,
+    and at most 16 KiB besides.  Padded to 4050 x 4, the spectrum takes 1.5
+    times the real array, so a product or a complex pass out of place
+    shows."""
+    rng = np.random.default_rng(6)
+    field, kernel = rng.standard_normal((4000, 3)), rng.uniform(0.0, 1.0, (5, 2))
+    axes, (n0, n1) = measures._padded_axes(field.shape, kernel.shape)
+    spectrum = measures.kernel_spectrum(kernel, field.shape)
+    fftconvolve(field, kernel, spectrum)
+    tracemalloc.start()
+    try:
+        ours = fftconvolve(field, kernel, spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ours, signal.fftconvolve(field, kernel, mode="same"))
+    assert peak <= n0 * (n1 // 2 + 1) * 16 + n0 * n1 * 8 + 16384
 
 
 def test_inverse_fft_scale_is_rounded_from_long_double():

@@ -471,6 +471,12 @@ def test_sample_counts_are_bounded_before_any_allocation(monkeypatch):
         norms.DualEvalConfig(sphere_samples=65)
 
 
+def test_an_integral_float_sample_count_reads_as_an_int():
+    # 20.0 samples are 20 (the float failed in the sampler with "'float'
+    # object cannot be interpreted as an integer")
+    assert norms.verify_identities(EUCLID, 20.0) == norms.verify_identities(EUCLID, 20)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DomainError):
         norms.eval_norm(EUCLID, np.array([1.0, 2.0, 3.0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finslerheat import norms
+from finslerheat import norms, solutions
 from finslerheat.errors import DomainError, SpecValidationError
 from finslerheat.grids import (RadialProfile, empty_layout, observed_order,
                                refinements)
@@ -105,6 +105,34 @@ def test_residual_barenblatt_first_order_or_better():
     lay = empty_layout([(-6.0, 6.0)], (768,))
     rep = pde_residual(spec, lay, t=1.5, dt=0.002, levels=2)
     assert rep.order >= 1.0
+
+
+@pytest.mark.parametrize("spec, box, resolution, t", [
+    (SolutionSpec("gauss_kernel", ELLIPSE), [(-4, 4), (-2, 2)], (32, 16), 0.5),
+    (SolutionSpec("barenblatt", norms.euclidean(1), m=2.0, C=1.0), [(-6.0, 6.0)], (96,), 1.5),
+    (SolutionSpec("talenti", norms.euclidean(3), p=2.0, A=1.0, B=1.0 / 3.0),
+     [(-1, 1)] * 3, (8, 8, 8), 0.0),
+], ids=["gauss", "barenblatt", "talenti"])
+def test_pde_residual_reads_h0_once_per_level(monkeypatch, spec, box, resolution, t):
+    """Each level evaluates H0 at its nodes once, for u(t), u(t +- dt) and
+    the Barenblatt front's window alike (it took four reads), and the
+    residuals keep the bits of the closed forms evaluated at the nodes."""
+    lay, calls = empty_layout(box, resolution), []
+
+    def counting(norm, x):
+        calls.append(x.shape)
+        return norms.dual_norm_eval(norm, x)
+    monkeypatch.setattr(solutions, "dual_norm_eval", counting)
+    rep = pde_residual(spec, lay, t=t, dt=0.01, levels=2)
+    assert len(calls) == 2
+    if spec.kind == "gauss_kernel":
+        monkeypatch.undo()
+        for level, grid in enumerate(refinements(lay, 2)):
+            x, dt = grid.coords(), 0.01 / 2**level
+            u = grid.with_values(eval_solution(spec, x, t))
+            du_dt = (eval_solution(spec, x, t + dt) - eval_solution(spec, x, t - dt)) / (2 * dt)
+            residual = du_dt - finsler_laplacian(u, spec.norm).values
+            assert rep.max_residuals[level] == float(np.max(np.abs(residual)[interior_mask(grid)]))
 
 
 def test_stationary_power_law_residual_does_not_vanish():
