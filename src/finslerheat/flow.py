@@ -23,11 +23,11 @@ difference form of the same cached stencil (`operators.stencil_energy`),
 whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary band,
 the box preconditioner, whose DST-I is scipy's on numpy's real FFT
-(`_dst1`, run in slabs of a few dozen lines, so that its extension and
-spectrum are a fraction of a field), and its own CG, scipy's `cg` step for
-step, with inner products in a fixed order, so that no bit depends on the
-BLAS thread count, its products in buffers of each CG solve and no copy of an
-array it does not need) and takes one path per norm family.  The one box
+(`_dst1`, run in slabs of a few dozen lines, in a buffer of each box
+solve), and its own CG, scipy's `cg` step for step, with inner products
+in a fixed order, so that no bit depends on the BLAS thread count, and no
+full-size scratch: its updates run in place, K's product in the buffers'
+flat scratch) and takes one path per norm family.  The one box
 solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
 fast-Poisson solver: the DST-I inverse on the bounding box of I/tau +
 sum_k c_k S_k, then masked.  The stepper names the stencils S_k (as face
@@ -50,7 +50,7 @@ the face-flux operator under the usual parabolic step restriction; its
 step (`_explicit_stepper`) is built once per solve too.
 The stepper and the monitor reader of a solve, which never run at once,
 share one set of correlation buffers (the `buffers` that `solve` hands
-both, see `operators.correlate`), which die with the solve; `energy`,
+both, see `operators._correlation_buffers`), which die with the solve; `energy`,
 `weighted_monitors`, `proximal_step` and `explicit_step` build theirs per
 call: no module-level cache holds a field.
 
@@ -88,8 +88,9 @@ from .measures import (MeasureSpec, _ball_kernel, fftconvolve, kernel_spectrum, 
                        next_fast_len)
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
-from .operators import (FaceHessian, FaceKernel, _face_flux_divergence, apply_operator,
-                        constant_stencil, interior_mask, stencil_energy, stencil_symbol)
+from .operators import (_BLOCK, FaceHessian, FaceKernel, _correlation_buffers,
+                        _face_flux_divergence, apply_operator, constant_stencil,
+                        interior_mask, stencil_energy, stencil_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,8 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
                         face_ops: list):
     """The box solve of one prox, built once on the box of each side n - 2
     off the box edge, zero-padded to the nearest length whose DST-I, 2 (n - 1)
-    long unpadded, is fast: the DST plan, the divisor and, last, since the
+    long unpadded, is fast: the DST plan, the divisor (each call transforms
+    in a buffer of its own, not held between calls) and, last, since the
     quadratic path drops them after one weigh, the DST-I symbols sigma_k of
     the stencils of `face_ops` (`operators.stencil_symbol`).  weigh(c) fills
     the divisor with 1/tau + sum_k c_k sigma_k and returns r -> mask B^-1 r,
@@ -273,14 +275,12 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
     Newton steps weigh the unit forms by the face medians (`_face_medians`)."""
     lengths = tuple(next_fast_len(n - 1) - 1 for n in mask.shape)
     interior = (slice(1, -1),) * mask.ndim
-    box = tuple(slice(0, n - 2) for n in mask.shape)
-    off = ~mask
-    dst = _dst1(lengths)
-    work, divisor = np.zeros(lengths), np.empty(lengths)
+    box, off = tuple(slice(0, n - 2) for n in mask.shape), ~mask
+    dst, divisor = _dst1(lengths), np.empty(lengths)
     symbols = [stencil_symbol(op, spec, spacings, lengths) for op in face_ops]
 
     def psolve(r: np.ndarray) -> np.ndarray:
-        work.fill(0.0)
+        work = np.zeros(lengths)    # not held through the matvecs and the reads
         work[box] = r[interior]
         dst(work)
         np.divide(work, divisor, out=work)
@@ -393,7 +393,8 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     the CG iterations, and preconditioned, whether CG was preconditioned.
 
     Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
-    masked v, K u = `energy_gradient`(u), preconditioned by the box inverse
+    masked v, K u = `energy_gradient`(u) into the flat scratch of `buffers`
+    (`operators._correlation_buffers`), preconditioned by the box inverse
     of I/tau + K (K's stencil weighed by 1, built at the first such step)
     when v/tau is below the stopping tolerance in L^2 on the boundary band
     (`_boundary_band`, built once), where the box and masked operators differ.
@@ -421,13 +422,16 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
         """scipy's `cg` of (I/tau + hessian) x = b on masked fields, from x (updated
         in place; b becomes the residual r), every inner product by `_dot`; stops
         at ||r||_{L^2} < atol, r unpreconditioned, tested before each iteration:
-        (x, iterations, converged)."""
-        work = np.empty(b.shape)    # the products of its updates and its matvec
+        (x, iterations, converged).  No full-size scratch: y/tau joins the matvec
+        in blocks of rows, and q, dead once r is updated, holds p alpha."""
+        rows = max(1, _BLOCK // math.prod(b.shape[1:]))
+        cuts, small = range(rows, len(b), rows), np.empty_like(b[:rows])
 
         def apply(y: np.ndarray) -> np.ndarray:  # y vanishes off the mask, h is clamped
             h = hessian(y)
             np.copyto(h, 0.0, where=off)
-            h += np.divide(y, tau, out=work)
+            for hb, yb in zip(np.split(h, cuts), np.split(y, cuts)):
+                hb += np.divide(yb, tau, out=small[:len(yb)])
             return h
         atol, r = atol / np.sqrt(vol), b
         if x.any():
@@ -445,8 +449,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             del z       # not held through the matvec
             q = apply(p)
             alpha, rho_prev = rho / _dot(p, q), rho
-            x += np.multiply(p, alpha, out=work)
-            r -= np.multiply(q, alpha, out=work)
+            q *= alpha
+            r -= q
+            x += np.multiply(p, alpha, out=q)
         return x, maxiter, False
 
     def fail(w, gap):
@@ -454,9 +459,11 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
 
     if spec.family != "p_norm":
         band, box = _boundary_band(mask), []
+        taps = constant_stencil(_face_energy_gradient, spec, spacings)[2]
 
         def quadratic_step(values: np.ndarray):
-            product = np.empty(mask.shape)      # K y of this step's matvecs
+            product = _correlation_buffers(mask.shape, taps, buffers, scratch=True)[3]
+            product = product[:mask.size].reshape(mask.shape)   # K y, in the scratch
 
             def gradient(x: np.ndarray) -> np.ndarray:
                 return energy_gradient(x, spec, spacings, product, buffers)
@@ -471,8 +478,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                                      inner.max_iters, box[0] if quiet else None)
             if not converged:   # the budget is spent: accept w only if its gap is in tolerance
                 u = np.where(mask, values, 0.0)     # cg moved u to w
-                gap = _l2(np.where(mask, (w - u) / tau + gradient(w),
-                                   0.0), vol)
+                gap = _l2(np.where(mask, (w - u) / tau + gradient(w), 0.0), vol)
                 if not gap <= atol:  # NaN fails
                     raise fail(w, gap)
             return w, {"inner_iterations": iters, "preconditioned": quiet}

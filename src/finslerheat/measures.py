@@ -53,9 +53,10 @@ class MeasureSpec:
         elif self.kind == "atoms":
             if not self.atoms:
                 raise SpecValidationError("atom measure needs at least one atom")
-            for point, weight in self.atoms:
-                if not np.all(np.isfinite(point)) or not np.isfinite(weight):
-                    raise SpecValidationError("atom data must be finite")
+            if not all(np.all(np.isfinite(point)) for point, _ in self.atoms):
+                raise SpecValidationError("atom points must be finite")
+            if not math.isfinite(total := sum(abs(w) for _, w in self.atoms)):    # NaN fails
+                raise SpecValidationError(f"atom masses must have a finite total, not {total}")
         elif self.kind == "radial_density":
             if self.profile is None or self.norm is None:
                 raise SpecValidationError("radial density needs a profile and a norm")

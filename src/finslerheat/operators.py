@@ -22,12 +22,12 @@ smoothed polytope) it is linear with constant coefficients, and it
 applies as one correlation (`correlate`) the stencil that `constant_stencil`
 reads off the face path at a unit impulse and caches with its taps per
 (operator, spec, spacing); `flow`'s energy reads the same taps (`stencil_energy`).
-The correlation's buffers, a zero-rimmed copy and a flat sums buffer of
-about one field each, belong to whoever applies the stencil: a caller
-that applies stencils again and again keeps a `buffers` dict and passes
-it each time (`flow`'s steppers and monitor reader share one per solve),
-and a call without one makes its own.  Only the plan of taps, shifts and
-blocks, which holds no field, is cached.
+The correlation's buffers, a zero-rimmed copy of about one field and one
+block of padded rows whose sums go straight into the output, belong to
+whoever applies the stencil: a caller that applies stencils again and
+again keeps a `buffers` dict (`flow`'s steppers and monitor reader share
+one per solve, and its flat scratch), and a call without one makes its
+own.  Only the plan of taps, shifts and blocks, which holds no field, is cached.
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -232,15 +232,16 @@ def correlation_taps(S: np.ndarray) -> tuple:
                         for k, w in np.ndenumerate(S) if abs(w) > eps)
 
 
-_BLOCK = 16384
+_BLOCK = 8192     # values per block: its sums and its products take one buffer each
 
 
 @lru_cache(maxsize=8)
 def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
     """The plan of `correlate` and `stencil_energy` for fields of `shape`,
     which holds no field: the zero-rimmed copy's shape, its nodes' index,
-    the flat shift and weight of each tap, the flat span from the first
-    node to the last in blocks of _BLOCK, and the span's end."""
+    the flat shift and weight of each tap, and blocks of whole padded rows
+    (along axis 0) of at most _BLOCK values, or one row: rows i:j, their
+    flat span lo:hi cut to the nodes, and that span's place in the block."""
     reach, terms = taps
     padded = tuple(n + 2 * reach for n in shape)
     inner = (slice(reach, -reach or None),) * len(shape)
@@ -248,22 +249,30 @@ def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
     shifted = tuple((sum(k * s for k, s in zip(shift, strides)), w) for shift, w in terms)
     first = reach * sum(strides)
     stop = first + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
-    return padded, inner, shifted, range(first, stop, _BLOCK), stop
+    rows, blocks = max(1, _BLOCK // strides[0]), []
+    for i in range(0, shape[0], rows):
+        j, start = min(i + rows, shape[0]), (i + reach) * strides[0]
+        lo, hi = max(first, start), min(stop, (j + reach) * strides[0])
+        blocks.append((i, j, lo, hi, slice(lo - start, hi - start)))
+    return padded, inner, shifted, tuple(blocks)
 
 
-def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict]) -> tuple:
-    """The buffers of `correlate` and `stencil_energy` for fields of
-    `shape`: the zero-rimmed copy (its rim is never written), the flat sums
-    (also the energy's work buffer) and one block's products.  They are
-    their owner's: `buffers`, a dict that the owner keeps, holds one set per
-    shape and reach, lent to every stencil it applies, which is safe while
-    no two applications run at once; without it they are made for the call.
-    No module-level cache holds them."""
-    padded, _, _, blocks, stop = _correlation_plan(shape, taps)
+def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict], scratch=False):
+    """The buffers of `correlate` and `stencil_energy` for fields of `shape`:
+    the zero-rimmed copy (its rim is never written), one block's sums and
+    products and, from the first call with `scratch`, a flat scratch of the
+    copy's size (the energy's lag differences, the prox CG's product K y).
+    They are their owner's: `buffers`, a dict that the owner keeps, holds one
+    set per shape and reach, lent to every user while no two run at once (a
+    solve's stepper and monitor reader never do; the CG's product is dead
+    before its box solve and before the step returns), or made per call."""
+    padded, _, _, blocks = _correlation_plan(shape, taps)
     buffers = {} if buffers is None else buffers
     if (key := (shape, taps[0])) not in buffers:
-        buffers[key] = (np.zeros(padded), np.empty(math.prod(padded)),
-                        np.empty(min(_BLOCK, stop - blocks.start)))
+        block = (blocks[0][1],) + padded[1:]
+        buffers[key] = [np.zeros(padded), np.empty(block), np.empty(math.prod(block))]
+    if scratch and len(buffers[key]) == 3:
+        buffers[key].append(np.empty(math.prod(padded)))
     return buffers[key]
 
 
@@ -274,28 +283,27 @@ def correlate(values: np.ndarray, taps: tuple, out: Optional[np.ndarray] = None,
     the `correlation_taps` of S, into out if given.  Each node sums the
     products in tap order from +0.0.  The field is copied into a zero rim
     `reach` wide, so that each tap is one shift of the flat copy; the sums
-    run over the flat span from the first node to the last in blocks of
-    _BLOCK, so that the products stay in cache (rim positions inside the
-    span are summed too, from the rim and wrapped rows, and dropped).  In
-    the owner's `buffers` (`_correlation_buffers`)."""
+    run over blocks of whole padded rows, so that the products stay in
+    cache, and each block's nodes go straight into out (rim positions of
+    the block are summed too, from the rim and wrapped rows, and dropped).
+    In the owner's `buffers` (`_correlation_buffers`)."""
     out = np.empty(values.shape) if out is None else out
     if not taps[1]:
         out.fill(0.0)
         return out
-    _, inner, shifted, blocks, stop = _correlation_plan(values.shape, taps)
-    padded, sums, product = _correlation_buffers(values.shape, taps, buffers)
+    _, inner, shifted, blocks = _correlation_plan(values.shape, taps)
+    padded, block, product = _correlation_buffers(values.shape, taps, buffers)[:3]
     padded[inner] = values
-    flat = padded.ravel()
+    flat, sums, cut = padded.ravel(), block.ravel(), (_WHOLE,) + inner[1:]
     (d0, w0), rest = shifted[0], shifted[1:]
-    for lo in blocks:
-        hi = min(lo + _BLOCK, stop)
-        dest, spare = sums[lo:hi], product[:hi - lo]
+    for i, j, lo, hi, span in blocks:
+        dest, spare = sums[span], product[:hi - lo]
         np.multiply(flat[lo + d0:hi + d0], w0, out=dest)
         for d, w in rest:
             np.multiply(flat[lo + d:hi + d], w, out=spare)
             dest += spare
         dest += 0.0     # ndimage sums from +0.0: a sum of -0.0 terms reads +0.0
-    np.copyto(out, sums.reshape(padded.shape)[inner])
+        out[i:j] = block[:j - i][cut]
     return out
 
 
@@ -304,9 +312,9 @@ def stencil_energy(values: np.ndarray, taps: tuple, buffers: Optional[dict] = No
     (u_(i+k) - u_i)^2, u extended by zero: <u, S * u> for a symmetric S that
     sums to 0, with no large taps cancelling.  Each lag, in tap order,
     differences the zero-rimmed flat copy of `correlate` shifted by d into
-    the flat sums' buffer, both the owner's (`_correlation_buffers`)."""
-    _, inner, shifted, _, _ = _correlation_plan(values.shape, taps)
-    padded, work, _ = _correlation_buffers(values.shape, taps, buffers)
+    the flat scratch, both the owner's (`_correlation_buffers`)."""
+    _, inner, shifted, _ = _correlation_plan(values.shape, taps)
+    padded, _, _, work = _correlation_buffers(values.shape, taps, buffers, scratch=True)
     padded[inner] = values
     flat, total = padded.ravel(), 0.0
     for d, w in shifted:

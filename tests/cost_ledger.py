@@ -9,8 +9,11 @@ jobs before it, and prints sorted lines
 
 one per job: the call counts of the functions of `COUNTED`, the CG total
 of the job's `monitor_inner_iterations.csv` (`-` for a job that writes
-none) and the tracemalloc peak rounded to 64 KiB.  The counts and, on one
-machine, the peak do not drift as wall time does.  Run it on two trees and
+none) and the tracemalloc peak rounded to 64 KiB.  The peak is read from
+a second run of the job, without the profiler and after `gc.collect()`
+(the profiler's tables and garbage-collection timing moved it by 64 KiB
+from run to run).  The counts and, on one machine, the peak do not drift
+as wall time does.  Run it on two trees and
 `diff` the outputs: every line that differs names a job whose work moved.
 A tracer that runs alongside (`tests/line_coverage.py`) moves the peak but
 no count.
@@ -23,9 +26,7 @@ process's `ru_maxrss`: the resident peak beside the traced one.  Two trees
 whose traced peaks agree but whose resident peaks differ place the same
 arrays differently in the heap; a traced peak that moves is a change of
 the arrays alive.  The resident peak includes the interpreter, numpy and
-the tracers, and it varies from run to run by a few hundred KiB.  A fresh
-line's traced peak can differ from the in-process line's by 64 KiB steps,
-since the profiler's tables and what the earlier jobs left cached differ.
+the tracers, and it varies from run to run by a few hundred KiB.
 
     PYTHONPATH=src python tests/cost_ledger.py --fresh ellipse-flow/implicit-tau1e-3
 
@@ -35,6 +36,7 @@ pytest does not collect this file.
 import argparse
 import cProfile
 import csv
+import gc
 import inspect
 import os
 import pstats
@@ -88,20 +90,34 @@ def _cg_total(out: Path) -> str:
         return str(sum(int(float(row["inner_iterations"])) for row in csv.DictReader(fh)))
 
 
+def _traced_peak(job) -> int:
+    """The tracemalloc peak of one unprofiled run of the job, from cleared
+    caches and after a collection."""
+    _clear_caches()
+    gc.collect()
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            run_job(job, Path(tmp))
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    return peak
+
+
 def ledger_line(workload: str, job) -> str:
-    """The ledger line of one job, run in a temporary directory."""
+    """The ledger line of one job, run in a temporary directory: profiled
+    once for its counts, then once more for its traced peak."""
     _clear_caches()
     profile = cProfile.Profile()
     with tempfile.TemporaryDirectory() as tmp:
-        tracemalloc.start()
         profile.enable()
         try:
             code, out = run_job(job, Path(tmp))
         finally:
             profile.disable()
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
         cg = _cg_total(out)
+    peak = _traced_peak(job)
     stats = pstats.Stats(profile).stats
     calls = " ".join(
         f"{name}={stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]}"

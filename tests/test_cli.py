@@ -902,6 +902,8 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
                                              "values": [1, 0]}),
     ("radial-solve", _RADIAL, ("profile", "samples"), 1),
     ("simulate", _SIMULATE, ("problem", "datum"), {"kind": "atoms", "atoms": [[[5, 5], 1]]}),
+    ("classify", _CLASSIFY, ("measure",), {"kind": "atoms",
+                                           "atoms": [[[0, 0], 1e308], [[0.5, 0], 1e308]]}),
     ("compare", _COMPARE, ("a",), "d4.grid"),
     ("compare", _COMPARE, ("a",), 5),
 ], ids=["tau-inf", "radius-inf", "spacing-0", "lambda-grid-empty", "tolerance-nan",
@@ -930,7 +932,7 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "gauss-t-below-dt", "barenblatt-t-below-dt", "m-order-0", "sphere-samples-below-2n",
         "oracle-dimension-4", "ellipse-matrix-3x2", "polytope-directions-not-unit",
         "samples-radii-values-unmatched", "gaussian-samples-1", "atom-outside-the-grid",
-        "compare-grid-4d", "compare-path-number"])
+        "atoms-mass-overflows", "compare-grid-4d", "compare-path-number"])
 def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                                             command, base, path, value):
     # json reads and writes Infinity, so a config can hold it; a limit that
@@ -952,6 +954,7 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
     # monitors and the slice before it was refused.  A gaussian of amplitude
     # 1e300 overflowed in the flow's L^2 norm and exited 3 with partial
     # files, and radial-solve wrote u = 8e307 from an amplitude of 1e308.
+    # Two atoms of mass 1e308 made classify warn, write inf and exit 0.
     # The thirteen rows from profile-shorter-than-window on were refused
     # already; each is the one run of a library refusal through the CLI
     monkeypatch.chdir(tmp_path)

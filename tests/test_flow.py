@@ -1413,16 +1413,19 @@ def _clear_module_caches():
                 value.cache_clear()
 
 
-@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 15.5),
+@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 14.0),
                                                  ("explicit_euler", 1e-4, 11.5)])
 def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
     """One solve of the ellipse diag(4, 1) on 257 x 129 nodes with both
     monitors, from cleared caches, allocates at most `fields` field sizes
-    at its peak (14.7 and 10.6 with numpy 2.4): the stepper and the monitor
+    at its peak (12.95 and 10.6 with numpy 2.4): the stepper and the monitor
     reader share one set of correlation buffers, the DST-I runs in slabs,
     the reader holds no field of H0^2 and builds each weight in one buffer
     of the read, the box symbol is scaled in place, and the CG keeps no
-    dead copy (15.8 and 12.6 with a held field of H0^2)."""
+    dead copy, no full-size temporary and no product of its own, and its
+    box solve no DST buffer between calls (14.7 with a full flat sums
+    buffer, a CG temporary, a product per step and a held DST buffer;
+    15.8 and 12.6 with a held field of H0^2 besides)."""
     problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
                                t_end=3 * tau, scheme=scheme, monitor_lambda=0.5,
                                monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
@@ -1435,6 +1438,35 @@ def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
     finally:
         tracemalloc.stop()
     assert peak <= fields * problem.datum.values.nbytes
+
+
+def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields():
+    """One warm preconditioned step of the quadratic prox on the 513 x 257
+    ellipse grid (tau 1e-3), with its correlation buffers handed, peaks
+    under 4.5 fields (4.05 with numpy 2.4: the clamped datum, the right
+    side, CG's direction, the box solve's result and its DST buffer; 5.0
+    with a full-size CG temporary, or with a product of its own per step).
+    The matvec's product K y is the buffers' flat scratch.  Between steps
+    the stepper holds under two fields beside those buffers: the box
+    divisor, the DST slabs and the masks (1.64; 2.63 with the box's DST
+    buffer held per solve).  A warm step keeps the cold step's bits."""
+    gf, mask = _ellipse_ball(6 / 128)
+    field, buffers = gf.values.nbytes, {}
+    tracemalloc.start()
+    try:
+        step = flow._prox_stepper(ELLIPSE, gf.spacing, mask, 1e-3,
+                                  InnerSolverConfig(tolerance=1e-7), buffers)
+        first, stats = step(gf.values)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        again = step(gf.values)[0]
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert stats["preconditioned"] and _same_bits(again, first)
+    handed = sum(a.nbytes for plan in buffers.values() for a in plan)
+    assert held - handed - first.nbytes < 2 * field
+    assert peak < 4.5 * field
 
 
 def test_a_solve_leaves_no_field_in_a_module_cache():

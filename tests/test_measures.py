@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -301,13 +302,13 @@ def test_measures_refuse_bad_arguments_by_name(call, match):
         call()
 
 
-def test_an_overflowing_functional_is_not_stabilized():
-    # two atoms of mass 1e308 sum to inf in every window: each lambda is
-    # marked not stabilized, so none is admissible, and numpy warns of the
-    # overflow in the sum (a warning, not a refusal)
-    atoms = measure_from_atoms([((0.0, 0.0), 1e308), ((0.5, 0.0), 1e308)])
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        result = classify(atoms, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
-    assert all(v == np.inf for v in result.table.values())
-    assert result.stabilized == {0.1: False, 0.3: False}
-    assert result.lam_star is None and not result.admissible
+def test_atoms_whose_total_mass_overflows_are_refused():
+    # two atoms of mass 1e308 are each finite, but their total |mass| is
+    # not: the functional summed them to inf in every window, warned of the
+    # overflow and marked every lambda not stabilized.  A finite total
+    # bounds every weighted window sum, so the spec refuses the total
+    with pytest.raises(SpecValidationError, match="finite total, not inf"):
+        measure_from_atoms([((0.0, 0.0), 1e308), ((0.5, 0.0), -1e308)])
+    atoms = measure_from_atoms([((0.0, 0.0), 8e307), ((0.5, 0.0), -8e307)])
+    result = classify(atoms, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
+    assert all(math.isfinite(v) for v in result.table.values())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,53 @@ def test_correlate_keeps_the_bits_of_ndimage_on_both_ellipse_stencils():
         S, _, taps = operators.constant_stencil(face_op, ELLIPSE, (6 / 64, 6 / 64))
         assert len(taps[1]) == count
         assert _same_bits(operators.correlate(u, taps), ndimage.correlate(u, S, mode="constant"))
+
+
+@pytest.mark.parametrize("block", [1, 40])
+def test_correlate_keeps_the_bits_of_ndimage_in_blocks_of_one_row_or_a_few(monkeypatch, block):
+    """Blocks of whole padded rows, here of _BLOCK = 1 value (one row per
+    block, longer than _BLOCK) and 40 (a few rows in 1-D and 2-D, one in
+    3-D), each written straight into out, keep ndimage's bits at N = 1, 2
+    and 3, with the first and last blocks cut to the span of the nodes."""
+    from scipy import ndimage
+    monkeypatch.setattr(operators, "_BLOCK", block)
+    operators._correlation_plan.cache_clear()
+    rng = np.random.default_rng(block)
+    try:
+        for shape in ((23,), (9, 7), (6, 5, 4)):
+            S = rng.standard_normal((5,) * len(shape))
+            u = rng.standard_normal(shape)
+            assert _same_bits(operators.correlate(u, operators.correlation_taps(S)),
+                              ndimage.correlate(u, S, mode="constant"))
+    finally:
+        operators._correlation_plan.cache_clear()
+
+
+def test_correlate_into_its_out_allocates_no_field():
+    """A warm `correlate` of the energy gradient's 17 taps on the 513 x 257
+    ellipse grid, into a given out and in handed buffers, allocates under an
+    eighth of a field: each block of whole padded rows goes straight into
+    out (a full flat sums buffer and its copy took a field).  The buffers
+    hold the zero-rimmed copy and one block's sums and products, _BLOCK
+    values each, and no flat scratch: `correlate` never asks for it."""
+    from finslerheat import flow
+    u = np.random.default_rng(3).standard_normal((513, 257))
+    _, _, taps = operators.constant_stencil(flow._face_energy_gradient, ELLIPSE,
+                                            (6 / 128, 6 / 128))
+    out, buffers = np.empty_like(u), {}
+    operators.correlate(u, taps, out, buffers)
+    first = out.copy()
+    tracemalloc.start()
+    try:
+        operators.correlate(u, taps, out, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(out, first)
+    (padded, *blocks), = buffers.values()
+    assert padded.shape == (517, 261) and len(blocks) == 2
+    assert all(b.size <= operators._BLOCK for b in blocks)
+    assert peak < u.nbytes / 8
 
 
 @settings(max_examples=40)
