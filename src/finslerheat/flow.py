@@ -23,12 +23,12 @@ difference form of the same cached stencil (`operators.stencil_energy`),
 whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary band,
 the box preconditioner, whose DST-I is scipy's on numpy's real FFT
-(`_dst1`, run in slabs of a few dozen lines, in a buffer of each box
-solve), and its own CG, scipy's `cg` step for step, with inner products
-in a fixed order, so that no bit depends on the BLAS thread count, and no
-full-size scratch: its updates run in place, K's product in the buffers'
-flat scratch) and takes one path per norm family.  The one box
-solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
+(`_dst1`, run in slabs of a few dozen lines, on the quadratic path in the
+correlation buffers' flat scratch), and its own CG, scipy's `cg` step for
+step, with inner products in a fixed order, so that no bit depends on the
+BLAS thread count, and no full-size scratch: its updates run in place, K's
+product in the buffers' flat scratch) and takes one path per norm family.
+The one box solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
 fast-Poisson solver: the DST-I inverse on the bounding box of I/tau +
 sum_k c_k S_k, then masked.  The stepper names the stencils S_k (as face
 operators) and their weights c_k; the builder alone forms the divisor from
@@ -69,8 +69,10 @@ and `_monitor_reader`, the one energy reader (also of `energy` and
 int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing while t < 1/(4 lam))
 and the windowed-ball weighted L^1 quantity with weight e^(-H0^2 (1+t^ell)).
 The reader holds no field of H0^2: each read squares H0 into its own
-weight buffer and scales it in place, and the ell window convolves in one
-spectrum buffer (`measures.fftconvolve`).
+weight buffer and scales it in place.  Of the ell window's ball kernel it
+holds the row transform only, and the window's supremum convolves in one
+spectrum buffer and takes the inverse of the cropped rows a block at a
+time (`measures.fftconvolve` with a mask).
 """
 
 from __future__ import annotations
@@ -84,12 +86,11 @@ import numpy as np
 
 from .errors import ConvergenceError, SpecValidationError, StabilityError, integer
 from .grids import GridFunction, empty_layout
-from .measures import (MeasureSpec, _ball_kernel, fftconvolve, kernel_spectrum, mollify,
-                       next_fast_len)
+from .measures import MeasureSpec, _ball_kernel, fftconvolve, kernel_rows, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
 from .operators import (_BLOCK, FaceHessian, FaceKernel, _correlation_buffers,
-                        _face_flux_divergence, apply_operator, constant_stencil,
+                        _face_flux_divergence, apply_operator, constant_stencil, dst_box,
                         interior_mask, stencil_energy, stencil_symbol)
 
 
@@ -260,27 +261,31 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
 
 
 def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
-                        face_ops: list):
-    """The box solve of one prox, built once on the box of each side n - 2
-    off the box edge, zero-padded to the nearest length whose DST-I, 2 (n - 1)
-    long unpadded, is fast: the DST plan, the divisor (each call transforms
-    in a buffer of its own, not held between calls) and, last, since the
-    quadratic path drops them after one weigh, the DST-I symbols sigma_k of
-    the stencils of `face_ops` (`operators.stencil_symbol`).  weigh(c) fills
-    the divisor with 1/tau + sum_k c_k sigma_k and returns r -> mask B^-1 r,
-    B the box operator with eigenvalues the divisor (tau r on the box edge),
-    SPD on masked fields where the divisor is positive.  Quadratic families
-    weigh K's stencil by 1: B^-1 is (I/tau + K)^-1, exact for axis-symmetric
+                        face_ops: list, scratch: Optional[np.ndarray] = None):
+    """The box solve of one prox, built once on `operators.dst_box`: the DST
+    plan, the divisor and, last, since the quadratic path drops them after
+    one weigh, the DST-I symbols sigma_k of the stencils of `face_ops`
+    (`operators.stencil_symbol`).  Each call transforms in `scratch`, the
+    correlation buffers' flat scratch, which the caller lends while it holds
+    nothing live (`operators._correlation_buffers`), or without one in a
+    buffer of the call's own.  weigh(c) fills the divisor with 1/tau + sum_k
+    c_k sigma_k, in blocks of rows, and returns r -> mask B^-1 r, B the box
+    operator with eigenvalues the divisor (tau r on the box edge), SPD on
+    masked fields where the divisor is positive.  Quadratic families weigh
+    K's stencil by 1: B^-1 is (I/tau + K)^-1, exact for axis-symmetric
     stencils away from the clamped nodes and the box's far side; p >= 2
     Newton steps weigh the unit forms by the face medians (`_face_medians`)."""
-    lengths = tuple(next_fast_len(n - 1) - 1 for n in mask.shape)
+    lengths = dst_box(mask.shape)
     interior = (slice(1, -1),) * mask.ndim
     box, off = tuple(slice(0, n - 2) for n in mask.shape), ~mask
     dst, divisor = _dst1(lengths), np.empty(lengths)
     symbols = [stencil_symbol(op, spec, spacings, lengths) for op in face_ops]
+    rows = max(1, _BLOCK // math.prod(lengths[1:]))
+    cuts = range(rows, lengths[0], rows)
 
     def psolve(r: np.ndarray) -> np.ndarray:
-        work = np.zeros(lengths)    # not held through the matvecs and the reads
+        work = np.empty(lengths) if scratch is None else scratch[:divisor.size].reshape(lengths)
+        work.fill(0.0)
         work[box] = r[interior]
         dst(work)
         np.divide(work, divisor, out=work)
@@ -292,8 +297,10 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
 
     def weigh(c):
         divisor.fill(1.0 / tau)
+        small = np.empty((rows,) + lengths[1:])     # not held through the solves
         for ck, sigma in zip(c, symbols):
-            divisor[...] += float(ck) * sigma
+            for d, s in zip(np.split(divisor, cuts), np.split(sigma, cuts)):
+                d += np.multiply(s, float(ck), out=small[:len(s)])
         return psolve
     return weigh
 
@@ -395,7 +402,8 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
     masked v, K u = `energy_gradient`(u) into the flat scratch of `buffers`
     (`operators._correlation_buffers`), preconditioned by the box inverse
-    of I/tau + K (K's stencil weighed by 1, built at the first such step)
+    of I/tau + K (K's stencil weighed by 1, built at the first such step,
+    its DST-I run in the same scratch, where K's product is dead)
     when v/tau is below the stopping tolerance in L^2 on the boundary band
     (`_boundary_band`, built once), where the box and masked operators differ.
 
@@ -462,8 +470,8 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
         taps = constant_stencil(_face_energy_gradient, spec, spacings)[2]
 
         def quadratic_step(values: np.ndarray):
-            product = _correlation_buffers(mask.shape, taps, buffers, scratch=True)[3]
-            product = product[:mask.size].reshape(mask.shape)   # K y, in the scratch
+            scratch = _correlation_buffers(mask.shape, taps, buffers, scratch=True)[3]
+            product = scratch[:mask.size].reshape(mask.shape)   # K y, in the scratch
 
             def gradient(x: np.ndarray) -> np.ndarray:
                 return energy_gradient(x, spec, spacings, product, buffers)
@@ -473,7 +481,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             quiet = _l2(rhs[band], vol) < atol
             if quiet and not box:
                 box.append(_box_preconditioner(mask, tau, spec, spacings,
-                                               [_face_energy_gradient])((1.0,)))
+                                               [_face_energy_gradient], scratch)((1.0,)))
             w, iters, converged = cg(gradient, rhs, u, atol,
                                      inner.max_iters, box[0] if quiet else None)
             if not converged:   # the budget is spent: accept w only if its gap is in tolerance
@@ -593,13 +601,15 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     the horizon 1/(4 lam) on (1 - 4 lam t <= 1e-12).  With ell:
     weighted_l1_local, the sup over the mask (or every node) of the
     integral of e^(-H0^2 (1+t^ell)) |u| over the unit H0-ball around it
-    (`measures.fftconvolve`, the ball's spectrum transformed once).  Node
-    sums times the cell volume.  The reader holds the ball's spectrum and
-    no field of H0^2: each read squares h0 into its one weight buffer and
-    scales it in place, the lambda exponent as (H0^2 lam) / (1 - 4 lam t),
-    the ell one as H0^2 (-(1 + t^ell)), and e^w |u| as |e^w u|, which round
-    alike; the ell weight rebinds the buffer, so the lambda weights are not
-    held through the convolution.
+    (`measures.fftconvolve` with the mask, the ball's rows transformed
+    once).  Node sums times the cell volume; the supremum is scaled after
+    the maximum, which rounds alike.  The reader holds the ball's row
+    transform (`measures.kernel_rows`) and no field of H0^2: each read
+    squares h0 into its one weight buffer and scales it in place, the
+    lambda exponent as (H0^2 lam) / (1 - 4 lam t), the ell one as
+    H0^2 (-(1 + t^ell)), and e^w |u| as |e^w u|, which round alike; the ell
+    weight rebinds the buffer, so the lambda weights are not held through
+    the convolution.
     """
     _monitor_settings(lam, ell)
     vol = float(np.prod(spacing))
@@ -610,7 +620,8 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
         buffers = {} if buffers is None else buffers
         psi = lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
-    spectrum = None if ell is None else kernel_spectrum(kernel, h0.shape)
+    rows = None if ell is None else kernel_rows(kernel, h0.shape)
+    where = True if mask is None else mask
 
     def weighted(w: np.ndarray, u: np.ndarray, square: bool = False) -> np.ndarray:
         """e^w u^2 with square, else e^w |u|, in w's buffer."""
@@ -635,9 +646,8 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
         if ell is not None:
             w = np.square(h0)
             w *= -(1.0 + t**ell)
-            conv = fftconvolve(weighted(w, u), kernel, spectrum)
-            conv *= vol
-            out["weighted_l1_local"] = float(np.max(conv if mask is None else conv[mask]))
+            peak = fftconvolve(weighted(w, u), kernel, rows, where)
+            out["weighted_l1_local"] = float(peak * vol)
         return out
     return read
 

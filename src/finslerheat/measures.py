@@ -17,9 +17,15 @@ supremum over all grid centers is a convolution with the H0-ball
 indicator and is evaluated by FFT (`fftconvolve`, scipy.signal's
 same-mode FFT convolution repeated step for step on numpy's FFT, with
 `rfftn` and `irfftn` taking scipy.fft's axis order and scaling, so that
-scipy stays unloaded).  The transforms run in place: a convolution
-allocates one complex array of the padded spectrum's shape and one real
-array of the padded shape, and no other array of the field's size.
+scipy stays unloaded).  There is one convolution path with two inverses.
+The kernel enters as its row transform (`kernel_rows`, its real FFT along
+the last transformed axis), whose columns are transformed a block at a
+time into the product, so that its full spectrum is never formed; the
+transforms run in place in one complex array of the padded spectrum's
+shape.  The convolution itself (`mollify`) takes the full inverse, one
+real array of the padded shape; a supremum over a mask (`growth_functional`,
+`flow`'s ell monitor) takes the inverse real FFT of the cropped rows only, a
+block at a time, and allocates no other array of the field's size.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ class MeasureSpec:
         if self.kind == "density":
             if self.density is None:
                 raise SpecValidationError("density measure needs a grid")
+            with np.errstate(over="ignore"):
+                total = float(np.sum(np.abs(self.density.values))) * self.density.cell_volume
+            if not math.isfinite(total):
+                raise SpecValidationError(f"density masses must have a finite total, not {total}")
         elif self.kind == "atoms":
             if not self.atoms:
                 raise SpecValidationError("atom measure needs at least one atom")
@@ -109,70 +119,153 @@ def rfftn(x: np.ndarray, shape, axes) -> np.ndarray:
     along the last axis, then its complex FFT along the others in order
     (`np.fft.rfftn` goes in reverse order, which moves bits in 3-D).
 
-    One zeroed spectrum is allocated: the real FFT fills its leading block
-    (x cut to the transform lengths) and each complex FFT runs in place."""
+    One zeroed spectrum is allocated (`_spectrum_zeros`): the real FFT fills
+    its leading block (x cut to the transform lengths) and each complex FFT
+    runs in place."""
     lead, dims = [slice(None)] * x.ndim, list(x.shape)
     for n, axis in zip(shape[:-1], axes[:-1]):
         lead[axis], dims[axis] = slice(0, min(n, x.shape[axis])), n
     dims[axes[-1]] = shape[-1] // 2 + 1
-    out = np.zeros(dims, dtype=complex)
+    out = _spectrum_zeros(dims, axes[-1])
     np.fft.rfft(x[tuple(lead)], shape[-1], axis=axes[-1], out=out[tuple(lead)])
     for n, axis in zip(shape[:-1], axes[:-1]):
         np.fft.fft(out, n, axis=axis, out=out)
     return out
 
 
+def _spectrum_zeros(dims: list, axis: int) -> np.ndarray:
+    """Complex zeros of shape `dims`, laid out with `axis`, the real FFT's,
+    outermost and the others in C order: a block of its columns (indices
+    along `axis`) is contiguous, so that `_times_kernel` multiplies it by a
+    block of the same layout without numpy's buffering."""
+    zeros = np.zeros([dims[axis]] + dims[:axis] + dims[axis + 1:], dtype=complex)
+    return np.moveaxis(zeros, 0, axis)
+
+
 def irfftn(X: np.ndarray, shape, axes, overwrite_x: bool = False) -> np.ndarray:
     """`scipy.fft.irfftn(X, shape, axes=axes)` bit for bit: numpy's unscaled
-    inverse FFTs along every axis but the last, in order, its unscaled
-    inverse real FFT along the last, then one scaling by 1 / prod(shape),
-    rounded from long double as scipy's is.
+    inverse FFTs along every axis but the last, in order (`_inverse_columns`),
+    then its unscaled inverse real FFT along the last and one scaling
+    (`_inverse_rows`).
 
     With overwrite_x the inverse complex FFTs run in place in X, which
     holds each of their lengths already."""
+    return _inverse_rows(_inverse_columns(X, shape, axes, overwrite_x), shape, axes)
+
+
+def _inverse_columns(X: np.ndarray, shape, axes, overwrite_x: bool) -> np.ndarray:
+    """The complex passes of `irfftn`: numpy's unscaled inverse FFTs along
+    every axis but the last, in order, in place with overwrite_x."""
     for n, axis in zip(shape[:-1], axes[:-1]):
         X = np.fft.ifft(X, n, axis=axis, norm="forward", out=X if overwrite_x else None)
+    return X
+
+
+def _inverse_rows(X: np.ndarray, shape, axes) -> np.ndarray:
+    """The last pass of `irfftn`: numpy's unscaled inverse real FFT along the
+    last axis, then one scaling by 1 / prod(shape), rounded from long double
+    as scipy's is.  Each row is transformed and scaled on its own, so a
+    block of rows keeps the bits it has in the whole."""
     out = np.fft.irfft(X, shape[-1], axis=axes[-1], norm="forward")
     out *= float(1 / np.longdouble(math.prod(shape)))
     return out
 
 
-def fftconvolve(field: np.ndarray, kernel: np.ndarray, spectrum=None) -> np.ndarray:
+_BLOCK = 8192   # complex values per block of the kernel's columns, real values per block of rows
+
+
+def fftconvolve(field: np.ndarray, kernel: np.ndarray, rows=None, where=None):
     """Linear convolution of two real arrays of equal rank, cropped to the
     centred `field.shape`: `scipy.signal.fftconvolve(field, kernel,
-    mode="same")` step for step, so bit for bit.
+    mode="same")` step for step, so bit for bit.  With `where`, a boolean
+    array that broadcasts to the field's shape, only the maximum over it:
+    `np.max(result[where])` bit for bit, NaN if it holds one, and an empty
+    `where` raises as `np.max` does.
 
     Axes where either side has length 1 broadcast instead of transforming;
-    the others are zero-padded to scipy's fast real-FFT length.  `spectrum`,
-    the `kernel_spectrum` of the kernel for fields of this shape, spares
-    transforming the kernel again.  A call allocates one complex array of
-    the padded spectrum's shape, which the field's transform, the product
-    and the inverse's complex passes share, and one real array of the
-    padded shape, which the result is a view of.
+    the others are zero-padded to scipy's fast real-FFT length.  `rows`, the
+    `kernel_rows` of the kernel for fields of this shape, spares transforming
+    the kernel's rows again; the kernel's full spectrum is never held
+    (`_times_kernel`).  A call allocates one complex array of the padded
+    spectrum's shape, which the field's transform, the product and the
+    inverse's complex passes share.  The result is a view of one real array
+    of the padded shape; the maximum takes the inverse real FFT of the
+    cropped rows only, a block along axis 0 at a time (`_cropped_max`).
     """
     s1, s2 = field.shape, kernel.shape
     axes, fshape = _padded_axes(s1, s2)
-    if axes:
-        if spectrum is None:
-            spectrum = rfftn(kernel, fshape, axes)
-        # the broadcast axes at their product's length, so that it fits in place
-        wide = [n if a in axes else max(n, m) for a, (n, m) in enumerate(zip(s1, s2))]
-        product = rfftn(np.broadcast_to(field, wide), fshape, axes)
-        product *= spectrum
-        full = irfftn(product, fshape, axes, overwrite_x=True)
-    else:
-        full = field * kernel
-    size = [s1[a] + s2[a] - 1 if a in axes else full.shape[a]
-            for a in range(field.ndim)]
-    start = [(n - m) // 2 for n, m in zip(size, s1)]
-    return full[tuple(slice(b, b + m) for b, m in zip(start, s1))]
+    size = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a]) for a in range(field.ndim)]
+    crop = tuple(slice((n - m) // 2, (n - m) // 2 + m) for n, m in zip(size, s1))
+    if not axes:
+        full = (field * kernel)[crop]
+        return full if where is None else np.max(full[np.broadcast_to(where, s1)])
+    if rows is None:
+        rows = kernel_rows(kernel, s1)
+    # the broadcast axes at their product's length, so that it fits in place
+    wide = [n if a in axes else max(n, m) for a, (n, m) in enumerate(zip(s1, s2))]
+    product = rfftn(np.broadcast_to(field, wide), fshape, axes)
+    _times_kernel(product, rows, fshape, axes)
+    if where is None:
+        return irfftn(product, fshape, axes, overwrite_x=True)[crop]
+    return _cropped_max(_inverse_columns(product, fshape, axes, True), fshape, axes, crop,
+                        np.broadcast_to(where, s1))
 
 
-def kernel_spectrum(kernel: np.ndarray, shape: tuple):
-    """The kernel's transform that `fftconvolve` of fields of `shape`
-    multiplies by, or None where it transforms no axis."""
+def kernel_rows(kernel: np.ndarray, shape: tuple):
+    """The kernel's row transform that `fftconvolve` of fields of `shape`
+    reads, its real FFT along the last transformed axis at that axis's
+    padded length, as `rfftn` forms it, or None where no axis is transformed."""
     axes, fshape = _padded_axes(shape, kernel.shape)
-    return rfftn(kernel, fshape, axes) if axes else None
+    return np.fft.rfft(kernel, fshape[-1], axis=axes[-1]) if axes else None
+
+
+def _times_kernel(product: np.ndarray, rows: np.ndarray, fshape, axes) -> None:
+    """product *= `rfftn(kernel, fshape, axes)`, the kernel's spectrum: its
+    `rows` where they are all of it (one transformed axis), else formed a
+    block of columns (indices along the last transformed axis) at a time,
+    each block, zero-padded, taking `rfftn`'s complex FFTs along the other
+    transformed axes in order.  numpy's FFT transforms one line at a time,
+    so each block holds the bits of the full spectrum, and a block's product
+    runs over at least 3 values, as numpy multiplies a longer run (a lone
+    complex value is multiplied by other code, which can round otherwise)."""
+    if len(axes) == 1:
+        product *= rows
+        return
+    last, dims = axes[-1], list(rows.shape)
+    for n, axis in zip(fshape[:-1], axes[:-1]):
+        dims[axis] = n
+    lead = tuple(slice(0, m) for m in rows.shape[:last])
+    columns = dims[last]
+    width = dims[last] = min(columns, max(1, _BLOCK * columns // math.prod(dims)))
+    buffer = _spectrum_zeros(dims, last)
+    for c in range(0, columns, width):
+        cols = (slice(None),) * last + (slice(c, c + width),)
+        block = buffer[(slice(None),) * last + (slice(0, min(width, columns - c)),)]
+        block.fill(0.0)
+        block[lead] = rows[cols]
+        for n, axis in zip(fshape[:-1], axes[:-1]):
+            np.fft.fft(block, n, axis=axis, out=block)
+        product[cols] *= block
+
+
+def _cropped_max(X: np.ndarray, fshape, axes, crop: tuple, where: np.ndarray):
+    """np.max(_inverse_rows(X)[crop][where]), X past `irfftn`'s complex
+    passes: the inverse real FFT of the rows that the crop keeps, a block
+    along axis 0 at a time (one block where axis 0 is the rows' own axis),
+    each block reduced to its maximum, and the maximum of those."""
+    last = axes[-1]
+    lines = X[crop[:last] + (slice(None),) + crop[last + 1:]]
+    keep = (slice(None),) * last + (crop[last],)
+    padded = list(where.shape)
+    padded[last] = fshape[-1]
+    step = len(where) if last == 0 else max(1, _BLOCK // math.prod(padded[1:]))
+    peaks = []
+    for i in range(0, len(where), step):
+        block = slice(None) if last == 0 else slice(i, i + step)
+        values = _inverse_rows(lines[block], fshape, axes)[keep][where[block]]
+        if values.size:
+            peaks.append(np.max(values))
+    return np.max(peaks)
 
 
 def _padded_axes(s1: tuple, s2: tuple) -> tuple:
@@ -229,8 +322,9 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     if window < radius:
         warnings.warn("window smaller than the ball radius; coverage is partial")
     weighted = np.abs(values) * np.exp(-lam * np.minimum(r**2, 1400.0 / lam))
-    conv = fftconvolve(weighted, _ball_kernel(spec, radius, grid.spacing))
-    return float(np.max(conv[r <= min(window, float(np.max(r)))])) * grid.cell_volume
+    peak = fftconvolve(weighted, _ball_kernel(spec, radius, grid.spacing),
+                       where=r <= min(window, float(np.max(r))))
+    return float(peak) * grid.cell_volume
 
 
 @dataclass

@@ -26,8 +26,9 @@ The correlation's buffers, a zero-rimmed copy of about one field and one
 block of padded rows whose sums go straight into the output, belong to
 whoever applies the stencil: a caller that applies stencils again and
 again keeps a `buffers` dict (`flow`'s steppers and monitor reader share
-one per solve, and its flat scratch), and a call without one makes its
-own.  Only the plan of taps, shifts and blocks, which holds no field, is cached.
+one per solve, and its flat scratch, which the prox's box solve borrows
+too), and a call without one makes its own.  Only the plan of taps,
+shifts and blocks, which holds no field, is cached.
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -54,6 +55,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, SpecValidationError
 from .grids import GridFunction, RadialProfile, observed_order, refinements
+from .measures import next_fast_len
 from .norms import NormSpec, dual_norm_eval, duality_map
 
 
@@ -257,22 +259,32 @@ def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
     return padded, inner, shifted, tuple(blocks)
 
 
+def dst_box(shape: tuple) -> tuple:
+    """The box of the prox's box solve (`flow._box_preconditioner`) for fields
+    of `shape`: each side n - 2 off the box edge, zero-padded to the nearest
+    length whose DST-I, 2 (n - 1) long unpadded, is fast.  A side can be
+    longer than the zero-rimmed copy's, 399 against 391 at n = 387."""
+    return tuple(next_fast_len(n - 1) - 1 for n in shape)
+
+
 def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict], scratch=False):
     """The buffers of `correlate` and `stencil_energy` for fields of `shape`:
     the zero-rimmed copy (its rim is never written), one block's sums and
-    products and, from the first call with `scratch`, a flat scratch of the
-    copy's size (the energy's lag differences, the prox CG's product K y).
+    products and, from the first call with `scratch`, a flat scratch that
+    holds the copy or the `dst_box`, whichever is larger: the energy's lag
+    differences, the prox CG's product K y and its box solve's DST-I.
     They are their owner's: `buffers`, a dict that the owner keeps, holds one
     set per shape and reach, lent to every user while no two run at once (a
     solve's stepper and monitor reader never do; the CG's product is dead
-    before its box solve and before the step returns), or made per call."""
+    before its box solve and before the step returns, and the box solve's
+    DST-I before it returns), or made per call."""
     padded, _, _, blocks = _correlation_plan(shape, taps)
     buffers = {} if buffers is None else buffers
     if (key := (shape, taps[0])) not in buffers:
         block = (blocks[0][1],) + padded[1:]
         buffers[key] = [np.zeros(padded), np.empty(block), np.empty(math.prod(block))]
     if scratch and len(buffers[key]) == 3:
-        buffers[key].append(np.empty(math.prod(padded)))
+        buffers[key].append(np.empty(max(math.prod(padded), math.prod(dst_box(shape)))))
     return buffers[key]
 
 
@@ -319,7 +331,7 @@ def stencil_energy(values: np.ndarray, taps: tuple, buffers: Optional[dict] = No
     flat, total = padded.ravel(), 0.0
     for d, w in shifted:
         if d > 0:
-            x = np.subtract(flat[d:], flat[:-d], out=work[:-d])
+            x = np.subtract(flat[d:], flat[:-d], out=work[:flat.size - d])
             total += w * float(np.einsum("i,i->", x, x))
     return -total
 

@@ -135,6 +135,21 @@ def test_unreadable_grid_paths_are_config_errors(tmp_path, capsys):
         assert not list(outdir.iterdir())
 
 
+def test_a_density_whose_total_mass_overflows_is_a_config_error(tmp_path, capsys):
+    # every node of 1e308 is finite, but the total |mass| is not: classify
+    # returned NaN for every window with exit 0, and now refuses the grid
+    grid = tmp_path / "huge.grid"
+    grid_from_function([(-1, 1), (-1, 1)], (8, 8),
+                       lambda c: np.full(c.shape[:-1], 1e308)).save(grid)
+    code, outdir = _run(tmp_path, "classify", {
+        "norm": EUCLID_JSON, "measure": {"kind": "density", "path": str(grid)},
+        "lambda_grid": [0.1, 0.3]})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and "finite total, not inf" in err
+    assert not list(outdir.iterdir())
+
+
 def test_verify_norms_requires_seed(tmp_path):
     code, _ = _run(tmp_path, "verify-norms",
                    {"samples": 10, "norms": [EUCLID_JSON]})

@@ -395,16 +395,17 @@ def test_quadratic_energy_read_allocates_no_field():
 
 def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum():
     """The reader that `solve` builds for lambda 0.5 and ell 0.25, on the
-    513 x 257 ellipse grid, holds its ball kernel's spectrum (1.47 fields)
-    and the correlation buffers it was handed, and no field of H0^2 (it
-    held one).  A warm read peaks under four fields: its one weight buffer,
-    squared from H0 and scaled in place, and the convolution's spectrum and
-    padded result (the lambda weights were held through the convolution,
-    4.9 fields)."""
+    513 x 257 ellipse grid, holds of its ball kernel's spectrum only the row
+    transform (87 x 161, 0.21 field; the full spectrum took 1.47) and the
+    correlation buffers it was handed, and no field of H0^2 (it held one).
+    A warm read peaks under three fields (2.71 with numpy 2.4): its one
+    weight buffer, squared from H0 and scaled in place, the convolution's
+    spectrum and a block of the kernel's; the maximum over the mask reads
+    the inverse of the cropped rows a block at a time (with the padded
+    result, 3.93 fields, or 4.9 with the lambda weights held besides)."""
     gf, mask = _ellipse_ball(6 / 128)
     h0 = norms.dual_norm_eval(ELLIPSE, gf.coords())
-    spectrum = measures.kernel_spectrum(measures._ball_kernel(ELLIPSE, 1.0, gf.spacing),
-                                        h0.shape)
+    rows = measures.kernel_rows(measures._ball_kernel(ELLIPSE, 1.0, gf.spacing), h0.shape)
     field, buffers = gf.values.nbytes, {}
     flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25)(gf.values, 1e-3)
     tracemalloc.start()
@@ -419,8 +420,8 @@ def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum():
         tracemalloc.stop()
     assert again == first
     handed = sum(a.nbytes for plan in buffers.values() for a in plan)
-    assert held - handed < spectrum.nbytes + field / 8
-    assert peak < 4 * field
+    assert rows.shape == (87, 161) and held - handed < rows.nbytes + field / 8
+    assert peak < 3 * field
 
 
 @pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 1.2], [1.2, 1.0]]])
@@ -1109,17 +1110,20 @@ def test_weighted_monitors_match_the_trajectory_bit_for_bit():
 
 
 def test_the_local_monitor_transforms_its_ball_kernel_once(monkeypatch):
-    # a solve of K steps makes K + 2 forward transforms, the ball kernel's
-    # once and the weighted field's per read, and each reading is that of
+    # a solve of K steps transforms the ball kernel's rows once and the
+    # weighted field K + 1 times, once per read, and each reading is that of
     # `fftconvolve` transforming the kernel anew, bit for bit
     ell = 0.25
     problem, _ = _ball_problem(ELLIPSE, 2.0, 1 / 8, lambda r: np.exp(-r**2), tau=1e-2,
                                t_end=3e-2, store_times=(0.0, 1e-2, 2e-2), monitor_ell=ell)
-    calls = {"rfftn": 0}
+    calls = {"rfftn": 0, "kernel_rows": 0}
     monkeypatch.setattr(measures, "rfftn", _counting(calls, "rfftn", measures.rfftn))
+    rows = _counting(calls, "kernel_rows", measures.kernel_rows)
+    monkeypatch.setattr(measures, "kernel_rows", rows)
+    monkeypatch.setattr(flow, "kernel_rows", rows)
     traj = solve(problem)
     monkeypatch.undo()
-    assert calls["rfftn"] == problem.steps + 2
+    assert calls == {"rfftn": problem.steps + 1, "kernel_rows": 1}
     kernel = measures._ball_kernel(ELLIPSE, 1.0, problem.datum.spacing)
     vol = problem.datum.cell_volume
     for step, (t, gf) in enumerate(zip(traj.times, traj.slices)):
@@ -1404,6 +1408,24 @@ def test_box_symbol_allocates_one_symbol():
     assert sigma.shape == lengths and peak < 1.25 * sigma.nbytes
 
 
+def test_a_warm_box_weigh_allocates_no_field():
+    """Weighing the p >= 2 Newton path's box solve again, as each Newton
+    step does, on the box of the 513 x 257 grid fills the divisor with
+    1/tau + sum_k c_k sigma_k in blocks of rows through one small scratch:
+    it allocates under an eighth of a field (each c_k sigma_k took one)."""
+    gf, mask = _ellipse_ball(6 / 128)
+    weigh = flow._box_preconditioner(mask, 1e-2, norms.p_norm(3, 2), gf.spacing,
+                                     [flow._unit_face_form(k) for k in range(2)])
+    weigh((0.5, 2.0))
+    tracemalloc.start()
+    try:
+        weigh((0.75, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gf.values.nbytes / 8
+
+
 def _clear_module_caches():
     """Empty every lru_cache of the package's modules."""
     from finslerheat import cli, grids, radial, solutions
@@ -1413,22 +1435,8 @@ def _clear_module_caches():
                 value.cache_clear()
 
 
-@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 14.0),
-                                                 ("explicit_euler", 1e-4, 11.5)])
-def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
-    """One solve of the ellipse diag(4, 1) on 257 x 129 nodes with both
-    monitors, from cleared caches, allocates at most `fields` field sizes
-    at its peak (12.95 and 10.6 with numpy 2.4): the stepper and the monitor
-    reader share one set of correlation buffers, the DST-I runs in slabs,
-    the reader holds no field of H0^2 and builds each weight in one buffer
-    of the read, the box symbol is scaled in place, and the CG keeps no
-    dead copy, no full-size temporary and no product of its own, and its
-    box solve no DST buffer between calls (14.7 with a full flat sums
-    buffer, a CG temporary, a product per step and a held DST buffer;
-    15.8 and 12.6 with a held field of H0^2 besides)."""
-    problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
-                               t_end=3 * tau, scheme=scheme, monitor_lambda=0.5,
-                               monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
+def _solve_peak(problem) -> float:
+    """The tracemalloc peak of a solve from cleared caches, in fields."""
     solve(problem)      # imports what the solve imports
     _clear_module_caches()
     tracemalloc.start()
@@ -1437,19 +1445,56 @@ def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= fields * problem.datum.values.nbytes
+    return peak / problem.datum.values.nbytes
+
+
+@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 12.0),
+                                                 ("explicit_euler", 1e-4, 9.75)],
+                         ids=["implicit", "explicit"])
+def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
+    """One solve of the ellipse diag(4, 1) on 257 x 129 nodes with both
+    monitors, from cleared caches, allocates at most `fields` field sizes
+    at its peak (10.93 and 8.69 with numpy 2.4): the stepper and the monitor
+    reader share one set of correlation buffers, the DST-I runs in slabs,
+    the reader holds no field of H0^2 and builds each weight in one buffer
+    of the read, the box symbol is scaled in place, the CG keeps no dead
+    copy, no full-size temporary and no product of its own, its box solve
+    runs in the buffers' flat scratch and weighs its symbols in blocks, and
+    the ell monitor holds the ball kernel's row transform only and reads
+    the inverse of the cropped rows a block at a time (12.95 and 10.6 with
+    the kernel's full spectrum held, the padded inverse, a DST buffer per
+    call and a weighed symbol; 14.7 with a full flat sums buffer, a CG
+    temporary, a product per step and a held DST buffer besides)."""
+    problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
+                               t_end=3 * tau, scheme=scheme, monitor_lambda=0.5,
+                               monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
+    assert _solve_peak(problem) <= fields
+
+
+def test_a_3d_solve_peaks_at_a_bounded_number_of_fields():
+    """Three implicit steps on the ellipse diag(4, 1, 1) ball of radius 6 at
+    h = 0.375, 65 x 33 x 33 nodes, with both monitors, peak at most 11.5
+    fields (10.09 with numpy 2.4; 13.37 with the ball kernel's full spectrum
+    held, the padded inverse, a DST buffer per call and a weighed symbol)."""
+    spec = norms.ellipse(np.diag([4.0, 1.0, 1.0]))
+    problem, _ = _ball_problem(spec, 6.0, 0.375, lambda r: np.exp(-r**2), tau=1e-2,
+                               t_end=3e-2, monitor_lambda=0.5, monitor_ell=0.25,
+                               inner=InnerSolverConfig(tolerance=1e-7))
+    assert problem.datum.values.shape == (65, 33, 33)
+    assert _solve_peak(problem) <= 11.5
 
 
 def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields():
     """One warm preconditioned step of the quadratic prox on the 513 x 257
     ellipse grid (tau 1e-3), with its correlation buffers handed, peaks
-    under 4.5 fields (4.05 with numpy 2.4: the clamped datum, the right
-    side, CG's direction, the box solve's result and its DST buffer; 5.0
-    with a full-size CG temporary, or with a product of its own per step).
-    The matvec's product K y is the buffers' flat scratch.  Between steps
-    the stepper holds under two fields beside those buffers: the box
-    divisor, the DST slabs and the masks (1.64; 2.63 with the box's DST
-    buffer held per solve).  A warm step keeps the cold step's bits."""
+    under 3.5 fields (3.07 with numpy 2.4: the clamped datum, the right
+    side, CG's direction and the box solve's result; 4.05 with a DST buffer
+    per box solve, 5.0 with a full-size CG temporary besides, or with a
+    product of its own per step).  The matvec's product K y and the box
+    solve's DST-I run in the buffers' flat scratch.  Between steps the
+    stepper holds under two fields beside those buffers: the box divisor,
+    the DST slabs and the masks (1.76; 2.76 with a DST buffer of the box's
+    own held per solve).  A warm step keeps the cold step's bits."""
     gf, mask = _ellipse_ball(6 / 128)
     field, buffers = gf.values.nbytes, {}
     tracemalloc.start()
@@ -1466,7 +1511,27 @@ def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields():
     assert stats["preconditioned"] and _same_bits(again, first)
     handed = sum(a.nbytes for plan in buffers.values() for a in plan)
     assert held - handed - first.nbytes < 2 * field
-    assert peak < 4.5 * field
+    assert peak < 3.5 * field
+
+
+def test_the_box_solve_borrows_a_scratch_that_holds_a_box_longer_than_the_copy(monkeypatch):
+    """On 387 x 387 nodes the DST box, 399 a side, is longer than the
+    correlation's zero-rimmed copy, 391: the buffers' flat scratch holds the
+    larger of the two, and a preconditioned quadratic prox step whose box
+    solve runs in it keeps the bits of one whose box solve makes a buffer
+    per call."""
+    lay = ball_layout(EUCLID, 6.0, 6 / 193)
+    mask = ball_mask(EUCLID, lay, 6.0)
+    datum = np.where(mask, np.exp(-norms.dual_norm_eval(EUCLID, lay.coords()) ** 2), 0.0)
+    assert mask.shape == (387, 387) and operators.dst_box(mask.shape) == (399, 399)
+    inner, buffers = InnerSolverConfig(tolerance=1e-7), {}
+    borrowed, stats = flow._prox_stepper(EUCLID, lay.spacing, mask, 1e-3, inner, buffers)(datum)
+    (scratch,) = [plan[3] for plan in buffers.values()]
+    assert scratch.size == 399 * 399 > 391 * 391
+    own = flow._box_preconditioner
+    monkeypatch.setattr(flow, "_box_preconditioner", lambda *args: own(*args[:5]))
+    alone = flow._prox_stepper(EUCLID, lay.spacing, mask, 1e-3, inner)(datum)[0]
+    assert stats["preconditioned"] and _same_bits(borrowed, alone)
 
 
 def test_a_solve_leaves_no_field_in_a_module_cache():

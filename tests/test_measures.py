@@ -252,25 +252,93 @@ def test_fft_pair_is_scipys_bit_for_bit(data):
     assert irfftn(X.copy(), lengths, axes, overwrite_x=True).tobytes() == want
 
 
-def test_fftconvolve_allocates_one_spectrum_and_one_padded_array():
-    """A convolution with its kernel's spectrum allocates one complex array
-    of the padded spectrum's shape and one real array of the padded shape,
-    and at most 16 KiB besides.  Padded to 4050 x 4, the spectrum takes 1.5
-    times the real array, so a product or a complex pass out of place
-    shows."""
-    rng = np.random.default_rng(6)
-    field, kernel = rng.standard_normal((4000, 3)), rng.uniform(0.0, 1.0, (5, 2))
-    axes, (n0, n1) = measures._padded_axes(field.shape, kernel.shape)
-    spectrum = measures.kernel_spectrum(kernel, field.shape)
-    fftconvolve(field, kernel, spectrum)
+def _traced_convolution(field, kernel, where=None):
+    """fftconvolve of field and kernel, given the kernel's rows, and the peak
+    that tracemalloc reads for a warm call."""
+    rows = measures.kernel_rows(kernel, field.shape)
+    fftconvolve(field, kernel, rows, where)
     tracemalloc.start()
     try:
-        ours = fftconvolve(field, kernel, spectrum)
+        ours = fftconvolve(field, kernel, rows, where)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return ours, peak
+
+
+def test_fftconvolve_allocates_one_spectrum_and_one_padded_array():
+    """A convolution with its kernel's rows allocates one complex array of
+    the padded spectrum's shape and one real array of the padded shape,
+    and at most 16 KiB besides.  Padded to 4050 x 4, the spectrum takes 1.5
+    times the real array and a block of the kernel's spectrum (4050 x 2)
+    one real array, so a product or a complex pass out of place shows."""
+    rng = np.random.default_rng(6)
+    field, kernel = rng.standard_normal((4000, 3)), rng.uniform(0.0, 1.0, (5, 2))
+    axes, (n0, n1) = measures._padded_axes(field.shape, kernel.shape)
+    ours, peak = _traced_convolution(field, kernel)
     assert np.array_equal(ours, signal.fftconvolve(field, kernel, mode="same"))
     assert peak <= n0 * (n1 // 2 + 1) * 16 + n0 * n1 * 8 + 16384
+
+
+def test_the_masked_maximum_allocates_no_padded_array():
+    """The maximum over a mask of a convolution padded to 2025 x 45 peaks
+    at the spectrum and one block of the kernel's spectrum, at most _BLOCK
+    complex values, and 16 KiB besides: the inverse real FFT runs on blocks
+    of the cropped rows (the padded real array took 729,000 bytes more, a
+    spectrum formed whole 616,000)."""
+    rng = np.random.default_rng(7)
+    field, kernel = rng.standard_normal((2000, 40)), rng.uniform(0.0, 1.0, (5, 3))
+    mask = rng.uniform(size=field.shape) < 0.5
+    axes, (n0, n1) = measures._padded_axes(field.shape, kernel.shape)
+    ours, peak = _traced_convolution(field, kernel, mask)
+    assert ours == np.max(signal.fftconvolve(field, kernel, mode="same")[mask])
+    assert peak <= n0 * (n1 // 2 + 1) * 16 + measures._BLOCK * 16 + 16384
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_the_masked_maximum_is_np_max_of_the_convolution_bit_for_bit(data):
+    """`fftconvolve(field, kernel, rows, mask)` is `np.max` of scipy's
+    same-mode convolution over the mask, N = 1-3, in blocks of _BLOCK
+    values or of one or a few: NaN where that holds one (a NaN in the field,
+    or values near the largest double, whose transforms overflow), and an
+    empty mask raises ValueError, as `np.max` does."""
+    N = data.draw(st.integers(1, 3))
+    field_shape = tuple(data.draw(st.integers(1, 24)) for _ in range(N))
+    kernel_shape = tuple(data.draw(st.integers(1, 30)) for _ in range(N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    field = rng.uniform(-1.0, 1.0, field_shape) * 10.0 ** data.draw(st.sampled_from([0, 306, 308]))
+    if data.draw(st.booleans()):
+        field[tuple(rng.integers(0, n) for n in field_shape)] = np.nan
+    kernel = rng.uniform(0.0, 1.0, kernel_shape)
+    mask = rng.uniform(size=field_shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    block, measures._BLOCK = measures._BLOCK, data.draw(st.sampled_from([measures._BLOCK, 1, 40]))
+    try:
+        with np.errstate(all="ignore"):
+            want = signal.fftconvolve(field, kernel, mode="same")[mask]
+            rows = measures.kernel_rows(kernel, field_shape)
+            if not mask.any():
+                with pytest.raises(ValueError, match="zero-size array"):
+                    fftconvolve(field, kernel, rows, mask)
+                return
+            got = fftconvolve(field, kernel, rows, mask)
+    finally:
+        measures._BLOCK = block
+    assert np.isnan(got) == np.isnan(want).any()
+    assert np.isnan(got) or got.tobytes() == np.max(want).tobytes()
+
+
+def test_the_masked_maximum_is_nan_where_an_overflow_leaves_nan_among_numbers():
+    # two nodes of 1e306 overflow the product with a 3 x 3 kernel's spectrum:
+    # the convolution holds NaN, inf and finite values in each block of rows,
+    # so a block maximum that skipped NaN would read a number
+    field, kernel = np.zeros((40, 300)), np.ones((3, 3))
+    field[3, 3] = field[-2, -5] = 1e306
+    with np.errstate(all="ignore"):
+        want = signal.fftconvolve(field, kernel, mode="same")
+        got = fftconvolve(field, kernel, where=True)
+    assert np.isnan(want).any() and np.isinf(want).any() and np.isfinite(want).any()
+    assert np.isnan(got)
 
 
 def test_inverse_fft_scale_is_rounded_from_long_double():
@@ -300,6 +368,18 @@ _PROFILED = _radial_measure(lambda r: np.exp(-r**2))
 def test_measures_refuse_bad_arguments_by_name(call, match):
     with pytest.raises(SpecValidationError, match=match):
         call()
+
+
+def test_a_density_whose_total_mass_overflows_is_refused():
+    # every node of 1e308 on an 8 x 8 box is finite, but their total |mass|
+    # is not: the growth functional's FFT overflowed into NaN in every window
+    # and marked every lambda not stabilized.  The spec refuses the total
+    lay = empty_layout(((-1.0, 1.0), (-1.0, 1.0)), (8, 8))
+    with pytest.raises(SpecValidationError, match="finite total, not inf"):
+        measure_from_density(lay.with_values(np.full(lay.values.shape, 1e308)))
+    density = measure_from_density(lay.with_values(np.full(lay.values.shape, 1e300)))
+    result = classify(density, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
+    assert all(math.isfinite(v) for v in result.table.values())
 
 
 def test_atoms_whose_total_mass_overflows_are_refused():
