@@ -23,11 +23,9 @@ difference form of the same cached stencil (`operators.stencil_energy`),
 whose error does not grow like eps/h^2.
 The prox is built once per solve (`_prox_stepper` holds the boundary band,
 the box preconditioner, whose DST-I is scipy's on numpy's real FFT
-(`_dst1`, run in slabs of a few dozen lines, on the quadratic path in the
-correlation buffers' flat scratch), and its own CG, scipy's `cg` step for
-step, with inner products in a fixed order, so that no bit depends on the
-BLAS thread count, and no full-size scratch: its updates run in place, K's
-product in the buffers' flat scratch) and takes one path per norm family.
+(`_dst1`), and its own CG, scipy's `cg` step for step, with inner
+products in a fixed order, so that no bit depends on the BLAS thread
+count, and no full-size scratch) and takes one path per norm family.
 The one box solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
 fast-Poisson solver: the DST-I inverse on the bounding box of I/tau +
 sum_k c_k S_k, then masked.  The stepper names the stencils S_k (as face
@@ -48,11 +46,12 @@ DA_kk is unbounded as xi_k -> 0, CG is plain.  Every returned step is a
 descent point of the monitored energy.  The explicit scheme advances with
 the face-flux operator under the usual parabolic step restriction; its
 step (`_explicit_stepper`) is built once per solve too.
-The stepper and the monitor reader of a solve, which never run at once,
-share one set of correlation buffers (the `buffers` that `solve` hands
-both, see `operators._correlation_buffers`), which die with the solve; `energy`,
-`weighted_monitors`, `proximal_step` and `explicit_step` build theirs per
-call: no module-level cache holds a field.
+The stepper and the monitor reader of a solve borrow one set of
+correlation buffers, which dies with the solve, under the one lending rule
+of `operators._correlation_buffers`; `energy`, `weighted_monitors`,
+`proximal_step` and `explicit_step` build theirs per call: no
+module-level cache holds a field.  Every pass that works a cache-sized
+block at a time cuts its blocks by `grids.blocks`.
 
 Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
@@ -70,9 +69,7 @@ int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing while t < 1/(4 lam))
 and the windowed-ball weighted L^1 quantity with weight e^(-H0^2 (1+t^ell)).
 The reader holds no field of H0^2: each read squares H0 into its own
 weight buffer and scales it in place.  Of the ell window's ball kernel it
-holds the row transform only, and the window's supremum convolves in one
-spectrum buffer and takes the inverse of the cropped rows a block at a
-time (`measures.fftconvolve` with a mask).
+holds the row transform only (`measures.fftconvolve` with a mask).
 """
 
 from __future__ import annotations
@@ -85,11 +82,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, SpecValidationError, StabilityError, integer
-from .grids import GridFunction, empty_layout
+from .grids import GridFunction, blocks, bounded, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, kernel_rows, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_eval, duality_map, eval_norm)
-from .operators import (_BLOCK, FaceHessian, FaceKernel, _correlation_buffers,
+from .operators import (FaceHessian, FaceKernel, _correlation_buffers,
                         _face_flux_divergence, apply_operator, constant_stencil, dst_box,
                         interior_mask, stencil_energy, stencil_symbol)
 
@@ -136,7 +133,8 @@ MAX_STEPS = 10**7
 class FlowProblem:
     """A Dirichlet flow and its time axis, resolved once: `steps` = t_end / tau
     (at most MAX_STEPS, a bound on the run's length), and `stored`, the steps
-    whose slices `solve` keeps (the last, and each store time's)."""
+    whose slices `solve` keeps (the last, and each store time's); the datum is
+    `grids.bounded`, so that the monitors' sums of squares stay finite."""
     norm: NormSpec
     radius: float
     datum: GridFunction
@@ -160,6 +158,7 @@ class FlowProblem:
         _monitor_settings(self.monitor_lambda, self.monitor_ell)
         if not isinstance(self.datum, GridFunction):
             raise SpecValidationError("flow data must be grids (see measures.mollify)")
+        bounded(self.datum.values, "flow data")
         steps = self.t_end / self.tau
         if not steps <= MAX_STEPS + 0.5:    # rounds to at most MAX_STEPS; inf fails
             raise SpecValidationError(f"t_end / tau must be at most {MAX_STEPS} steps")
@@ -265,11 +264,10 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
     """The box solve of one prox, built once on `operators.dst_box`: the DST
     plan, the divisor and, last, since the quadratic path drops them after
     one weigh, the DST-I symbols sigma_k of the stencils of `face_ops`
-    (`operators.stencil_symbol`).  Each call transforms in `scratch`, the
-    correlation buffers' flat scratch, which the caller lends while it holds
-    nothing live (`operators._correlation_buffers`), or without one in a
-    buffer of the call's own.  weigh(c) fills the divisor with 1/tau + sum_k
-    c_k sigma_k, in blocks of rows, and returns r -> mask B^-1 r, B the box
+    (`operators.stencil_symbol`).  Each call transforms in `scratch`, lent
+    under `operators._correlation_buffers`' rule, or without one in a
+    buffer of its own.  weigh(c) fills the divisor with 1/tau + sum_k
+    c_k sigma_k, in `grids.blocks` of rows, and returns r -> mask B^-1 r, B the box
     operator with eigenvalues the divisor (tau r on the box edge), SPD on
     masked fields where the divisor is positive.  Quadratic families weigh
     K's stencil by 1: B^-1 is (I/tau + K)^-1, exact for axis-symmetric
@@ -280,8 +278,7 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
     box, off = tuple(slice(0, n - 2) for n in mask.shape), ~mask
     dst, divisor = _dst1(lengths), np.empty(lengths)
     symbols = [stencil_symbol(op, spec, spacings, lengths) for op in face_ops]
-    rows = max(1, _BLOCK // math.prod(lengths[1:]))
-    cuts = range(rows, lengths[0], rows)
+    cuts = blocks(lengths[0], math.prod(lengths[1:]))
 
     def psolve(r: np.ndarray) -> np.ndarray:
         work = np.empty(lengths) if scratch is None else scratch[:divisor.size].reshape(lengths)
@@ -297,10 +294,10 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
 
     def weigh(c):
         divisor.fill(1.0 / tau)
-        small = np.empty((rows,) + lengths[1:])     # not held through the solves
+        small = np.empty_like(divisor[cuts[0]])     # not held through the solves
         for ck, sigma in zip(c, symbols):
-            for d, s in zip(np.split(divisor, cuts), np.split(sigma, cuts)):
-                d += np.multiply(s, float(ck), out=small[:len(s)])
+            for rows in cuts:
+                divisor[rows] += np.multiply(sigma[rows], float(ck), out=small[:len(sigma[rows])])
         return psolve
     return weigh
 
@@ -332,9 +329,6 @@ def _face_medians(jacobians: list, N: int) -> list:
     return medians
 
 
-_DST_SLAB = 8192    # lines times (n + 1) per slab of `_dst1`: 16 lines of 511, 128 of 63
-
-
 def _dst1(shape: tuple):
     """x -> the DST-I of x in place, `scipy.fft.dstn(x, type=1)` bit for bit,
     and with inverse=True `idstn(x, type=1)`, on C-contiguous arrays of `shape`.
@@ -343,22 +337,19 @@ def _dst1(shape: tuple):
     -Im rfft(0, x, 0, -x reversed)[1 : n + 1], numpy's real FFT of the odd
     extension, as scipy's pocketfft forms it; the inverse scales by
     1 / prod 2 (n + 1), rounded from long double, once, on the first axis.
-    The lines along an axis run in slabs of lines = _DST_SLAB // (n + 1)
-    lines (at least one): with x viewed as (rows, n, columns), a slab is
-    R = max(1, lines // columns) rows by C = min(columns, lines) columns, a
-    run of columns of one row or whole rows.  Each slab is copied into a
+    The lines along an axis run in slabs: with x viewed as (rows, n,
+    columns), a slab is a `grids.blocks` of rows (of columns (n + 1) values
+    each) by one of columns (of n + 1 values each), a run of columns of one
+    row or whole rows.  Each slab is copied into a
     contiguous extension, whose two zero columns are written before each
     use, and transformed into a contiguous spectrum; both are views of two
     buffers of one slab, built here and shared by every slab of every axis."""
     axes = []
     for axis, n in enumerate(shape):
         rows, columns = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-        lines = max(1, _DST_SLAB // (n + 1))
-        R, C = max(1, lines // columns), min(columns, lines)
-        blocks = [(r, min(r + R, rows), c, min(c + C, columns))
-                  for r in range(0, rows, R) for c in range(0, columns, C)]
-        axes.append(((rows, n, columns), [((slice(r0, r1), slice(None), slice(c0, c1)),
-                                           (r1 - r0, c1 - c0, n)) for r0, r1, c0, c1 in blocks]))
+        axes.append(((rows, n, columns), [
+            ((r, slice(None), c), (r.stop - r.start, c.stop - c.start, n))
+            for r in blocks(rows, columns * (n + 1)) for c in blocks(columns, n + 1)]))
     keys = {key for _, slabs in axes for _, key in slabs}
     ext_buffer = np.empty(max(a * b * 2 * (n + 1) for a, b, n in keys))
     spectrum_buffer = np.empty(max(a * b * (n + 2) for a, b, n in keys), dtype=complex)
@@ -432,14 +423,14 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
         at ||r||_{L^2} < atol, r unpreconditioned, tested before each iteration:
         (x, iterations, converged).  No full-size scratch: y/tau joins the matvec
         in blocks of rows, and q, dead once r is updated, holds p alpha."""
-        rows = max(1, _BLOCK // math.prod(b.shape[1:]))
-        cuts, small = range(rows, len(b), rows), np.empty_like(b[:rows])
+        cuts = blocks(len(b), math.prod(b.shape[1:]))
+        small = np.empty_like(b[cuts[0]])
 
         def apply(y: np.ndarray) -> np.ndarray:  # y vanishes off the mask, h is clamped
             h = hessian(y)
             np.copyto(h, 0.0, where=off)
-            for hb, yb in zip(np.split(h, cuts), np.split(y, cuts)):
-                hb += np.divide(yb, tau, out=small[:len(yb)])
+            for rows in cuts:
+                h[rows] += np.divide(y[rows], tau, out=small[:len(y[rows])])
             return h
         atol, r = atol / np.sqrt(vol), b
         if x.any():

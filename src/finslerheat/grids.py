@@ -134,6 +134,16 @@ class GridFunction:
 
 
 MAX_NODES = 2**25      # 268 MB a field
+_BLOCK = 8192          # values per block of a cache-sized pass
+
+
+def blocks(n: int, size: int) -> list:
+    """range(n) cut, in order, into slices of the whole number of `size`-value
+    slabs nearest to _BLOCK values, or of one slab where a slab is larger:
+    a block of more than one slab holds at most 4/3 _BLOCK values.  The one
+    block rule of every pass that works a cache-sized block at a time."""
+    count = max(1, round(_BLOCK / size))
+    return [slice(i, min(i + count, n)) for i in range(0, n, count)]
 
 
 def empty_layout(box, resolution) -> GridFunction:
@@ -249,6 +259,14 @@ MAX_RADIUS = 1e6       # the even-slope fit's r^4 overflows near 1e77
 MAX_VALUE = 1e100      # squares of such values, summed over MAX_NODES nodes, stay finite
 
 
+def bounded(values, what: str) -> None:
+    """Refuse, by name, values not all at most MAX_VALUE in magnitude (NaN
+    fails): the one bound of profile values, flow data, density values,
+    atom masses and a mollified atom's peak."""
+    if not (np.min(values) >= -MAX_VALUE and np.max(values) <= MAX_VALUE):
+        raise SpecValidationError(f"{what} must be at most {MAX_VALUE:g} in magnitude")
+
+
 @dataclass
 class RadialProfile:
     """Samples of a profile v(r) on [0, R_max] with a cubic interpolant."""
@@ -273,9 +291,7 @@ class RadialProfile:
         dx = np.diff(self.radii)
         if np.any(dx <= 0):
             raise SpecValidationError("radii must be strictly increasing")
-        if not np.all(np.abs(self.values) <= MAX_VALUE):     # NaN fails
-            raise SpecValidationError(
-                f"profile values must be finite and at most {MAX_VALUE:g} in magnitude")
+        bounded(self.values, "profile values")
         if self.even:
             # clamped zero slope realizes the even extension; reject data
             # that visibly contradicts it (quadratic fit through the first

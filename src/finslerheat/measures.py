@@ -19,13 +19,14 @@ same-mode FFT convolution repeated step for step on numpy's FFT, with
 `rfftn` and `irfftn` taking scipy.fft's axis order and scaling, so that
 scipy stays unloaded).  There is one convolution path with two inverses.
 The kernel enters as its row transform (`kernel_rows`, its real FFT along
-the last transformed axis), whose columns are transformed a block at a
-time into the product, so that its full spectrum is never formed; the
-transforms run in place in one complex array of the padded spectrum's
-shape.  The convolution itself (`mollify`) takes the full inverse, one
-real array of the padded shape; a supremum over a mask (`growth_functional`,
-`flow`'s ell monitor) takes the inverse real FFT of the cropped rows only, a
-block at a time, and allocates no other array of the field's size.
+the last transformed axis), whose columns are transformed into the
+product a block at a time (`grids.blocks`, as every blocked pass), so
+that its full spectrum is never formed; the transforms run in place in
+one complex array of the padded spectrum's shape.  The convolution itself
+(`mollify`) takes the full inverse, one real array of the padded shape; a
+supremum over a mask (`growth_functional`, `flow`'s ell monitor) takes the
+inverse real FFT of the cropped rows only, a block at a time, and
+allocates no other array of the field's size.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, SpecValidationError
-from .grids import GridFunction, RadialProfile, empty_layout
+from .grids import GridFunction, RadialProfile, blocks, bounded, empty_layout
 from .norms import NormSpec, dual_norm_eval, eval_norm
 
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Initial datum: a density grid, a finite atom list, or a radial density."""
+    """Initial datum: a density grid, a finite atom list, or a radial density.
+    Density values and atom masses are `grids.bounded`, so only a density's
+    cell volume can make its total |mass| infinite."""
 
     kind: str                                   # density | atoms | radial_density
     density: Optional[GridFunction] = None
@@ -56,6 +59,7 @@ class MeasureSpec:
         if self.kind == "density":
             if self.density is None:
                 raise SpecValidationError("density measure needs a grid")
+            bounded(self.density.values, "density values")
             with np.errstate(over="ignore"):
                 total = float(np.sum(np.abs(self.density.values))) * self.density.cell_volume
             if not math.isfinite(total):
@@ -65,8 +69,7 @@ class MeasureSpec:
                 raise SpecValidationError("atom measure needs at least one atom")
             if not all(np.all(np.isfinite(point)) for point, _ in self.atoms):
                 raise SpecValidationError("atom points must be finite")
-            if not math.isfinite(total := sum(abs(w) for _, w in self.atoms)):    # NaN fails
-                raise SpecValidationError(f"atom masses must have a finite total, not {total}")
+            bounded([w for _, w in self.atoms], "atom masses")
         elif self.kind == "radial_density":
             if self.profile is None or self.norm is None:
                 raise SpecValidationError("radial density needs a profile and a norm")
@@ -171,9 +174,6 @@ def _inverse_rows(X: np.ndarray, shape, axes) -> np.ndarray:
     return out
 
 
-_BLOCK = 8192   # complex values per block of the kernel's columns, real values per block of rows
-
-
 def fftconvolve(field: np.ndarray, kernel: np.ndarray, rows=None, where=None):
     """Linear convolution of two real arrays of equal rank, cropped to the
     centred `field.shape`: `scipy.signal.fftconvolve(field, kernel,
@@ -235,12 +235,12 @@ def _times_kernel(product: np.ndarray, rows: np.ndarray, fshape, axes) -> None:
     for n, axis in zip(fshape[:-1], axes[:-1]):
         dims[axis] = n
     lead = tuple(slice(0, m) for m in rows.shape[:last])
-    columns = dims[last]
-    width = dims[last] = min(columns, max(1, _BLOCK * columns // math.prod(dims)))
+    cuts = blocks(dims[last], math.prod(dims) // dims[last])
+    dims[last] = cuts[0].stop
     buffer = _spectrum_zeros(dims, last)
-    for c in range(0, columns, width):
-        cols = (slice(None),) * last + (slice(c, c + width),)
-        block = buffer[(slice(None),) * last + (slice(0, min(width, columns - c)),)]
+    for c in cuts:
+        cols = (slice(None),) * last + (c,)
+        block = buffer[(slice(None),) * last + (slice(0, c.stop - c.start),)]
         block.fill(0.0)
         block[lead] = rows[cols]
         for n, axis in zip(fshape[:-1], axes[:-1]):
@@ -256,12 +256,9 @@ def _cropped_max(X: np.ndarray, fshape, axes, crop: tuple, where: np.ndarray):
     last = axes[-1]
     lines = X[crop[:last] + (slice(None),) + crop[last + 1:]]
     keep = (slice(None),) * last + (crop[last],)
-    padded = list(where.shape)
-    padded[last] = fshape[-1]
-    step = len(where) if last == 0 else max(1, _BLOCK // math.prod(padded[1:]))
+    row = math.prod(where.shape[1:]) // where.shape[last] * fshape[-1]     # a padded row's values
     peaks = []
-    for i in range(0, len(where), step):
-        block = slice(None) if last == 0 else slice(i, i + step)
+    for block in [slice(None)] if last == 0 else blocks(len(where), row):
         values = _inverse_rows(lines[block], fshape, axes)[keep][where[block]]
         if values.size:
             peaks.append(np.max(values))
@@ -391,7 +388,8 @@ def mollify(measure: MeasureSpec, width: float, layout: GridFunction) -> GridFun
     Densities are convolved with a compactly supported bump of the given
     width; atoms are splatted with the same bump, renormalized per atom on
     the lattice.  Mass is preserved to roundoff provided the support plus
-    the width stays inside the grid; width must be at least two cells.
+    the width stays inside the grid; width must be at least two cells, and
+    an atom's mass over its bump's lattice sum `grids.bounded`.
     """
     h = layout.spacing
     if width < 2.0 * max(h) * (1.0 - 1e-12):
@@ -407,6 +405,7 @@ def mollify(measure: MeasureSpec, width: float, layout: GridFunction) -> GridFun
             total = kern.sum() * layout.cell_volume
             if total <= 0:
                 raise DomainError("atom outside the grid (empty mollifier support)")
+            bounded(w / total, "a mollified atom's peak, its mass over its bump's lattice sum,")
             out += w * kern / total
         return layout.with_values(out)
 

@@ -22,13 +22,9 @@ smoothed polytope) it is linear with constant coefficients, and it
 applies as one correlation (`correlate`) the stencil that `constant_stencil`
 reads off the face path at a unit impulse and caches with its taps per
 (operator, spec, spacing); `flow`'s energy reads the same taps (`stencil_energy`).
-The correlation's buffers, a zero-rimmed copy of about one field and one
-block of padded rows whose sums go straight into the output, belong to
-whoever applies the stencil: a caller that applies stencils again and
-again keeps a `buffers` dict (`flow`'s steppers and monitor reader share
-one per solve, and its flat scratch, which the prox's box solve borrows
-too), and a call without one makes its own.  Only the plan of taps,
-shifts and blocks, which holds no field, is cached.
+The correlation's buffers belong to whoever applies the stencil, lent
+under the one rule of `_correlation_buffers`; only the plan of taps,
+shifts and `grids.blocks`, which holds no field, is cached.
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -54,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import OutOfRangeError, SpecValidationError
-from .grids import GridFunction, RadialProfile, observed_order, refinements
+from .grids import GridFunction, RadialProfile, blocks, observed_order, refinements
 from .measures import next_fast_len
 from .norms import NormSpec, dual_norm_eval, duality_map
 
@@ -234,29 +230,22 @@ def correlation_taps(S: np.ndarray) -> tuple:
                         for k, w in np.ndenumerate(S) if abs(w) > eps)
 
 
-_BLOCK = 8192     # values per block: its sums and its products take one buffer each
-
-
 @lru_cache(maxsize=8)
 def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
     """The plan of `correlate` and `stencil_energy` for fields of `shape`,
     which holds no field: the zero-rimmed copy's shape, its nodes' index,
-    the flat shift and weight of each tap, and blocks of whole padded rows
-    (along axis 0) of at most _BLOCK values, or one row: rows i:j, their
-    flat span lo:hi cut to the nodes, and that span's place in the block."""
+    the flat shift and weight of each tap, the flat copy's margin of zeros
+    on each side (the largest shift), and the `grids.blocks` of whole
+    padded rows (along axis 0): rows i:j and their flat span lo:hi."""
     reach, terms = taps
     padded = tuple(n + 2 * reach for n in shape)
     inner = (slice(reach, -reach or None),) * len(shape)
     strides = [math.prod(padded[m + 1:]) for m in range(len(shape))]
     shifted = tuple((sum(k * s for k, s in zip(shift, strides)), w) for shift, w in terms)
-    first = reach * sum(strides)
-    stop = first + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
-    rows, blocks = max(1, _BLOCK // strides[0]), []
-    for i in range(0, shape[0], rows):
-        j, start = min(i + rows, shape[0]), (i + reach) * strides[0]
-        lo, hi = max(first, start), min(stop, (j + reach) * strides[0])
-        blocks.append((i, j, lo, hi, slice(lo - start, hi - start)))
-    return padded, inner, shifted, tuple(blocks)
+    margin = reach * sum(strides)
+    spans = tuple((b.start, b.stop, margin + (b.start + reach) * strides[0],
+                   margin + (b.stop + reach) * strides[0]) for b in blocks(shape[0], strides[0]))
+    return padded, inner, shifted, margin, spans
 
 
 def dst_box(shape: tuple) -> tuple:
@@ -269,20 +258,22 @@ def dst_box(shape: tuple) -> tuple:
 
 def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict], scratch=False):
     """The buffers of `correlate` and `stencil_energy` for fields of `shape`:
-    the zero-rimmed copy (its rim is never written), one block's sums and
-    products and, from the first call with `scratch`, a flat scratch that
-    holds the copy or the `dst_box`, whichever is larger: the energy's lag
-    differences, the prox CG's product K y and its box solve's DST-I.
+    the zero-rimmed flat copy with its margins (neither is ever written),
+    one block's sums and products and, from the first call with `scratch`,
+    a flat scratch that holds the copy or the `dst_box`, whichever is larger:
+    the energy's lag differences, the prox CG's product K y and its box
+    solve's DST-I.
     They are their owner's: `buffers`, a dict that the owner keeps, holds one
     set per shape and reach, lent to every user while no two run at once (a
     solve's stepper and monitor reader never do; the CG's product is dead
     before its box solve and before the step returns, and the box solve's
     DST-I before it returns), or made per call."""
-    padded, _, _, blocks = _correlation_plan(shape, taps)
+    padded, _, _, margin, spans = _correlation_plan(shape, taps)
     buffers = {} if buffers is None else buffers
     if (key := (shape, taps[0])) not in buffers:
-        block = (blocks[0][1],) + padded[1:]
-        buffers[key] = [np.zeros(padded), np.empty(block), np.empty(math.prod(block))]
+        block = (spans[0][1],) + padded[1:]
+        buffers[key] = [np.zeros(math.prod(padded) + 2 * margin), np.empty(block),
+                        np.empty(math.prod(block))]
     if scratch and len(buffers[key]) == 3:
         buffers[key].append(np.empty(max(math.prod(padded), math.prod(dst_box(shape)))))
     return buffers[key]
@@ -297,19 +288,19 @@ def correlate(values: np.ndarray, taps: tuple, out: Optional[np.ndarray] = None,
     `reach` wide, so that each tap is one shift of the flat copy; the sums
     run over blocks of whole padded rows, so that the products stay in
     cache, and each block's nodes go straight into out (rim positions of
-    the block are summed too, from the rim and wrapped rows, and dropped).
-    In the owner's `buffers` (`_correlation_buffers`)."""
+    the block are summed too, from the rim, the margin and wrapped rows,
+    and dropped).  In the owner's `buffers` (`_correlation_buffers`)."""
     out = np.empty(values.shape) if out is None else out
     if not taps[1]:
         out.fill(0.0)
         return out
-    _, inner, shifted, blocks = _correlation_plan(values.shape, taps)
-    padded, block, product = _correlation_buffers(values.shape, taps, buffers)[:3]
-    padded[inner] = values
-    flat, sums, cut = padded.ravel(), block.ravel(), (_WHOLE,) + inner[1:]
+    padded, inner, shifted, margin, spans = _correlation_plan(values.shape, taps)
+    flat, block, product = _correlation_buffers(values.shape, taps, buffers)[:3]
+    flat[margin:flat.size - margin].reshape(padded)[inner] = values
+    sums, cut = block.ravel(), (_WHOLE,) + inner[1:]
     (d0, w0), rest = shifted[0], shifted[1:]
-    for i, j, lo, hi, span in blocks:
-        dest, spare = sums[span], product[:hi - lo]
+    for i, j, lo, hi in spans:
+        dest, spare = sums[:hi - lo], product[:hi - lo]
         np.multiply(flat[lo + d0:hi + d0], w0, out=dest)
         for d, w in rest:
             np.multiply(flat[lo + d:hi + d], w, out=spare)
@@ -325,10 +316,10 @@ def stencil_energy(values: np.ndarray, taps: tuple, buffers: Optional[dict] = No
     sums to 0, with no large taps cancelling.  Each lag, in tap order,
     differences the zero-rimmed flat copy of `correlate` shifted by d into
     the flat scratch, both the owner's (`_correlation_buffers`)."""
-    _, inner, shifted, _ = _correlation_plan(values.shape, taps)
-    padded, _, _, work = _correlation_buffers(values.shape, taps, buffers, scratch=True)
-    padded[inner] = values
-    flat, total = padded.ravel(), 0.0
+    padded, inner, shifted, margin, _ = _correlation_plan(values.shape, taps)
+    flat, _, _, work = _correlation_buffers(values.shape, taps, buffers, scratch=True)
+    flat, total = flat[margin:flat.size - margin], 0.0
+    flat.reshape(padded)[inner] = values
     for d, w in shifted:
         if d > 0:
             x = np.subtract(flat[d:], flat[:-d], out=work[:flat.size - d])

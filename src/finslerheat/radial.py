@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecValidationError
-from .grids import MAX_NODES, RadialProfile
+from .grids import MAX_NODES, RadialProfile, blocks
 
 _OVERFLOW_Z = 700.0
 _SPHERE_NODES = 160
@@ -136,7 +136,6 @@ _I0E_B = (
     3.39623202570838634515E-9, 2.26666899049817806459E-8, 2.04891858946906374183E-7,
     2.89137052083475648297E-6, 6.88975834691682398426E-5, 3.36911647825569408990E-3,
     8.04490411014108831608E-1)
-_CHUNK = 8192
 
 
 def _chbevl(x: np.ndarray, coefficients: tuple) -> np.ndarray:
@@ -163,12 +162,12 @@ def _i0e_series(x: np.ndarray, small: bool) -> np.ndarray:
 def i0e(z: np.ndarray) -> np.ndarray:
     """e^(-|z|) I0(z), Cephes' i0e: chbevl(z/2 - 2, A) for |z| <= 8, else
     chbevl(32/|z| - 2, B) / sqrt(|z|); `scipy.special.i0e` bit for bit.
-    In chunks of _CHUNK values, so that the sums stay in cache; a chunk
+    In `grids.blocks` of values, so that the sums stay in cache; a block
     that holds both sides of 8 splits."""
     x = np.abs(np.asarray(z, dtype=float))
     flat, out = x.ravel(), np.empty(x.size)
-    for lo in range(0, x.size, _CHUNK):
-        part, dest = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+    for block in blocks(x.size, 1):
+        part, dest = flat[block], out[block]
         small = part <= 8.0
         if small.all() or not small.any():
             dest[...] = _i0e_series(part, bool(small[0]))

@@ -136,11 +136,12 @@ def test_unreadable_grid_paths_are_config_errors(tmp_path, capsys):
 
 
 def test_a_density_whose_total_mass_overflows_is_a_config_error(tmp_path, capsys):
-    # every node of 1e308 is finite, but the total |mass| is not: classify
-    # returned NaN for every window with exit 0, and now refuses the grid
+    # every node of 1 is finite, but on a box 4e200 wide the total |mass|
+    # is not: classify returned NaN for every window with exit 0 (as on a
+    # grid of 1e308, which the value bound now refuses), and refuses the grid
     grid = tmp_path / "huge.grid"
-    grid_from_function([(-1, 1), (-1, 1)], (8, 8),
-                       lambda c: np.full(c.shape[:-1], 1e308)).save(grid)
+    grid_from_function([(-2e200, 2e200), (-2e200, 2e200)], (8, 8),
+                       lambda c: np.ones(c.shape[:-1])).save(grid)
     code, outdir = _run(tmp_path, "classify", {
         "norm": EUCLID_JSON, "measure": {"kind": "density", "path": str(grid)},
         "lambda_grid": [0.1, 0.3]})
@@ -148,6 +149,37 @@ def test_a_density_whose_total_mass_overflows_is_a_config_error(tmp_path, capsys
     assert code == 2
     assert err.startswith("config error") and "finite total, not inf" in err
     assert not list(outdir.iterdir())
+
+
+def test_data_past_max_value_are_config_errors(tmp_path, capsys):
+    # a datum that cannot be represented is a bad config: simulate on the
+    # unit ball (h = 1/8, tau = 1e-2, lambda = 0.5) with one atom of mass
+    # 1e300 or a grid datum of 1e200 warned of an overflow in the L^2 norm,
+    # wrote six monitor CSVs and exited 3; a 9 x 9 density of 1e305 passed
+    # its total and overflowed in classify's FFT.  Each is refused by name
+    # before any work, with exit 2 and no file
+    datum = tmp_path / "datum.grid"
+    layout = flow.ball_layout(norms.euclidean(2), 1.0, 0.125)
+    layout.with_values(np.full(layout.values.shape, 1e200)).save(datum)
+    density = tmp_path / "density.grid"
+    grid_from_function([(-1, 1), (-1, 1)], (8, 8),
+                       lambda c: np.full(c.shape[:-1], 1e305)).save(density)
+    problem = {"radius": 1.0, "spacing": 0.125, "tau": 1e-2, "t_end": 2e-2}
+    cases = [("simulate", "atom masses", {
+                 "norm": EUCLID_JSON, "monitors": {"lambda": 0.5},
+                 "problem": {**problem, "datum": {"kind": "atoms", "atoms": [[[0, 0], 1e300]]}}}),
+             ("simulate", "flow data", {
+                 "norm": EUCLID_JSON, "monitors": {"lambda": 0.5},
+                 "problem": {**problem, "datum": {"kind": "grid", "path": str(datum)}}}),
+             ("classify", "density values", {
+                 "norm": EUCLID_JSON, "measure": {"kind": "density", "path": str(density)},
+                 "lambda_grid": [0.1, 0.3]})]
+    for n, (command, name, cfg) in enumerate(cases):
+        code, outdir = _run(tmp_path, command, cfg, out=f"out{n}")
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert err.startswith("config error") and f"{name} must be at most 1e+100" in err
+        assert not list(outdir.iterdir())
 
 
 def test_verify_norms_requires_seed(tmp_path):

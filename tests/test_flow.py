@@ -15,7 +15,7 @@ from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               explicit_step, nested_domain_study,
                               prox_homogeneity_defect, proximal_step,
                               scaling_check, solve, weighted_monitors)
-from finslerheat.grids import GridFunction, RadialProfile, empty_layout, observed_order
+from finslerheat.grids import MAX_VALUE, GridFunction, RadialProfile, empty_layout, observed_order
 from finslerheat.measures import measure_from_atoms, measure_from_radial
 from finslerheat.norms import duality_map
 from finslerheat.operators import (FaceKernel, apply_operator, constant_stencil,
@@ -30,6 +30,24 @@ def _ball_problem(spec, radius, spacing, profile_fn, r_max=16.0, **kw):
     prof = RadialProfile.from_function(profile_fn, r_max, 2049)
     datum = lift_radial(prof, spec, lay)
     return FlowProblem(norm=spec, radius=radius, datum=datum, **kw), prof
+
+
+@settings(max_examples=24)
+@given(spec=st.sampled_from([EUCLID, ELLIPSE, norms.p_norm(3, 2), norms.p_norm(1.5, 2)]),
+       scheme=st.sampled_from(["implicit_proximal", "explicit_euler"]),
+       exponent=st.floats(0.0, 100.0), sign=st.sampled_from([1.0, -1.0]))
+def test_one_step_of_a_datum_up_to_max_value_has_finite_monitors(spec, scheme, exponent, sign):
+    """Flow data are bounded by MAX_VALUE so that a step's monitors stay
+    finite: one step on the unit ball (h = 1/8, lambda = 0.5, ell = 0.25)
+    from exp(-H0^2) scaled up to the bound records finite monitors and a
+    finite slice (at 1e200 the L^2 norm overflowed)."""
+    tau = 1e-2 if scheme == "implicit_proximal" else 1e-4
+    problem, _ = _ball_problem(spec, 1.0, 0.125, lambda r: np.exp(-r**2), r_max=4.0, tau=tau,
+                               t_end=tau, scheme=scheme, monitor_lambda=0.5, monitor_ell=0.25)
+    scale = min(sign * 10.0**exponent, MAX_VALUE)
+    traj = solve(replace(problem, datum=problem.datum.with_values(problem.datum.values * scale)))
+    assert all(np.all(np.isfinite(series)) for series in traj.monitors.values())
+    assert np.all(np.isfinite(traj.slices[-1].values))
 
 
 def _ellipse_ball(spacing):

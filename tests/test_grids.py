@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 from finslerheat import grids
 from finslerheat.errors import OutOfRangeError, SpecValidationError
 from finslerheat.grids import (MAX_NODES, MAX_RADIUS, MAX_VALUE, GridFunction, RadialProfile,
-                               _tridiagonal_solve, empty_layout, grid_from_function,
+                               _tridiagonal_solve, blocks, empty_layout, grid_from_function,
                                observed_order, refinements)
 
 
@@ -197,6 +197,24 @@ def test_profile_samples_are_bounded_before_they_are_laid_out(monkeypatch):
     assert len(RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 64).radii) == 64
     with pytest.raises(SpecValidationError, match="samples"):
         RadialProfile.from_function(lambda r: np.exp(-r**2), 4.0, 65)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(0, 5000), size=st.integers(1, 20000))
+def test_blocks_cover_the_range_once_in_order_within_four_thirds_of_a_block(n, size):
+    """`blocks(n, size)` cuts range(n) into consecutive slices of one count
+    (the last one shorter), the whole number of size-value slabs nearest to
+    _BLOCK values, or one: a block of more than one index holds at most
+    4/3 _BLOCK values, and none is shorter than it need be."""
+    cuts = blocks(n, size)
+    assert [i for b in cuts for i in range(n)[b]] == list(range(n))
+    assert all(b.step is None and b.stop > b.start for b in cuts)
+    assert all(b.stop - b.start == cuts[0].stop for b in cuts[:-1])
+    for b in cuts:
+        assert b.stop - b.start == 1 or (b.stop - b.start) * size <= 4 * grids._BLOCK / 3
+    if len(cuts) > 1:   # one slab more would be further from _BLOCK
+        count = cuts[0].stop
+        assert abs((count + 1) * size - grids._BLOCK) >= abs(count * size - grids._BLOCK)
 
 
 def test_grid_from_function_checks_the_values_it_samples():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from finslerheat import measures, norms
+from finslerheat import grids, measures, norms
 from finslerheat.errors import SpecValidationError
-from finslerheat.grids import GridFunction, RadialProfile, empty_layout
+from finslerheat.grids import MAX_VALUE, GridFunction, RadialProfile, empty_layout
 from finslerheat.measures import (_ball_kernel, _lattice_box, classify, fftconvolve,
                                   growth_functional, irfftn, measure_from_atoms,
                                   measure_from_density, measure_from_radial,
@@ -292,7 +292,7 @@ def test_the_masked_maximum_allocates_no_padded_array():
     axes, (n0, n1) = measures._padded_axes(field.shape, kernel.shape)
     ours, peak = _traced_convolution(field, kernel, mask)
     assert ours == np.max(signal.fftconvolve(field, kernel, mode="same")[mask])
-    assert peak <= n0 * (n1 // 2 + 1) * 16 + measures._BLOCK * 16 + 16384
+    assert peak <= n0 * (n1 // 2 + 1) * 16 + grids._BLOCK * 16 + 16384
 
 
 @settings(max_examples=80)
@@ -312,7 +312,7 @@ def test_the_masked_maximum_is_np_max_of_the_convolution_bit_for_bit(data):
         field[tuple(rng.integers(0, n) for n in field_shape)] = np.nan
     kernel = rng.uniform(0.0, 1.0, kernel_shape)
     mask = rng.uniform(size=field_shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-    block, measures._BLOCK = measures._BLOCK, data.draw(st.sampled_from([measures._BLOCK, 1, 40]))
+    block, grids._BLOCK = grids._BLOCK, data.draw(st.sampled_from([grids._BLOCK, 1, 40]))
     try:
         with np.errstate(all="ignore"):
             want = signal.fftconvolve(field, kernel, mode="same")[mask]
@@ -323,7 +323,7 @@ def test_the_masked_maximum_is_np_max_of_the_convolution_bit_for_bit(data):
                 return
             got = fftconvolve(field, kernel, rows, mask)
     finally:
-        measures._BLOCK = block
+        grids._BLOCK = block
     assert np.isnan(got) == np.isnan(want).any()
     assert np.isnan(got) or got.tobytes() == np.max(want).tobytes()
 
@@ -371,13 +371,18 @@ def test_measures_refuse_bad_arguments_by_name(call, match):
 
 
 def test_a_density_whose_total_mass_overflows_is_refused():
-    # every node of 1e308 on an 8 x 8 box is finite, but their total |mass|
-    # is not: the growth functional's FFT overflowed into NaN in every window
-    # and marked every lambda not stabilized.  The spec refuses the total
+    # density values are bounded by MAX_VALUE (a 9 x 9 grid of 1e305 passed
+    # the total and overflowed in the growth functional's FFT), so only a
+    # cell volume past the largest double, here of a box 4e200 wide, gives
+    # an infinite total |mass|: the spec refuses that total
     lay = empty_layout(((-1.0, 1.0), (-1.0, 1.0)), (8, 8))
+    for value in (1e305, 2 * MAX_VALUE, np.inf):
+        with pytest.raises(SpecValidationError, match="density values must be at most 1e"):
+            measure_from_density(lay.with_values(np.full(lay.values.shape, value), False))
+    huge = empty_layout(((-2e200, 2e200), (-2e200, 2e200)), (8, 8))
     with pytest.raises(SpecValidationError, match="finite total, not inf"):
-        measure_from_density(lay.with_values(np.full(lay.values.shape, 1e308)))
-    density = measure_from_density(lay.with_values(np.full(lay.values.shape, 1e300)))
+        measure_from_density(huge.with_values(np.ones(huge.values.shape)))
+    density = measure_from_density(lay.with_values(np.full(lay.values.shape, MAX_VALUE)))
     result = classify(density, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
     assert all(math.isfinite(v) for v in result.table.values())
 
@@ -385,10 +390,46 @@ def test_a_density_whose_total_mass_overflows_is_refused():
 def test_atoms_whose_total_mass_overflows_are_refused():
     # two atoms of mass 1e308 are each finite, but their total |mass| is
     # not: the functional summed them to inf in every window, warned of the
-    # overflow and marked every lambda not stabilized.  A finite total
-    # bounds every weighted window sum, so the spec refuses the total
-    with pytest.raises(SpecValidationError, match="finite total, not inf"):
-        measure_from_atoms([((0.0, 0.0), 1e308), ((0.5, 0.0), -1e308)])
-    atoms = measure_from_atoms([((0.0, 0.0), 8e307), ((0.5, 0.0), -8e307)])
+    # overflow and marked every lambda not stabilized.  Each mass is bounded
+    # by MAX_VALUE, so any number of atoms has a finite total
+    for mass in (1e308, 2 * MAX_VALUE, np.nan):
+        with pytest.raises(SpecValidationError, match="atom masses must be at most 1e"):
+            measure_from_atoms([((0.0, 0.0), mass), ((0.5, 0.0), -1.0)])
+    atoms = measure_from_atoms([((0.0, 0.0), MAX_VALUE), ((0.5, 0.0), -MAX_VALUE)])
     result = classify(atoms, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
     assert all(math.isfinite(v) for v in result.table.values())
+
+
+def test_a_mollified_atom_whose_peak_passes_max_value_is_refused():
+    # an atom of mass MAX_VALUE spread over a bump of width 0.25, whose
+    # lattice sum times the cell volume is about 0.03, would peak near
+    # 1.2e101: refused, as is a unit atom outside the grid whose bump
+    # reaches one node at 0.9988 of its width, a lattice sum near 1e-181
+    lay = _square_layout(1.0, 16)
+    for atom in (((0.0, 0.0), MAX_VALUE), ((1.2497, 0.0), 1.0)):
+        with pytest.raises(SpecValidationError, match="mollified atom's peak"):
+            mollify(measure_from_atoms([atom]), 0.25, lay)
+    out = mollify(measure_from_atoms([((0.0, 0.0), 1e98)]), 0.25, lay)
+    assert np.max(out.values) <= MAX_VALUE
+
+
+@settings(max_examples=40)
+@given(exponent=st.floats(0.0, 100.0), seed=st.integers(0, 2**31))
+def test_classify_of_a_density_up_to_max_value_is_finite(exponent, seed):
+    """Density values are bounded by MAX_VALUE so that the growth
+    functional's FFT cannot overflow: a 9 x 9 density of values up to the
+    bound in magnitude gives a finite table (1e305 overflowed)."""
+    lay = empty_layout(((-1.0, 1.0), (-1.0, 1.0)), (8, 8))
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, lay.values.shape)
+    density = measure_from_density(lay.with_values(values * min(10.0**exponent, MAX_VALUE)))
+    result = classify(density, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
+    assert all(math.isfinite(v) for v in result.table.values())
+
+
+def test_classify_marks_a_lambda_with_an_infinite_functional_not_stabilized():
+    # a spacing of 1e200 makes the cell volume, and so every windowed mass
+    # of the radial density, overflow to inf: no lambda is stabilized
+    with np.errstate(over="ignore"):
+        result = classify(_PROFILED, EUCLID, [0.1, 0.3], windows=(4.0, 6.0), spacing=1e200)
+    assert all(v == np.inf for v in result.table.values())
+    assert result.stabilized == {0.1: False, 0.3: False} and result.lam_star is None

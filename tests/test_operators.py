@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerheat import norms, operators
+from finslerheat import grids, norms, operators
 from finslerheat.errors import OutOfRangeError, SpecValidationError
 from finslerheat.grids import RadialProfile, empty_layout, grid_from_function
 from finslerheat.operators import (FaceKernel, check_linearity, check_radial_reduction,
@@ -273,14 +273,16 @@ def test_correlate_keeps_the_bits_of_ndimage_on_both_ellipse_stencils():
 def test_correlate_keeps_the_bits_of_ndimage_in_blocks_of_one_row_or_a_few(monkeypatch, block):
     """Blocks of whole padded rows, here of _BLOCK = 1 value (one row per
     block, longer than _BLOCK) and 40 (a few rows in 1-D and 2-D, one in
-    3-D), each written straight into out, keep ndimage's bits at N = 1, 2
-    and 3, with the first and last blocks cut to the span of the nodes."""
+    3-D where a padded hyperplane holds 72 values, and two at shape
+    (6, 1, 1), whose padded hyperplanes hold 25: the nearest count rounds
+    40 / 25 up), each written straight into out, keep ndimage's bits at
+    N = 1, 2 and 3, the first and last blocks shifted into the copy's margin."""
     from scipy import ndimage
-    monkeypatch.setattr(operators, "_BLOCK", block)
+    monkeypatch.setattr(grids, "_BLOCK", block)
     operators._correlation_plan.cache_clear()
     rng = np.random.default_rng(block)
     try:
-        for shape in ((23,), (9, 7), (6, 5, 4)):
+        for shape in ((23,), (9, 7), (6, 5, 4), (6, 1, 1)):
             S = rng.standard_normal((5,) * len(shape))
             u = rng.standard_normal(shape)
             assert _same_bits(operators.correlate(u, operators.correlation_taps(S)),
@@ -289,13 +291,29 @@ def test_correlate_keeps_the_bits_of_ndimage_in_blocks_of_one_row_or_a_few(monke
         operators._correlation_plan.cache_clear()
 
 
+def test_the_3d_correlation_plan_blocks_two_padded_hyperplanes():
+    """The energy gradient's stencil of the ellipse diag(4, 1, 1) has 37
+    taps; on its 129 x 65 x 65 grid at R = 6, h = 0.1875 a padded
+    hyperplane holds 69 x 69 = 4,761 values, so a block holds the nearest
+    whole number of them to _BLOCK, 2: 65 blocks, the last of one
+    hyperplane (blocks of whole hyperplanes within _BLOCK took 129)."""
+    from finslerheat import flow
+    spec = norms.ellipse(np.diag([4.0, 1.0, 1.0]))
+    _, _, taps = operators.constant_stencil(flow._face_energy_gradient, spec, (0.1875,) * 3)
+    spans = operators._correlation_plan((129, 65, 65), taps)[-1]
+    assert len(taps[1]) == 37 and len(spans) == 65
+    assert [(i, j) for i, j, _, _ in spans[-2:]] == [(126, 128), (128, 129)]
+
+
 def test_correlate_into_its_out_allocates_no_field():
     """A warm `correlate` of the energy gradient's 17 taps on the 513 x 257
     ellipse grid, into a given out and in handed buffers, allocates under an
     eighth of a field: each block of whole padded rows goes straight into
     out (a full flat sums buffer and its copy took a field).  The buffers
-    hold the zero-rimmed copy and one block's sums and products, _BLOCK
-    values each, and no flat scratch: `correlate` never asks for it."""
+    hold the zero-rimmed copy, flat with a margin of 2 (261 + 1) zeros on
+    each side, and one block's sums and products, of 31 padded rows (8,091
+    values, at most _BLOCK), and no flat scratch: `correlate` never asks
+    for it."""
     from finslerheat import flow
     u = np.random.default_rng(3).standard_normal((513, 257))
     _, _, taps = operators.constant_stencil(flow._face_energy_gradient, ELLIPSE,
@@ -311,8 +329,8 @@ def test_correlate_into_its_out_allocates_no_field():
         tracemalloc.stop()
     assert _same_bits(out, first)
     (padded, *blocks), = buffers.values()
-    assert padded.shape == (517, 261) and len(blocks) == 2
-    assert all(b.size <= operators._BLOCK for b in blocks)
+    assert padded.shape == (517 * 261 + 2 * 524,) and len(blocks) == 2
+    assert all(b.size == 31 * 261 <= grids._BLOCK for b in blocks)
     assert peak < u.nbytes / 8
 
 
