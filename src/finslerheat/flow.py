@@ -57,7 +57,8 @@ Domain geometry: the datum is a grid function on the ball's layout
 (measures are laid on it by `measures.mollify` first).  The ball is masked
 inside a bounding box whose sides touch it (the half-width along axis i is
 R * H(e_i), the support function of the ball); cut cells and the box edge
-are Dirichlet nodes.  `solve` evaluates H0 at the nodes once and returns it
+are Dirichlet nodes.  `solve` evaluates H0 at the nodes once
+(`norms.dual_norm_nodes`, a block of rows at a time) and returns it
 as `Trajectory.h0`, the run's one H0: the mask, the monitors and every
 comparison of the run read the domain from it.
 
@@ -85,7 +86,7 @@ from .errors import ConvergenceError, SpecValidationError, StabilityError, integ
 from .grids import GridFunction, blocks, bounded, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, kernel_rows, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
-                    dual_norm_eval, duality_map, eval_norm)
+                    dual_norm_nodes, duality_map, eval_norm)
 from .operators import (FaceHessian, FaceKernel, _correlation_buffers,
                         _face_flux_divergence, apply_operator, constant_stencil, dst_box,
                         interior_mask, stencil_energy, stencil_symbol)
@@ -107,7 +108,7 @@ def ball_layout(spec: NormSpec, radius: float, spacing: float) -> GridFunction:
 
 def ball_mask(spec: NormSpec, layout: GridFunction, radius: float) -> np.ndarray:
     """Free nodes of the Dirichlet ball: inside it, off the box edge; others clamp to 0."""
-    return _free_nodes(dual_norm_eval(spec, layout.coords()), layout, radius)
+    return _free_nodes(dual_norm_nodes(spec, layout), layout, radius)
 
 
 def _free_nodes(h0: np.ndarray, layout: GridFunction, radius: float) -> np.ndarray:
@@ -649,7 +650,7 @@ def weighted_monitors(gf: GridFunction, spec: NormSpec, t: float,
     """Every monitor `solve` reads off one slice at time t, all it records but
     the stepper's stats (`_monitor_reader`), of the field clamped off the mask."""
     u = gf.values if mask is None else np.where(mask, gf.values, 0.0)
-    return _monitor_reader(spec, dual_norm_eval(spec, gf.coords()), mask, gf.spacing,
+    return _monitor_reader(spec, dual_norm_nodes(spec, gf), mask, gf.spacing,
                            lam, ell)(u, t)
 
 
@@ -683,7 +684,7 @@ def solve(problem: FlowProblem) -> Trajectory:
     spec, tau, lay = problem.norm, problem.tau, problem.datum
 
     # the domain, once: H0 at the nodes, the mask from it and the initial field
-    h0 = dual_norm_eval(spec, lay.coords())
+    h0 = dual_norm_nodes(spec, lay)
     mask = _free_nodes(h0, lay, problem.radius)
     u = np.where(mask, lay.values, 0.0)
     # the stepper and the reader run one at a time: their correlations share buffers
@@ -808,7 +809,7 @@ def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSp
     for m in radii:
         lay = ball_layout(spec, m, spacing)
         density = mollify(datum, 2.0 * max(lay.spacing), layout=lay).values
-        r = dual_norm_eval(spec, lay.coords())
+        r = dual_norm_nodes(spec, lay)
         s = np.clip((r - m / 2.0) / (m / 2.0), 0.0, 1.0)
         cutoff = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
         problem = FlowProblem(

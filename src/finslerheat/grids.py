@@ -68,9 +68,11 @@ class GridFunction:
         return [np.linspace(lo, hi, r + 1)
                 for (lo, hi), r in zip(self.box, self.resolution)]
 
-    def coords(self) -> np.ndarray:
-        """Node coordinates, shape (*nodes, N), each axis broadcast into one array."""
+    def coords(self, rows: slice = slice(None)) -> np.ndarray:
+        """Coordinates of the nodes in `rows` along axis 0, all of them by
+        default, shape (rows, *nodes[1:], N), each axis broadcast into one array."""
         axes = self.axes()
+        axes[0] = axes[0][rows]
         out = np.empty((*(len(a) for a in axes), len(axes)))
         for k, a in enumerate(axes):
             out[..., k] = a.reshape((-1,) + (1,) * (len(axes) - 1 - k))

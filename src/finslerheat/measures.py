@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, SpecValidationError
 from .grids import GridFunction, RadialProfile, blocks, bounded, empty_layout
-from .norms import NormSpec, dual_norm_eval, eval_norm
+from .norms import NormSpec, dual_norm_eval, dual_norm_nodes, eval_norm
 
 
 @dataclass(frozen=True)
@@ -305,9 +305,9 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
         if window is None:
             raise SpecValidationError("radial densities need an explicit window")
         grid = empty_layout(*_lattice_box(spec, window, spacing))
-        r = dual_norm_eval(spec, grid.coords())
+        r = dual_norm_nodes(spec, grid)
         # the density is radial in its own norm, the window in spec's
-        rho = r if measure.norm == spec else dual_norm_eval(measure.norm, grid.coords())
+        rho = r if measure.norm == spec else dual_norm_nodes(measure.norm, grid)
         if float(np.max(rho[r <= window], initial=0.0)) > measure.profile.r_max:
             raise DomainError("radial density profile shorter than the window")
         values = np.where(r <= window, measure.profile(
@@ -315,7 +315,7 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     else:
         grid, values = measure.density, measure.density.values
         window = window or np.inf
-        r = dual_norm_eval(spec, grid.coords())
+        r = dual_norm_nodes(spec, grid)
     if window < radius:
         warnings.warn("window smaller than the ball radius; coverage is partial")
     weighted = np.abs(values) * np.exp(-lam * np.minimum(r**2, 1400.0 / lam))
@@ -410,7 +410,7 @@ def mollify(measure: MeasureSpec, width: float, layout: GridFunction) -> GridFun
         return layout.with_values(out)
 
     if measure.kind == "radial_density":
-        r = dual_norm_eval(measure.norm, layout.coords())
+        r = dual_norm_nodes(measure.norm, layout)
         base = measure.profile(np.clip(r, 0.0, measure.profile.r_max))
         source = layout.with_values(np.where(r <= measure.profile.r_max, base, 0.0))
     else:

@@ -14,11 +14,13 @@ than grad H.
 Every family has its dual in closed form (`dual_spec`): the p-norm dual is
 the conjugate q-norm, and every quadratic family H^2 = xi^T Q xi has the
 ellipse of Q^-1 as its dual.  `dual_norm_eval` and `grad_dual_norm` are
-these closed forms.  The one numeric oracle is `sphere_maximization`, the
-sampled maximization over the unit sphere of H.  It runs on all points at
-once, raises one ConvergenceError, for the point with the worst gap, and
-returns H0 together with its gradient, the maximizer (envelope argument):
-grad H0(x) is the point of {H = 1} where the supremum is attained.
+these closed forms; `dual_norm_nodes`, H0 at every node of a grid, runs
+the first on one block of rows of coordinates at a time.  The one numeric
+oracle is `sphere_maximization`, the sampled maximization over the unit
+sphere of H.  It runs on all points at once, raises one ConvergenceError,
+for the point with the worst gap, and returns H0 together with its
+gradient, the maximizer (envelope argument): grad H0(x) is the point of
+{H = 1} where the supremum is attained.
 
 Built-in families:
 
@@ -36,6 +38,7 @@ for everything downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -43,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer
-from .grids import MAX_NODES
+from .grids import MAX_NODES, GridFunction, blocks
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SCAN_ENTRIES = 1 << 18     # row-direction pairs per block of the sphere scan
@@ -179,7 +182,17 @@ def eval_norm(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     if spec.family == "p_norm":
         return np.sum(np.abs(xi) ** spec.p, axis=-1) ** (1.0 / spec.p)
     Q = spec._quadratic_form()
-    return np.sqrt(np.einsum("...i,ij,...j->...", xi, Q, xi))
+    if xi.size <= 2 * spec.dimension:   # one or two vectors: einsum sums N = 2 row by row
+        return np.sqrt(np.einsum("...i,ij,...j->...", xi, Q, xi))
+    # xi^T Q xi as np.einsum("...i,ij,...j->...") sums it, with its bits:
+    # (xi_i Q_ij) xi_j, i-major from +0.0, each term formed in place
+    total = np.zeros(xi.shape[:-1])
+    for i in range(spec.dimension):
+        for j in range(spec.dimension):
+            term = xi[..., i] * Q[i, j]
+            term *= xi[..., j]
+            total += term
+    return np.sqrt(total)
 
 
 def grad_norm(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
@@ -400,6 +413,17 @@ def dual_norm_eval(spec: NormSpec, x: np.ndarray) -> np.ndarray:
     """H0(x) = sup_{xi != 0} x.xi / H(xi) in closed form through `dual_spec`;
     accepts arrays of shape (..., N)."""
     return eval_norm(dual_spec(spec), x)
+
+
+def dual_norm_nodes(spec: NormSpec, layout: GridFunction) -> np.ndarray:
+    """H0 at every node of `layout`, node-shaped: `dual_norm_eval` of the
+    coordinates of one `grids.blocks` block of rows at a time, so that no
+    full coordinate array is built, with the bits of
+    `dual_norm_eval(spec, layout.coords())`.  The one owner of a layout's H0."""
+    out = np.empty(layout.values.shape)
+    for rows in blocks(len(out), math.prod(out.shape[1:])):
+        out[rows] = dual_norm_eval(spec, layout.coords(rows))
+    return out
 
 
 def grad_dual_norm(spec: NormSpec, x: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import OutOfRangeError, SpecValidationError
 from .grids import GridFunction, RadialProfile, blocks, observed_order, refinements
 from .measures import next_fast_len
-from .norms import NormSpec, dual_norm_eval, duality_map
+from .norms import NormSpec, dual_norm_eval, dual_norm_nodes, duality_map
 
 
 def _index(ndim: int, cuts: dict, rest: slice = slice(1, -1)) -> tuple:
@@ -408,13 +408,17 @@ def radial_operator_values(rp: RadialProfile, dimension: int, r: np.ndarray) -> 
 
 
 def lift_radial(rp: RadialProfile, spec: NormSpec, layout: GridFunction) -> GridFunction:
-    """v(x) = q(H0(x)) interpolated from the profile onto the grid."""
-    r = dual_norm_eval(spec, layout.coords())
-    if float(np.max(r)) > rp.r_max * (1 + 1e-12):
+    """v(x) = q(H0(x)) interpolated from the profile onto the grid: H0 at the
+    nodes (`norms.dual_norm_nodes`), then the profile in its place, one
+    `grids.blocks` block of rows at a time, so that the lift holds one field."""
+    v = dual_norm_nodes(spec, layout)
+    if float(np.max(v)) > rp.r_max * (1 + 1e-12):
         raise OutOfRangeError(
-            f"grid reaches H0 = {float(np.max(r)):.6g} beyond the profile range "
+            f"grid reaches H0 = {float(np.max(v)):.6g} beyond the profile range "
             f"[0, {rp.r_max:.6g}]")
-    return layout.with_values(rp(r))
+    for rows in blocks(len(v), math.prod(v.shape[1:])):
+        v[rows] = rp(v[rows])
+    return layout.with_values(v)
 
 
 @dataclass
@@ -443,7 +447,7 @@ def check_radial_reduction(rp: RadialProfile, spec: NormSpec,
     r_cut = 2.0 * max(layout.spacing)
     spacings, maxes, means = [], [], []
     for lay in refinements(layout, levels):
-        r = dual_norm_eval(spec, lay.coords())
+        r = dual_norm_nodes(spec, lay)
         lap = finsler_laplacian(lift_radial(rp, spec, lay), spec).values
         oracle = radial_operator_values(rp, lay.dimension, r)
         err = np.abs(lap - oracle)[interior_mask(lay) & (r >= r_cut)]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, SpecValidationError, finite, integer
 from .grids import GridFunction, observed_order, refinements
-from .norms import NormSpec, dual_norm_eval
+from .norms import NormSpec, dual_norm_eval, dual_norm_nodes
 from .operators import finsler_laplacian, interior_mask
 
 _FAMILIES = ("gauss_kernel", "blowup", "barenblatt", "talenti", "singular_poly")
@@ -164,7 +164,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     for lay in refinements(layout, levels):
         h = max(lay.spacing)
         dt_l = dt * (h / h0)    # h / h0 is exactly 2^-level
-        r = dual_norm_eval(spec.norm, lay.coords())     # H0 once per level
+        r = dual_norm_nodes(spec.norm, lay)     # H0 once per level
         window = interior_mask(lay)
         if spec.kind == "talenti":
             dt_l = math.nan     # the stationary residual takes no time step
@@ -195,7 +195,11 @@ def singular_poly_window(spec: SolutionSpec, layout: GridFunction,
     the annulus [lo, hi] and at least m_order cells off the box edge, where
     (lap_h)^m v is defined (each application leaves its one-cell halo NaN).
     An annulus that holds none of them is a DomainError naming it."""
-    r = dual_norm_eval(spec.norm, layout.coords())
+    return _annulus_window(spec, dual_norm_nodes(spec.norm, layout), annulus)
+
+
+def _annulus_window(spec: SolutionSpec, r: np.ndarray, annulus: tuple) -> np.ndarray:
+    """`singular_poly_window` from H0 values r at the nodes of the layout."""
     m = spec.m_order
     off_rim = np.zeros(r.shape, dtype=bool)
     off_rim[tuple(slice(m, max(m, n - m)) for n in r.shape)] = True
@@ -218,11 +222,10 @@ def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
     """
     if spec.kind != "singular_poly":
         raise DomainError("singular_poly_check requires the singular family")
-    window = singular_poly_window(spec, layout, annulus)
-    x = layout.coords()
-    r = dual_norm_eval(spec.norm, x)
-    puncture = r == 0.0     # eval_solution rejects it: sample elsewhere, then fill
-    v = eval_solution(spec, np.where(puncture[..., None], 1.0, x))
+    r = dual_norm_nodes(spec.norm, layout)
+    window = _annulus_window(spec, r, annulus)
+    puncture = r == 0.0     # the closed form rejects it: sample elsewhere, then fill
+    v = _closed_form(spec, np.where(puncture, 1.0, r), 0.0)
     field = layout.with_values(np.where(puncture, 0.0, v))
     for _ in range(spec.m_order):
         field = finsler_laplacian(field, spec.norm)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import finslerheat
-from finslerheat import cli, flow, measures, norms, solutions
+from finslerheat import cli, flow, grids, measures, norms, solutions
 from finslerheat.cli import main
 from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
                                grid_from_function, observed_order)
@@ -591,24 +591,27 @@ def test_simulate_rejects_a_grid_datum_off_the_runs_layout(tmp_path, radius, spa
 
 def test_simulate_evaluates_h0_over_the_layout_twice(tmp_path, monkeypatch):
     # once to lift the radial datum and once in solve; the comparison reads
-    # Trajectory.h0
+    # Trajectory.h0.  Counted in nodes of the layout's blocks of rows, as the
+    # layout's H0 is evaluated a block at a time: at 40 values a block, the
+    # 33 x 33 layout takes 33 blocks of one row
     cfg = _gaussian_flow({"type": "gaussian", "r_max": 8.0},
                          compare={"kind": "radial_representation", "window": 0.5})
     nodes = flow.ball_layout(norms.euclidean(2), 2.0, 1 / 8).values.shape
     dual_norm_eval, full = norms.dual_norm_eval, []
 
     def counted(spec, x, *args, **kwargs):
-        if np.shape(x)[:-1] == nodes:
-            full.append(spec)
+        if np.shape(x)[1:-1] == nodes[1:]:
+            full.append(np.prod(np.shape(x)[:-1]))
         return dual_norm_eval(spec, x, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "finslerheat"
                 and getattr(module, "dual_norm_eval", None) is dual_norm_eval):
             monkeypatch.setattr(module, "dual_norm_eval", counted)
+    monkeypatch.setattr(grids, "_BLOCK", 40)
     code, outdir = _run(tmp_path, "simulate", cfg)
     assert code == 0 and (outdir / "comparison.csv").is_file()
-    assert len(full) == 2
+    assert sum(full) == 2 * np.prod(nodes) and len(full) == 2 * nodes[0]
 
 
 def test_simulate_ellipse_representation_and_weighted_l2_check(tmp_path):

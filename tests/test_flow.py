@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.sparse.linalg import LinearOperator, cg
 
-from finslerheat import flow, measures, norms, operators
+from finslerheat import flow, grids, measures, norms, operators
 from finslerheat.errors import ConvergenceError, SpecValidationError, StabilityError
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               ball_mask, energy, energy_gradient,
@@ -48,6 +48,30 @@ def test_one_step_of_a_datum_up_to_max_value_has_finite_monitors(spec, scheme, e
     traj = solve(replace(problem, datum=problem.datum.with_values(problem.datum.values * scale)))
     assert all(np.all(np.isfinite(series)) for series in traj.monitors.values())
     assert np.all(np.isfinite(traj.slices[-1].values))
+
+
+def test_solve_takes_h0_a_block_of_rows_at_a_time(monkeypatch):
+    """`solve` reads H0 at the nodes from `norms.dual_norm_nodes`: at 40 values
+    a block, no coordinate array it builds holds more than two of the 33 x 17
+    layout's rows (the full array took two fields), and its H0, mask and
+    slices keep their bits."""
+    problem, _ = _ball_problem(ELLIPSE, 1.0, 0.125, lambda r: np.exp(-r**2), r_max=4.0,
+                               tau=1e-2, t_end=2e-2, store_times=(2e-2,), monitor_lambda=0.5,
+                               monitor_ell=0.25)
+    want = solve(problem)
+    coords, rows = GridFunction.coords, []
+
+    def counted(self, *args):
+        out = coords(self, *args)
+        rows.append(len(out))
+        return out
+    monkeypatch.setattr(GridFunction, "coords", counted)
+    monkeypatch.setattr(grids, "_BLOCK", 40)
+    got = solve(problem)
+    assert problem.datum.values.shape == (33, 17) and rows and max(rows) == 2
+    assert got.h0.tobytes() == want.h0.tobytes()
+    assert got.mask.tobytes() == want.mask.tobytes()
+    assert got.slices[-1].values.tobytes() == want.slices[-1].values.tobytes()
 
 
 def _ellipse_ball(spacing):

@@ -30,7 +30,8 @@ def test_spacing_and_axes():
 def test_coords_fill_one_array_with_the_stacked_meshgrid(data):
     """`coords` is the stacked `meshgrid` of the axes bit for bit, for N = 1
     to 3, and its traced peak is its one result plus the axes (the
-    meshgrid's copies and the stack took two results)."""
+    meshgrid's copies and the stack took two results); `coords(rows)` is
+    its block of rows along axis 0."""
     N = data.draw(st.integers(1, 3))
     resolution = tuple(data.draw(st.integers(4, 80 if N < 3 else 24)) for _ in range(N))
     box = tuple((lo, lo + data.draw(st.floats(0.1, 50.0)))
@@ -46,6 +47,9 @@ def test_coords_fill_one_array_with_the_stacked_meshgrid(data):
         tracemalloc.stop()
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert peak <= got.nbytes + 8 * sum(resolution) + 8 * N + 2048
+    start = data.draw(st.integers(0, resolution[0]))
+    rows = slice(start, data.draw(st.integers(start + 1, resolution[0] + 1)))
+    assert gf.coords(rows).tobytes() == want[rows].tobytes()
 
 
 def test_resolution_floor():

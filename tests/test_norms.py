@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from finslerheat import cli, flow, norms, solutions
 from finslerheat.errors import ConvergenceError, DomainError, SpecValidationError
+from finslerheat.grids import empty_layout
 
 EUCLID = norms.euclidean(2)
 ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
@@ -97,6 +98,36 @@ def test_p_norm_gradient_is_s_over_h_to_the_p_minus_1_bit_for_bit(p, dim, seed):
     H = norms.eval_norm(spec, xi)[..., None]
     expected = np.sign(xi) * np.abs(xi) ** (p - 1.0) / H ** (p - 1.0)
     assert np.array_equal(norms.grad_norm(spec, xi).view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_quadratic_norm_is_einsum_bit_for_bit(data):
+    """H of a quadratic family is the square root of
+    np.einsum("...i,ij,...j->...", xi, Q, xi), bit for bit and of its type (a
+    numpy scalar for one vector), N = 1-3, for random SPD Q with off-diagonal
+    entries, one vector, 1-D and 2-D stacks and a block of rows of a layout's
+    coordinates: the explicit products sum in einsum's order."""
+    N = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    M = rng.standard_normal((N, N))
+    M = M @ M.T + 0.1 * np.eye(N)
+    spec = norms.ellipse(0.5 * (M + M.T))
+    Q = spec._quadratic_form()
+    kind = data.draw(st.sampled_from(["vector", "1-D", "2-D", "rows"]))
+    if kind == "rows":
+        cells = [data.draw(st.integers(4, 12)) for _ in range(N)]
+        coords = empty_layout([(-1.0, 2.0)] * N, cells).coords()
+        start = data.draw(st.integers(0, len(coords) - 1))
+        xi = coords[start:start + data.draw(st.integers(1, 4))]
+    else:
+        shape = {"vector": (), "1-D": (data.draw(st.integers(1, 40)),),
+                 "2-D": (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))}[kind]
+        xi = rng.standard_normal(shape + (N,)) * 10.0 ** data.draw(st.integers(-3, 3))
+    want = np.sqrt(np.einsum("...i,ij,...j->...", xi, Q, xi))
+    got = norms.eval_norm(spec, xi)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_dual_self_euclidean():

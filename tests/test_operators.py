@@ -182,6 +182,66 @@ def test_lift_out_of_range():
         lift_radial(prof, EUCLID, lay)
 
 
+def test_lift_out_of_range_names_the_largest_h0_of_the_layout(monkeypatch):
+    """At 40 values a block the 57 x 17 layout takes 29 blocks of rows: the
+    first already reaches past the profile (H0 >= 2), but the refusal names
+    the largest H0 of the whole layout, sqrt(26) at (5, +-1)."""
+    prof = RadialProfile.from_function(lambda r: np.ones_like(r), 1.0, 65)
+    lay = empty_layout([(-2, 5), (-1, 1)], (56, 16))
+    monkeypatch.setattr(grids, "_BLOCK", 40)
+    with pytest.raises(OutOfRangeError) as refusal:
+        lift_radial(prof, EUCLID, lay)
+    assert str(refusal.value) == "grid reaches H0 = 5.09902 beyond the profile range [0, 1]"
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_h0_and_the_lift_keep_their_bits_a_block_of_rows_at_a_time(data):
+    """`norms.dual_norm_nodes` and `lift_radial` evaluate H0 and the profile
+    one `grids.blocks` block of rows at a time; at 40 values a block every
+    layout here takes several, and both keep the bits of the evaluation over
+    the whole coordinate array, N = 1-3, for quadratic and p-norms."""
+    N = data.draw(st.integers(1, 3))
+    resolution = tuple(data.draw(st.integers((40, 8, 4)[N - 1] if axis == 0 else 4,
+                                             (200, 40, 12)[N - 1])) for axis in range(N))
+    box = tuple((lo, lo + data.draw(st.floats(0.5, 4.0)))
+                for lo in [data.draw(st.floats(-3.0, 1.0)) for _ in range(N)])
+    spec = data.draw(st.sampled_from([
+        norms.euclidean(N), norms.p_norm(3.0, N),
+        norms.ellipse(np.diag(np.arange(1.0, N + 1)) + 0.3 * (np.ones((N, N)) - np.eye(N)))]))
+    lay = empty_layout(box, resolution)
+    h0 = norms.dual_norm_eval(spec, lay.coords())
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2), float(np.max(h0)) + 0.5, 1025)
+    block, grids._BLOCK = grids._BLOCK, 40
+    try:
+        cuts = grids.blocks(len(h0), h0[0].size)
+        got, lifted = norms.dual_norm_nodes(spec, lay), lift_radial(prof, spec, lay)
+    finally:
+        grids._BLOCK = block
+    assert len(cuts) > 1
+    assert got.tobytes() == h0.tobytes()
+    assert lifted.values.tobytes() == prof(h0).tobytes()
+
+
+def test_a_warm_lift_allocates_under_one_and_a_half_fields():
+    """A warm lift of exp(-r^2) onto the 513 x 257 ellipse grid of the
+    benchmark's flows holds one field, H0 at the nodes, which becomes the lift
+    in place, a block of rows at a time: it allocates under 1.5 fields (1.44
+    with numpy 2.4; the whole-layout lift took seven)."""
+    lay = empty_layout([(-12.0, 12.0), (-6.0, 6.0)], (512, 256))
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 16.0, 2049)
+    first = lift_radial(prof, ELLIPSE, lay)
+    tracemalloc.start()
+    try:
+        again = lift_radial(prof, ELLIPSE, lay)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lay.values.shape == (513, 257)
+    assert again.values.tobytes() == first.values.tobytes()
+    assert peak < 1.5 * lay.values.nbytes
+
+
 def test_radial_reduction_euclidean_second_order():
     lay = empty_layout([(-2, 2), (-2, 2)], (64, 64))
     rep = check_radial_reduction(GAUSS, EUCLID, lay, levels=2)

@@ -115,16 +115,19 @@ def test_residual_barenblatt_first_order_or_better():
 ], ids=["gauss", "barenblatt", "talenti"])
 def test_pde_residual_reads_h0_once_per_level(monkeypatch, spec, box, resolution, t):
     """Each level evaluates H0 at its nodes once, for u(t), u(t +- dt) and
-    the Barenblatt front's window alike (it took four reads), and the
-    residuals keep the bits of the closed forms evaluated at the nodes."""
-    lay, calls = empty_layout(box, resolution), []
+    the Barenblatt front's window alike (it took four reads), counted in
+    nodes, as the layout's H0 is evaluated a block of rows at a time (the
+    17^3 level takes two), and the residuals keep the bits of the closed
+    forms evaluated at the nodes."""
+    lay, nodes, dual_norm_eval = empty_layout(box, resolution), [], norms.dual_norm_eval
 
     def counting(norm, x):
-        calls.append(x.shape)
-        return norms.dual_norm_eval(norm, x)
+        nodes.append(np.prod(x.shape[:-1]))
+        return dual_norm_eval(norm, x)
+    monkeypatch.setattr(norms, "dual_norm_eval", counting)
     monkeypatch.setattr(solutions, "dual_norm_eval", counting)
     rep = pde_residual(spec, lay, t=t, dt=0.01, levels=2)
-    assert len(calls) == 2
+    assert sum(nodes) == sum(grid.values.size for grid in refinements(lay, 2))
     if spec.kind == "gauss_kernel":
         monkeypatch.undo()
         for level, grid in enumerate(refinements(lay, 2)):
@@ -193,6 +196,30 @@ def test_singular_poly_annihilation_ellipse_n2():
     spec = SolutionSpec("singular_poly", ELLIPSE, m_order=1)
     lay = empty_layout([(-3.0, 3.0), (-1.5, 1.5)], (768, 384))
     assert singular_poly_check(spec, lay) <= 0.05
+
+
+def test_singular_poly_check_evaluates_h0_once_and_keeps_its_bits(monkeypatch):
+    """`singular_poly_check` evaluates H0 at the layout's nodes once, for the
+    window, the puncture and the closed form (the window, the puncture and
+    `eval_solution` each took one), and its residual keeps the bits of the
+    closed form evaluated at the punctured coordinates."""
+    spec = SolutionSpec("singular_poly", ELLIPSE, m_order=1)
+    lay = empty_layout([(-2, 2), (-1, 1)], (64, 32))
+    x = lay.coords()
+    puncture = norms.dual_norm_eval(ELLIPSE, x) == 0.0
+    v = eval_solution(spec, np.where(puncture[..., None], 1.0, x))
+    lap = finsler_laplacian(lay.with_values(np.where(puncture, 0.0, v)), ELLIPSE).values
+    window = solutions.singular_poly_window(spec, lay) & np.isfinite(lap)
+    nodes, dual_norm_eval = [], norms.dual_norm_eval
+
+    def counting(norm, x):
+        nodes.append(np.prod(x.shape[:-1]))
+        return dual_norm_eval(norm, x)
+    monkeypatch.setattr(norms, "dual_norm_eval", counting)
+    monkeypatch.setattr(solutions, "dual_norm_eval", counting)
+    assert puncture.sum() == 1
+    assert singular_poly_check(spec, lay) == float(np.max(np.abs(lap[window])))
+    assert sum(nodes) == lay.values.size
 
 
 def test_singular_poly_refines_n3():
