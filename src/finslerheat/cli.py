@@ -24,7 +24,7 @@ import numpy as np
 
 from . import flow, measures, norms, operators, radial, solutions
 from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer
-from .grids import GridFunction, RadialProfile, empty_layout, observed_order
+from .grids import GridFunction, RadialProfile, blocks, empty_layout, observed_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -39,19 +39,25 @@ def _fmt(x) -> str:
 _NUMBER = (int, float, np.floating)
 
 
-def _write_csv(path: Path, header: list, rows: list, timestamp: bool) -> None:
+def _write_csv(path: Path, header: list, rows, timestamp: bool) -> None:
     """Numbers print with `_fmt` (%.17g), anything else as str; a table of
-    numbers only, all rows of one width, is formatted in one pass."""
+    numbers only, all rows of one width, and a 2-D float array are formatted
+    a `grids.blocks` block of rows at a time."""
     with open(path, "w", newline="") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        kinds = {type(c) for row in rows for c in row}
-        if rows and len({len(row) for row in rows}) == 1 and all(
-                issubclass(k, _NUMBER) and not issubclass(k, bool) for k in kinds):
-            line = ",".join(["%.17g"] * len(rows[0])) + "\n"
-            fh.write(line * len(rows) % tuple(np.asarray(rows, dtype=float).ravel().tolist()))
+        table = rows if isinstance(rows, np.ndarray) else None
+        if table is None and rows and len({len(row) for row in rows}) == 1 and all(
+                issubclass(k, _NUMBER) and not issubclass(k, bool)
+                for k in {type(c) for row in rows for c in row}):
+            table = np.asarray(rows, dtype=float)
+        if table is not None:
+            line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            for block in blocks(len(table), table.shape[1]):
+                part = table[block]
+                fh.write(line * len(part) % tuple(part.ravel().tolist()))
             return
         for row in rows:
             writer.writerow(_fmt(c) if isinstance(c, _NUMBER)
@@ -312,10 +318,9 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
                        window is None or window[0] <= rep.order <= window[1])]
         if sol.kind == "blowup":
             # the minimum over x sits at the origin, so over the nodes it
-            # sits at the node of least H0
-            coords = layout.coords()
-            u = solutions.eval_solution(sol, coords, t).ravel()
-            h0 = norms.dual_norm_eval(spec, coords).ravel()
+            # sits at the node of least H0; H0 once, the closed form from it
+            h0 = norms.dual_norm_nodes(spec, layout).ravel()
+            u = solutions._closed_form(sol, h0, t)
             least = np.argmin(h0)
             origin_ok = bool(abs(u.min() - u[least]) < 1e-12
                              and h0[np.argmin(u)] - h0[least] < 1e-12)
@@ -431,7 +436,6 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         "points": _list(_list(_number))},
         {"crosscheck": _object({"path": _grid}, {"tolerance": _limit()})})
     spec, points, cross = c["norm"], np.array(c["points"]), c.get("crosscheck")
-    rows = []
     refs = None
     if cross is not None:
         ref = cross["path"]
@@ -441,18 +445,18 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         refs = ref.sample_nearest(points)
     worst = 0.0
     rho = norms.dual_norm_eval(spec, points)
-    for t in c["times"]:
-        vals = radial.radial_heat_profile(c["profile"], spec.dimension, rho, t)
-        columns = [points, np.full(len(points), t), vals]
-        if refs is not None:
-            rel = np.abs(vals - refs) / np.maximum(np.abs(vals), 1e-300)
-            worst = max(worst, float(np.max(rel)))
-            columns.append(rel)
-        rows.extend(np.column_stack(columns).tolist())
     header = [f"x{i+1}" for i in range(spec.dimension)] + ["t", "u"]
     if refs is not None:
         header.append("rel_error")
-    _write_csv(out / "radial_solution.csv", header, rows, timestamp)
+    n, N = len(points), spec.dimension    # per time, the rows x, t, u (, rel_error)
+    table = np.empty((len(c["times"]) * n, len(header)))
+    for rows, t in zip(np.split(table, len(c["times"])), c["times"]):
+        rows[:, :N], rows[:, N] = points, t
+        rows[:, N + 1] = vals = radial.radial_heat_profile(c["profile"], N, rho, t)
+        if refs is not None:
+            rows[:, N + 2] = rel = np.abs(vals - refs) / np.maximum(np.abs(vals), 1e-300)
+            worst = max(worst, float(np.max(rel)))
+    _write_csv(out / "radial_solution.csv", header, table, timestamp)
     if cross is not None and worst > cross.get("tolerance", np.inf):
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -464,6 +468,9 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         "lambda_grid": _list(_positive)},
         {"windows": _list(_positive), "spacing": _positive, "stabilization_tol": _number})
     spec = c.pop("norm")
+    if "spacing" in c and math.isinf(math.prod([c["spacing"]] * spec.dimension)):
+        raise SpecValidationError(f"classify config spacing {c['spacing']!r}: the "
+                                  f"lattice's cell volume overflows in {spec.dimension}-D")
     result = measures.classify(_measure(c.pop("measure"), spec), spec, c.pop("lambda_grid"), **c)
     _write_csv(out / "classification.csv", ["lambda", "window", "value", "stabilized"],
                [(lam, w, value, result.stabilized[lam])

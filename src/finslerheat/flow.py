@@ -39,8 +39,13 @@ p-norms take damped Newton steps on the exact objective; each iterate's
 faces are evaluated once, by one `FaceKernel.form` (`_face_state`), which
 its gradient and, once accepted, its Newton Hessian (an
 `operators.FaceHessian`, the same form over DA) both read, bit for bit as
-separate evaluations.  For p >= 2 each Newton CG is preconditioned by the
-box inverse of I/tau + (1/N) G^T diag(c) G, the unit forms weighed by c_k,
+separate evaluations.  The solve owns one set of face buffers
+(`_FaceState`, built with the stepper): one kernel that the face states,
+the Hessian and the energy reads share, and the H, s, DA, flux and
+product buffers that each evaluation overwrites; a state is consumed
+once DA is built from it, so one set serves the whole solve.  For p >= 2
+each Newton CG is preconditioned by the box inverse of I/tau + (1/N) G^T
+diag(c) G, the unit forms weighed by c_k,
 the median over the faces of the Hessian's positive DA_kk; for p < 2, where
 DA_kk is unbounded as xi_k -> 0, CG is plain.  Every returned step is a
 descent point of the monitored energy.  The explicit scheme advances with
@@ -87,7 +92,7 @@ from .grids import GridFunction, blocks, bounded, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, kernel_rows, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_nodes, duality_map, eval_norm)
-from .operators import (FaceHessian, FaceKernel, _correlation_buffers,
+from .operators import (FaceHessian, FaceKernel, _component_axes, _correlation_buffers,
                         _face_flux_divergence, apply_operator, constant_stencil, dst_box,
                         interior_mask, stencil_energy, stencil_symbol)
 
@@ -218,25 +223,67 @@ def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.nd
     return FaceKernel(values.shape, spacings).form(values, lambda axis, xi: duality_map(spec, xi))
 
 
-def _face_state(values: np.ndarray, spec: NormSpec, spacings) -> tuple:
-    """`_face_energy_gradient` of a p-norm field and, per face family, its
-    (xi, H, s): the face gradient, H(xi) and s = sign(xi) |xi|^(p-1)
-    (`norms._p_terms`), from which the flux A and the Newton Hessian's DA
-    are built; one kernel, each face evaluated once."""
-    state = []
+class _FaceState:
+    """The face buffers of one p-norm solve and the faces they hold: per face
+    family (xi, H, s), the face gradient, H(xi) and s = sign(xi) |xi|^(p-1)
+    (`norms._p_terms`), iterated in axis order.  `hessian`, one
+    `operators.FaceHessian`, owns the kernel, the flux and product buffers
+    and the DA buffers; the faces are evaluated through its kernel, the flux
+    A formed in its flux buffers.  Each `_face_state` overwrites the last,
+    and DA built from a state (`_newton_hessian`) consumes it: the Hessian's
+    products overwrite its face gradients, and `scratch`, the one flat
+    buffer of every family's s, at least a `operators.dst_box` long, is then
+    the scratch of the Newton step (the face medians' entries and the box
+    solve's DST-I, lent under `operators._correlation_buffers`' rule)."""
+
+    def __init__(self, shape, spacings):
+        self.hessian = FaceHessian(shape, spacings)
+        faces = self.hessian.kernel._faces
+        self.H = [np.empty(G.shape[1:]) for G in faces]
+        ends = np.cumsum([0] + [G.size for G in faces])
+        self.scratch = np.empty(max(ends[-1], math.prod(dst_box(shape))))
+        self.s = [self.scratch[a:b].reshape(G.shape) for a, b, G in zip(ends, ends[1:], faces)]
+
+    def __iter__(self):
+        last = _component_axes(self.hessian.kernel.ndim)[0]
+        return iter([(G.transpose(last), H, s.transpose(last))
+                     for G, H, s in zip(self.hessian.kernel._faces, self.H, self.s)])
+
+
+def _face_buffers(shape: tuple, spacings, buffers: dict, make: bool = True):
+    """The `_FaceState` of fields of `shape`, kept in `buffers` and lent
+    under the rule of `operators._correlation_buffers`: a solve's stepper and
+    monitor reader share one, since no state outlives a step.  None if
+    `buffers` holds none and `make` is False."""
+    if (key := ("faces", shape)) not in buffers and make:
+        buffers[key] = _FaceState(shape, spacings)
+    return buffers.get(key)
+
+
+def _face_state(values: np.ndarray, spec: NormSpec, spacings,
+                state: Optional[_FaceState] = None) -> tuple:
+    """`_face_energy_gradient` of a p-norm field and its `_FaceState`, in
+    the buffers of `state` (new ones if None): one kernel, each face
+    evaluated once, bit for bit as the energy gradient evaluates it."""
+    state = _FaceState(values.shape, spacings) if state is None else state
+    hessian, last = state.hessian, _component_axes(values.ndim)[0]
 
     def flux(axis, xi):
-        H, s = _p_terms(spec, xi)
-        state.append((xi, H, s))
-        return _p_flux(spec, H, s)
-    return FaceKernel(values.shape, spacings).form(values, flux), state
+        A = hessian._flux[axis].transpose(last)
+        H, s = _p_terms(spec, xi, (state.H[axis], state.s[axis].transpose(last)), A)
+        return _p_flux(spec, H, s, A, hessian._product[axis])
+    return hessian.kernel.form(values, flux), state
 
 
-def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: list) -> FaceHessian:
+def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: _FaceState) -> FaceHessian:
     """x -> (1/N) G^T DA(G w) G x, the Hessian of psi at the p-norm field w,
     unmasked, with DA from `state`, the `_face_state` of w (or of w masked:
-    only signs of zeros differ), applied as one `operators.FaceHessian`."""
-    return FaceHessian(w.shape, spacings, [_p_jacobian(spec, xi, H, s) for xi, H, s in state])
+    only signs of zeros differ): the state's `operators.FaceHessian`, its
+    DA built in place, its flux and product buffers the scratch."""
+    hessian = state.hessian
+    for (xi, H, s), DA, g, t in zip(state, hessian.jacobians, hessian._flux, hessian._product):
+        _p_jacobian(spec, xi, H, s, DA, (g.transpose(_component_axes(w.ndim)[0]), t))
+    return hessian
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +362,21 @@ def _unit_face_form(k: int):
     return form
 
 
-def _face_medians(jacobians: list, N: int) -> list:
+def _face_medians(jacobians: list, N: int, scratch: Optional[np.ndarray] = None) -> list:
     """c_k, k < N, the median of the Newton Hessian's DA_kk over the faces,
     of every family of `jacobians`, where it is positive: `np.median` bit for
-    bit, from one partition at the middle m = n // 2, whose lower part holds
-    the other middle value of an even count as its maximum."""
-    medians = []
+    bit, from one partition, in place, at the middle m = n // 2, whose lower
+    part holds the other middle value of an even count as its maximum.  The
+    entries are gathered in `scratch` if given (flat, at least all of them)."""
+    medians, size = [], sum(J[0, 0].size for J in jacobians)
     for k in range(N):
-        entries = np.concatenate([J[k, k].ravel() for J in jacobians])
+        entries = np.concatenate([J[k, k].ravel() for J in jacobians],
+                                 out=None if scratch is None else scratch[:size])
         positive = entries[entries > 0.0]
         m = positive.size // 2
-        part = np.partition(positive, m)
-        medians.append(part[m] if positive.size % 2 else (part[:m].max() + part[m]) / 2)
+        positive.partition(m)
+        medians.append(positive[m] if positive.size % 2
+                       else (positive[:m].max() + positive[m]) / 2)
     return medians
 
 
@@ -452,6 +502,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             q *= alpha
             r -= q
             x += np.multiply(p, alpha, out=q)
+            del q       # not held through the next preconditioner call
         return x, maxiter, False
 
     def fail(w, gap):
@@ -484,8 +535,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             return w, {"inner_iterations": iters, "preconditioned": quiet}
         return quadratic_step
 
+    faces = _face_buffers(mask.shape, spacings, buffers)
     weigh = (_box_preconditioner(mask, tau, spec, spacings,
-                                 [_unit_face_form(k) for k in range(mask.ndim)])
+                                 [_unit_face_form(k) for k in range(mask.ndim)], faces.scratch)
              if spec.p >= 2.0 else None)
 
     def newton_step(values: np.ndarray):
@@ -494,10 +546,20 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
 
         def grad_and_value(w: np.ndarray):
             """grad J(w), J(w) and the `_face_state` of w masked;
-            psi(w) = <w, grad psi(w)>/2 (2-homogeneous)."""
-            grad, state = _face_state(np.where(mask, w, 0.0), spec, spacings)
-            g = np.where(mask, (w - u) / tau + grad, 0.0)
-            return g, 0.5 * vol * float(np.sum(w * g - u * (w - u) / tau)), state
+            psi(w) = <w, grad psi(w)>/2 (2-homogeneous).  grad J = (w - u)/tau
+            + grad psi, 0 off the mask, and J's sum w grad J - u (w - u)/tau
+            are formed in place, in those expressions' order, and the sum in
+            grad psi's buffer, dead once grad J is formed."""
+            grad, state = _face_state(np.where(mask, w, 0.0), spec, spacings, faces)
+            g = np.subtract(w, u)
+            g /= tau
+            g += grad
+            np.copyto(g, 0.0, where=off)
+            terms, rest = np.multiply(w, g, out=grad), np.subtract(w, u)
+            np.multiply(u, rest, out=rest)
+            rest /= tau
+            terms -= rest
+            return g, 0.5 * vol * float(np.sum(terms)), state
 
         w, iters = u, 0
         g, Jw, state = grad_and_value(w)
@@ -506,10 +568,11 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 raise fail(w, gn)
             # `state` is w's: w is the last point grad_and_value evaluated
             hessian = _newton_hessian(w, spec, spacings, state)
-            psolve = None if weigh is None else weigh(_face_medians(hessian.jacobians, w.ndim))
+            del state       # consumed: the Hessian's products overwrite its faces
+            psolve = None if weigh is None else weigh(
+                _face_medians(hessian.jacobians, w.ndim, faces.scratch))
             d, steps, _ = cg(hessian, -g, np.zeros_like(g),
                              min(0.5, np.sqrt(gn / scale)) * gn, inner.max_iters - iters, psolve)
-            del hessian     # its buffers are not held through the line search
             iters += steps
             slope = float(np.sum(g * d)) * vol
             alpha, trial = 1.0, w + d
@@ -523,6 +586,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                 trial = w + alpha * d
                 g_new, J_new, state = grad_and_value(trial)
             w, g, Jw = trial, g_new, J_new
+            del d           # not held through the next Hessian's CG
         return w, {"inner_iterations": iters, "preconditioned": weigh is not None}
     return newton_step
 
@@ -605,11 +669,15 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     """
     _monitor_settings(lam, ell)
     vol = float(np.prod(spacing))
-    if spec.family == "p_norm":
-        psi = lambda u: 0.5 * vol * float(np.sum(u * energy_gradient(u, spec, spacing)))
+    buffers = {} if buffers is None else buffers
+    if spec.family == "p_norm":    # in the face buffers of an implicit solve's stepper
+        def gradient(u: np.ndarray) -> np.ndarray:
+            faces = _face_buffers(u.shape, spacing, buffers, make=False)
+            return (energy_gradient(u, spec, spacing) if faces is None
+                    else _face_state(u, spec, spacing, faces)[0])
+        psi = lambda u: 0.5 * vol * float(np.sum(u * gradient(u)))
     else:
         _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacing)
-        buffers = {} if buffers is None else buffers
         psi = lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
     rows = None if ell is None else kernel_rows(kernel, h0.shape)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -163,15 +163,17 @@ def grid_from_function(box, resolution, fn: Callable[[np.ndarray], np.ndarray]) 
     return gf.with_values(fn(gf.coords()))
 
 
-def refinements(layout: GridFunction, levels: int) -> list[GridFunction]:
+def refinements(layout: GridFunction, levels: int) -> Iterator[GridFunction]:
     """Empty layouts over the box of `layout` with 2^l times its cells per
-    axis, l = 0 .. levels-1; refused, before any is built, if the finest
-    has more than MAX_NODES nodes, as it has past 26 levels."""
+    axis, l = 0 .. levels-1, each built as it is reached, so that a loop
+    over them holds no level's field past its level; refused, before any
+    is built, if the finest has more than MAX_NODES nodes, as it has past
+    26 levels."""
     if not 1 <= levels <= 26 or math.prod(
             r * 2**(levels - 1) + 1 for r in layout.resolution) > MAX_NODES:
         raise SpecValidationError("levels must be >= 1, with at most 2^25 nodes on the finest grid")
-    return [empty_layout(layout.box, tuple(r * 2**level for r in layout.resolution))
-            for level in range(levels)]
+    return (empty_layout(layout.box, tuple(r * 2**level for r in layout.resolution))
+            for level in range(levels))
 
 
 def observed_order(errors, spacings) -> float:

@@ -49,7 +49,6 @@ from .errors import ConvergenceError, DomainError, SpecValidationError, finite, 
 from .grids import MAX_NODES, GridFunction, blocks
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_SCAN_ENTRIES = 1 << 18     # row-direction pairs per block of the sphere scan
 _GOLDEN_STEPS = 20          # golden-section steps of each line search of the oracle
 
 
@@ -173,12 +172,18 @@ class DualEvalConfig:
 # primal evaluations (all batched over leading axes)
 # ---------------------------------------------------------------------------
 
-def eval_norm(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
-    """H(xi); accepts arrays of shape (..., N)."""
+def _vectors(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
+    """xi as a float array of vectors of the spec's dimension, or DomainError."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != spec.dimension:
         raise DomainError(
             f"vector dimension {xi.shape[-1]} != spec dimension {spec.dimension}")
+    return xi
+
+
+def eval_norm(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
+    """H(xi); accepts arrays of shape (..., N)."""
+    xi = _vectors(spec, xi)
     if spec.family == "p_norm":
         return np.sum(np.abs(xi) ** spec.p, axis=-1) ** (1.0 / spec.p)
     Q = spec._quadratic_form()
@@ -240,37 +245,79 @@ def duality_jacobian(spec: NormSpec, xi: np.ndarray) -> np.ndarray:
     return DA
 
 
-def _p_terms(spec: NormSpec, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _p_terms(spec: NormSpec, xi: np.ndarray, out: Optional[tuple] = None,
+             scratch: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """H(xi) and s = sign(xi) |xi|^(p-1) of a p-norm, xi of shape (..., N):
     the terms that A = s H^(2-p) (`_p_flux`), g = grad H = s / H^(p-1)
-    (`grad_norm`) and DA, through g (`_p_jacobian`), are built from."""
-    return eval_norm(spec, xi), np.sign(xi) * np.abs(xi) ** (spec.p - 1.0)
+    (`grad_norm`) and DA, through g (`_p_jacobian`), are built from.
+
+    Into out = (H, s) if given, else new arrays, s laid out as xi, and the
+    sign of xi formed in `scratch` (shaped as xi) if given.  H sums |xi|^p,
+    formed in s, as `eval_norm` sums it; every term keeps the operand order
+    of `eval_norm` and of sign(xi) * |xi|^(p-1), so the bits are theirs."""
+    xi = _vectors(spec, xi)
+    H, s = (np.empty(xi.shape[:-1]), np.empty_like(xi)) if out is None else out
+    np.abs(xi, out=s)
+    s **= spec.p
+    np.sum(s, axis=-1, out=H)
+    H **= 1.0 / spec.p
+    np.abs(xi, out=s)
+    s **= spec.p - 1.0
+    np.multiply(np.sign(xi, out=scratch), s, out=s)
+    return H, s
 
 
-def _p_flux(spec: NormSpec, H: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """A = s H^(2-p), 0 where H = 0, from the `_p_terms` of xi."""
+def _p_flux(spec: NormSpec, H: np.ndarray, s: np.ndarray, out: Optional[np.ndarray] = None,
+            scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """A = s H^(2-p), 0 where H = 0, from the `_p_terms` of xi; into `out`
+    (shaped as s) if given, with H^(2-p) formed in `scratch` (shaped as H)."""
+    A = np.empty_like(s) if out is None else out
+    t = np.empty_like(H) if scratch is None else scratch
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = s * H[..., None] ** (2.0 - spec.p)
-    return np.where(H[..., None] > 0.0, A, 0.0)
+        np.copyto(t, H)
+        t **= 2.0 - spec.p
+        np.multiply(s, t[..., None], out=A)
+    np.copyto(A, 0.0, where=~(H[..., None] > 0.0))
+    return A
 
 
-def _p_jacobian(spec: NormSpec, xi: np.ndarray, H: np.ndarray, s: np.ndarray) -> dict:
+def _p_jacobian(spec: NormSpec, xi: np.ndarray, H: np.ndarray, s: np.ndarray,
+                out: Optional[dict] = None, scratch: Optional[tuple] = None) -> dict:
     """DA at xi from its `_p_terms`: (i, j) -> DA_ij, shape xi.shape[:-1],
-    for i <= j (DA is symmetric, g_i g_j = g_j g_i exactly)."""
+    for i <= j (DA is symmetric, g_i g_j = g_j g_i exactly),
+
+        DA_ij = (2-p) g_i g_j + [i = j] (p-1) H^(2-p) max(|xi_i|, floor H)^(p-2),
+
+    g = s / H^(p-1), and 0 where H = 0.  Into the arrays of `out` if given,
+    with scratch = (g, t), shaped as s and as H; xi, H and s are only read.
+    Each term keeps the operand order of that expression, so the bits do
+    not depend on the buffers."""
     p, N = spec.p, xi.shape[-1]
     floor = np.finfo(float).eps if p < 2.0 else 0.0
-    Hc = H[..., None]
+    pairs = [(i, j) for i in range(N) for j in range(i, N)]
+    entries = {pair: np.empty(H.shape) for pair in pairs} if out is None else out
+    g, t = (np.empty_like(s), np.empty_like(H)) if scratch is None else scratch
+    positive = H > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = s / Hc ** (p - 1.0)
-        diagonal = ((p - 1.0) * Hc ** (2.0 - p)
-                    * np.maximum(np.abs(xi), floor * Hc) ** (p - 2.0))
-        entries = {}
-        for i in range(N):
-            for j in range(i, N):
-                DA = (2.0 - p) * (g[..., i] * g[..., j])
-                if i == j:
-                    DA += diagonal[..., i]
-                entries[i, j] = np.where(H > 0.0, DA, 0.0)
+        np.multiply(floor, H, out=t)
+        for i in range(N):          # max(|xi_i|, floor H)^(p-2), in DA_ii
+            np.maximum(np.abs(xi[..., i], out=entries[i, i]), t, out=entries[i, i])
+            entries[i, i] **= p - 2.0
+        np.copyto(t, H)
+        t **= 2.0 - p
+        np.multiply(p - 1.0, t, out=t)
+        for i in range(N):          # times (p-1) H^(2-p): the diagonal term
+            np.multiply(t, entries[i, i], out=entries[i, i])
+        np.copyto(t, H)
+        t **= p - 1.0
+        np.divide(s, t[..., None], out=g)
+        for i, j in pairs:
+            DA = t if i == j else entries[i, j]
+            np.multiply(g[..., i], g[..., j], out=DA)
+            np.multiply(2.0 - p, DA, out=DA)
+            if i == j:
+                np.add(DA, entries[i, i], out=entries[i, i])
+            np.copyto(entries[i, j], 0.0, where=~positive)
     return entries
 
 
@@ -366,11 +413,11 @@ def sphere_maximization(spec: NormSpec, x: np.ndarray,
     the sup of x.xi / H(xi) over the unit sphere and its maximizer on {H=1}.
 
     Each point is maximized once, and a zero point gives (0, 0): a
-    quasi-uniform sphere scan in blocks of at most `_SCAN_ENTRIES`
-    point-direction pairs, exact for N = 1.  For N = 2 and 3, three rounds
-    follow of one golden-section search per tangent t at the best direction
-    d, along cos(s) d + sin(s) t with |s| <= delta, the scan's cell size
-    shrunk 20x per round.  Values are lower bounds with the gap delta^2;
+    quasi-uniform sphere scan, exact for N = 1, of one `grids.blocks` block
+    of points (of one value per direction each) at a time.  For N = 2 and
+    3, three rounds follow of one golden-section search per tangent t at
+    the best direction d, along cos(s) d + sin(s) t with |s| <= delta, the
+    scan's cell size shrunk 20x per round.  Values are lower bounds with the gap delta^2;
     points that miss the tolerance raise one ConvergenceError, for the
     worst gap.  The maximizer satisfies H(grad H0(x)) = 1 by construction.
     """
@@ -383,9 +430,8 @@ def sphere_maximization(spec: NormSpec, x: np.ndarray,
     dirs = _direction_set(N, cfg.sphere_samples)
     H_dirs = eval_norm(spec, dirs)
     best = np.empty(len(X), dtype=int)
-    rows = max(1, _SCAN_ENTRIES // len(dirs))
-    for i in range(0, len(X), rows):
-        best[i:i + rows] = np.argmax(X[i:i + rows] @ dirs.T / H_dirs, axis=1)
+    for rows in blocks(len(X), len(dirs)):
+        best[rows] = np.argmax(X[rows] @ dirs.T / H_dirs, axis=1)
     d_best = dirs[best]
     v_best, delta = _ratio(spec, X, d_best), 0.0    # exact for N = 1
     if N > 1:

@@ -108,6 +108,9 @@ class FaceKernel:
     component, shape (N, *faces), so that each component is contiguous.
     The arrays `gradients` returns, and the face vectors `form` passes to
     its flux, are the kernel's buffers: its next call overwrites them.
+    The adjoint's differences and terms are views of the central
+    differences, and its per-axis total a view of the padded copy's
+    interior: both are dead once the face gradients are formed.
     """
 
     def __init__(self, shape, spacing):
@@ -117,9 +120,12 @@ class FaceKernel:
         self._central = [np.empty(tuple(n + 2 for n in self.shape)) for _ in range(N)]
         self._faces = [np.empty((N,) + tuple(n + 2 - (m == axis) for m, n in enumerate(self.shape)))
                        for axis in range(N)]
-        self._differences = [np.empty(tuple(n + (m == axis) for m, n in enumerate(self.shape)))
+        view = lambda buffer, shape: buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
+        self._differences = [view(self._central[0], tuple(n + (m == axis) for m, n
+                                                          in enumerate(self.shape)))
                              for axis in range(N)]
-        self._total, self._term = np.empty(self.shape), np.empty(self.shape)
+        self._total = self._padded[(slice(2, -2),) * N]
+        self._term = view(self._central[-1], self.shape)
 
     def gradients(self, values: np.ndarray) -> list:
         """G u on the faces normal to each axis, each of shape (N, *faces)."""
@@ -168,19 +174,24 @@ class FaceKernel:
 class FaceHessian:
     """x -> (1/N) sum over axes of G^T (DA G x), DA fixed symmetric per face:
     `jacobians[axis]` maps (i, j), i <= j, to DA_ij on the faces normal to
-    axis (`norms._p_jacobian`).
+    axis (`norms._p_jacobian`); without them it holds DA buffers of its own
+    for its owner to fill.
 
     `FaceKernel.form` with the flux DA xi, formed as explicit products on
-    contiguous components into buffers of its own, each flux component
+    contiguous components into buffers of its own (a flux per face family
+    and one product that every family's view shares), each flux component
     summed over j in order, so that its values are those of the same form
     over the product DA xi bit for bit.
     """
 
-    def __init__(self, shape, spacing, jacobians: list):
+    def __init__(self, shape, spacing, jacobians: Optional[list] = None):
         self.kernel = FaceKernel(shape, spacing)
-        self.jacobians = jacobians
-        self._flux = [np.empty_like(G) for G in self.kernel._faces]
-        self._product = [np.empty_like(G[0]) for G in self.kernel._faces]
+        faces, N = self.kernel._faces, self.kernel.ndim
+        self.jacobians = jacobians or [{(i, j): np.empty(G.shape[1:]) for i in range(N)
+                                        for j in range(i, N)} for G in faces]
+        self._flux = [np.empty_like(G) for G in faces]
+        product = np.empty(max(G[0].size for G in faces))
+        self._product = [product[:G[0].size].reshape(G.shape[1:]) for G in faces]
 
     def _apply(self, axis: int, xi: np.ndarray) -> np.ndarray:
         DA, F, product = self.jacobians[axis], self._flux[axis], self._product[axis]

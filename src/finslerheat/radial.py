@@ -39,12 +39,15 @@ for N = 1, 2, 3).  A block is accepted only if the bounds of the panels it
 skipped sum to at most eps_mach * min_i sum_j |K_ij a_j| over the columns
 it kept, so each row differs from the sum over every panel by less than
 the rounding that sum already carries; a block that fails evaluates the
-skipped panels as well.
+skipped panels as well.  The 512-row block sets how finely that
+certificate is decided, not a cache size: each block's kernel is formed
+in place, in two buffers of its kept entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +59,7 @@ _SPHERE_NODES = 160
 _MIN_NODES = 16
 _MAX_NODES = 4096
 _QUAD_TOL = 1e-9
-_BLOCK = 512
+_BLOCK = 512            # rows per skip certificate of `_representation_sum`
 # sup over z >= 0 of the scaled sphere factor e^(-z) I(z)
 _SPHERE_SUP = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -159,36 +162,50 @@ def _i0e_series(x: np.ndarray, small: bool) -> np.ndarray:
     return _chbevl(32.0 / x - 2.0, _I0E_B) / np.sqrt(x)
 
 
-def i0e(z: np.ndarray) -> np.ndarray:
+def i0e(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """e^(-|z|) I0(z), Cephes' i0e: chbevl(z/2 - 2, A) for |z| <= 8, else
     chbevl(32/|z| - 2, B) / sqrt(|z|); `scipy.special.i0e` bit for bit.
     In `grids.blocks` of values, so that the sums stay in cache; a block
-    that holds both sides of 8 splits."""
-    x = np.abs(np.asarray(z, dtype=float))
-    flat, out = x.ravel(), np.empty(x.size)
+    that holds both sides of 8 splits.  Into `out` (C-contiguous, shaped as
+    z) if given, z's own buffer included: |z| is formed there and each block of it is
+    read before its values are written."""
+    z = np.asarray(z, dtype=float)
+    x = np.abs(z, out=np.empty(z.shape) if out is None else out)
+    flat = x.reshape(-1)
     for block in blocks(x.size, 1):
-        part, dest = flat[block], out[block]
+        part = flat[block]
         small = part <= 8.0
         if small.all() or not small.any():
-            dest[...] = _i0e_series(part, bool(small[0]))
+            part[...] = _i0e_series(part, bool(small[0]))
         else:
-            dest[small] = _i0e_series(part[small], True)
-            dest[~small] = _i0e_series(part[~small], False)
-    return out.reshape(x.shape)
+            part[small] = _i0e_series(part[small], True)
+            part[~small] = _i0e_series(part[~small], False)
+    return x
 
 
-def _scaled_sphere_integral(z: np.ndarray, dim: int) -> np.ndarray:
-    """e^(-z) I(z), stable for any z >= 0, dim 1, 2 or 3: `radial_heat_profile` refuses others."""
+def _scaled_sphere_integral(z: np.ndarray, dim: int,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """e^(-z) I(z), stable for any z >= 0, dim 1, 2 or 3: `radial_heat_profile`
+    refuses others.  Into `out` (shaped as z, not z's own buffer) if given."""
     z = np.asarray(z, dtype=float)
+    out = np.empty_like(z) if out is None else out
     if dim == 1:
-        return 1.0 + np.exp(-2.0 * z)
+        np.multiply(-2.0, z, out=out)
+        np.exp(out, out=out)
+        return np.add(1.0, out, out=out)
     if dim == 2:
-        return 2.0 * np.pi * i0e(z)
-    # dim == 3: 4 pi sinh(z) e^(-z) / z = 2 pi (1 - e^(-2z)) / z
-    return np.where(z > 1e-12,
-                    2.0 * np.pi * (-np.expm1(-2.0 * np.clip(z, 1e-300, None)))
-                    / np.where(z > 0, z, 1.0),
-                    4.0 * np.pi * (1.0 - z))
+        return np.multiply(2.0 * np.pi, i0e(z, out), out=out)
+    # dim == 3: 4 pi sinh(z) e^(-z) / z = 2 pi (1 - e^(-2z)) / z above 1e-12,
+    # 4 pi (1 - z) at and below it
+    large = z > 1e-12
+    np.clip(z, 1e-300, None, out=out)
+    out *= -2.0
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.multiply(2.0 * np.pi, out, out=out)
+    np.divide(out, z, out=out, where=large)
+    np.subtract(1.0, z, out=out, where=~large)
+    return np.multiply(4.0 * np.pi, out, out=out, where=~large)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +232,33 @@ def _tail_bound(profile: RadialProfile, dim: int, rho: float, t: float) -> float
     return pref * np.exp(-((R - rho) ** 2) / (8.0 * t)) * rest
 
 
+def _kernel(rho: np.ndarray, r: np.ndarray, t: float, dim: int) -> np.ndarray:
+    """K_ij = e^(-(rho_i - r_j)^2/4t) e^(-z) I(z), z = rho_i r_j / 2t, formed
+    in place in two buffers of K's size, term by term as that expression."""
+    rows = rho[:, None]
+    K, sphere = np.empty((len(rho), len(r))), np.empty((len(rho), len(r)))
+    np.multiply(rows, r, out=K)
+    K /= 2.0 * t
+    _scaled_sphere_integral(K, dim, sphere)
+    np.subtract(rows, r, out=K)
+    np.square(K, out=K)
+    np.negative(K, out=K)
+    K /= 4.0 * t
+    np.exp(K, out=K)
+    K *= sphere
+    return K
+
+
 def _representation_sum(profile: RadialProfile, dim: int, rho: np.ndarray,
                         t: float, nodes: int) -> np.ndarray:
     """(4 pi t)^(-N/2) sum_j K(rho, r_j) a_j, K = e^(-(rho-r_j)^2/4t) e^(-z) I(z),
     on `nodes` Gauss-Legendre nodes per unit panel of [0, R_max], with
     a_j = w_j q(r_j) r_j^(N-1).
 
-    Rows go in blocks of _BLOCK sorted values of rho.  Panel k, at distance
+    Rows go in blocks of _BLOCK sorted values of rho.  The block sets how
+    finely the skip certificate is decided, panel by panel for the rows of
+    one block; it is not a cache block (each block's kernel, `_kernel`,
+    takes _BLOCK rows by the kept columns, in place).  Panel k, at distance
     d_k from the block, adds at most U_k = C_N e^(-d_k^2/4t) sum_(j in k) |a_j|
     to any row.  The panels of least U_k whose bounds sum to at most eps
     times the smaller end row's sum_j |K_ij a_j| are skipped.  The block is
@@ -239,11 +276,7 @@ def _representation_sum(profile: RadialProfile, dim: int, rho: np.ndarray,
     mass = _SPHERE_SUP[dim] * np.abs(a).reshape(panels, nodes).sum(axis=1)
     columns = np.arange(panels * nodes).reshape(panels, nodes)
 
-    def kernel(block: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rc = r[None, cols]
-        return np.exp(-((block[:, None] - rc) ** 2) / (4.0 * t)) \
-            * _scaled_sphere_integral(block[:, None] * rc / (2.0 * t), dim)
-
+    kernel = lambda block, cols: _kernel(block, r[cols], t, dim)
     eps = np.finfo(float).eps
     order = np.argsort(rho, kind="stable")
     out = np.empty_like(rho)
@@ -259,7 +292,9 @@ def _representation_sum(profile: RadialProfile, dim: int, rho: np.ndarray,
         kept = columns[np.sort(ranked[n_drop:])].ravel()
         kern = kernel(block, kept)
         out[rows] = kern @ a[kept]
-        if n_drop and dropped[n_drop - 1] > eps * float(np.min(kern @ np.abs(a[kept]))):
+        short = n_drop and dropped[n_drop - 1] > eps * float(np.min(kern @ np.abs(a[kept])))
+        del kern        # not held beside the skipped panels' kernel
+        if short:
             rest = columns[np.sort(ranked[:n_drop])].ravel()
             out[rows] += kernel(block, rest) @ a[rest]
     return (4.0 * np.pi * t) ** (-dim / 2.0) * out

@@ -166,26 +166,42 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
         dt_l = dt * (h / h0)    # h / h0 is exactly 2^-level
         r = dual_norm_nodes(spec.norm, lay)     # H0 once per level
         window = interior_mask(lay)
+        # the operator first, then the time difference and the residual in
+        # place, each term in the order of its expression; the level's
+        # field replaces its zero field, which is not held past H0
         if spec.kind == "talenti":
             dt_l = math.nan     # the stationary residual takes no time step
-            w = _closed_form(spec, r, 0.0)
-            N = spec.norm.dimension
-            lap = finsler_laplacian(lay.with_values(w), spec.norm).values
-            residual = -lap - w ** ((N + 2) / (N - 2))
+            lay = lay.with_values(_closed_form(spec, r, 0.0))
+            residual = finsler_laplacian(lay, spec.norm).values
+            w, N = lay.values, spec.norm.dimension
+            del lay
+            np.negative(residual, out=residual)
+            w **= (N + 2) / (N - 2)
+            residual -= w       # -lap_h(w) - w^((N+2)/(N-2))
+            del w
         else:
-            u = _closed_form(spec, r, t)
-            du_dt = (_closed_form(spec, r, t + dt_l) - _closed_form(spec, r, t - dt_l)) \
-                / (2.0 * dt_l)
-            field = u**spec.m if spec.kind == "barenblatt" else u
-            residual = du_dt - finsler_laplacian(lay.with_values(field), spec.norm).values
+            field = _closed_form(spec, r, t)
+            if spec.kind == "barenblatt":
+                field **= spec.m
+            lay = lay.with_values(field)
+            del field
+            lap = finsler_laplacian(lay, spec.norm).values
+            del lay
+            residual = _closed_form(spec, r, t + dt_l)
+            residual -= _closed_form(spec, r, t - dt_l)
+            residual /= 2.0 * dt_l
+            residual -= lap     # [u(t+dt) - u(t-dt)]/(2 dt) - lap_h(u(t))
+            del lap
             if spec.kind == "barenblatt":
                 rf = spec.barenblatt_support_radius(t)
                 move = abs(spec.barenblatt_support_radius(t + dt_l)
                            - spec.barenblatt_support_radius(t - dt_l))
                 window &= np.abs(r - rf) > 2.0 * h + move
+        del r           # no level's H0 or field is held through the next
         spacings.append(h)
         dts.append(dt_l)
-        maxes.append(float(np.max(np.abs(residual)[window])))
+        maxes.append(float(np.max(np.abs(residual, out=residual)[window])))
+        del residual, window
     return ResidualReport(spacings, dts, maxes)
 
 

@@ -55,3 +55,17 @@ def test_cost_ledger_runs_a_job_in_a_fresh_process():
     assert head == counts
     assert peak.startswith("peak_kib=") and rss.startswith("maxrss_kib=")
     assert int(rss.split("=")[1]) > int(peak.split("=")[1]) > 0
+
+
+def test_cost_ledger_runs_a_workload_as_the_worker_does():
+    # `--sequence` mode on the oracle jobs: the worker's job order, its round
+    # count for the benchmark's 45 s (3 rounds of 13 s nominal), and per job
+    # the process's ru_maxrss after it and how far the job raised it
+    names = [job.name for workload, job in output_digests.jobs(1) if workload == "pnorm-oracles"]
+    lines = [line.split() for line in cost_ledger.sequence("oracles").splitlines()]
+    assert [line[0] for line in lines] == [f"oracles/{name}" for name in names[4:]] * 3
+    assert [line[1] for line in lines] == [f"round={r}" for r in range(3) for _ in names[4:]]
+    assert all(line[2] == "exit=0" for line in lines)
+    rss = [int(line[3].removeprefix("maxrss_kib=")) for line in lines]
+    raised = [int(line[4].removeprefix("raised_kib=")) for line in lines]
+    assert rss == sorted(rss) and raised == [0] + [b - a for a, b in zip(rss, rss[1:])]

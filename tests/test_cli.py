@@ -87,6 +87,25 @@ def test_numeric_csv_bytes_match_the_per_cell_writer(tmp_path_factory, cells, wi
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(0, 5000), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(rows=1, width=1, seed=0)
+@example(rows=4097, width=2, seed=1)
+def test_an_array_table_writes_the_bytes_of_its_rows(tmp_path, rows, width, seed):
+    """`_write_csv` of a 2-D float array, a `grids.blocks` block of rows at
+    a time, writes the bytes of the list path of its rows (`tolist`), for
+    tables of one block or several, special values among them."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308])
+    hit = rng.random((rows, width)) < 0.1
+    table[hit] = rng.choice(special, int(hit.sum()))
+    cli._write_csv(tmp_path / "array.csv", ["c"] * width, table, timestamp=False)
+    cli._write_csv(tmp_path / "list.csv", ["c"] * width, table.tolist(), timestamp=False)
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
 def test_default_header_is_the_utc_time_over_the_untimestamped_bytes(tmp_path):
     # every other test passes --no-timestamp; without it each CSV opens
     # with "# generated <UTC time in ISO 8601>" and is otherwise the same
@@ -267,6 +286,29 @@ def test_verify_exact_blowup_property_row(tmp_path):
     code, outdir = _run(tmp_path, "verify-exact", cfg)
     assert code == 0
     assert "blowup_min_at_origin" in (outdir / "exact_residuals.csv").read_text()
+
+
+def test_verify_exact_blowup_evaluates_h0_once_per_level_and_once_for_the_origin(
+        tmp_path, monkeypatch):
+    """The blow-up case's origin check takes H0 once from
+    `norms.dual_norm_nodes` and its closed form from that H0: with the
+    residual's one H0 per level, H0 is evaluated at 17^2 + 33^2 + 17^2
+    nodes.  It evaluated H0 twice over the coarse layout's coordinates."""
+    nodes, dual_norm_eval = [], norms.dual_norm_eval
+
+    def counting(norm, x):
+        nodes.append(int(np.prod(np.shape(x)[:-1])))
+        return dual_norm_eval(norm, x)
+    monkeypatch.setattr(norms, "dual_norm_eval", counting)
+    monkeypatch.setattr(solutions, "dual_norm_eval", counting)
+    cfg = {"cases": [{"kind": "blowup", "params": {"lam": 0.25},
+                      "norm": ELLIPSE_JSON, "box": [[-2, 2], [-2, 2]],
+                      "resolution": [16, 16], "t": 0.5, "dt": 0.005, "levels": 2}]}
+    code, outdir = _run(tmp_path, "verify-exact", cfg)
+    assert code == 0
+    assert sum(nodes) == 17**2 + 33**2 + 17**2
+    assert (outdir / "exact_residuals.csv").read_text().splitlines()[-1] == \
+        "blowup_min_at_origin,ellipse(N=2),0.25,nan,0,nan,True"
 
 
 def test_verify_exact_blowup_row_passes_off_the_origin(tmp_path):
@@ -931,6 +973,7 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
                                           "tolerance": 1e-300}),
     ("simulate", _SIMULATE, ("problem", "datum", "profile", "amplitude"), 1e300),
     ("radial-solve", _RADIAL, ("profile", "amplitude"), 1e308),
+    ("classify", _CLASSIFY, ("spacing",), 1e200),
     ("classify", dict(_CLASSIFY, windows=[4, 6]), ("measure", "profile", "r_max"), 2.0),
     ("verify-exact", _EXACT, ("cases", 0, "resolution"), [16, 16, 16]),
     ("verify-exact", _EXACT, ("cases", 0, "t"), 0.005),
@@ -978,7 +1021,8 @@ def _mutated(base: dict, path: tuple, value, how: str = "set") -> dict:
         "profile-r-max-1e300", "profile-r-max-1e200", "gauss-max-residual",
         "singular-order-window", "gauss-params-lam", "talenti-t", "compare-profile-too-short",
         "radial-samples-past-max-nodes", "dual-auto-with-settings", "gaussian-amplitude-1e300",
-        "radial-amplitude-1e308", "profile-shorter-than-window", "resolution-rank-3",
+        "radial-amplitude-1e308", "spacing-cell-volume-overflows",
+        "profile-shorter-than-window", "resolution-rank-3",
         "gauss-t-below-dt", "barenblatt-t-below-dt", "m-order-0", "sphere-samples-below-2n",
         "oracle-dimension-4", "ellipse-matrix-3x2", "polytope-directions-not-unit",
         "samples-radii-values-unmatched", "gaussian-samples-1", "atom-outside-the-grid",
@@ -1004,7 +1048,8 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
     # monitors and the slice before it was refused.  A gaussian of amplitude
     # 1e300 overflowed in the flow's L^2 norm and exited 3 with partial
     # files, and radial-solve wrote u = 8e307 from an amplitude of 1e308.
-    # Two atoms of mass 1e308 made classify warn, write inf and exit 0.
+    # Two atoms of mass 1e308 made classify warn, write inf and exit 0, and
+    # so did a spacing of 1e200, whose lattice cell volume overflows in 2-D.
     # The thirteen rows from profile-shorter-than-window on were refused
     # already; each is the one run of a library refusal through the CLI
     monkeypatch.chdir(tmp_path)

@@ -152,7 +152,7 @@ def test_refinements_and_observed_order(data):
     box = [(a, a + data.draw(st.floats(0.1, 10.0))) for a in lo]
     res = tuple(data.draw(st.integers(4, 9)) for _ in range(N))
     levels = data.draw(st.integers(2, 4))
-    layouts = refinements(empty_layout(box, res), levels)
+    layouts = list(refinements(empty_layout(box, res), levels))
     assert len(layouts) == levels
     for level, lay in enumerate(layouts):
         assert lay.box == layouts[0].box

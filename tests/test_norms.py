@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from finslerheat import cli, flow, norms, solutions
 from finslerheat.errors import ConvergenceError, DomainError, SpecValidationError
-from finslerheat.grids import empty_layout
+from finslerheat.grids import _BLOCK, blocks, empty_layout
 
 EUCLID = norms.euclidean(2)
 ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
@@ -367,7 +368,7 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
         A = rng.standard_normal((dim, dim))
         spec = norms.ellipse(A @ A.T + 0.3 * np.eye(dim))
     cfg, rtol = (NUMERIC_3D_CFG, 1e-5) if dim == 3 else (NUMERIC_CFG, 1e-12)
-    block = norms._SCAN_ENTRIES // len(norms._direction_set(dim, cfg.sphere_samples))
+    block = blocks(2 * _BLOCK, len(norms._direction_set(dim, cfg.sphere_samples)))[0].stop
     x = rng.standard_normal((block + 3, dim)) * np.exp(rng.uniform(-3, 3, (block + 3, 1)))
     zero = rng.integers(0, len(x), 2)
     x[zero] = 0.0
@@ -389,6 +390,58 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
     for zeros in (np.zeros(dim), x):
         with pytest.raises(DomainError, match="grad of the dual norm is undefined"):
             norms.grad_dual_norm(spec, zeros)
+
+
+def _blocks_of_2_18_entries(n: int, size: int) -> list:
+    """The sphere scan's blocks before `grids.blocks` cut them: 2^18
+    point-direction pairs each."""
+    rows = max(1, (1 << 18) // size)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 3]), p=st.one_of(st.none(), st.floats(1.2, 5.0)),
+       samples=st.integers(16, 4096), extra=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_sphere_scan_keeps_the_bits_of_the_2_18_entry_scan(dim, p, samples, extra,
+                                                                   seed):
+    """`sphere_maximization` scans a `grids.blocks` block of points at a
+    time; its (H0, grad H0) keep the bits of the scan in blocks of 2^18
+    point-direction pairs, on at least two blocks and with zero points."""
+    rng = np.random.default_rng(seed)
+    spec = norms.p_norm(p, dim) if p is not None else norms.ellipse(
+        np.diag(rng.uniform(1.0, 4.0, dim)))
+    cfg = norms.DualEvalConfig(sphere_samples=samples, tolerance=1e-2)
+    rows = blocks(2 * _BLOCK, samples)[0].stop
+    x = rng.standard_normal((2 * rows + extra + 1, dim))
+    x[rng.integers(0, len(x), 2)] = 0.0
+    got = norms.sphere_maximization(spec, x, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "blocks", _blocks_of_2_18_entries)
+        want = norms.sphere_maximization(spec, x, cfg)
+    assert len(blocks(len(x), samples)) >= 2
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_warm_sphere_scan_peaks_under_six_blocks():
+    """The oracle of the benchmark's verify-norms-numeric job (the ellipse
+    diag(4, 1), 2048 directions) on 300 points peaks under six blocks of
+    `grids._BLOCK` values (3.91 with numpy 2.4): the scan's products and
+    ratios take one `grids.blocks` block of points at a time.  Blocks of
+    2^18 point-direction pairs took 65.8."""
+    x = np.random.default_rng(2).standard_normal((300, 2))
+    first = norms.sphere_maximization(ELLIPSE, x)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        again = norms.sphere_maximization(ELLIPSE, x)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    assert peak < 6 * _BLOCK * 8
 
 
 @pytest.mark.parametrize("spec, samples", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -299,7 +300,7 @@ def test_uncertified_block_falls_back_to_every_panel(monkeypatch):
     entries = []
     real = radial._scaled_sphere_integral
     monkeypatch.setattr(radial, "_scaled_sphere_integral",
-                        lambda z, d: entries.append(z.size) or real(z, d))
+                        lambda z, d, *out: entries.append(z.size) or real(z, d, *out))
     pruned = _representation_sum(prof, dim, rho, t, 64)
     columns = 16 * 64
     # end rows, kept panels, then the dropped ones: every entry once
@@ -319,7 +320,7 @@ def _evaluated_share(monkeypatch, prof, dim, rho, t):
         return real_sum(profile, d, r, tt, nodes)
 
     monkeypatch.setattr(radial, "_scaled_sphere_integral",
-                        lambda z, d: entries.append(z.size) or real_sphere(z, d))
+                        lambda z, d, *out: entries.append(z.size) or real_sphere(z, d, *out))
     monkeypatch.setattr(radial, "_representation_sum", spy_sum)
     radial_heat_profile(prof, dim, rho, t)
     return sum(entries) / sum(dense)
@@ -345,6 +346,72 @@ def test_tail_bound_is_set_by_the_largest_rho(dim):
         for t in (0.01, 0.5, 2.0):
             lo, hi = (_tail_bound(prof, dim, r, t) for r in (min(rho), max(rho)))
             assert max(lo, hi) == hi
+
+
+def _expression_kernel(rho, r, t, dim):
+    """The kernel as one expression, e^(-(rho-r)^2/4t) times the scaled
+    sphere factor's own expression, each temporary a new array: the form
+    `radial._kernel` keeps the bits of."""
+    from scipy.special import i0e as scipy_i0e
+    z = rho[:, None] * r[None, :] / (2.0 * t)
+    if dim == 1:
+        sphere = 1.0 + np.exp(-2.0 * z)
+    elif dim == 2:
+        sphere = 2.0 * np.pi * scipy_i0e(z)
+    else:
+        sphere = np.where(z > 1e-12, 2.0 * np.pi * (-np.expm1(-2.0 * np.clip(z, 1e-300, None)))
+                          / np.where(z > 0, z, 1.0), 4.0 * np.pi * (1.0 - z))
+    return np.exp(-((rho[:, None] - r[None, :]) ** 2) / (4.0 * t)) * sphere
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), t=st.floats(1e-3, 4.0),
+       rho=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=30),
+       z=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=40))
+@example(dim=2, t=0.5, rho=[0.0, 2.0], z=[8.0, np.nextafter(8.0, 9.0), 7.9, 1e-13])
+@example(dim=3, t=0.5, rho=[0.0, 1e-12, 2.0], z=[1e-12, 2e-12, 5.0])
+def test_in_place_kernel_is_the_expression_bit_for_bit(dim, t, rho, z):
+    """`radial._kernel`, formed in place in two buffers, against the
+    expression form on rows rho (0 among them) and nodes r whose z = rho r
+    / 2t at the largest rho lies on both sides of `i0e`'s switch at 8."""
+    rho = np.array([0.0] + rho)
+    top = max(rho.max(), 1.0)
+    r = np.array(z + [4.0, 12.0]) * 2.0 * t / top
+    got = radial._kernel(rho, r, t, dim)
+    want = _expression_kernel(rho, r, t, dim)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_warm_radial_sum_peaks_under_one_and_a_third_kernel_blocks(monkeypatch):
+    """Each `_representation_sum` of a warm `radial_heat_profile` of the
+    benchmark's radial-solve (4000 points, r_max 16, t = 0.05 and 1) peaks
+    under 1.3 blocks of the dense kernel, _BLOCK rows by every node of the
+    16 panels (1.09 with numpy 2.4): each block's kernel is formed in place
+    in two buffers of its kept entries, and the kept kernel is dropped
+    before the skipped panels' is built.  The expression form of the kernel
+    took 2.21."""
+    el = norms.ellipse(np.diag([4.0, 1.0]))
+    prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 16.0, 2049)
+    rho = norms.dual_norm_eval(el, np.random.default_rng(1).uniform(-2.0, 2.0, (4000, 2)))
+    real, blocks = radial._representation_sum, []
+    first = [radial_heat_profile(prof, 2, rho, t) for t in (0.05, 1.0)]
+
+    def spy(profile, dim, r, t, nodes):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real(profile, dim, r, t, nodes)
+        dense = radial._BLOCK * int(np.ceil(profile.r_max)) * nodes * 8
+        blocks.append((tracemalloc.get_traced_memory()[1] - held) / dense)
+        return out
+
+    monkeypatch.setattr(radial, "_representation_sum", spy)
+    tracemalloc.start()
+    try:
+        again = [radial_heat_profile(prof, 2, rho, t) for t in (0.05, 1.0)]
+    finally:
+        tracemalloc.stop()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    assert len(blocks) >= 4 and max(blocks) < 1.3
 
 
 def test_i0e_is_scipys_bit_for_bit():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,28 @@ def test_residual_barenblatt_first_order_or_better():
     lay = empty_layout([(-6.0, 6.0)], (768,))
     rep = pde_residual(spec, lay, t=1.5, dt=0.002, levels=2)
     assert rep.order >= 1.0
+
+
+def test_pde_residual_peaks_at_a_bounded_number_of_fields_per_level():
+    """A warm `pde_residual` of the benchmark's verify-exact case at three
+    levels (the ellipse diag(4, 1), 65 x 33 nodes to 257 x 129) peaks under
+    5.5 fields of its finest level (5.14 with numpy 2.4): each level applies
+    the operator first, then forms the time difference and the residual in
+    place, and no level's layout field or H0 outlives it.  The time
+    difference formed before the operator took 6.14 fields, and with it
+    every level's layout held as well 7.44."""
+    spec = SolutionSpec("gauss_kernel", ELLIPSE)
+    coarse = empty_layout([(-4, 4), (-2, 2)], (64, 32))
+    first = pde_residual(spec, coarse, t=0.5, dt=0.01, levels=3)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        again = pde_residual(spec, coarse, t=0.5, dt=0.01, levels=3)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert again == first and peak < 5.5 * 257 * 129 * 8
 
 
 @pytest.mark.parametrize("spec, box, resolution, t", [
