@@ -36,14 +36,14 @@ the box inverse of I/tau + K (K's stencil weighed by 1) when the datum is
 below the stopping tolerance on the band of free nodes within the stencil's
 reach of a clamped node, where the box and masked operators differ.
 p-norms take damped Newton steps on the exact objective; each iterate's
-faces are evaluated once, by one `FaceKernel.form` (`_face_state`), which
-its gradient and, once accepted, its Newton Hessian (an
-`operators.FaceHessian`, the same form over DA) both read, bit for bit as
-separate evaluations.  The solve owns one set of face buffers
-(`_FaceState`, built with the stepper): one kernel that the face states,
-the Hessian and the energy reads share, and the H, s, DA, flux and
-product buffers that each evaluation overwrites; a state is consumed
-once DA is built from it, so one set serves the whole solve.  For p >= 2
+faces are evaluated once, by one `FaceKernel.form`, which its gradient and,
+once accepted, its Newton Hessian (the same form over DA) both read, bit
+for bit as separate evaluations.  One object owns them, the solve's
+`_NewtonFaces`, built with the stepper and kept in the solve's buffers:
+one kernel that the gradients, the Hessians and the energy reads share,
+and the H, s, DA, flux and product buffers that each evaluation
+overwrites; the faces are consumed once DA is built from them, so one
+set serves the whole solve.  For p >= 2
 each Newton CG is preconditioned by the box inverse of I/tau + (1/N) G^T
 diag(c) G, the unit forms weighed by c_k,
 the median over the faces of the Hessian's positive DA_kk; for p < 2, where
@@ -92,7 +92,7 @@ from .grids import GridFunction, blocks, bounded, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, kernel_rows, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_nodes, duality_map, eval_norm)
-from .operators import (FaceHessian, FaceKernel, _component_axes, _correlation_buffers,
+from .operators import (FaceKernel, _component_axes, _correlation_buffers,
                         _face_flux_divergence, apply_operator, constant_stencil, dst_box,
                         interior_mask, stencil_energy, stencil_symbol)
 
@@ -223,67 +223,69 @@ def _face_energy_gradient(values: np.ndarray, spec: NormSpec, spacings) -> np.nd
     return FaceKernel(values.shape, spacings).form(values, lambda axis, xi: duality_map(spec, xi))
 
 
-class _FaceState:
-    """The face buffers of one p-norm solve and the faces they hold: per face
-    family (xi, H, s), the face gradient, H(xi) and s = sign(xi) |xi|^(p-1)
-    (`norms._p_terms`), iterated in axis order.  `hessian`, one
-    `operators.FaceHessian`, owns the kernel, the flux and product buffers
-    and the DA buffers; the faces are evaluated through its kernel, the flux
-    A formed in its flux buffers.  Each `_face_state` overwrites the last,
-    and DA built from a state (`_newton_hessian`) consumes it: the Hessian's
-    products overwrite its face gradients, and `scratch`, the one flat
-    buffer of every family's s, at least a `operators.dst_box` long, is then
-    the scratch of the Newton step (the face medians' entries and the box
-    solve's DST-I, lent under `operators._correlation_buffers`' rule)."""
+class _NewtonFaces:
+    """The face buffers of one p-norm solve and the faces they hold, per face
+    family in axis order: the kernel's face gradient xi, H(xi) and s =
+    sign(xi) |xi|^(p-1) (`norms._p_terms`), the flux buffer, the product
+    buffer that every family's view shares, and the DA entries
+    `jacobians[axis]`, (i, j) -> DA_ij for i <= j (`norms._p_jacobian`).
+    `scratch`, the one flat buffer of every family's s, at least a
+    `operators.dst_box` long, is the scratch of the Newton step (the face
+    medians' entries and the box solve's DST-I, lent under
+    `operators._correlation_buffers`' rule) once DA is built.
 
-    def __init__(self, shape, spacings):
-        self.hessian = FaceHessian(shape, spacings)
-        faces = self.hessian.kernel._faces
+    `gradient(u)` is the energy gradient, its faces evaluated once and
+    kept; `hessian()` builds DA in place from the faces last evaluated and
+    consumes them, since its products overwrite them; the object is then
+    x -> (1/N) G^T (DA G x), the Newton Hessian.  Each is `FaceKernel.form`,
+    bit for bit as separate evaluations: the flux A formed in the flux
+    buffers, and DA xi as explicit products on contiguous components, each
+    flux component summed over j in order."""
+
+    def __init__(self, spec: NormSpec, shape, spacings):
+        self.spec, self.kernel = spec, FaceKernel(shape, spacings)
+        faces, N = self.kernel.faces, self.kernel.ndim
+        self.jacobians = [{(i, j): np.empty(G.shape[1:]) for i in range(N)
+                           for j in range(i, N)} for G in faces]
+        self._flux = [np.empty_like(G) for G in faces]
+        product = np.empty(max(G[0].size for G in faces))
+        self._product = [product[:G[0].size].reshape(G.shape[1:]) for G in faces]
         self.H = [np.empty(G.shape[1:]) for G in faces]
         ends = np.cumsum([0] + [G.size for G in faces])
         self.scratch = np.empty(max(ends[-1], math.prod(dst_box(shape))))
         self.s = [self.scratch[a:b].reshape(G.shape) for a, b, G in zip(ends, ends[1:], faces)]
 
-    def __iter__(self):
-        last = _component_axes(self.hessian.kernel.ndim)[0]
-        return iter([(G.transpose(last), H, s.transpose(last))
-                     for G, H, s in zip(self.hessian.kernel._faces, self.H, self.s)])
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """`_face_energy_gradient` of a p-norm field, its faces kept."""
+        spec, last = self.spec, _component_axes(self.kernel.ndim)[0]
 
+        def flux(axis, xi):
+            A = self._flux[axis].transpose(last)
+            H, s = _p_terms(spec, xi, (self.H[axis], self.s[axis].transpose(last)), A)
+            return _p_flux(spec, H, s, A, self._product[axis])
+        return self.kernel.form(values, flux)
 
-def _face_buffers(shape: tuple, spacings, buffers: dict, make: bool = True):
-    """The `_FaceState` of fields of `shape`, kept in `buffers` and lent
-    under the rule of `operators._correlation_buffers`: a solve's stepper and
-    monitor reader share one, since no state outlives a step.  None if
-    `buffers` holds none and `make` is False."""
-    if (key := ("faces", shape)) not in buffers and make:
-        buffers[key] = _FaceState(shape, spacings)
-    return buffers.get(key)
+    def hessian(self) -> "_NewtonFaces":
+        """The Hessian of psi at the field last evaluated, unmasked: DA built
+        in place, the flux and product buffers its scratch."""
+        last = _component_axes(self.kernel.ndim)[0]
+        for G, H, s, DA, F, t in zip(self.kernel.faces, self.H, self.s, self.jacobians,
+                                     self._flux, self._product):
+            _p_jacobian(self.spec, G.transpose(last), H, s.transpose(last), DA,
+                        (F.transpose(last), t))
+        return self
 
+    def _apply(self, axis: int, xi: np.ndarray) -> np.ndarray:
+        DA, F, product = self.jacobians[axis], self._flux[axis], self._product[axis]
+        for i in range(self.kernel.ndim):
+            np.multiply(DA[0, i], xi[..., 0], out=F[i])
+            for j in range(1, self.kernel.ndim):
+                np.multiply(DA[min(i, j), max(i, j)], xi[..., j], out=product)
+                F[i] += product
+        return F.transpose(_component_axes(self.kernel.ndim)[0])
 
-def _face_state(values: np.ndarray, spec: NormSpec, spacings,
-                state: Optional[_FaceState] = None) -> tuple:
-    """`_face_energy_gradient` of a p-norm field and its `_FaceState`, in
-    the buffers of `state` (new ones if None): one kernel, each face
-    evaluated once, bit for bit as the energy gradient evaluates it."""
-    state = _FaceState(values.shape, spacings) if state is None else state
-    hessian, last = state.hessian, _component_axes(values.ndim)[0]
-
-    def flux(axis, xi):
-        A = hessian._flux[axis].transpose(last)
-        H, s = _p_terms(spec, xi, (state.H[axis], state.s[axis].transpose(last)), A)
-        return _p_flux(spec, H, s, A, hessian._product[axis])
-    return hessian.kernel.form(values, flux), state
-
-
-def _newton_hessian(w: np.ndarray, spec: NormSpec, spacings, state: _FaceState) -> FaceHessian:
-    """x -> (1/N) G^T DA(G w) G x, the Hessian of psi at the p-norm field w,
-    unmasked, with DA from `state`, the `_face_state` of w (or of w masked:
-    only signs of zeros differ): the state's `operators.FaceHessian`, its
-    DA built in place, its flux and product buffers the scratch."""
-    hessian = state.hessian
-    for (xi, H, s), DA, g, t in zip(state, hessian.jacobians, hessian._flux, hessian._product):
-        _p_jacobian(spec, xi, H, s, DA, (g.transpose(_component_axes(w.ndim)[0]), t))
-    return hessian
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.kernel.form(x, self._apply)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +310,16 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
 
 
 def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
-                        face_ops: list, scratch: Optional[np.ndarray] = None):
+                        face_ops: list, scratch: np.ndarray):
     """The box solve of one prox, built once on `operators.dst_box`: the DST
     plan, the divisor and, last, since the quadratic path drops them after
     one weigh, the DST-I symbols sigma_k of the stencils of `face_ops`
     (`operators.stencil_symbol`).  Each call transforms in `scratch`, lent
-    under `operators._correlation_buffers`' rule, or without one in a
-    buffer of its own.  weigh(c) fills the divisor with 1/tau + sum_k
-    c_k sigma_k, in `grids.blocks` of rows, and returns r -> mask B^-1 r, B the box
-    operator with eigenvalues the divisor (tau r on the box edge), SPD on
-    masked fields where the divisor is positive.  Quadratic families weigh
+    under `operators._correlation_buffers`' rule.  weigh(c) fills the
+    divisor with 1/tau + sum_k c_k sigma_k, in `grids.blocks` of rows, and
+    returns r -> mask B^-1 r, B the box operator with eigenvalues the
+    divisor (tau r on the box edge), SPD on masked fields where the divisor
+    is positive.  Quadratic families weigh
     K's stencil by 1: B^-1 is (I/tau + K)^-1, exact for axis-symmetric
     stencils away from the clamped nodes and the box's far side; p >= 2
     Newton steps weigh the unit forms by the face medians (`_face_medians`)."""
@@ -329,7 +331,7 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
     cuts = blocks(lengths[0], math.prod(lengths[1:]))
 
     def psolve(r: np.ndarray) -> np.ndarray:
-        work = np.empty(lengths) if scratch is None else scratch[:divisor.size].reshape(lengths)
+        work = scratch[:divisor.size].reshape(lengths)
         work.fill(0.0)
         work[box] = r[interior]
         dst(work)
@@ -352,26 +354,24 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
 
 @lru_cache(maxsize=None)
 def _unit_face_form(k: int):
-    """The face op x -> (1/N) G^T e_k e_k^T G x: the `operators.FaceHessian`
-    with DA_kk = 1 on every face and every other entry 0.  One op per k, so
-    that `constant_stencil` caches its stencil per (spec, spacing)."""
+    """The face op x -> (1/N) G^T e_k e_k^T G x: `operators.FaceKernel.form`
+    with the flux xi_k e_k.  One op per k, so that `constant_stencil` caches
+    its stencil per (spec, spacing)."""
     def form(values: np.ndarray, spec: NormSpec, spacings) -> np.ndarray:
-        N = values.ndim
-        unit = {(i, j): float(i == j == k) for i in range(N) for j in range(i, N)}
-        return FaceHessian(values.shape, spacings, [unit] * N)(values)
+        return FaceKernel(values.shape, spacings).form(
+            values, lambda axis, xi: np.where(np.arange(xi.shape[-1]) == k, xi, 0.0))
     return form
 
 
-def _face_medians(jacobians: list, N: int, scratch: Optional[np.ndarray] = None) -> list:
+def _face_medians(jacobians: list, N: int, scratch: np.ndarray) -> list:
     """c_k, k < N, the median of the Newton Hessian's DA_kk over the faces,
     of every family of `jacobians`, where it is positive: `np.median` bit for
     bit, from one partition, in place, at the middle m = n // 2, whose lower
     part holds the other middle value of an even count as its maximum.  The
-    entries are gathered in `scratch` if given (flat, at least all of them)."""
+    entries are gathered in `scratch` (flat, at least all of them)."""
     medians, size = [], sum(J[0, 0].size for J in jacobians)
     for k in range(N):
-        entries = np.concatenate([J[k, k].ravel() for J in jacobians],
-                                 out=None if scratch is None else scratch[:size])
+        entries = np.concatenate([J[k, k].ravel() for J in jacobians], out=scratch[:size])
         positive = entries[entries > 0.0]
         m = positive.size // 2
         positive.partition(m)
@@ -450,8 +450,8 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     (`_boundary_band`, built once), where the box and masked operators differ.
 
     p-norms: inexact Newton from the masked v, CG on I/tau + (1/N) G^T
-    DA(G u) G with DA, the duality map's Jacobian, from the face state of
-    the accepted iterate (the last point the line search evaluated), to the
+    DA(G u) G with DA, the duality map's Jacobian, from the faces of the
+    accepted iterate (the last point the line search evaluated), to the
     relative residual min(0.5, sqrt(||grad J|| / (1 + ||v||))).  For
     p >= 2 each Newton CG is preconditioned by the box inverse of I/tau +
     (1/N) G^T diag(c) G, the unit forms' box solve (built once) weighed by
@@ -535,7 +535,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             return w, {"inner_iterations": iters, "preconditioned": quiet}
         return quadratic_step
 
-    faces = _face_buffers(mask.shape, spacings, buffers)
+    faces = buffers["faces"] = _NewtonFaces(spec, mask.shape, spacings)
     weigh = (_box_preconditioner(mask, tau, spec, spacings,
                                  [_unit_face_form(k) for k in range(mask.ndim)], faces.scratch)
              if spec.p >= 2.0 else None)
@@ -545,12 +545,12 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
         scale = 1.0 + _l2(u, vol)
 
         def grad_and_value(w: np.ndarray):
-            """grad J(w), J(w) and the `_face_state` of w masked;
+            """grad J(w) and J(w), the faces of w masked evaluated and kept;
             psi(w) = <w, grad psi(w)>/2 (2-homogeneous).  grad J = (w - u)/tau
             + grad psi, 0 off the mask, and J's sum w grad J - u (w - u)/tau
             are formed in place, in those expressions' order, and the sum in
             grad psi's buffer, dead once grad J is formed."""
-            grad, state = _face_state(np.where(mask, w, 0.0), spec, spacings, faces)
+            grad = faces.gradient(np.where(mask, w, 0.0))
             g = np.subtract(w, u)
             g /= tau
             g += grad
@@ -559,32 +559,31 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
             np.multiply(u, rest, out=rest)
             rest /= tau
             terms -= rest
-            return g, 0.5 * vol * float(np.sum(terms)), state
+            return g, 0.5 * vol * float(np.sum(terms))
 
         w, iters = u, 0
-        g, Jw, state = grad_and_value(w)
+        g, Jw = grad_and_value(w)
         while not (gn := _l2(g, vol)) <= inner.tolerance * scale:  # NaN fails
             if iters >= inner.max_iters:
                 raise fail(w, gn)
-            # `state` is w's: w is the last point grad_and_value evaluated
-            hessian = _newton_hessian(w, spec, spacings, state)
-            del state       # consumed: the Hessian's products overwrite its faces
+            # the faces are w's: w is the last point grad_and_value evaluated
+            hessian = faces.hessian()
             psolve = None if weigh is None else weigh(
-                _face_medians(hessian.jacobians, w.ndim, faces.scratch))
+                _face_medians(hessian.jacobians, w.ndim, hessian.scratch))
             d, steps, _ = cg(hessian, -g, np.zeros_like(g),
                              min(0.5, np.sqrt(gn / scale)) * gn, inner.max_iters - iters, psolve)
             iters += steps
             slope = float(np.sum(g * d)) * vol
             alpha, trial = 1.0, w + d
-            g_new, J_new, state = grad_and_value(trial)
+            g_new, J_new = grad_and_value(trial)
             if (overshoot := float(np.sum(g_new * d)) * vol) > 0.0:
                 alpha = slope / (slope - overshoot)
                 trial = w + alpha * d
-                g_new, J_new, state = grad_and_value(trial)
+                g_new, J_new = grad_and_value(trial)
             while J_new > Jw + 1e-4 * alpha * slope + 1e-14 * Jw:
                 alpha *= 0.5
                 trial = w + alpha * d
-                g_new, J_new, state = grad_and_value(trial)
+                g_new, J_new = grad_and_value(trial)
             w, g, Jw = trial, g_new, J_new
             del d           # not held through the next Hessian's CG
         return w, {"inner_iterations": iters, "preconditioned": weigh is not None}
@@ -648,9 +647,11 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     """The monitors of one solve, built once: read(u, t) of a field u that
     vanishes off the mask returns the energy, the mass and the weighted
     monitors, from H0 values h0 at its nodes (None without lam and ell).
-    It is the one energy reader: p-norms read psi by Euler's identity,
-    quadratic families by the stencil's difference form
-    (`operators.stencil_energy`) in `buffers`, the reader's own unless given.
+    It is the one energy reader: p-norms read psi by Euler's identity, from
+    the gradient of the Newton faces that a stepper keeps in `buffers`
+    (`_NewtonFaces`) or else `energy_gradient`; quadratic families by the
+    stencil's difference form (`operators.stencil_energy`) in `buffers`,
+    the reader's own unless given.
 
     With lam: weighted_l2 = int e^(-2 lam H0^2/(1-4 lam t)) u^2 and
     weighted_l1_lambda = int e^(-lam H0^2/(1-4 lam t)) |u|, both NaN from
@@ -672,9 +673,8 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     buffers = {} if buffers is None else buffers
     if spec.family == "p_norm":    # in the face buffers of an implicit solve's stepper
         def gradient(u: np.ndarray) -> np.ndarray:
-            faces = _face_buffers(u.shape, spacing, buffers, make=False)
-            return (energy_gradient(u, spec, spacing) if faces is None
-                    else _face_state(u, spec, spacing, faces)[0])
+            faces = buffers.get("faces")
+            return energy_gradient(u, spec, spacing) if faces is None else faces.gradient(u)
         psi = lambda u: 0.5 * vol * float(np.sum(u * gradient(u)))
     else:
         _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacing)

@@ -13,9 +13,9 @@ the same differences the other way.  The field is padded once per
 evaluation and each axis's central difference serves every face family.
 The discrete energy of `flow`, its gradient and this operator all use
 them.  `FaceKernel.form` is the one face sum (1/N) sum_axis G^T F(G u):
-`flow` runs it with the duality map (energy gradient) and the p-norm
-flux (face state), and `FaceHessian` with the products of a fixed
-Jacobian DA per face (the p-norm Newton Hessian).
+`flow` runs it with the duality map (energy gradient), and its p-norm
+Newton faces with the flux A and with the products of a fixed Jacobian DA
+per face (the Newton Hessian).
 `apply_operator` runs a face operator (this one or the energy gradient)
 for p-norms; for quadratic families (H^2 = xi^T Q xi: euclidean, ellipse,
 smoothed polytope) it is linear with constant coefficients, and it
@@ -107,7 +107,7 @@ class FaceKernel:
     components of every face family.  Face arrays are stored component by
     component, shape (N, *faces), so that each component is contiguous.
     The arrays `gradients` returns, and the face vectors `form` passes to
-    its flux, are the kernel's buffers: its next call overwrites them.
+    its flux, are the kernel's buffers, `faces`: its next call overwrites them.
     The adjoint's differences and terms are views of the central
     differences, and its per-axis total a view of the padded copy's
     interior: both are dead once the face gradients are formed.
@@ -118,8 +118,8 @@ class FaceKernel:
         N = self.ndim = len(self.shape)
         self._padded = np.zeros(tuple(n + 4 for n in self.shape))
         self._central = [np.empty(tuple(n + 2 for n in self.shape)) for _ in range(N)]
-        self._faces = [np.empty((N,) + tuple(n + 2 - (m == axis) for m, n in enumerate(self.shape)))
-                       for axis in range(N)]
+        self.faces = [np.empty((N,) + tuple(n + 2 - (m == axis) for m, n in enumerate(self.shape)))
+                      for axis in range(N)]
         view = lambda buffer, shape: buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
         self._differences = [view(self._central[0], tuple(n + (m == axis) for m, n
                                                           in enumerate(self.shape)))
@@ -134,7 +134,7 @@ class FaceKernel:
         for k in range(N):
             hi, lo = _cuts(N, k)[2]
             np.subtract(P[hi], P[lo], out=self._central[k])
-        for axis, G in enumerate(self._faces):
+        for axis, G in enumerate(self.faces):
             for k, (h, (a, b)) in enumerate(zip(self.spacing, _cuts(N, axis)[0])):
                 if k == axis:
                     np.subtract(P[a], P[b], out=G[k])
@@ -142,7 +142,7 @@ class FaceKernel:
                 else:
                     np.add(self._central[k][a], self._central[k][b], out=G[k])
                     G[k] *= 0.25 / h
-        return self._faces
+        return self.faces
 
     def form(self, values: np.ndarray, flux) -> np.ndarray:
         """(1/N) sum over axes of G^T flux(axis, xi), xi = G u on the faces
@@ -169,41 +169,6 @@ class FaceKernel:
             acc += total
         acc /= N
         return acc
-
-
-class FaceHessian:
-    """x -> (1/N) sum over axes of G^T (DA G x), DA fixed symmetric per face:
-    `jacobians[axis]` maps (i, j), i <= j, to DA_ij on the faces normal to
-    axis (`norms._p_jacobian`); without them it holds DA buffers of its own
-    for its owner to fill.
-
-    `FaceKernel.form` with the flux DA xi, formed as explicit products on
-    contiguous components into buffers of its own (a flux per face family
-    and one product that every family's view shares), each flux component
-    summed over j in order, so that its values are those of the same form
-    over the product DA xi bit for bit.
-    """
-
-    def __init__(self, shape, spacing, jacobians: Optional[list] = None):
-        self.kernel = FaceKernel(shape, spacing)
-        faces, N = self.kernel._faces, self.kernel.ndim
-        self.jacobians = jacobians or [{(i, j): np.empty(G.shape[1:]) for i in range(N)
-                                        for j in range(i, N)} for G in faces]
-        self._flux = [np.empty_like(G) for G in faces]
-        product = np.empty(max(G[0].size for G in faces))
-        self._product = [product[:G[0].size].reshape(G.shape[1:]) for G in faces]
-
-    def _apply(self, axis: int, xi: np.ndarray) -> np.ndarray:
-        DA, F, product = self.jacobians[axis], self._flux[axis], self._product[axis]
-        for i in range(self.kernel.ndim):
-            np.multiply(DA[0, i], xi[..., 0], out=F[i])
-            for j in range(1, self.kernel.ndim):
-                np.multiply(DA[min(i, j), max(i, j)], xi[..., j], out=product)
-                F[i] += product
-        return F.transpose(_component_axes(self.kernel.ndim)[0])
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.kernel.form(x, self._apply)
 
 
 @lru_cache(maxsize=128)

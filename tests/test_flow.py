@@ -1,3 +1,5 @@
+import inspect
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -159,7 +161,7 @@ def test_newton_hessian_is_the_symmetric_derivative_of_the_gradient(p, N, seed):
     w = 1.0 + np.tensordot(rng.uniform(1.0, 2.0, N), np.indices(shape), 1) \
         + rng.uniform(-0.1, 0.1, shape)
     x, y = rng.standard_normal((2,) + shape)
-    hessian = flow._newton_hessian(w, spec, spacing, flow._face_state(w, spec, spacing)[1])
+    hessian = _newton_hessian(w, spec, spacing)
     Hx, Hy = hessian(x), hessian(y)
     assert abs(np.sum(x * Hy) - np.sum(Hx * y)) \
         <= 1e-12 * np.sqrt(np.sum(x * x) * np.sum(Hy * Hy))
@@ -168,6 +170,13 @@ def test_newton_hessian_is_the_symmetric_derivative_of_the_gradient(p, N, seed):
         fd = (energy_gradient(w + eps * x, spec, spacing)
               - energy_gradient(w - eps * x, spec, spacing)) / (2 * eps)
         assert np.max(np.abs(fd - Hx)) <= 10 * eps**2 * np.max(np.abs(Hx))
+
+
+def _newton_hessian(w, spec, spacing):
+    """The Newton Hessian of psi at w, in Newton faces of its own."""
+    faces = flow._NewtonFaces(spec, w.shape, spacing)
+    faces.gradient(w)
+    return faces.hessian()
 
 
 # The reference the fused Newton Hessian must reproduce bit for bit: the
@@ -249,8 +258,10 @@ def test_face_state_and_fused_hessian_match_the_reference_bit_for_bit(p, N, seed
     # masked fields with plateaus: faces with H = 0 and components = 0
     w = np.where(mask, np.round(rng.standard_normal(shape), 1), 0.0)
     x = np.where(mask, rng.standard_normal(shape), 0.0)
-    gradient, state = flow._face_state(w, spec, spacing)
-    for axis, (xi, H, s) in enumerate(state):
+    faces = flow._NewtonFaces(spec, shape, spacing)
+    gradient = faces.gradient(w)
+    for axis, (G, H, s) in enumerate(zip(faces.kernel.faces, faces.H, faces.s)):
+        xi, s = np.moveaxis(G, 0, -1), np.moveaxis(s, 0, -1)
         ref_xi = _reference_face_gradient(w, spacing, axis)
         assert _same_bits(xi, ref_xi)
         A = norms._p_flux(spec, H, s)
@@ -267,7 +278,7 @@ def test_face_state_and_fused_hessian_match_the_reference_bit_for_bit(p, N, seed
            for axis in range(N)]
     reference = _reference_face_form(x, spacing, lambda axis, xi: np.einsum(
         "...ij,...j->...i", jac[axis], xi))
-    hessian = flow._newton_hessian(w, spec, spacing, state)
+    hessian = faces.hessian()
     assert _same_bits(hessian(x), reference)
     assert _same_bits(hessian(x), reference)   # its buffers hold nothing over
 
@@ -282,9 +293,10 @@ def _counting(calls, key, fn):
 
 def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch):
     """Every Newton Hessian of a p = 1.5 prox whose line search backtracks
-    equals one built from scratch at its iterate, and its build evaluates
-    no face gradient and no norm of its own.  The Hessians of a solve share
-    its face buffers, so each is applied as it is built."""
+    equals one built from scratch at its iterate, the stepper's w (read off
+    its frame: the build takes no field), and its build evaluates no face
+    gradient and no norm of its own.  The Hessians of a solve share its
+    Newton faces, so each is applied as it is built."""
     spec = norms.p_norm(1.5, 2)
     lay = ball_layout(spec, 1.0, 1 / 8)
     mask = ball_mask(spec, lay, 1.0)
@@ -294,15 +306,16 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
                         _counting(calls, "face", FaceKernel.gradients))
     monkeypatch.setattr(norms, "eval_norm", _counting(calls, "norm", norms.eval_norm))
     evaluations, builds, rng = [0], [], np.random.default_rng(0)
-    face_state, newton_hessian = flow._face_state, flow._newton_hessian
+    gradient, newton_hessian = flow._NewtonFaces.gradient, flow._NewtonFaces.hessian
 
-    def evaluate(*args, **kwargs):
+    def evaluate(faces, values):
         evaluations[-1] += 1
-        return face_state(*args, **kwargs)
+        return gradient(faces, values)
 
-    def build(w, spec, spacings, state):
+    def build(faces):
+        w = inspect.currentframe().f_back.f_locals["w"]
         before = dict(calls)
-        hessian = newton_hessian(w, spec, spacings, state)
+        hessian = newton_hessian(faces)
         no_own_calls = calls == before
         xs = [np.where(mask, rng.standard_normal(w.shape), 0.0) for _ in range(2)]
         builds.append((w.copy(), [(x, hessian(x).copy()) for x in xs], no_own_calls,
@@ -310,8 +323,8 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
         evaluations.append(0)
         return hessian
 
-    monkeypatch.setattr(flow, "_face_state", evaluate)
-    monkeypatch.setattr(flow, "_newton_hessian", build)
+    monkeypatch.setattr(flow._NewtonFaces, "gradient", evaluate)
+    monkeypatch.setattr(flow._NewtonFaces, "hessian", build)
     flow._prox_stepper(spec, lay.spacing, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))(v.values)
     monkeypatch.undo()
 
@@ -320,17 +333,15 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
     assert len(builds) > 2 and max(n for *_, n in builds) >= 2
     for w, applied, no_own_calls, _ in builds:
         assert no_own_calls
-        masked = np.where(mask, w, 0.0)
-        fresh = flow._newton_hessian(masked, spec, lay.spacing,
-                                     flow._face_state(masked, spec, lay.spacing)[1])
+        fresh = _newton_hessian(np.where(mask, w, 0.0), spec, lay.spacing)
         for x, Hx in applied:
             assert _same_bits(Hx, fresh(x))
 
 
 def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(monkeypatch):
     """A p-norm prox builds one FaceKernel per solve, which every gradient
-    evaluation (`_face_state`) and every Newton Hessian of the solve share
-    through its face buffers (they built one each), and no other; at p >= 2
+    evaluation and every Newton Hessian of the solve share through its
+    Newton faces (they built one each), and no other; at p >= 2
     a stepper built on a cold stencil cache builds one more per axis (the
     unit forms of its preconditioner), on a warm one none; the energy
     gradient builds one."""
@@ -340,8 +351,10 @@ def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(monkeypatch):
     v = lay.with_values(np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2))
     calls = {"kernel": 0, "evaluation": 0, "build": 0}
     monkeypatch.setattr(FaceKernel, "__init__", _counting(calls, "kernel", FaceKernel.__init__))
-    monkeypatch.setattr(flow, "_face_state", _counting(calls, "evaluation", flow._face_state))
-    monkeypatch.setattr(flow, "_newton_hessian", _counting(calls, "build", flow._newton_hessian))
+    monkeypatch.setattr(flow._NewtonFaces, "gradient",
+                        _counting(calls, "evaluation", flow._NewtonFaces.gradient))
+    monkeypatch.setattr(flow._NewtonFaces, "hessian",
+                        _counting(calls, "build", flow._NewtonFaces.hessian))
     constant_stencil.cache_clear()
     for cold in (spec.dimension, 0):
         calls.update(kernel=0, evaluation=0, build=0)
@@ -770,7 +783,7 @@ def test_face_median_is_np_median_bit_for_bit():
             if not positive.size:
                 continue
             families = [{(0, 0): values[:n // 3]}, {(0, 0): values[n // 3:]}]
-            medians = np.array(flow._face_medians(families, 1))
+            medians = np.array(flow._face_medians(families, 1, np.empty(n)))
             assert _same_bits(medians, np.array([np.median(positive)])), (n, draw)
 
 
@@ -788,12 +801,12 @@ def test_preconditioned_newton_cg_grows_slowly_under_refinement(monkeypatch):
     # one prox at p = 3, tau = 1e-2 from exp(-2 H0^2): CG iterations per
     # Newton step grow by at most 1.5x per halving of h, on average from
     # h = 1/16 to 1/64 (2.6, 2.9, 4.9 here; plain CG 4.1, 7.2, 12.5)
-    spec, per_step, newton_hessian = norms.p_norm(3, 2), [], flow._newton_hessian
+    spec, per_step, newton_hessian = norms.p_norm(3, 2), [], flow._NewtonFaces.hessian
     for cells in (16, 32, 64):
         lay = ball_layout(spec, 1.0, 1 / cells)
         v = np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2)
         calls = {"build": 0}
-        monkeypatch.setattr(flow, "_newton_hessian",
+        monkeypatch.setattr(flow._NewtonFaces, "hessian",
                             _counting(calls, "build", newton_hessian))
         _, stats = flow._prox_stepper(spec, lay.spacing, ball_mask(spec, lay, 1.0), 1e-2,
                                       InnerSolverConfig(tolerance=1e-8))(v)
@@ -946,7 +959,13 @@ def test_box_preconditioner_inverts_axis_symmetric_stencils(data):
 def _quadratic_box(spec, spacing, mask, tau):
     """The quadratic path's box preconditioner: K's stencil weighed by 1,
     the divisor 1/tau + the symbol of K's stencil."""
-    return flow._box_preconditioner(mask, tau, spec, spacing, [flow._face_energy_gradient])((1.0,))
+    return flow._box_preconditioner(mask, tau, spec, spacing, [flow._face_energy_gradient],
+                                    _box_scratch(mask))((1.0,))
+
+
+def _box_scratch(mask):
+    """A flat scratch that holds the `operators.dst_box` of the mask's shape."""
+    return np.empty(math.prod(operators.dst_box(mask.shape)))
 
 
 @settings(max_examples=30)
@@ -964,6 +983,27 @@ def test_unit_form_symbols_sum_to_the_diagonal_ellipse_symbol(data):
     parts = sum(ck * operators.stencil_symbol(flow._unit_face_form(k), spec, spacing, lengths)
                 for k, ck in enumerate(c))
     assert np.max(np.abs(parts - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+@settings(max_examples=30)
+@given(N=st.integers(1, 3), k=st.integers(0, 2),
+       spacing=st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3))
+@example(N=2, k=1, spacing=[0.3, 1.3, 2.3])
+def test_unit_form_stencil_is_the_reference_face_form_with_a_unit_jacobian(N, k, spacing):
+    """The stencil of the unit form along k, `FaceKernel.form` with the flux
+    xi_k e_k, is the one read off the reference face form with DA = e_k e_k^T
+    (applied by einsum): S by value, since a zero may carry either sign, and
+    its scale and taps bit for bit."""
+    k, spacing = k % N, tuple(spacing[:N])
+    spec, unit = norms.euclidean(N), np.diag(np.arange(N) == k).astype(float)
+
+    def reference(values, spec, spacing):
+        return _reference_face_form(values, spacing, lambda axis, xi: np.einsum(
+            "ij,...j->...i", unit, xi))
+    S, scale, taps = constant_stencil(flow._unit_face_form(k), spec, spacing)
+    ref_S, ref_scale, ref_taps = constant_stencil.__wrapped__(reference, spec, spacing)
+    assert np.array_equal(S, ref_S) and _same_bits(np.float64(scale), np.float64(ref_scale))
+    assert repr(taps) == repr(ref_taps)
 
 
 @settings(max_examples=8)
@@ -1485,7 +1525,8 @@ def test_a_warm_box_weigh_allocates_no_field():
     it allocates under an eighth of a field (each c_k sigma_k took one)."""
     gf, mask = _ellipse_ball(6 / 128)
     weigh = flow._box_preconditioner(mask, 1e-2, norms.p_norm(3, 2), gf.spacing,
-                                     [flow._unit_face_form(k) for k in range(2)])
+                                     [flow._unit_face_form(k) for k in range(2)],
+                                     _box_scratch(mask))
     weigh((0.5, 2.0))
     tracemalloc.start()
     try:
@@ -1518,13 +1559,16 @@ def _solve_peak(problem) -> float:
     return peak / problem.datum.values.nbytes
 
 
-@pytest.mark.parametrize("scheme, tau, fields", [("implicit_proximal", 1e-2, 12.0),
-                                                 ("explicit_euler", 1e-4, 9.75)],
-                         ids=["implicit", "explicit"])
-def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
-    """One solve of the ellipse diag(4, 1) on 257 x 129 nodes with both
-    monitors, from cleared caches, allocates at most `fields` field sizes
-    at its peak (10.93 and 8.69 with numpy 2.4): the stepper and the monitor
+@pytest.mark.parametrize("spec, radius, scheme, tau, fields", [
+    (ELLIPSE, 6.0, "implicit_proximal", 1e-2, 12.0),
+    (ELLIPSE, 6.0, "explicit_euler", 1e-4, 9.75),
+    (norms.p_norm(3.0, 2), 1.0, "explicit_euler", 5e-5, 23.5)],
+    ids=["implicit", "explicit", "explicit-p3"])
+def test_a_solve_peaks_at_a_bounded_number_of_fields(spec, radius, scheme, tau, fields):
+    """Three steps of a solve on its ball at h = radius / 64 with both
+    monitors, from cleared caches, allocate at most `fields` field sizes at
+    their peak.  The ellipse diag(4, 1) on 257 x 129 nodes (10.93 and 8.69
+    with numpy 2.4): the stepper and the monitor
     reader share one set of correlation buffers, the DST-I runs in slabs,
     the reader holds no field of H0^2 and builds each weight in one buffer
     of the read, the box symbol is scaled in place, the CG keeps no dead
@@ -1534,8 +1578,11 @@ def test_a_solve_peaks_at_a_bounded_number_of_fields(scheme, tau, fields):
     the inverse of the cropped rows a block at a time (12.95 and 10.6 with
     the kernel's full spectrum held, the padded inverse, a DST buffer per
     call and a weighed symbol; 14.7 with a full flat sums buffer, a CG
-    temporary, a product per step and a held DST buffer besides)."""
-    problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
+    temporary, a product per step and a held DST buffer besides).  The
+    explicit p = 3 flow on 129 x 129 nodes, tau under its step bound of
+    6.1e-5 (21.20): no stepper makes Newton faces, so the reader takes the
+    energy from `energy_gradient` and builds none (54.8 when it built them)."""
+    problem, _ = _ball_problem(spec, radius, radius / 64, lambda r: np.exp(-r**2), tau=tau,
                                t_end=3 * tau, scheme=scheme, monitor_lambda=0.5,
                                monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
     assert _solve_peak(problem) <= fields
@@ -1588,8 +1635,8 @@ def test_the_box_solve_borrows_a_scratch_that_holds_a_box_longer_than_the_copy(m
     """On 387 x 387 nodes the DST box, 399 a side, is longer than the
     correlation's zero-rimmed copy, 391: the buffers' flat scratch holds the
     larger of the two, and a preconditioned quadratic prox step whose box
-    solve runs in it keeps the bits of one whose box solve makes a buffer
-    per call."""
+    solve runs in it keeps the bits of one whose box solve runs in a
+    scratch of its own."""
     lay = ball_layout(EUCLID, 6.0, 6 / 193)
     mask = ball_mask(EUCLID, lay, 6.0)
     datum = np.where(mask, np.exp(-norms.dual_norm_eval(EUCLID, lay.coords()) ** 2), 0.0)
@@ -1599,7 +1646,8 @@ def test_the_box_solve_borrows_a_scratch_that_holds_a_box_longer_than_the_copy(m
     (scratch,) = [plan[3] for plan in buffers.values()]
     assert scratch.size == 399 * 399 > 391 * 391
     own = flow._box_preconditioner
-    monkeypatch.setattr(flow, "_box_preconditioner", lambda *args: own(*args[:5]))
+    monkeypatch.setattr(flow, "_box_preconditioner",
+                        lambda *args: own(*args[:5], np.empty(args[5].size)))
     alone = flow._prox_stepper(EUCLID, lay.spacing, mask, 1e-3, inner)(datum)[0]
     assert stats["preconditioned"] and _same_bits(borrowed, alone)
 
