@@ -40,23 +40,18 @@ _NUMBER = (int, float, np.floating)
 
 
 def _write_csv(path: Path, header: list, rows, timestamp: bool) -> None:
-    """Numbers print with `_fmt` (%.17g), anything else as str; a table of
-    numbers only, all rows of one width, and a 2-D float array are formatted
-    a `grids.blocks` block of rows at a time."""
+    """Numbers print with `_fmt` (%.17g), anything else as str; a 2-D float
+    array, the one numeric table, is formatted a `grids.blocks` block of
+    rows at a time."""
     with open(path, "w", newline="") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        table = rows if isinstance(rows, np.ndarray) else None
-        if table is None and rows and len({len(row) for row in rows}) == 1 and all(
-                issubclass(k, _NUMBER) and not issubclass(k, bool)
-                for k in {type(c) for row in rows for c in row}):
-            table = np.asarray(rows, dtype=float)
-        if table is not None:
-            line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-            for block in blocks(len(table), table.shape[1]):
-                part = table[block]
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for block in blocks(len(rows), rows.shape[1]):
+                part = rows[block]
                 fh.write(line * len(part) % tuple(part.ravel().tolist()))
             return
         for row in rows:
@@ -406,7 +401,7 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
                 exact = radial.radial_heat_profile(profile, spec.dimension, r, t)
     for name, series in traj.monitors.items():
         _write_csv(out / f"monitor_{name}.csv", ["t", name],
-                   list(zip(traj.monitor_times, series)), timestamp)
+                   np.column_stack((traj.monitor_times, series)), timestamp)
     for stamp, gf in zip(traj.times, traj.slices):
         gf.save(out / _SLICE.format(stamp))
     if failure is not None:

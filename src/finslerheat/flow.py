@@ -824,7 +824,7 @@ def scaling_check(problem: FlowProblem, k: float,
     the companion grid map exactly onto base nodes under x -> k x, so the
     defect is a pure pointwise comparison at shared times.
     """
-    if k <= 0 or abs(round(k) - k) > 1e-12:
+    if not (math.isfinite(k) and k > 0 and float(k).is_integer()):
         raise SpecValidationError("k must be a positive integer for exact node maps")
     k = float(k)
     base_times = [k * k * t for t in compare_times]

@@ -17,12 +17,13 @@ supremum over all grid centers is a convolution with the H0-ball
 indicator and is evaluated by FFT (`fftconvolve`, scipy.signal's
 same-mode FFT convolution repeated step for step on numpy's FFT, with
 `rfftn` and `irfftn` taking scipy.fft's axis order and scaling, so that
-scipy stays unloaded).  There is one convolution path with two inverses.
+scipy stays unloaded; bit for bit where every side is at least 2, as every
+caller's is 3 or more).  There is one convolution path with two inverses.
 The kernel enters as its row transform (`kernel_rows`, its real FFT along
-the last transformed axis), whose columns are transformed into the
-product a block at a time (`grids.blocks`, as every blocked pass), so
-that its full spectrum is never formed; the transforms run in place in
-one complex array of the padded spectrum's shape.  The convolution itself
+the last axis), whose columns are transformed into the product a block at
+a time (`grids.blocks`, as every blocked pass), so that its full spectrum
+is never formed; the transforms run in place in one complex array of the
+padded spectrum's shape.  The convolution itself
 (`mollify`) takes the full inverse, one real array of the padded shape; a
 supremum over a mask (`growth_functional`, `flow`'s ell monitor) takes the
 inverse real FFT of the cropped rows only, a block at a time, and
@@ -117,159 +118,136 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def rfftn(x: np.ndarray, shape, axes) -> np.ndarray:
-    """`scipy.fft.rfftn(x, shape, axes=axes)` bit for bit: numpy's real FFT
-    along the last axis, then its complex FFT along the others in order
+def rfftn(x: np.ndarray, shape) -> np.ndarray:
+    """`scipy.fft.rfftn(x, shape)`, over every axis at a length of at least
+    x's side, bit for bit where every side of x is at least 2: numpy's real
+    FFT along the last axis, then its complex FFT along the others in order
     (`np.fft.rfftn` goes in reverse order, which moves bits in 3-D).
 
     One zeroed spectrum is allocated (`_spectrum_zeros`): the real FFT fills
-    its leading block (x cut to the transform lengths) and each complex FFT
-    runs in place."""
-    lead, dims = [slice(None)] * x.ndim, list(x.shape)
-    for n, axis in zip(shape[:-1], axes[:-1]):
-        lead[axis], dims[axis] = slice(0, min(n, x.shape[axis])), n
-    dims[axes[-1]] = shape[-1] // 2 + 1
-    out = _spectrum_zeros(dims, axes[-1])
-    np.fft.rfft(x[tuple(lead)], shape[-1], axis=axes[-1], out=out[tuple(lead)])
-    for n, axis in zip(shape[:-1], axes[:-1]):
+    its leading block and each complex FFT runs in place."""
+    out = _spectrum_zeros(list(shape[:-1]) + [shape[-1] // 2 + 1])
+    np.fft.rfft(x, shape[-1], axis=-1, out=out[tuple(slice(0, m) for m in x.shape[:-1])])
+    for axis, n in enumerate(shape[:-1]):
         np.fft.fft(out, n, axis=axis, out=out)
     return out
 
 
-def _spectrum_zeros(dims: list, axis: int) -> np.ndarray:
-    """Complex zeros of shape `dims`, laid out with `axis`, the real FFT's,
-    outermost and the others in C order: a block of its columns (indices
-    along `axis`) is contiguous, so that `_times_kernel` multiplies it by a
-    block of the same layout without numpy's buffering."""
-    zeros = np.zeros([dims[axis]] + dims[:axis] + dims[axis + 1:], dtype=complex)
-    return np.moveaxis(zeros, 0, axis)
+def _spectrum_zeros(dims: list) -> np.ndarray:
+    """Complex zeros of shape `dims`, laid out with the last axis, the real
+    FFT's, outermost and the others in C order: a block of its columns
+    (indices along the last axis) is contiguous, so that `_times_kernel`
+    multiplies it by a block of the same layout without numpy's buffering."""
+    return np.moveaxis(np.zeros([dims[-1]] + dims[:-1], dtype=complex), 0, -1)
 
 
-def irfftn(X: np.ndarray, shape, axes, overwrite_x: bool = False) -> np.ndarray:
-    """`scipy.fft.irfftn(X, shape, axes=axes)` bit for bit: numpy's unscaled
-    inverse FFTs along every axis but the last, in order (`_inverse_columns`),
-    then its unscaled inverse real FFT along the last and one scaling
-    (`_inverse_rows`).
-
-    With overwrite_x the inverse complex FFTs run in place in X, which
-    holds each of their lengths already."""
-    return _inverse_rows(_inverse_columns(X, shape, axes, overwrite_x), shape, axes)
+def irfftn(X: np.ndarray, shape) -> np.ndarray:
+    """`scipy.fft.irfftn(X, shape)` over every axis, bit for bit where every
+    length is at least 2: numpy's unscaled inverse FFTs along every axis but
+    the last, in order and in place in X, which holds their lengths already
+    (`_inverse_columns`), then its unscaled inverse real FFT along the last
+    and one scaling (`_inverse_rows`)."""
+    return _inverse_rows(_inverse_columns(X, shape), shape)
 
 
-def _inverse_columns(X: np.ndarray, shape, axes, overwrite_x: bool) -> np.ndarray:
+def _inverse_columns(X: np.ndarray, shape) -> np.ndarray:
     """The complex passes of `irfftn`: numpy's unscaled inverse FFTs along
-    every axis but the last, in order, in place with overwrite_x."""
-    for n, axis in zip(shape[:-1], axes[:-1]):
-        X = np.fft.ifft(X, n, axis=axis, norm="forward", out=X if overwrite_x else None)
+    every axis but the last, in order, in place in X."""
+    for axis, n in enumerate(shape[:-1]):
+        np.fft.ifft(X, n, axis=axis, norm="forward", out=X)
     return X
 
 
-def _inverse_rows(X: np.ndarray, shape, axes) -> np.ndarray:
+def _inverse_rows(X: np.ndarray, shape) -> np.ndarray:
     """The last pass of `irfftn`: numpy's unscaled inverse real FFT along the
     last axis, then one scaling by 1 / prod(shape), rounded from long double
     as scipy's is.  Each row is transformed and scaled on its own, so a
     block of rows keeps the bits it has in the whole."""
-    out = np.fft.irfft(X, shape[-1], axis=axes[-1], norm="forward")
+    out = np.fft.irfft(X, shape[-1], axis=-1, norm="forward")
     out *= float(1 / np.longdouble(math.prod(shape)))
     return out
 
 
 def fftconvolve(field: np.ndarray, kernel: np.ndarray, rows=None, where=None):
     """Linear convolution of two real arrays of equal rank, cropped to the
-    centred `field.shape`: `scipy.signal.fftconvolve(field, kernel,
-    mode="same")` step for step, so bit for bit.  With `where`, a boolean
-    array that broadcasts to the field's shape, only the maximum over it:
-    `np.max(result[where])` bit for bit, NaN if it holds one, and an empty
-    `where` raises as `np.max` does.
+    centred `field.shape`, every axis zero-padded to scipy's fast real-FFT
+    length and transformed: `scipy.signal.fftconvolve(field, kernel,
+    mode="same")` step for step, so bit for bit where every side is at
+    least 2 (scipy broadcasts an axis of length 1, which agrees to
+    rounding).  With `where`, a boolean array that broadcasts to the
+    field's shape, only the maximum over it: `np.max(result[where])`, NaN if
+    it holds one, and an empty `where` raises as `np.max` does.
 
-    Axes where either side has length 1 broadcast instead of transforming;
-    the others are zero-padded to scipy's fast real-FFT length.  `rows`, the
-    `kernel_rows` of the kernel for fields of this shape, spares transforming
-    the kernel's rows again; the kernel's full spectrum is never held
-    (`_times_kernel`).  A call allocates one complex array of the padded
-    spectrum's shape, which the field's transform, the product and the
-    inverse's complex passes share.  The result is a view of one real array
-    of the padded shape; the maximum takes the inverse real FFT of the
+    `rows`, the `kernel_rows` of the kernel for fields of this shape, spares
+    transforming the kernel's rows again; the kernel's full spectrum is
+    never held (`_times_kernel`).  A call allocates one complex array of the
+    padded spectrum's shape, which the field's transform, the product and
+    the inverse's complex passes share.  The result is a view of one real
+    array of the padded shape; the maximum takes the inverse real FFT of the
     cropped rows only, a block along axis 0 at a time (`_cropped_max`).
     """
     s1, s2 = field.shape, kernel.shape
-    axes, fshape = _padded_axes(s1, s2)
-    size = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a]) for a in range(field.ndim)]
-    crop = tuple(slice((n - m) // 2, (n - m) // 2 + m) for n, m in zip(size, s1))
-    if not axes:
-        full = (field * kernel)[crop]
-        return full if where is None else np.max(full[np.broadcast_to(where, s1)])
+    fshape = _padded(s1, s2)
+    crop = tuple(slice((m - 1) // 2, (m - 1) // 2 + n) for n, m in zip(s1, s2))
     if rows is None:
         rows = kernel_rows(kernel, s1)
-    # the broadcast axes at their product's length, so that it fits in place
-    wide = [n if a in axes else max(n, m) for a, (n, m) in enumerate(zip(s1, s2))]
-    product = rfftn(np.broadcast_to(field, wide), fshape, axes)
-    _times_kernel(product, rows, fshape, axes)
+    product = rfftn(field, fshape)
+    _times_kernel(product, rows, fshape)
     if where is None:
-        return irfftn(product, fshape, axes, overwrite_x=True)[crop]
-    return _cropped_max(_inverse_columns(product, fshape, axes, True), fshape, axes, crop,
+        return irfftn(product, fshape)[crop]
+    return _cropped_max(_inverse_columns(product, fshape), fshape, crop,
                         np.broadcast_to(where, s1))
 
 
-def kernel_rows(kernel: np.ndarray, shape: tuple):
+def kernel_rows(kernel: np.ndarray, shape: tuple) -> np.ndarray:
     """The kernel's row transform that `fftconvolve` of fields of `shape`
-    reads, its real FFT along the last transformed axis at that axis's
-    padded length, as `rfftn` forms it, or None where no axis is transformed."""
-    axes, fshape = _padded_axes(shape, kernel.shape)
-    return np.fft.rfft(kernel, fshape[-1], axis=axes[-1]) if axes else None
+    reads, its real FFT along the last axis at that axis's padded length,
+    as `rfftn` forms it."""
+    return np.fft.rfft(kernel, _padded(shape, kernel.shape)[-1], axis=-1)
 
 
-def _times_kernel(product: np.ndarray, rows: np.ndarray, fshape, axes) -> None:
-    """product *= `rfftn(kernel, fshape, axes)`, the kernel's spectrum: its
-    `rows` where they are all of it (one transformed axis), else formed a
-    block of columns (indices along the last transformed axis) at a time,
-    each block, zero-padded, taking `rfftn`'s complex FFTs along the other
-    transformed axes in order.  numpy's FFT transforms one line at a time,
-    so each block holds the bits of the full spectrum, and a block's product
-    runs over at least 3 values, as numpy multiplies a longer run (a lone
-    complex value is multiplied by other code, which can round otherwise)."""
-    if len(axes) == 1:
+def _times_kernel(product: np.ndarray, rows: np.ndarray, fshape) -> None:
+    """product *= `rfftn(kernel, fshape)`, the kernel's spectrum: its `rows`
+    where they are all of it (one axis), else formed a block of columns
+    (indices along the last axis) at a time, each block, zero-padded, taking
+    `rfftn`'s complex FFTs along the other axes in order.  numpy's FFT
+    transforms one line at a time, so each block holds the bits of the full
+    spectrum, and a block's product runs over at least 3 values where every
+    side is at least 2, as numpy multiplies a longer run (a lone complex
+    value is multiplied by other code, which can round otherwise)."""
+    if len(fshape) == 1:
         product *= rows
         return
-    last, dims = axes[-1], list(rows.shape)
-    for n, axis in zip(fshape[:-1], axes[:-1]):
-        dims[axis] = n
-    lead = tuple(slice(0, m) for m in rows.shape[:last])
-    cuts = blocks(dims[last], math.prod(dims) // dims[last])
-    dims[last] = cuts[0].stop
-    buffer = _spectrum_zeros(dims, last)
+    lead = tuple(slice(0, m) for m in rows.shape[:-1])
+    cuts = blocks(rows.shape[-1], math.prod(fshape[:-1]))
+    buffer = _spectrum_zeros(list(fshape[:-1]) + [cuts[0].stop])
     for c in cuts:
-        cols = (slice(None),) * last + (c,)
-        block = buffer[(slice(None),) * last + (slice(0, c.stop - c.start),)]
+        block = buffer[..., :c.stop - c.start]
         block.fill(0.0)
-        block[lead] = rows[cols]
-        for n, axis in zip(fshape[:-1], axes[:-1]):
+        block[lead] = rows[..., c]
+        for axis, n in enumerate(fshape[:-1]):
             np.fft.fft(block, n, axis=axis, out=block)
-        product[cols] *= block
+        product[..., c] *= block
 
 
-def _cropped_max(X: np.ndarray, fshape, axes, crop: tuple, where: np.ndarray):
+def _cropped_max(X: np.ndarray, fshape, crop: tuple, where: np.ndarray):
     """np.max(_inverse_rows(X)[crop][where]), X past `irfftn`'s complex
     passes: the inverse real FFT of the rows that the crop keeps, a block
     along axis 0 at a time (one block where axis 0 is the rows' own axis),
     each block reduced to its maximum, and the maximum of those."""
-    last = axes[-1]
-    lines = X[crop[:last] + (slice(None),) + crop[last + 1:]]
-    keep = (slice(None),) * last + (crop[last],)
-    row = math.prod(where.shape[1:]) // where.shape[last] * fshape[-1]     # a padded row's values
+    lines = X[crop[:-1]]
+    row = math.prod(where.shape[1:-1]) * fshape[-1]     # a padded row's values
     peaks = []
-    for block in [slice(None)] if last == 0 else blocks(len(where), row):
-        values = _inverse_rows(lines[block], fshape, axes)[keep][where[block]]
+    for block in blocks(len(where), row) if X.ndim > 1 else [slice(None)]:
+        values = _inverse_rows(lines[block], fshape)[..., crop[-1]][where[block]]
         if values.size:
             peaks.append(np.max(values))
     return np.max(peaks)
 
 
-def _padded_axes(s1: tuple, s2: tuple) -> tuple:
-    """The axes `fftconvolve` transforms, those where neither shape has
-    length 1, and the fast real-FFT length each is zero-padded to."""
-    axes = [a for a in range(len(s1)) if s1[a] != 1 and s2[a] != 1]
-    return axes, [next_fast_len(s1[a] + s2[a] - 1) for a in axes]
+def _padded(s1: tuple, s2: tuple) -> list:
+    """The fast real-FFT length that `fftconvolve` zero-pads each axis to."""
+    return [next_fast_len(n + m - 1) for n, m in zip(s1, s2)]
 
 
 def _ball_kernel(spec: NormSpec, radius: float, spacing: Sequence[float]) -> np.ndarray:

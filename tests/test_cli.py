@@ -79,11 +79,15 @@ SPECIAL_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 3, -7, 2**60 + 1, np.float6
 def test_numeric_csv_bytes_match_the_per_cell_writer(tmp_path_factory, cells, width):
     tmp = tmp_path_factory.mktemp("csv")
     rows = [tuple(cells[i:i + width]) for i in range(0, len(cells) - width + 1, width)]
-    # a string, a bool, a numpy int or a ragged row keeps the csv.writer path
-    for table in (rows, rows + [("a,b", True)], rows + [(np.int64(2**62),)],
+    # a list of rows takes the per-cell path, numbers only or with a string,
+    # a bool, a numpy int or a ragged row; the numbers only as a 2-D float
+    # array take the array path, to the same bytes
+    for table in (rows, np.asarray(rows, dtype=float).reshape(-1, width),
+                  rows + [("a,b", True)], rows + [(np.int64(2**62),)],
                   rows + [tuple(cells[:width + 1])]):
         cli._write_csv(tmp / "new.csv", ["c"] * width, table, timestamp=False)
-        _per_cell_csv(tmp / "old.csv", ["c"] * width, table)
+        _per_cell_csv(tmp / "old.csv", ["c"] * width,
+                      rows if isinstance(table, np.ndarray) else table)
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 

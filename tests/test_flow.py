@@ -1746,10 +1746,12 @@ def _unstored_slice():
 @pytest.mark.parametrize("call, error, match", [
     (lambda: ball_layout(EUCLID, 1.0, 0.0), SpecValidationError, "spacing"),
     (_unstored_slice, KeyError, "no stored slice at t = 0.01"),
-    (lambda: scaling_check(_ball_problem(EUCLID, 1.0, 0.25, lambda r: np.exp(-r**2),
-                                         tau=0.01, t_end=0.01)[0], 1.5, [0.01]),
-     SpecValidationError, "k must be a positive integer"),
-], ids=["ball-layout-spacing-0", "slice-at-an-unstored-time", "scaling-k-1.5"])
+    *[(lambda k=k: scaling_check(_ball_problem(EUCLID, 1.0, 0.25, lambda r: np.exp(-r**2),
+                                               tau=0.01, t_end=0.01)[0], k, [0.01]),
+       SpecValidationError, "k must be a positive integer")
+      for k in (1.5, np.nan, np.inf, 2 + 1e-13)],
+], ids=["ball-layout-spacing-0", "slice-at-an-unstored-time", "scaling-k-1.5",
+        "scaling-k-nan", "scaling-k-inf", "scaling-k-near-2"])
 def test_flow_refuses_bad_arguments_by_name(call, error, match):
     # the CLI reads each of these values itself and never passes such a
     # one; the library's own check guards its Python callers
