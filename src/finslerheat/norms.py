@@ -67,13 +67,14 @@ class NormSpec:
     directions: Optional[tuple] = None
     epsilon: Optional[float] = None
 
-    def __post_init__(self):
+    def __post_init__(self):     # kept as an int: 2.0 reads as 2
+        object.__setattr__(self, "dimension", integer(self.dimension, "dimension"))
         if self.dimension < 1:
             raise SpecValidationError("dimension must be a positive integer")
         if self.family == "euclidean":
             pass
         elif self.family == "p_norm":
-            if self.p is None or not np.isfinite(self.p) or not 1.0 < self.p:
+            if not (finite(self.p) and 1.0 < self.p):
                 raise SpecValidationError(
                     "p_norm requires 1 < p < inf (endpoints break C^1 smoothness "
                     "and strict convexity of the unit ball)")

@@ -23,7 +23,9 @@ The residual evaluator substitutes a family into the discrete equation
 `grids.refinements`, halving dt with h, and reads the order of the defect
 with `grids.observed_order`.  Its report holds the per-level spacings, time
 steps (NaN for the stationary family, which takes none) and residuals;
-how they are laid out as rows is the caller's business.
+how they are laid out as rows is the caller's business.  The residual and
+both checks read H0 at the nodes once and form each closed form from it a
+`grids.blocks` block of rows at a time, with the bits of whole fields.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SpecValidationError, finite, integer
-from .grids import GridFunction, observed_order, refinements
+from .grids import GridFunction, blocks, observed_order, refinements
 from .norms import NormSpec, dual_norm_eval, dual_norm_nodes
-from .operators import finsler_laplacian, interior_mask
+from .operators import _face_flux_divergence, apply_operator, finsler_laplacian, interior_mask
 
 _FAMILIES = ("gauss_kernel", "blowup", "barenblatt", "talenti", "singular_poly")
 
@@ -154,6 +156,9 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     excludes a band around its free boundary (2h plus the interface
     displacement over the time stencil).  The stationary critical family
     uses r = -lap_h(w) - w^((N+2)/(N-2)) and records NaN time steps.
+    Each level holds its H0 and one field: u(t) (u^m, w) a block of rows at
+    a time, the operator over it, then the residual over the operator's
+    output in a second blocked pass; the halo is never read.
     """
     if spec.kind == "singular_poly":
         raise DomainError("use singular_poly_check for the singular family")
@@ -164,45 +169,54 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     for lay in refinements(layout, levels):
         h = max(lay.spacing)
         dt_l = dt * (h / h0)    # h / h0 is exactly 2^-level
-        r = dual_norm_nodes(spec.norm, lay)     # H0 once per level
-        window = interior_mask(lay)
-        # the operator first, then the time difference and the residual in
-        # place, each term in the order of its expression; the level's
-        # field replaces its zero field, which is not held past H0
         if spec.kind == "talenti":
             dt_l = math.nan     # the stationary residual takes no time step
-            lay = lay.with_values(_closed_form(spec, r, 0.0))
-            residual = finsler_laplacian(lay, spec.norm).values
-            w, N = lay.values, spec.norm.dimension
-            del lay
-            np.negative(residual, out=residual)
-            w **= (N + 2) / (N - 2)
-            residual -= w       # -lap_h(w) - w^((N+2)/(N-2))
-            del w
-        else:
-            field = _closed_form(spec, r, t)
-            if spec.kind == "barenblatt":
-                field **= spec.m
-            lay = lay.with_values(field)
-            del field
-            lap = finsler_laplacian(lay, spec.norm).values
-            del lay
-            residual = _closed_form(spec, r, t + dt_l)
-            residual -= _closed_form(spec, r, t - dt_l)
-            residual /= 2.0 * dt_l
-            residual -= lap     # [u(t+dt) - u(t-dt)]/(2 dt) - lap_h(u(t))
-            del lap
-            if spec.kind == "barenblatt":
+        r, window, spacing = dual_norm_nodes(spec.norm, lay), interior_mask(lay), lay.spacing
+        del lay         # H0 once per level; its zero field is not held past it
+        field = _at_nodes(spec, r, t)
+        if spec.kind == "barenblatt":
+            field **= spec.m
+        field = apply_operator(_face_flux_divergence, field, spec.norm, spacing, out=field)
+        for rows in blocks(len(r), math.prod(r.shape[1:])):     # the residual, over lap_h
+            np.subtract(_term(spec, r[rows], t, dt_l), field[rows], out=field[rows])
+            if spec.kind == "barenblatt":   # the front's band, from the block's H0
                 rf = spec.barenblatt_support_radius(t)
                 move = abs(spec.barenblatt_support_radius(t + dt_l)
                            - spec.barenblatt_support_radius(t - dt_l))
-                window &= np.abs(r - rf) > 2.0 * h + move
+                window[rows] &= np.abs(r[rows] - rf) > 2.0 * h + move
         del r           # no level's H0 or field is held through the next
         spacings.append(h)
         dts.append(dt_l)
-        maxes.append(float(np.max(np.abs(residual, out=residual)[window])))
-        del residual, window
+        maxes.append(float(np.max(np.abs(field, out=field)[window])))
+        del field, window
     return ResidualReport(spacings, dts, maxes)
+
+
+def _term(spec: SolutionSpec, r: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """The closed-form term of the residual at H0 values r, which
+    `pde_residual` subtracts lap_h from: [u(t+dt) - u(t-dt)]/(2 dt), or
+    -w^((N+2)/(N-2)) for the stationary family (-w^q - lap_h(w) is
+    -lap_h(w) - w^q to the bit: negation is exact and rounding symmetric)."""
+    if spec.kind == "talenti":
+        N = spec.norm.dimension
+        w = _closed_form(spec, r, t)
+        w **= (N + 2) / (N - 2)
+        return np.negative(w, out=w)
+    du = _closed_form(spec, r, t + dt)
+    du -= _closed_form(spec, r, t - dt)
+    du /= 2.0 * dt
+    return du
+
+
+def _at_nodes(spec: SolutionSpec, r: np.ndarray, t: float,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """`_closed_form` at node-shaped H0 values r, a `grids.blocks` block of
+    rows at a time, into out (r itself may be out): no temporary of the
+    field's size is made besides out."""
+    out = np.empty(r.shape) if out is None else out
+    for rows in blocks(len(r), math.prod(r.shape[1:])):
+        out[rows] = _closed_form(spec, r[rows], t)
+    return out
 
 
 def singular_poly_window(spec: SolutionSpec, layout: GridFunction,
@@ -229,7 +243,8 @@ def _annulus_window(spec: SolutionSpec, r: np.ndarray, annulus: tuple) -> np.nda
 def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
                         annulus: tuple[float, float] = (0.25, 1.0)) -> float:
     """Max |(lap_h)^m v| on the annulus r in [lo, hi], away from the origin
-    and the box edge (`singular_poly_window`).
+    and the box edge (`singular_poly_window`).  v is formed over H0 in
+    place, a block of rows at a time.
 
     The Dirac mass at the origin is not estimated; the puncture at x = 0 is
     filled with 0 and its stencil pollution stays inside r < lo for the
@@ -241,8 +256,24 @@ def singular_poly_check(spec: SolutionSpec, layout: GridFunction,
     r = dual_norm_nodes(spec.norm, layout)
     window = _annulus_window(spec, r, annulus)
     puncture = r == 0.0     # the closed form rejects it: sample elsewhere, then fill
-    v = _closed_form(spec, np.where(puncture, 1.0, r), 0.0)
-    field = layout.with_values(np.where(puncture, 0.0, v))
+    r[puncture] = 1.0
+    field = layout.with_values(_at_nodes(spec, r, 0.0, out=r))
+    field.values[puncture] = 0.0
+    del r
     for _ in range(spec.m_order):
         field = finsler_laplacian(field, spec.norm)
     return float(np.max(np.abs(field.values[window & np.isfinite(field.values)])))
+
+
+def blowup_min_at_origin(spec: SolutionSpec, layout: GridFunction, t: float) -> bool:
+    """Whether the blow-up family's minimum over the nodes of `layout` at
+    time t sits at the node of least H0, as its minimum over x sits at the
+    origin: H0 once (`norms.dual_norm_nodes`), the closed form from it a
+    block of rows at a time."""
+    if spec.kind != "blowup":
+        raise DomainError("blowup_min_at_origin requires the blowup family")
+    h0 = dual_norm_nodes(spec.norm, layout).ravel()
+    u = _at_nodes(spec, h0, t)
+    least = np.argmin(h0)
+    return bool(abs(u.min() - u[least]) < 1e-12
+                and h0[np.argmin(u)] - h0[least] < 1e-12)

@@ -527,18 +527,26 @@ def test_malformed_rows_are_spec_errors(params):
     (lambda: solutions.SolutionSpec("singular_poly", EUCLID, m_order=1.5), "m_order"),
     (lambda: solutions.SolutionSpec("singular_poly", EUCLID, m_order=float("inf")), "m_order"),
     (lambda: solutions.SolutionSpec("singular_poly", EUCLID, m_order=float("nan")), "m_order"),
+    (lambda: norms.NormSpec("euclidean", 2.5), "dimension"),
+    (lambda: norms.NormSpec("euclidean", True), "dimension"),
+    (lambda: norms.NormSpec("euclidean", float("nan")), "dimension"),
+    (lambda: norms.NormSpec("euclidean", "2"), "dimension"),
+    (lambda: norms.NormSpec("p_norm", 2, {"p": 3}), "1 < p"),
     (lambda: norms.NormSpec("octagon", 2), "octagon"),
     (lambda: norms.DualEvalConfig(tolerance=0), "tolerance"),
 ], ids=["polytope-epsilon-nan", "polytope-epsilon-inf", "ellipse-entry-inf", "blowup-lam-nan",
         "barenblatt-m-nan", "barenblatt-c-inf", "talenti-a-nan", "sphere-samples-2.5",
         "sphere-samples-nan", "max-iters-2.5", "m-order-1.5", "m-order-inf", "m-order-nan",
+        "dimension-2.5", "dimension-true", "dimension-nan", "dimension-string", "p-dict",
         "family-unknown", "dual-tolerance-0"])
 def test_specs_refuse_non_finite_and_non_integral_values_by_name(build, name):
     # each was accepted: the norm evaluated to inf or NaN, the solution
     # families to NaN, and the counts ran as floats (m_order 1.5 and inf
-    # failed in singular_poly_check on a slice index); the CLI's readers
-    # refuse them before any spec is built.  The last two rows, an unknown
-    # family and a zero oracle tolerance, were refused already
+    # failed in singular_poly_check on a slice index); a dimension of 2.5,
+    # True or NaN built a norm, and "2" or a p that is no number raised a
+    # bare TypeError.  The CLI's readers refuse them before any spec is
+    # built.  The last two rows, an unknown family and a zero oracle
+    # tolerance, were refused already
     with pytest.raises(SpecValidationError, match=name):
         build()
 

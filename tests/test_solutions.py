@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerheat import norms, solutions
 from finslerheat.errors import DomainError, SpecValidationError
-from finslerheat.grids import (RadialProfile, empty_layout, observed_order,
+from finslerheat.grids import (RadialProfile, blocks, empty_layout, observed_order,
                                refinements)
 from finslerheat.operators import finsler_laplacian, interior_mask, lift_radial
 from finslerheat.solutions import (SolutionSpec, eval_solution, pde_residual,
@@ -109,26 +111,35 @@ def test_residual_barenblatt_first_order_or_better():
     assert rep.order >= 1.0
 
 
-def test_pde_residual_peaks_at_a_bounded_number_of_fields_per_level():
-    """A warm `pde_residual` of the benchmark's verify-exact case at three
-    levels (the ellipse diag(4, 1), 65 x 33 nodes to 257 x 129) peaks under
-    5.5 fields of its finest level (5.14 with numpy 2.4): each level applies
-    the operator first, then forms the time difference and the residual in
-    place, and no level's layout field or H0 outlives it.  The time
-    difference formed before the operator took 6.14 fields, and with it
-    every level's layout held as well 7.44."""
-    spec = SolutionSpec("gauss_kernel", ELLIPSE)
-    coarse = empty_layout([(-4, 4), (-2, 2)], (64, 32))
-    first = pde_residual(spec, coarse, t=0.5, dt=0.01, levels=3)
+@pytest.mark.parametrize("spec, box, resolution, t, levels", [
+    (SolutionSpec("gauss_kernel", ELLIPSE), [(-4, 4), (-2, 2)], (64, 32), 0.5, 3),
+    (SolutionSpec("blowup", ELLIPSE, lam=0.25), [(-2, 2), (-1, 1)], (64, 32), 0.5, 3),
+    (SolutionSpec("barenblatt", ELLIPSE, m=2.0, C=1.0), [(-6, 6), (-3, 3)], (64, 32), 1.5, 3),
+    (SolutionSpec("talenti", norms.euclidean(3), p=2.0, A=1.0, B=1.0 / 3.0),
+     [(-1, 1)] * 3, (24, 24, 24), 0.0, 2),
+], ids=["gauss_kernel", "blowup", "barenblatt", "talenti"])
+def test_pde_residual_peaks_at_a_bounded_number_of_fields_per_level(spec, box, resolution, t,
+                                                                     levels):
+    """A warm `pde_residual` peaks under 4 fields of its finest level: the
+    2-D families at three levels of the benchmark's verify-exact grid (65 x
+    33 nodes to 257 x 129) 3.70 with numpy 2.4, the 3-D critical family at
+    two (25^3 to 49^3) 3.63.  Each level holds its H0 and one field, filled
+    and turned into the residual a block of rows at a time, beside the
+    operator's zero-rimmed copy.  With the field's closed form formed whole
+    they took 4.13, with the residual's term formed whole before the
+    operator 5.39 and 4.63, and with every term formed whole 5.14 and 4.64."""
+    coarse = empty_layout(box, resolution)
+    finest = list(refinements(coarse, levels))[-1].values.size
+    first = pde_residual(spec, coarse, t=t, dt=0.01, levels=levels)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        again = pde_residual(spec, coarse, t=0.5, dt=0.01, levels=3)
+        again = pde_residual(spec, coarse, t=t, dt=0.01, levels=levels)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert again == first and peak < 5.5 * 257 * 129 * 8
+    assert again == first and peak < 4.0 * finest * 8
 
 
 @pytest.mark.parametrize("spec, box, resolution, t", [
@@ -160,6 +171,87 @@ def test_pde_residual_reads_h0_once_per_level(monkeypatch, spec, box, resolution
             du_dt = (eval_solution(spec, x, t + dt) - eval_solution(spec, x, t - dt)) / (2 * dt)
             residual = du_dt - finsler_laplacian(u, spec.norm).values
             assert rep.max_residuals[level] == float(np.max(np.abs(residual)[interior_mask(grid)]))
+
+
+_ELLIPSE3 = norms.ellipse(np.diag([4.0, 1.0, 1.0]))
+# each family, its norm, the half sides of its box and its t
+_BLOCKED = {
+    "gauss_kernel": (SolutionSpec("gauss_kernel", ELLIPSE), (4.0, 2.0), 0.5),
+    "blowup": (SolutionSpec("blowup", ELLIPSE, lam=0.25), (2.0, 1.0), 0.5),
+    "barenblatt": (SolutionSpec("barenblatt", ELLIPSE, m=2.0, C=1.0), (6.0, 3.0), 1.5),
+    "talenti": (SolutionSpec("talenti", _ELLIPSE3, p=2.0, A=1.0, B=1.0 / 3.0),
+                (2.0, 1.0, 1.0), 0.0),
+}
+
+
+def _whole_field_residuals(spec, layout, t, dt, levels):
+    """Each level's residual formed over whole fields, every term in the
+    order of its expression, as `pde_residual` formed it before it worked a
+    block of rows at a time."""
+    h0, maxes = max(layout.spacing), []
+    for lay in refinements(layout, levels):
+        h, x = max(lay.spacing), lay.coords()
+        dt_l, r, window = dt * (h / h0), norms.dual_norm_eval(spec.norm, x), interior_mask(lay)
+        if spec.kind == "talenti":
+            w, N = eval_solution(spec, x, 0.0), spec.norm.dimension
+            lap = finsler_laplacian(lay.with_values(w), spec.norm).values
+            residual = -lap - w ** ((N + 2) / (N - 2))
+        else:
+            u = eval_solution(spec, x, t)
+            u = u**spec.m if spec.kind == "barenblatt" else u
+            lap = finsler_laplacian(lay.with_values(u), spec.norm).values
+            residual = (eval_solution(spec, x, t + dt_l)
+                        - eval_solution(spec, x, t - dt_l)) / (2.0 * dt_l) - lap
+            if spec.kind == "barenblatt":
+                rf = spec.barenblatt_support_radius(t)
+                move = abs(spec.barenblatt_support_radius(t + dt_l)
+                           - spec.barenblatt_support_radius(t - dt_l))
+                window &= np.abs(r - rf) > 2.0 * h + move
+        maxes.append(float(np.max(np.abs(residual)[window])))
+    return maxes
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(sorted(_BLOCKED)), data=st.data())
+def test_blocked_residual_keeps_the_bits_of_the_whole_field_expression(kind, data):
+    """`pde_residual` forms each level's field and residual a `grids.blocks`
+    block of rows at a time; every step is elementwise, so each level's
+    residual keeps the bits of the same expression over whole fields.  The
+    coarse level's rows fill a whole number of blocks or leave a part block
+    over, and the finer level's are cut as they fall."""
+    spec, half, t = _BLOCKED[kind]
+    columns = data.draw(st.integers(8, 40 if kind == "talenti" else 160), label="columns")
+    count = blocks(10**6, (columns + 1) ** (len(half) - 1))[0].stop    # rows per block
+    part = data.draw(st.booleans(), label="part block") and count > 1
+    rows = count * data.draw(st.integers(1, 3)) + (data.draw(st.integers(1, count - 1)) if part
+                                                   else 0)
+    lay = empty_layout([(-a, a) for a in half], (rows - 1,) + (columns,) * (len(half) - 1))
+    levels = data.draw(st.integers(1, 2), label="levels")
+    assert (rows % count != 0) == part
+    rep = pde_residual(spec, lay, t=t, dt=0.01, levels=levels)
+    assert rep.max_residuals == _whole_field_residuals(spec, lay, t, 0.01, levels)
+
+
+def test_blocked_singular_check_and_origin_check_keep_the_bits_of_whole_fields():
+    """The singular family's check and the blow-up origin check form their
+    closed forms a block of rows at a time, with the bits of the whole-field
+    expressions: 385 rows of 385 nodes are 18 blocks of 21 rows and a part
+    block of 7."""
+    lay = empty_layout([(-1.5, 1.5), (-1.5, 1.5)], (384, 384))
+    assert len(blocks(385, 385)) == 19 and 385 % blocks(385, 385)[0].stop == 7
+    x = lay.coords()
+    spec = SolutionSpec("singular_poly", ELLIPSE, m_order=1)
+    puncture = norms.dual_norm_eval(ELLIPSE, x) == 0.0
+    v = eval_solution(spec, np.where(puncture[..., None], 1.0, x))
+    lap = finsler_laplacian(lay.with_values(np.where(puncture, 0.0, v)), ELLIPSE).values
+    window = solutions.singular_poly_window(spec, lay) & np.isfinite(lap)
+    assert singular_poly_check(spec, lay) == float(np.max(np.abs(lap[window])))
+    blowup = SolutionSpec("blowup", ELLIPSE, lam=0.25)
+    for layout in (lay, empty_layout([(-1.5, 1.5), (-1.5, 1.5)], (383, 383))):
+        h0 = norms.dual_norm_eval(ELLIPSE, layout.coords()).ravel()
+        u, least = eval_solution(blowup, layout.coords(), 0.5).ravel(), np.argmin(h0)
+        whole = bool(abs(u.min() - u[least]) < 1e-12 and h0[np.argmin(u)] - h0[least] < 1e-12)
+        assert whole and solutions.blowup_min_at_origin(blowup, layout, 0.5) == whole
 
 
 def test_stationary_power_law_residual_does_not_vanish():
@@ -277,8 +369,9 @@ _GAUSS = SolutionSpec("gauss_kernel", EUCLID)
      DomainError, "singular_poly_check"),
     (lambda: pde_residual(_GAUSS, _LAYOUT, 0.5, 0.0), SpecValidationError, "dt"),
     (lambda: singular_poly_check(_GAUSS, _LAYOUT), DomainError, "singular family"),
+    (lambda: solutions.blowup_min_at_origin(_GAUSS, _LAYOUT, 0.5), DomainError, "blowup family"),
 ], ids=["blowup-time-of-gauss", "residual-of-singular-poly", "residual-dt-0",
-        "singular-check-of-gauss"])
+        "singular-check-of-gauss", "origin-check-of-gauss"])
 def test_solutions_refuse_bad_arguments_by_name(call, error, match):
     with pytest.raises(error, match=match):
         call()
