@@ -131,9 +131,20 @@ def _list(item, least: int = 1):
     return read
 
 
-def _numbers(value, what: str):
-    """A finite number, or a nonempty list of such values (an atom's point and mass)."""
-    return _list(_numbers)(value, what) if isinstance(value, list) else _number(value, what)
+def _atom(value, what: str) -> tuple:
+    """An atom: [point, mass], a point of finite numbers and a finite mass."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SpecValidationError(f"{what} must be [point, mass] pairs, not {value!r}")
+    return _list(_number)(value[0], f"{what} point"), _number(value[1], f"{what} mass")
+
+
+def _in_dimension(points: list, spec: norms.NormSpec, what: str) -> list:
+    """`points`, each of the norm's dimension; a point of another is a config error."""
+    for point in points:
+        if len(point) != spec.dimension:
+            raise SpecValidationError(f"{what} must have the norm's dimension "
+                                      f"{spec.dimension}, not {point!r}")
+    return points
 
 
 def _float(value, what: str) -> float:
@@ -195,7 +206,7 @@ def _profile(value, what: str) -> RadialProfile:
 
 # a datum or measure object: its kind, and the one key that kind takes
 _SOURCES = {"radial": ("profile", _profile), "grid": ("path", _grid),
-            "atoms": ("atoms", _list(_numbers)), "density": ("path", _grid),
+            "atoms": ("atoms", _list(_atom)), "density": ("path", _grid),
             "radial_density": ("profile", _profile)}
 
 
@@ -353,6 +364,8 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         "checks": _object({}, {"dissipation_slack": _limit(), "weighted_l2_slack": _limit()}),
         "compare": _COMPARISON})
     spec, pc, checks, comp = c["norm"], c["problem"], c.get("checks", {}), c.get("compare")
+    _in_dimension([p for p, _ in pc["datum"].get("atoms", ())], spec,
+                  "simulate config problem datum atoms point")
     if comp is not None:  # a comparison that cannot hold for the datum is refused
         kind, source = comp.get("kind", "gaussian_closed_form"), pc["datum"]
         prof = source["profile"] if source["kind"] == "radial" else None
@@ -424,7 +437,8 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         "norm": _norm, "profile": _profile, "times": _list(_positive),
         "points": _list(_list(_number))},
         {"crosscheck": _object({"path": _grid}, {"tolerance": _limit()})})
-    spec, points, cross = c["norm"], np.array(c["points"]), c.get("crosscheck")
+    spec, cross = c["norm"], c.get("crosscheck")
+    points = np.array(_in_dimension(c["points"], spec, "radial-solve config points"))
     refs = None
     if cross is not None:
         ref = cross["path"]
@@ -457,6 +471,8 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         "lambda_grid": _list(_positive)},
         {"windows": _list(_positive), "spacing": _positive, "stabilization_tol": _number})
     spec = c.pop("norm")
+    _in_dimension([p for p, _ in c["measure"].get("atoms", ())], spec,
+                  "classify config measure atoms point")
     if "spacing" in c and math.isinf(math.prod([c["spacing"]] * spec.dimension)):
         raise SpecValidationError(f"classify config spacing {c['spacing']!r}: the "
                                   f"lattice's cell volume overflows in {spec.dimension}-D")

@@ -1,4 +1,4 @@
-"""Two hypothesis profiles for the suite.
+"""Two hypothesis profiles for the suite, and the fixtures of its seam.
 
 `finslerheat`, loaded by default: no per-example deadline (the examples run
 numerical solves whose time varies with the machine) and derandomized
@@ -10,9 +10,15 @@ times its max_examples on fresh random draws, outside tier-1:
     python -m pytest --hypothesis-profile deep tests/test_solutions.py tests/test_norms.py
 
 The option is applied after this file loads the default, so it wins.
+
+`work` and `block` serve `tests/seam.py` to the tests: the counts, CG total
+and traced peak of one call, and the values of a `grids.blocks` block.
 """
 
+import pytest
 from hypothesis import settings
+
+from seam import Block, observe
 
 DEEP = 20   # the deep profile's factor on each property's max_examples
 
@@ -31,3 +37,15 @@ def pytest_collection_modifyitems(items):
         if getattr(test, "_hypothesis_internal_settings_applied", False):
             own = test._hypothesis_internal_use_settings
             test._hypothesis_internal_use_settings = settings(own, max_examples=DEEP * own.max_examples)
+
+
+@pytest.fixture(scope="session")
+def work():
+    """`observe`: the counts, CG total and traced peak of one call."""
+    return observe
+
+
+@pytest.fixture(scope="session")
+def block():
+    """`Block`: the size of a `grids.blocks` block, and a context that sets it."""
+    return Block()

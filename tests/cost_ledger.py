@@ -1,8 +1,9 @@
 """Print a deterministic cost ledger of the benchmark's jobs at seed 1.
 
 Runs the jobs of `tests/output_digests.py` (its workload loader and job
-runner) in this process, each under `cProfile` and `tracemalloc`, after the
-package's caches are cleared, so that a job's counts do not depend on the
+runner) in this process, each through the suite's seam (`observe` of
+`tests/seam.py`: `cProfile`, then `tracemalloc`), after the package's
+caches are cleared, so that a job's counts do not depend on the
 jobs before it, and prints sorted lines
 
     <workload>/<job> exit=<code> <name>=<calls> ... cg_iterations=<n> peak_kib=<peak>
@@ -50,100 +51,36 @@ pytest does not collect this file.
 """
 
 import argparse
-import cProfile
-import csv
-import gc
-import inspect
 import json
 import os
-import pstats
 import resource
 import shutil
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
-from types import CodeType
 
-import numpy as np
-
-from finslerheat import cli, flow, measures, operators
+from seam import COUNTED, observe
+from finslerheat import cli
 from output_digests import jobs, run_job
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _nested(function, name: str) -> CodeType:
-    """The code of the function `name` defined in the body of `function`."""
-    return next(code for code in function.__code__.co_consts
-                if isinstance(code, CodeType) and code.co_name == name)
-
-
-# name -> code object, whose (file, first line, name) is its cProfile key
-COUNTED = {
-    "correlate": operators.correlate.__code__,
-    "stencil_energy": operators.stencil_energy.__code__,
-    "FaceKernel.form": operators.FaceKernel.form.__code__,
-    "cg_solves": _nested(flow._prox_stepper, "cg"),
-    "dst1": _nested(flow._dst1, "transform"),
-    "fftconvolve": measures.fftconvolve.__code__,
-    **{name: inspect.unwrap(getattr(np.fft, name)).__code__
-       for name in ("rfft", "irfft", "fft", "ifft")},
-}
-
-
-def _clear_caches() -> None:
-    """Empty every `functools` cache of the package's modules."""
-    for name, module in list(sys.modules.items()):
-        if name == "finslerheat" or name.startswith("finslerheat."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-
-
-def _cg_total(out: Path) -> str:
-    path = out / "monitor_inner_iterations.csv"
-    if not path.exists():
-        return "-"
-    with open(path, newline="") as fh:
-        return str(sum(int(float(row["inner_iterations"])) for row in csv.DictReader(fh)))
-
-
-def _traced_peak(job) -> int:
-    """The tracemalloc peak of one unprofiled run of the job, from cleared
-    caches and after a collection."""
-    _clear_caches()
-    gc.collect()
-    with tempfile.TemporaryDirectory() as tmp:
-        tracemalloc.start()
-        try:
-            run_job(job, Path(tmp))
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-    return peak
-
-
 def ledger_line(workload: str, job) -> str:
-    """The ledger line of one job, run in a temporary directory: profiled
-    once for its counts, then once more for its traced peak."""
-    _clear_caches()
-    profile = cProfile.Profile()
+    """The ledger line of one job (`seam.observe`), each of its two runs
+    in a temporary directory of its own: profiled for its counts, then
+    traced for its peak."""
     with tempfile.TemporaryDirectory() as tmp:
-        profile.enable()
-        try:
-            code, out = run_job(job, Path(tmp))
-        finally:
-            profile.disable()
-        cg = _cg_total(out)
-    peak = _traced_peak(job)
-    stats = pstats.Stats(profile).stats
-    calls = " ".join(
-        f"{name}={stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]}"
-        for name, c in COUNTED.items())
-    return (f"{workload}/{job.name} exit={code} {calls} cg_iterations={cg} "
-            f"peak_kib={64 * round(peak / 65536)}")
+        runs = [Path(tmp) / "counted", Path(tmp) / "traced"]
+        for directory in runs:
+            directory.mkdir()
+        runs = iter(runs)
+        work = observe(lambda: run_job(job, next(runs)))
+    calls = " ".join(f"{name}={work.counts[name]}" for name in COUNTED)
+    cg = "-" if work.cg is None else work.cg
+    return (f"{workload}/{job.name} exit={work.result[0]} {calls} cg_iterations={cg} "
+            f"peak_kib={64 * round(work.peak / 65536)}")
 
 
 def ledger(seed: int = 1) -> list:

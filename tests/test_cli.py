@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import finslerheat
-from finslerheat import cli, flow, grids, measures, norms, solutions
+from finslerheat import cli, flow, measures, norms, solutions
 from finslerheat.cli import main
 from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
                                grid_from_function, observed_order)
@@ -635,7 +635,7 @@ def test_simulate_rejects_a_grid_datum_off_the_runs_layout(tmp_path, radius, spa
     assert not list(restart.glob("slice_*.grid"))
 
 
-def test_simulate_evaluates_h0_over_the_layout_twice(tmp_path, monkeypatch):
+def test_simulate_evaluates_h0_over_the_layout_twice(tmp_path, monkeypatch, block):
     # once to lift the radial datum and once in solve; the comparison reads
     # Trajectory.h0.  Counted in nodes of the layout's blocks of rows, as the
     # layout's H0 is evaluated a block at a time: at 40 values a block, the
@@ -654,8 +654,8 @@ def test_simulate_evaluates_h0_over_the_layout_twice(tmp_path, monkeypatch):
         if (name.split(".")[0] == "finslerheat"
                 and getattr(module, "dual_norm_eval", None) is dual_norm_eval):
             monkeypatch.setattr(module, "dual_norm_eval", counted)
-    monkeypatch.setattr(grids, "_BLOCK", 40)
-    code, outdir = _run(tmp_path, "simulate", cfg)
+    with block(40):
+        code, outdir = _run(tmp_path, "simulate", cfg)
     assert code == 0 and (outdir / "comparison.csv").is_file()
     assert sum(full) == 2 * np.prod(nodes) and len(full) == 2 * nodes[0]
 
@@ -1062,6 +1062,28 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("command, base, path, value, key", [
+    ("radial-solve", _RADIAL, ("points",), [[0, 0], [1]], "radial-solve config points"),
+    ("radial-solve", _RADIAL, ("points",), [[0, 0, 1]], "radial-solve config points"),
+    ("classify", _CLASSIFY, ("measure",), {"kind": "atoms", "atoms": [[1.0]]},
+     "classify config measure atoms"),
+    ("simulate", _SIMULATE, ("problem", "datum"), {"kind": "atoms", "atoms": [[[0, 0, 0], 1.0]]},
+     "simulate config problem datum atoms point"),
+    ("classify", _CLASSIFY, ("measure",), {"kind": "atoms", "atoms": [[[0, 0], [1.0, 2.0]]]},
+     "classify config measure atoms mass"),
+], ids=["points-ragged", "point-3d-on-2d", "atom-without-mass", "atom-3d-on-2d", "mass-a-list"])
+def test_malformed_points_and_atoms_are_refused_by_name(tmp_path, capsys, command, base, path,
+                                                        value, key):
+    # a point is the norm's dimension of finite numbers, an atom [point,
+    # mass]: each case exited 2 with no file before, but with numpy's or
+    # Python's own text ("setting an array element with a sequence", "vector
+    # dimension 3 != spec dimension 2", "not enough values to unpack",
+    # "operands could not be broadcast", "float() argument must be")
+    code, outdir = _run(tmp_path, command, _mutated(base, path, value))
+    assert code == 2 and not any(outdir.iterdir())
+    assert capsys.readouterr().err.startswith(f"config error: {key} must ")
 
 
 def test_verify_norms_refuses_sample_counts_past_max_nodes(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import inspect
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.sparse.linalg import LinearOperator, cg
 
-from finslerheat import flow, grids, measures, norms, operators
+from finslerheat import flow, measures, norms, operators
 from finslerheat.errors import ConvergenceError, SpecValidationError, StabilityError
 from finslerheat.flow import (FlowProblem, InnerSolverConfig, ball_layout,
                               ball_mask, energy, energy_gradient,
@@ -52,7 +51,7 @@ def test_one_step_of_a_datum_up_to_max_value_has_finite_monitors(spec, scheme, e
     assert np.all(np.isfinite(traj.slices[-1].values))
 
 
-def test_solve_takes_h0_a_block_of_rows_at_a_time(monkeypatch):
+def test_solve_takes_h0_a_block_of_rows_at_a_time(monkeypatch, block):
     """`solve` reads H0 at the nodes from `norms.dual_norm_nodes`: at 40 values
     a block, no coordinate array it builds holds more than two of the 33 x 17
     layout's rows (the full array took two fields), and its H0, mask and
@@ -68,12 +67,29 @@ def test_solve_takes_h0_a_block_of_rows_at_a_time(monkeypatch):
         rows.append(len(out))
         return out
     monkeypatch.setattr(GridFunction, "coords", counted)
-    monkeypatch.setattr(grids, "_BLOCK", 40)
-    got = solve(problem)
+    with block(40):
+        got = solve(problem)
     assert problem.datum.values.shape == (33, 17) and rows and max(rows) == 2
     assert got.h0.tobytes() == want.h0.tobytes()
     assert got.mask.tobytes() == want.mask.tobytes()
     assert got.slices[-1].values.tobytes() == want.slices[-1].values.tobytes()
+
+
+def _face_gradient(values, spec, spacing):
+    """(1/N) G^T A(G u), unmasked: `FaceKernel.form` of the duality map, the
+    face path whose stencil the energy gradient applies."""
+    return FaceKernel(values.shape, spacing).form(values, lambda axis, xi: duality_map(spec, xi))
+
+
+def _face_divergence(values, spec, spacing):
+    """The face-flux divergence whose stencil `finsler_laplacian` applies: the
+    normal component of A(G u) on the faces between nodes, differenced
+    along each axis; partial sums on the halo."""
+    out, between_nodes = np.zeros_like(values), (slice(1, -1),) * values.ndim
+    for axis, G in enumerate(FaceKernel(values.shape, spacing).gradients(values)):
+        flux = duality_map(spec, np.moveaxis(G, 0, -1)[between_nodes])[..., axis]
+        out[(slice(None),) * axis + (slice(1, -1),)] += np.diff(flux, axis=axis) / spacing[axis]
+    return out
 
 
 def _ellipse_ball(spacing):
@@ -240,11 +256,6 @@ def _reference_duality_jacobian(p, xi):
     return np.where(H[..., None] > 0.0, DA, 0.0)
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @settings(max_examples=80, deadline=None)
 @given(p=st.floats(1.2, 4.0), N=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 @example(p=1.5, N=2, seed=0)
@@ -283,15 +294,7 @@ def test_face_state_and_fused_hessian_match_the_reference_bit_for_bit(p, N, seed
     assert _same_bits(hessian(x), reference)   # its buffers hold nothing over
 
 
-def _counting(calls, key, fn):
-    """fn, adding 1 to calls[key] on each call."""
-    def wrapped(*args, **kwargs):
-        calls[key] += 1
-        return fn(*args, **kwargs)
-    return wrapped
-
-
-def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch):
+def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch, work):
     """Every Newton Hessian of a p = 1.5 prox whose line search backtracks
     equals one built from scratch at its iterate, the stepper's w (read off
     its frame: the build takes no field), and its build evaluates no face
@@ -301,10 +304,7 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
     lay = ball_layout(spec, 1.0, 1 / 8)
     mask = ball_mask(spec, lay, 1.0)
     v = lay.with_values(np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2))
-    calls = {"face": 0, "norm": 0}
-    monkeypatch.setattr(FaceKernel, "gradients",
-                        _counting(calls, "face", FaceKernel.gradients))
-    monkeypatch.setattr(norms, "eval_norm", _counting(calls, "norm", norms.eval_norm))
+    own = {"face": FaceKernel.gradients, "norm": norms.eval_norm}
     evaluations, builds, rng = [0], [], np.random.default_rng(0)
     gradient, newton_hessian = flow._NewtonFaces.gradient, flow._NewtonFaces.hessian
 
@@ -314,9 +314,8 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
 
     def build(faces):
         w = inspect.currentframe().f_back.f_locals["w"]
-        before = dict(calls)
-        hessian = newton_hessian(faces)
-        no_own_calls = calls == before
+        built = work(lambda: newton_hessian(faces), trace=False, cold=False, also=own)
+        hessian, no_own_calls = built.result, built.counts["face"] == built.counts["norm"] == 0
         xs = [np.where(mask, rng.standard_normal(w.shape), 0.0) for _ in range(2)]
         builds.append((w.copy(), [(x, hessian(x).copy()) for x in xs], no_own_calls,
                        evaluations[-1]))
@@ -325,7 +324,7 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
 
     monkeypatch.setattr(flow._NewtonFaces, "gradient", evaluate)
     monkeypatch.setattr(flow._NewtonFaces, "hessian", build)
-    flow._prox_stepper(spec, lay.spacing, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))(v.values)
+    proximal_step(v, spec, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
     monkeypatch.undo()
 
     # evaluations before each build: the start, then every trial point of
@@ -338,36 +337,28 @@ def test_newton_hessians_read_the_face_state_of_the_accepted_iterate(monkeypatch
             assert _same_bits(Hx, fresh(x))
 
 
-def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(monkeypatch):
-    """A p-norm prox builds one FaceKernel per solve, which every gradient
-    evaluation and every Newton Hessian of the solve share through its
-    Newton faces (they built one each), and no other; at p >= 2
-    a stepper built on a cold stencil cache builds one more per axis (the
-    unit forms of its preconditioner), on a warm one none; the energy
-    gradient builds one."""
+def test_each_p_norm_gradient_evaluation_builds_one_face_kernel(work):
+    """A p-norm prox builds one FaceKernel per solve, which every face sum of
+    the solve shares (its gradient evaluations and Newton Hessians, through
+    its Newton faces; they built one each), and no other, over several Newton
+    steps (one CG solve each); at p >= 2 a prox on a cold stencil cache
+    builds one more per axis (the unit forms of its preconditioner), on a
+    warm one none; the energy gradient builds one."""
     spec = norms.p_norm(3, 2)
     lay = ball_layout(spec, 1.0, 1 / 8)
     mask = ball_mask(spec, lay, 1.0)
     v = lay.with_values(np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2))
-    calls = {"kernel": 0, "evaluation": 0, "build": 0}
-    monkeypatch.setattr(FaceKernel, "__init__", _counting(calls, "kernel", FaceKernel.__init__))
-    monkeypatch.setattr(flow._NewtonFaces, "gradient",
-                        _counting(calls, "evaluation", flow._NewtonFaces.gradient))
-    monkeypatch.setattr(flow._NewtonFaces, "hessian",
-                        _counting(calls, "build", flow._NewtonFaces.hessian))
-    constant_stencil.cache_clear()
-    for cold in (spec.dimension, 0):
-        calls.update(kernel=0, evaluation=0, build=0)
-        flow._prox_stepper(spec, lay.spacing, mask, 1e-2,
-                           InnerSolverConfig(tolerance=1e-8))(v.values)
-        assert calls["evaluation"] > 2 and calls["build"] > 1
-        assert calls["kernel"] == 1 + cold
-    calls["kernel"] = 0
-    energy_gradient(v.values, spec, lay.spacing)
-    assert calls["kernel"] == 1
+    kernels = {"kernel": FaceKernel.__init__}
+    for cold in (True, False):
+        prox = work(lambda: proximal_step(v, spec, mask, 1e-2, InnerSolverConfig(tolerance=1e-8)),
+                    trace=False, cold=cold, also=kernels).counts
+        assert prox["FaceKernel.form"] > 2 and prox["cg_solves"] > 1
+        assert prox["kernel"] == 1 + cold * spec.dimension
+    assert work(lambda: energy_gradient(v.values, spec, lay.spacing), trace=False, cold=False,
+                also=kernels).counts["kernel"] == 1
 
 
-def test_a_warm_p3_newton_step_peaks_at_a_bounded_number_of_fields():
+def test_a_warm_p3_newton_step_peaks_at_a_bounded_number_of_fields(work):
     """One warm p = 3 prox step on the 129 x 129 unit ball (h = 1/64, the
     grid of the benchmark's p3-h1/64 job) peaks under 12 fields (9.49 with
     numpy 2.4): its face states, Newton Hessians and the energy reads share
@@ -380,16 +371,9 @@ def test_a_warm_p3_newton_step_peaks_at_a_bounded_number_of_fields():
     v = np.exp(-2.0 * norms.dual_norm_nodes(spec, lay) ** 2)
     step = flow._prox_stepper(spec, lay.spacing, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
     first, stats = step(v)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        again = step(v)[0]
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert v.shape == (129, 129) and stats["preconditioned"] and _same_bits(again, first)
-    assert peak < 12 * v.nbytes
+    again = work(lambda: step(v)[0], count=False, cold=False)
+    assert v.shape == (129, 129) and stats["preconditioned"] and _same_bits(again.result, first)
+    assert again.peak < 12 * v.nbytes
 
 
 def _quadratic_spec(data, N):
@@ -458,25 +442,20 @@ def test_quadratic_energy_matches_a_long_double_face_sum(data):
         assert abs(energy(gf, spec, m) - exact) <= 1e-14 * exact
 
 
-def test_quadratic_energy_read_allocates_no_field():
+def test_quadratic_energy_read_allocates_no_field(work):
     # a warm read of the monitor reader that `solve` uses, on the 513 x 257
     # ellipse grid, differences the correlation's zero-rimmed copy in the
     # reader's own work buffer, so it allocates no field; `energy` reads the same
     gf, _ = _ellipse_ball(6 / 128)
     read = flow._monitor_reader(ELLIPSE, None, None, gf.spacing, None, None)
     first = read(gf.values, 0.0)
-    tracemalloc.start()
-    try:
-        again = read(gf.values, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert again == first
+    again = work(lambda: read(gf.values, 0.0), count=False, cold=False)
+    assert again.result == first
     assert energy(gf, ELLIPSE) == first["energy"]
-    assert peak < gf.values.nbytes / 10
+    assert again.peak < gf.values.nbytes / 10
 
 
-def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum():
+def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum(work):
     """The reader that `solve` builds for lambda 0.5 and ell 0.25, on the
     513 x 257 ellipse grid, holds of its ball kernel's spectrum only the row
     transform (87 x 161, 0.21 field; the full spectrum took 1.47) and the
@@ -490,21 +469,18 @@ def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum():
     h0 = norms.dual_norm_eval(ELLIPSE, gf.coords())
     rows = measures.kernel_rows(measures._ball_kernel(ELLIPSE, 1.0, gf.spacing), h0.shape)
     field, buffers = gf.values.nbytes, {}
-    flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25)(gf.values, 1e-3)
-    tracemalloc.start()
-    try:
+
+    def read_once(buffers):
         read = flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25, buffers)
-        first = read(gf.values, 1e-3)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        again = read(gf.values, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert again == first
+        return read, read(gf.values, 1e-3)
+    read_once({})
+    built = work(lambda: read_once(buffers), count=False, cold=False)
+    read, first = built.result
+    again = work(lambda: read(gf.values, 1e-3), count=False, cold=False)
+    assert again.result == first
     handed = sum(a.nbytes for plan in buffers.values() for a in plan)
-    assert rows.shape == (87, 161) and held - handed < rows.nbytes + field / 8
-    assert peak < 3 * field
+    assert rows.shape == (87, 161) and built.held - handed < rows.nbytes + field / 8
+    assert again.peak < 3 * field
 
 
 @pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 1.2], [1.2, 1.0]]])
@@ -534,15 +510,15 @@ def test_constant_stencils_match_the_face_path(data):
     um = np.where(mask, u, 0.0)
     # the energy matvec, unmasked and masked (input already masked)
     for x, m in ((u, None), (um, mask)):
-        face = flow._face_energy_gradient(x, spec, spacing)
+        face = _face_gradient(x, spec, spacing)
         stencil = energy_gradient(x, spec, spacing)
         if m is not None:
             face, stencil = np.where(m, face, 0.0), np.where(m, stencil, 0.0)
         assert np.max(np.abs(stencil - face)) <= 1e-13 * np.max(np.abs(face))
     # the interior Laplacian, read on arrays (grids need >= 5 nodes per axis)
     inner = (slice(1, -1),) * N
-    face_lap = operators._face_flux_divergence(u, spec, spacing)[inner]
-    stencil_lap = apply_operator(operators._face_flux_divergence, u, spec, spacing)[inner]
+    face_lap = _face_divergence(u, spec, spacing)[inner]
+    stencil_lap = apply_operator(_face_divergence, u, spec, spacing)[inner]
     assert np.max(np.abs(stencil_lap - face_lap)) <= 1e-13 * np.max(np.abs(face_lap))
     if min(shape) < 5:
         return
@@ -555,15 +531,15 @@ def test_constant_stencils_match_the_face_path(data):
             face = _face_sum_energy(x, s, gf.spacing)
             assert abs(energy(gf, s, m) - face) <= 1e-13 * face
     lap = finsler_laplacian(gf, spec).values
-    face_lap = operators._face_flux_divergence(u, spec, gf.spacing)
+    face_lap = _face_divergence(u, spec, gf.spacing)
     halo = ~interior_mask(gf)
     np.testing.assert_array_equal(np.isnan(lap), halo)
     assert np.max(np.abs(lap - face_lap)[~halo]) \
         <= 1e-13 * np.max(np.abs(face_lap[~halo]))
 
 
-def test_stencil_cache_is_read_only_and_keyed_on_spacing(monkeypatch):
-    face_ops = (flow._face_energy_gradient, operators._face_flux_divergence)
+def test_stencil_cache_is_read_only_and_keyed_on_spacing(work):
+    face_ops = (_face_gradient, _face_divergence)
     for face_op in face_ops:
         S, _, _ = constant_stencil(face_op, ELLIPSE, (0.1, 0.1))
         with pytest.raises(ValueError):
@@ -578,28 +554,26 @@ def test_stencil_cache_is_read_only_and_keyed_on_spacing(monkeypatch):
     # taps below machine epsilon (here ~1e-17 at h = 1e8) must still count
     inner = (slice(1, -1),) * 2
     for h in ((0.1, 0.2), (1e8, 3e8)):
-        face = flow._face_energy_gradient(u, ELLIPSE, h)
+        face = _face_gradient(u, ELLIPSE, h)
         assert np.max(np.abs(energy_gradient(u, ELLIPSE, h) - face)) \
             <= 1e-13 * np.max(np.abs(face))
-        face = operators._face_flux_divergence(u, ELLIPSE, h)[inner]
-        lap = apply_operator(operators._face_flux_divergence, u, ELLIPSE, h)[inner]
+        face = _face_divergence(u, ELLIPSE, h)[inner]
+        lap = apply_operator(_face_divergence, u, ELLIPSE, h)[inner]
         assert np.max(np.abs(lap - face)) <= 1e-13 * np.max(np.abs(face))
 
-    # p-norms keep the face path everywhere
-    def refuse(*args, **kwargs):
-        raise AssertionError("a p-norm reached the stencil path")
-    monkeypatch.setattr(operators, "correlate", refuse)
+    # p-norms keep the face path everywhere: no correlation, no stencil energy
     pn = norms.p_norm(3, 2)
     lay = ball_layout(pn, 1.0, 1 / 8)
     mask = ball_mask(pn, lay, 1.0)
     r = norms.dual_norm_eval(pn, lay.coords())
     v = lay.with_values(np.where(mask, np.exp(-2 * r**2), 0.0))
-    energy(v, pn, mask)
-    proximal_step(v, pn, mask, 1e-2, InnerSolverConfig(tolerance=1e-8))
-    explicit_step(v, pn, mask, 1e-4)
-    finsler_laplacian(v, pn)
-    with pytest.raises(AssertionError, match="stencil path"):
-        finsler_laplacian(v, ELLIPSE)
+    for call in (lambda: energy(v, pn, mask),
+                 lambda: proximal_step(v, pn, mask, 1e-2, InnerSolverConfig(tolerance=1e-8)),
+                 lambda: explicit_step(v, pn, mask, 1e-4), lambda: finsler_laplacian(v, pn)):
+        counts = work(call, trace=False, cold=False).counts
+        assert counts["correlate"] == counts["stencil_energy"] == 0
+    assert work(lambda: finsler_laplacian(v, ELLIPSE), trace=False,
+                cold=False).counts["correlate"] == 1
 
 
 def test_prox_fixed_point_at_zero():
@@ -625,8 +599,7 @@ def test_prox_matches_independent_linear_solver():
     for col, node in enumerate(idx):
         e = np.zeros(v.size)
         e[node] = 1.0
-        K[:, col] = flow._face_energy_gradient(e.reshape(v.shape), EUCLID,
-                                               lay.spacing).ravel()[idx]
+        K[:, col] = _face_gradient(e.reshape(v.shape), EUCLID, lay.spacing).ravel()[idx]
     sol = np.linalg.solve(np.eye(idx.size) + tau * K, v.ravel()[idx])
     full = np.zeros(v.size)
     full[idx] = sol
@@ -792,25 +765,24 @@ def test_newton_steps_report_whether_they_were_preconditioned(p, preconditioned)
     spec = norms.p_norm(p, 2)
     lay = ball_layout(spec, 1.0, 1 / 8)
     v = np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2)
-    step = flow._prox_stepper(spec, lay.spacing, ball_mask(spec, lay, 1.0), 1e-2,
-                              InnerSolverConfig(tolerance=1e-8))
-    assert step(v)[1]["preconditioned"] is preconditioned
+    step = solve(FlowProblem(norm=spec, radius=1.0, datum=lay.with_values(v), tau=1e-2,
+                             t_end=1e-2, inner=InnerSolverConfig(tolerance=1e-8)))
+    assert step.monitors["preconditioned"].tolist() == [0, preconditioned]
 
 
-def test_preconditioned_newton_cg_grows_slowly_under_refinement(monkeypatch):
+def test_preconditioned_newton_cg_grows_slowly_under_refinement(work):
     # one prox at p = 3, tau = 1e-2 from exp(-2 H0^2): CG iterations per
-    # Newton step grow by at most 1.5x per halving of h, on average from
-    # h = 1/16 to 1/64 (2.6, 2.9, 4.9 here; plain CG 4.1, 7.2, 12.5)
-    spec, per_step, newton_hessian = norms.p_norm(3, 2), [], flow._NewtonFaces.hessian
+    # Newton step (one CG solve each) grow by at most 1.5x per halving of h,
+    # on average from h = 1/16 to 1/64 (2.6, 2.9, 4.9 here; plain CG 4.1,
+    # 7.2, 12.5)
+    spec, per_step = norms.p_norm(3, 2), []
     for cells in (16, 32, 64):
         lay = ball_layout(spec, 1.0, 1 / cells)
-        v = np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2)
-        calls = {"build": 0}
-        monkeypatch.setattr(flow._NewtonFaces, "hessian",
-                            _counting(calls, "build", newton_hessian))
-        _, stats = flow._prox_stepper(spec, lay.spacing, ball_mask(spec, lay, 1.0), 1e-2,
-                                      InnerSolverConfig(tolerance=1e-8))(v)
-        per_step.append(stats["inner_iterations"] / calls["build"])
+        v = lay.with_values(np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2))
+        problem = FlowProblem(norm=spec, radius=1.0, datum=v, tau=1e-2, t_end=1e-2,
+                              inner=InnerSolverConfig(tolerance=1e-8))
+        step = work(lambda: solve(problem), trace=False, cold=False)
+        per_step.append(step.cg / step.counts["cg_solves"])
     assert (per_step[-1] / per_step[0]) ** 0.5 <= 1.5, per_step
 
 
@@ -821,23 +793,24 @@ def test_preconditioned_prox_meets_the_unpreconditioned_stopping_test():
     lay = ball_layout(spec, 6.0, 6 / 64)
     mask = ball_mask(spec, lay, 6.0)
     v = np.exp(-norms.dual_norm_eval(spec, lay.coords()) ** 2)
-    u, stats = flow._prox_stepper(spec, lay.spacing, mask, tau, inner)(v)
-    assert stats["preconditioned"] and stats["inner_iterations"] >= 1
+    step = solve(FlowProblem(norm=spec, radius=6.0, datum=lay.with_values(v), tau=tau,
+                             t_end=tau, inner=inner))
+    assert step.monitors["preconditioned"][-1] and step.monitors["inner_iterations"][-1] >= 1
+    u = step.slices[-1].values
     gap, scale = _prox_residual(u, v, spec, mask, tau, lay.spacing, lay.cell_volume)
     assert gap <= inner.tolerance * scale
 
 
-def test_a_solve_builds_the_band_and_the_box_preconditioner_once(monkeypatch):
+def test_a_solve_builds_the_band_and_the_box_preconditioner_once(work):
     # three quiet diag(4,1) steps share one stepper: one boundary band and
-    # one box preconditioner for the solve, not one per step
-    calls = {"band": 0, "box": 0}
-    monkeypatch.setattr(flow, "_boundary_band", _counting(calls, "band", flow._boundary_band))
-    monkeypatch.setattr(flow, "_box_preconditioner",
-                        _counting(calls, "box", flow._box_preconditioner))
+    # one box preconditioner, whose build forms the symbol of K's stencil,
+    # for the solve, not one per step
     problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=1e-2,
                                t_end=3e-2, inner=InnerSolverConfig(tolerance=1e-7))
-    assert solve(problem).monitors["preconditioned"].tolist() == [0, 1, 1, 1]
-    assert calls == {"band": 1, "box": 1}
+    run = work(lambda: solve(problem), trace=False,
+               also={"band": flow._boundary_band, "symbol": operators.stencil_symbol})
+    assert run.result.monitors["preconditioned"].tolist() == [0, 1, 1, 1]
+    assert (run.counts["band"], run.counts["symbol"]) == (1, 1)
 
 
 ROTATED = norms.ellipse(np.array([[2.0, 1.2], [1.2, 1.0]]))
@@ -853,15 +826,16 @@ def test_a_quadratic_solve_out_of_budget_raises_its_own_gap(spec, radius, precon
     mask = ball_mask(spec, lay, radius)
     v = np.exp(-2.0 * norms.dual_norm_eval(spec, lay.coords()) ** 2)
     tau, inner = 1e-2, InnerSolverConfig(tolerance=1e-12, max_iters=1)
-    step = flow._prox_stepper(spec, lay.spacing, mask, tau, inner)
+    problem = FlowProblem(norm=spec, radius=radius, datum=lay.with_values(v), tau=tau,
+                          t_end=tau, inner=inner)
     with pytest.raises(ConvergenceError) as err:
-        step(v)
+        solve(problem)
     gap, scale = _prox_residual(err.value.best, v, spec, mask, tau, lay.spacing,
                                 lay.cell_volume)
     assert err.value.gap == gap > inner.tolerance * scale
     # within budget, the same datum reports the path the failing step took
-    within = flow._prox_stepper(spec, lay.spacing, mask, tau, replace(inner, max_iters=10000))
-    assert within(v)[1]["preconditioned"] is preconditioned
+    within = solve(replace(problem, inner=replace(inner, max_iters=10000)))
+    assert within.monitors["preconditioned"].tolist() == [0, preconditioned]
 
 
 def _box_problem(data, N):
@@ -874,8 +848,7 @@ def _box_problem(data, N):
                        [2 * c for c in cells])
     extents = norms.eval_norm(spec, np.eye(N))
     radius = min(c * h / e for c, h, e in zip(cells, lay.spacing, extents))
-    h0 = norms.dual_norm_eval(spec, lay.coords())
-    return spec, lay, flow._free_nodes(h0, lay, radius)
+    return spec, lay, ball_mask(spec, lay, radius)
 
 
 @settings(max_examples=60)
@@ -896,8 +869,8 @@ def test_box_preconditioner_paths(data):
     # 1/tau + sigma > 0: sigma is a mean of the nonnegative symbol of K,
     # also for a rotated ellipse, whose stencil is not axis-symmetric
     lengths = tuple(next_fast_len(n - 1, real=True) - 1 for n in mask.shape)
-    sigma = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
-    S, scale, _ = constant_stencil(flow._face_energy_gradient, spec, tuple(spacing))
+    sigma = operators.stencil_symbol(_face_gradient, spec, spacing, lengths)
+    S, scale, _ = constant_stencil(_face_gradient, spec, tuple(spacing))
     assert np.all(1.0 / tau + sigma > 0.0)
     assert np.all(sigma >= -1e-12 * scale * np.sum(np.abs(S)))
 
@@ -959,7 +932,7 @@ def test_box_preconditioner_inverts_axis_symmetric_stencils(data):
 def _quadratic_box(spec, spacing, mask, tau):
     """The quadratic path's box preconditioner: K's stencil weighed by 1,
     the divisor 1/tau + the symbol of K's stencil."""
-    return flow._box_preconditioner(mask, tau, spec, spacing, [flow._face_energy_gradient],
+    return flow._box_preconditioner(mask, tau, spec, spacing, [_face_gradient],
                                     _box_scratch(mask))((1.0,))
 
 
@@ -979,7 +952,7 @@ def test_unit_form_symbols_sum_to_the_diagonal_ellipse_symbol(data):
     spacing = tuple(data.draw(st.floats(0.05, 2.0)) for _ in range(N))
     lengths = tuple(data.draw(st.integers(1, (40, 20, 10)[N - 1])) for _ in range(N))
     spec = norms.ellipse(np.diag(c))
-    whole = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
+    whole = operators.stencil_symbol(_face_gradient, spec, spacing, lengths)
     parts = sum(ck * operators.stencil_symbol(flow._unit_face_form(k), spec, spacing, lengths)
                 for k, ck in enumerate(c))
     assert np.max(np.abs(parts - whole)) <= 1e-13 * np.max(np.abs(whole))
@@ -1181,9 +1154,8 @@ def test_monitor_weights_round_as_their_closed_forms():
     h0 = norms.dual_norm_eval(ELLIPSE, lay.coords())
     u = np.where(mask, np.exp(-h0**2) * np.cos(3.0 * lay.coords()[..., 0]), 0.0)
     kernel, vol = measures._ball_kernel(ELLIPSE, 1.0, lay.spacing), lay.cell_volume
-    read = flow._monitor_reader(ELLIPSE, h0, mask, lay.spacing, lam, ell)
     for t in (0.0, 0.01, 0.3):
-        got = read(u, t)
+        got = weighted_monitors(lay.with_values(u), ELLIPSE, t, lam, ell, mask)
         g = lam * h0**2 / (1.0 - 4.0 * lam * t)
         assert got["weighted_l2"] == float(np.sum(np.exp(-2.0 * g) * u * u)) * vol
         assert got["weighted_l1_lambda"] == float(np.sum(np.exp(-g) * np.abs(u))) * vol
@@ -1219,27 +1191,20 @@ def test_weighted_monitors_match_the_trajectory_bit_for_bit():
             assert np.isfinite(got["weighted_l1_local"])
 
 
-def test_the_local_monitor_transforms_its_ball_kernel_once(monkeypatch):
+def test_the_local_monitor_transforms_its_ball_kernel_once(work):
     # a solve of K steps transforms the ball kernel's rows once and the
     # weighted field K + 1 times, once per read, and each reading is that of
-    # `fftconvolve` transforming the kernel anew, bit for bit
+    # `weighted_monitors`, which transforms the kernel anew, bit for bit
     ell = 0.25
     problem, _ = _ball_problem(ELLIPSE, 2.0, 1 / 8, lambda r: np.exp(-r**2), tau=1e-2,
                                t_end=3e-2, store_times=(0.0, 1e-2, 2e-2), monitor_ell=ell)
-    calls = {"rfftn": 0, "kernel_rows": 0}
-    monkeypatch.setattr(measures, "rfftn", _counting(calls, "rfftn", measures.rfftn))
-    rows = _counting(calls, "kernel_rows", measures.kernel_rows)
-    monkeypatch.setattr(measures, "kernel_rows", rows)
-    monkeypatch.setattr(flow, "kernel_rows", rows)
-    traj = solve(problem)
-    monkeypatch.undo()
-    assert calls == {"rfftn": problem.steps + 1, "kernel_rows": 1}
-    kernel = measures._ball_kernel(ELLIPSE, 1.0, problem.datum.spacing)
-    vol = problem.datum.cell_volume
+    run = work(lambda: solve(problem), trace=False,
+               also={"rfftn": measures.rfftn, "kernel_rows": measures.kernel_rows})
+    assert (run.counts["rfftn"], run.counts["kernel_rows"]) == (problem.steps + 1, 1)
+    traj = run.result
     for step, (t, gf) in enumerate(zip(traj.times, traj.slices)):
-        weighted = np.exp(-traj.h0**2 * (1.0 + t**ell)) * np.abs(gf.values)
-        direct = measures.fftconvolve(weighted, kernel) * vol
-        assert float(np.max(direct[traj.mask])) == traj.monitors["weighted_l1_local"][step]
+        again = weighted_monitors(gf, ELLIPSE, t, ell=ell, mask=traj.mask)["weighted_l1_local"]
+        assert again == traj.monitors["weighted_l1_local"][step]
 
 
 @pytest.mark.parametrize("spec", [ELLIPSE, norms.p_norm(3, 2)])
@@ -1256,17 +1221,14 @@ def test_trajectory_carries_the_domain_of_the_run(spec):
         np.testing.assert_array_equal(traj.mask, mask)
 
 
-def test_explicit_run_scans_the_p_norm_sphere_once(monkeypatch):
-    # the step bound reads coercivity_bounds, cached per NormSpec
+def test_explicit_run_scans_the_p_norm_sphere_once(work):
+    # the step bound reads coercivity_bounds, cached per NormSpec: from a
+    # cold cache, one scan of the sphere for the whole run
     spec = norms.p_norm(3, 2)
     problem, _ = _ball_problem(spec, 1.0, 1 / 8, lambda r: np.exp(-r**2),
                                tau=1e-3, t_end=3e-3, scheme="explicit_euler")
-    scans, scan = [], norms._direction_set
-    monkeypatch.setattr(norms, "_direction_set",
-                        lambda *args: scans.append(args) or scan(*args))
-    norms.coercivity_bounds.cache_clear()
-    solve(problem)
-    assert len(scans) == 1
+    scans = work(lambda: solve(problem), trace=False, also={"scan": norms.coercivity_bounds})
+    assert scans.counts["scan"] == 1
 
 
 def test_solve_rejects_store_times_outside_the_run():
@@ -1484,41 +1446,34 @@ def test_dst1_slabs_keep_scipys_bits(shape):
         assert _same_bits(inverse, idstn(x, type=1))
 
 
-def test_dst1_pair_allocates_well_under_one_field():
+def test_dst1_pair_allocates_well_under_one_field(work):
     """Building the 511 x 255 box's DST-I and running a forward and an
-    inverse transform allocate under half of one field: the slabs'
-    extension and spectrum take 16 lines of 511 or 32 of 255, 0.27 field,
-    and numpy's strided ufuncs 128 KiB of buffers, 0.13 (a full-size
+    inverse transform allocate under half of one field, when warm: the
+    slabs' extension and spectrum take 16 lines of 511 or 32 of 255, 0.27
+    field, and numpy's strided ufuncs 128 KiB of buffers, 0.13 (a full-size
     extension and spectrum took four fields)."""
-    flow._dst1((3,))(np.zeros(3))
     x = np.random.default_rng(5).standard_normal((511, 255))
-    tracemalloc.start()
-    try:
+
+    def pair():
         transform = flow._dst1(x.shape)
         transform(x)
         transform(x, inverse=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes / 2
+    pair()
+    assert work(pair, count=False, cold=False).peak < x.nbytes / 2
 
 
-def test_box_symbol_allocates_one_symbol():
+def test_box_symbol_allocates_one_symbol(work):
     """The DST-I symbol of K's stencil on the 511 x 255 box, the box of the
     513 x 257 ellipse grid, peaks at its one result and the cosine tables:
     its sum is scaled in place (a scaled copy took two symbols)."""
     spec, spacing, lengths = ELLIPSE, (6 / 128, 6 / 128), (511, 255)
-    operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
-    tracemalloc.start()
-    try:
-        sigma = operators.stencil_symbol(flow._face_energy_gradient, spec, spacing, lengths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sigma.shape == lengths and peak < 1.25 * sigma.nbytes
+    operators.stencil_symbol(_face_gradient, spec, spacing, lengths)
+    sigma = work(lambda: operators.stencil_symbol(_face_gradient, spec, spacing, lengths),
+                 count=False, cold=False)
+    assert sigma.result.shape == lengths and sigma.peak < 1.25 * sigma.result.nbytes
 
 
-def test_a_warm_box_weigh_allocates_no_field():
+def test_a_warm_box_weigh_allocates_no_field(work):
     """Weighing the p >= 2 Newton path's box solve again, as each Newton
     step does, on the box of the 513 x 257 grid fills the divisor with
     1/tau + sum_k c_k sigma_k in blocks of rows through one small scratch:
@@ -1528,35 +1483,13 @@ def test_a_warm_box_weigh_allocates_no_field():
                                      [flow._unit_face_form(k) for k in range(2)],
                                      _box_scratch(mask))
     weigh((0.5, 2.0))
-    tracemalloc.start()
-    try:
-        weigh((0.75, 3.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < gf.values.nbytes / 8
+    assert work(lambda: weigh((0.75, 3.0)), count=False, cold=False).peak < gf.values.nbytes / 8
 
 
-def _clear_module_caches():
-    """Empty every lru_cache of the package's modules."""
-    from finslerheat import cli, grids, radial, solutions
-    for module in (cli, flow, grids, measures, norms, operators, radial, solutions):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
-def _solve_peak(problem) -> float:
+def _solve_peak(problem, work) -> float:
     """The tracemalloc peak of a solve from cleared caches, in fields."""
     solve(problem)      # imports what the solve imports
-    _clear_module_caches()
-    tracemalloc.start()
-    try:
-        solve(problem)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / problem.datum.values.nbytes
+    return work(lambda: solve(problem), count=False).peak / problem.datum.values.nbytes
 
 
 @pytest.mark.parametrize("spec, radius, scheme, tau, fields", [
@@ -1564,7 +1497,7 @@ def _solve_peak(problem) -> float:
     (ELLIPSE, 6.0, "explicit_euler", 1e-4, 9.75),
     (norms.p_norm(3.0, 2), 1.0, "explicit_euler", 5e-5, 23.5)],
     ids=["implicit", "explicit", "explicit-p3"])
-def test_a_solve_peaks_at_a_bounded_number_of_fields(spec, radius, scheme, tau, fields):
+def test_a_solve_peaks_at_a_bounded_number_of_fields(spec, radius, scheme, tau, fields, work):
     """Three steps of a solve on its ball at h = radius / 64 with both
     monitors, from cleared caches, allocate at most `fields` field sizes at
     their peak.  The ellipse diag(4, 1) on 257 x 129 nodes (10.93 and 8.69
@@ -1585,10 +1518,10 @@ def test_a_solve_peaks_at_a_bounded_number_of_fields(spec, radius, scheme, tau, 
     problem, _ = _ball_problem(spec, radius, radius / 64, lambda r: np.exp(-r**2), tau=tau,
                                t_end=3 * tau, scheme=scheme, monitor_lambda=0.5,
                                monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
-    assert _solve_peak(problem) <= fields
+    assert _solve_peak(problem, work) <= fields
 
 
-def test_a_3d_solve_peaks_at_a_bounded_number_of_fields():
+def test_a_3d_solve_peaks_at_a_bounded_number_of_fields(work):
     """Three implicit steps on the ellipse diag(4, 1, 1) ball of radius 6 at
     h = 0.375, 65 x 33 x 33 nodes, with both monitors, peak at most 11.5
     fields (10.09 with numpy 2.4; 13.37 with the ball kernel's full spectrum
@@ -1598,10 +1531,10 @@ def test_a_3d_solve_peaks_at_a_bounded_number_of_fields():
                                t_end=3e-2, monitor_lambda=0.5, monitor_ell=0.25,
                                inner=InnerSolverConfig(tolerance=1e-7))
     assert problem.datum.values.shape == (65, 33, 33)
-    assert _solve_peak(problem) <= 11.5
+    assert _solve_peak(problem, work) <= 11.5
 
 
-def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields():
+def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields(work):
     """One warm preconditioned step of the quadratic prox on the 513 x 257
     ellipse grid (tau 1e-3), with its correlation buffers handed, peaks
     under 3.5 fields (3.07 with numpy 2.4: the clamped datum, the right
@@ -1614,21 +1547,18 @@ def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields():
     own held per solve).  A warm step keeps the cold step's bits."""
     gf, mask = _ellipse_ball(6 / 128)
     field, buffers = gf.values.nbytes, {}
-    tracemalloc.start()
-    try:
+
+    def first_step():
         step = flow._prox_stepper(ELLIPSE, gf.spacing, mask, 1e-3,
                                   InnerSolverConfig(tolerance=1e-7), buffers)
-        first, stats = step(gf.values)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        again = step(gf.values)[0]
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert stats["preconditioned"] and _same_bits(again, first)
+        return step, *step(gf.values)
+    built = work(first_step, count=False, cold=False)
+    step, first, stats = built.result
+    again = work(lambda: step(gf.values)[0], count=False, cold=False)
+    assert stats["preconditioned"] and _same_bits(again.result, first)
     handed = sum(a.nbytes for plan in buffers.values() for a in plan)
-    assert held - handed - first.nbytes < 2 * field
-    assert peak < 3.5 * field
+    assert built.held - handed - first.nbytes < 2 * field
+    assert again.peak < 3.5 * field
 
 
 def test_the_box_solve_borrows_a_scratch_that_holds_a_box_longer_than_the_copy(monkeypatch):
@@ -1648,32 +1578,27 @@ def test_the_box_solve_borrows_a_scratch_that_holds_a_box_longer_than_the_copy(m
     own = flow._box_preconditioner
     monkeypatch.setattr(flow, "_box_preconditioner",
                         lambda *args: own(*args[:5], np.empty(args[5].size)))
-    alone = flow._prox_stepper(EUCLID, lay.spacing, mask, 1e-3, inner)(datum)[0]
+    alone = proximal_step(lay.with_values(datum), EUCLID, mask, 1e-3, inner).values
     assert stats["preconditioned"] and _same_bits(borrowed, alone)
 
 
-def test_a_solve_leaves_no_field_in_a_module_cache():
+def test_a_solve_leaves_no_field_in_a_module_cache(work):
     """What a solve allocates and still holds once its trajectory is
     dropped is under a quarter of a field, for either scheme: its
     correlation buffers and DST-I slabs die with it, and only plans that
     hold no field stay cached."""
-    import gc
     for scheme, tau in (("implicit_proximal", 1e-2), ("explicit_euler", 1e-4)):
         problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=tau,
                                    t_end=2 * tau, scheme=scheme, monitor_lambda=0.5,
                                    monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-7))
         solve(problem)
-        _clear_module_caches()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            traj = solve(problem)
-            del traj
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        held = work(lambda: _dropped(solve, problem), count=False).held
         assert held < problem.datum.values.nbytes / 4, scheme
+
+
+def _dropped(call, *args) -> None:
+    """call(*args), its result dropped: what the call still holds is cached."""
+    call(*args)
 
 
 _ENTRY_POINTS = {
@@ -1688,27 +1613,17 @@ _ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("name", list(_ENTRY_POINTS))
-def test_public_entry_points_leave_no_field_in_a_module_cache(name):
+def test_public_entry_points_leave_no_field_in_a_module_cache(name, work):
     """What one call of a public entry point on the 257 x 129 ellipse
     diag(4, 1) ball allocates and still holds once its result is dropped is
     under a quarter of a field: each one-shot call makes its correlation
     buffers for the call, and only plans that hold no field stay cached.
     The warm call runs on a coarser grid of the same ball, so that a cache
     keyed by the grid, cleared or not, fills under the trace."""
-    import gc
     call = _ENTRY_POINTS[name]
     call(*_ellipse_ball(6 / 16))
     gf, mask = _ellipse_ball(6 / 64)
-    _clear_module_caches()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        call(gf, mask)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < gf.values.nbytes / 4
+    assert work(lambda: _dropped(call, gf, mask), count=False).held < gf.values.nbytes / 4
 
 
 def test_flow_problem_bounds_its_steps():

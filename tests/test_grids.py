@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,7 @@ def test_spacing_and_axes():
 
 @settings(max_examples=40)
 @given(data=st.data())
-def test_coords_fill_one_array_with_the_stacked_meshgrid(data):
+def test_coords_fill_one_array_with_the_stacked_meshgrid(data, work):
     """`coords` is the stacked `meshgrid` of the axes bit for bit, for N = 1
     to 3, and its traced peak is its one result plus the axes (the
     meshgrid's copies and the stack took two results); `coords(rows)` is
@@ -39,14 +37,10 @@ def test_coords_fill_one_array_with_the_stacked_meshgrid(data):
     gf = GridFunction(box, resolution, np.zeros(tuple(r + 1 for r in resolution)))
     want = np.stack(np.meshgrid(*gf.axes(), indexing="ij"), axis=-1)
     gf.coords()
-    tracemalloc.start()
-    try:
-        got = gf.coords()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    warm = work(gf.coords, count=False, cold=False)
+    got = warm.result
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert peak <= got.nbytes + 8 * sum(resolution) + 8 * N + 2048
+    assert warm.peak <= got.nbytes + 8 * sum(resolution) + 8 * N + 2048
     start = data.draw(st.integers(0, resolution[0]))
     rows = slice(start, data.draw(st.integers(start + 1, resolution[0] + 1)))
     assert gf.coords(rows).tobytes() == want[rows].tobytes()
@@ -205,20 +199,20 @@ def test_profile_samples_are_bounded_before_they_are_laid_out(monkeypatch):
 
 @settings(max_examples=200)
 @given(n=st.integers(0, 5000), size=st.integers(1, 20000))
-def test_blocks_cover_the_range_once_in_order_within_four_thirds_of_a_block(n, size):
+def test_blocks_cover_the_range_once_in_order_within_four_thirds_of_a_block(n, size, block):
     """`blocks(n, size)` cuts range(n) into consecutive slices of one count
     (the last one shorter), the whole number of size-value slabs nearest to
-    _BLOCK values, or one: a block of more than one index holds at most
-    4/3 _BLOCK values, and none is shorter than it need be."""
+    a block's values (`block.size`), or one: a block of more than one index
+    holds at most 4/3 of them, and none is shorter than it need be."""
     cuts = blocks(n, size)
     assert [i for b in cuts for i in range(n)[b]] == list(range(n))
     assert all(b.step is None and b.stop > b.start for b in cuts)
     assert all(b.stop - b.start == cuts[0].stop for b in cuts[:-1])
     for b in cuts:
-        assert b.stop - b.start == 1 or (b.stop - b.start) * size <= 4 * grids._BLOCK / 3
-    if len(cuts) > 1:   # one slab more would be further from _BLOCK
+        assert b.stop - b.start == 1 or (b.stop - b.start) * size <= 4 * block.size / 3
+    if len(cuts) > 1:   # one slab more would be further from block.size
         count = cuts[0].stop
-        assert abs((count + 1) * size - grids._BLOCK) >= abs(count * size - grids._BLOCK)
+        assert abs((count + 1) * size - block.size) >= abs(count * size - block.size)
 
 
 def test_grid_from_function_checks_the_values_it_samples():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from finslerheat import grids, measures, norms
+from finslerheat import measures, norms
 from finslerheat.errors import SpecValidationError
 from finslerheat.grids import MAX_VALUE, GridFunction, RadialProfile, empty_layout
 from finslerheat.measures import (_ball_kernel, _lattice_box, classify, fftconvolve,
@@ -257,21 +256,17 @@ def test_fft_pair_is_scipys_bit_for_bit(data):
     assert back.dtype == x.dtype and back.tobytes() == fft.irfftn(X, lengths).tobytes()
 
 
-def _traced_convolution(field, kernel, where=None):
+def _traced_convolution(work, field, kernel, where=None):
     """fftconvolve of field and kernel, given the kernel's rows, and the peak
-    that tracemalloc reads for a warm call."""
+    that tracemalloc reads for a warm call, and the padded lengths."""
     rows = measures.kernel_rows(kernel, field.shape)
     fftconvolve(field, kernel, rows, where)
-    tracemalloc.start()
-    try:
-        ours = fftconvolve(field, kernel, rows, where)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return ours, peak
+    warm = work(lambda: fftconvolve(field, kernel, rows, where), count=False, cold=False)
+    return warm.result, warm.peak, [measures.next_fast_len(n + m - 1)
+                                    for n, m in zip(field.shape, kernel.shape)]
 
 
-def test_fftconvolve_allocates_one_spectrum_and_one_padded_array():
+def test_fftconvolve_allocates_one_spectrum_and_one_padded_array(work):
     """A convolution with its kernel's rows allocates one complex array of
     the padded spectrum's shape and one real array of the padded shape,
     and at most 16 KiB besides.  Padded to 4050 x 4, the spectrum takes 1.5
@@ -279,32 +274,30 @@ def test_fftconvolve_allocates_one_spectrum_and_one_padded_array():
     one real array, so a product or a complex pass out of place shows."""
     rng = np.random.default_rng(6)
     field, kernel = rng.standard_normal((4000, 3)), rng.uniform(0.0, 1.0, (5, 2))
-    n0, n1 = measures._padded(field.shape, kernel.shape)
-    ours, peak = _traced_convolution(field, kernel)
+    ours, peak, (n0, n1) = _traced_convolution(work, field, kernel)
     assert np.array_equal(ours, signal.fftconvolve(field, kernel, mode="same"))
     assert peak <= n0 * (n1 // 2 + 1) * 16 + n0 * n1 * 8 + 16384
 
 
-def test_the_masked_maximum_allocates_no_padded_array():
+def test_the_masked_maximum_allocates_no_padded_array(work, block):
     """The maximum over a mask of a convolution padded to 2025 x 45 peaks
-    at the spectrum and one block of the kernel's spectrum, at most _BLOCK
-    complex values, and 16 KiB besides: the inverse real FFT runs on blocks
-    of the cropped rows (the padded real array took 729,000 bytes more, a
-    spectrum formed whole 616,000)."""
+    at the spectrum and one block of the kernel's spectrum, at most a
+    `grids.blocks` block of complex values, and 16 KiB besides: the inverse
+    real FFT runs on blocks of the cropped rows (the padded real array took
+    729,000 bytes more, a spectrum formed whole 616,000)."""
     rng = np.random.default_rng(7)
     field, kernel = rng.standard_normal((2000, 40)), rng.uniform(0.0, 1.0, (5, 3))
     mask = rng.uniform(size=field.shape) < 0.5
-    n0, n1 = measures._padded(field.shape, kernel.shape)
-    ours, peak = _traced_convolution(field, kernel, mask)
+    ours, peak, (n0, n1) = _traced_convolution(work, field, kernel, mask)
     assert ours == np.max(signal.fftconvolve(field, kernel, mode="same")[mask])
-    assert peak <= n0 * (n1 // 2 + 1) * 16 + grids._BLOCK * 16 + 16384
+    assert peak <= n0 * (n1 // 2 + 1) * 16 + block.size * 16 + 16384
 
 
 @settings(max_examples=80)
 @given(data=st.data())
-def test_the_masked_maximum_is_np_max_of_the_convolution_bit_for_bit(data):
+def test_the_masked_maximum_is_np_max_of_the_convolution_bit_for_bit(data, block):
     """`fftconvolve(field, kernel, rows, mask)` is `np.max` of scipy's
-    same-mode convolution over the mask, N = 1-3, in blocks of _BLOCK
+    same-mode convolution over the mask, N = 1-3, in blocks of `block.size`
     values or of one or a few: NaN where that holds one (a NaN in the field,
     or values near the largest double, whose transforms overflow), and an
     empty mask raises ValueError, as `np.max` does."""
@@ -317,8 +310,7 @@ def test_the_masked_maximum_is_np_max_of_the_convolution_bit_for_bit(data):
         field[tuple(rng.integers(0, n) for n in field_shape)] = np.nan
     kernel = rng.uniform(0.0, 1.0, kernel_shape)
     mask = rng.uniform(size=field_shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-    block, grids._BLOCK = grids._BLOCK, data.draw(st.sampled_from([grids._BLOCK, 1, 40]))
-    try:
+    with block(data.draw(st.sampled_from([block.size, 1, 40]))):
         with np.errstate(all="ignore"):
             want = signal.fftconvolve(field, kernel, mode="same")[mask]
             rows = measures.kernel_rows(kernel, field_shape)
@@ -327,8 +319,6 @@ def test_the_masked_maximum_is_np_max_of_the_convolution_bit_for_bit(data):
                     fftconvolve(field, kernel, rows, mask)
                 return
             got = fftconvolve(field, kernel, rows, mask)
-    finally:
-        grids._BLOCK = block
     assert np.isnan(got) == np.isnan(want).any()
     assert np.isnan(got) or got.tobytes() == np.max(want).tobytes()
 

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from finslerheat import cli, flow, norms, solutions
 from finslerheat.errors import ConvergenceError, DomainError, SpecValidationError
-from finslerheat.grids import _BLOCK, blocks, empty_layout
+from finslerheat.grids import blocks, empty_layout
 
 EUCLID = norms.euclidean(2)
 ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
@@ -355,7 +354,7 @@ def test_three_dimensional_numeric_dual():
 @settings(max_examples=15)
 @given(dim=st.sampled_from([1, 2, 3]), p=st.one_of(st.none(), st.floats(1.1, 6.0)),
        seed=st.integers(0, 2**32 - 1))
-def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
+def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed, block):
     # p=None draws an ellipse: any SPD matrix for N <= 2, a diagonal one with
     # axis ratios up to 2 for N = 3, where the alternating tangent search
     # reaches 1e-5 only on mildly skewed level sets
@@ -368,8 +367,8 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
         A = rng.standard_normal((dim, dim))
         spec = norms.ellipse(A @ A.T + 0.3 * np.eye(dim))
     cfg, rtol = (NUMERIC_3D_CFG, 1e-5) if dim == 3 else (NUMERIC_CFG, 1e-12)
-    block = blocks(2 * _BLOCK, len(norms._direction_set(dim, cfg.sphere_samples)))[0].stop
-    x = rng.standard_normal((block + 3, dim)) * np.exp(rng.uniform(-3, 3, (block + 3, 1)))
+    edge = blocks(2 * block.size, len(norms._direction_set(dim, cfg.sphere_samples)))[0].stop
+    x = rng.standard_normal((edge + 3, dim)) * np.exp(rng.uniform(-3, 3, (edge + 3, 1)))
     zero = rng.integers(0, len(x), 2)
     x[zero] = 0.0
     live = np.any(x != 0.0, axis=1)
@@ -382,7 +381,7 @@ def test_batched_oracle_matches_closed_form_and_single_rows(dim, p, seed):
     np.testing.assert_array_equal(H0[~live], 0.0)
     np.testing.assert_array_equal(xi[~live], 0.0)
     # rows on both sides of the first block edge, the zero rows and a sample
-    rows = np.unique(np.r_[0, block - 1, block, len(x) - 1, zero,
+    rows = np.unique(np.r_[0, edge - 1, edge, len(x) - 1, zero,
                            rng.integers(0, len(x), 16)])
     single = np.array([norms.sphere_maximization(spec, x[i], cfg)[0] for i in rows])
     np.testing.assert_allclose(single, H0[rows], rtol=1e-15, atol=0.0)
@@ -404,7 +403,7 @@ def _blocks_of_2_18_entries(n: int, size: int) -> list:
        samples=st.integers(16, 4096), extra=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1))
 def test_blocked_sphere_scan_keeps_the_bits_of_the_2_18_entry_scan(dim, p, samples, extra,
-                                                                   seed):
+                                                                   seed, block):
     """`sphere_maximization` scans a `grids.blocks` block of points at a
     time; its (H0, grad H0) keep the bits of the scan in blocks of 2^18
     point-direction pairs, on at least two blocks and with zero points."""
@@ -412,7 +411,7 @@ def test_blocked_sphere_scan_keeps_the_bits_of_the_2_18_entry_scan(dim, p, sampl
     spec = norms.p_norm(p, dim) if p is not None else norms.ellipse(
         np.diag(rng.uniform(1.0, 4.0, dim)))
     cfg = norms.DualEvalConfig(sphere_samples=samples, tolerance=1e-2)
-    rows = blocks(2 * _BLOCK, samples)[0].stop
+    rows = blocks(2 * block.size, samples)[0].stop
     x = rng.standard_normal((2 * rows + extra + 1, dim))
     x[rng.integers(0, len(x), 2)] = 0.0
     got = norms.sphere_maximization(spec, x, cfg)
@@ -424,24 +423,17 @@ def test_blocked_sphere_scan_keeps_the_bits_of_the_2_18_entry_scan(dim, p, sampl
         assert a.tobytes() == b.tobytes()
 
 
-def test_a_warm_sphere_scan_peaks_under_six_blocks():
+def test_a_warm_sphere_scan_peaks_under_six_blocks(work, block):
     """The oracle of the benchmark's verify-norms-numeric job (the ellipse
     diag(4, 1), 2048 directions) on 300 points peaks under six blocks of
-    `grids._BLOCK` values (3.91 with numpy 2.4): the scan's products and
+    `block.size` values (3.91 with numpy 2.4): the scan's products and
     ratios take one `grids.blocks` block of points at a time.  Blocks of
     2^18 point-direction pairs took 65.8."""
     x = np.random.default_rng(2).standard_normal((300, 2))
     first = norms.sphere_maximization(ELLIPSE, x)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        again = norms.sphere_maximization(ELLIPSE, x)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
-    assert peak < 6 * _BLOCK * 8
+    again = work(lambda: norms.sphere_maximization(ELLIPSE, x), count=False, cold=False)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again.result))
+    assert again.peak < 6 * block.size * 8
 
 
 @pytest.mark.parametrize("spec, samples", [

@@ -1,19 +1,24 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerheat import grids, norms, operators
+from finslerheat import norms, operators
 from finslerheat.errors import OutOfRangeError, SpecValidationError
-from finslerheat.grids import RadialProfile, empty_layout, grid_from_function
+from finslerheat.grids import RadialProfile, blocks, empty_layout, grid_from_function
+from finslerheat.norms import duality_map
 from finslerheat.operators import (FaceKernel, check_linearity, check_radial_reduction,
                                    finsler_laplacian, interior_mask,
                                    lift_radial, radial_operator_values)
 
 EUCLID = norms.euclidean(2)
 ELLIPSE = norms.ellipse(np.diag([4.0, 1.0]))
+
+def _energy_form(values, spec, spacing):
+    """(1/N) G^T A(G u): `FaceKernel.form` of the duality map, the face
+    path whose stencil the energy gradient applies."""
+    return FaceKernel(values.shape, spacing).form(values, lambda axis, xi: duality_map(spec, xi))
+
 
 GAUSS = RadialProfile.from_function(lambda r: np.exp(-r**2), 6.0, 4097)
 QUAD = RadialProfile.from_function(lambda r: 0.5 * r**2, 6.0, 4097)
@@ -182,21 +187,20 @@ def test_lift_out_of_range():
         lift_radial(prof, EUCLID, lay)
 
 
-def test_lift_out_of_range_names_the_largest_h0_of_the_layout(monkeypatch):
+def test_lift_out_of_range_names_the_largest_h0_of_the_layout(block):
     """At 40 values a block the 57 x 17 layout takes 29 blocks of rows: the
     first already reaches past the profile (H0 >= 2), but the refusal names
     the largest H0 of the whole layout, sqrt(26) at (5, +-1)."""
     prof = RadialProfile.from_function(lambda r: np.ones_like(r), 1.0, 65)
     lay = empty_layout([(-2, 5), (-1, 1)], (56, 16))
-    monkeypatch.setattr(grids, "_BLOCK", 40)
-    with pytest.raises(OutOfRangeError) as refusal:
+    with block(40), pytest.raises(OutOfRangeError) as refusal:
         lift_radial(prof, EUCLID, lay)
     assert str(refusal.value) == "grid reaches H0 = 5.09902 beyond the profile range [0, 1]"
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_h0_and_the_lift_keep_their_bits_a_block_of_rows_at_a_time(data):
+def test_h0_and_the_lift_keep_their_bits_a_block_of_rows_at_a_time(data, block):
     """`norms.dual_norm_nodes` and `lift_radial` evaluate H0 and the profile
     one `grids.blocks` block of rows at a time; at 40 values a block every
     layout here takes several, and both keep the bits of the evaluation over
@@ -212,18 +216,15 @@ def test_h0_and_the_lift_keep_their_bits_a_block_of_rows_at_a_time(data):
     lay = empty_layout(box, resolution)
     h0 = norms.dual_norm_eval(spec, lay.coords())
     prof = RadialProfile.from_function(lambda r: np.exp(-r**2), float(np.max(h0)) + 0.5, 1025)
-    block, grids._BLOCK = grids._BLOCK, 40
-    try:
-        cuts = grids.blocks(len(h0), h0[0].size)
+    with block(40):
+        cuts = blocks(len(h0), h0[0].size)
         got, lifted = norms.dual_norm_nodes(spec, lay), lift_radial(prof, spec, lay)
-    finally:
-        grids._BLOCK = block
     assert len(cuts) > 1
     assert got.tobytes() == h0.tobytes()
     assert lifted.values.tobytes() == prof(h0).tobytes()
 
 
-def test_a_warm_lift_allocates_under_one_and_a_half_fields():
+def test_a_warm_lift_allocates_under_one_and_a_half_fields(work):
     """A warm lift of exp(-r^2) onto the 513 x 257 ellipse grid of the
     benchmark's flows holds one field, H0 at the nodes, which becomes the lift
     in place, a block of rows at a time: it allocates under 1.5 fields (1.44
@@ -231,15 +232,10 @@ def test_a_warm_lift_allocates_under_one_and_a_half_fields():
     lay = empty_layout([(-12.0, 12.0), (-6.0, 6.0)], (512, 256))
     prof = RadialProfile.from_function(lambda r: np.exp(-r**2), 16.0, 2049)
     first = lift_radial(prof, ELLIPSE, lay)
-    tracemalloc.start()
-    try:
-        again = lift_radial(prof, ELLIPSE, lay)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    again = work(lambda: lift_radial(prof, ELLIPSE, lay), count=False, cold=False)
     assert lay.values.shape == (513, 257)
-    assert again.values.tobytes() == first.values.tobytes()
-    assert peak < 1.5 * lay.values.nbytes
+    assert again.result.values.tobytes() == first.values.tobytes()
+    assert again.peak < 1.5 * lay.values.nbytes
 
 
 def test_radial_reduction_euclidean_second_order():
@@ -319,36 +315,29 @@ def test_correlate_keeps_the_bits_of_ndimage_on_both_ellipse_stencils():
     """The energy gradient's 17 taps and the face-flux divergence's 5, on a
     field larger than one block of the flat sums."""
     from scipy import ndimage
-
-    from finslerheat import flow
     u = np.random.default_rng(7).standard_normal((257, 129))
-    for face_op, count in ((flow._face_energy_gradient, 17),
-                           (operators._face_flux_divergence, 5)):
+    for face_op, count in ((_energy_form, 17), (operators._face_flux_divergence, 5)):
         S, _, taps = operators.constant_stencil(face_op, ELLIPSE, (6 / 64, 6 / 64))
         assert len(taps[1]) == count
         assert _same_bits(operators.correlate(u, taps), ndimage.correlate(u, S, mode="constant"))
 
 
-@pytest.mark.parametrize("block", [1, 40])
-def test_correlate_keeps_the_bits_of_ndimage_in_blocks_of_one_row_or_a_few(monkeypatch, block):
-    """Blocks of whole padded rows, here of _BLOCK = 1 value (one row per
-    block, longer than _BLOCK) and 40 (a few rows in 1-D and 2-D, one in
-    3-D where a padded hyperplane holds 72 values, and two at shape
+@pytest.mark.parametrize("values", [1, 40])
+def test_correlate_keeps_the_bits_of_ndimage_in_blocks_of_one_row_or_a_few(block, values):
+    """Blocks of whole padded rows, here of 1 value a block (one row per
+    block, longer than a block's values) and 40 (a few rows in 1-D and 2-D,
+    one in 3-D where a padded hyperplane holds 72 values, and two at shape
     (6, 1, 1), whose padded hyperplanes hold 25: the nearest count rounds
     40 / 25 up), each written straight into out, keep ndimage's bits at
     N = 1, 2 and 3, the first and last blocks shifted into the copy's margin."""
     from scipy import ndimage
-    monkeypatch.setattr(grids, "_BLOCK", block)
-    operators._correlation_plan.cache_clear()
-    rng = np.random.default_rng(block)
-    try:
+    rng = np.random.default_rng(values)
+    with block(values):
         for shape in ((23,), (9, 7), (6, 5, 4), (6, 1, 1)):
             S = rng.standard_normal((5,) * len(shape))
             u = rng.standard_normal(shape)
             assert _same_bits(operators.correlate(u, operators.correlation_taps(S)),
                               ndimage.correlate(u, S, mode="constant"))
-    finally:
-        operators._correlation_plan.cache_clear()
 
 
 def test_the_3d_correlation_plan_blocks_two_padded_hyperplanes():
@@ -357,40 +346,32 @@ def test_the_3d_correlation_plan_blocks_two_padded_hyperplanes():
     hyperplane holds 69 x 69 = 4,761 values, so a block holds the nearest
     whole number of them to _BLOCK, 2: 65 blocks, the last of one
     hyperplane (blocks of whole hyperplanes within _BLOCK took 129)."""
-    from finslerheat import flow
     spec = norms.ellipse(np.diag([4.0, 1.0, 1.0]))
-    _, _, taps = operators.constant_stencil(flow._face_energy_gradient, spec, (0.1875,) * 3)
+    _, _, taps = operators.constant_stencil(_energy_form, spec, (0.1875,) * 3)
     spans = operators._correlation_plan((129, 65, 65), taps)[-1]
     assert len(taps[1]) == 37 and len(spans) == 65
     assert [(i, j) for i, j, _, _ in spans[-2:]] == [(126, 128), (128, 129)]
 
 
-def test_correlate_into_its_out_allocates_no_field():
+def test_correlate_into_its_out_allocates_no_field(work, block):
     """A warm `correlate` of the energy gradient's 17 taps on the 513 x 257
     ellipse grid, into a given out and in handed buffers, allocates under an
     eighth of a field: each block of whole padded rows goes straight into
     out (a full flat sums buffer and its copy took a field).  The buffers
     hold the zero-rimmed copy, flat with a margin of 2 (261 + 1) zeros on
     each side, and one block's sums and products, of 31 padded rows (8,091
-    values, at most _BLOCK), and no flat scratch: `correlate` never asks
+    values, at most `block.size`), and no flat scratch: `correlate` never asks
     for it."""
-    from finslerheat import flow
     u = np.random.default_rng(3).standard_normal((513, 257))
-    _, _, taps = operators.constant_stencil(flow._face_energy_gradient, ELLIPSE,
-                                            (6 / 128, 6 / 128))
+    _, _, taps = operators.constant_stencil(_energy_form, ELLIPSE, (6 / 128, 6 / 128))
     out, buffers = np.empty_like(u), {}
     operators.correlate(u, taps, out, buffers)
     first = out.copy()
-    tracemalloc.start()
-    try:
-        operators.correlate(u, taps, out, buffers)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = work(lambda: operators.correlate(u, taps, out, buffers), count=False, cold=False).peak
     assert _same_bits(out, first)
-    (padded, *blocks), = buffers.values()
-    assert padded.shape == (517 * 261 + 2 * 524,) and len(blocks) == 2
-    assert all(b.size == 31 * 261 <= grids._BLOCK for b in blocks)
+    (padded, *sums), = buffers.values()
+    assert padded.shape == (517 * 261 + 2 * 524,) and len(sums) == 2
+    assert all(b.size == 31 * 261 <= block.size for b in sums)
     assert peak < u.nbytes / 8
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,7 +117,7 @@ def test_residual_barenblatt_first_order_or_better():
      [(-1, 1)] * 3, (24, 24, 24), 0.0, 2),
 ], ids=["gauss_kernel", "blowup", "barenblatt", "talenti"])
 def test_pde_residual_peaks_at_a_bounded_number_of_fields_per_level(spec, box, resolution, t,
-                                                                     levels):
+                                                                     levels, work):
     """A warm `pde_residual` peaks under 4 fields of its finest level: the
     2-D families at three levels of the benchmark's verify-exact grid (65 x
     33 nodes to 257 x 129) 3.70 with numpy 2.4, the 3-D critical family at
@@ -131,15 +129,9 @@ def test_pde_residual_peaks_at_a_bounded_number_of_fields_per_level(spec, box, r
     coarse = empty_layout(box, resolution)
     finest = list(refinements(coarse, levels))[-1].values.size
     first = pde_residual(spec, coarse, t=t, dt=0.01, levels=levels)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        again = pde_residual(spec, coarse, t=t, dt=0.01, levels=levels)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert again == first and peak < 4.0 * finest * 8
+    again = work(lambda: pde_residual(spec, coarse, t=t, dt=0.01, levels=levels),
+                 count=False, cold=False)
+    assert again.result == first and again.peak < 4.0 * finest * 8
 
 
 @pytest.mark.parametrize("spec, box, resolution, t", [
