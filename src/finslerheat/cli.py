@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import flow, measures, norms, operators, radial, solutions
-from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer
-from .grids import GridFunction, RadialProfile, blocks, empty_layout, observed_order
+from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer, positive
+from .grids import GridFunction, RadialProfile, blocks, bounded, empty_layout, observed_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,11 +63,12 @@ def _write_csv(path: Path, header: list, rows, timestamp: bool) -> None:
 # config reading: one section reader, one reader per kind of value
 # ---------------------------------------------------------------------------
 
-def _section(cfg, what: str, required: dict, optional: dict | None = None) -> dict:
-    """The config object `cfg` with each value read by the reader of its key,
-    `reader(value, name)`.  A key outside `required` and `optional`, a missing
-    required key and a value that its reader refuses are config errors.  An
-    absent optional key stays absent, so the callee keeps its default."""
+def _section(cfg, what: str, required: dict, optional: dict | None = None, build=dict):
+    """`build(**keys)` of the config object `cfg`, each value read by the reader
+    of its key, `reader(value, name)`.  An unknown or missing key, a value its
+    reader refuses and a refusal of `build`, the library's check of the values'
+    ranges, are config errors under the path `what`.  An absent optional key
+    stays absent, so the callee keeps its default."""
     if not isinstance(cfg, dict):
         raise SpecValidationError(f"{what} must be an object, not {cfg!r}")
     readers = {**required, **(optional or {})}
@@ -75,12 +76,16 @@ def _section(cfg, what: str, required: dict, optional: dict | None = None) -> di
         raise SpecValidationError(f"unknown keys in {what}: {', '.join(sorted(unknown))}")
     if missing := [key for key in required if key not in cfg]:
         raise SpecValidationError(f"{what} requires {missing[0]!r}")
-    return {key: readers[key](value, f"{what} {key}") for key, value in cfg.items()}
+    c = {key: readers[key](value, f"{what} {key}") for key, value in cfg.items()}
+    try:
+        return build(**c)
+    except SpecValidationError as exc:
+        raise SpecValidationError(f"{what}: {exc}") from None
 
 
-def _object(required: dict, optional: dict | None = None):
+def _object(required: dict, optional: dict | None = None, build=dict):
     """The reader of a nested object with these keys (see `_section`)."""
-    return lambda value, what: _section(value, what, required, optional)
+    return lambda value, what: _section(value, what, required, optional, build)
 
 
 def _reader(test, need: str):
@@ -100,7 +105,6 @@ def _real(value) -> bool:
 _text = _reader(lambda v: isinstance(v, str), "a string")
 _flag = _reader(lambda v: isinstance(v, bool), "true or false")
 _number = _reader(finite, "a finite number")
-_positive = _reader(lambda v: finite(v) and v > 0, "a finite number above 0")
 _range = _reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(finite, v))
                  and v[0] < v[1], "two finite numbers in ascending order")
 
@@ -139,12 +143,12 @@ def _atom(value, what: str) -> tuple:
 
 
 def _in_dimension(points: list, spec: norms.NormSpec, what: str) -> list:
-    """`points`, each of the norm's dimension; a point of another is a config error."""
+    """`points`, each of the norm's dimension and `grids.bounded`, or a config error."""
     for point in points:
         if len(point) != spec.dimension:
             raise SpecValidationError(f"{what} must have the norm's dimension "
                                       f"{spec.dimension}, not {point!r}")
-    return points
+    return bounded(points, what)
 
 
 def _float(value, what: str) -> float:
@@ -188,16 +192,16 @@ def _profile(value, what: str) -> RadialProfile:
         c = _section(value, what, {"type": _text, "radii": _list(_number),
                                    "values": _list(_number)}, {"even": _flag})
         return RadialProfile(c["radii"], c["values"], even=c.get("even", True))
-    required = {"type": _text, "r_max": _positive}
+    required = {"type": _text, "r_max": positive}
     optional = {"samples": integer, "amplitude": _number}
     if kind == "gaussian":
-        c = _section(value, what, required, {**optional, "scale": _positive})
+        c = _section(value, what, required, {**optional, "scale": positive})
         fn = lambda r, scale=c.get("scale", 1.0): np.exp(-((r / scale) ** 2))
     elif kind == "bump":
-        c = _section(value, what, required, {**optional, "radius": _positive})
+        c = _section(value, what, required, {**optional, "radius": positive})
         fn = lambda r, rad=c.get("radius", 1.0): np.maximum(1.0 - (r / rad) ** 2, 0.0) ** 3
     else:
-        own = {"coefficient": _number, "power": _positive}
+        own = {"coefficient": _number, "power": positive}
         c = _section(value, what, {**required, **own}, optional)
         fn = lambda r: np.exp(c["coefficient"] * r ** c["power"])
     amp = c.get("amplitude", 1.0)
@@ -232,10 +236,9 @@ def _dual(value, what: str) -> norms.DualEvalConfig | None:
     """The `sphere_maximization` settings that `dual` selects, or None for
     the closed forms (method `auto`, the default, which takes no settings)."""
     oracle = isinstance(value, dict) and value.get("method") == "sphere_maximization"
-    settings = {"sphere_samples": integer, "tolerance": _positive} if oracle else {}
-    c = _section(value, what, {}, {"method": _one_of("auto", "sphere_maximization"), **settings})
-    c.pop("method", None)
-    return norms.DualEvalConfig(**c) if oracle else None
+    settings = {"sphere_samples": integer, "tolerance": _number} if oracle else {}
+    return _section(value, what, {}, {"method": _one_of("auto", "sphere_maximization"), **settings},
+                    lambda method=None, **c: norms.DualEvalConfig(**c) if oracle else None)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,7 @@ def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 
 
 _ORDER = {"levels": integer, "order_window": _range}
-_TIMED = {"t": _number, "dt": _positive, **_ORDER}
+_TIMED = {"t": _number, "dt": positive, **_ORDER}
 # each case kind: its optional keys and its params, all required (SolutionSpec's)
 _CASES = {"gauss_kernel": (_TIMED, {}), "blowup": (_TIMED, {"lam": _number}),
           "barenblatt": (_TIMED, {"m": _number, "C": _number}),
@@ -299,7 +302,8 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     if any("order_window" in case and case.get("levels", 2) < 2 for case in cases):
         raise SpecValidationError("an order_window needs levels >= 2: an order compares two")
     built = [(case, solutions.SolutionSpec(case["kind"], case["norm"], **case.get("params", {})),
-              empty_layout(case["box"], case["resolution"])) for case in cases]
+              empty_layout(bounded(case["box"], "verify-exact config cases box"),
+                           case["resolution"])) for case in cases]
     for i, (case, sol, layout) in enumerate(built):     # every window before any case runs
         if sol.kind == "singular_poly":
             try:
@@ -350,8 +354,8 @@ def _datum(source: dict, spec: norms.NormSpec, layout: GridFunction):
 
 
 _SLICE = "slice_t{:.6f}.grid"   # the file of the slice stamped t
-_PROBLEM = _object({"radius": _positive, "spacing": _positive, "tau": _positive,
-                    "t_end": _positive, "datum": _source(*_SOURCES)},
+_PROBLEM = _object({"radius": positive, "spacing": positive, "tau": positive,
+                    "t_end": positive, "datum": _source(*_SOURCES)},
                    {"scheme": _text, "store_times": _list(_number, least=0)})
 _COMPARISON = _object({}, {"kind": _one_of("gaussian_closed_form", "radial_representation"),
                            "window": _limit(0.0), "tolerance": _limit(), "time": _number})
@@ -359,8 +363,9 @@ _COMPARISON = _object({}, {"kind": _one_of("gaussian_closed_form", "radial_repre
 
 def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     c = _section(cfg, "simulate config", {"norm": _norm, "problem": _PROBLEM}, {
-        "inner": _object({}, {"tolerance": _positive, "max_iters": integer}),
-        "monitors": _object({}, {"lambda": _positive, "ell": _number}),
+        "inner": _object({}, {"tolerance": _number, "max_iters": integer}, flow.InnerSolverConfig),
+        "monitors": _object({}, {"lambda": _number, "ell": _number},
+                            lambda **c: flow.monitor_settings(c.get("lambda"), c.get("ell"))),
         "checks": _object({}, {"dissipation_slack": _limit(), "weighted_l2_slack": _limit()}),
         "compare": _COMPARISON})
     spec, pc, checks, comp = c["norm"], c["problem"], c.get("checks", {}), c.get("compare")
@@ -379,10 +384,9 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     # the layout's zero field is not held through the solve
     datum, profile = _datum(pc.pop("datum"), spec,
                             flow.ball_layout(spec, pc["radius"], pc.pop("spacing")))
-    mc = c.get("monitors", {})
-    problem = flow.FlowProblem(norm=spec, datum=datum,
-                               inner=flow.InnerSolverConfig(**c.get("inner", {})),
-                               monitor_lambda=mc.get("lambda"), monitor_ell=mc.get("ell"), **pc)
+    lam, ell = c.get("monitors", (None, None))
+    problem = flow.FlowProblem(norm=spec, datum=datum, monitor_lambda=lam, monitor_ell=ell,
+                               inner=c.get("inner", flow.InnerSolverConfig()), **pc)
     names = {_SLICE.format(k * problem.tau) for k in problem.stored}
     if len(names) < len(problem.stored):   # a save would overwrite another
         raise SpecValidationError(f"{len(problem.stored)} stored slices would share "
@@ -434,7 +438,7 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 
 def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     c = _section(cfg, "radial-solve config", {
-        "norm": _norm, "profile": _profile, "times": _list(_positive),
+        "norm": _norm, "profile": _profile, "times": _list(positive),
         "points": _list(_list(_number))},
         {"crosscheck": _object({"path": _grid}, {"tolerance": _limit()})})
     spec, cross = c["norm"], c.get("crosscheck")
@@ -468,8 +472,8 @@ def cmd_radial_solve(cfg: dict, out: Path, seed, timestamp: bool) -> int:
 def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     c = _section(cfg, "classify config", {
         "norm": _norm, "measure": _source("atoms", "density", "radial_density"),
-        "lambda_grid": _list(_positive)},
-        {"windows": _list(_positive), "spacing": _positive, "stabilization_tol": _number})
+        "lambda_grid": _list(positive)},
+        {"windows": _list(positive), "spacing": positive, "stabilization_tol": _number})
     spec = c.pop("norm")
     _in_dimension([p for p, _ in c["measure"].get("atoms", ())], spec,
                   "classify config measure atoms point")

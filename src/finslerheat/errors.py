@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one finite-number
-and one integer check."""
+"""Exception types shared across the package, and its one finite-number,
+one positive-number and one integer check."""
 
 import math
 from numbers import Real
@@ -37,6 +37,13 @@ class ConvergenceError(RuntimeError):
 def finite(value) -> bool:
     """Whether `value` is a finite real number (booleans and strings are not)."""
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def positive(value, what: str):
+    """`value` if it is a finite number above 0, else a SpecValidationError naming it."""
+    if finite(value) and value > 0:
+        return value
+    raise SpecValidationError(f"{what} must be a finite number above 0, not {value!r}")
 
 
 def integer(value, what: str) -> int:

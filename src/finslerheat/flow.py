@@ -87,7 +87,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, SpecValidationError, StabilityError, integer
+from .errors import ConvergenceError, SpecValidationError, StabilityError, integer, positive
 from .grids import GridFunction, blocks, bounded, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, kernel_rows, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
@@ -103,12 +103,12 @@ from .operators import (FaceKernel, _component_axes, _correlation_buffers,
 
 def ball_layout(spec: NormSpec, radius: float, spacing: float) -> GridFunction:
     """Empty grid on the lattice box hugging {H0 <= radius}."""
-    if not (math.isfinite(radius) and radius > 0 and math.isfinite(spacing) and spacing > 0):
-        raise SpecValidationError("ball radius and spacing must be positive and finite")
+    positive(radius, "radius")
+    positive(spacing, "spacing")
     extents = eval_norm(spec, np.eye(spec.dimension))
     cells = [max(2, int(round(radius * e / spacing))) for e in extents]
     box = tuple((-c * spacing, c * spacing) for c in cells)
-    return empty_layout(box, tuple(2 * c for c in cells))
+    return empty_layout(bounded(box, "the ball's box"), tuple(2 * c for c in cells))
 
 
 def ball_mask(spec: NormSpec, layout: GridFunction, radius: float) -> np.ndarray:
@@ -128,8 +128,8 @@ class InnerSolverConfig:
 
     def __post_init__(self):     # max_iters kept as an int: 10.0 reads as 10
         object.__setattr__(self, "max_iters", integer(self.max_iters, "max_iters"))
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0 and self.max_iters >= 1):
-            raise SpecValidationError("inner solver config out of range")
+        positive(self.tolerance, "tolerance")
+        positive(self.max_iters, "max_iters")
 
 
 MAX_STEPS = 10**7
@@ -157,11 +157,11 @@ class FlowProblem:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius >= 1.0):
             raise SpecValidationError("domain radius must be finite and >= 1")
-        if not all(math.isfinite(t) and t > 0 for t in (self.tau, self.t_end)):
-            raise SpecValidationError("tau and t_end must be positive and finite")
+        positive(self.tau, "tau")
+        positive(self.t_end, "t_end")
         if self.scheme not in ("implicit_proximal", "explicit_euler"):
             raise SpecValidationError(f"unknown scheme {self.scheme!r}")
-        _monitor_settings(self.monitor_lambda, self.monitor_ell)
+        monitor_settings(self.monitor_lambda, self.monitor_ell)
         if not isinstance(self.datum, GridFunction):
             raise SpecValidationError("flow data must be grids (see measures.mollify)")
         bounded(self.datum.values, "flow data")
@@ -634,12 +634,13 @@ def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 # monitors
 # ---------------------------------------------------------------------------
 
-def _monitor_settings(lam: Optional[float], ell: Optional[float]) -> None:
-    """Refuse a monitor lambda that is not finite and above 0, and an ell outside (0, 1/2)."""
-    if lam is not None and not (math.isfinite(lam) and lam > 0):
-        raise SpecValidationError("lambda must be finite and positive")
+def monitor_settings(lam: Optional[float], ell: Optional[float]) -> tuple:
+    """(lam, ell), each None or checked: a lambda finite and above 0, an ell in (0, 1/2)."""
+    if lam is not None:
+        positive(lam, "lambda")
     if ell is not None and not 0.0 < ell < 0.5:
-        raise SpecValidationError("ell must lie in (0, 1/2)")
+        raise SpecValidationError(f"ell must lie in (0, 1/2), not {ell!r}")
+    return lam, ell
 
 
 def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], spacing,
@@ -668,7 +669,7 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     weight rebinds the buffer, so the lambda weights are not held through
     the convolution.
     """
-    _monitor_settings(lam, ell)
+    monitor_settings(lam, ell)
     vol = float(np.prod(spacing))
     buffers = {} if buffers is None else buffers
     if spec.family == "p_norm":    # in the face buffers of an implicit solve's stepper

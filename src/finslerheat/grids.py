@@ -263,12 +263,13 @@ MAX_RADIUS = 1e6       # the even-slope fit's r^4 overflows near 1e77
 MAX_VALUE = 1e100      # squares of such values, summed over MAX_NODES nodes, stay finite
 
 
-def bounded(values, what: str) -> None:
-    """Refuse, by name, values not all at most MAX_VALUE in magnitude (NaN
-    fails): the one bound of profile values, flow data, density values,
-    atom masses and a mollified atom's peak."""
-    if not (np.min(values) >= -MAX_VALUE and np.max(values) <= MAX_VALUE):
-        raise SpecValidationError(f"{what} must be at most {MAX_VALUE:g} in magnitude")
+def bounded(values, what: str):
+    """`values`, refused by name unless all are at most MAX_VALUE in magnitude (NaN
+    fails): the one bound of profile values, flow data, densities, atoms, points,
+    boxes and a mollified atom's peak, so that their squares and H0 are finite."""
+    if np.min(values, initial=0.0) >= -MAX_VALUE and np.max(values, initial=0.0) <= MAX_VALUE:
+        return values
+    raise SpecValidationError(f"{what} must be at most {MAX_VALUE:g} in magnitude")
 
 
 @dataclass

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SpecValidationError
+from .errors import DomainError, SpecValidationError, positive
 from .grids import GridFunction, RadialProfile, blocks, bounded, empty_layout
 from .norms import NormSpec, dual_norm_eval, dual_norm_nodes, eval_norm
 
@@ -47,8 +47,8 @@ from .norms import NormSpec, dual_norm_eval, dual_norm_nodes, eval_norm
 @dataclass(frozen=True)
 class MeasureSpec:
     """Initial datum: a density grid, a finite atom list, or a radial density.
-    Density values and atom masses are `grids.bounded`, so only a density's
-    cell volume can make its total |mass| infinite."""
+    Density values, atom masses and atom points are `grids.bounded`, so only
+    a density's cell volume can make its total |mass| infinite."""
 
     kind: str                                   # density | atoms | radial_density
     density: Optional[GridFunction] = None
@@ -68,8 +68,7 @@ class MeasureSpec:
         elif self.kind == "atoms":
             if not self.atoms:
                 raise SpecValidationError("atom measure needs at least one atom")
-            if not all(np.all(np.isfinite(point)) for point, _ in self.atoms):
-                raise SpecValidationError("atom points must be finite")
+            bounded([x for point, _ in self.atoms for x in point], "atom points")
             bounded([w for _, w in self.atoms], "atom masses")
         elif self.kind == "radial_density":
             if self.profile is None or self.norm is None:
@@ -98,8 +97,8 @@ def measure_from_radial(profile: RadialProfile, norm: NormSpec) -> MeasureSpec:
 
 def _lattice_box(spec: NormSpec, radius: float, spacing: float):
     """Box hugging {H0 <= radius} with sides on the spacing lattice."""
-    if not (math.isfinite(radius) and radius > 0 and math.isfinite(spacing) and spacing > 0):
-        raise SpecValidationError("window and spacing must be positive and finite")
+    positive(radius, "window")
+    positive(spacing, "spacing")
     extents = eval_norm(spec, np.eye(spec.dimension))
     cells = [max(4, int(np.ceil(radius * e / spacing - 1e-9))) for e in extents]
     box = tuple((-c * spacing, c * spacing) for c in cells)
@@ -266,9 +265,7 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     The balls have radius 1/sqrt(lam).  Densities take their centers over
     all grid nodes of the window, atom measures at the atom locations.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise SpecValidationError("lam must be positive and finite")
-    radius = 1.0 / np.sqrt(lam)
+    radius = 1.0 / np.sqrt(positive(lam, "lam"))
 
     if measure.kind == "atoms":
         pts, wts = measure.atom_array()

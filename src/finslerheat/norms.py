@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer
+from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer, positive
 from .grids import MAX_NODES, GridFunction, blocks
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -69,8 +69,7 @@ class NormSpec:
 
     def __post_init__(self):     # kept as an int: 2.0 reads as 2
         object.__setattr__(self, "dimension", integer(self.dimension, "dimension"))
-        if self.dimension < 1:
-            raise SpecValidationError("dimension must be a positive integer")
+        positive(self.dimension, "dimension")
         if self.family == "euclidean":
             pass
         elif self.family == "p_norm":
@@ -89,8 +88,7 @@ class NormSpec:
             if np.linalg.eigvalsh(M)[0] <= 0:
                 raise SpecValidationError("ellipse matrix must be positive definite")
         elif self.family == "smoothed_polytope":
-            if not (finite(self.epsilon) and self.epsilon > 0):
-                raise SpecValidationError("smoothed_polytope requires a finite epsilon > 0")
+            positive(self.epsilon, "smoothed_polytope epsilon")
             D = self._table("directions")
             if np.linalg.matrix_rank(D) < self.dimension:
                 raise SpecValidationError(
@@ -162,8 +160,7 @@ class DualEvalConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise SpecValidationError("tolerance must be finite and positive")
+        positive(self.tolerance, "tolerance")
         if not 2 <= integer(self.sphere_samples, "sphere_samples") <= MAX_NODES:
             raise SpecValidationError(f"sphere_samples must lie in [2, {MAX_NODES}], "
                                       f"not {self.sphere_samples}")

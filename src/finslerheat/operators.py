@@ -52,7 +52,7 @@ import numpy as np
 from .errors import OutOfRangeError, SpecValidationError
 from .grids import GridFunction, RadialProfile, blocks, observed_order, refinements
 from .measures import next_fast_len
-from .norms import NormSpec, dual_norm_eval, dual_norm_nodes, duality_map
+from .norms import NormSpec, dual_norm_nodes, duality_map
 
 
 def _index(ndim: int, cuts: dict, rest: slice = slice(1, -1)) -> tuple:
@@ -459,7 +459,7 @@ def check_linearity(rp1: RadialProfile, rp2: RadialProfile,
     spacings, radial, control = [], [], []
     for lay in refinements(layout, levels):
         coords = lay.coords()
-        r = dual_norm_eval(spec, coords)
+        r = dual_norm_nodes(spec, lay)
         window = interior_mask(lay) & (r >= r_cut)
 
         def defect(v: GridFunction, w: GridFunction) -> float:

@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpecValidationError
+from .errors import ConvergenceError, DomainError, positive
 from .grids import MAX_NODES, RadialProfile, blocks
 
 _OVERFLOW_Z = 700.0
@@ -88,9 +88,7 @@ def sphere_integral_I(z: float, dimension: int) -> float:
         raise DomainError(
             f"z = {z:g} overflows the unscaled sphere integral; "
             "use the exponential-scaled evaluation")
-    N = dimension
-    if N < 1:
-        raise SpecValidationError("dimension must be positive")
+    N = positive(dimension, "dimension")
     if N == 1:
         return 2.0 * np.cosh(z)     # counting measure on S^0; extension
     if N == 2:
@@ -105,8 +103,7 @@ def sphere_integral_I(z: float, dimension: int) -> float:
 
 def bessel_I0(z: float, terms: int = 60) -> float:
     """Power series sum_{n} (z/2)^(2n) / (n!)^2 via term recurrence."""
-    if terms < 1:
-        raise SpecValidationError("terms >= 1 required")
+    positive(terms, "terms")
     z = float(z)
     q = (z / 2.0) ** 2
     term, total = 1.0, 1.0
@@ -319,8 +316,7 @@ def radial_heat_profile(profile: RadialProfile, dim: int, rho: np.ndarray,
     if dim not in _SPHERE_SUP:
         raise DomainError(f"the radial representation formula is implemented for "
                           f"dimension 1, 2 or 3, not {dim}")
-    if not (np.isfinite(t) and t > 0):
-        raise DomainError("representation formula requires a finite t > 0")
+    positive(t, "t")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if not np.all(np.isfinite(rho)):  # a NaN would sort into a block and zero all of it
         raise DomainError("representation formula requires finite rho")

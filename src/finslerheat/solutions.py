@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SpecValidationError, finite, integer
+from .errors import DomainError, SpecValidationError, finite, integer, positive
 from .grids import GridFunction, blocks, observed_order, refinements
 from .norms import NormSpec, dual_norm_eval, dual_norm_nodes
 from .operators import _face_flux_divergence, apply_operator, finsler_laplacian, interior_mask
@@ -59,8 +59,8 @@ class SolutionSpec:
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise SpecValidationError(f"unknown solution family {self.kind!r}")
-        if self.kind == "blowup" and not (finite(self.lam) and self.lam > 0):
-            raise SpecValidationError("blowup requires a finite lam > 0")
+        if self.kind == "blowup":
+            positive(self.lam, "blowup lam")
         if self.kind == "barenblatt":
             if not (finite(self.m) and self.m > 1):
                 raise SpecValidationError("barenblatt requires a finite m > 1")
@@ -77,8 +77,7 @@ class SolutionSpec:
                 raise SpecValidationError("talenti requires N(N-2)AB = 1")
         if self.kind == "singular_poly":     # kept as an int: 2.0 reads as 2
             object.__setattr__(self, "m_order", integer(self.m_order, "m_order"))
-            if self.m_order < 1:
-                raise SpecValidationError("singular_poly requires m_order >= 1")
+            positive(self.m_order, "singular_poly m_order")
 
     @property
     def blowup_time(self) -> float:
@@ -162,8 +161,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     """
     if spec.kind == "singular_poly":
         raise DomainError("use singular_poly_check for the singular family")
-    if not (math.isfinite(dt) and dt > 0):
-        raise SpecValidationError("dt must be positive and finite")
+    positive(dt, "dt")
     h0 = max(layout.spacing)
     spacings, dts, maxes = [], [], []
     for lay in refinements(layout, levels):

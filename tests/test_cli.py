@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,10 +14,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import finslerheat
-from finslerheat import cli, flow, measures, norms, solutions
+from finslerheat import cli, flow, measures, norms, radial, solutions
 from finslerheat.cli import main
+from finslerheat.errors import SpecValidationError
 from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
                                grid_from_function, observed_order)
+
+import output_digests
 
 EUCLID_JSON = {"family": "euclidean", "params": {}, "dimension": 2}
 ELLIPSE_JSON = {"family": "ellipse", "params": {"matrix": [[4, 0], [0, 1]]},
@@ -1073,14 +1077,19 @@ def test_non_finite_zero_or_empty_settings_are_config_errors(tmp_path, capsys, m
      "simulate config problem datum atoms point"),
     ("classify", _CLASSIFY, ("measure",), {"kind": "atoms", "atoms": [[[0, 0], [1.0, 2.0]]]},
      "classify config measure atoms mass"),
-], ids=["points-ragged", "point-3d-on-2d", "atom-without-mass", "atom-3d-on-2d", "mass-a-list"])
+    ("radial-solve", _RADIAL, ("points",), [[0, 0], [1e300, 0]], "radial-solve config points"),
+    ("simulate", _SIMULATE, ("problem", "datum"), {"kind": "atoms", "atoms": [[[0, 1e300], 1.0]]},
+     "simulate config problem datum atoms point"),
+], ids=["points-ragged", "point-3d-on-2d", "atom-without-mass", "atom-3d-on-2d", "mass-a-list",
+        "point-1e300", "atom-point-1e300"])
 def test_malformed_points_and_atoms_are_refused_by_name(tmp_path, capsys, command, base, path,
                                                         value, key):
-    # a point is the norm's dimension of finite numbers, an atom [point,
-    # mass]: each case exited 2 with no file before, but with numpy's or
-    # Python's own text ("setting an array element with a sequence", "vector
-    # dimension 3 != spec dimension 2", "not enough values to unpack",
-    # "operands could not be broadcast", "float() argument must be")
+    # a point is the norm's dimension of numbers at most 1e100 in magnitude,
+    # an atom [point, mass]: each case exited 2 with no file before, but with
+    # numpy's or Python's own text ("setting an array element with a
+    # sequence", "vector dimension 3 != spec dimension 2", "not enough values
+    # to unpack", "operands could not be broadcast", "float() argument must
+    # be"), and a point at 1e300 after a warning of an overflow in H0
     code, outdir = _run(tmp_path, command, _mutated(base, path, value))
     assert code == 2 and not any(outdir.iterdir())
     assert capsys.readouterr().err.startswith(f"config error: {key} must ")
@@ -1102,6 +1111,79 @@ def test_verify_norms_refuses_sample_counts_past_max_nodes(tmp_path, capsys, mon
     assert code == 0
 
 
+_EUCLID = norms.euclidean(2)
+_BALL = flow.ball_layout(_EUCLID, 1.0, 0.125)
+_BUMP = measures.measure_from_radial(RadialProfile.from_function(
+    lambda r: np.maximum(1 - r**2, 0.0) ** 3, 16.0, 2049), _EUCLID)
+
+
+@pytest.mark.parametrize("command, base, path, value, said, call, owner_said", [
+    ("simulate", _SIMULATE, ("problem", "radius"), -1.0, "simulate config problem radius",
+     lambda: flow.ball_layout(_EUCLID, -1.0, 0.125), "radius"),
+    ("simulate", _SIMULATE, ("problem", "spacing"), 0.0, "simulate config problem spacing",
+     lambda: flow.ball_layout(_EUCLID, 1.0, 0.0), "spacing"),
+    ("simulate", _SIMULATE, ("problem", "tau"), -1e-3, "simulate config problem tau",
+     lambda: flow.FlowProblem(_EUCLID, 1.0, _BALL, -1e-3, 5e-3), "tau"),
+    ("simulate", _SIMULATE, ("problem", "t_end"), 0.0, "simulate config problem t_end",
+     lambda: flow.FlowProblem(_EUCLID, 1.0, _BALL, 1e-3, 0.0), "t_end"),
+    ("simulate", _SIMULATE, ("inner",), {"tolerance": -1e-8}, "simulate config inner: tolerance",
+     lambda: flow.InnerSolverConfig(tolerance=-1e-8), "tolerance"),
+    ("simulate", _SIMULATE, ("monitors",), {"lambda": -0.5}, "simulate config monitors: lambda",
+     lambda: flow.FlowProblem(_EUCLID, 1.0, _BALL, 1e-3, 5e-3, monitor_lambda=-0.5), "lambda"),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization", "tolerance": 0},
+     "verify-norms config dual: tolerance", lambda: norms.DualEvalConfig(tolerance=0),
+     "tolerance"),
+    ("classify", _CLASSIFY, ("lambda_grid",), [0.1, -0.3], "classify config lambda_grid",
+     lambda: measures.growth_functional(_BUMP, -0.3, _EUCLID, window=4.0), "lam"),
+    ("classify", _CLASSIFY, ("windows",), [4, -6], "classify config windows",
+     lambda: measures.growth_functional(_BUMP, 0.1, _EUCLID, window=-6), "window"),
+    ("classify", _CLASSIFY, ("spacing",), -0.25, "classify config spacing",
+     lambda: measures.growth_functional(_BUMP, 0.1, _EUCLID, window=4.0, spacing=-0.25),
+     "spacing"),
+    ("verify-exact", _EXACT, ("cases", 0, "dt"), -0.01, "verify-exact config cases dt",
+     lambda: solutions.pde_residual(solutions.SolutionSpec("gauss_kernel", _EUCLID),
+                                    empty_layout([(-4, 4), (-4, 4)], (16, 16)), 0.5, -0.01), "dt"),
+    ("radial-solve", _RADIAL, ("times",), [1e-3, -1], "radial-solve config times",
+     lambda: radial.radial_heat_profile(RadialProfile.from_function(
+         lambda r: np.exp(-r**2), 14.0, 2049), 2, np.array([0.5]), -1), "t"),
+], ids=["radius", "spacing", "tau", "t-end", "inner-tolerance", "monitor-lambda",
+        "dual-tolerance", "lambda-grid", "windows", "classify-spacing", "dt", "times"])
+def test_a_range_the_library_owns_is_refused_at_section_time_under_its_config_path(
+        tmp_path, capsys, command, base, path, value, said, call, owner_said):
+    """One check owns each range, `errors.positive`: the library entry point
+    refuses the bad value naming its argument, and the CLI reader calls the
+    same check while it reads the config, so the refusal names the config
+    path and comes before any work (a refusal that the library made later
+    would not name the path)."""
+    with pytest.raises(SpecValidationError) as refused:
+        call()
+    message = str(refused.value)
+    assert message.startswith(f"{owner_said} must be a finite number above 0, not ")
+    code, outdir = _run(tmp_path, command, _mutated(base, path, value))
+    assert code == 2 and not any(outdir.iterdir())
+    # the library's message, the value included, with the config path for the argument
+    assert capsys.readouterr().err == f"config error: {said}{message.removeprefix(owner_said)}\n"
+
+
+@pytest.mark.parametrize("command, base, path, value, said, call", [
+    ("simulate", _SIMULATE, ("inner",), {"max_iters": 0}, "simulate config inner: ",
+     lambda: flow.InnerSolverConfig(max_iters=0)),
+    ("simulate", _SIMULATE, ("monitors",), {"ell": 0.75}, "simulate config monitors: ",
+     lambda: flow.FlowProblem(_EUCLID, 1.0, _BALL, 1e-3, 5e-3, monitor_ell=0.75)),
+    ("verify-norms", _VERIFY, ("dual",), {"method": "sphere_maximization", "sphere_samples": 1},
+     "verify-norms config dual: ", lambda: norms.DualEvalConfig(sphere_samples=1)),
+], ids=["max-iters-0", "monitor-ell", "sphere-samples-1"])
+def test_a_library_object_that_the_cli_builds_refuses_under_its_config_path(
+        tmp_path, capsys, command, base, path, value, said, call):
+    # the CLI builds the library's own object or check of these settings
+    # while it reads the config: the library's refusal, under the path
+    with pytest.raises(SpecValidationError) as refused:
+        call()
+    code, outdir = _run(tmp_path, command, _mutated(base, path, value))
+    assert code == 2 and not any(outdir.iterdir())
+    assert capsys.readouterr().err == f"config error: {said}{refused.value}\n"
+
+
 _BASES = {"_SIMULATE": ("simulate", _SIMULATE), "_CLASSIFY": ("classify", _CLASSIFY),
           "_EXACT": ("verify-exact", _EXACT), "_VERIFY": ("verify-norms", _VERIFY),
           "_RADIAL": ("radial-solve", _RADIAL), "_SINGULAR": ("verify-exact", _SINGULAR),
@@ -1109,21 +1191,21 @@ _BASES = {"_SIMULATE": ("simulate", _SIMULATE), "_CLASSIFY": ("classify", _CLASS
 _BAD_VALUES = (0, -1, NAN, INF, -INF, "x", True, [], {})
 
 
-def _mutations(node, path=()):
+def _mutations(node, path=(), values=_BAD_VALUES):
     """(path, how, value) for every config one step from `node`: each key
     dropped or misspelled, each entry (a leaf, a list or an object) set to
-    each of `_BAD_VALUES`."""
+    each of `values`."""
     if path:
-        for value in _BAD_VALUES:
+        for value in values:
             yield path, "set", value
     if isinstance(node, dict):
         for key, child in node.items():
             yield path + (key,), "drop", None
             yield path + (key,), "misspell", None
-            yield from _mutations(child, path + (key,))
+            yield from _mutations(child, path + (key,), values)
     elif isinstance(node, list):
         for index, child in enumerate(node):
-            yield from _mutations(child, path + (index,))
+            yield from _mutations(child, path + (index,), values)
 
 
 _MUTATIONS = [(name, *mutation) for name, (_, base) in _BASES.items()
@@ -1152,6 +1234,59 @@ def test_one_mutation_of_a_base_config_ends_in_an_exit_code(tmp_path, monkeypatc
     if code == 2:
         assert "config error" in err
         assert not any(outdir.iterdir())
+
+
+def _shrunk(job):
+    """A benchmark job on a grid shrunk so that it runs in milliseconds: a
+    flow at 16 cells a radius, 3 points, 20 samples, a 16 x 8 finest grid."""
+    cfg = json.loads(json.dumps(job.config))
+    if job.command == "simulate":
+        cfg["problem"]["spacing"] = cfg["problem"]["radius"] / 16
+    elif job.command == "radial-solve":
+        cfg["points"] = cfg["points"][:3]
+    elif job.command == "verify-norms":
+        cfg["samples"] = 20
+    elif job.command == "verify-exact":
+        cfg["cases"][0]["resolution"] = [16, 8]
+    return dataclasses.replace(job, config=cfg)
+
+
+# the jobs of both benchmark workloads, loaded as `test_benchmark_jobs.py` loads them
+_JOBS = {f"{workload}/{job.name}": _shrunk(job) for workload, job in output_digests.jobs(1)}
+_JOB_MUTATIONS = [(name, *mutation) for name, job in _JOBS.items()
+                  for mutation in _mutations(job.config, values=_BAD_VALUES + (1e300,))]
+
+
+@pytest.mark.parametrize("name", list(_JOBS))
+def test_the_shrunk_benchmark_jobs_pass_their_checks(tmp_path, name):
+    code, out = output_digests.run_job(_JOBS[name], tmp_path)
+    assert code == 0 and _JOBS[name].check(out, _JOBS[name]) == []
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(_JOB_MUTATIONS))
+# each warned of an overflow in H0 before the run refused it
+@example(mutation=("ellipse-flow/implicit-tau1e-3", ("problem", "spacing"), "set", 1e300))
+@example(mutation=("pnorm-oracles/verify-exact", ("cases", 0, "box", 0, 1), "set", 1e300))
+@example(mutation=("pnorm-oracles/radial-solve", ("points", 0, 0), "set", 1e300))
+def test_one_mutation_of_a_benchmark_config_ends_in_an_exit_code(tmp_path, capsys, mutation):
+    """The property above over the benchmark's job configs, with 1e300 among
+    the values, which needs a bound rather than a type.  On exit 0 the job's
+    own check reads every output it expects: none is missing or short (its
+    other findings compare against the unmutated job, such as a closed form
+    of the norm that a mutation changed)."""
+    name, path, how, value = mutation
+    job = dataclasses.replace(_JOBS[name], config=_mutated(_JOBS[name].config, path, value, how))
+    out = Path(tempfile.mkdtemp(dir=tmp_path)).name
+    code, out = _run(tmp_path, job.command, job.config, out=out)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert "config error" in capsys.readouterr().err
+        assert not any(out.iterdir())
+    if code == 0 and how == "set":    # a dropped key takes a default that the check cannot read
+        problems = job.check(out, job)
+        assert not [p for p in problems if "missing" in p or "rows, want" in p]
 
 
 @pytest.mark.parametrize("command, base, path, value", [

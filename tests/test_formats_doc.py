@@ -77,7 +77,7 @@ def _read_keys(monkeypatch, command: str, cfg: dict, out: Path):
     section, kind = cli._section, cli._kind
     stack, read, offered, given = [command], [], set(), set()
 
-    def recording_section(value, what, required, optional=None):
+    def recording_section(value, what, required, optional=None, build=dict):
         if "family" in required:
             stack.append("Norm spec (JSON)")
         elif "type" in required:
@@ -88,7 +88,7 @@ def _read_keys(monkeypatch, command: str, cfg: dict, out: Path):
             stack.append(stack[-1])
         read.append((stack[-1], {*required, *(optional or {})}))
         try:
-            result = section(value, what, required, optional)
+            result = section(value, what, required, optional, build)
         finally:
             stack.pop()
         if len(stack) == 1:

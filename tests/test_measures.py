@@ -395,6 +395,15 @@ def test_atoms_whose_total_mass_overflows_are_refused():
     assert all(math.isfinite(v) for v in result.table.values())
 
 
+def test_atoms_whose_points_pass_max_value_are_refused():
+    # an atom at 1e300 warned of an overflow in H0 of the mollified datum
+    # before the run refused it: points are bounded as masses are
+    for x in (1e300, 2 * MAX_VALUE, np.inf, np.nan):
+        with pytest.raises(SpecValidationError, match="atom points must be at most 1e"):
+            measure_from_atoms([((0.0, 0.0), 1.0), ((x, 0.0), 1.0)])
+    assert measure_from_atoms([((MAX_VALUE, -MAX_VALUE), 1.0)]).kind == "atoms"
+
+
 def test_a_mollified_atom_whose_peak_passes_max_value_is_refused():
     # an atom of mass MAX_VALUE spread over a bump of width 0.25, whose
     # lattice sum times the cell volume is about 0.03, would peak near

@@ -221,8 +221,9 @@ def test_gauss_legendre_rule_is_numpys_and_read_only():
 
 
 def test_negative_time_rejected():
+    # refused by `errors.positive`, the check that the CLI's `times` reader calls
     prof = RadialProfile.from_function(lambda r: np.ones_like(r), 14.0, 65)
-    with pytest.raises(DomainError):
+    with pytest.raises(SpecValidationError, match="t must be a finite number above 0, not 0.0"):
         radial_heat_profile(prof, 2, np.array([0.5]), 0.0)
 
 
