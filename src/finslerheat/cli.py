@@ -16,6 +16,8 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from numbers import Real
 from pathlib import Path
@@ -23,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import flow, measures, norms, operators, radial, solutions
-from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer, positive
+from .errors import (ConvergenceError, DomainError, SpecValidationError, finite, integer,
+                     natural, positive)
 from .grids import GridFunction, RadialProfile, blocks, bounded, empty_layout, observed_order
 
 EXIT_OK = 0
@@ -63,12 +66,21 @@ def _write_csv(path: Path, header: list, rows, timestamp: bool) -> None:
 # config reading: one section reader, one reader per kind of value
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _under(what: str):
+    """A refusal by the library inside, a config error under the path `what`."""
+    try:
+        yield
+    except SpecValidationError as exc:
+        raise SpecValidationError(f"{what}: {exc}") from None
+
+
 def _section(cfg, what: str, required: dict, optional: dict | None = None, build=dict):
     """`build(**keys)` of the config object `cfg`, each value read by the reader
     of its key, `reader(value, name)`.  An unknown or missing key, a value its
     reader refuses and a refusal of `build`, the library's check of the values'
-    ranges, are config errors under the path `what`.  An absent optional key
-    stays absent, so the callee keeps its default."""
+    ranges, are config errors under the path `what` (`_under`).  An absent
+    optional key stays absent, so the callee keeps its default."""
     if not isinstance(cfg, dict):
         raise SpecValidationError(f"{what} must be an object, not {cfg!r}")
     readers = {**required, **(optional or {})}
@@ -77,10 +89,8 @@ def _section(cfg, what: str, required: dict, optional: dict | None = None, build
     if missing := [key for key in required if key not in cfg]:
         raise SpecValidationError(f"{what} requires {missing[0]!r}")
     c = {key: readers[key](value, f"{what} {key}") for key, value in cfg.items()}
-    try:
+    with _under(what):
         return build(**c)
-    except SpecValidationError as exc:
-        raise SpecValidationError(f"{what}: {exc}") from None
 
 
 def _object(required: dict, optional: dict | None = None, build=dict):
@@ -168,9 +178,9 @@ _NORM_PARAMS = {"euclidean": {}, "p_norm": {"p": _float}, "ellipse": {"matrix": 
 def _norm(value, what: str) -> norms.NormSpec:
     """A norm: its `family`, its `dimension` and the params of that family."""
     params = _NORM_PARAMS[_kind(_NORM_PARAMS, "family", value, what)]
-    c = _section(value, what, {"family": _text, "dimension": integer},
-                 {"params": _object(params)})
-    return norms.NormSpec(c["family"], c["dimension"], **c.get("params", {}))
+    return _section(value, what, {"family": _text, "dimension": integer},
+                    {"params": _object(params)},
+                    lambda family, dimension, params={}: norms.NormSpec(family, dimension, **params))
 
 
 def _grid(value, what: str) -> GridFunction:
@@ -254,16 +264,20 @@ _IDENTITY_DEFAULTS = {
 
 def cmd_verify_norms(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     c = _section(cfg, "verify-norms config", {"norms": _list(_norm)}, {
-        "seed": integer, "samples": integer, "dual": _dual,
+        "seed": natural, "samples": integer, "dual": _dual,
         "tolerances": _object({}, dict.fromkeys(_IDENTITY_DEFAULTS, _limit()))})
-    seed = c.get("seed") if seed is None else seed
+    seed = c.get("seed") if seed is None else natural(seed, "--seed")
     if seed is None:
         raise SpecValidationError("verify-norms samples randomly and needs a seed")
+    if (dual := c.get("dual")) is not None:   # every norm before the first runs
+        with _under("verify-norms config dual"):
+            for spec in c["norms"]:
+                dual.check_dimension(spec.dimension)
     samples = c.get("samples", 1000)
     tols = {**_IDENTITY_DEFAULTS, **c.get("tolerances", {})}
     rows, ok = [], True
     for spec in c["norms"]:
-        report = norms.verify_identities(spec, samples, c.get("dual"), seed=seed)
+        report = norms.verify_identities(spec, samples, dual, seed=seed)
         for name, value in report.items():
             tol = tols[name]
             passed = value <= tol
@@ -304,13 +318,14 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
     built = [(case, solutions.SolutionSpec(case["kind"], case["norm"], **case.get("params", {})),
               empty_layout(bounded(case["box"], "verify-exact config cases box"),
                            case["resolution"])) for case in cases]
-    for i, (case, sol, layout) in enumerate(built):     # every window before any case runs
-        if sol.kind == "singular_poly":
-            try:
+    for i, (case, sol, layout) in enumerate(built):  # every window and stencil before any case runs
+        try:
+            if sol.kind == "singular_poly":
                 solutions.singular_poly_window(sol, layout, **_annulus(case))
-            except DomainError as exc:
-                raise SpecValidationError(f"verify-exact cases[{i}] (singular_poly): "
-                                          f"{exc}") from None
+            else:
+                solutions.residual_times(sol, case.get("t", 0.0), case.get("dt", 1e-2))
+        except DomainError as exc:
+            raise SpecValidationError(f"verify-exact cases[{i}] ({sol.kind}): {exc}") from None
     rows, ok = [], True
     for case, sol, layout in built:
         spec, t, coarse = sol.norm, case.get("t", 0.0), [max(layout.spacing)]
@@ -369,10 +384,11 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         "checks": _object({}, {"dissipation_slack": _limit(), "weighted_l2_slack": _limit()}),
         "compare": _COMPARISON})
     spec, pc, checks, comp = c["norm"], c["problem"], c.get("checks", {}), c.get("compare")
-    _in_dimension([p for p, _ in pc["datum"].get("atoms", ())], spec,
+    source, (lam, ell) = pc.pop("datum"), c.get("monitors", (None, None))
+    _in_dimension([p for p, _ in source.get("atoms", ())], spec,
                   "simulate config problem datum atoms point")
     if comp is not None:  # a comparison that cannot hold for the datum is refused
-        kind, source = comp.get("kind", "gaussian_closed_form"), pc["datum"]
+        kind = comp.get("kind", "gaussian_closed_form")
         prof = source["profile"] if source["kind"] == "radial" else None
         unit_gaussian = prof is not None and np.array_equal(prof.values, np.exp(-prof.radii**2))
         if kind == "gaussian_closed_form" and not unit_gaussian:
@@ -381,12 +397,11 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
                                       "scale 1); use radial_representation")
         if kind == "radial_representation" and prof is None:
             raise SpecValidationError("radial_representation comparison needs a radial datum")
-    # the layout's zero field is not held through the solve
-    datum, profile = _datum(pc.pop("datum"), spec,
-                            flow.ball_layout(spec, pc["radius"], pc.pop("spacing")))
-    lam, ell = c.get("monitors", (None, None))
-    problem = flow.FlowProblem(norm=spec, datum=datum, monitor_lambda=lam, monitor_ell=ell,
-                               inner=c.get("inner", flow.InnerSolverConfig()), **pc)
+    with _under("simulate config problem"):     # every flow setting, on the empty layout
+        problem = flow.FlowProblem(
+            norm=spec, datum=flow.ball_layout(spec, pc["radius"], pc.pop("spacing")),
+            monitor_lambda=lam, monitor_ell=ell,
+            inner=c.get("inner", flow.InnerSolverConfig()), **pc)
     names = {_SLICE.format(k * problem.tau) for k in problem.stored}
     if len(names) < len(problem.stored):   # a save would overwrite another
         raise SpecValidationError(f"{len(problem.stored)} stored slices would share "
@@ -396,6 +411,9 @@ def cmd_simulate(cfg: dict, out: Path, seed, timestamp: bool) -> int:
         if (k := problem.step_of(asked)) not in problem.stored:
             raise SpecValidationError(f"compare.time {asked} is not a stored time")
         t = k * problem.tau
+    with _under("simulate config problem datum"):   # in place of the layout, not held
+        datum, profile = _datum(source, spec, problem.datum)
+        problem = replace(problem, datum=datum)
 
     try:
         traj = flow.solve(problem)

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and its one finite-number,
-one positive-number and one integer check."""
+one positive-number, one integer and one non-negative-integer check."""
 
 import math
 from numbers import Real
@@ -53,3 +53,10 @@ def integer(value, what: str) -> int:
     if finite(value) and float(value).is_integer():
         return int(value)
     raise SpecValidationError(f"{what} must be an integer, not {value!r}")
+
+
+def natural(value, what: str) -> int:
+    """`integer(value, what)` if it is at least 0, else a SpecValidationError naming `what`."""
+    if (n := integer(value, what)) >= 0:
+        return n
+    raise SpecValidationError(f"{what} must be an integer >= 0, not {value!r}")

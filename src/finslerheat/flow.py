@@ -140,7 +140,9 @@ class FlowProblem:
     """A Dirichlet flow and its time axis, resolved once: `steps` = t_end / tau
     (at most MAX_STEPS, a bound on the run's length), and `stored`, the steps
     whose slices `solve` keeps (the last, and each store time's); the datum is
-    `grids.bounded`, so that the monitors' sums of squares stay finite."""
+    `grids.bounded`, so that the monitors' sums of squares stay finite.  Each
+    setting, the explicit step bound and the lambda monitors' horizon included,
+    is checked here, so a problem on the datum's empty layout refuses it early."""
     norm: NormSpec
     radius: float
     datum: GridFunction
@@ -156,15 +158,20 @@ class FlowProblem:
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius >= 1.0):
-            raise SpecValidationError("domain radius must be finite and >= 1")
+            raise SpecValidationError(f"radius must be a finite number >= 1, not {self.radius!r}")
         positive(self.tau, "tau")
         positive(self.t_end, "t_end")
         if self.scheme not in ("implicit_proximal", "explicit_euler"):
             raise SpecValidationError(f"unknown scheme {self.scheme!r}")
-        monitor_settings(self.monitor_lambda, self.monitor_ell)
+        lam, _ = monitor_settings(self.monitor_lambda, self.monitor_ell)
+        if lam is not None and not _before_horizon(lam, self.tau):
+            raise SpecValidationError(f"monitor lambda {lam!r} puts the horizon 1/(4 lambda) "
+                                      f"at or before the first step, tau = {self.tau!r}")
         if not isinstance(self.datum, GridFunction):
             raise SpecValidationError("flow data must be grids (see measures.mollify)")
         bounded(self.datum.values, "flow data")
+        if self.scheme == "explicit_euler":
+            _explicit_bound(self.norm, self.datum.spacing, self.tau)
         steps = self.t_end / self.tau
         if not steps <= MAX_STEPS + 0.5:    # rounds to at most MAX_STEPS; inf fails
             raise SpecValidationError(f"t_end / tau must be at most {MAX_STEPS} steps")
@@ -597,20 +604,24 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
     return u_prev.with_values(step(u_prev.values)[0])
 
 
-def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
-                      buffers: Optional[dict] = None):
-    """The forward step, built once; stable for tau <= h^2 / (2 N C2), h the
-    smallest spacing.  step(u), u 0 off the mask, returns (u + tau L u, 0
-    there, {}) like `_prox_stepper`, no stats, L the face-flux operator, which
-    is undefined on the box edge: the mask must leave it out."""
-    if any(np.take(mask, [0, -1], axis=a).any() for a in range(mask.ndim)):
-        raise SpecValidationError("the explicit step's mask must leave out the box edge")
+def _explicit_bound(spec: NormSpec, spacings, tau: float) -> None:
+    """The one check of the explicit step bound, tau <= h^2 / (2 N C2), h the
+    smallest spacing and C2 `norms.coercivity_bounds`' |A(xi)| <= C2 |xi|;
+    `FlowProblem` and `explicit_step` call it."""
     _, c2 = coercivity_bounds(spec)
     h = min(spacings)
     limit = h * h / (2.0 * spec.dimension * c2)
     if tau > limit * (1.0 + 1e-12):
         raise StabilityError(
             f"explicit step tau = {tau:g} exceeds the stability bound {limit:g}")
+
+
+def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
+                      buffers: Optional[dict] = None):
+    """The forward step, built once, at a tau within `_explicit_bound`.
+    step(u), u 0 off the mask, returns (u + tau L u, 0 there, {}) like
+    `_prox_stepper`, no stats, L the face-flux operator, which is undefined
+    on the box edge: the mask leaves it out."""
     spacings, off, buffers = tuple(spacings), ~mask, {} if buffers is None else buffers
 
     def step(values: np.ndarray) -> tuple:
@@ -624,8 +635,12 @@ def _explicit_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
 
 def explicit_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
                   tau: float) -> GridFunction:
-    """Forward step with the face-flux operator (`_explicit_stepper`);
-    clamped outside the mask, which leaves out the box edge."""
+    """Forward step with the face-flux operator (`_explicit_stepper`) at a
+    tau within `_explicit_bound`; clamped outside the mask, which must leave
+    out the box edge."""
+    if any(np.take(mask, [0, -1], axis=a).any() for a in range(mask.ndim)):
+        raise SpecValidationError("the explicit step's mask must leave out the box edge")
+    _explicit_bound(spec, u_prev.spacing, tau)
     step = _explicit_stepper(spec, u_prev.spacing, mask, tau)
     return u_prev.with_values(step(np.where(mask, u_prev.values, 0.0))[0])
 
@@ -641,6 +656,11 @@ def monitor_settings(lam: Optional[float], ell: Optional[float]) -> tuple:
     if ell is not None and not 0.0 < ell < 0.5:
         raise SpecValidationError(f"ell must lie in (0, 1/2), not {ell!r}")
     return lam, ell
+
+
+def _before_horizon(lam: float, t: float) -> bool:
+    """Whether t lies before the lambda monitors' horizon 1/(4 lam), from which they read nan."""
+    return 1.0 - 4.0 * lam * t > 1e-12
 
 
 def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], spacing,
@@ -696,7 +716,7 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
 
     def read(u: np.ndarray, t: float) -> dict:
         out = {"energy": psi(u), "mass": float(np.sum(u)) * vol}
-        if lam is not None and 1.0 - 4.0 * lam * t > 1e-12:
+        if lam is not None and _before_horizon(lam, t):
             w = np.square(h0)
             w *= lam
             w /= 1.0 - 4.0 * lam * t

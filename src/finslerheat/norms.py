@@ -45,11 +45,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpecValidationError, finite, integer, positive
-from .grids import MAX_NODES, GridFunction, blocks
+from .errors import (ConvergenceError, DomainError, SpecValidationError, finite, integer,
+                     natural, positive)
+from .grids import MAX_NODES, GridFunction, blocks, bounded
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 20          # golden-section steps of each line search of the oracle
+# the largest norm dimension: grids and the oracles take N <= 3, the closed
+# forms any N; the bound keeps every N-long list and N x N form small
+MAX_DIMENSION = 16
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +74,9 @@ class NormSpec:
     def __post_init__(self):     # kept as an int: 2.0 reads as 2
         object.__setattr__(self, "dimension", integer(self.dimension, "dimension"))
         positive(self.dimension, "dimension")
+        if self.dimension > MAX_DIMENSION:
+            raise SpecValidationError(f"dimension must be at most {MAX_DIMENSION}, "
+                                      f"not {self.dimension:g}")
         if self.family == "euclidean":
             pass
         elif self.family == "p_norm":
@@ -88,7 +95,8 @@ class NormSpec:
             if np.linalg.eigvalsh(M)[0] <= 0:
                 raise SpecValidationError("ellipse matrix must be positive definite")
         elif self.family == "smoothed_polytope":
-            positive(self.epsilon, "smoothed_polytope epsilon")
+            bounded([positive(self.epsilon, "smoothed_polytope epsilon")],
+                    "smoothed_polytope epsilon")
             D = self._table("directions")
             if np.linalg.matrix_rank(D) < self.dimension:
                 raise SpecValidationError(
@@ -164,6 +172,13 @@ class DualEvalConfig:
         if not 2 <= integer(self.sphere_samples, "sphere_samples") <= MAX_NODES:
             raise SpecValidationError(f"sphere_samples must lie in [2, {MAX_NODES}], "
                                       f"not {self.sphere_samples}")
+
+    def check_dimension(self, dimension: int) -> None:
+        """The one check of the scan's floor of 2N directions for a norm of
+        `dimension` N, which `sphere_maximization` calls."""
+        if self.sphere_samples < 2 * dimension:
+            raise SpecValidationError(f"sphere_samples must be at least 2N = {2 * dimension} "
+                                      f"for a {dimension}-D norm, not {self.sphere_samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +438,7 @@ def sphere_maximization(spec: NormSpec, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, x.shape[-1])
     N = spec.dimension
-    if cfg.sphere_samples < 2 * N:
-        raise SpecValidationError("sphere_samples must be >= 2N")
+    cfg.check_dimension(N)
     dirs = _direction_set(N, cfg.sphere_samples)
     H_dirs = eval_norm(spec, dirs)
     best = np.empty(len(X), dtype=int)
@@ -503,6 +517,7 @@ def verify_identities(spec: NormSpec, sample_count: int,
         map_quadratic               |A(xi).xi - H(xi)^2|
     """
     sample_count = integer(sample_count, "sample_count")     # 20.0 reads as 20
+    seed = natural(seed, "seed")
     if not 1 <= sample_count <= MAX_NODES:
         raise SpecValidationError(f"verify_identities takes 1 to {MAX_NODES} samples, "
                                   f"not {sample_count}")

@@ -105,22 +105,37 @@ def eval_solution(spec: SolutionSpec, x: np.ndarray, t: float = 0.0) -> np.ndarr
     return _closed_form(spec, dual_norm_eval(spec.norm, np.asarray(x, dtype=float)), t)
 
 
+def _time_domain(spec: SolutionSpec, t: float) -> None:
+    """A DomainError unless the family exists at time t, `_closed_form`'s rule."""
+    if spec.kind in ("gauss_kernel", "barenblatt") and t <= 0:
+        raise DomainError(f"{spec.kind} requires t > 0")
+    if spec.kind == "blowup" and (t < 0 or 1.0 - 4.0 * spec.lam * t <= 0):
+        raise DomainError(f"blowup family only exists for 0 <= t < {spec.blowup_time}")
+
+
+def residual_times(spec: SolutionSpec, t: float, dt: float) -> None:
+    """The check of `pde_residual`'s times: dt above 0, and its widest stencil,
+    t - dt .. t + dt, inside the family's time domain (an interval), or a
+    refusal naming t and dt."""
+    positive(dt, "dt")
+    try:
+        for s in (t - dt, t + dt):
+            _time_domain(spec, s)
+    except DomainError as exc:
+        raise DomainError(f"the residual at t = {t!r} reads t - dt to t + dt, "
+                          f"dt = {dt!r}: {exc}") from None
+
+
 def _closed_form(spec: SolutionSpec, r: np.ndarray, t: float) -> np.ndarray:
     """The family's value at time t at points of H0 values r."""
     N = spec.norm.dimension
+    _time_domain(spec, t)
     if spec.kind == "gauss_kernel":
-        if t <= 0:
-            raise DomainError("gauss_kernel requires t > 0")
         return (4.0 * np.pi * t) ** (-N / 2.0) * np.exp(-(r**2) / (4.0 * t))
     if spec.kind == "blowup":
         s = 1.0 - 4.0 * spec.lam * t
-        if t < 0 or s <= 0:
-            raise DomainError(
-                f"blowup family only exists for 0 <= t < {spec.blowup_time}")
         return s ** (-N / 2.0) * np.exp(spec.lam * r**2 / s)
     if spec.kind == "barenblatt":
-        if t <= 0:
-            raise DomainError("barenblatt requires t > 0")
         alpha, beta, k = spec.barenblatt_exponents
         bracket = np.maximum(spec.C - k * r**2 * t ** (-2.0 * beta), 0.0)
         return t ** (-alpha) * bracket ** (1.0 / (spec.m - 1.0))
@@ -161,7 +176,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
     """
     if spec.kind == "singular_poly":
         raise DomainError("use singular_poly_check for the singular family")
-    positive(dt, "dt")
+    residual_times(spec, t, dt)
     h0 = max(layout.spacing)
     spacings, dts, maxes = [], [], []
     for lay in refinements(layout, levels):

@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import finslerheat
-from finslerheat import cli, flow, measures, norms, radial, solutions
+from finslerheat import cli, flow, measures, norms, operators, radial, solutions
 from finslerheat.cli import main
-from finslerheat.errors import SpecValidationError
+from finslerheat.errors import DomainError, SpecValidationError
 from finslerheat.grids import (GridFunction, RadialProfile, empty_layout,
                                grid_from_function, observed_order)
 
@@ -1184,6 +1184,41 @@ def test_a_library_object_that_the_cli_builds_refuses_under_its_config_path(
     assert capsys.readouterr().err == f"config error: {said}{refused.value}\n"
 
 
+# each flow setting that FlowProblem owns, with a radial datum (lifted) and
+# a measure (mollified): the problem is built on the ball's empty layout, so
+# a refusal comes before the datum is laid (it came after the lift or the
+# mollify, and without the config path; the step bound after H0 too)
+@pytest.mark.parametrize("change", [
+    {"problem": {"radius": 0.5}},
+    {"problem": {"scheme": "foo"}},
+    {"problem": {"tau": 0.01, "t_end": 0.055}},
+    {"problem": {"tau": 1e-8, "t_end": 1.0}},
+    {"problem": {"store_times": [-0.01]}},
+    {"problem": {"scheme": "explicit_euler", "tau": 0.01, "t_end": 0.02}},
+    {"problem": {"tau": 0.01, "t_end": 0.02}, "monitors": {"lambda": 30}},
+], ids=["radius-0.5", "scheme-foo", "t-end-off-the-steps", "steps-past-1e7",
+        "store-time-negative", "explicit-tau-past-the-bound", "lambda-past-its-horizon"])
+def test_every_flow_setting_is_refused_before_the_datum_is_laid(tmp_path, capsys, work, change):
+    problem = {**_SIMULATE["problem"], **change["problem"]}
+    problem.pop("datum")
+    lam = change.get("monitors", {}).get("lambda")
+    with pytest.raises(SpecValidationError) as refused:
+        flow.FlowProblem(norm=_EUCLID, datum=flow.ball_layout(
+            _EUCLID, problem["radius"], problem.pop("spacing")), monitor_lambda=lam, **problem)
+    work_done = {"lift": operators.lift_radial, "mollify": measures.mollify,
+                 "h0": norms.dual_norm_nodes, "solve": flow.solve}
+    for n, datum in enumerate([_SIMULATE["problem"]["datum"],
+                               {"kind": "atoms", "atoms": [[[0, 0], 1.0]]}]):
+        cfg = {**_SIMULATE, **change, "problem": {**_SIMULATE["problem"], **change["problem"],
+                                                  "datum": datum}}
+        run = work(lambda: _run(tmp_path, "simulate", cfg, out=f"out{n}"), trace=False,
+                   also=work_done)
+        code, outdir = run.result
+        assert code == 2 and not any(outdir.iterdir())
+        assert capsys.readouterr().err == f"config error: simulate config problem: {refused.value}\n"
+        assert {name: run.counts[name] for name in work_done} == dict.fromkeys(work_done, 0)
+
+
 _BASES = {"_SIMULATE": ("simulate", _SIMULATE), "_CLASSIFY": ("classify", _CLASSIFY),
           "_EXACT": ("verify-exact", _EXACT), "_VERIFY": ("verify-norms", _VERIFY),
           "_RADIAL": ("radial-solve", _RADIAL), "_SINGULAR": ("verify-exact", _SINGULAR),
@@ -1287,6 +1322,87 @@ def test_one_mutation_of_a_benchmark_config_ends_in_an_exit_code(tmp_path, capsy
     if code == 0 and how == "set":    # a dropped key takes a default that the check cannot read
         problems = job.check(out, job)
         assert not [p for p in problems if "missing" in p or "rows, want" in p]
+
+
+# the eleven one-step mutations of the base and benchmark configs (of 5,374)
+# that exited 2 only through `main`'s catch-all, with numpy's or Python's
+# text ("expected non-negative integer", "Maximum allowed dimension
+# exceeded", an OverflowError), and the --seed flag: each is refused by the
+# library's check, which the CLI calls as it reads the config
+_SEED = lambda: norms.verify_identities(_EUCLID, 20, seed=-1)
+_DIMENSION = lambda: norms.euclidean(1e300)
+_EPSILON = lambda: norms.smoothed_polytope(np.eye(2), 1e300)
+
+
+@pytest.mark.parametrize("name, path, value, extra, said, call", [
+    ("_VERIFY", ("seed",), -1, (), "verify-norms config ", _SEED),
+    ("pnorm-oracles/verify-norms", ("seed",), -1, (), "verify-norms config ", _SEED),
+    ("pnorm-oracles/verify-norms-numeric", ("seed",), -1, (), "verify-norms config ", _SEED),
+    ("_VERIFY", None, None, ("--seed", "-1"), "--", _SEED),
+    *[(f"pnorm-oracles/{job}", ("norm", "dimension"), 1e300, (), "simulate config norm: ",
+       _DIMENSION) for job in ("p3-h1/32", "p3-h1/64", "p1.5-h1/8", "p1.5-h1/16")],
+    ("pnorm-oracles/verify-norms", ("norms", 0, "dimension"), 1e300, (),
+     "verify-norms config norms: ", _DIMENSION),
+    ("pnorm-oracles/classify", ("norm", "dimension"), 1e300, (), "classify config norm: ",
+     _DIMENSION),
+    ("pnorm-oracles/verify-norms", ("norms", 2, "params", "epsilon"), 1e300, (),
+     "verify-norms config norms: ", _EPSILON),
+    ("pnorm-oracles/polytope-flow", ("norm", "params", "epsilon"), 1e300, (),
+     "simulate config norm: ", _EPSILON),
+], ids=["seed-base", "seed-verify-norms", "seed-verify-norms-numeric", "seed-flag",
+        "dimension-p3-h1/32", "dimension-p3-h1/64", "dimension-p1.5-h1/8",
+        "dimension-p1.5-h1/16", "dimension-verify-norms", "dimension-classify",
+        "epsilon-verify-norms", "epsilon-polytope-flow"])
+def test_a_mutation_that_reached_the_catch_all_is_refused_by_its_owner(
+        tmp_path, capsys, name, path, value, extra, said, call):
+    with pytest.raises(SpecValidationError) as refused:
+        call()
+    command, base = _BASES[name] if name in _BASES else (_JOBS[name].command,
+                                                         _JOBS[name].config)
+    cfg = base if path is None else _mutated(base, path, value)
+    code, outdir = _run(tmp_path, command, cfg, extra=extra)
+    assert code == 2 and not any(outdir.iterdir())
+    # the library's message, which names the key, after the config path or flag
+    assert capsys.readouterr().err == f"config error: {said}{refused.value}\n"
+
+
+def test_an_oracle_too_coarse_for_a_later_norm_is_refused_before_the_first_runs(
+        tmp_path, capsys, work):
+    # sphere_samples 4 is 2N for the 2-D norm and short of it for the 3-D one,
+    # which ran after the 2-D identities and exited 2 without the config path
+    with pytest.raises(SpecValidationError) as refused:
+        norms.sphere_maximization(norms.euclidean(3), np.ones((1, 3)),
+                                  norms.DualEvalConfig(sphere_samples=4))
+    cfg = {"seed": 1, "samples": 20, "dual": {"method": "sphere_maximization", "sphere_samples": 4},
+           "norms": [EUCLID_JSON, {"family": "euclidean", "params": {}, "dimension": 3}]}
+    run = work(lambda: _run(tmp_path, "verify-norms", cfg), trace=False,
+               also={"identities": norms.verify_identities})
+    code, outdir = run.result
+    assert code == 2 and not any(outdir.iterdir()) and run.counts["identities"] == 0
+    assert capsys.readouterr().err == f"config error: verify-norms config dual: {refused.value}\n"
+
+
+@pytest.mark.parametrize("case", [
+    {"kind": "gauss_kernel", "t": 0.005, "dt": 0.01},
+    {"kind": "blowup", "params": {"lam": 1.0}, "t": 0.2, "dt": 0.1},
+], ids=["gauss-t-below-dt", "blowup-t-plus-dt-past-the-horizon"])
+def test_a_time_stencil_outside_the_family_is_refused_before_any_case_runs(
+        tmp_path, capsys, work, case):
+    # t is in the family's domain, but the residual's stencil reads t - dt or
+    # t + dt outside it: "gauss_kernel requires t > 0" came after the cases
+    # before it ran, and named neither t nor dt
+    sol = solutions.SolutionSpec(case["kind"], _EUCLID, **case.get("params", {}))
+    with pytest.raises(DomainError) as refused:
+        solutions.pde_residual(sol, empty_layout([(-4, 4), (-4, 4)], (16, 16)),
+                               case["t"], case["dt"])
+    assert f"t = {case['t']}" in str(refused.value) and f"dt = {case['dt']}" in str(refused.value)
+    cfg = {"cases": [_EXACT["cases"][0], {**_EXACT["cases"][0], **case}]}
+    run = work(lambda: _run(tmp_path, "verify-exact", cfg), trace=False,
+               also={"residual": solutions.pde_residual})
+    code, outdir = run.result
+    assert code == 2 and not any(outdir.iterdir()) and run.counts["residual"] == 0
+    assert capsys.readouterr().err == (f"config error: verify-exact cases[1] ({case['kind']}): "
+                                       f"{refused.value}\n")
 
 
 @pytest.mark.parametrize("command, base, path, value", [

@@ -1223,11 +1223,12 @@ def test_trajectory_carries_the_domain_of_the_run(spec):
 
 def test_explicit_run_scans_the_p_norm_sphere_once(work):
     # the step bound reads coercivity_bounds, cached per NormSpec: from a
-    # cold cache, one scan of the sphere for the whole run
+    # cold cache, one scan of the sphere for the whole run, the problem's
+    # check of the bound included
     spec = norms.p_norm(3, 2)
-    problem, _ = _ball_problem(spec, 1.0, 1 / 8, lambda r: np.exp(-r**2),
-                               tau=1e-3, t_end=3e-3, scheme="explicit_euler")
-    scans = work(lambda: solve(problem), trace=False, also={"scan": norms.coercivity_bounds})
+    scans = work(lambda: solve(_ball_problem(spec, 1.0, 1 / 8, lambda r: np.exp(-r**2),
+                                             tau=1e-3, t_end=3e-3, scheme="explicit_euler")[0]),
+                 trace=False, also={"scan": norms.coercivity_bounds})
     assert scans.counts["scan"] == 1
 
 
@@ -1240,9 +1241,10 @@ def test_solve_rejects_store_times_outside_the_run():
 
 
 def test_solve_explicit_above_the_step_bound_raises():
-    problem, _ = _ball_problem(EUCLID, 1.0, 1 / 16, lambda r: np.exp(-r**2),
-                               tau=1e-2, t_end=2e-2, scheme="explicit_euler")
+    # the problem refuses the step when it is built, before any solve
     with pytest.raises(StabilityError):
+        problem, _ = _ball_problem(EUCLID, 1.0, 1 / 16, lambda r: np.exp(-r**2),
+                                   tau=1e-2, t_end=2e-2, scheme="explicit_euler")
         solve(problem)
 
 
@@ -1330,6 +1332,17 @@ def test_weighted_monitors_refuse_the_lambdas_that_flow_problem_refuses():
         with pytest.raises(SpecValidationError, match="lambda"):
             FlowProblem(norm=EUCLID, radius=1.0, datum=lay, tau=1e-3, t_end=1e-2,
                         monitor_lambda=lam)
+
+
+def test_a_lambda_whose_horizon_falls_by_the_first_step_is_refused_by_name():
+    # lambda = 30 at tau = 0.01 puts the horizon 1/(4 lambda) before the
+    # first step: the run exited 0 with its lambda monitors nan after t = 0.
+    # A one-shot read past the horizon keeps reading nan
+    lay = ball_layout(EUCLID, 1.0, 1 / 8)
+    FlowProblem(norm=EUCLID, radius=1.0, datum=lay, tau=1e-2, t_end=2e-2, monitor_lambda=24.0)
+    with pytest.raises(SpecValidationError, match=r"lambda 30 .* tau = 0\.01"):
+        FlowProblem(norm=EUCLID, radius=1.0, datum=lay, tau=1e-2, t_end=2e-2, monitor_lambda=30)
+    assert np.isnan(weighted_monitors(lay, EUCLID, 1e-2, lam=30.0)["weighted_l2"])
 
 
 def test_local_weighted_l1_stays_bounded_along_trajectory():
