@@ -29,8 +29,9 @@ count, and no full-size scratch) and takes one path per norm family.
 The one box solve (`_box_preconditioner`) is Concus and Golub's fictitious-domain
 fast-Poisson solver: the DST-I inverse on the bounding box of I/tau +
 sum_k c_k S_k, then masked.  The stepper names the stencils S_k (as face
-operators) and their weights c_k; the builder alone forms the divisor from
-their symbols (`operators.stencil_symbol`).  Quadratic families take one
+operators) and their weights c_k; the box solve alone forms the divisor
+from their symbols (`operators.stencil_symbol`), a block of rows at a time
+in each call, and holds neither.  Quadratic families take one
 CG solve of the SPD system (I/tau + K) u = u_prev/tau, preconditioned by
 the box inverse of I/tau + K (K's stencil weighed by 1) when the datum is
 below the stopping tolerance on the band of free nodes within the stencil's
@@ -53,7 +54,8 @@ the face-flux operator under the usual parabolic step restriction; its
 step (`_explicit_stepper`) is built once per solve too.
 The stepper and the monitor reader of a solve borrow one set of
 correlation buffers, which dies with the solve, under the one lending rule
-of `operators._correlation_buffers`; `energy`, `weighted_monitors`,
+of `operators._correlation_buffers`, which also lends the energy's copy
+and scratch between two energy reads; `energy`, `weighted_monitors`,
 `proximal_step` and `explicit_step` build theirs per call: no
 module-level cache holds a field.  Every pass that works a cache-sized
 block at a time cuts its blocks by `grids.blocks`.
@@ -73,9 +75,10 @@ and `_monitor_reader`, the one energy reader (also of `energy` and
 `weighted_monitors`): the energy, the mass, the quadratic weight integral
 int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing while t < 1/(4 lam))
 and the windowed-ball weighted L^1 quantity with weight e^(-H0^2 (1+t^ell)).
-The reader holds no field of H0^2: each read squares H0 into its own
-weight buffer and scales it in place.  Of the ell window's ball kernel it
-holds the row transform only (`measures.fftconvolve` with a mask).
+The reader holds no field of H0^2: each read squares H0 into a weight
+buffer, the correlation buffers' for quadratic families, and scales it in
+place.  Of the ell window's ball kernel it holds the row transform only
+(`measures.fftconvolve` with a mask).
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
                     dual_norm_nodes, duality_map, eval_norm)
 from .operators import (FaceKernel, _component_axes, _correlation_buffers,
                         _face_flux_divergence, apply_operator, constant_stencil, dst_box,
-                        interior_mask, stencil_energy, stencil_symbol)
+                        interior_mask, stencil_energy, symbol_blocks, symbol_plan, symbol_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -319,30 +322,39 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
 def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
                         face_ops: list, scratch: np.ndarray):
     """The box solve of one prox, built once on `operators.dst_box`: the DST
-    plan, the divisor and, last, since the quadratic path drops them after
-    one weigh, the DST-I symbols sigma_k of the stencils of `face_ops`
-    (`operators.stencil_symbol`).  Each call transforms in `scratch`, lent
-    under `operators._correlation_buffers`' rule.  weigh(c) fills the
-    divisor with 1/tau + sum_k c_k sigma_k, in `grids.blocks` of rows, and
-    returns r -> mask B^-1 r, B the box operator with eigenvalues the
-    divisor (tau r on the box edge), SPD on masked fields where the divisor
-    is positive.  Quadratic families weigh
-    K's stencil by 1: B^-1 is (I/tau + K)^-1, exact for axis-symmetric
-    stencils away from the clamped nodes and the box's far side; p >= 2
-    Newton steps weigh the unit forms by the face medians (`_face_medians`)."""
+    plan and the `operators.symbol_plan` of each stencil of `face_ops`, no
+    field.  weigh(c) records c and returns r -> mask B^-1 r, B the box
+    operator with eigenvalues the divisor 1/tau + sum_k c_k sigma_k, sigma_k
+    the DST-I symbols (`operators.stencil_symbol`), tau r on the box edge,
+    SPD on masked fields where the divisor is positive.  Each call
+    transforms in `scratch`, lent under `operators._correlation_buffers`'
+    rule, and forms the divisor, 1/tau and then each c_k sigma_k in turn,
+    and divides by it, a block of rows at a time (`operators.symbol_blocks`)
+    in two buffers of one block.
+    Quadratic families weigh K's stencil by 1: B^-1 is (I/tau + K)^-1, exact
+    for axis-symmetric stencils away from the clamped nodes and the box's far
+    side; p >= 2 Newton steps weigh the unit forms by the face medians
+    (`_face_medians`)."""
     lengths = dst_box(mask.shape)
     interior = (slice(1, -1),) * mask.ndim
     box, off = tuple(slice(0, n - 2) for n in mask.shape), ~mask
-    dst, divisor = _dst1(lengths), np.empty(lengths)
-    symbols = [stencil_symbol(op, spec, spacings, lengths) for op in face_ops]
-    cuts = blocks(lengths[0], math.prod(lengths[1:]))
+    dst = _dst1(lengths)
+    plans = [symbol_plan(op, spec, spacings, lengths) for op in face_ops]
+    cuts, weights = symbol_blocks(lengths), []
+    divisor, term = (np.empty((max(b.stop - b.start for b in cuts),) + lengths[1:])
+                     for _ in range(2))
 
     def psolve(r: np.ndarray) -> np.ndarray:
-        work = scratch[:divisor.size].reshape(lengths)
+        work = scratch[:math.prod(lengths)].reshape(lengths)
         work.fill(0.0)
         work[box] = r[interior]
         dst(work)
-        np.divide(work, divisor, out=work)
+        for rows in cuts:
+            d, t = divisor[:rows.stop - rows.start], term[:rows.stop - rows.start]
+            d.fill(1.0 / tau)
+            for ck, plan in zip(weights, plans):
+                d += np.multiply(symbol_rows(plan, rows, t), float(ck), out=t)
+            work[rows] /= d
         dst(work, inverse=True)
         out = tau * r
         out[interior] = work[box]
@@ -350,11 +362,7 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
         return out
 
     def weigh(c):
-        divisor.fill(1.0 / tau)
-        small = np.empty_like(divisor[cuts[0]])     # not held through the solves
-        for ck, sigma in zip(c, symbols):
-            for rows in cuts:
-                divisor[rows] += np.multiply(sigma[rows], float(ck), out=small[:len(sigma[rows])])
+        weights[:] = c
         return psolve
     return weigh
 
@@ -450,7 +458,9 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
 
     Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
     masked v, K u = `energy_gradient`(u) into the flat scratch of `buffers`
-    (`operators._correlation_buffers`), preconditioned by the box inverse
+    (`operators._correlation_buffers`) and v/tau, then the residual, in
+    the head of their zero-rimmed copy, zeroed again once CG returns,
+    preconditioned by the box inverse
     of I/tau + K (K's stencil weighed by 1, built at the first such step,
     its DST-I run in the same scratch, where K's product is dead)
     when v/tau is below the stopping tolerance in L^2 on the boundary band
@@ -520,20 +530,22 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
         taps = constant_stencil(_face_energy_gradient, spec, spacings)[2]
 
         def quadratic_step(values: np.ndarray):
-            scratch = _correlation_buffers(mask.shape, taps, buffers, scratch=True)[3]
+            scratch, copy = _correlation_buffers(mask.shape, taps, buffers, scratch=True)[3:]
             product = scratch[:mask.size].reshape(mask.shape)   # K y, in the scratch
 
             def gradient(x: np.ndarray) -> np.ndarray:
                 return energy_gradient(x, spec, spacings, product, buffers)
 
             u = np.where(mask, values, 0.0)
-            rhs, atol = u / tau, inner.tolerance * (1.0 + _l2(u, vol))
+            atol = inner.tolerance * (1.0 + _l2(u, vol))
+            rhs = np.divide(u, tau, out=copy[:mask.size].reshape(mask.shape))   # the copy's head
             quiet = _l2(rhs[band], vol) < atol
             if quiet and not box:
                 box.append(_box_preconditioner(mask, tau, spec, spacings,
                                                [_face_energy_gradient], scratch)((1.0,)))
             w, iters, converged = cg(gradient, rhs, u, atol,
                                      inner.max_iters, box[0] if quiet else None)
+            rhs.fill(0.0)       # the energy reads the copy's zeros
             if not converged:   # the budget is spent: accept w only if its gap is in tolerance
                 u = np.where(mask, values, 0.0)     # cg moved u to w
                 gap = _l2(np.where(mask, (w - u) / tau + gradient(w), 0.0), vol)
@@ -683,11 +695,13 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     once).  Node sums times the cell volume; the supremum is scaled after
     the maximum, which rounds alike.  The reader holds the ball's row
     transform (`measures.kernel_rows`) and no field of H0^2: each read
-    squares h0 into its one weight buffer and scales it in place, the
-    lambda exponent as (H0^2 lam) / (1 - 4 lam t), the ell one as
-    H0^2 (-(1 + t^ell)), and e^w |u| as |e^w u|, which round alike; the ell
-    weight rebinds the buffer, so the lambda weights are not held through
-    the convolution.
+    squares h0 into a weight buffer and scales it in place, the lambda
+    exponent as (H0^2 lam) / (1 - 4 lam t), the ell one as
+    H0^2 (-(1 + t^ell)), and e^w |u| as |e^w u|, which round alike.
+    Quadratic reads borrow their weights once the energy is read: the flat
+    scratch of `buffers`, and for the lambda read's second the head of their
+    zero-rimmed copy, which it zeroes again.  p-norm reads make each weight,
+    the ell one once the lambda ones are dropped.
     """
     monitor_settings(lam, ell)
     vol = float(np.prod(spacing))
@@ -697,9 +711,12 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
             faces = buffers.get("faces")
             return energy_gradient(u, spec, spacing) if faces is None else faces.gradient(u)
         psi = lambda u: 0.5 * vol * float(np.sum(u * gradient(u)))
+        lent = lambda u: (None, None)
     else:
         _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacing)
         psi = lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
+        lent = lambda u: tuple(b[:u.size].reshape(u.shape) for b in
+                               _correlation_buffers(u.shape, taps, buffers, scratch=True)[3:])
     kernel = None if ell is None else _ball_kernel(spec, 1.0, spacing)
     rows = None if ell is None else kernel_rows(kernel, h0.shape)
     where = True if mask is None else mask
@@ -716,16 +733,20 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
 
     def read(u: np.ndarray, t: float) -> dict:
         out = {"energy": psi(u), "mass": float(np.sum(u)) * vol}
+        first, second = lent(u)
         if lam is not None and _before_horizon(lam, t):
-            w = np.square(h0)
+            w = np.square(h0, out=first)
             w *= lam
             w /= 1.0 - 4.0 * lam * t
-            out["weighted_l2"] = float(np.sum(weighted(w * -2.0, u, square=True))) * vol
+            out["weighted_l2"] = float(np.sum(weighted(np.multiply(w, -2.0, out=second), u,
+                                                       square=True))) * vol
+            if second is not None:
+                second.fill(0.0)    # the copy's head: the energy reads its zeros
             out["weighted_l1_lambda"] = float(np.sum(weighted(np.negative(w, out=w), u))) * vol
         elif lam is not None:
             out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan
         if ell is not None:
-            w = np.square(h0)
+            w = np.square(h0, out=first)
             w *= -(1.0 + t**ell)
             peak = fftconvolve(weighted(w, u), kernel, rows, where)
             out["weighted_l1_local"] = float(peak * vol)

@@ -174,8 +174,12 @@ class DualEvalConfig:
                                       f"not {self.sphere_samples}")
 
     def check_dimension(self, dimension: int) -> None:
-        """The one check of the scan's floor of 2N directions for a norm of
-        `dimension` N, which `sphere_maximization` calls."""
+        """The one check of the scan's bounds for a norm of `dimension` N,
+        which `sphere_maximization` calls: N <= 3, the directions that
+        `_direction_set` samples, and a floor of 2N directions."""
+        if dimension > 3:
+            raise SpecValidationError(f"the sphere scan takes norms of dimension at most 3, "
+                                      f"not {dimension}")
         if self.sphere_samples < 2 * dimension:
             raise SpecValidationError(f"sphere_samples must be at least 2N = {2 * dimension} "
                                       f"for a {dimension}-D norm, not {self.sphere_samples}")

@@ -24,7 +24,10 @@ reads off the face path at a unit impulse and caches with its taps per
 (operator, spec, spacing); `flow`'s energy reads the same taps (`stencil_energy`).
 The correlation's buffers belong to whoever applies the stencil, lent
 under the one rule of `_correlation_buffers`; only the plan of taps,
-shifts and `grids.blocks`, which holds no field, is cached.
+shifts and `grids.blocks`, which holds no field, is cached.  `correlate`
+rims a block of rows at a time; only the energy reads a zero-rimmed copy
+of the whole field.  The box solve forms `stencil_symbol` a block of rows
+at a time (`symbol_rows`).
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -212,16 +215,18 @@ def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
     which holds no field: the zero-rimmed copy's shape, its nodes' index,
     the flat shift and weight of each tap, the flat copy's margin of zeros
     on each side (the largest shift), and the `grids.blocks` of whole
-    padded rows (along axis 0): rows i:j and their flat span lo:hi."""
+    padded rows (along axis 0) that `correlate` sums: rows i:j and their
+    flat span lo:hi in its window, after reach + 1 rows before them (a
+    shift reaches less than a row past `reach` rows)."""
     reach, terms = taps
     padded = tuple(n + 2 * reach for n in shape)
     inner = (slice(reach, -reach or None),) * len(shape)
     strides = [math.prod(padded[m + 1:]) for m in range(len(shape))]
     shifted = tuple((sum(k * s for k, s in zip(shift, strides)), w) for shift, w in terms)
-    margin = reach * sum(strides)
-    spans = tuple((b.start, b.stop, margin + (b.start + reach) * strides[0],
-                   margin + (b.stop + reach) * strides[0]) for b in blocks(shape[0], strides[0]))
-    return padded, inner, shifted, margin, spans
+    lo = (reach + 1) * strides[0]
+    spans = tuple((b.start, b.stop, lo, lo + (b.stop - b.start) * strides[0])
+                  for b in blocks(shape[0], strides[0]))
+    return padded, inner, shifted, reach * sum(strides), spans
 
 
 def dst_box(shape: tuple) -> tuple:
@@ -234,24 +239,28 @@ def dst_box(shape: tuple) -> tuple:
 
 def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict], scratch=False):
     """The buffers of `correlate` and `stencil_energy` for fields of `shape`:
-    the zero-rimmed flat copy with its margins (neither is ever written),
-    one block's sums and products and, from the first call with `scratch`,
-    a flat scratch that holds the copy or the `dst_box`, whichever is larger:
-    the energy's lag differences, the prox CG's product K y and its box
-    solve's DST-I.
+    `correlate`'s flat window (a block's padded rows and reach + 1 rows on
+    each side; its rims are never written), one block's sums and products
+    and, from the first call with `scratch`, the energy's flat scratch, which
+    holds the copy or the `dst_box`, whichever is larger, and its zero-rimmed
+    flat copy with margins.
     They are their owner's: `buffers`, a dict that the owner keeps, holds one
     set per shape and reach, lent to every user while no two run at once (a
-    solve's stepper and monitor reader never do; the CG's product is dead
-    before its box solve and before the step returns, and the box solve's
-    DST-I before it returns), or made per call."""
+    solve's stepper and monitor reader never do), or made per call.  Between
+    two energies the scratch is lent to the prox CG's product K y, its box
+    solve's DST-I (once the product is dead) and the monitor reader's
+    weights, and the copy's head, a field long, to the CG's right side and
+    the lambda read's second weight; each user is done with it before it
+    returns, and the head's users zero it again: the energy reads its zeros."""
     padded, _, _, margin, spans = _correlation_plan(shape, taps)
     buffers = {} if buffers is None else buffers
     if (key := (shape, taps[0])) not in buffers:
         block = (spans[0][1],) + padded[1:]
-        buffers[key] = [np.zeros(math.prod(padded) + 2 * margin), np.empty(block),
+        buffers[key] = [np.zeros(spans[0][2] + spans[0][3]), np.empty(block),
                         np.empty(math.prod(block))]
     if scratch and len(buffers[key]) == 3:
-        buffers[key].append(np.empty(max(math.prod(padded), math.prod(dst_box(shape)))))
+        buffers[key] += [np.empty(max(math.prod(padded), math.prod(dst_box(shape)))),
+                         np.zeros(math.prod(padded) + 2 * margin)]
     return buffers[key]
 
 
@@ -259,27 +268,37 @@ def correlate(values: np.ndarray, taps: tuple, out: Optional[np.ndarray] = None,
               buffers: Optional[dict] = None) -> np.ndarray:
     """sum over taps of weight * values[i + shift], values extended by zero:
     `scipy.ndimage.correlate(values, S, mode="constant")` bit for bit, taps
-    the `correlation_taps` of S, into out if given.  Each node sums the
-    products in tap order from +0.0.  The field is copied into a zero rim
-    `reach` wide, so that each tap is one shift of the flat copy; the sums
-    run over blocks of whole padded rows, so that the products stay in
-    cache, and each block's nodes go straight into out (rim positions of
-    the block are summed too, from the rim, the margin and wrapped rows,
-    and dropped).  In the owner's `buffers` (`_correlation_buffers`)."""
+    the `correlation_taps` of S, into out if given, which may be values.
+    Each node sums the products in tap order from +0.0.  The sums run over
+    blocks of whole padded rows, so that the products stay in cache: each
+    block's rows and reach + 1 rows on each side sit in a zero-rimmed window,
+    so that each tap is one shift of the flat window, and its nodes go
+    straight into out (rim positions of the block are summed too, from the
+    rim and wrapped rows, and dropped).  The window rolls: the rows that the
+    next block shares with it move down, and only rows past them are read
+    from values, which a block of out overwrites only once they are read.
+    In the owner's `buffers` (`_correlation_buffers`)."""
     out = np.empty(values.shape) if out is None else out
     if not taps[1]:
         out.fill(0.0)
         return out
-    padded, inner, shifted, margin, spans = _correlation_plan(values.shape, taps)
-    flat, block, product = _correlation_buffers(values.shape, taps, buffers)[:3]
-    flat[margin:flat.size - margin].reshape(padded)[inner] = values
-    sums, cut = block.ravel(), (_WHOLE,) + inner[1:]
-    (d0, w0), rest = shifted[0], shifted[1:]
+    padded, inner, shifted, _, spans = _correlation_plan(values.shape, taps)
+    window, block, product = _correlation_buffers(values.shape, taps, buffers)[:3]
+    rows, cut = window.reshape((-1,) + padded[1:]), (_WHOLE,) + inner[1:]
+    keep, sums, (d0, w0), rest = len(rows) - len(block), block.ravel(), shifted[0], shifted[1:]
     for i, j, lo, hi in spans:
+        start = keep if i else 0    # window row r holds row i - keep / 2 + r of values
+        for r in range(start):
+            rows[r] = rows[r + len(block)]
+        first, stop = i - keep // 2 + start, j + keep // 2     # zero beyond values
+        a, b = max(first, 0), max(min(stop, len(values)), first)
+        rows[start:start + a - first][cut] = 0.0
+        rows[start + a - first:start + b - first][cut] = values[a:b]
+        rows[start + b - first:start + stop - first][cut] = 0.0
         dest, spare = sums[:hi - lo], product[:hi - lo]
-        np.multiply(flat[lo + d0:hi + d0], w0, out=dest)
+        np.multiply(window[lo + d0:hi + d0], w0, out=dest)
         for d, w in rest:
-            np.multiply(flat[lo + d:hi + d], w, out=spare)
+            np.multiply(window[lo + d:hi + d], w, out=spare)
             dest += spare
         dest += 0.0     # ndimage sums from +0.0: a sum of -0.0 terms reads +0.0
         out[i:j] = block[:j - i][cut]
@@ -290,10 +309,11 @@ def stencil_energy(values: np.ndarray, taps: tuple, buffers: Optional[dict] = No
     """-sum over the taps (k, S_k) of positive flat shift d of S_k sum_i
     (u_(i+k) - u_i)^2, u extended by zero: <u, S * u> for a symmetric S that
     sums to 0, with no large taps cancelling.  Each lag, in tap order,
-    differences the zero-rimmed flat copy of `correlate` shifted by d into
-    the flat scratch, both the owner's (`_correlation_buffers`)."""
+    differences the zero-rimmed flat copy, shifted by d, into the flat
+    scratch, both the owner's (`_correlation_buffers`).  It writes the
+    copy's nodes only: whoever borrows the copy's head zeroes it again."""
     padded, inner, shifted, margin, _ = _correlation_plan(values.shape, taps)
-    flat, _, _, work = _correlation_buffers(values.shape, taps, buffers, scratch=True)
+    work, flat = _correlation_buffers(values.shape, taps, buffers, scratch=True)[3:]
     flat, total = flat[margin:flat.size - margin], 0.0
     flat.reshape(padded)[inner] = values
     for d, w in shifted:
@@ -313,18 +333,48 @@ def stencil_symbol(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> n
     box, and sigma is its eigenvalue; it is the mean of the operator's
     Fourier symbol over the sign flips of theta, so sigma >= 0 where the
     operator is positive semidefinite.  Summed from one cosine table per
-    axis, one `tensordot` per axis, and scaled in place, so that the box
-    build holds one symbol, not a scaled copy besides.
+    axis, one `tensordot` per axis (`symbol_plan`), and scaled in place, so
+    that it holds one symbol, not a scaled copy besides.
     """
-    S, scale, _ = constant_stencil(face_op, spec, tuple(spacing))
-    reach = S.shape[0] // 2
-    sigma = S
-    for n in lengths:
-        theta = np.pi * np.arange(1, n + 1) / (n + 1)
-        sigma = np.tensordot(sigma, np.cos(np.outer(np.arange(-reach, reach + 1), theta)),
-                             axes=([0], [0]))
+    sigma, tables, scale = symbol_plan(face_op, spec, spacing, lengths)
+    for table in tables:
+        sigma = np.tensordot(sigma, table, axes=([0], [0]))
     sigma *= scale
     return sigma
+
+
+def symbol_plan(face_op, spec: NormSpec, spacing: tuple, lengths: tuple) -> tuple:
+    """(first, tables, scale) of `stencil_symbol`, which hold no field: the
+    stencil contracted with axis 0's cosine table, the other axes' tables
+    and the stencil's scale."""
+    S, scale, _ = constant_stencil(face_op, spec, tuple(spacing))
+    reach = S.shape[0] // 2
+    tables = [np.cos(np.outer(np.arange(-reach, reach + 1), np.pi * np.arange(1, n + 1) / (n + 1)))
+              for n in lengths]
+    return np.tensordot(S, tables[0], axes=([0], [0])), tables[1:], scale
+
+
+def symbol_blocks(lengths: tuple) -> list:
+    """The `grids.blocks` of a box's rows, none of one row (a box with
+    another side of 1 is one block): numpy multiplies one row, or by one
+    column, by BLAS's gemv, which can round otherwise than the gemm of
+    `stencil_symbol`; a gemm of its rows keeps its bits."""
+    n, starts = lengths[0], [0]
+    cuts = blocks(n, math.prod(lengths[1:])) if min(lengths[1:], default=2) > 1 else []
+    for rows in cuts[1:]:
+        if rows.start - starts[-1] > 1 and n - rows.start > 1:
+            starts.append(rows.start)
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def symbol_rows(plan: tuple, rows: slice, out: np.ndarray) -> np.ndarray:
+    """The rows of `stencil_symbol` of a block of `symbol_blocks`, bit for
+    bit, into out, from its `symbol_plan`."""
+    sigma, tables, scale = plan
+    sigma = sigma[..., rows]
+    for table in tables:
+        sigma = np.tensordot(sigma, table, axes=([0], [0]))
+    return np.multiply(sigma, scale, out=out)
 
 
 def apply_operator(face_op, values: np.ndarray, spec: NormSpec, spacing,

@@ -1382,6 +1382,23 @@ def test_an_oracle_too_coarse_for_a_later_norm_is_refused_before_the_first_runs(
     assert capsys.readouterr().err == f"config error: verify-norms config dual: {refused.value}\n"
 
 
+def test_an_oracle_norm_above_three_dimensions_is_refused_before_the_first_runs(
+        tmp_path, capsys, work):
+    # the oracle's scan samples directions for N <= 3 only: a 4-D norm after
+    # a 2-D one ran the 2-D identities, then exited 2 with "direction sampling
+    # implemented for N <= 3" and no config path
+    with pytest.raises(SpecValidationError) as refused:
+        norms.sphere_maximization(norms.euclidean(4), np.ones((1, 4)), norms.DualEvalConfig())
+    cfg = {"seed": 1, "samples": 20, "dual": {"method": "sphere_maximization"},
+           "norms": [EUCLID_JSON, {"family": "euclidean", "params": {}, "dimension": 4}]}
+    run = work(lambda: _run(tmp_path, "verify-norms", cfg), trace=False,
+               also={"identities": norms.verify_identities})
+    code, outdir = run.result
+    assert code == 2 and not any(outdir.iterdir()) and run.counts["identities"] == 0
+    assert capsys.readouterr().err == f"config error: verify-norms config dual: {refused.value}\n"
+    assert str(refused.value) == "the sphere scan takes norms of dimension at most 3, not 4"
+
+
 @pytest.mark.parametrize("case", [
     {"kind": "gauss_kernel", "t": 0.005, "dt": 0.01},
     {"kind": "blowup", "params": {"lam": 1.0}, "t": 0.2, "dt": 0.1},
@@ -1568,6 +1585,10 @@ def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                        check=True, capture_output=True)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert "slice_t0.030000.grid" in outputs[0] and outputs[0] == outputs[1]
+    # each step after the first takes the box solve, whose divisor is formed
+    # a block of rows at a time by BLAS products: its bits hold at 1 and 2 threads
+    column = outputs[0]["monitor_preconditioned.csv"].decode().split()[1:]
+    assert [row.split(",")[1] for row in column] == ["0", "1", "1", "1"]
 
 
 def _dispatched_above_x86_v3() -> list:

@@ -460,11 +460,13 @@ def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum(work):
     513 x 257 ellipse grid, holds of its ball kernel's spectrum only the row
     transform (87 x 161, 0.21 field; the full spectrum took 1.47) and the
     correlation buffers it was handed, and no field of H0^2 (it held one).
-    A warm read peaks under three fields (2.71 with numpy 2.4): its one
-    weight buffer, squared from H0 and scaled in place, the convolution's
-    spectrum and a block of the kernel's; the maximum over the mask reads
-    the inverse of the cropped rows a block at a time (with the padded
-    result, 3.93 fields, or 4.9 with the lambda weights held besides)."""
+    A warm read peaks under two fields (1.63 with numpy 2.4): its weights
+    sit in the handed buffers' idle scratch and copy, squared from H0 and
+    scaled in place, beside the convolution's spectrum and a block of the
+    kernel's; the maximum over the mask reads the inverse of the cropped
+    rows a block at a time (2.63 with a weight buffer of the read's own,
+    3.93 with the padded result besides, or 4.9 with the lambda weights
+    held besides)."""
     gf, mask = _ellipse_ball(6 / 128)
     h0 = norms.dual_norm_eval(ELLIPSE, gf.coords())
     rows = measures.kernel_rows(measures._ball_kernel(ELLIPSE, 1.0, gf.spacing), h0.shape)
@@ -480,7 +482,43 @@ def test_the_monitor_reader_holds_no_field_but_its_kernel_spectrum(work):
     assert again.result == first
     handed = sum(a.nbytes for plan in buffers.values() for a in plan)
     assert rows.shape == (87, 161) and built.held - handed < rows.nbytes + field / 8
-    assert again.peak < 3 * field
+    assert again.peak < 2 * field
+
+
+def test_a_warm_lambda_read_allocates_no_field(work):
+    """A warm read of the lambda monitors alone on the 513 x 257 ellipse
+    grid forms both weights in the reader's correlation buffers, the first
+    in the idle scratch and the second in the head of the zero-rimmed copy:
+    it allocates under an eighth of a field (two fields with weights of
+    its own)."""
+    gf, mask = _ellipse_ball(6 / 128)
+    h0 = norms.dual_norm_eval(ELLIPSE, gf.coords())
+    read = flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, None)
+    first = read(gf.values, 1e-3)
+    again = work(lambda: read(gf.values, 1e-3), count=False, cold=False)
+    assert again.result == first and np.isfinite(first["weighted_l2"])
+    assert again.peak < gf.values.nbytes / 8
+
+
+def test_an_energy_read_after_a_borrower_of_the_copy_keeps_the_bits_of_fresh_buffers():
+    """The lambda read's second weight and the quadratic prox CG's right
+    side borrow the head of the correlation buffers' zero-rimmed copy,
+    which `stencil_energy` reads around the field, and zero it again: in
+    the buffers that `solve` shares between its stepper and reader, the
+    zero field's energy read after either reads 0, and a read after a read
+    and a read after a prox step keep the bits of reads on fresh buffers."""
+    gf, mask = _ellipse_ball(6 / 32)
+    h0, buffers, zero = norms.dual_norm_eval(ELLIPSE, gf.coords()), {}, np.zeros(mask.shape)
+    read = flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25, buffers)
+    step = flow._prox_stepper(ELLIPSE, gf.spacing, mask, 1e-2,
+                              InnerSolverConfig(tolerance=1e-7), buffers)
+    fresh = lambda u, t: flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25)(u, t)
+    first = read(gf.values, 0.0)
+    assert read(zero, 0.0)["energy"] == 0.0
+    assert read(gf.values, 0.0) == first == fresh(gf.values, 0.0)
+    u, stats = step(gf.values)
+    assert stats["preconditioned"] and read(zero, 1e-2)["energy"] == 0.0
+    assert read(u, 1e-2) == fresh(u, 1e-2)
 
 
 @pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 1.2], [1.2, 1.0]]])
@@ -803,12 +841,12 @@ def test_preconditioned_prox_meets_the_unpreconditioned_stopping_test():
 
 def test_a_solve_builds_the_band_and_the_box_preconditioner_once(work):
     # three quiet diag(4,1) steps share one stepper: one boundary band and
-    # one box preconditioner, whose build forms the symbol of K's stencil,
-    # for the solve, not one per step
+    # one box preconditioner, whose build forms the symbol tables of K's
+    # stencil, for the solve, not one per step
     problem, _ = _ball_problem(ELLIPSE, 6.0, 6 / 64, lambda r: np.exp(-r**2), tau=1e-2,
                                t_end=3e-2, inner=InnerSolverConfig(tolerance=1e-7))
     run = work(lambda: solve(problem), trace=False,
-               also={"band": flow._boundary_band, "symbol": operators.stencil_symbol})
+               also={"band": flow._boundary_band, "symbol": operators.symbol_plan})
     assert run.result.monitors["preconditioned"].tolist() == [0, 1, 1, 1]
     assert (run.counts["band"], run.counts["symbol"]) == (1, 1)
 
@@ -927,6 +965,45 @@ def test_box_preconditioner_inverts_axis_symmetric_stencils(data):
     edge = np.where(mask, 0.0, rng.standard_normal(shape))
     free = np.ones(shape, dtype=bool)
     assert np.sum(edge * _quadratic_box(spec, spacing, free, tau)(edge)) > 0.0
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_the_box_solve_keeps_the_bits_of_the_whole_symbols_divisor(data, block):
+    """The box solve holds no divisor: each call forms 1/tau + sum_k c_k
+    sigma_k a block of rows at a time, 1/tau first and then each c_k sigma_k
+    in turn.  Against a reference that divides the same transform by the
+    divisor of whole `operators.stencil_symbol`s, formed in that order, it
+    keeps every bit, N = 1-3, for K's stencil weighed by 1 and for the unit
+    forms under several weighings of one builder, at blocks of one row
+    (merged into two), a few rows and the whole box."""
+    N = data.draw(st.integers(1, 3))
+    spec, lay, mask = _box_problem(data, N)
+    spacing, lengths = lay.spacing, operators.dst_box(mask.shape)
+    tau = data.draw(st.floats(1e-3, 1.0)) * min(spacing) ** 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = np.where(mask, rng.standard_normal(mask.shape), 0.0)
+    quadratic = data.draw(st.booleans())
+    ops = [_face_gradient] if quadratic else [flow._unit_face_form(k) for k in range(N)]
+    sigmas = [operators.stencil_symbol(op, spec, spacing, lengths) for op in ops]
+    interior, box = (slice(1, -1),) * N, tuple(slice(0, n - 2) for n in mask.shape)
+    with block(data.draw(st.sampled_from([1, 40, 10**6]))):
+        weigh = flow._box_preconditioner(mask, tau, spec, spacing, ops, _box_scratch(mask))
+        for _ in range(1 if quadratic else 3):
+            c = [1.0] if quadratic else [data.draw(st.floats(0.01, 100.0)) for _ in range(N)]
+            got = weigh(c)(r)
+            divisor = np.full(lengths, 1.0 / tau)
+            for ck, sigma in zip(c, sigmas):
+                divisor += sigma * ck
+            work = np.zeros(lengths)
+            work[box] = r[interior]
+            transform = flow._dst1(lengths)
+            transform(work)
+            work /= divisor
+            transform(work, inverse=True)
+            want = tau * r
+            want[interior] = work[box]
+            assert _same_bits(got, np.where(mask, want, 0.0))
 
 
 def _quadratic_box(spec, spacing, mask, tau):
@@ -1488,15 +1565,18 @@ def test_box_symbol_allocates_one_symbol(work):
 
 def test_a_warm_box_weigh_allocates_no_field(work):
     """Weighing the p >= 2 Newton path's box solve again, as each Newton
-    step does, on the box of the 513 x 257 grid fills the divisor with
-    1/tau + sum_k c_k sigma_k in blocks of rows through one small scratch:
-    it allocates under an eighth of a field (each c_k sigma_k took one)."""
+    step does, and solving with it on the box of the 513 x 257 grid forms
+    1/tau + sum_k c_k sigma_k a block of rows at a time in two block
+    buffers: the weigh and the solve allocate under an eighth of a field
+    beside the solve's result (1.00 fields in all with numpy 2.4; each
+    c_k sigma_k, or a whole symbol, took one more)."""
     gf, mask = _ellipse_ball(6 / 128)
     weigh = flow._box_preconditioner(mask, 1e-2, norms.p_norm(3, 2), gf.spacing,
                                      [flow._unit_face_form(k) for k in range(2)],
                                      _box_scratch(mask))
-    weigh((0.5, 2.0))
-    assert work(lambda: weigh((0.75, 3.0)), count=False, cold=False).peak < gf.values.nbytes / 8
+    weigh((0.5, 2.0))(gf.values)
+    peak = work(lambda: weigh((0.75, 3.0))(gf.values), count=False, cold=False).peak
+    assert peak < gf.values.nbytes * (1 + 1 / 8)
 
 
 def _solve_peak(problem, work) -> float:
@@ -1506,22 +1586,25 @@ def _solve_peak(problem, work) -> float:
 
 
 @pytest.mark.parametrize("spec, radius, scheme, tau, fields", [
-    (ELLIPSE, 6.0, "implicit_proximal", 1e-2, 12.0),
-    (ELLIPSE, 6.0, "explicit_euler", 1e-4, 9.75),
+    (ELLIPSE, 6.0, "implicit_proximal", 1e-2, 10.0),
+    (ELLIPSE, 6.0, "explicit_euler", 1e-4, 8.0),
     (norms.p_norm(3.0, 2), 1.0, "explicit_euler", 5e-5, 23.5)],
     ids=["implicit", "explicit", "explicit-p3"])
 def test_a_solve_peaks_at_a_bounded_number_of_fields(spec, radius, scheme, tau, fields, work):
     """Three steps of a solve on its ball at h = radius / 64 with both
     monitors, from cleared caches, allocate at most `fields` field sizes at
-    their peak.  The ellipse diag(4, 1) on 257 x 129 nodes (10.93 and 8.69
-    with numpy 2.4): the stepper and the monitor
-    reader share one set of correlation buffers, the DST-I runs in slabs,
-    the reader holds no field of H0^2 and builds each weight in one buffer
-    of the read, the box symbol is scaled in place, the CG keeps no dead
-    copy, no full-size temporary and no product of its own, its box solve
-    runs in the buffers' flat scratch and weighs its symbols in blocks, and
-    the ell monitor holds the ball kernel's row transform only and reads
-    the inverse of the cropped rows a block at a time (12.95 and 10.6 with
+    their peak.  The ellipse diag(4, 1) on 257 x 129 nodes (9.57 and 7.67
+    with numpy 2.4; 10.71 and 8.39 with `correlate` rimming the whole field
+    in the energy's copy, a box divisor held and the CG's right side and
+    the lambda read's second weight fields of their own): the stepper and
+    the monitor reader share one set of correlation buffers, whose copy's
+    head the CG's right side and the lambda read's second weight borrow
+    and whose scratch the reader's weights do, the DST-I runs in slabs,
+    the reader holds no field of H0^2, the CG keeps no dead copy, no
+    full-size temporary and no product of its own, its box solve runs in
+    the buffers' flat scratch and forms its divisor a block of rows at a
+    time, and the ell monitor holds the ball kernel's row transform only
+    and reads the inverse of the cropped rows a block at a time (12.95 and 10.6 with
     the kernel's full spectrum held, the padded inverse, a DST buffer per
     call and a weighed symbol; 14.7 with a full flat sums buffer, a CG
     temporary, a product per step and a held DST buffer besides).  The
@@ -1536,28 +1619,34 @@ def test_a_solve_peaks_at_a_bounded_number_of_fields(spec, radius, scheme, tau, 
 
 def test_a_3d_solve_peaks_at_a_bounded_number_of_fields(work):
     """Three implicit steps on the ellipse diag(4, 1, 1) ball of radius 6 at
-    h = 0.375, 65 x 33 x 33 nodes, with both monitors, peak at most 11.5
-    fields (10.09 with numpy 2.4; 13.37 with the ball kernel's full spectrum
-    held, the padded inverse, a DST buffer per call and a weighed symbol)."""
+    h = 0.375, 65 x 33 x 33 nodes, with both monitors, peak at most 9.5
+    fields (8.79 with numpy 2.4; 10.14 with `correlate` rimming the whole
+    field in the energy's copy, a box divisor held and the CG's right side
+    and the lambda read's second weight fields of their own; 13.37 with the
+    ball kernel's full spectrum held, the padded inverse, a DST buffer per
+    call and a weighed symbol)."""
     spec = norms.ellipse(np.diag([4.0, 1.0, 1.0]))
     problem, _ = _ball_problem(spec, 6.0, 0.375, lambda r: np.exp(-r**2), tau=1e-2,
                                t_end=3e-2, monitor_lambda=0.5, monitor_ell=0.25,
                                inner=InnerSolverConfig(tolerance=1e-7))
     assert problem.datum.values.shape == (65, 33, 33)
-    assert _solve_peak(problem, work) <= 11.5
+    assert _solve_peak(problem, work) <= 9.5
 
 
 def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields(work):
     """One warm preconditioned step of the quadratic prox on the 513 x 257
     ellipse grid (tau 1e-3), with its correlation buffers handed, peaks
-    under 3.5 fields (3.07 with numpy 2.4: the clamped datum, the right
-    side, CG's direction and the box solve's result; 4.05 with a DST buffer
-    per box solve, 5.0 with a full-size CG temporary besides, or with a
-    product of its own per step).  The matvec's product K y and the box
-    solve's DST-I run in the buffers' flat scratch.  Between steps the
-    stepper holds under two fields beside those buffers: the box divisor,
-    the DST slabs and the masks (1.76; 2.76 with a DST buffer of the box's
-    own held per solve).  A warm step keeps the cold step's bits."""
+    under 2.5 fields (2.07 with numpy 2.4: the clamped datum, CG's direction
+    and the box solve's result; 3.07 with a right side of its own, 4.05
+    with a DST buffer per box solve besides, 5.0 with a full-size CG
+    temporary besides, or with a product of its own per step).  The right
+    side u/tau, then CG's residual, sits in the head of the buffers'
+    zero-rimmed copy, and the matvec's product K y and the box solve's
+    DST-I in their flat scratch.  Between steps the stepper holds under one
+    field beside those buffers: the DST slabs, the symbol tables and the
+    masks (0.81; 1.65 with a box divisor held, 2.76 with a DST buffer of
+    the box's own held per solve besides).  A warm step keeps the cold
+    step's bits."""
     gf, mask = _ellipse_ball(6 / 128)
     field, buffers = gf.values.nbytes, {}
 
@@ -1570,8 +1659,8 @@ def test_a_warm_quadratic_prox_step_peaks_at_a_bounded_number_of_fields(work):
     again = work(lambda: step(gf.values)[0], count=False, cold=False)
     assert stats["preconditioned"] and _same_bits(again.result, first)
     handed = sum(a.nbytes for plan in buffers.values() for a in plan)
-    assert built.held - handed - first.nbytes < 2 * field
-    assert again.peak < 3.5 * field
+    assert built.held - handed - first.nbytes < field
+    assert again.peak < 2.5 * field
 
 
 def test_the_box_solve_borrows_a_scratch_that_holds_a_box_longer_than_the_copy(monkeypatch):

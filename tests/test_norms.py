@@ -260,6 +260,13 @@ def test_coercivity_bounds_hold_on_samples():
         assert np.all(np.linalg.norm(A, axis=1) <= c2 * np.sqrt(n2) + 1e-12)
 
 
+def test_the_p_norm_coercivity_scan_refuses_more_than_three_dimensions():
+    # its sphere scan samples directions for N <= 3; the oracle's own scan is
+    # refused earlier, by `DualEvalConfig.check_dimension`
+    with pytest.raises(DomainError, match="N <= 3"):
+        norms.coercivity_bounds(norms.p_norm(3.0, 4))
+
+
 def test_verify_identities_euclidean_exact():
     rep = norms.verify_identities(EUCLID, 1000, seed=0)
     for value in rep.values():

@@ -353,15 +353,35 @@ def test_the_3d_correlation_plan_blocks_two_padded_hyperplanes():
     assert [(i, j) for i, j, _, _ in spans[-2:]] == [(126, 128), (128, 129)]
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_correlate_in_place_keeps_the_bits_of_ndimage_in_blocks_shorter_than_its_reach(
+        block, rows):
+    """`correlate` into its own input, as `solutions.pde_residual` calls it,
+    keeps ndimage's bits in 2-D and 3-D at blocks of one and two padded rows,
+    fewer than reach + 1 = 3: each block's rows go to out while later
+    windows still read them, which the rolling window holds already."""
+    from scipy import ndimage
+    rng = np.random.default_rng(rows)
+    for shape in ((9, 7), (6, 5, 4)):
+        S = rng.standard_normal((5,) * len(shape))
+        u = rng.standard_normal(shape)
+        want = ndimage.correlate(u, S, mode="constant")
+        with block(rows * int(np.prod([n + 4 for n in shape[1:]]))):
+            assert operators._correlation_plan(shape, operators.correlation_taps(S))[-1][0][1] \
+                == rows
+            got = operators.correlate(u, operators.correlation_taps(S), u)
+        assert got is u and _same_bits(got, want)
+
+
 def test_correlate_into_its_out_allocates_no_field(work, block):
     """A warm `correlate` of the energy gradient's 17 taps on the 513 x 257
     ellipse grid, into a given out and in handed buffers, allocates under an
     eighth of a field: each block of whole padded rows goes straight into
     out (a full flat sums buffer and its copy took a field).  The buffers
-    hold the zero-rimmed copy, flat with a margin of 2 (261 + 1) zeros on
-    each side, and one block's sums and products, of 31 padded rows (8,091
-    values, at most `block.size`), and no flat scratch: `correlate` never asks
-    for it."""
+    hold its window, flat, of one block's 31 padded rows of 261 values and
+    3 rows on each side, and one block's sums and products (8,091 values,
+    at most `block.size`); `correlate` asks for neither the energy's
+    zero-rimmed copy nor the flat scratch."""
     u = np.random.default_rng(3).standard_normal((513, 257))
     _, _, taps = operators.constant_stencil(_energy_form, ELLIPSE, (6 / 128, 6 / 128))
     out, buffers = np.empty_like(u), {}
@@ -369,8 +389,8 @@ def test_correlate_into_its_out_allocates_no_field(work, block):
     first = out.copy()
     peak = work(lambda: operators.correlate(u, taps, out, buffers), count=False, cold=False).peak
     assert _same_bits(out, first)
-    (padded, *sums), = buffers.values()
-    assert padded.shape == (517 * 261 + 2 * 524,) and len(sums) == 2
+    (window, *sums), = buffers.values()
+    assert window.shape == ((31 + 2 * 3) * 261,) and len(sums) == 2
     assert all(b.size == 31 * 261 <= block.size for b in sums)
     assert peak < u.nbytes / 8
 
