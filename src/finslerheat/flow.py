@@ -52,10 +52,9 @@ DA_kk is unbounded as xi_k -> 0, CG is plain.  Every returned step is a
 descent point of the monitored energy.  The explicit scheme advances with
 the face-flux operator under the usual parabolic step restriction; its
 step (`_explicit_stepper`) is built once per solve too.
-The stepper and the monitor reader of a solve borrow one set of
-correlation buffers, which dies with the solve, under the one lending rule
-of `operators._correlation_buffers`, which also lends the energy's copy
-and scratch between two energy reads; `energy`, `weighted_monitors`,
+The stepper and the monitor reader of a solve share one `buffers` dict,
+which dies with the solve, under the one lending rule of
+`operators._correlation_buffers`; `energy`, `weighted_monitors`,
 `proximal_step` and `explicit_step` build theirs per call: no
 module-level cache holds a field.  Every pass that works a cache-sized
 block at a time cuts its blocks by `grids.blocks`.
@@ -75,10 +74,9 @@ and `_monitor_reader`, the one energy reader (also of `energy` and
 `weighted_monitors`): the energy, the mass, the quadratic weight integral
 int e^(-2 lam H0^2/(1-4 lam t)) u^2 (nonincreasing while t < 1/(4 lam))
 and the windowed-ball weighted L^1 quantity with weight e^(-H0^2 (1+t^ell)).
-The reader holds no field of H0^2: each read squares H0 into a weight
-buffer, the correlation buffers' for quadratic families, and scales it in
-place.  Of the ell window's ball kernel it holds the row transform only
-(`measures.fftconvolve` with a mask).
+The reader holds no field of H0^2: each read squares H0 into a lent
+weight buffer and scales it in place.  Of the ell window's ball kernel it
+holds the row transform only (`measures.fftconvolve` with a mask).
 """
 
 from __future__ import annotations
@@ -240,9 +238,8 @@ class _NewtonFaces:
     buffer that every family's view shares, and the DA entries
     `jacobians[axis]`, (i, j) -> DA_ij for i <= j (`norms._p_jacobian`).
     `scratch`, the one flat buffer of every family's s, at least a
-    `operators.dst_box` long, is the scratch of the Newton step (the face
-    medians' entries and the box solve's DST-I, lent under
-    `operators._correlation_buffers`' rule) once DA is built.
+    `operators.dst_box` and two fields long, is lent while s is dead
+    (`operators._correlation_buffers`).
 
     `gradient(u)` is the energy gradient, its faces evaluated once and
     kept; `hessian()` builds DA in place from the faces last evaluated and
@@ -262,7 +259,7 @@ class _NewtonFaces:
         self._product = [product[:G[0].size].reshape(G.shape[1:]) for G in faces]
         self.H = [np.empty(G.shape[1:]) for G in faces]
         ends = np.cumsum([0] + [G.size for G in faces])
-        self.scratch = np.empty(max(ends[-1], math.prod(dst_box(shape))))
+        self.scratch = np.empty(max(ends[-1], math.prod(dst_box(shape)), 2 * math.prod(shape)))
         self.s = [self.scratch[a:b].reshape(G.shape) for a, b, G in zip(ends, ends[1:], faces)]
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
@@ -327,8 +324,8 @@ def _box_preconditioner(mask: np.ndarray, tau: float, spec: NormSpec, spacings,
     operator with eigenvalues the divisor 1/tau + sum_k c_k sigma_k, sigma_k
     the DST-I symbols (`operators.stencil_symbol`), tau r on the box edge,
     SPD on masked fields where the divisor is positive.  Each call
-    transforms in `scratch`, lent under `operators._correlation_buffers`'
-    rule, and forms the divisor, 1/tau and then each c_k sigma_k in turn,
+    transforms in the lent `scratch` (`operators._correlation_buffers`)
+    and forms the divisor, 1/tau and then each c_k sigma_k in turn,
     and divides by it, a block of rows at a time (`operators.symbol_blocks`)
     in two buffers of one block.
     Quadratic families weigh K's stencil by 1: B^-1 is (I/tau + K)^-1, exact
@@ -457,14 +454,12 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     the CG iterations, and preconditioned, whether CG was preconditioned.
 
     Quadratic families: one CG solve of (I/tau + K) u = v/tau from the
-    masked v, K u = `energy_gradient`(u) into the flat scratch of `buffers`
-    (`operators._correlation_buffers`) and v/tau, then the residual, in
-    the head of their zero-rimmed copy, zeroed again once CG returns,
-    preconditioned by the box inverse
-    of I/tau + K (K's stencil weighed by 1, built at the first such step,
-    its DST-I run in the same scratch, where K's product is dead)
-    when v/tau is below the stopping tolerance in L^2 on the boundary band
-    (`_boundary_band`, built once), where the box and masked operators differ.
+    masked v, K u = `energy_gradient`(u) and v/tau, then the residual, in
+    the lent correlation buffers of `buffers` (`operators._correlation_buffers`),
+    preconditioned by the box inverse of I/tau + K (K's stencil weighed by
+    1, built at the first such step) when v/tau is below the stopping
+    tolerance in L^2 on the boundary band (`_boundary_band`, built once),
+    where the box and masked operators differ.
 
     p-norms: inexact Newton from the masked v, CG on I/tau + (1/N) G^T
     DA(G u) G with DA, the duality map's Jacobian, from the faces of the
@@ -545,7 +540,6 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
                                                [_face_energy_gradient], scratch)((1.0,)))
             w, iters, converged = cg(gradient, rhs, u, atol,
                                      inner.max_iters, box[0] if quiet else None)
-            rhs.fill(0.0)       # the energy reads the copy's zeros
             if not converged:   # the budget is spent: accept w only if its gap is in tolerance
                 u = np.where(mask, values, 0.0)     # cg moved u to w
                 gap = _l2(np.where(mask, (w - u) / tau + gradient(w), 0.0), vol)
@@ -684,7 +678,9 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     the gradient of the Newton faces that a stepper keeps in `buffers`
     (`_NewtonFaces`) or else `energy_gradient`; quadratic families by the
     stencil's difference form (`operators.stencil_energy`) in `buffers`,
-    the reader's own unless given.
+    the reader's own unless given.  Once the energy is read, the weights
+    borrow those buffers (`operators._correlation_buffers`); an explicit
+    p-norm run has no faces and makes its own.
 
     With lam: weighted_l2 = int e^(-2 lam H0^2/(1-4 lam t)) u^2 and
     weighted_l1_lambda = int e^(-lam H0^2/(1-4 lam t)) |u|, both NaN from
@@ -698,10 +694,6 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
     squares h0 into a weight buffer and scales it in place, the lambda
     exponent as (H0^2 lam) / (1 - 4 lam t), the ell one as
     H0^2 (-(1 + t^ell)), and e^w |u| as |e^w u|, which round alike.
-    Quadratic reads borrow their weights once the energy is read: the flat
-    scratch of `buffers`, and for the lambda read's second the head of their
-    zero-rimmed copy, which it zeroes again.  p-norm reads make each weight,
-    the ell one once the lambda ones are dropped.
     """
     monitor_settings(lam, ell)
     vol = float(np.prod(spacing))
@@ -711,7 +703,8 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
             faces = buffers.get("faces")
             return energy_gradient(u, spec, spacing) if faces is None else faces.gradient(u)
         psi = lambda u: 0.5 * vol * float(np.sum(u * gradient(u)))
-        lent = lambda u: (None, None)
+        lent = lambda u: ((None, None) if (faces := buffers.get("faces")) is None else
+                          faces.scratch[:2 * u.size].reshape((2,) + u.shape))
     else:
         _, scale, taps = constant_stencil(_face_energy_gradient, spec, spacing)
         psi = lambda u: 0.5 * vol * scale * stencil_energy(u, taps, buffers)
@@ -740,8 +733,6 @@ def _monitor_reader(spec: NormSpec, h0: np.ndarray, mask: Optional[np.ndarray], 
             w /= 1.0 - 4.0 * lam * t
             out["weighted_l2"] = float(np.sum(weighted(np.multiply(w, -2.0, out=second), u,
                                                        square=True))) * vol
-            if second is not None:
-                second.fill(0.0)    # the copy's head: the energy reads its zeros
             out["weighted_l1_lambda"] = float(np.sum(weighted(np.negative(w, out=w), u))) * vol
         elif lam is not None:
             out["weighted_l2"] = out["weighted_l1_lambda"] = np.nan

@@ -22,12 +22,12 @@ smoothed polytope) it is linear with constant coefficients, and it
 applies as one correlation (`correlate`) the stencil that `constant_stencil`
 reads off the face path at a unit impulse and caches with its taps per
 (operator, spec, spacing); `flow`'s energy reads the same taps (`stencil_energy`).
-The correlation's buffers belong to whoever applies the stencil, lent
-under the one rule of `_correlation_buffers`; only the plan of taps,
-shifts and `grids.blocks`, which holds no field, is cached.  `correlate`
-rims a block of rows at a time; only the energy reads a zero-rimmed copy
-of the whole field.  The box solve forms `stencil_symbol` a block of rows
-at a time (`symbol_rows`).
+The correlation's buffers belong to whoever applies the stencil
+(`_correlation_buffers`, which states the one lending rule); only the plan
+of taps, shifts and `grids.blocks`, which holds no field, is cached.
+`correlate` rims a block of rows at a time; only the energy reads a
+zero-rimmed copy of the whole field.  The box solve forms `stencil_symbol`
+a block of rows at a time (`symbol_rows`).
 Output is second-order accurate where the field is C^3 with nonvanishing
 gradient; the one-cell boundary halo, the only nodes whose faces read
 the zero extension, is marked NaN rather than extrapolated.
@@ -213,8 +213,7 @@ def correlation_taps(S: np.ndarray) -> tuple:
 def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
     """The plan of `correlate` and `stencil_energy` for fields of `shape`,
     which holds no field: the zero-rimmed copy's shape, its nodes' index,
-    the flat shift and weight of each tap, the flat copy's margin of zeros
-    on each side (the largest shift), and the `grids.blocks` of whole
+    the flat shift and weight of each tap, and the `grids.blocks` of whole
     padded rows (along axis 0) that `correlate` sums: rows i:j and their
     flat span lo:hi in its window, after reach + 1 rows before them (a
     shift reaches less than a row past `reach` rows)."""
@@ -226,7 +225,7 @@ def _correlation_plan(shape: tuple, taps: tuple) -> tuple:
     lo = (reach + 1) * strides[0]
     spans = tuple((b.start, b.stop, lo, lo + (b.stop - b.start) * strides[0])
                   for b in blocks(shape[0], strides[0]))
-    return padded, inner, shifted, reach * sum(strides), spans
+    return padded, inner, shifted, spans
 
 
 def dst_box(shape: tuple) -> tuple:
@@ -241,18 +240,23 @@ def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict], scr
     """The buffers of `correlate` and `stencil_energy` for fields of `shape`:
     `correlate`'s flat window (a block's padded rows and reach + 1 rows on
     each side; its rims are never written), one block's sums and products
-    and, from the first call with `scratch`, the energy's flat scratch, which
-    holds the copy or the `dst_box`, whichever is larger, and its zero-rimmed
-    flat copy with margins.
-    They are their owner's: `buffers`, a dict that the owner keeps, holds one
-    set per shape and reach, lent to every user while no two run at once (a
-    solve's stepper and monitor reader never do), or made per call.  Between
-    two energies the scratch is lent to the prox CG's product K y, its box
-    solve's DST-I (once the product is dead) and the monitor reader's
-    weights, and the copy's head, a field long, to the CG's right side and
-    the lambda read's second weight; each user is done with it before it
-    returns, and the head's users zero it again: the energy reads its zeros."""
-    padded, _, _, margin, spans = _correlation_plan(shape, taps)
+    and, from the first call with `scratch`, the energy's flat scratch,
+    which holds the copy or the `dst_box`, whichever is larger, and its
+    flat copy of the zero-rimmed field.  They are their owner's: `buffers`,
+    a dict that the owner keeps, holds one set per shape and reach, or they
+    are made per call.
+
+    The one lending rule of these and of `buffers["faces"].scratch`
+    (`flow._NewtonFaces`): users run one at a time, every lent buffer is
+    dead between its users, and each user writes all it reads before it
+    reads it; no user restores what another reads.  All but the window,
+    private to `correlate`, are lent: to the energy (the copy, zeroed and
+    then written, and the scratch), the prox CG's K y (the scratch) and
+    right side (the copy's head), the box solves' DST-I, the Newton step's
+    s and face medians (the faces' scratch), and the monitor reader's
+    weights once the energy is read (the scratch's and copy's heads, or
+    the faces' scratch's first two fields)."""
+    padded, _, _, spans = _correlation_plan(shape, taps)
     buffers = {} if buffers is None else buffers
     if (key := (shape, taps[0])) not in buffers:
         block = (spans[0][1],) + padded[1:]
@@ -260,7 +264,7 @@ def _correlation_buffers(shape: tuple, taps: tuple, buffers: Optional[dict], scr
                         np.empty(math.prod(block))]
     if scratch and len(buffers[key]) == 3:
         buffers[key] += [np.empty(max(math.prod(padded), math.prod(dst_box(shape)))),
-                         np.zeros(math.prod(padded) + 2 * margin)]
+                         np.empty(math.prod(padded))]
     return buffers[key]
 
 
@@ -282,7 +286,7 @@ def correlate(values: np.ndarray, taps: tuple, out: Optional[np.ndarray] = None,
     if not taps[1]:
         out.fill(0.0)
         return out
-    padded, inner, shifted, _, spans = _correlation_plan(values.shape, taps)
+    padded, inner, shifted, spans = _correlation_plan(values.shape, taps)
     window, block, product = _correlation_buffers(values.shape, taps, buffers)[:3]
     rows, cut = window.reshape((-1,) + padded[1:]), (_WHOLE,) + inner[1:]
     keep, sums, (d0, w0), rest = len(rows) - len(block), block.ravel(), shifted[0], shifted[1:]
@@ -309,13 +313,13 @@ def stencil_energy(values: np.ndarray, taps: tuple, buffers: Optional[dict] = No
     """-sum over the taps (k, S_k) of positive flat shift d of S_k sum_i
     (u_(i+k) - u_i)^2, u extended by zero: <u, S * u> for a symmetric S that
     sums to 0, with no large taps cancelling.  Each lag, in tap order,
-    differences the zero-rimmed flat copy, shifted by d, into the flat
-    scratch, both the owner's (`_correlation_buffers`).  It writes the
-    copy's nodes only: whoever borrows the copy's head zeroes it again."""
-    padded, inner, shifted, margin, _ = _correlation_plan(values.shape, taps)
+    differences the flat copy of the zero-rimmed field, shifted by d, into
+    the flat scratch, both lent (`_correlation_buffers`)."""
+    padded, inner, shifted, _ = _correlation_plan(values.shape, taps)
     work, flat = _correlation_buffers(values.shape, taps, buffers, scratch=True)[3:]
-    flat, total = flat[margin:flat.size - margin], 0.0
+    flat.fill(0.0)
     flat.reshape(padded)[inner] = values
+    total = 0.0
     for d, w in shifted:
         if d > 0:
             x = np.subtract(flat[d:], flat[:-d], out=work[:flat.size - d])

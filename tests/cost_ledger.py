@@ -19,7 +19,11 @@ as wall time does.  Run it on two trees and
 A tracer that runs alongside (`tests/line_coverage.py`) moves the peak but
 no count.
 
-    PYTHONPATH=src python tests/cost_ledger.py > ledger.txt
+    PYTHONPATH=src python tests/cost_ledger.py > tests/ledger.txt
+
+`tests/ledger.txt` holds these lines, and tier-1 compares them with this
+output (`tests/test_benchmark_jobs.py`): a change that moves a count or a
+peak rewrites that file in its diff.
 
 With `--fresh`, each job (or each job named, as <workload>/<job>) runs in
 a new process instead, and its line ends in ` maxrss_kib=<kib>`, that

@@ -15,6 +15,13 @@ checked, not read by eye.
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
+The bytes hold for one numpy build and SIMD dispatch (`docs/formats.md`).
+With `--record` the lines follow one header line, `# ` and `build()`, the
+form of `tests/digests.txt`, which tier-1 compares with this output
+(`tests/test_benchmark_jobs.py`); a change that moves a byte rewrites it:
+
+    PYTHONPATH=src python tests/output_digests.py --record > tests/digests.txt
+
 pytest does not collect this file.
 """
 
@@ -26,6 +33,9 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+from numpy._core import _multiarray_umath
 
 from finslerheat.cli import main as cli_main
 
@@ -71,5 +81,14 @@ def digests(seed: int = 1) -> list:
     return sorted(lines)
 
 
+def build() -> str:
+    """The numpy build that the digests hold for: its version and the SIMD
+    targets that it dispatches to on this CPU."""
+    dispatch = [target for target in _multiarray_umath.__cpu_dispatch__
+                if _multiarray_umath.__cpu_features__.get(target)]
+    return f"numpy {np.__version__} dispatch {' '.join(dispatch)}"
+
+
 if __name__ == "__main__":
-    print("\n".join(digests()))
+    header = [f"# {build()}"] if "--record" in sys.argv[1:] else []
+    print("\n".join(header + digests()))

@@ -9,13 +9,22 @@ job at the seeds where its identities once failed, so a change that
 renames an output file or breaks a job fails in the suite, not only at
 benchmark time.  The module is loaded from its file and only read, and
 each job runs in this process, through `tests/output_digests.py`'s loader
-and job runner.
+and job runner.  The cost ledger and the output digests of every job are
+checked in (`tests/ledger.txt`, `tests/digests.txt`) and compared here, so
+a change that moves a count, a peak or a byte rewrites them in its diff.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import cost_ledger
 import output_digests
+
+ROOT = Path(__file__).resolve().parents[1]
 
 JOBS = {f"{workload}:{job.name}": job for workload, job in output_digests.jobs(1)}
 # seeds at which `verify-norms-numeric` read inversion violations of up to
@@ -33,16 +42,48 @@ def test_benchmark_job_passes_its_check(tmp_path, job):
     assert job.check(out, job) == []
 
 
-def test_cost_ledger_pins_the_work_of_the_polytope_flow():
-    # the counts part of `tests/cost_ledger.py`'s line: one more matvec per
-    # CG step, or one more solve, moves a count; the traced peak is left
-    # out, since a tracer that runs the suite (tests/line_coverage.py) adds
-    # its own allocations to it
-    workload, job = next((w, j) for w, j in output_digests.jobs(1) if j.name == "polytope-flow")
-    counts = cost_ledger.ledger_line(workload, job).rsplit(" peak_kib=", 1)[0]
-    assert counts == ("pnorm-oracles/polytope-flow exit=0 correlate=64 stencil_energy=6 "
-                      "FaceKernel.form=1 cg_solves=5 dst1=0 fftconvolve=0 rfft=0 irfft=0 "
-                      "fft=0 ifft=0 cg_iterations=59")
+def _start(script: str) -> subprocess.Popen:
+    """`script` of this directory started in a new process, the package's
+    `src` first on its path; read its lines with `_lines`."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, str(ROOT / "tests" / script)], text=True,
+                            env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE)
+
+
+def _lines(tool: subprocess.Popen) -> list:
+    out, _ = tool.communicate(timeout=600)
+    assert tool.returncode == 0
+    return out.splitlines()
+
+
+def test_the_ledger_and_the_digests_are_the_checked_in_files(capsys):
+    """`tests/cost_ledger.py` and `tests/output_digests.py` print the lines
+    of `tests/ledger.txt` and `tests/digests.txt`: every job's call counts,
+    CG total, traced peak, exit code and output bytes.  Both run in new
+    processes, side by side, so that no tracer of the suite's
+    (`tests/line_coverage.py`) moves a peak.  Among the ledger's lines,
+    the polytope flow's pins `correlate=64 stencil_energy=6
+    FaceKernel.form=1 cg_solves=5 cg_iterations=59`.  The digests hold for
+    the numpy build and SIMD dispatch that the digest file's header names;
+    on another, the test compares the exit lines and the file list, and
+    the ledger's counts without the traced peaks, and says so."""
+    with _start("cost_ledger.py") as counted, _start("output_digests.py") as hashed:
+        ledger, digests = _lines(counted), _lines(hashed)
+    recorded_ledger = (ROOT / "tests" / "ledger.txt").read_text().splitlines()
+    header, *recorded_digests = (ROOT / "tests" / "digests.txt").read_text().splitlines()
+    assert header.startswith("# numpy ")
+    if header == f"# {output_digests.build()}":
+        assert ledger == recorded_ledger
+        assert digests == recorded_digests
+        return
+    with capsys.disabled():
+        print(f"\n{header[2:]} recorded the digests, not {output_digests.build()}: "
+              "compared the exit lines, the file list and the ledger's counts only")
+    counts = lambda lines: [line.rsplit(" peak_kib=", 1)[0] for line in lines]
+    names = lambda lines: sorted(line if line.startswith("exit ") else line.split("  ", 1)[1]
+                                 for line in lines)
+    assert counts(ledger) == counts(recorded_ledger)
+    assert names(digests) == names(recorded_digests)
 
 
 def test_cost_ledger_runs_a_job_in_a_fresh_process():

@@ -502,11 +502,11 @@ def test_a_warm_lambda_read_allocates_no_field(work):
 
 def test_an_energy_read_after_a_borrower_of_the_copy_keeps_the_bits_of_fresh_buffers():
     """The lambda read's second weight and the quadratic prox CG's right
-    side borrow the head of the correlation buffers' zero-rimmed copy,
-    which `stencil_energy` reads around the field, and zero it again: in
-    the buffers that `solve` shares between its stepper and reader, the
-    zero field's energy read after either reads 0, and a read after a read
-    and a read after a prox step keep the bits of reads on fresh buffers."""
+    side borrow the head of the correlation buffers' flat copy, which
+    `stencil_energy` zeroes before it writes the field into it: in the
+    buffers that `solve` shares between its stepper and reader, the zero
+    field's energy read after either reads 0, and a read after a read and a
+    read after a prox step keep the bits of reads on fresh buffers."""
     gf, mask = _ellipse_ball(6 / 32)
     h0, buffers, zero = norms.dual_norm_eval(ELLIPSE, gf.coords()), {}, np.zeros(mask.shape)
     read = flow._monitor_reader(ELLIPSE, h0, mask, gf.spacing, 0.5, 0.25, buffers)
@@ -519,6 +519,95 @@ def test_an_energy_read_after_a_borrower_of_the_copy_keeps_the_bits_of_fresh_buf
     u, stats = step(gf.values)
     assert stats["preconditioned"] and read(zero, 1e-2)["energy"] == 0.0
     assert read(u, 1e-2) == fresh(u, 1e-2)
+
+
+def _poisoned(call, buffers: dict):
+    """call, which first fills with NaN every buffer of `buffers` that is
+    lent (`operators._correlation_buffers`): the correlation's sums,
+    products, scratch and copy, and the Newton faces' scratch."""
+    def poisoned(*args):
+        for key, lent in buffers.items():
+            for array in [lent.scratch] if key == "faces" else lent[1:]:
+                array.fill(np.nan)
+        return call(*args)
+    return poisoned
+
+
+@pytest.mark.parametrize("spec, radius, decay",
+                         [(ELLIPSE, 6.0, 1.0), (norms.p_norm(3.0, 2), 1.0, 2.0)],
+                         ids=["ellipse-box", "p3"])
+def test_lent_buffers_poisoned_before_each_user_keep_the_bits_of_a_clean_run(spec, radius, decay):
+    """Every lent buffer is dead between its users, and each user writes all
+    it reads before it reads it: with NaN in every lent buffer before each
+    step and each read (lambda and ell), a solve's stepper and reader,
+    sharing one `buffers` dict, keep the bits of a clean run, over three
+    steps of tau 1e-2, from exp(-decay H0^2) on 129 x 65 and 65 x 65 nodes.
+    The ellipse diag(4, 1) steps take the box path.  An energy that wrote
+    only the copy's nodes read NaN rims."""
+    lay = ball_layout(spec, radius, radius / 32)
+    mask = ball_mask(spec, lay, radius)
+    h0 = norms.dual_norm_nodes(spec, lay)
+    datum = np.where(mask, np.exp(-decay * h0 ** 2), 0.0)
+
+    def run(poison: bool) -> tuple:
+        buffers, lent = {}, (lambda call: _poisoned(call, buffers)) if poison else (lambda c: c)
+        read = lent(flow._monitor_reader(spec, h0, mask, lay.spacing, 0.5, 0.25, buffers))
+        step = lent(flow._prox_stepper(spec, lay.spacing, mask, 1e-2,
+                                       InnerSolverConfig(tolerance=1e-8), buffers))
+        u, fields, reads, stats = datum, [], [], []
+        for k in range(4):
+            reads.append(read(u, k * 1e-2))
+            if k < 3:
+                u, s = step(u)
+                fields.append(u)
+                stats.append(s)
+        return fields, reads, stats
+
+    clean, poisoned = run(False), run(True)
+    assert all(s["preconditioned"] for s in clean[2]) and poisoned[2] == clean[2]
+    assert all(_same_bits(a, b) for a, b in zip(poisoned[0], clean[0]))
+    assert poisoned[1] == clean[1] and all(np.isfinite(list(r.values())).all() for r in clean[1])
+
+
+def test_a_warm_p3_lambda_read_borrows_its_weights_from_the_newton_faces(work):
+    """In the buffers of a p = 3 stepper on 257 x 257 nodes, a warm lambda
+    read peaks within an eighth of a field of an energy-only read (1.37
+    fields both, with numpy 2.4, set by the face sum's own temporaries;
+    2.00 with weights of the read's own): its weights sit in the first two
+    fields of the Newton faces' scratch, dead once the energy is read.
+    With ell as well it peaks under 4.75 fields (4.69; 5.69)."""
+    spec = norms.p_norm(3.0, 2)
+    lay = ball_layout(spec, 1.0, 1 / 128)
+    mask = ball_mask(spec, lay, 1.0)
+    h0 = norms.dual_norm_nodes(spec, lay)
+    u, buffers = np.where(mask, np.exp(-2.0 * h0 ** 2), 0.0), {}
+    flow._prox_stepper(spec, lay.spacing, mask, 1e-2, InnerSolverConfig(), buffers)
+
+    def warm_peak(lam, ell) -> float:
+        read = flow._monitor_reader(spec, h0, mask, lay.spacing, lam, ell, buffers)
+        first = read(u, 1e-3)
+        again = work(lambda: read(u, 1e-3), count=False, cold=False)
+        assert again.result == first
+        return again.peak / u.nbytes
+    assert u.shape == (257, 257)
+    assert warm_peak(0.5, None) <= warm_peak(None, None) + 1 / 8
+    assert warm_peak(0.5, 0.25) <= 4.75
+
+
+def test_a_one_dimensional_p_norm_solve_reads_its_monitors_in_the_newton_faces():
+    """At N = 1 the Newton faces' scratch, of every face's s and of the DST
+    box, is shorter than the two fields that the lambda read borrows, and
+    is sized up to them: a p = 3 solve with both monitors records, at
+    each step, the bits that `weighted_monitors` reads off its slice with
+    weights of its own."""
+    spec = norms.p_norm(3.0, 1)
+    problem, _ = _ball_problem(spec, 2.0, 1 / 16, lambda r: np.exp(-r**2), tau=1e-2,
+                               t_end=3e-2, store_times=(0.0, 1e-2, 2e-2), monitor_lambda=0.5,
+                               monitor_ell=0.25, inner=InnerSolverConfig(tolerance=1e-9))
+    traj = solve(problem)
+    for step, (t, gf) in enumerate(zip(traj.times, traj.slices)):
+        got = weighted_monitors(gf, spec, t, lam=0.5, ell=0.25, mask=traj.mask)
+        assert {name: traj.monitors[name][step] for name in got} == got
 
 
 @pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 1.2], [1.2, 1.0]]])

@@ -329,7 +329,7 @@ def test_correlate_keeps_the_bits_of_ndimage_in_blocks_of_one_row_or_a_few(block
     one in 3-D where a padded hyperplane holds 72 values, and two at shape
     (6, 1, 1), whose padded hyperplanes hold 25: the nearest count rounds
     40 / 25 up), each written straight into out, keep ndimage's bits at
-    N = 1, 2 and 3, the first and last blocks shifted into the copy's margin."""
+    N = 1, 2 and 3, the first and last blocks rimmed with zeros in the window."""
     from scipy import ndimage
     rng = np.random.default_rng(values)
     with block(values):
