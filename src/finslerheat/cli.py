@@ -339,8 +339,8 @@ def cmd_verify_exact(cfg: dict, out: Path, seed, timestamp: bool) -> int:
             rep = solutions.pde_residual(sol, layout, t, case.get("dt", 1e-2),
                                          **({"levels": case["levels"]} if "levels" in case else {}))
             window = case.get("order_window")
-            checks = [(sol.kind, rep.spacings, rep.time_steps, rep.max_residuals,
-                       window is None or window[0] <= rep.order <= window[1])]
+            checks = [(sol.kind, rep["h"], rep["dt"], rep["max"], window is None or
+                       window[0] <= observed_order(rep["max"], rep["h"]) <= window[1])]
         if sol.kind == "blowup":
             checks.append(("blowup_min_at_origin", coarse, [np.nan], [0.0],
                            solutions.blowup_min_at_origin(sol, layout, t)))
@@ -500,10 +500,10 @@ def cmd_classify(cfg: dict, out: Path, seed, timestamp: bool) -> int:
                                   f"lattice's cell volume overflows in {spec.dimension}-D")
     result = measures.classify(_measure(c.pop("measure"), spec), spec, c.pop("lambda_grid"), **c)
     _write_csv(out / "classification.csv", ["lambda", "window", "value", "stabilized"],
-               [(lam, w, value, result.stabilized[lam])
-                for (lam, w), value in result.table.items()], timestamp)
-    summary = {"admissible": result.admissible, "lambda_star": result.lam_star,
-               "horizon": result.horizon}
+               [(lam, w, value, result["stabilized"][lam])
+                for (lam, w), value in result["table"].items()], timestamp)
+    summary = {"admissible": result["lam_star"] is not None, "lambda_star": result["lam_star"],
+               "horizon": result["horizon"]}
     (out / "classification.json").write_text(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 

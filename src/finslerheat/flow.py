@@ -88,7 +88,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, SpecValidationError, StabilityError, integer, positive
+from .errors import ConvergenceError, SpecValidationError, StabilityError, finite, integer, positive
 from .grids import GridFunction, blocks, bounded, empty_layout
 from .measures import MeasureSpec, _ball_kernel, fftconvolve, kernel_rows, mollify
 from .norms import (NormSpec, _p_flux, _p_jacobian, _p_terms, coercivity_bounds,
@@ -477,6 +477,7 @@ def _prox_stepper(spec: NormSpec, spacings, mask: np.ndarray, tau: float,
     at ||grad J||_{L^2} <= tolerance (1 + ||v||_{L^2}); past max_iters CG
     iterations they raise ConvergenceError(best=u, gap).
     """
+    positive(tau, "tau")
     spacings, vol, off = tuple(spacings), float(np.prod(spacings)), ~mask
     buffers = {} if buffers is None else buffers
 
@@ -613,11 +614,11 @@ def proximal_step(u_prev: GridFunction, spec: NormSpec, mask: np.ndarray,
 def _explicit_bound(spec: NormSpec, spacings, tau: float) -> None:
     """The one check of the explicit step bound, tau <= h^2 / (2 N C2), h the
     smallest spacing and C2 `norms.coercivity_bounds`' |A(xi)| <= C2 |xi|;
-    `FlowProblem` and `explicit_step` call it."""
+    `FlowProblem` and `explicit_step` call it; tau must be above 0."""
     _, c2 = coercivity_bounds(spec)
     h = min(spacings)
     limit = h * h / (2.0 * spec.dimension * c2)
-    if tau > limit * (1.0 + 1e-12):
+    if positive(tau, "tau") > limit * (1.0 + 1e-12):
         raise StabilityError(
             f"explicit step tau = {tau:g} exceeds the stability bound {limit:g}")
 
@@ -749,7 +750,10 @@ def weighted_monitors(gf: GridFunction, spec: NormSpec, t: float,
                       lam: Optional[float] = None, ell: Optional[float] = None,
                       mask: Optional[np.ndarray] = None) -> dict:
     """Every monitor `solve` reads off one slice at time t, all it records but
-    the stepper's stats (`_monitor_reader`), of the field clamped off the mask."""
+    the stepper's stats (`_monitor_reader`), of the field clamped off the mask,
+    at a finite t >= 0."""
+    if not (finite(t) and t >= 0):
+        raise SpecValidationError(f"t must be a finite number >= 0, not {t!r}")
     u = gf.values if mask is None else np.where(mask, gf.values, 0.0)
     return _monitor_reader(spec, dual_norm_nodes(spec, gf), mask, gf.spacing,
                            lam, ell)(u, t)
@@ -837,20 +841,11 @@ def prox_homogeneity_defect(u: GridFunction, spec: NormSpec, mask: np.ndarray,
     return float(np.max(np.abs(a - k * b)))
 
 
-@dataclass
-class ScalingReport:
-    defects: list        # max |u_k(x, t) - u(k x, k^2 t)| per compare time
-    base_trajectory: Optional[Trajectory] = None
-    scaled_trajectory: Optional[Trajectory] = None
-
-    @property
-    def max_defect(self) -> float:
-        return float(np.max(self.defects))
-
-
 def scaling_check(problem: FlowProblem, k: float,
-                  compare_times: Sequence[float]) -> ScalingReport:
-    """Space-time symmetry: the flow of x -> datum(k x) vs the rescaled flow.
+                  compare_times: Sequence[float]) -> dict:
+    """Space-time symmetry: the flow of x -> datum(k x) vs the rescaled flow:
+    {"defects": max |u_k(x, t) - u(k x, k^2 t)| per compare time,
+    "trajectories": [the base run, the scaled run]}.
 
     The base problem runs on spacing h to k^2 T; a companion problem with
     datum(k x) runs on radius R/k, spacing h/k, step tau/k^2 to T.  Nodes of
@@ -879,25 +874,17 @@ def scaling_check(problem: FlowProblem, k: float,
         u_scaled = ts.slice_at(t).values
         mapped = tb.slice_at(k * k * t).sample_nearest(k * coords)
         defects.append(float(np.max(np.abs(u_scaled - mapped)[core])))
-    return ScalingReport(defects, base_trajectory=tb, scaled_trajectory=ts)
-
-
-@dataclass
-class NestedDomainReport:
-    differences: list     # consecutive sup differences on the core window
-    trajectories: list = field(default_factory=list)
-
-    @property
-    def decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.differences, self.differences[1:]))
+    return {"defects": defects, "trajectories": [tb, ts]}
 
 
 def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSpec,
                         spacing: float, tau: float,
                         compare_times: Sequence[float] = (0.1, 0.15, 0.2),
                         core_radius: float = 1.0,
-                        inner: Optional[InnerSolverConfig] = None) -> NestedDomainReport:
-    """Exhaustion study: solve on nested balls with smoothly cut data.
+                        inner: Optional[InnerSolverConfig] = None) -> dict:
+    """Exhaustion study: solve on nested balls with smoothly cut data:
+    {"differences": the sup difference of each consecutive pair on the core
+    window, "trajectories": the solve of each ball, by ascending radius}.
 
     On each ball of radius m the datum is multiplied by a C^2 cutoff that
     is 1 below H0 = m/2 and 0 above H0 = m; consecutive solutions are
@@ -928,4 +915,4 @@ def nested_domain_study(datum: MeasureSpec, radii: Sequence[float], spec: NormSp
             ub = b.slice_at(t).sample_nearest(core_pts)
             worst = max(worst, float(np.max(np.abs(ua - ub)[core])))
         diffs.append(worst)
-    return NestedDomainReport(diffs, trajectories=solutions)
+    return {"differences": diffs, "trajectories": solutions}

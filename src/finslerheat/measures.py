@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, SpecValidationError, positive
-from .grids import GridFunction, RadialProfile, blocks, bounded, empty_layout
+from .grids import MAX_NODES, GridFunction, RadialProfile, blocks, bounded, empty_layout
 from .norms import NormSpec, dual_norm_eval, dual_norm_nodes, eval_norm
 
 
@@ -289,7 +289,7 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
             np.clip(rho, 0.0, measure.profile.r_max)), 0.0)
     else:
         grid, values = measure.density, measure.density.values
-        window = window or np.inf
+        window = np.inf if window is None else positive(window, "window")
         r = dual_norm_nodes(spec, grid)
     if window < radius:
         warnings.warn("window smaller than the ball radius; coverage is partial")
@@ -299,23 +299,13 @@ def growth_functional(measure: MeasureSpec, lam: float, spec: NormSpec,
     return float(peak) * grid.cell_volume
 
 
-@dataclass
-class ClassifyResult:
-    windows: list
-    table: dict                  # (lam, window) -> value, lam outer, window inner
-    stabilized: dict             # lam -> bool
-    lam_star: Optional[float]
-    horizon: Optional[float]     # 1 / (4 lam_star)
-
-    @property
-    def admissible(self) -> bool:
-        return self.lam_star is not None
-
-
 def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
              windows: Sequence[float] = (4.0, 6.0, 8.0, 12.0),
-             spacing: float = 0.25, stabilization_tol: float = 1e-3) -> ClassifyResult:
-    """Smallest lam whose windowed functional stabilizes, and its horizon.
+             spacing: float = 0.25, stabilization_tol: float = 1e-3) -> dict:
+    """Smallest lam whose windowed functional stabilizes, and its horizon:
+    {"table": (lam, window) -> value, "stabilized": lam -> bool,
+    "lam_star": the first stabilized lam or None, "horizon": 1/(4 lam_star)
+    or None}.  The datum is admissible when lam_star is not None.
 
     Deterministic and window-monotone: all windows share one lattice, so
     enlarging the window never decreases a table entry.
@@ -324,7 +314,7 @@ def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
     outer and window inner.
     """
     lam_grid = sorted({float(x) for x in lam_grid})
-    windows = sorted({float(w) for w in windows})
+    windows = sorted({float(positive(w, "window")) for w in windows})
     if not lam_grid:
         raise SpecValidationError("lambda grid is empty: no lambda to test")
     if not (math.isfinite(stabilization_tol) and stabilization_tol >= 0):
@@ -343,7 +333,8 @@ def classify(measure: MeasureSpec, spec: NormSpec, lam_grid: Sequence[float],
             stabilized[lam] = False
     lam_star = next((lam for lam in lam_grid if stabilized[lam]), None)
     horizon = None if lam_star is None else 1.0 / (4.0 * lam_star)
-    return ClassifyResult(windows, table, stabilized, lam_star, horizon)
+    return {"table": table, "stabilized": stabilized, "lam_star": lam_star,
+            "horizon": horizon}
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +355,11 @@ def mollify(measure: MeasureSpec, width: float, layout: GridFunction) -> GridFun
     width; atoms are splatted with the same bump, renormalized per atom on
     the lattice.  Mass is preserved to roundoff provided the support plus
     the width stays inside the grid; width must be at least two cells, and
-    an atom's mass over its bump's lattice sum `grids.bounded`.
+    an atom's mass over its bump's lattice sum `grids.bounded`.  A density's
+    kernel is refused, before it is allocated, past MAX_NODES nodes.
     """
     h = layout.spacing
-    if width < 2.0 * max(h) * (1.0 - 1e-12):
+    if positive(width, "mollifier width") < 2.0 * max(h) * (1.0 - 1e-12):
         raise SpecValidationError("mollifier width must be >= 2 grid cells")
 
     if measure.kind == "atoms":
@@ -392,8 +384,10 @@ def mollify(measure: MeasureSpec, width: float, layout: GridFunction) -> GridFun
         source = measure.density if measure.density.same_layout(layout) \
             else layout.with_values(measure.density.sample_nearest(layout.coords()))
 
-    axes = [np.arange(-int(np.ceil(width / hk)), int(np.ceil(width / hk)) + 1) * hk
-            for hk in h]
+    half = [int(np.ceil(width / hk)) for hk in h]
+    if math.prod(2 * m + 1 for m in half) > MAX_NODES:
+        raise SpecValidationError(f"a mollifier of width {width!r} has more than {MAX_NODES} nodes")
+    axes = [np.arange(-m, m + 1) * hk for m, hk in zip(half, h)]
     offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     kern = _bump(np.linalg.norm(offsets, axis=-1) / width)
     kern /= kern.sum() * layout.cell_volume

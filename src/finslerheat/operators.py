@@ -39,21 +39,21 @@ at the center (`radial_operator_values`); the checks in this module
 measure how fast the discrete operator converges to that reduction and
 whether it acts linearly on such fields.  Both run on the layouts of
 `grids.refinements`, measure on the interior nodes with H0(x) >= 2h,
-h the coarsest spacing, held fixed across levels, and read their order
+h the coarsest spacing, held fixed across levels, and return a plain dict
+of the per-level spacings ("h") and errors, whose order a caller reads
 with `grids.observed_order`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import OutOfRangeError, SpecValidationError
-from .grids import GridFunction, RadialProfile, blocks, observed_order, refinements
+from .grids import GridFunction, RadialProfile, blocks, refinements
 from .measures import next_fast_len
 from .norms import NormSpec, dual_norm_nodes, duality_map
 
@@ -451,27 +451,11 @@ def lift_radial(rp: RadialProfile, spec: NormSpec, layout: GridFunction) -> Grid
     return layout.with_values(v)
 
 
-@dataclass
-class ReductionReport:
-    spacings: list
-    max_errors: list
-    mean_errors: list
-    r_cut: float
-
-    @property
-    def order_max(self) -> float:
-        return observed_order(self.max_errors, self.spacings)
-
-    @property
-    def order_mean(self) -> float:
-        return observed_order(self.mean_errors, self.spacings)
-
-
 def check_radial_reduction(rp: RadialProfile, spec: NormSpec,
-                           layout: GridFunction, levels: int = 2) -> ReductionReport:
-    """Discrete operator vs the radial reduction, across grid refinements.
-
-    Errors are measured on interior nodes with H0(x) >= r_cut, twice the
+                           layout: GridFunction, levels: int = 2) -> dict:
+    """Discrete operator vs the radial reduction, across grid refinements:
+    {"h": the spacings, "max": the largest and "mean": the mean error per
+    level}.  Errors are measured on interior nodes with H0(x) >= 2h, h the
     coarsest spacing, so the order estimate compares errors over one region.
     """
     r_cut = 2.0 * max(layout.spacing)
@@ -484,24 +468,14 @@ def check_radial_reduction(rp: RadialProfile, spec: NormSpec,
         spacings.append(max(lay.spacing))
         maxes.append(float(np.max(err)))
         means.append(float(np.mean(err)))
-    return ReductionReport(spacings, maxes, means, r_cut)
-
-
-@dataclass
-class LinearityReport:
-    spacings: list
-    radial_defects: list
-    control_defects: list
-
-    @property
-    def order(self) -> float:
-        return observed_order(self.radial_defects, self.spacings)
+    return {"h": spacings, "max": maxes, "mean": means}
 
 
 def check_linearity(rp1: RadialProfile, rp2: RadialProfile,
                     alpha: float, beta: float, spec: NormSpec,
-                    layout: GridFunction, levels: int = 2) -> LinearityReport:
-    """Linearity defect of the operator on radial lifts vs a non-radial pair.
+                    layout: GridFunction, levels: int = 2) -> dict:
+    """Linearity defect of the operator on radial lifts vs a non-radial pair:
+    {"h": the spacings, "radial" and "control": the two defects per level}.
 
     The radial defect max |L(a v + b w) - a L v - b L w| must vanish under
     refinement (the operator acts linearly on these fields); the control
@@ -527,4 +501,4 @@ def check_linearity(rp1: RadialProfile, rp2: RadialProfile,
         control.append(defect(lay.with_values(coords[..., 0] ** 2),
                               lay.with_values(coords[..., 1] ** 2)))
         spacings.append(max(lay.spacing))
-    return LinearityReport(spacings, radial, control)
+    return {"h": spacings, "radial": radial, "control": control}

@@ -20,10 +20,10 @@ Families (all anisotropic through r = H0(x)):
 
 The residual evaluator substitutes a family into the discrete equation
 (centered time difference minus the discrete operator) on the layouts of
-`grids.refinements`, halving dt with h, and reads the order of the defect
-with `grids.observed_order`.  Its report holds the per-level spacings, time
-steps (NaN for the stationary family, which takes none) and residuals;
-how they are laid out as rows is the caller's business.  The residual and
+`grids.refinements`, halving dt with h.  It returns a plain dict of the
+per-level spacings ("h"), time steps ("dt", NaN for the stationary family,
+which takes none) and residuals ("max"); a caller reads their order with
+`grids.observed_order` and lays them out as rows.  The residual and
 both checks read H0 at the nodes once and form each closed form from it a
 `grids.blocks` block of rows at a time, with the bits of whole fields.
 """
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SpecValidationError, finite, integer, positive
-from .grids import GridFunction, blocks, observed_order, refinements
+from .grids import GridFunction, blocks, refinements
 from .norms import NormSpec, dual_norm_eval, dual_norm_nodes
 from .operators import _face_flux_divergence, apply_operator, finsler_laplacian, interior_mask
 
@@ -150,20 +150,11 @@ def _closed_form(spec: SolutionSpec, r: np.ndarray, t: float) -> np.ndarray:
     return r**exponent
 
 
-@dataclass
-class ResidualReport:
-    spacings: list
-    time_steps: list
-    max_residuals: list
-
-    @property
-    def order(self) -> float:
-        return observed_order(self.max_residuals, self.spacings)
-
-
 def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
-                 levels: int = 2) -> ResidualReport:
-    """Discrete-equation residual of a closed-form family, under refinement.
+                 levels: int = 2) -> dict:
+    """Discrete-equation residual of a closed-form family, under refinement:
+    {"h": the spacings, "dt": the time steps, "max": the largest residual
+    per level}.
 
     Time families: r = [u(t+dt) - u(t-dt)]/(2 dt) - lap_h(u(t)) with the
     operator applied to u^m for the porous-medium family, which also
@@ -202,7 +193,7 @@ def pde_residual(spec: SolutionSpec, layout: GridFunction, t: float, dt: float,
         dts.append(dt_l)
         maxes.append(float(np.max(np.abs(field, out=field)[window])))
         del field, window
-    return ResidualReport(spacings, dts, maxes)
+    return {"h": spacings, "dt": dts, "max": maxes}
 
 
 def _term(spec: SolutionSpec, r: np.ndarray, t: float, dt: float) -> np.ndarray:

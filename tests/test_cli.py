@@ -378,10 +378,10 @@ def test_exact_residual_rows_are_the_library_checks_laid_out(tmp_path):
         rep = solutions.pde_residual(sol, layout, case.get("t", 0.0), case.get("dt", 1e-2),
                                      case.get("levels", 2))
         window = case.get("order_window", [-np.inf, np.inf])
-        passed = str(window[0] <= rep.order <= window[1])
-        for i, (hi, dt, mx) in enumerate(zip(rep.spacings, rep.time_steps, rep.max_residuals)):
-            order = np.nan if i == 0 else observed_order(rep.max_residuals[i - 1:i + 1],
-                                                         rep.spacings[i - 1:i + 1])
+        passed = str(window[0] <= observed_order(rep["max"], rep["h"]) <= window[1])
+        for i, (hi, dt, mx) in enumerate(zip(rep["h"], rep["dt"], rep["max"])):
+            order = np.nan if i == 0 else observed_order(rep["max"][i - 1:i + 1],
+                                                         rep["h"][i - 1:i + 1])
             want.append((sol.kind, norm.label(), hi, dt, mx, order, passed))
         if sol.kind == "blowup":
             want.append(("blowup_min_at_origin", norm.label(), h, np.nan, 0.0, np.nan, "True"))
@@ -415,7 +415,7 @@ def test_classification_rows_run_lambda_outer_window_inner(tmp_path):
     assert code == 0
     result = measures.classify(measures.measure_from_atoms(atoms), norms.euclidean(2),
                                cfg["lambda_grid"], windows=cfg["windows"], spacing=0.25)
-    want = [(lam, w, result.table[(lam, w)], str(result.stabilized[lam]))
+    want = [(lam, w, result["table"][(lam, w)], str(result["stabilized"][lam]))
             for lam in (0.1, 0.3, 0.5) for w in (4.0, 6.0, 8.0)]
     with open(outdir / "classification.csv", newline="") as fh:
         reader = csv.reader(fh)
@@ -585,9 +585,9 @@ def test_classify_and_simulate_read_a_density_grid_on_another_layout(tmp_path):
     assert code == 0
     result = measures.classify(measure, spec, [0.1, 0.3], windows=[4, 5, 6])
     with open(outdir / "classification.csv", newline="") as fh:
-        assert [float(row["value"]) for row in csv.DictReader(fh)] == list(result.table.values())
+        assert [float(row["value"]) for row in csv.DictReader(fh)] == list(result["table"].values())
     assert json.loads((outdir / "classification.json").read_text())["lambda_star"] \
-        == result.lam_star
+        == result["lam_star"]
 
     cfg = _gaussian_flow({}, store_times=(0.0,))
     cfg["problem"]["datum"] = source

@@ -78,10 +78,10 @@ def test_classifier_quarter_growth_density():
     m = _radial_measure(lambda r: np.exp(0.25 * r**2))
     res = classify(m, EUCLID, [0.1, 0.2, 0.3, 0.5], windows=(4, 6, 8, 12),
                    spacing=0.25)
-    assert res.admissible
-    assert res.lam_star == pytest.approx(0.3)
-    assert res.horizon == pytest.approx(1 / 1.2)
-    assert not res.stabilized[0.2]
+    assert res["lam_star"] is not None
+    assert res["lam_star"] == pytest.approx(0.3)
+    assert res["horizon"] == pytest.approx(1 / 1.2)
+    assert not res["stabilized"][0.2]
 
 
 def test_classifier_needs_two_distinct_windows():
@@ -91,14 +91,14 @@ def test_classifier_needs_two_distinct_windows():
     with pytest.raises(SpecValidationError, match="two distinct windows"):
         classify(m, EUCLID, [0.1, 0.2, 0.3, 0.5], windows=(12, 12), spacing=0.25)
     res = classify(m, EUCLID, [0.1, 0.2, 0.3, 0.5], windows=(8, 12, 12), spacing=0.25)
-    assert res.windows == [8.0, 12.0]
-    assert res.lam_star == pytest.approx(0.3)
+    assert [w for lam, w in res["table"] if lam == 0.1] == [8.0, 12.0]
+    assert res["lam_star"] == pytest.approx(0.3)
 
 
 def test_classifier_compact_density():
     m = _radial_measure(lambda r: np.maximum(1 - r**2, 0.0) ** 3, r_max=16.0)
     res = classify(m, EUCLID, [0.1, 0.2, 0.3], windows=(4, 6, 8), spacing=0.25)
-    assert res.lam_star == pytest.approx(0.1)
+    assert res["lam_star"] == pytest.approx(0.1)
 
 
 def test_classifier_cubic_growth_is_non_admissible():
@@ -106,7 +106,7 @@ def test_classifier_cubic_growth_is_non_admissible():
     with pytest.warns(UserWarning, match="window smaller than the ball radius"):
         res = classify(m, EUCLID, [0.1, 0.5, 1.0, 2.0], windows=(2, 3, 4, 5),
                        spacing=0.125)
-    assert not res.admissible
+    assert res["lam_star"] is None
 
 
 def test_blowup_datum_growth_membership():
@@ -114,8 +114,8 @@ def test_blowup_datum_growth_membership():
     L = 0.25
     m = _radial_measure(lambda r: np.exp(L * r**2))
     res = classify(m, EUCLID, [0.15, 0.35], windows=(4, 6, 8, 12), spacing=0.25)
-    assert res.stabilized[0.35]
-    assert not res.stabilized[0.15]
+    assert res["stabilized"][0.35]
+    assert not res["stabilized"][0.15]
 
 
 def test_scaling_coherence():
@@ -134,7 +134,7 @@ def test_classifier_determinism():
     m = _radial_measure(lambda r: np.exp(0.25 * r**2))
     a = classify(m, EUCLID, [0.3, 0.5], windows=(4, 6), spacing=0.25)
     b = classify(m, EUCLID, [0.3, 0.5], windows=(4, 6), spacing=0.25)
-    assert a.table == b.table
+    assert a["table"] == b["table"]
 
 
 def _square_layout(half, cells):
@@ -346,6 +346,8 @@ def test_inverse_fft_scale_is_rounded_from_long_double():
 
 
 _PROFILED = _radial_measure(lambda r: np.exp(-r**2))
+_ONES = measure_from_density(_square_layout(1.0, 8).with_values(np.ones((9, 9))))
+_ATOM = measure_from_atoms([((0.0, 0.0), 1.0)])
 
 
 @pytest.mark.parametrize("call, match", [
@@ -358,9 +360,23 @@ _PROFILED = _radial_measure(lambda r: np.exp(-r**2))
     (lambda: growth_functional(_PROFILED, 0.1, EUCLID), "window"),
     (lambda: classify(_PROFILED, EUCLID, []), "lambda grid is empty"),
     (lambda: classify(_PROFILED, EUCLID, [0.1], stabilization_tol=-1.0), "stabilization_tol"),
+    *[(lambda m=m, width=width: mollify(m, width, _square_layout(1.0, 16)), "mollifier width")
+      for m in (_ONES, _ATOM) for width in (np.nan, np.inf)],
+    (lambda: mollify(_ONES, 1e300, _square_layout(1.0, 16)), "more than 33554432 nodes"),
+    *[(lambda w=w: growth_functional(_ONES, 0.5, EUCLID, window=w), "window")
+      for w in (0.0, -1.0, np.nan)],
+    *[(lambda m=m: classify(m, EUCLID, [0.5], windows=(0.0, 4.0)), "window")
+      for m in (_ONES, _ATOM)],
 ], ids=["density-without-grid", "radial-without-norm", "kind-unknown", "spacing-0", "lam-0",
-        "radial-without-window", "lambda-grid-empty", "stabilization-tol-negative"])
+        "radial-without-window", "lambda-grid-empty", "stabilization-tol-negative",
+        "mollify-density-width-nan", "mollify-density-width-inf", "mollify-atoms-width-nan",
+        "mollify-atoms-width-inf", "mollify-density-kernel-too-large",
+        "density-window-0", "density-window-negative", "density-window-nan",
+        "classify-density-window-0", "classify-atoms-window-0"])
 def test_measures_refuse_bad_arguments_by_name(call, match):
+    # a NaN or infinite width failed in numpy, and an infinite one spread
+    # atoms over the whole layout; a density's window of 0 read as none,
+    # so classify's windows (0, 4) read lambda* = 0.5; atoms read no window
     with pytest.raises(SpecValidationError, match=match):
         call()
 
@@ -379,7 +395,7 @@ def test_a_density_whose_total_mass_overflows_is_refused():
         measure_from_density(huge.with_values(np.ones(huge.values.shape)))
     density = measure_from_density(lay.with_values(np.full(lay.values.shape, MAX_VALUE)))
     result = classify(density, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
-    assert all(math.isfinite(v) for v in result.table.values())
+    assert all(math.isfinite(v) for v in result["table"].values())
 
 
 def test_atoms_whose_total_mass_overflows_are_refused():
@@ -392,7 +408,7 @@ def test_atoms_whose_total_mass_overflows_are_refused():
             measure_from_atoms([((0.0, 0.0), mass), ((0.5, 0.0), -1.0)])
     atoms = measure_from_atoms([((0.0, 0.0), MAX_VALUE), ((0.5, 0.0), -MAX_VALUE)])
     result = classify(atoms, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
-    assert all(math.isfinite(v) for v in result.table.values())
+    assert all(math.isfinite(v) for v in result["table"].values())
 
 
 def test_atoms_whose_points_pass_max_value_are_refused():
@@ -427,7 +443,7 @@ def test_classify_of_a_density_up_to_max_value_is_finite(exponent, seed):
     values = np.random.default_rng(seed).uniform(-1.0, 1.0, lay.values.shape)
     density = measure_from_density(lay.with_values(values * min(10.0**exponent, MAX_VALUE)))
     result = classify(density, EUCLID, [0.1, 0.3], windows=(4.0, 6.0))
-    assert all(math.isfinite(v) for v in result.table.values())
+    assert all(math.isfinite(v) for v in result["table"].values())
 
 
 def test_classify_marks_a_lambda_with_an_infinite_functional_not_stabilized():
@@ -435,5 +451,5 @@ def test_classify_marks_a_lambda_with_an_infinite_functional_not_stabilized():
     # of the radial density, overflow to inf: no lambda is stabilized
     with np.errstate(over="ignore"):
         result = classify(_PROFILED, EUCLID, [0.1, 0.3], windows=(4.0, 6.0), spacing=1e200)
-    assert all(v == np.inf for v in result.table.values())
-    assert result.stabilized == {0.1: False, 0.3: False} and result.lam_star is None
+    assert all(v == np.inf for v in result["table"].values())
+    assert result["stabilized"] == {0.1: False, 0.3: False} and result["lam_star"] is None
